@@ -1,11 +1,14 @@
-"""Exact coefficient arithmetic: sparse integer polynomials in (q, u) and
-the rational function field built on them.
+"""Exact coefficient arithmetic: sparse polynomials in (q, u) and rational
+functions whose denominators lie in Z[q].
 
-PolyQU stores a polynomial in Z[q, u] as a sparse map (qdeg, udeg) -> int
-with no zero entries.  RatQU is a fraction num/den of two PolyQU values
-kept in a canonical reduced form (gcd 1 including integer content, leading
-coefficient of the denominator positive under the lexicographic order on
-(qdeg, udeg)), so equal values compare structurally equal.
+PolyQU stores a polynomial in q and u as a sparse map (qdeg, udeg) -> coeff
+with no zero entries; coefficients are integers, or exact Fractions where a
+formula divides by an integer.  RatQU is a fraction num/den with an integer
+numerator in Z[q, u] and an integer denominator in Z[q]: Fraction
+coefficients are cleared into the denominator once, at construction, and
+u in a denominator is refused.  The pair is kept in a canonical reduced form
+(gcd 1 including integer content, leading coefficient of the denominator
+positive), so equal values compare structurally equal.
 
 Everything is immutable and safe to share; no floating point anywhere.
 """
@@ -13,7 +16,7 @@ Everything is immutable and safe to share; no floating point anywhere.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd as _int_gcd
+from math import gcd as _int_gcd, lcm
 
 Monomial = tuple[int, int]
 
@@ -205,10 +208,14 @@ U = PolyQU.monomial(1, 0, 1)
 # ---------------------------------------------------------------------------
 # gcd machinery
 #
-# A PolyQU is viewed as a polynomial in u whose coefficients live in Z[q];
-# the q-polynomials are handled as dense integer lists (lowest degree first).
-# The bivariate gcd is content * gcd of primitive parts, with the primitive
-# part computed by a primitive pseudo-remainder sequence.  All steps are
+# RatQU keeps an integer numerator in Z[q, u] over an integer denominator in
+# Z[q]; Fraction coefficients are cleared into the denominator once, when a
+# RatQU is built.  So every gcd or exact division it asks for is over Z and
+# has an operand free of u.
+# A PolyQU is viewed as a polynomial in u whose coefficients (u-slices) are
+# q-polynomials, handled as dense integer lists (lowest degree first).  The
+# gcd with a q-polynomial is the Z[q] gcd folded over the u-slices, and the
+# exact division by one is the Z[q] division slice by slice.  All steps are
 # exact integer arithmetic.
 
 def _q_trim(f: list[int]) -> list[int]:
@@ -226,24 +233,6 @@ def _q_content(f: list[int]) -> int:
 
 def _q_scale(f: list[int], n: int) -> list[int]:
     return [c * n for c in f]
-
-
-def _q_mul(f: list[int], g: list[int]) -> list[int]:
-    if not f or not g:
-        return []
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a:
-            for j, b in enumerate(g):
-                if b:
-                    out[i + j] += a * b
-    return _q_trim(out)
-
-
-def _q_sub(f: list[int], g: list[int]) -> list[int]:
-    n = max(len(f), len(g))
-    out = [(f[i] if i < len(f) else 0) - (g[i] if i < len(g) else 0) for i in range(n)]
-    return _q_trim(out)
 
 
 def _q_exact_div(f: list[int], g: list[int]) -> list[int] | None:
@@ -274,10 +263,11 @@ def _q_gcd(f: list[int], g: list[int]) -> list[int]:
     """gcd in Z[q] with positive leading coefficient."""
     f, g = _q_trim(list(f)), _q_trim(list(g))
     if not f:
-        g = list(g)
         return _q_scale(g, -1) if g and g[-1] < 0 else g
     if not g:
-        return _q_scale(f, -1) if f[-1] < 0 else list(f)
+        return _q_scale(f, -1) if f[-1] < 0 else f
+    if len(f) == 1 or len(g) == 1:
+        return [_int_gcd(_q_content(f), _q_content(g))]
     cf, cg = _q_content(f), _q_content(g)
     c = _int_gcd(cf, cg)
     f = [x // cf for x in f]
@@ -300,184 +290,68 @@ def _q_gcd(f: list[int], g: list[int]) -> list[int]:
     return _q_scale(f, c)
 
 
-def _to_rec(p: PolyQU) -> dict[int, list[int]]:
-    """u-degree -> dense q-coefficient list."""
-    rec: dict[int, list[int]] = {}
+def _u_slices(p: PolyQU) -> dict[int, list[int]]:
+    """u-degree -> dense q-coefficient list of that slice (no trailing zeros)."""
+    out: dict[int, list[int]] = {}
     for (i, j), c in p.terms.items():
-        row = rec.setdefault(j, [])
+        row = out.setdefault(j, [])
         if len(row) <= i:
             row.extend([0] * (i + 1 - len(row)))
         row[i] = c
-    return {j: _q_trim(row) for j, row in rec.items() if _q_trim(list(row))}
-
-
-def _from_rec(rec: dict[int, list[int]]) -> PolyQU:
-    terms = {}
-    for j, row in rec.items():
-        for i, c in enumerate(row):
-            if c:
-                terms[(i, j)] = c
-    return PolyQU(terms)
-
-
-def _rec_dense(rec: dict[int, list[int]]) -> list[list[int]]:
-    if not rec:
-        return []
-    top = max(rec)
-    return [list(rec.get(j, [])) for j in range(top + 1)]
-
-
-def _biv_trim(f: list[list[int]]) -> list[list[int]]:
-    while f and not f[-1]:
-        f.pop()
-    return f
-
-
-def _biv_content(f: list[list[int]]) -> list[int]:
-    g: list[int] = []
-    for row in f:
-        g = _q_gcd(g, row)
-    return g
-
-
-def _biv_pp(f: list[list[int]]) -> list[list[int]]:
-    c = _biv_content(f)
-    if c == [1]:
-        return f
-    return [_q_exact_div(row, c) or [] for row in f]
-
-
-def _biv_scale(f: list[list[int]], s: list[int]) -> list[list[int]]:
-    return [_q_mul(row, s) for row in f]
-
-
-def _biv_sub(f: list[list[int]], g: list[list[int]]) -> list[list[int]]:
-    n = max(len(f), len(g))
-    out = []
-    for j in range(n):
-        a = f[j] if j < len(f) else []
-        b = g[j] if j < len(g) else []
-        out.append(_q_sub(a, b))
-    return _biv_trim(out)
-
-
-def _biv_prem(f: list[list[int]], g: list[list[int]]) -> list[list[int]]:
-    """Pseudo-remainder of f by g as polynomials in u over Z[q]."""
-    r = [list(row) for row in f]
-    lead = g[-1]
-    while r and len(r) >= len(g):
-        k = len(r) - len(g)
-        lc = r[-1]
-        r = _biv_scale(r, lead)
-        shifted = [[] for _ in range(k)] + [_q_mul(lc, row) for row in g]
-        r = _biv_sub(r, shifted)
-    return r
-
-
-def _int_normalized(p: PolyQU) -> tuple[PolyQU, int]:
-    """Smallest positive m with m*p integer-coefficient, plus that scaled poly."""
-    m = 1
-    exact = True
-    for c in p.terms.values():
-        if isinstance(c, Fraction):
-            exact = False
-            d = c.denominator
-            m = m * d // _int_gcd(m, d)
-    if exact:
-        return p, 1
-    return PolyQU({mon: int(c * m) for mon, c in p.terms.items()}), m
+    return out
 
 
 def poly_gcd(a: PolyQU, b: PolyQU) -> PolyQU:
     """gcd in Z[q,u] (integer content included), leading coefficient positive.
 
-    Inputs with fractional coefficients are scaled to integer polynomials
-    first, so the result is the gcd of the two integerized inputs."""
-    a, _ = _int_normalized(a)
-    b, _ = _int_normalized(b)
-    if a.is_zero() and b.is_zero():
-        return ZERO
+    Both inputs have integer coefficients, and unless one is zero, at least
+    one of them is free of u; the gcd then lies in Z[q]."""
     if a.is_zero() or b.is_zero():
         g = b if a.is_zero() else a
+        if g.is_zero():
+            return ZERO
         _, lc = g.leading()
         return -g if lc < 0 else g
     if a.terms == _ONE_TERMS or b.terms == _ONE_TERMS:
         return ONE
-    # common pure-q fast path
-    if a.udeg() == 0 and b.udeg() == 0:
-        fa = _rec_dense(_to_rec(a))[0]
-        fb = _rec_dense(_to_rec(b))[0]
-        return _from_rec({0: _q_gcd(fa, fb)})
-    fa = _biv_trim(_rec_dense(_to_rec(a)))
-    fb = _biv_trim(_rec_dense(_to_rec(b)))
-    ca, cb = _biv_content(fa), _biv_content(fb)
-    c = _q_gcd(ca, cb)
-    fa = [_q_exact_div(row, ca) or [] for row in fa]
-    fb = [_q_exact_div(row, cb) or [] for row in fb]
-    if len(fa) < len(fb):
-        fa, fb = fb, fa
-    while fb:
-        r = _biv_trim(_biv_prem(fa, fb))
-        fa, fb = fb, _biv_pp(r) if r else []
-    g = _biv_scale(fa, c)
-    out = _from_rec({j: row for j, row in enumerate(g)})
-    _, lc = out.leading()
-    return -out if lc < 0 else out
+    sa, sb = _u_slices(a), _u_slices(b)
+    if sa.keys() != {0}:
+        if sb.keys() != {0}:
+            raise ValueError(f"gcd of two polynomials in u: ({a}), ({b})")
+        sa, sb = sb, sa
+    g = sa[0]
+    for row in sb.values():
+        g = _q_gcd(g, row)
+        if g == [1]:
+            return ONE
+    return PolyQU({(i, 0): c for i, c in enumerate(g) if c})
 
 
 def poly_exact_div(a: PolyQU, b: PolyQU) -> PolyQU | None:
-    """Exact quotient a/b in Q[q,u], or None when b does not divide a.
-
-    The quotient keeps integer coefficients whenever the division is
-    exact over Z[q,u]; otherwise its coefficients are exact Fractions
-    (so (a*b)/b == a holds for every nonzero b)."""
+    """Exact quotient a/b in Z[q,u] for integer a and b with b free of u,
+    or None when b does not divide a over Z."""
     if b.is_zero():
         raise ZeroDivisionError("polynomial division by zero")
-    if a.is_zero():
-        return ZERO
-    ia, ma = _int_normalized(a)
-    ib, mb = _int_normalized(b)
-    if ma == 1 and mb == 1:
-        rem = ia
-        out: dict[Monomial, int] = {}
-        (bi, bj), bc = ib.leading()
-        integral = True
-        while rem.terms:
-            (ri, rj), rc = rem.leading()
-            if ri < bi or rj < bj:
-                # a leading-monomial failure rules out divisibility over
-                # Q as well, since the remainders so far match the
-                # rational division step for step
-                return None
-            qcoef, r = divmod(rc, bc)
-            if r:
-                integral = False
-                break
-            m = (ri - bi, rj - bj)
-            out[m] = qcoef
-            rem = rem - ib * PolyQU.monomial(qcoef, *m)
-        if integral:
-            return PolyQU(out)
-    rem = a
-    fout: dict[Monomial, int | Fraction] = {}
-    (bi, bj), bc = b.leading()
-    while rem.terms:
-        (ri, rj), rc = rem.leading()
-        if ri < bi or rj < bj:
+    sb = _u_slices(b)
+    if sb.keys() != {0}:
+        raise ValueError(f"exact division by a polynomial in u: ({b})")
+    out: dict[Monomial, int] = {}
+    for j, row in _u_slices(a).items():
+        quot = _q_exact_div(row, sb[0])
+        if quot is None:
             return None
-        qc = Fraction(rc) / Fraction(bc)
-        coeff: int | Fraction = int(qc) if qc.denominator == 1 else qc
-        m = (ri - bi, rj - bj)
-        fout[m] = coeff
-        rem = rem - b * PolyQU.monomial(coeff, *m)
-    return PolyQU(fout)
+        for i, c in enumerate(quot):
+            if c:
+                out[(i, j)] = c
+    return PolyQU(out)
 
 
 # ---------------------------------------------------------------------------
 # rational functions
 
 class RatQU:
-    """Reduced fraction of two PolyQU values; the canonical form is unique."""
+    """Reduced fraction num/den with num in Z[q,u] and den in Z[q]; the
+    canonical form is unique."""
 
     __slots__ = ("num", "den")
 
@@ -487,6 +361,12 @@ class RatQU:
         if num.is_zero():
             self.num, self.den = ZERO, ONE
             return
+        if den.udeg() > 0:
+            raise ValueError(f"u in a denominator: ({num})/({den})")
+        if not all(type(c) is int for p in (num, den) for c in p.terms.values()):
+            m = lcm(*(c.denominator for p in (num, den) for c in p.terms.values()))
+            num, den = (PolyQU({mono: int(c * m) for mono, c in p.terms.items()})
+                        for p in (num, den))
         if den.terms != _ONE_TERMS:
             g = poly_gcd(num, den)
             if g.terms != _ONE_TERMS:
@@ -560,6 +440,8 @@ class RatQU:
     def inv(self) -> "RatQU":
         if self.num.is_zero():
             raise ZeroDivisionError("division by zero")
+        if self.num.udeg() > 0:
+            raise ValueError(f"inverse puts u in a denominator: ({self.num})/({self.den})")
         r = RatQU.__new__(RatQU)
         num, den = self.den, self.num
         _, lc = den.leading()

@@ -26,16 +26,34 @@ from ennola.coeffs import (
 
 
 @st.composite
-def polys(draw, max_terms: int = 4, max_deg: int = 4) -> PolyQU:
+def polys(
+    draw, max_terms: int = 4, max_deg: int = 4, max_den: int = 4, max_udeg: int | None = None
+) -> PolyQU:
+    """Sparse polynomials with coefficients num/den, den <= max_den (so
+    max_den=1 gives Z[q,u]), and u-degree at most max_udeg (max_deg if None)."""
     n_terms = draw(st.integers(min_value=0, max_value=max_terms))
     acc = ZERO
     for _ in range(n_terms):
         num = draw(st.integers(min_value=-9, max_value=9))
-        den = draw(st.integers(min_value=1, max_value=4))
+        den = draw(st.integers(min_value=1, max_value=max_den))
         qd = draw(st.integers(min_value=0, max_value=max_deg))
-        ud = draw(st.integers(min_value=0, max_value=max_deg))
-        acc = acc + PolyQU.monomial(Fraction(num, den), qd, ud)
+        ud = draw(st.integers(min_value=0, max_value=max_deg if max_udeg is None else max_udeg))
+        acc = acc + PolyQU.monomial(Fraction(num, den) if max_den > 1 else num, qd, ud)
     return acc
+
+
+def int_polys() -> st.SearchStrategy[PolyQU]:
+    """Small polynomials in Z[q,u]."""
+    return polys(max_terms=3, max_deg=3, max_den=1)
+
+
+def q_polys() -> st.SearchStrategy[PolyQU]:
+    """Small polynomials in Z[q], the ring of RatQU denominators."""
+    return polys(max_terms=3, max_deg=3, max_den=1, max_udeg=0)
+
+
+def _positive_lead(p: PolyQU) -> PolyQU:
+    return -p if p and p.leading()[1] < 0 else p
 
 
 class TestPolyRingLaws:
@@ -143,24 +161,44 @@ class TestPolyToStr:
 
 
 class TestGcdAndDivision:
-    @given(polys(max_terms=3, max_deg=3), polys(max_terms=3, max_deg=3))
+    # RatQU keeps its denominators in Z[q], so poly_gcd takes one nonzero
+    # operand in Z[q] and poly_exact_div a divisor in Z[q]; the strategies
+    # are narrowed to that on purpose.
+
+    @given(q_polys(), int_polys(), q_polys())
     @settings(max_examples=40, deadline=None)
-    def test_gcd_divides_both(self, a, b):
+    def test_gcd_divides_both(self, a, b, c):
         g = poly_gcd(a, b)
-        if g.is_zero():
-            assert a.is_zero() and b.is_zero()
+        if a.is_zero():
+            assert g == _positive_lead(b)
         else:
+            assert g.udeg() <= 0
             assert poly_exact_div(a, g) is not None
             assert poly_exact_div(b, g) is not None
+        # greatest: a common factor c comes out whole
+        c = _positive_lead(c)
+        if c:
+            assert poly_gcd(a * c, b * c) == g * c
 
-    @given(polys(max_terms=3, max_deg=3), polys(max_terms=3, max_deg=3))
+    @given(int_polys(), q_polys())
     @settings(max_examples=40, deadline=None)
     def test_exact_div_roundtrip(self, a, b):
         if b.is_zero():
             return
-        quotient = poly_exact_div(a * b, b)
-        assert quotient is not None
-        assert quotient * b == a * b
+        assert poly_exact_div(a * b, b) == a
+
+    def test_gcd_with_zero_keeps_u(self):
+        assert poly_gcd(ZERO, U * Q - U) == U * Q - U
+        assert poly_gcd(ZERO, U - U * Q) == U * Q - U
+        assert poly_gcd(ZERO, ZERO) == ZERO
+
+    def test_two_u_bearing_operands_raise(self):
+        with pytest.raises(ValueError, match=r"gcd of two polynomials in u"):
+            poly_gcd(U * Q, U + Q)
+
+    def test_division_by_u_bearing_polynomial_raises(self):
+        with pytest.raises(ValueError, match=r"division by a polynomial in u: \(u\)"):
+            poly_exact_div(U * Q, U)
 
     def test_inexact_division_returns_none(self):
         assert poly_exact_div(Q + ONE, Q) is None
@@ -181,6 +219,32 @@ class TestRatQU:
         assert RatQU.from_int(0) == RAT_ZERO
         assert not RAT_ZERO
         assert RAT_ONE
+
+    def test_fraction_coefficients_cleared_at_construction(self):
+        # phi(2) = (q^2 - q)/2 has Fraction coefficients as a PolyQU; as a
+        # RatQU it must take the one canonical form (q^2 - q)/2.
+        from ennola.multiplicities import phi
+
+        a = RatQU.from_poly(phi(2))
+        b = RatQU(Q**2 - Q, PolyQU.const(2))
+        assert a == b
+        assert hash(a) == hash(b)
+        for r in (a, b):
+            assert all(type(c) is int for c in r.num.terms.values())
+            assert all(type(c) is int for c in r.den.terms.values())
+        assert (a.num, a.den) == (Q**2 - Q, PolyQU.const(2))
+        # an integral Fraction is stored as an int too
+        three_q = RatQU.from_poly(PolyQU.monomial(Fraction(3), 1, 0))
+        assert type(three_q.num.terms[(1, 0)]) is int
+
+    def test_u_in_denominator_raises(self):
+        with pytest.raises(ValueError, match=r"u in a denominator: \(1\)/\(u \+ q\)"):
+            RatQU(ONE, U + Q)
+
+    def test_inverse_of_u_bearing_value_raises(self):
+        with pytest.raises(ValueError, match=r"inverse puts u in a denominator: \(u\)/\(q\)"):
+            RatQU(U, Q).inv()
+        assert RatQU(Q, Q + ONE).inv() == RatQU(Q + ONE, Q)
 
     def test_cancellation(self):
         # (q^2 - 1)/(q - 1) should compare equal to q + 1.
