@@ -50,27 +50,6 @@ def character_value(lam: Partition, rho: Partition) -> int:
     return total
 
 
-class CharTable:
-    """Full character table of S_n, materialized on first use."""
-
-    def __init__(self, n: int):
-        self.n = n
-        self.shapes = enumerate_partitions(n)
-        self.values = {
-            (lam, rho): character_value(lam, rho)
-            for lam in self.shapes
-            for rho in self.shapes
-        }
-
-    def chi(self, lam: Partition, rho: Partition) -> int:
-        return self.values[(lam, rho)]
-
-
-@lru_cache(maxsize=None)
-def char_table(n: int) -> CharTable:
-    return CharTable(n)
-
-
 def kronecker(mu: MultiPartition) -> int:
     """Multiplicity of the trivial character in chi^{mu^1} x ... x chi^{mu^k}."""
     if not mu:
@@ -101,12 +80,3 @@ def schur_to_powersum(lam: Partition) -> dict[Partition, Fraction]:
             out[rho] = Fraction(chi, z_lambda(rho))
     return out
 
-
-def powersum_to_schur(rho: Partition) -> dict[Partition, int]:
-    """Coefficients of p_rho = sum_lam chi^lam_rho s_lam."""
-    out = {}
-    for lam in enumerate_partitions(size(rho)):
-        chi = character_value(lam, rho)
-        if chi:
-            out[lam] = chi
-    return out

@@ -7,7 +7,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
@@ -61,7 +60,6 @@ class Request:
     type_literal: str | None = None
     fmt: str = "text"
     cache_dir: str | None = None
-    jobs: int = 1
     action: str | None = None
 
 
@@ -147,21 +145,14 @@ def cmd_pair(req: Request) -> int:
     return EXIT_OK
 
 
-def _table_rows(ctx: MasterContext | None, which: str, k: int, n: int, jobs: int):
+def _table_rows(ctx: MasterContext | None, which: str, k: int, n: int):
     parts = sorted(enumerate_partitions(n))
-    keys = list(combinations_with_replacement(parts, k))
-
-    def value(mu):
-        if which == "kron":
-            return PolyQU.const(kronecker(mu))
-        return _pair_value(ctx, which, mu, None)
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            vals = list(pool.map(value, keys))
-    else:
-        vals = [value(mu) for mu in keys]
-    return [(mu, v) for mu, v in zip(keys, vals) if not v.is_zero()]
+    rows = []
+    for mu in combinations_with_replacement(parts, k):
+        val = _pair_value(ctx, which, mu, None)
+        if not val.is_zero():
+            rows.append((mu, val))
+    return rows
 
 
 def format_table(rows, which: str, k: int, n: int, fmt: str) -> str:
@@ -213,7 +204,7 @@ def cmd_table(req: Request) -> int:
         else:
             ctx.tau_schur(req.n)
         _warn_ignored(ctx)
-    rows = _table_rows(ctx, req.which, k, req.n, req.jobs)
+    rows = _table_rows(ctx, req.which, k, req.n)
     out = format_table(rows, req.which, k, req.n, req.fmt)
     if out:
         print(out)
@@ -261,16 +252,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, jobs: bool = True) -> None:
+    def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--k", type=int, default=None,
                        help="number of tensor factors (default 3)")
         p.add_argument("--format", dest="fmt", default="text",
                        choices=("text", "json", "csv", "tex"))
         p.add_argument("--cache-dir", default=None,
                        help="cache directory (default: user cache dir)")
-        if jobs:
-            p.add_argument("--jobs", type=int, default=1,
-                           help="worker threads for table assembly")
 
     p = sub.add_parser("pair", help="one multiplicity polynomial")
     p.add_argument("--which", choices=WHICH_CHOICES, required=True)
@@ -291,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cache", help="build or clear the disk cache")
     p.add_argument("action", choices=("build", "clear"))
     p.add_argument("--n", type=int, default=None)
-    common(p, jobs=False)
+    common(p)
     return parser
 
 
@@ -307,7 +295,6 @@ def main(argv: list[str] | None = None) -> int:
         type_literal=getattr(args, "type_literal", None),
         fmt=args.fmt,
         cache_dir=args.cache_dir if args.cache_dir is not None else default_cache_dir(),
-        jobs=getattr(args, "jobs", 1),
         action=getattr(args, "action", None),
     )
     try:

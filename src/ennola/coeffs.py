@@ -437,25 +437,6 @@ class RatQU:
         r.num, r.den = num, den
         return r
 
-    def inv(self) -> "RatQU":
-        if self.num.is_zero():
-            raise ZeroDivisionError("division by zero")
-        if self.num.udeg() > 0:
-            raise ValueError(f"inverse puts u in a denominator: ({self.num})/({self.den})")
-        r = RatQU.__new__(RatQU)
-        num, den = self.den, self.num
-        _, lc = den.leading()
-        if lc < 0:
-            num, den = -num, -den
-        r.num, r.den = num, den
-        return r
-
-    def __truediv__(self, other: "RatQU") -> "RatQU":
-        return self * other.inv()
-
-    def scale_poly(self, p: PolyQU) -> "RatQU":
-        return RatQU(self.num * p, self.den)
-
     def scale_int(self, m: int) -> "RatQU":
         """self * m, reduced without a polynomial gcd: in canonical form only
         integer content of the denominator can cancel against m."""

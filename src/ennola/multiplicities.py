@@ -16,11 +16,20 @@ recomputation of the same polynomials and serve as cross-checks.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
+import tempfile
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+
+try:  # the builtin SHA-256: importing hashlib loads OpenSSL, +3.7 MB peak RSS
+    from _sha2 import sha256  # Python >= 3.12
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10, 3.11
+    except ImportError:
+        from hashlib import sha256  # builds without the builtin hashes
 
 from .coeffs import (
     ONE,
@@ -32,20 +41,21 @@ from .coeffs import (
     poly_from_json,
     poly_to_json,
 )
-from .characters import kronecker, schur_to_powersum
+from .characters import kronecker
 from .hall_littlewood import transformed_hl
 from .partitions import (
     MultiPartition,
-    Partition,
     a_poly,
     dual,
     enumerate_partitions,
+    multipartition_to_text,
+    multipartitions,
     n_stat,
     parse_partition,
     partition_to_text,
     size,
 )
-from .symfunc import GradedSeries, SymFunc, mobius
+from .symfunc import GradedSeries, SymFunc, mobius, schur_p_tensor, tensor_expand
 from .types import (
     TypeEntries,
     from_partition,
@@ -55,65 +65,35 @@ from .types import (
     dual_type,
 )
 
-CACHE_VERSION = 1
+CACHE_VERSION = 2
 MINUS_ONE = ONE.scale(-1)
 
 
-@lru_cache(maxsize=None)
-def _divisors(n: int) -> tuple[int, ...]:
-    return tuple(d for d in range(1, n + 1) if n % d == 0)
-
-
-def _poly_div_int(p: PolyQU, d: int) -> PolyQU:
-    """Coefficient-wise division by a positive integer, kept exact with
-    Fraction coefficients where d does not divide."""
-    out: dict = {}
-    for mon, c in p.terms.items():
-        x = Fraction(c, d)
-        out[mon] = int(x) if x.denominator == 1 else x
-    return PolyQU(out)
+def phi_u(d: int) -> PolyQU:
+    """Orbit-count polynomial (1/d) sum over r | d of mu(r) u^{d/r}
+    (q^{d/r} - 1).  Integer-valued at every integer q and u, but the
+    coefficients themselves can be fractional."""
+    if d < 1:
+        raise ValueError("d must be positive")
+    acc = PolyQU()
+    for r in range(1, d + 1):
+        if d % r == 0 and mobius(r):
+            e = d // r
+            acc = acc + ((U ** e) * (Q ** e - ONE)).scale(mobius(r))
+    return PolyQU({mon: c // d if c % d == 0 else Fraction(c, d)
+                   for mon, c in acc.terms.items()})
 
 
 def phi(d: int) -> PolyQU:
     """Number of size-d Frobenius orbits on the multiplicative group,
-    split form: (1/d) sum over r | d of mu(r) (q^{d/r} - 1).  Integer-valued
-    at every integer q, but the coefficients themselves can be fractional
-    (e.g. (q^2 - q)/2 at d = 2)."""
-    if d < 1:
-        raise ValueError("d must be positive")
-    acc = PolyQU()
-    for r in _divisors(d):
-        m = mobius(r)
-        if m:
-            acc = acc + (Q ** (d // r) - ONE).scale(m)
-    return _poly_div_int(acc, d)
+    split form: phi_u at u = 1, e.g. (q^2 - q)/2 at d = 2."""
+    return phi_u(d).subst(u=ONE)
 
 
 def phi_prime(d: int) -> PolyQU:
-    """Twisted-form orbit count: (1/d) sum of mu(r) (q^{d/r} - (-1)^{d/r})."""
-    if d < 1:
-        raise ValueError("d must be positive")
-    acc = PolyQU()
-    for r in _divisors(d):
-        m = mobius(r)
-        if m:
-            e = d // r
-            acc = acc + (Q ** e - PolyQU.const((-1) ** e)).scale(m)
-    return _poly_div_int(acc, d)
-
-
-def phi_u(d: int) -> PolyQU:
-    """Common u-deformation: (1/d) sum of mu(r) u^{d/r} (q^{d/r} - 1);
-    u = 1 gives phi, (u, q) = (-1, -q) gives phi_prime."""
-    if d < 1:
-        raise ValueError("d must be positive")
-    acc = PolyQU()
-    for r in _divisors(d):
-        m = mobius(r)
-        if m:
-            e = d // r
-            acc = acc + ((U ** e) * (Q ** e - ONE)).scale(m)
-    return _poly_div_int(acc, d)
+    """Twisted-form orbit count: phi_u at (u, q) = (-1, -q), which is
+    (1/d) sum of mu(r) (q^{d/r} - (-1)^{d/r})."""
+    return phi_u(d).subst(q=-Q, u=MINUS_ONE)
 
 
 @dataclass(frozen=True)
@@ -212,12 +192,7 @@ class MasterContext:
             return self._psi_schur[n]
         if not 1 <= n <= self.N:
             raise ValueError(f"degree {n} outside 1..{self.N}")
-        table = None
-        if self.cache_dir:
-            table = load_cache(self.cache_dir, self.k, n)
-            path = cache_path(self.cache_dir, self.k, n)
-            if table is None and os.path.exists(path):
-                self.ignored_cache_files.append(path)
+        table = self._load_cached(n) if self.cache_dir else None
         if table is None:
             sf = self.psi.coeffs[n].to_schur()
             table = {}
@@ -233,13 +208,22 @@ class MasterContext:
         self._psi_schur[n] = table
         return table
 
+    def _load_cached(self, n: int) -> dict[MultiPartition, PolyQU] | None:
+        """The cached degree-n table, or None; a file that is present but
+        fails to load is recorded in ignored_cache_files."""
+        table = load_cache(self.cache_dir, self.k, n)
+        path = cache_path(self.cache_dir, self.k, n)
+        if table is None and os.path.exists(path) and path not in self.ignored_cache_files:
+            self.ignored_cache_files.append(path)
+        return table
+
     def _psi_from_cache(self) -> GradedSeries | None:
         """Rebuild the master series from fully cached Schur tables."""
         if not self.cache_dir:
             return None
         tables = []
         for n in range(1, self.N + 1):
-            t = self._psi_schur.get(n) or load_cache(self.cache_dir, self.k, n)
+            t = self._psi_schur.get(n) or self._load_cached(n)
             if t is None:
                 return None
             tables.append(t)
@@ -249,7 +233,7 @@ class MasterContext:
             acc: dict[MultiPartition, RatQU] = {}
             for mu, p in table.items():
                 base = RatQU.from_poly(p)
-                for rho, c in _schur_p_tensor(mu):
+                for rho, c in schur_p_tensor(mu):
                     term = base.scale_frac(c)
                     cur = acc.get(rho)
                     acc[rho] = term if cur is None else cur + term
@@ -273,23 +257,6 @@ class MasterContext:
         return table
 
 
-@lru_cache(maxsize=None)
-def _schur_p_tensor(mu: MultiPartition) -> tuple[tuple[MultiPartition, Fraction], ...]:
-    """Power-sum expansion of the tensor product of Schur functions."""
-    comps = [schur_to_powersum(c) for c in mu]
-    out: list[tuple[MultiPartition, Fraction]] = []
-
-    def rec(i: int, key: tuple, c: Fraction) -> None:
-        if i == len(comps):
-            out.append((key, c))
-            return
-        for rho, v in comps[i].items():
-            rec(i + 1, key + (rho,), c * v)
-
-    rec(0, (), Fraction(1))
-    return tuple(out)
-
-
 def _div_u(p: PolyQU, key) -> PolyQU:
     """Exact division by u with degree sanity checks."""
     shifted = {}
@@ -309,19 +276,11 @@ def _build_omega(k: int, N: int) -> GradedSeries:
     for n in range(1, N + 1):
         acc: dict[MultiPartition, RatQU] = {}
         for lam in enumerate_partitions(n):
-            inv_a = RatQU(ONE, a_poly(lam))
             h = transformed_hl(lam, "p")
-            items = list(h.coeffs.items())
-
-            def rec(i: int, key: tuple, c: RatQU) -> None:
-                if i == k:
-                    cur = acc.get(key)
-                    acc[key] = c if cur is None else cur + c
-                    return
-                for (rho,), v in items:
-                    rec(i + 1, key + (rho,), c * v)
-
-            rec(0, (), inv_a)
+            items = [(rho, v) for (rho,), v in h.coeffs.items()]
+            for key, c in tensor_expand([items] * k, RatQU(ONE, a_poly(lam))):
+                cur = acc.get(key)
+                acc[key] = c if cur is None else cur + c
         coeffs.append(SymFunc(k, n, "p", acc))
     return GradedSeries(k, N, coeffs)
 
@@ -343,19 +302,9 @@ def H_omega(ctx: MasterContext, omega) -> PolyQU:
     if all(len(c) == 1 and c[0][0] == 1 and c[0][2] == 1 for c in mt):
         mu = tuple(c[0][1] for c in mt)
         return ctx.psi_schur(n).get(mu, PolyQU())
-    comps = [schur_of_type(c, "p") for c in mt]
-    acc: dict[MultiPartition, RatQU] = {}
-
-    def rec(i: int, key: tuple, c: RatQU) -> None:
-        if i == len(comps):
-            cur = acc.get(key)
-            acc[key] = c if cur is None else cur + c
-            return
-        for (rho,), v in comps[i].coeffs.items():
-            rec(i + 1, key + (rho,), c * v)
-
-    rec(0, (), RatQU.from_int(1))
-    s_omega = SymFunc(ctx.k, n, "p", acc)
+    comps = [[(rho, v) for (rho,), v in schur_of_type(c, "p").coeffs.items()]
+             for c in mt]
+    s_omega = SymFunc(ctx.k, n, "p", dict(tensor_expand(comps, RatQU.from_int(1))))
     val = ctx.psi.coeffs[n].pairing(s_omega)
     return val.to_poly()
 
@@ -422,9 +371,20 @@ def _signed_neg_q(r: GradedSeries) -> GradedSeries:
     return GradedSeries(r.k, r.N, coeffs)
 
 
-def _extract_tables(ser: GradedSeries) -> dict[tuple[int, MultiPartition], PolyQU]:
+def _product_oracle(k: int, N: int, ctx: MasterContext | None, log_terms):
+    """Schur tables, keyed by (degree, multipartition), of the plain
+    exponential of sum(weight * series) over the (series, weight) pairs
+    that log_terms yields from the kernel's plain logarithm truncated at N."""
+    ctx = ctx or build_context(k, N)
+    if ctx.N < N:
+        raise ValueError(f"context truncation {ctx.N} is below requested {N}")
+    r = ctx.r_series().truncate(N)
+    log_sum = GradedSeries.zero(k, N)
+    for series, weight in log_terms(r):
+        log_sum = log_sum.add(series.scale(weight))
+    ser = log_sum.plain_exp()
     out: dict[tuple[int, MultiPartition], PolyQU] = {}
-    for n in range(1, ser.N + 1):
+    for n in range(1, N + 1):
         sf = ser.coeffs[n].to_schur()
         for key, c in sorted(sf.coeffs.items()):
             p = c.to_poly()
@@ -438,14 +398,18 @@ def U_poly_product_oracle(
 ) -> dict[tuple[int, MultiPartition], PolyQU]:
     """Split-form unipotent multiplicities recomputed from the infinite
     product with orbit-count exponents, truncated at degree N."""
-    ctx = ctx or build_context(k, N)
-    if ctx.N < N:
-        raise ValueError(f"context truncation {ctx.N} is below requested {N}")
-    r = ctx.r_series().truncate(N)
-    log_sum = GradedSeries.zero(k, N)
-    for d in range(1, N + 1):
-        log_sum = log_sum.add(r.adams(d).scale(phi(d)))
-    return _extract_tables(log_sum.plain_exp())
+    return _product_oracle(
+        k, N, ctx, lambda r: ((r.adams(d), phi(d)) for d in range(1, N + 1))
+    )
+
+
+def _uprime_log_terms(r: GradedSeries):
+    """The three-part log form of the twisted infinite product."""
+    r_alt = _signed_neg_q(r)
+    for d in range(1, r.N + 1):
+        yield r_alt.adams(d), phi_prime(d)
+    for d in range(1, r.N // 2 + 1):
+        yield r.adams(2 * d).sub(r_alt.adams(2 * d)), phi_prime(2 * d)
 
 
 def Uprime_poly_product_oracle(
@@ -453,24 +417,11 @@ def Uprime_poly_product_oracle(
 ) -> dict[tuple[int, MultiPartition], PolyQU]:
     """Twisted-form unipotent multiplicities from the three-part log form
     of the twisted infinite product, converted by the explicit sign."""
-    ctx = ctx or build_context(k, N)
-    if ctx.N < N:
-        raise ValueError(f"context truncation {ctx.N} is below requested {N}")
-    r = ctx.r_series().truncate(N)
-    r_alt = _signed_neg_q(r)
-    log_sum = GradedSeries.zero(k, N)
-    for d in range(1, N + 1):
-        log_sum = log_sum.add(r_alt.adams(d).scale(phi_prime(d)))
-    for d in range(1, N // 2 + 1):
-        corr = r.adams(2 * d).sub(r_alt.adams(2 * d))
-        log_sum = log_sum.add(corr.scale(phi_prime(2 * d)))
-    raw = _extract_tables(log_sum.plain_exp())
-    out = {}
-    for (n, key), p in raw.items():
-        sd = d_mu(key)
-        sign = sd.sign_uprime * (-1) ** (n + 1)
-        out[(n, key)] = p.scale(sign)
-    return out
+    raw = _product_oracle(k, N, ctx, _uprime_log_terms)
+    return {
+        (n, key): p.scale(d_mu(key).sign_uprime * (-1) ** (n + 1))
+        for (n, key), p in raw.items()
+    }
 
 
 def T_poly_product_oracle(
@@ -478,14 +429,9 @@ def T_poly_product_oracle(
 ) -> dict[tuple[int, MultiPartition], PolyQU]:
     """Two-variable interpolation polynomials recomputed from the
     u-deformed infinite product."""
-    ctx = ctx or build_context(k, N)
-    if ctx.N < N:
-        raise ValueError(f"context truncation {ctx.N} is below requested {N}")
-    r = ctx.r_series().truncate(N)
-    log_sum = GradedSeries.zero(k, N)
-    for d in range(1, N + 1):
-        log_sum = log_sum.add(r.adams(d).scale(phi_u(d)))
-    raw = _extract_tables(log_sum.plain_exp())
+    raw = _product_oracle(
+        k, N, ctx, lambda r: ((r.adams(d), phi_u(d)) for d in range(1, N + 1))
+    )
     return {key: _div_u(p, key[1]) for key, p in raw.items()}
 
 
@@ -546,23 +492,6 @@ class VerifyReport:
         }
 
 
-def _multipartitions(k: int, n: int):
-    parts = enumerate_partitions(n)
-
-    def rec(i: int, acc: tuple):
-        if i == k:
-            yield acc
-            return
-        for lam in parts:
-            yield from rec(i + 1, acc + (lam,))
-
-    yield from rec(0, ())
-
-
-def _mu_text(mu: MultiPartition) -> str:
-    return ",".join(partition_to_text(c) for c in mu)
-
-
 def verify_suite(ctx: MasterContext, nmax: int | None = None) -> VerifyReport:
     """Check every interpolation identity for all multipartitions up to
     nmax; failures come back as data, never exceptions."""
@@ -582,9 +511,9 @@ def verify_suite(ctx: MasterContext, nmax: int | None = None) -> VerifyReport:
 
     for n in range(1, nmax + 1):
         taus = ctx.tau_schur(n)
-        for mu in _multipartitions(ctx.k, n):
+        for mu in multipartitions(ctx.k, n):
             t = taus.get(mu, PolyQU())
-            text = _mu_text(mu)
+            text = multipartition_to_text(mu)
 
             v = V_poly(ctx, mu)
             at_zero.record(t.subst(u=PolyQU()) == v, f"{text}: tau(0,q) != V")
@@ -643,22 +572,29 @@ def cache_path(cache_dir: str, k: int, n: int) -> str:
 
 def save_cache(cache_dir: str, k: int, n: int, table: dict[MultiPartition, PolyQU]) -> str:
     os.makedirs(cache_dir, exist_ok=True)
-    entries = []
-    for mu in sorted(table):
-        entries.append(
-            {
-                "mu": [partition_to_text(c) for c in mu],
-                "poly": poly_to_json(table[mu]),
-            }
-        )
-    payload = {"version": CACHE_VERSION, "k": k, "n": n, "entries": entries}
+    entries = [{"mu": [partition_to_text(c) for c in mu], "poly": poly_to_json(table[mu])}
+               for mu in sorted(table)]
+    payload = {"version": CACHE_VERSION, "k": k, "n": n, "count": len(entries),
+               "sha256": _entries_digest(entries), "entries": entries}
     path = cache_path(cache_dir, k, n)
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, separators=(",", ":"), sort_keys=False)
-        fh.write("\n")
-    os.replace(tmp, path)
+    # a private temp name, so concurrent writers of one table cannot collide
+    fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh, separators=(",", ":"))
+            fh.write("\n")
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
     return path
+
+
+def _entries_digest(entries: list) -> str:
+    """SHA-256 of the canonical JSON text of a cache file's entries."""
+    text = json.dumps(entries, separators=(",", ":"), sort_keys=True)
+    return sha256(text.encode("utf-8")).hexdigest()
 
 
 def load_cache(cache_dir: str, k: int, n: int) -> dict[MultiPartition, PolyQU] | None:
@@ -666,7 +602,7 @@ def load_cache(cache_dir: str, k: int, n: int) -> dict[MultiPartition, PolyQU] |
     try:
         with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)
-    except (OSError, json.JSONDecodeError):
+    except (OSError, ValueError):
         return None
     if (
         not isinstance(payload, dict)
@@ -677,7 +613,10 @@ def load_cache(cache_dir: str, k: int, n: int) -> dict[MultiPartition, PolyQU] |
         return None
     table: dict[MultiPartition, PolyQU] = {}
     try:
-        for entry in payload["entries"]:
+        entries = payload["entries"]
+        if payload["count"] != len(entries) or payload["sha256"] != _entries_digest(entries):
+            return None
+        for entry in entries:
             mu = tuple(parse_partition(t) for t in entry["mu"])
             table[mu] = poly_from_json(entry["poly"])
     except (KeyError, TypeError, ValueError):

@@ -10,6 +10,7 @@ sparse symmetric-function coefficients directly.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import product
 
 from .coeffs import ONE, PolyQU, Q, RatQU
 
@@ -106,6 +107,13 @@ def enumerate_partitions(n: int) -> tuple[Partition, ...]:
     if n < 0:
         raise ValueError("n must be nonnegative")
     return tuple(_gen_partitions(n, n))
+
+
+@lru_cache(maxsize=None)
+def multipartitions(k: int, n: int) -> tuple[MultiPartition, ...]:
+    """All k-tuples of partitions of n, lexicographic in the component
+    order of enumerate_partitions."""
+    return tuple(product(enumerate_partitions(n), repeat=k))
 
 
 def _gen_partitions(n: int, largest: int):

@@ -15,8 +15,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .coeffs import RAT_ONE, RAT_ZERO, Q, U, PolyQU, RatQU
-from .characters import character_value
-from .partitions import MultiPartition, Partition, enumerate_partitions, z_lambda
+from .characters import character_value, schur_to_powersum
+from .partitions import MultiPartition, Partition, multipartitions, z_lambda
 
 Coeffs = dict[MultiPartition, RatQU]
 
@@ -33,14 +33,22 @@ def _as_rat(c) -> RatQU:
     raise TypeError(f"cannot use {type(c).__name__} as a coefficient")
 
 
+def tensor_expand(factors, start) -> list:
+    """The (key, start * c_1 * ... * c_k) terms of a product of k
+    one-alphabet expansions, each an iterable of (partition, c_i) pairs;
+    keys are the partition tuples in itertools.product order.  Folding in
+    one factor at a time shares every prefix product, so factors of m_i
+    terms cost m_1 + m_1 m_2 + ... + m_1 ... m_k multiplies."""
+    terms = [((), start)]
+    for factor in factors:
+        terms = [(key + (rho,), c * v) for key, c in terms for rho, v in factor]
+    return terms
+
+
 @lru_cache(maxsize=None)
-def _keys(k: int, n: int) -> tuple[MultiPartition, ...]:
-    """All k-tuples of partitions of n, lexicographic in the component order
-    of enumerate_partitions."""
-    if k == 0:
-        return ((),)
-    smaller = _keys(k - 1, n)
-    return tuple(rest + (lam,) for rest in smaller for lam in enumerate_partitions(n))
+def schur_p_tensor(mu: MultiPartition) -> tuple[tuple[MultiPartition, Fraction], ...]:
+    """Power-sum expansion of s_{mu^1}(x_1) ... s_{mu^k}(x_k)."""
+    return tuple(tensor_expand((schur_to_powersum(c).items() for c in mu), Fraction(1)))
 
 
 @lru_cache(maxsize=None)
@@ -149,7 +157,7 @@ class SymFunc:
             return self
         out: Coeffs = {}
         for mu, c in self.coeffs.items():
-            for rho in _keys(self.k, self.n):
+            for rho in multipartitions(self.k, self.n):
                 chi = 1
                 for m_comp, r_comp in zip(mu, rho):
                     chi *= character_value(m_comp, r_comp)
@@ -168,7 +176,7 @@ class SymFunc:
         out: Coeffs = {}
         for rho, c in self.coeffs.items():
             zc = c.scale_int(_z_product(rho))
-            for mu in _keys(self.k, self.n):
+            for mu in multipartitions(self.k, self.n):
                 chi = 1
                 for m_comp, r_comp in zip(mu, rho):
                     chi *= character_value(m_comp, r_comp)
@@ -223,24 +231,10 @@ class SymFunc:
 
 def schur_symfunc(k: int, mu: MultiPartition, basis: str = "p") -> SymFunc:
     """s_{mu^1}(x_1) ... s_{mu^k}(x_k) on the requested basis."""
-    from .characters import schur_to_powersum
-
     n = sum(mu[0]) if mu else 0
-    f = SymFunc(k, n, "s", {mu: RAT_ONE})
     if basis == "s":
-        return f
-    comps = [schur_to_powersum(comp) for comp in mu]
-    out: Coeffs = {}
-
-    def build(i: int, key: tuple, c: Fraction) -> None:
-        if i == k:
-            out[key] = RatQU.from_frac(c)
-            return
-        for rho, v in comps[i].items():
-            build(i + 1, key + (rho,), c * v)
-
-    build(0, (), Fraction(1))
-    return SymFunc(k, n, "p", out)
+        return SymFunc(k, n, "s", {mu: RAT_ONE})
+    return SymFunc(k, n, "p", {key: RatQU.from_frac(c) for key, c in schur_p_tensor(mu)})
 
 
 @lru_cache(maxsize=None)
@@ -321,12 +315,6 @@ class GradedSeries:
     def _check(self, other: "GradedSeries") -> None:
         if (self.k, self.N) != (other.k, other.N):
             raise ValueError("series shapes differ")
-
-    def _term(self, f, scalar: RatQU, n: int):
-        """scalar * f with f either the degree-0 RatQU or a SymFunc."""
-        if n == 0:
-            return f * scalar
-        return f.scale(scalar)
 
     def mul(self, other: "GradedSeries") -> "GradedSeries":
         self._check(other)
@@ -426,7 +414,3 @@ class GradedSeries:
     def pleth_log(self) -> "GradedSeries":
         """Log f = Psi^{-1}(log f)."""
         return self.plain_log().pleth_psi_inv()
-
-    def pow_via_log(self, exponent) -> "GradedSeries":
-        """f^e = exp(e log f) for constant term 1 and e in Q(q,u)."""
-        return self.plain_log().scale(exponent).plain_exp()

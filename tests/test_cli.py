@@ -170,18 +170,6 @@ class TestTable:
         for row in obj["rows"]:
             assert set(row) >= {"mu", "poly", "text"}
 
-    def test_jobs_output_identical(self, capsys, cache_dir):
-        rc1, out1, _ = run(
-            capsys, "table", "--which", "U", "--n", "3",
-            "--cache-dir", cache_dir,
-        )
-        rc2, out2, _ = run(
-            capsys, "table", "--which", "U", "--n", "3", "--jobs", "4",
-            "--cache-dir", cache_dir,
-        )
-        assert rc1 == rc2 == EXIT_OK
-        assert out1 == out2
-
     def test_kron_table(self, capsys, cache_dir):
         rc, out, _ = run(
             capsys, "table", "--which", "kron", "--n", "2",
@@ -301,6 +289,28 @@ class TestCache:
         )
         assert rc == EXIT_IO
         assert "error:" in err
+
+    @pytest.mark.parametrize("which,expected", [("U", "q + 1"), ("V", "q")])
+    def test_cache_missing_an_entry_is_ignored(self, capsys, tmp_path, which, expected):
+        # a well-formed cache file with one entry dropped must not change
+        # the answer: it is ignored with a warning and recomputed
+        from ennola.multiplicities import cache_path
+
+        cache = str(tmp_path / "c")
+        run(capsys, "cache", "build", "--n", "3", "--cache-dir", cache)
+        path = cache_path(cache, 3, 3)
+        payload = json.loads(Path(path).read_text())
+        kept = [e for e in payload["entries"] if e["mu"] != ["1^3"] * 3]
+        assert len(kept) == len(payload["entries"]) - 1
+        payload["entries"] = kept
+        Path(path).write_text(json.dumps(payload))
+        rc, out, err = run(
+            capsys, "pair", "--which", which, "--mu", "1^3,1^3,1^3",
+            "--cache-dir", cache,
+        )
+        assert rc == EXIT_OK
+        assert out == expected + "\n"
+        assert f"ignoring incompatible cache file {path}" in err
 
     def test_corrupt_cache_warns_and_recomputes(self, capsys, tmp_path):
         from ennola.multiplicities import cache_path

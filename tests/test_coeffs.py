@@ -241,11 +241,6 @@ class TestRatQU:
         with pytest.raises(ValueError, match=r"u in a denominator: \(1\)/\(u \+ q\)"):
             RatQU(ONE, U + Q)
 
-    def test_inverse_of_u_bearing_value_raises(self):
-        with pytest.raises(ValueError, match=r"inverse puts u in a denominator: \(u\)/\(q\)"):
-            RatQU(U, Q).inv()
-        assert RatQU(Q, Q + ONE).inv() == RatQU(Q + ONE, Q)
-
     def test_cancellation(self):
         # (q^2 - 1)/(q - 1) should compare equal to q + 1.
         r = RatQU(Q**2 - ONE, Q - ONE)
@@ -264,15 +259,15 @@ class TestRatQU:
         b = RatQU(ONE, Q + ONE)
         c = RatQU.from_poly(U + Q)
         assert (a + b) - b == a
-        assert (a * b) / b == a
+        b_inv = RatQU.from_poly(Q + ONE)
+        assert (a * b) * b_inv == a
         assert a * (b + c) == a * b + a * c
-        assert a * a.inv() == RAT_ONE
+        assert a * RatQU(Q**2 - ONE, Q) == RAT_ONE
 
     def test_scalar_helpers(self):
         a = RatQU(Q, Q + ONE)
         assert a.scale_int(3) == a + a + a
         assert a.scale_frac(Fraction(1, 2)) + a.scale_frac(Fraction(1, 2)) == a
-        assert a.scale_poly(Q + ONE) == RatQU.from_poly(Q)
 
     def test_evaluate(self):
         a = RatQU(Q**2 - ONE, Q - ONE)

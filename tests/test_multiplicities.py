@@ -7,6 +7,7 @@ from __future__ import annotations
 import json
 import os
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
@@ -35,7 +36,7 @@ from ennola.multiplicities import (
     save_cache,
     verify_suite,
 )
-from ennola.partitions import enumerate_partitions
+from ennola.partitions import multipartitions
 from ennola.types import from_partition, make_type
 
 
@@ -102,11 +103,9 @@ class TestOrbitCounts:
 
 class TestSignData:
     def test_pairing_degree_always_even(self):
-        from ennola.multiplicities import _multipartitions
-
         for k in (3, 4):
             for n in range(1, 7):
-                for mu in _multipartitions(k, n):
+                for mu in multipartitions(k, n):
                     sd = d_mu(mu)
                     assert sd.d_mu % 2 == 0, mu
                     assert sd.sign_uprime in (-1, 1)
@@ -171,10 +170,8 @@ class TestPipelineSmall:
         assert poly_to_str(neg) == "q^3 - 1"
 
     def test_u_is_t_at_one_and_v_is_t_at_zero(self, ctx5):
-        from ennola.multiplicities import _multipartitions
-
         for n in range(1, 5):
-            for mu in _multipartitions(3, n):
+            for mu in multipartitions(3, n):
                 t = T_poly(ctx5, mu)
                 assert t.subst(u=ONE) == U_poly(ctx5, mu), mu
                 assert t.coeff_of_u(0) == V_poly(ctx5, mu), mu
@@ -207,16 +204,34 @@ class TestPipelineSmall:
             assert again == v or again == v.scale(-1), mu
 
 
+class TestComponentSymmetry:
+    """table lists only sorted multipartitions, so T and V must not depend
+    on the order of the k components."""
+
+    @staticmethod
+    def _check(ctx, nmax):
+        for n in range(1, nmax + 1):
+            for mu in multipartitions(ctx.k, n):
+                t, v = T_poly(ctx, mu), V_poly(ctx, mu)
+                for perm in set(permutations(mu)):
+                    assert T_poly(ctx, perm) == t, (mu, perm)
+                    assert V_poly(ctx, perm) == v, (mu, perm)
+
+    def test_three_components(self, ctx5):
+        self._check(ctx5, 4)
+
+    def test_four_components(self):
+        self._check(build_context(4, 3, None), 3)
+
+
 class TestProductOracles:
     def test_oracles_match_main_route(self):
         ctx = build_context(3, 3, None)
         u_table = U_poly_product_oracle(3, 3, ctx)
         up_table = Uprime_poly_product_oracle(3, 3, ctx)
         t_table = T_poly_product_oracle(3, 3, ctx)
-        from ennola.multiplicities import _multipartitions
-
         for n in range(1, 4):
-            for mu in _multipartitions(3, n):
+            for mu in multipartitions(3, n):
                 assert u_table.get((n, mu), ZERO) == U_poly(ctx, mu), mu
                 assert up_table.get((n, mu), ZERO) == Uprime_poly(ctx, mu), mu
                 assert t_table.get((n, mu), ZERO) == T_poly(ctx, mu), mu
@@ -270,6 +285,9 @@ class TestCache:
         with open(path, "w") as fh:
             fh.write("{not json")
         assert load_cache(str(tmp_path), 3, 1) is None
+        with open(path, "wb") as fh:
+            fh.write(b"\xff\xfe not utf-8")
+        assert load_cache(str(tmp_path), 3, 1) is None
 
     def test_version_mismatch(self, tmp_path):
         save_cache(str(tmp_path), 3, 1, {})
@@ -278,6 +296,49 @@ class TestCache:
         payload["version"] = -1
         json.dump(payload, open(path, "w"))
         assert load_cache(str(tmp_path), 3, 1) is None
+
+    @pytest.mark.parametrize("field,value", [
+        ("count", 1), ("sha256", "0" * 64), ("count", None), ("sha256", None),
+    ])
+    def test_count_and_digest_checked(self, tmp_path, field, value):
+        table = {((1,), (1,), (1,)): Q - ONE, ((2,), (2,), (2,)): ONE}
+        path = save_cache(str(tmp_path), 3, 1, table)
+        payload = json.load(open(path))
+        if value is None:
+            del payload[field]
+        else:
+            payload[field] = value
+        json.dump(payload, open(path, "w"))
+        assert load_cache(str(tmp_path), 3, 1) is None
+
+    def test_dropped_entry_rejected(self, tmp_path):
+        table = {((1,), (1,), (1,)): Q - ONE, ((2,), (2,), (2,)): ONE}
+        path = save_cache(str(tmp_path), 3, 1, table)
+        payload = json.load(open(path))
+        del payload["entries"][0]
+        json.dump(payload, open(path, "w"))
+        assert load_cache(str(tmp_path), 3, 1) is None
+
+    def test_temp_name_is_not_shared(self, tmp_path):
+        # a directory squatting on the old fixed temp name must not matter
+        path = cache_path(str(tmp_path), 3, 1)
+        os.mkdir(path + ".tmp")
+        table = {((1,), (1,), (1,)): Q - ONE}
+        assert save_cache(str(tmp_path), 3, 1, table) == path
+        assert load_cache(str(tmp_path), 3, 1) == table
+        assert sorted(os.listdir(tmp_path)) == ["psi_k3_n1.json", "psi_k3_n1.json.tmp"]
+        assert os.listdir(path + ".tmp") == []
+
+    def test_failed_write_removes_temp_file(self, tmp_path, monkeypatch):
+        import ennola.multiplicities as mult
+
+        def fail(*_args, **_kwargs):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(mult.json, "dump", fail)
+        with pytest.raises(OSError, match="disk full"):
+            save_cache(str(tmp_path), 3, 1, {})
+        assert os.listdir(tmp_path) == []
 
     def test_byte_stable(self, tmp_path):
         table = {((1,), (1,), (1,)): Q - ONE}

@@ -3,13 +3,15 @@ basis changes, Adams operations, and the exponential/logarithm pair."""
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from ennola.coeffs import ONE, Q, RAT_ONE, RAT_ZERO, RatQU, U
 from ennola.partitions import enumerate_partitions, z_lambda
-from ennola.symfunc import GradedSeries, SymFunc, mobius, schur_symfunc
+from ennola.symfunc import GradedSeries, SymFunc, mobius, schur_symfunc, tensor_expand
 
 
 def rat(n, d=1) -> RatQU:
@@ -102,6 +104,40 @@ class TestSymFuncBasics:
             f.pairing(g)
 
 
+class TestTensorExpand:
+    FACTORS = [
+        [((2,), 2), ((1, 1), 3)],
+        [((1,), 5)],
+        [((3,), 7), ((2, 1), 11), ((1, 1, 1), 13)],
+        [((2,), 17), ((1, 1), 19)],
+    ]
+
+    def test_keys_in_product_order_and_coefficients_are_products(self):
+        terms = tensor_expand(self.FACTORS, 23)
+        combos = list(product(*self.FACTORS))
+        assert [key for key, _ in terms] == [tuple(r for r, _ in combo) for combo in combos]
+        for (_, c), combo in zip(terms, combos):
+            assert c == 23 * math.prod(v for _, v in combo)
+        assert tensor_expand([], 23) == [((), 23)]
+
+    def test_prefix_products_are_shared(self):
+        class Counted:
+            muls = 0
+
+            def __init__(self, v):
+                self.v = v
+
+            def __mul__(self, other):
+                Counted.muls += 1
+                return Counted(self.v * other.v)
+
+        factors = [[(rho, Counted(v)) for rho, v in f] for f in self.FACTORS]
+        terms = tensor_expand(factors, Counted(1))
+        # factor sizes 2, 1, 3, 2: 2 + 2*1 + 2*1*3 + 2*1*3*2 multiplies
+        assert Counted.muls == 2 + 2 + 6 + 12
+        assert [c.v for _, c in terms] == [c for _, c in tensor_expand(self.FACTORS, 1)]
+
+
 class TestMobius:
     def test_values(self):
         expected = {1: 1, 2: -1, 3: -1, 4: 0, 5: -1, 6: 1, 7: -1, 8: 0, 9: 0, 10: 1, 12: 0, 30: -1}
@@ -188,12 +224,6 @@ class TestGradedSeries:
         f = GradedSeries(1, 6, c)
         assert f.pleth_psi().pleth_psi_inv() == f
         assert f.pleth_psi_inv().pleth_psi() == f
-
-    def test_pow_via_log(self):
-        s = geometric_series(1, 4)
-        sq = s.mul(s)
-        assert s.pow_via_log(2) == sq
-        assert sq.pow_via_log(Fraction(1, 2)) == s
 
     def test_adams_composition(self):
         f = GradedSeries.zero(1, 6)

@@ -226,7 +226,7 @@ class TestClassEquation:
             total = RatQU.from_int(0)
             for tau in enumerate_types(n):
                 deg_count = _degree_poly_count(tau)
-                total = total + RatQU(gl, a_type_poly(tau)).scale_poly(deg_count)
+                total = total + RatQU(gl, a_type_poly(tau)) * RatQU.from_poly(deg_count)
             assert total == RatQU.from_poly(gl)
 
     def test_twisted_class_equation_via_substitution(self):
