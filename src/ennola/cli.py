@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
 from .characters import kronecker
-from .coeffs import PolyQU, poly_to_json, poly_to_str
+from .coeffs import NotPolynomialError, PolyQU, poly_to_json, poly_to_str
 from .multiplicities import (
     MasterContext,
     T_poly,
@@ -22,7 +22,6 @@ from .multiplicities import (
     build_context,
     cache_path,
     clear_cache,
-    save_cache,
     verify_suite,
 )
 from .partitions import (
@@ -38,6 +37,7 @@ EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
+EXIT_INTERNAL = 4
 
 WHICH_CHOICES = ("V", "Vprime", "U", "Uprime", "T", "kron")
 HEADER_SYMBOL = {
@@ -237,9 +237,13 @@ def cmd_cache(req: Request) -> int:
     k = req.k if req.k is not None else 3
     ctx = build_context(k, req.n, cache_dir)
     for n in range(1, req.n + 1):
-        table = ctx.psi_schur(n)
-        save_cache(cache_dir, k, n, table)
-        print(f"wrote {cache_path(cache_dir, k, n)} ({len(table)} entries)")
+        path = cache_path(cache_dir, k, n)
+        existed = os.path.exists(path)
+        table = ctx.psi_schur(n)  # saves every table it computes
+        if ctx.cache_write_error is not None:
+            raise ctx.cache_write_error
+        verb = "kept" if existed and path not in ctx.ignored_cache_files else "wrote"
+        print(f"{verb} {path} ({len(table)} entries)")
     _warn_ignored(ctx)
     return EXIT_OK
 
@@ -305,6 +309,9 @@ def main(argv: list[str] | None = None) -> int:
         if req.command == "verify":
             return cmd_verify(req)
         return cmd_cache(req)
+    except (NotPolynomialError, AssertionError) as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -349,6 +349,10 @@ def poly_exact_div(a: PolyQU, b: PolyQU) -> PolyQU | None:
 # ---------------------------------------------------------------------------
 # rational functions
 
+class NotPolynomialError(ValueError):
+    """A value that should lie in Z[q, u] kept a denominator."""
+
+
 class RatQU:
     """Reduced fraction num/den with num in Z[q,u] and den in Z[q]; the
     canonical form is unique."""
@@ -453,26 +457,6 @@ class RatQU:
             r.den = PolyQU({mono: c // g for mono, c in self.den.terms.items()})
         return r
 
-    def scale_frac(self, x: Fraction) -> "RatQU":
-        """self * x for a rational scalar, again reduced via integer gcds only."""
-        if x.numerator == 0 or self.num.is_zero():
-            return RAT_ZERO
-        if x.denominator == 1:
-            return self.scale_int(x.numerator)
-        p, s = x.numerator, x.denominator
-        g1 = _int_gcd(p, self.den.content())
-        g2 = _int_gcd(s, self.num.content())
-        num = self.num if g2 == 1 else PolyQU(
-            {mono: c // g2 for mono, c in self.num.terms.items()}
-        )
-        den = self.den if g1 == 1 else PolyQU(
-            {mono: c // g1 for mono, c in self.den.terms.items()}
-        )
-        r = RatQU.__new__(RatQU)
-        r.num = num.scale(p // g1)
-        r.den = den.scale(s // g2)
-        return r
-
     def is_poly(self) -> bool:
         return self.den.terms == _ONE_TERMS
 
@@ -480,7 +464,7 @@ class RatQU:
         """The underlying polynomial; raises unless the value is in Z[q,u]."""
         if self.den.terms == _ONE_TERMS:
             return self.num
-        raise ValueError(f"not a polynomial: ({self.num})/({self.den})")
+        raise NotPolynomialError(f"not a polynomial: ({self.num})/({self.den})")
 
     def subst(self, q: PolyQU | None = None, u: PolyQU | None = None) -> "RatQU":
         return RatQU(self.num.subst(q=q, u=u), self.den.subst(q=q, u=u))

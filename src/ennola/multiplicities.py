@@ -55,7 +55,7 @@ from .partitions import (
     partition_to_text,
     size,
 )
-from .symfunc import GradedSeries, SymFunc, mobius, schur_p_tensor, tensor_expand
+from .symfunc import GradedSeries, SymFunc, mobius, tensor_expand
 from .types import (
     TypeEntries,
     from_partition,
@@ -139,7 +139,8 @@ class MasterContext:
     """Shared state for one (k, N): the kernel series, the master series,
     its u-exponential, and per-degree Schur coefficient tables.  All the
     heavy series are built lazily; a disk cache of the master series'
-    Schur coefficients makes generic-multiplicity queries cheap."""
+    Schur coefficients makes generic-multiplicity queries cheap.  A failed
+    cache write does not stop a query; it is kept in cache_write_error."""
 
     def __init__(self, k: int, N: int, cache_dir: str | None = None):
         if k < 1 or N < 1:
@@ -154,6 +155,7 @@ class MasterContext:
         self._psi_schur: dict[int, dict[MultiPartition, PolyQU]] = {}
         self._tau_schur: dict[int, dict[MultiPartition, PolyQU]] = {}
         self.ignored_cache_files: list[str] = []
+        self.cache_write_error: OSError | None = None
 
     @property
     def omega(self) -> GradedSeries:
@@ -203,8 +205,8 @@ class MasterContext:
             if self.cache_dir:
                 try:
                     save_cache(self.cache_dir, self.k, n, table)
-                except OSError:
-                    pass
+                except OSError as exc:
+                    self.cache_write_error = exc
         self._psi_schur[n] = table
         return table
 
@@ -230,14 +232,8 @@ class MasterContext:
         coeffs: list = [RAT_ZERO]
         for n, table in enumerate(tables, start=1):
             self._psi_schur[n] = table
-            acc: dict[MultiPartition, RatQU] = {}
-            for mu, p in table.items():
-                base = RatQU.from_poly(p)
-                for rho, c in schur_p_tensor(mu):
-                    term = base.scale_frac(c)
-                    cur = acc.get(rho)
-                    acc[rho] = term if cur is None else cur + term
-            coeffs.append(SymFunc(self.k, n, "p", acc))
+            schur = {mu: RatQU.from_poly(p) for mu, p in table.items()}
+            coeffs.append(SymFunc(self.k, n, "s", schur).to_powersum())
         return GradedSeries(self.k, self.N, coeffs)
 
     def tau_schur(self, n: int) -> dict[MultiPartition, PolyQU]:
@@ -508,6 +504,7 @@ def verify_suite(ctx: MasterContext, nmax: int | None = None) -> VerifyReport:
 
     u_oracle = U_poly_product_oracle(ctx.k, nmax, ctx)
     up_oracle = Uprime_poly_product_oracle(ctx.k, nmax, ctx)
+    t_oracle = T_poly_product_oracle(ctx.k, nmax, ctx)
 
     for n in range(1, nmax + 1):
         taus = ctx.tau_schur(n)
@@ -547,6 +544,8 @@ def verify_suite(ctx: MasterContext, nmax: int | None = None) -> VerifyReport:
             oracle.record(o_u == u_val, f"{text}: product oracle U mismatch")
             o_up = up_oracle.get((n, mu), PolyQU())
             oracle.record(o_up == up_val, f"{text}: product oracle U' mismatch")
+            o_t = t_oracle.get((n, mu), PolyQU())
+            oracle.record(o_t == t, f"{text}: product oracle T mismatch")
 
             if not up_val.is_zero():
                 _, lead = up_val.leading()

@@ -13,10 +13,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
-from .coeffs import RAT_ONE, RAT_ZERO, Q, U, PolyQU, RatQU
-from .characters import character_value, schur_to_powersum
-from .partitions import MultiPartition, Partition, multipartitions, z_lambda
+from .coeffs import ONE, RAT_ONE, RAT_ZERO, Q, U, PolyQU, RatQU, poly_exact_div
+from .characters import character_value
+from .partitions import MultiPartition, Partition, enumerate_partitions, z_lambda
 
 Coeffs = dict[MultiPartition, RatQU]
 
@@ -46,17 +47,42 @@ def tensor_expand(factors, start) -> list:
 
 
 @lru_cache(maxsize=None)
-def schur_p_tensor(mu: MultiPartition) -> tuple[tuple[MultiPartition, Fraction], ...]:
-    """Power-sum expansion of s_{mu^1}(x_1) ... s_{mu^k}(x_k)."""
-    return tuple(tensor_expand((schur_to_powersum(c).items() for c in mu), Fraction(1)))
-
-
-@lru_cache(maxsize=None)
 def _z_product(rho: MultiPartition) -> int:
     out = 1
     for comp in rho:
         out *= z_lambda(comp)
     return out
+
+
+def _change_basis(f: "SymFunc", to_powersum: bool) -> Coeffs:
+    """The coefficients of f on the other basis: <f, s_mu> = sum over rho
+    of f_rho chi^mu(rho), and f_rho = sum over mu of f_mu chi^mu(rho) / z_rho,
+    with chi the product of the k one-alphabet characters.  The numerators
+    over one common denominator den in Z[q] go through the character table
+    one alphabet at a time, k p(n)^(k+1) integer scale-adds and no
+    polynomial gcd; each output key then reduces once, over den * z_rho
+    in the power-sum direction."""
+    den = ONE
+    for d in {c.den for c in f.coeffs.values()}:
+        if den.qdeg() == d.qdeg() == 0:
+            den = PolyQU.const(lcm(den.coeff(0, 0), d.coeff(0, 0)))
+        else:
+            den = den * RatQU(den, d).den
+    nums = {key: c.num * poly_exact_div(den, c.den) for key, c in f.coeffs.items()}
+    shapes = enumerate_partitions(f.n)
+    for i in range(f.k):
+        out: dict[MultiPartition, PolyQU] = {}
+        for key, p in nums.items():
+            for lam in shapes:
+                chi = character_value(key[i], lam) if to_powersum else character_value(lam, key[i])
+                if chi:
+                    new = key[:i] + (lam,) + key[i + 1:]
+                    cur = out.get(new)
+                    out[new] = p.scale(chi) if cur is None else cur + p.scale(chi)
+        nums = out
+    if to_powersum:
+        return {rho: RatQU(p, den.scale(_z_product(rho))) for rho, p in nums.items()}
+    return {mu: RatQU(p, den) for mu, p in nums.items()}
 
 
 def _merge_parts(a: Partition, b: Partition) -> Partition:
@@ -155,39 +181,12 @@ class SymFunc:
     def to_powersum(self) -> "SymFunc":
         if self.basis == "p":
             return self
-        out: Coeffs = {}
-        for mu, c in self.coeffs.items():
-            for rho in multipartitions(self.k, self.n):
-                chi = 1
-                for m_comp, r_comp in zip(mu, rho):
-                    chi *= character_value(m_comp, r_comp)
-                    if chi == 0:
-                        break
-                if chi == 0:
-                    continue
-                term = c * RatQU.from_frac(Fraction(chi, _z_product(rho)))
-                cur = out.get(rho)
-                out[rho] = term if cur is None else cur + term
-        return SymFunc(self.k, self.n, "p", out)
+        return SymFunc(self.k, self.n, "p", _change_basis(self, to_powersum=True))
 
     def to_schur(self) -> "SymFunc":
         if self.basis == "s":
             return self
-        out: Coeffs = {}
-        for rho, c in self.coeffs.items():
-            zc = c.scale_int(_z_product(rho))
-            for mu in multipartitions(self.k, self.n):
-                chi = 1
-                for m_comp, r_comp in zip(mu, rho):
-                    chi *= character_value(m_comp, r_comp)
-                    if chi == 0:
-                        break
-                if chi == 0:
-                    continue
-                term = zc.scale_frac(Fraction(chi, _z_product(rho)))
-                cur = out.get(mu)
-                out[mu] = term if cur is None else cur + term
-        return SymFunc(self.k, self.n, "s", out)
+        return SymFunc(self.k, self.n, "s", _change_basis(self, to_powersum=False))
 
     def change_basis(self, basis: str) -> "SymFunc":
         if basis == "p":
@@ -200,18 +199,7 @@ class SymFunc:
         """<self, s_mu> under the Hall pairing on each alphabet."""
         if len(mu) != self.k:
             raise ValueError(f"expected {self.k} components, got {len(mu)}")
-        if self.basis == "s":
-            return self.coeffs.get(mu, RAT_ZERO)
-        total = RAT_ZERO
-        for rho, c in self.coeffs.items():
-            chi = 1
-            for m_comp, r_comp in zip(mu, rho):
-                chi *= character_value(m_comp, r_comp)
-                if chi == 0:
-                    break
-            if chi:
-                total = total + c.scale_int(chi)
-        return total
+        return self.to_schur().coeffs.get(mu, RAT_ZERO)
 
     def pairing(self, other: "SymFunc") -> RatQU:
         """Hall pairing extended to k alphabets and Q(q,u) coefficients."""
@@ -232,9 +220,7 @@ class SymFunc:
 def schur_symfunc(k: int, mu: MultiPartition, basis: str = "p") -> SymFunc:
     """s_{mu^1}(x_1) ... s_{mu^k}(x_k) on the requested basis."""
     n = sum(mu[0]) if mu else 0
-    if basis == "s":
-        return SymFunc(k, n, "s", {mu: RAT_ONE})
-    return SymFunc(k, n, "p", {key: RatQU.from_frac(c) for key, c in schur_p_tensor(mu)})
+    return SymFunc(k, n, "s", {mu: RAT_ONE}).change_basis(basis)
 
 
 @lru_cache(maxsize=None)

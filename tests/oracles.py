@@ -6,16 +6,21 @@ of border-strip recursion, Kostka-Foulkes polynomials via the q-analog
 of the weight multiplicity (alternating sum over the Weyl group with a
 q-deformed partition function) instead of tableau charge, Kronecker
 coefficients by averaging over all permutations, and Kostka numbers by
-brute tableau filling.
+brute tableau filling.  The Schur <-> power-sum change of basis on k
+alphabets is the brute-force character-product sum, pairing every source
+key with every target key, with the alternant character values.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
 
-from ennola.coeffs import PolyQU, Q
+from ennola.coeffs import RAT_ZERO, PolyQU, Q, RatQU
+from ennola.partitions import multipartitions, z_lambda
+from ennola.symfunc import SymFunc
 
 
 @lru_cache(maxsize=None)
@@ -47,6 +52,38 @@ def character_value_oracle(lam: tuple, rho: tuple) -> int:
                     nxt[k2] = nxt.get(k2, 0) + c
         terms = nxt
     return terms.get(target, 0)
+
+
+def _chi_product(mu: tuple, rho: tuple) -> int:
+    """Product over the k alphabets of chi^{mu^i} at cycle type rho^i."""
+    return math.prod(character_value_oracle(m, r) for m, r in zip(mu, rho))
+
+
+def change_basis_oracle(f: SymFunc) -> SymFunc:
+    """f on the other basis: <f, s_mu> = sum over rho of f_rho chi^mu(rho),
+    and f_rho = sum over mu of f_mu chi^mu(rho) / z_rho, one RatQU add per
+    (source key, target key) pair."""
+    out: dict = {}
+    for key, c in f.coeffs.items():
+        for other in multipartitions(f.k, f.n):
+            mu, rho = (other, key) if f.basis == "p" else (key, other)
+            chi = _chi_product(mu, rho)
+            if not chi:
+                continue
+            if f.basis == "p":
+                term = c.scale_int(chi)
+            else:
+                term = c * RatQU(PolyQU.const(chi), PolyQU.const(math.prod(map(z_lambda, rho))))
+            out[other] = out.get(other, RAT_ZERO) + term
+    return SymFunc(f.k, f.n, "s" if f.basis == "p" else "p", out)
+
+
+def schur_coefficient_oracle(f: SymFunc, mu: tuple) -> RatQU:
+    """<f, s_mu> from the power-sum basis, one term per key of f."""
+    total = RAT_ZERO
+    for rho, c in f.coeffs.items():
+        total = total + c.scale_int(_chi_product(mu, rho))
+    return total
 
 
 def _cycle_type(perm: tuple) -> tuple:

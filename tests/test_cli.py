@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from ennola.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
+from ennola.cli import EXIT_INTERNAL, EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
 
 DATA = Path(__file__).parent / "data"
 
@@ -244,6 +244,60 @@ class TestVerify:
         assert "failures" in out.splitlines()[-1]
         assert "0 failures" not in out.splitlines()[-1]
 
+    def test_detects_seeded_t_oracle_fault(self, capsys, cache_dir, monkeypatch):
+        import ennola.multiplicities as mult
+
+        real = mult.T_poly_product_oracle
+
+        def corrupted(k, N, ctx=None):
+            table = real(k, N, ctx)
+            key = min(table)
+            table[key] = table[key] + mult.U
+            return table
+
+        monkeypatch.setattr(mult, "T_poly_product_oracle", corrupted)
+        rc, out, _ = run(capsys, "verify", "--n", "2", "--cache-dir", cache_dir)
+        assert rc == EXIT_VERIFY
+        assert [line.split(":")[0] for line in out.splitlines() if line.startswith("FAIL")] == [
+            "FAIL product-oracle-agreement"
+        ]
+        assert "product oracle T mismatch" in out
+
+
+class TestInternalErrors:
+    @pytest.mark.parametrize("which,fault,message", [
+        ("V", "omega", "internal error: not a polynomial"),
+        ("T", "exp_u_psi", "internal error: coefficient of"),
+    ])
+    def test_broken_invariant_exits_internal(
+        self, capsys, tmp_path, monkeypatch, which, fault, message
+    ):
+        # failure injection: a kernel with a spurious 1/(q + 1) makes a
+        # master Schur coefficient non-polynomial; dropping the factor u
+        # from Exp(u Psi) breaks the divisibility that T relies on
+        import ennola.multiplicities as mult
+        from ennola.coeffs import ONE, Q, RatQU
+
+        if fault == "omega":
+            real = mult._build_omega
+
+            def skewed(k, N):
+                omega = real(k, N)
+                omega.coeffs[1] = omega.coeffs[1].scale(RatQU(ONE, Q + ONE))
+                return omega
+
+            monkeypatch.setattr(mult, "_build_omega", skewed)
+        else:
+            monkeypatch.setattr(mult.MasterContext, "exp_u_psi",
+                                property(lambda ctx: ctx.psi.pleth_exp()))
+        rc, out, err = run(
+            capsys, "pair", "--which", which, "--mu", "1,1,1",
+            "--cache-dir", str(tmp_path / "c"),
+        )
+        assert rc == EXIT_INTERNAL
+        assert out == ""
+        assert err.startswith(message)
+
 
 class TestCache:
     def test_build_then_reuse(self, capsys, tmp_path):
@@ -254,8 +308,9 @@ class TestCache:
         files = sorted(os.listdir(cache))
         assert files == ["psi_k3_n1.json", "psi_k3_n2.json"]
         before = {f: (Path(cache) / f).read_bytes() for f in files}
-        rc2, _, _ = run(capsys, "cache", "build", "--n", "2", "--cache-dir", cache)
+        rc2, out2, _ = run(capsys, "cache", "build", "--n", "2", "--cache-dir", cache)
         assert rc2 == EXIT_OK
+        assert out2.count("kept ") == 2 and "wrote " not in out2
         after = {f: (Path(cache) / f).read_bytes() for f in files}
         assert before == after  # rebuilding is byte-idempotent
 
@@ -279,6 +334,25 @@ class TestCache:
         rc, _, err = run(capsys, "cache", "build", "--cache-dir", str(tmp_path))
         assert rc == EXIT_USAGE
         assert "--n is required" in err
+
+    def test_cold_build_writes_each_table_once(self, capsys, tmp_path, monkeypatch):
+        import ennola.cli as cli
+        import ennola.multiplicities as mult
+
+        calls = []
+        real = mult.save_cache
+
+        def counted(cache_dir, k, n, table):
+            calls.append((k, n))
+            return real(cache_dir, k, n, table)
+
+        monkeypatch.setattr(mult, "save_cache", counted)
+        monkeypatch.setattr(cli, "save_cache", counted, raising=False)
+        cache = str(tmp_path / "c")
+        rc, out, _ = run(capsys, "cache", "build", "--n", "3", "--cache-dir", cache)
+        assert rc == EXIT_OK
+        assert out.count("wrote ") == 3
+        assert calls == [(3, 1), (3, 2), (3, 3)]
 
     def test_unwritable_cache_dir_is_io_error(self, capsys, tmp_path):
         blocker = tmp_path / "blocker"

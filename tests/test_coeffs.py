@@ -15,6 +15,7 @@ from ennola.coeffs import (
     RAT_ZERO,
     U,
     ZERO,
+    NotPolynomialError,
     PolyQU,
     RatQU,
     poly_exact_div,
@@ -251,7 +252,7 @@ class TestRatQU:
     def test_non_polynomial_raises(self):
         r = RatQU(ONE, Q - ONE)
         assert not r.is_poly()
-        with pytest.raises(ValueError):
+        with pytest.raises(NotPolynomialError):
             r.to_poly()
 
     def test_field_laws(self):
@@ -267,7 +268,6 @@ class TestRatQU:
     def test_scalar_helpers(self):
         a = RatQU(Q, Q + ONE)
         assert a.scale_int(3) == a + a + a
-        assert a.scale_frac(Fraction(1, 2)) + a.scale_frac(Fraction(1, 2)) == a
 
     def test_evaluate(self):
         a = RatQU(Q**2 - ONE, Q - ONE)

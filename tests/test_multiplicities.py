@@ -224,6 +224,40 @@ class TestComponentSymmetry:
         self._check(build_context(4, 3, None), 3)
 
 
+class TestSchurExtraction:
+    def test_at_most_one_gcd_per_row(self, monkeypatch):
+        import ennola.coeffs as coeffs
+
+        calls = 0
+        real = coeffs.poly_gcd
+
+        def counted(a, b):
+            nonlocal calls
+            calls += 1
+            return real(a, b)
+
+        monkeypatch.setattr(coeffs, "poly_gcd", counted)
+        for k, N in ((3, 4), (4, 3)):
+            ctx = build_context(k, N, None)
+            ctx.exp_u_psi  # built before counting, so only the extraction counts
+            for n in range(1, N + 1):
+                for table in (ctx.tau_schur, ctx.psi_schur):
+                    calls = 0
+                    rows = table(n)
+                    assert calls <= len(rows), (k, n, table.__name__)
+
+    def test_warm_psi_equals_cold_psi(self, tmp_path):
+        cache = str(tmp_path)
+        cold = build_context(3, 4, cache)
+        for n in range(1, 5):
+            cold.psi_schur(n)
+        warm = build_context(3, 4, cache)
+        rebuilt = warm._psi_from_cache()
+        assert rebuilt is not None
+        assert [f.coeffs for f in rebuilt.coeffs[1:]] == [f.coeffs for f in cold.psi.coeffs[1:]]
+        assert warm.ignored_cache_files == []
+
+
 class TestProductOracles:
     def test_oracles_match_main_route(self):
         ctx = build_context(3, 3, None)

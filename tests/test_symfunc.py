@@ -8,10 +8,14 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ennola.coeffs import ONE, Q, RAT_ONE, RAT_ZERO, RatQU, U
-from ennola.partitions import enumerate_partitions, z_lambda
+from ennola.coeffs import ONE, Q, RAT_ONE, RAT_ZERO, ZERO, PolyQU, RatQU, U
+from ennola.partitions import enumerate_partitions, multipartitions, z_lambda
 from ennola.symfunc import GradedSeries, SymFunc, mobius, schur_symfunc, tensor_expand
+
+from oracles import change_basis_oracle, schur_coefficient_oracle
 
 
 def rat(n, d=1) -> RatQU:
@@ -102,6 +106,57 @@ class TestSymFuncBasics:
             f.add(g)
         with pytest.raises(ValueError):
             f.pairing(g)
+
+
+Q_FACTORS = [ONE, Q - ONE, Q + ONE, Q**2 + Q + ONE, Q.scale(2) + ONE.scale(3)]
+
+
+@st.composite
+def symfuncs(draw, basis: str) -> SymFunc:
+    """Sparse SymFuncs with k <= 3, n <= 4, numerators in Z[q, u] and
+    denominators mixing integers and factors in Z[q]."""
+    k = draw(st.integers(min_value=1, max_value=3))
+    n = draw(st.integers(min_value=1, max_value=4))
+    keys = draw(st.lists(st.sampled_from(multipartitions(k, n)), max_size=6, unique=True))
+    coeffs = {}
+    for key in keys:
+        num = ZERO
+        for _ in range(draw(st.integers(min_value=1, max_value=3))):
+            num = num + PolyQU.monomial(
+                draw(st.integers(min_value=-5, max_value=5)),
+                draw(st.integers(min_value=0, max_value=2)),
+                draw(st.integers(min_value=0, max_value=2)),
+            )
+        den = draw(st.sampled_from(Q_FACTORS)).scale(draw(st.integers(min_value=1, max_value=6)))
+        coeffs[key] = RatQU(num, den)
+    return SymFunc(k, n, basis, coeffs)
+
+
+class TestChangeOfBasis:
+    """The separable change of basis against the brute-force
+    character-product sum of tests/oracles.py."""
+
+    @given(symfuncs("p"))
+    @settings(max_examples=40, deadline=None)
+    def test_to_schur_matches_reference(self, f):
+        assert f.to_schur().coeffs == change_basis_oracle(f).coeffs
+
+    @given(symfuncs("s"))
+    @settings(max_examples=40, deadline=None)
+    def test_to_powersum_matches_reference(self, f):
+        assert f.to_powersum().coeffs == change_basis_oracle(f).coeffs
+
+    @given(symfuncs("p"), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_schur_coefficient_matches_reference(self, f, data):
+        mu = data.draw(st.sampled_from(multipartitions(f.k, f.n)))
+        assert f.schur_coefficient(mu) == schur_coefficient_oracle(f, mu)
+
+    @given(symfuncs("p"), symfuncs("s"))
+    @settings(max_examples=40, deadline=None)
+    def test_round_trips(self, f, g):
+        assert f.to_schur().to_powersum().coeffs == f.coeffs
+        assert g.to_powersum().to_schur().coeffs == g.coeffs
 
 
 class TestTensorExpand:
