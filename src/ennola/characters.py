@@ -1,9 +1,9 @@
-"""Irreducible character values of the symmetric group, Kronecker
-coefficients, and the Schur <-> power-sum transition data.
+"""Irreducible character values of the symmetric group and Kronecker
+coefficients.
 
 Character values come from the Murnaghan-Nakayama border-strip recursion,
-memoized on (shape, class); everything downstream (basis changes, Hall
-pairings, Kronecker coefficients) reads from the same cache.
+memoized on (shape, class); everything downstream (the Schur <-> power-sum
+change of basis, Kronecker coefficients) reads from the same cache.
 """
 
 from __future__ import annotations
@@ -69,14 +69,3 @@ def kronecker(mu: MultiPartition) -> int:
     if total.denominator != 1 or total < 0:
         raise AssertionError(f"Kronecker coefficient for {mu} came out {total}")
     return int(total)
-
-
-def schur_to_powersum(lam: Partition) -> dict[Partition, Fraction]:
-    """Coefficients of s_lam = sum_rho z_rho^{-1} chi^lam_rho p_rho."""
-    out = {}
-    for rho in enumerate_partitions(size(lam)):
-        chi = character_value(lam, rho)
-        if chi:
-            out[rho] = Fraction(chi, z_lambda(rho))
-    return out
-

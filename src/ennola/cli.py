@@ -7,7 +7,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
 from .characters import kronecker
@@ -50,19 +49,6 @@ HEADER_SYMBOL = {
 }
 
 
-@dataclass
-class Request:
-    command: str
-    k: int | None = None
-    n: int | None = None
-    which: str | None = None
-    mu: str | None = None
-    type_literal: str | None = None
-    fmt: str = "text"
-    cache_dir: str | None = None
-    action: str | None = None
-
-
 class UsageError(Exception):
     pass
 
@@ -103,9 +89,7 @@ def _pair_value(ctx: MasterContext | None, which: str, mu, mt) -> PolyQU:
     return PolyQU.const(kronecker(mu))
 
 
-def cmd_pair(req: Request) -> int:
-    if req.which is None:
-        raise UsageError("--which is required")
+def cmd_pair(req: argparse.Namespace) -> int:
     mu = mt = None
     if req.type_literal is not None:
         if req.which not in ("V", "Vprime"):
@@ -190,11 +174,7 @@ def format_table(rows, which: str, k: int, n: int, fmt: str) -> str:
     return "\n".join(lines)
 
 
-def cmd_table(req: Request) -> int:
-    if req.which is None:
-        raise UsageError("--which is required")
-    if req.n is None:
-        raise UsageError("--n is required")
+def cmd_table(req: argparse.Namespace) -> int:
     k = req.k if req.k is not None else 3
     ctx = None
     if req.which != "kron":
@@ -211,9 +191,7 @@ def cmd_table(req: Request) -> int:
     return EXIT_OK
 
 
-def cmd_verify(req: Request) -> int:
-    if req.n is None:
-        raise UsageError("--n is required")
+def cmd_verify(req: argparse.Namespace) -> int:
     k = req.k if req.k is not None else 3
     ctx = build_context(k, req.n, req.cache_dir)
     report = verify_suite(ctx)
@@ -226,7 +204,7 @@ def cmd_verify(req: Request) -> int:
     return EXIT_OK if report.ok else EXIT_VERIFY
 
 
-def cmd_cache(req: Request) -> int:
+def cmd_cache(req: argparse.Namespace) -> int:
     cache_dir = req.cache_dir or default_cache_dir()
     if req.action == "clear":
         removed = clear_cache(cache_dir, req.k)
@@ -288,19 +266,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    req = Request(
-        command=args.command,
-        k=args.k,
-        n=getattr(args, "n", None),
-        which=getattr(args, "which", None),
-        mu=getattr(args, "mu", None),
-        type_literal=getattr(args, "type_literal", None),
-        fmt=args.fmt,
-        cache_dir=args.cache_dir if args.cache_dir is not None else default_cache_dir(),
-        action=getattr(args, "action", None),
-    )
+    req = build_parser().parse_args(argv)
+    if req.cache_dir is None:
+        req.cache_dir = default_cache_dir()
     try:
         if req.command == "pair":
             return cmd_pair(req)

@@ -13,8 +13,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .coeffs import ONE, ZERO, PolyQU
-from .partitions import Partition, dominates, dual, n_stat, size
+from .coeffs import ONE, RAT_ONE, ZERO, PolyQU, RatQU
+from .partitions import Partition, dominates, enumerate_partitions, n_stat, size
 from .symfunc import SymFunc
 
 
@@ -137,26 +137,15 @@ def transformed_kostka(nu: Partition, lam: Partition) -> PolyQU:
 
 
 @lru_cache(maxsize=None)
-def transformed_hl(lam: Partition, basis: str = "s") -> SymFunc:
-    """Modified Hall-Littlewood function indexed by lam, one alphabet."""
-    n = size(lam)
-    coeffs = {}
-    for nu_key in _dominating(lam):
-        coeffs[(nu_key,)] = transformed_kostka(nu_key, lam)
-    f = SymFunc(1, n, "s", {key: _rat(c) for key, c in coeffs.items()})
-    return f.change_basis(basis)
-
-
-def _rat(p: PolyQU):
-    from .coeffs import RatQU
-
-    return RatQU.from_poly(p)
+def transformed_hl(lam: Partition) -> SymFunc:
+    """Modified Hall-Littlewood function indexed by lam, one alphabet, on
+    the Schur basis: only s_nu with nu dominating lam occur."""
+    coeffs = {(nu,): RatQU.from_poly(transformed_kostka(nu, lam)) for nu in _dominating(lam)}
+    return SymFunc(1, size(lam), "s", coeffs)
 
 
 @lru_cache(maxsize=None)
 def _dominating(lam: Partition) -> tuple[Partition, ...]:
-    from .partitions import enumerate_partitions
-
     return tuple(nu for nu in enumerate_partitions(size(lam)) if dominates(nu, lam))
 
 
@@ -164,17 +153,12 @@ def extend_to_type(family, entries) -> SymFunc:
     """Product over type entries (d, lam, m) of family(lam) with every
     alphabet power index multiplied by d and q replaced by q^d, taken m times.
 
-    `family` maps a partition to a one-alphabet SymFunc on the power-sum
-    basis; the result is again one-alphabet, power-sum basis.
+    `family` maps a partition to a one-alphabet SymFunc; the result is
+    again one-alphabet, on the power-sum basis.
     """
-    from .coeffs import RAT_ONE
-
     out = SymFunc(1, 0, "p", {((),): RAT_ONE})
     for d, lam, m in entries:
-        base = family(lam)
-        if base.basis != "p":
-            base = base.to_powersum()
-        piece = base.adams(d)
+        piece = family(lam).to_powersum().adams(d)
         for _ in range(m):
             out = out.multiply(piece)
     return out

@@ -22,6 +22,7 @@ import os
 import tempfile
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import prod
 
 try:  # the builtin SHA-256: importing hashlib loads OpenSSL, +3.7 MB peak RSS
     from _sha2 import sha256  # Python >= 3.12
@@ -138,9 +139,12 @@ def as_multitype(arg) -> tuple[TypeEntries, ...]:
 class MasterContext:
     """Shared state for one (k, N): the kernel series, the master series,
     its u-exponential, and per-degree Schur coefficient tables.  All the
-    heavy series are built lazily; a disk cache of the master series'
-    Schur coefficients makes generic-multiplicity queries cheap.  A failed
-    cache write does not stop a query; it is kept in cache_write_error."""
+    heavy series are built lazily.  A disk cache holds one file of master
+    series Schur coefficients per degree: a V or V' query of size n reads
+    only the degree-n file and never builds the master series, and the
+    T, U, U' and verify queries rebuild the master series from all N
+    files.  A failed cache write does not stop a query; it is kept in
+    cache_write_error."""
 
     def __init__(self, k: int, N: int, cache_dir: str | None = None):
         if k < 1 or N < 1:
@@ -268,16 +272,19 @@ def _div_u(p: PolyQU, key) -> PolyQU:
 
 
 def _build_omega(k: int, N: int) -> GradedSeries:
+    """The kernel: sum over lam of the product over the k alphabets of
+    H~_lam(x_i) / a_lam(q), summed on the Schur basis, where H~_lam has
+    only the s_nu with nu dominating lam, then one change to power sums
+    per degree."""
     coeffs: list = [RatQU.from_int(1)]
     for n in range(1, N + 1):
         acc: dict[MultiPartition, RatQU] = {}
         for lam in enumerate_partitions(n):
-            h = transformed_hl(lam, "p")
-            items = [(rho, v) for (rho,), v in h.coeffs.items()]
+            items = [(nu, v) for (nu,), v in transformed_hl(lam).coeffs.items()]
             for key, c in tensor_expand([items] * k, RatQU(ONE, a_poly(lam))):
                 cur = acc.get(key)
                 acc[key] = c if cur is None else cur + c
-        coeffs.append(SymFunc(k, n, "p", acc))
+        coeffs.append(SymFunc(k, n, "s", acc).to_powersum())
     return GradedSeries(k, N, coeffs)
 
 
@@ -290,19 +297,20 @@ def build_context(k: int, N: int, cache_dir: str | None = None) -> MasterContext
 
 def H_omega(ctx: MasterContext, omega) -> PolyQU:
     """Hall pairing of the degree-n master coefficient with the Schur-type
-    product attached to a multitype; an integer polynomial in q."""
+    product attached to a multitype: the sum over nu of the Schur table
+    entry at nu times the s_{nu^i} coefficients of the k Schur-type
+    factors; an integer polynomial in q."""
     mt = as_multitype(omega)
     if len(mt) != ctx.k:
         raise ValueError(f"expected {ctx.k} components, got {len(mt)}")
-    n = type_size(mt[0])
-    if all(len(c) == 1 and c[0][0] == 1 and c[0][2] == 1 for c in mt):
-        mu = tuple(c[0][1] for c in mt)
-        return ctx.psi_schur(n).get(mu, PolyQU())
-    comps = [[(rho, v) for (rho,), v in schur_of_type(c, "p").coeffs.items()]
-             for c in mt]
-    s_omega = SymFunc(ctx.k, n, "p", dict(tensor_expand(comps, RatQU.from_int(1))))
-    val = ctx.psi.coeffs[n].pairing(s_omega)
-    return val.to_poly()
+    comps = [{nu: c.to_poly() for (nu,), c in schur_of_type(tau).coeffs.items()}
+             for tau in mt]
+    total = PolyQU()
+    for nu, p in ctx.psi_schur(type_size(mt[0])).items():
+        cs = [comp.get(part) for part, comp in zip(nu, comps)]
+        if None not in cs:
+            total = total + prod(cs, start=p)
+    return total
 
 
 def _multitype_stats(mt) -> tuple[int, int, int, int]:

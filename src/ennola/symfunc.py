@@ -188,39 +188,17 @@ class SymFunc:
             return self
         return SymFunc(self.k, self.n, "s", _change_basis(self, to_powersum=False))
 
-    def change_basis(self, basis: str) -> "SymFunc":
-        if basis == "p":
-            return self.to_powersum()
-        if basis == "s":
-            return self.to_schur()
-        raise ValueError(f"unknown basis {basis!r}")
-
     def schur_coefficient(self, mu: MultiPartition) -> RatQU:
         """<self, s_mu> under the Hall pairing on each alphabet."""
         if len(mu) != self.k:
             raise ValueError(f"expected {self.k} components, got {len(mu)}")
         return self.to_schur().coeffs.get(mu, RAT_ZERO)
 
-    def pairing(self, other: "SymFunc") -> RatQU:
-        """Hall pairing extended to k alphabets and Q(q,u) coefficients."""
-        if self.k != other.k or self.n != other.n:
-            raise ValueError("pairing requires equal alphabet counts and degrees")
-        a = self.to_powersum()
-        b = other.to_powersum()
-        if len(b.coeffs) < len(a.coeffs):
-            a, b = b, a
-        total = RAT_ZERO
-        for rho, ca in a.coeffs.items():
-            cb = b.coeffs.get(rho)
-            if cb is not None:
-                total = total + (ca * cb).scale_int(_z_product(rho))
-        return total
 
-
-def schur_symfunc(k: int, mu: MultiPartition, basis: str = "p") -> SymFunc:
-    """s_{mu^1}(x_1) ... s_{mu^k}(x_k) on the requested basis."""
+def schur_symfunc(k: int, mu: MultiPartition) -> SymFunc:
+    """s_{mu^1}(x_1) ... s_{mu^k}(x_k) on the power-sum basis."""
     n = sum(mu[0]) if mu else 0
-    return SymFunc(k, n, "s", {mu: RAT_ONE}).change_basis(basis)
+    return SymFunc(k, n, "s", {mu: RAT_ONE}).to_powersum()
 
 
 @lru_cache(maxsize=None)

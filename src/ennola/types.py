@@ -15,12 +15,15 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from .coeffs import Q, PolyQU
+from .coeffs import ONE, Q, PolyQU
+from .hall_littlewood import extend_to_type
 from .partitions import (
     ParseError,
     Partition,
+    a_poly,
     check_partition,
     dual,
+    enumerate_partitions,
     n_stat,
     size,
 )
@@ -97,8 +100,6 @@ def enumerate_types(n: int) -> tuple[TypeEntries, ...]:
     """All types of size n, deterministically ordered."""
     if n < 1:
         raise ValueError("size must be at least 1")
-    from .partitions import enumerate_partitions
-
     pairs = [
         (d, lam)
         for d in range(1, n + 1)
@@ -128,20 +129,18 @@ def enumerate_types(n: int) -> tuple[TypeEntries, ...]:
 
 
 @lru_cache(maxsize=None)
-def schur_of_type(tau: TypeEntries, basis: str = "s") -> SymFunc:
+def schur_of_type(tau: TypeEntries) -> SymFunc:
     """Product over entries of s_{lam} with alphabet powers d and q -> q^d,
-    m times each; one alphabet.  Schur coefficients are integers."""
-    from .hall_littlewood import extend_to_type
-
-    f = extend_to_type(lambda lam: schur_symfunc(1, (lam,), "p"), tau)
-    return f.change_basis(basis)
+    m times each; one alphabet, on the Schur basis, where the coefficients
+    are integers."""
+    return extend_to_type(lambda lam: schur_symfunc(1, (lam,)), tau).to_schur()
 
 
 def c_omega(tau: TypeEntries, mu: Partition) -> int:
     """Integer Schur coefficient <schur_of_type(tau), s_mu>."""
     if type_size(tau) != size(mu):
         raise ValueError(f"type size {type_size(tau)} != |mu| = {size(mu)}")
-    c = schur_of_type(tau, "p").schur_coefficient((mu,))
+    c = schur_of_type(tau).schur_coefficient((mu,))
     p = c.to_poly()
     if p.is_zero():
         return 0
@@ -152,9 +151,6 @@ def c_omega(tau: TypeEntries, mu: Partition) -> int:
 
 def a_type_poly(tau: TypeEntries) -> PolyQU:
     """Centralizer-order polynomial: product of a_lam(q^d)^m over entries."""
-    from .coeffs import ONE
-    from .partitions import a_poly
-
     out = ONE
     for d, lam, m in tau:
         out = out * (a_poly(lam).subst(q=Q ** d) ** m)

@@ -8,7 +8,10 @@ q-deformed partition function) instead of tableau charge, Kronecker
 coefficients by averaging over all permutations, and Kostka numbers by
 brute tableau filling.  The Schur <-> power-sum change of basis on k
 alphabets is the brute-force character-product sum, pairing every source
-key with every target key, with the alternant character values.
+key with every target key, with the alternant character values.  The
+kernel and the multitype pairing H_omega are recomputed on the power-sum
+basis, with the Hall pairing sum over rho of z_rho f_rho g_rho, where the
+library works on the Schur basis.
 """
 
 from __future__ import annotations
@@ -18,9 +21,12 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
 
-from ennola.coeffs import RAT_ZERO, PolyQU, Q, RatQU
-from ennola.partitions import multipartitions, z_lambda
-from ennola.symfunc import SymFunc
+from ennola.coeffs import ONE, RAT_ONE, RAT_ZERO, PolyQU, Q, RatQU
+from ennola.hall_littlewood import transformed_hl
+from ennola.multiplicities import as_multitype
+from ennola.partitions import a_poly, enumerate_partitions, multipartitions, z_lambda
+from ennola.symfunc import GradedSeries, SymFunc, tensor_expand
+from ennola.types import schur_of_type, type_size
 
 
 @lru_cache(maxsize=None)
@@ -84,6 +90,49 @@ def schur_coefficient_oracle(f: SymFunc, mu: tuple) -> RatQU:
     for rho, c in f.coeffs.items():
         total = total + c.scale_int(_chi_product(mu, rho))
     return total
+
+
+def pairing(f: SymFunc, g: SymFunc) -> RatQU:
+    """Hall pairing on k alphabets: sum over rho of z_rho f_rho g_rho,
+    with z_rho the product of the k one-alphabet z's."""
+    if f.k != g.k or f.n != g.n:
+        raise ValueError("pairing requires equal alphabet counts and degrees")
+    a, b = f.to_powersum(), g.to_powersum()
+    total = RAT_ZERO
+    for rho, ca in a.coeffs.items():
+        cb = b.coeffs.get(rho)
+        if cb is not None:
+            total = total + (ca * cb).scale_int(math.prod(map(z_lambda, rho)))
+    return total
+
+
+def _powersum_items(f: SymFunc) -> list:
+    """The (partition, coefficient) pairs of a one-alphabet f on power sums."""
+    return [(rho, v) for (rho,), v in f.to_powersum().coeffs.items()]
+
+
+def omega_oracle(k: int, N: int) -> GradedSeries:
+    """The kernel sum over lam of prod_i H~_lam(x_i) / a_lam(q), each
+    product expanded on the power-sum basis, p(n)^k terms per lam."""
+    coeffs: list = [RAT_ONE]
+    for n in range(1, N + 1):
+        acc: dict = {}
+        for lam in enumerate_partitions(n):
+            items = _powersum_items(transformed_hl(lam))
+            for key, c in tensor_expand([items] * k, RatQU(ONE, a_poly(lam))):
+                acc[key] = acc.get(key, RAT_ZERO) + c
+        coeffs.append(SymFunc(k, n, "p", acc))
+    return GradedSeries(k, N, coeffs)
+
+
+def H_omega_oracle(ctx, omega) -> PolyQU:
+    """Hall pairing of the power-sum master coefficient Psi_n with the
+    power-sum product of the k Schur-type factors of a multitype."""
+    mt = as_multitype(omega)
+    n = type_size(mt[0])
+    comps = [_powersum_items(schur_of_type(tau)) for tau in mt]
+    s_omega = SymFunc(ctx.k, n, "p", dict(tensor_expand(comps, RAT_ONE)))
+    return pairing(ctx.psi.coeffs[n], s_omega).to_poly()
 
 
 def _cycle_type(perm: tuple) -> tuple:

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from ennola.characters import character_value, kronecker, schur_to_powersum
+from ennola.characters import character_value, kronecker
 from ennola.partitions import dual, enumerate_partitions, size, z_lambda
 from oracles import character_value_oracle, kronecker_oracle
 
@@ -127,10 +127,11 @@ class TestBasisChanges:
     def test_roundtrip_schur_powersum(self):
         for n in range(0, 7):
             for lam in enumerate_partitions(n):
-                # expand s_lam in p, then each p_rho back in s as
-                # sum_mu chi^mu_rho s_mu; collect
+                # expand s_lam = sum_rho chi^lam_rho / z_rho p_rho, then
+                # each p_rho back in s as sum_mu chi^mu_rho s_mu; collect
                 acc: dict = {}
-                for rho, c in schur_to_powersum(lam).items():
+                for rho in enumerate_partitions(n):
+                    c = Fraction(character_value(lam, rho), z_lambda(rho))
                     for mu in enumerate_partitions(n):
                         k = character_value(mu, rho)
                         acc[mu] = acc.get(mu, Fraction(0)) + c * k

@@ -106,7 +106,7 @@ class TestTransformedKostka:
 class TestTransformedHL:
     def test_expansion_in_schur_basis(self):
         # H~_(1,1) = s_2 + q s_(1,1)
-        f = transformed_hl((1, 1), "s")
+        f = transformed_hl((1, 1))
         got = {key[0]: c for key, c in f.coeffs.items() if not c.is_zero()}
         assert set(got) == {(2,), (1, 1)}
         assert got[(2,)].to_poly() == ONE
@@ -115,7 +115,7 @@ class TestTransformedHL:
     def test_trivial_row_shape(self):
         # H~_(n) = s_n for all n
         for n in range(1, 6):
-            f = transformed_hl((n,), "s")
+            f = transformed_hl((n,))
             got = {key[0]: c for key, c in f.coeffs.items() if not c.is_zero()}
             assert set(got) == {(n,)}
             assert got[(n,)].to_poly() == ONE
@@ -123,7 +123,7 @@ class TestTransformedHL:
     def test_column_shape_top_term(self):
         # H~_(1^n) has s_(1^n) coefficient q^{n(n-1)/2}
         for n in range(2, 6):
-            f = transformed_hl((1,) * n, "s")
+            f = transformed_hl((1,) * n)
             c = f.coeffs[((1,) * n,)].to_poly()
             assert c == Q ** (n * (n - 1) // 2)
 
@@ -131,7 +131,7 @@ class TestTransformedHL:
         # at q = 1 the modified HL function becomes h_lam; its Schur
         # expansion coefficients are the Kostka numbers K_{nu,lam}
         for lam in [(2, 1), (2, 2), (3, 1)]:
-            f = transformed_hl(lam, "s")
+            f = transformed_hl(lam)
             for key, c in f.coeffs.items():
                 nu = key[0]
                 assert c.to_poly().evaluate(1) == ssyt_count(nu, lam)

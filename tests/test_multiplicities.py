@@ -7,10 +7,11 @@ from __future__ import annotations
 import json
 import os
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations_with_replacement, permutations
 
 import pytest
 
+import ennola.multiplicities as mult
 from ennola.coeffs import ONE, Q, RatQU, U, ZERO, PolyQU, poly_to_str
 from ennola.multiplicities import (
     H_omega,
@@ -24,6 +25,7 @@ from ennola.multiplicities import (
     Uprime_poly_product_oracle,
     V_poly,
     Vprime_poly,
+    _build_omega,
     as_multitype,
     build_context,
     cache_path,
@@ -37,7 +39,8 @@ from ennola.multiplicities import (
     verify_suite,
 )
 from ennola.partitions import multipartitions
-from ennola.types import from_partition, make_type
+from ennola.types import enumerate_types, from_partition, make_type
+from oracles import H_omega_oracle, omega_oracle
 
 
 class TestOrbitCounts:
@@ -190,8 +193,8 @@ class TestPipelineSmall:
         # powers where it counts fixed vectors
         tau2 = make_type([(2, (1,), 1)])
         omega = (tau2, tau2, tau2)
-        h = H_omega(ctx5, omega)
         v = V_poly(ctx5, omega)
+        assert v == ONE
         for qv in (2, 3, 4):
             assert v.evaluate(qv) >= 0
 
@@ -256,6 +259,46 @@ class TestSchurExtraction:
         assert rebuilt is not None
         assert [f.coeffs for f in rebuilt.coeffs[1:]] == [f.coeffs for f in cold.psi.coeffs[1:]]
         assert warm.ignored_cache_files == []
+
+
+class TestSchurSide:
+    """The kernel and H_omega are assembled on the Schur basis; the
+    power-sum routes in oracles.py are the reference."""
+
+    @pytest.mark.parametrize("k, N", [(3, 4), (4, 3)])
+    def test_h_omega_matches_powersum_pairing(self, k, N):
+        ctx = build_context(k, N, None)
+        for n in range(1, N + 1):
+            for mt in combinations_with_replacement(enumerate_types(n), k):
+                assert H_omega(ctx, mt) == H_omega_oracle(ctx, mt), mt
+
+    @pytest.mark.parametrize("k, N", [(3, 4), (4, 3)])
+    def test_omega_matches_powersum_assembly(self, k, N):
+        assert _build_omega(k, N) == omega_oracle(k, N)
+
+    def test_warm_multitype_query_reads_one_table(self, tmp_path, monkeypatch):
+        cache = str(tmp_path)
+        cold = build_context(3, 4, cache)
+        for n in range(1, 5):
+            cold.psi_schur(n)
+        mt = (
+            make_type([(2, (1,), 2)]),
+            make_type([(1, (2, 1), 1), (1, (1,), 1)]),
+            from_partition((2, 2)),
+        )
+        want = V_poly(cold, mt)
+        loads = []
+        real = mult.load_cache
+
+        def counted(*args):
+            loads.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(mult, "load_cache", counted)
+        warm = build_context(3, 4, cache)
+        assert V_poly(warm, mt) == want
+        assert warm._psi is None
+        assert loads == [(cache, 3, 4)]
 
 
 class TestProductOracles:

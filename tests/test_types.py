@@ -120,7 +120,7 @@ class TestCTau:
         for n in range(1, N + 1):
             acc = SymFunc.zero(1, n)
             for lam in enumerate_partitions(n):
-                f = transformed_hl(lam, "p")
+                f = transformed_hl(lam).to_powersum()
                 acc = acc.add(f.scale(RatQU(ONE, a_poly(lam))))
             series.append(acc)
         omega = GradedSeries(1, N, series)
@@ -133,7 +133,7 @@ class TestCTau:
                 if not c:
                     continue
                 f = extend_to_type(
-                    lambda lam: transformed_hl(lam, "p").scale(
+                    lambda lam: transformed_hl(lam).to_powersum().scale(
                         RatQU(ONE, a_poly(lam))
                     ),
                     tau,
@@ -145,13 +145,13 @@ class TestCTau:
 class TestSchurOfType:
     def test_plain_partition_type(self):
         for lam in [(2,), (1, 1), (2, 1)]:
-            f = schur_of_type(from_partition(lam), "s")
+            f = schur_of_type(from_partition(lam))
             nonzero = {k: v for k, v in f.coeffs.items() if not v.is_zero()}
             assert nonzero == {(lam,): RAT_ONE}
 
     def test_degree_two_type(self):
         # entry (2, (1), 1): s_1 with doubled alphabet = p_2 = s_2 - s_(1,1)
-        f = schur_of_type(make_type([(2, (1,), 1)]), "s")
+        f = schur_of_type(make_type([(2, (1,), 1)]))
         assert f.schur_coefficient(((2,),)) == RAT_ONE
         assert f.schur_coefficient(((1, 1),)) == RatQU.from_int(-1)
 
