@@ -400,3 +400,23 @@ class TestCache:
         assert rc == EXIT_OK
         assert out.strip()  # answer still produced
         assert "ignoring incompatible cache file" in err
+
+
+class TestRegressionPins:
+    """SHA-256 of whole CLI tables as the code printed them when the pins
+    were taken, trailing newline included, computed with no cache.  These
+    are regression pins, not paper goldens: they guard the degree-6 T table
+    and the k = 4, degree-5 T table, which no reference file covers."""
+
+    @pytest.mark.parametrize("args,digest", [
+        (("--n", "6"), "cc99daf022be7cb4783259ee087b5a59cbf7b571aa28c8f3613db9dd82462b09"),
+        (("--k", "4", "--n", "5"),
+         "7ee08f705c45f065e31ddfc8e0cafa403014d1d0a488a04a3bf0da85ae9d89f8"),
+    ])
+    def test_t_table_digest(self, capsys, args, digest):
+        import hashlib
+
+        rc, out, _ = run(capsys, "table", "--which", "T", *args,
+                         "--format", "json", "--cache-dir", "")
+        assert rc == EXIT_OK
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
