@@ -205,7 +205,9 @@ def cmd_verify(req: argparse.Namespace) -> int:
 
 
 def cmd_cache(req: argparse.Namespace) -> int:
-    cache_dir = req.cache_dir or default_cache_dir()
+    cache_dir = req.cache_dir
+    if not cache_dir:
+        raise UsageError('cache needs a directory; --cache-dir "" means no cache')
     if req.action == "clear":
         removed = clear_cache(cache_dir, req.k)
         print(f"removed {len(removed)} cache file(s) from {cache_dir}")

@@ -498,11 +498,13 @@ def poly_to_json(p: PolyQU) -> list[list]:
 
 
 def poly_from_json(data) -> PolyQU:
+    """Inverse of poly_to_json for integer coefficients; any other
+    coefficient raises ValueError or TypeError."""
     terms = {}
-    for entry in data:
-        cstr, i, j = entry
-        c = Fraction(cstr)
-        terms[(int(i), int(j))] = int(c) if c.denominator == 1 else c
+    for cstr, i, j in data:
+        if not isinstance(cstr, str):
+            raise TypeError(f"coefficient {cstr!r} is not a decimal string")
+        terms[(int(i), int(j))] = int(cstr)
     return PolyQU(terms)
 
 

@@ -335,6 +335,21 @@ class TestCache:
         assert rc == EXIT_USAGE
         assert "--n is required" in err
 
+    @pytest.mark.parametrize("action", [("build", "--n", "1"), ("clear",)])
+    def test_empty_cache_dir_is_usage_error(self, capsys, tmp_path, monkeypatch, action):
+        # "" means "no cache" for pair, table and verify; cache build and
+        # clear must not fall back to the user's default cache directory
+        xdg = tmp_path / "xdg"
+        kept = xdg / "ennola" / "psi_k3_n1.json"
+        kept.parent.mkdir(parents=True)
+        kept.write_text("{}")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(xdg))
+        rc, out, err = run(capsys, "cache", *action, "--cache-dir", "")
+        assert rc == EXIT_USAGE
+        assert out == "" and '--cache-dir ""' in err
+        assert sorted(p.name for p in xdg.rglob("*")) == ["ennola", "psi_k3_n1.json"]
+        assert kept.read_text() == "{}"
+
     def test_cold_build_writes_each_table_once(self, capsys, tmp_path, monkeypatch):
         import ennola.cli as cli
         import ennola.multiplicities as mult

@@ -94,10 +94,16 @@ class TestPolyRingLaws:
         assert (a + b).evaluate(qv, uv) == a.evaluate(qv, uv) + b.evaluate(qv, uv)
         assert (a * b).evaluate(qv, uv) == a.evaluate(qv, uv) * b.evaluate(qv, uv)
 
-    @given(polys())
+    @given(int_polys())
     @settings(max_examples=40)
     def test_json_roundtrip(self, a):
         assert poly_from_json(poly_to_json(a)) == a
+
+    @pytest.mark.parametrize("cstr,error", [("1/2", ValueError), ("1.5", ValueError),
+                                            (1.5, TypeError), (2, TypeError)])
+    def test_json_rejects_non_integer_coefficients(self, cstr, error):
+        with pytest.raises(error):
+            poly_from_json([[cstr, 0, 0]])
 
     @given(polys())
     @settings(max_examples=40)

@@ -451,3 +451,29 @@ class TestCache:
         ctx = build_context(3, 1, cache)
         ctx.psi_schur(1)
         assert path in ctx.ignored_cache_files
+
+    def test_committed_fixture_loads_and_matches(self):
+        # tests/data/cache_v<CACHE_VERSION> holds k = 3, n <= 2 files written
+        # by save_cache; a change of the file format must bump CACHE_VERSION
+        # and commit a new fixture
+        fixture = os.path.join(os.path.dirname(__file__), "data",
+                               f"cache_v{mult.CACHE_VERSION}")
+        ctx = build_context(3, 2, None)
+        for n in (1, 2):
+            table = load_cache(fixture, 3, n)
+            assert table is not None, n
+            assert table == ctx.psi_schur(n)
+
+    def test_non_integer_coefficient_ignored(self, tmp_path):
+        # the cache holds integer polynomials only: a fractional coefficient
+        # is refused even under a matching count and digest
+        cache = str(tmp_path)
+        path = save_cache(cache, 3, 1, {((1,), (1,), (1,)): ONE})
+        payload = json.load(open(path))
+        payload["entries"][0]["poly"] = [["1/2", 0, 0]]
+        payload["sha256"] = mult._entries_digest(payload["entries"])
+        json.dump(payload, open(path, "w"))
+        assert load_cache(cache, 3, 1) is None
+        ctx = build_context(3, 1, cache)
+        assert ctx.psi_schur(1) == {((1,), (1,), (1,)): ONE}
+        assert ctx.ignored_cache_files == [path]
