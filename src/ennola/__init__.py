@@ -1,7 +1,7 @@
 """Exact-arithmetic multiplicity polynomials for tensor products of
 irreducible characters of finite general linear and unitary groups."""
 
-from .coeffs import PolyQU, RatQU, poly_to_str
+from .coeffs import PolyQU, poly_to_str
 from .multiplicities import (
     MasterContext,
     SignData,
@@ -36,7 +36,6 @@ __all__ = [
     "MultiPartition",
     "Partition",
     "PolyQU",
-    "RatQU",
     "SignData",
     "T_poly",
     "T_poly_product_oracle",

@@ -1,14 +1,13 @@
-"""Exact coefficient arithmetic: sparse polynomials in (q, u) and rational
-functions whose denominators lie in Z[q].
+"""Exact coefficient arithmetic: sparse polynomials in (q, u), exact
+division by a polynomial in q, and the gcd in Z[q].
 
 PolyQU stores a polynomial in q and u as a sparse map (qdeg, udeg) -> coeff
 with no zero entries; coefficients are integers, or exact Fractions where a
-formula divides by an integer.  RatQU is a fraction num/den with an integer
-numerator in Z[q, u] and an integer denominator in Z[q]: Fraction
-coefficients are cleared into the denominator once, at construction, and
-u in a denominator is refused.  The pair is kept in a canonical reduced form
-(gcd 1 including integer content, leading coefficient of the denominator
-positive), so equal values compare structurally equal.
+formula divides by an integer (the orbit counts phi).  There is no
+rational-function type: a symmetric function keeps integer numerators over
+one denominator in Z[q] per graded piece (symfunc.SymFunc), and each stage
+of the pipeline knows that denominator in closed form, so it needs exact
+division here and never a gcd per coefficient.
 
 Everything is immutable and safe to share; no floating point anywhere.
 """
@@ -16,7 +15,7 @@ Everything is immutable and safe to share; no floating point anywhere.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd as _int_gcd, lcm
+from math import gcd as _int_gcd
 
 Monomial = tuple[int, int]
 
@@ -80,10 +79,7 @@ class PolyQU:
                 out[m] = acc
             elif m in out:
                 del out[m]
-        p = PolyQU.__new__(PolyQU)
-        p.terms = out
-        p._hash = None
-        return p
+        return _from_terms(out)
 
     def __sub__(self, other: "PolyQU") -> "PolyQU":
         return self + (-other)
@@ -104,10 +100,7 @@ class PolyQU:
                     out[m] = acc
                 elif m in out:
                     del out[m]
-        p = PolyQU.__new__(PolyQU)
-        p.terms = out
-        p._hash = None
-        return p
+        return _from_terms(out)
 
     def __pow__(self, e: int) -> "PolyQU":
         if e < 0:
@@ -124,7 +117,7 @@ class PolyQU:
     def scale(self, n: int) -> "PolyQU":
         if n == 1:
             return self
-        return PolyQU({m: n * c for m, c in self.terms.items()} if n else {})
+        return _from_terms({m: n * c for m, c in self.terms.items()} if n else {})
 
     # queries
 
@@ -196,6 +189,14 @@ class PolyQU:
         return f"PolyQU({poly_to_str(self)})"
 
 
+def _from_terms(terms: dict[Monomial, int]) -> PolyQU:
+    """A PolyQU over terms that are already merged and nonzero."""
+    p = PolyQU.__new__(PolyQU)
+    p.terms = terms
+    p._hash = None
+    return p
+
+
 _ZERO = PolyQU()
 _ONE_TERMS = {(0, 0): 1}
 
@@ -206,17 +207,15 @@ U = PolyQU.monomial(1, 0, 1)
 
 
 # ---------------------------------------------------------------------------
-# gcd machinery
+# exact division and the Z[q] gcd
 #
-# RatQU keeps an integer numerator in Z[q, u] over an integer denominator in
-# Z[q]; Fraction coefficients are cleared into the denominator once, when a
-# RatQU is built.  So every gcd or exact division it asks for is over Z and
-# has an operand free of u.
-# A PolyQU is viewed as a polynomial in u whose coefficients (u-slices) are
-# q-polynomials, handled as dense integer lists (lowest degree first).  The
-# gcd with a q-polynomial is the Z[q] gcd folded over the u-slices, and the
-# exact division by one is the Z[q] division slice by slice.  All steps are
-# exact integer arithmetic.
+# Denominators live in Z[q], one per graded piece of a symmetric function
+# (see symfunc.SymFunc), and are known in closed form; so the division
+# needed is exact division of an integer polynomial by a u-free one.  A
+# PolyQU is viewed as a polynomial in u whose coefficients (u-slices) are
+# q-polynomials, handled as dense integer lists (lowest degree first), and
+# divided slice by slice.  The Z[q] gcd only serves the lcm of two
+# denominators that do not divide one another.
 
 def _q_trim(f: list[int]) -> list[int]:
     while f and f[-1] == 0:
@@ -302,29 +301,25 @@ def _u_slices(p: PolyQU) -> dict[int, list[int]]:
 
 
 def poly_gcd(a: PolyQU, b: PolyQU) -> PolyQU:
-    """gcd in Z[q,u] (integer content included), leading coefficient positive.
-
-    Both inputs have integer coefficients, and unless one is zero, at least
-    one of them is free of u; the gcd then lies in Z[q]."""
+    """gcd in Z[q] (integer content included), leading coefficient
+    positive; gcd(0, b) is b up to sign."""
     if a.is_zero() or b.is_zero():
         g = b if a.is_zero() else a
-        if g.is_zero():
-            return ZERO
-        _, lc = g.leading()
-        return -g if lc < 0 else g
-    if a.terms == _ONE_TERMS or b.terms == _ONE_TERMS:
-        return ONE
+        return -g if g and g.leading()[1] < 0 else g
     sa, sb = _u_slices(a), _u_slices(b)
-    if sa.keys() != {0}:
-        if sb.keys() != {0}:
-            raise ValueError(f"gcd of two polynomials in u: ({a}), ({b})")
-        sa, sb = sb, sa
-    g = sa[0]
-    for row in sb.values():
-        g = _q_gcd(g, row)
-        if g == [1]:
-            return ONE
-    return PolyQU({(i, 0): c for i, c in enumerate(g) if c})
+    if sa.keys() != {0} or sb.keys() != {0}:
+        raise ValueError(f"gcd of polynomials in u: ({a}), ({b})")
+    return PolyQU({(i, 0): c for i, c in enumerate(_q_gcd(sa[0], sb[0])) if c})
+
+
+def poly_lcm(a: PolyQU, b: PolyQU) -> PolyQU:
+    """A least common multiple in Z[q] of two nonzero polynomials; it takes
+    a gcd only when neither divides the other."""
+    if poly_exact_div(a, b) is not None:
+        return a
+    if poly_exact_div(b, a) is not None:
+        return b
+    return poly_exact_div(a, poly_gcd(a, b)) * b
 
 
 def poly_exact_div(a: PolyQU, b: PolyQU) -> PolyQU | None:
@@ -332,10 +327,19 @@ def poly_exact_div(a: PolyQU, b: PolyQU) -> PolyQU | None:
     or None when b does not divide a over Z."""
     if b.is_zero():
         raise ZeroDivisionError("polynomial division by zero")
+    if b.terms.keys() == {(0, 0)}:
+        d = b.terms[(0, 0)]
+        out: dict[Monomial, int] = {}
+        for m, c in a.terms.items():
+            quot, rem = divmod(c, d)
+            if rem:
+                return None
+            out[m] = quot
+        return _from_terms(out)
     sb = _u_slices(b)
     if sb.keys() != {0}:
         raise ValueError(f"exact division by a polynomial in u: ({b})")
-    out: dict[Monomial, int] = {}
+    out = {}
     for j, row in _u_slices(a).items():
         quot = _q_exact_div(row, sb[0])
         if quot is None:
@@ -346,146 +350,9 @@ def poly_exact_div(a: PolyQU, b: PolyQU) -> PolyQU | None:
     return PolyQU(out)
 
 
-# ---------------------------------------------------------------------------
-# rational functions
-
 class NotPolynomialError(ValueError):
-    """A value that should lie in Z[q, u] kept a denominator."""
-
-
-class RatQU:
-    """Reduced fraction num/den with num in Z[q,u] and den in Z[q]; the
-    canonical form is unique."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: PolyQU, den: PolyQU = ONE):
-        if den.is_zero():
-            raise ZeroDivisionError("division by zero")
-        if num.is_zero():
-            self.num, self.den = ZERO, ONE
-            return
-        if den.udeg() > 0:
-            raise ValueError(f"u in a denominator: ({num})/({den})")
-        if not all(type(c) is int for p in (num, den) for c in p.terms.values()):
-            m = lcm(*(c.denominator for p in (num, den) for c in p.terms.values()))
-            num, den = (PolyQU({mono: int(c * m) for mono, c in p.terms.items()})
-                        for p in (num, den))
-        if den.terms != _ONE_TERMS:
-            g = poly_gcd(num, den)
-            if g.terms != _ONE_TERMS:
-                num = poly_exact_div(num, g)
-                den = poly_exact_div(den, g)
-            _, lc = den.leading()
-            if lc < 0:
-                num, den = -num, -den
-        self.num, self.den = num, den
-
-    @staticmethod
-    def from_int(n: int) -> "RatQU":
-        return RatQU(PolyQU.const(n))
-
-    @staticmethod
-    def from_frac(x: Fraction) -> "RatQU":
-        return RatQU(PolyQU.const(x.numerator), PolyQU.const(x.denominator))
-
-    @staticmethod
-    def from_poly(p: PolyQU) -> "RatQU":
-        return RatQU(p)
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def __bool__(self) -> bool:
-        return bool(self.num)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, RatQU) and self.num == other.num and self.den == other.den
-
-    def __hash__(self) -> int:
-        return hash((self.num, self.den))
-
-    def __neg__(self) -> "RatQU":
-        r = RatQU.__new__(RatQU)
-        r.num, r.den = -self.num, self.den
-        return r
-
-    def __add__(self, other: "RatQU") -> "RatQU":
-        if self.num.is_zero():
-            return other
-        if other.num.is_zero():
-            return self
-        if self.den == other.den:
-            return RatQU(self.num + other.num, self.den)
-        return RatQU(self.num * other.den + other.num * self.den, self.den * other.den)
-
-    def __sub__(self, other: "RatQU") -> "RatQU":
-        return self + (-other)
-
-    def __mul__(self, other: "RatQU") -> "RatQU":
-        if self.num.is_zero() or other.num.is_zero():
-            return RAT_ZERO
-        # cross-reduce before multiplying to keep intermediates small
-        a, b, c, d = self.num, self.den, other.num, other.den
-        g1 = poly_gcd(a, d)
-        if g1.terms != _ONE_TERMS:
-            a, d = poly_exact_div(a, g1), poly_exact_div(d, g1)
-        g2 = poly_gcd(c, b)
-        if g2.terms != _ONE_TERMS:
-            c, b = poly_exact_div(c, g2), poly_exact_div(b, g2)
-        r = RatQU.__new__(RatQU)
-        num, den = a * c, b * d
-        _, lc = den.leading()
-        if lc < 0:
-            num, den = -num, -den
-        r.num, r.den = num, den
-        return r
-
-    def scale_int(self, m: int) -> "RatQU":
-        """self * m, reduced without a polynomial gcd: in canonical form only
-        integer content of the denominator can cancel against m."""
-        if m == 0 or self.num.is_zero():
-            return RAT_ZERO
-        if m == 1:
-            return self
-        g = _int_gcd(m, self.den.content())
-        r = RatQU.__new__(RatQU)
-        if g == 1:
-            r.num, r.den = self.num.scale(m), self.den
-        else:
-            r.num = self.num.scale(m // g)
-            r.den = PolyQU({mono: c // g for mono, c in self.den.terms.items()})
-        return r
-
-    def is_poly(self) -> bool:
-        return self.den.terms == _ONE_TERMS
-
-    def to_poly(self) -> PolyQU:
-        """The underlying polynomial; raises unless the value is in Z[q,u]."""
-        if self.den.terms == _ONE_TERMS:
-            return self.num
-        raise NotPolynomialError(f"not a polynomial: ({self.num})/({self.den})")
-
-    def subst(self, q: PolyQU | None = None, u: PolyQU | None = None) -> "RatQU":
-        return RatQU(self.num.subst(q=q, u=u), self.den.subst(q=q, u=u))
-
-    def evaluate(self, qval, uval=0) -> Fraction:
-        d = self.den.evaluate(qval, uval)
-        if d == 0:
-            raise ZeroDivisionError("denominator vanishes at the evaluation point")
-        return self.num.evaluate(qval, uval) / d
-
-    def __str__(self) -> str:
-        if self.den.terms == _ONE_TERMS:
-            return poly_to_str(self.num)
-        return f"({poly_to_str(self.num)})/({poly_to_str(self.den)})"
-
-    def __repr__(self) -> str:
-        return f"RatQU({self})"
-
-
-RAT_ZERO = RatQU(ZERO)
-RAT_ONE = RatQU(ONE)
+    """A value did not divide exactly by a denominator it is known to
+    carry, so it is not the polynomial it should be."""
 
 
 # ---------------------------------------------------------------------------

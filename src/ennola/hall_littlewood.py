@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .coeffs import ONE, RAT_ONE, ZERO, PolyQU, RatQU
+from .coeffs import ONE, ZERO, PolyQU
 from .partitions import Partition, dominates, enumerate_partitions, n_stat, size
 from .symfunc import SymFunc
 
@@ -140,7 +140,7 @@ def transformed_kostka(nu: Partition, lam: Partition) -> PolyQU:
 def transformed_hl(lam: Partition) -> SymFunc:
     """Modified Hall-Littlewood function indexed by lam, one alphabet, on
     the Schur basis: only s_nu with nu dominating lam occur."""
-    coeffs = {(nu,): RatQU.from_poly(transformed_kostka(nu, lam)) for nu in _dominating(lam)}
+    coeffs = {(nu,): transformed_kostka(nu, lam) for nu in _dominating(lam)}
     return SymFunc(1, size(lam), "s", coeffs)
 
 
@@ -156,7 +156,7 @@ def extend_to_type(family, entries) -> SymFunc:
     `family` maps a partition to a one-alphabet SymFunc; the result is
     again one-alphabet, on the power-sum basis.
     """
-    out = SymFunc(1, 0, "p", {((),): RAT_ONE})
+    out = SymFunc.one(1)
     for d, lam, m in entries:
         piece = family(lam).to_powersum().adams(d)
         for _ in range(m):

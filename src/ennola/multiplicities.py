@@ -22,7 +22,7 @@ import os
 import tempfile
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import prod
+from math import factorial, prod
 
 try:  # the builtin SHA-256: importing hashlib loads OpenSSL, +3.7 MB peak RSS
     from _sha2 import sha256  # Python >= 3.12
@@ -32,16 +32,7 @@ except ImportError:
     except ImportError:
         from hashlib import sha256  # builds without the builtin hashes
 
-from .coeffs import (
-    ONE,
-    Q,
-    RAT_ZERO,
-    U,
-    PolyQU,
-    RatQU,
-    poly_from_json,
-    poly_to_json,
-)
+from .coeffs import ONE, Q, U, PolyQU, poly_exact_div, poly_from_json, poly_to_json
 from .characters import kronecker
 from .hall_littlewood import transformed_hl
 from .partitions import (
@@ -54,6 +45,7 @@ from .partitions import (
     n_stat,
     parse_partition,
     partition_to_text,
+    q_pochhammer,
     size,
 )
 from .symfunc import GradedSeries, SymFunc, mobius, tensor_expand
@@ -174,19 +166,26 @@ class MasterContext:
             if cached is not None:
                 self._psi = cached
             else:
-                self._psi = self.omega.pleth_log().scale(RatQU.from_poly(Q - ONE))
+                # Psi = (q - 1) Log Omega; degree n of Log Omega is over
+                # (n!)^k (q^n - 1), and (q^n - 1) cancels exactly
+                log = self.r_series().pleth_psi_inv().scale(Q - ONE)
+                self._psi = log.over(_factorial_dens(self.k, self.N))
         return self._psi
 
     @property
     def exp_u_psi(self) -> GradedSeries:
         if self._exp_u_psi is None:
-            self._exp_u_psi = self.psi.scale(RatQU.from_poly(U)).pleth_exp()
+            dens = _factorial_dens(self.k, self.N)
+            self._exp_u_psi = self.psi.scale(U).pleth_exp(dens)
         return self._exp_u_psi
 
     def r_series(self) -> GradedSeries:
-        """Coefficients of the plain logarithm of the kernel series."""
+        """Coefficients of the plain logarithm of the kernel series; degree
+        n is over (n!)^k (q^n - 1)."""
         if self._r_series is None:
-            self._r_series = self.omega.plain_log()
+            fk = _factorial_dens(self.k, self.N)
+            dens = [ONE] + [fk[n] * (Q**n - ONE) for n in range(1, self.N + 1)]
+            self._r_series = self.omega.plain_log(dens)
         return self._r_series
 
     # master-series Schur tables
@@ -200,12 +199,7 @@ class MasterContext:
             raise ValueError(f"degree {n} outside 1..{self.N}")
         table = self._load_cached(n) if self.cache_dir else None
         if table is None:
-            sf = self.psi.coeffs[n].to_schur()
-            table = {}
-            for key, c in sorted(sf.coeffs.items()):
-                p = c.to_poly()
-                if not p.is_zero():
-                    table[key] = p
+            table = _schur_table(self.psi.coeffs[n])
             if self.cache_dir:
                 try:
                     save_cache(self.cache_dir, self.k, n, table)
@@ -233,11 +227,10 @@ class MasterContext:
             if t is None:
                 return None
             tables.append(t)
-        coeffs: list = [RAT_ZERO]
+        coeffs = [SymFunc.zero(self.k, 0)]
         for n, table in enumerate(tables, start=1):
             self._psi_schur[n] = table
-            schur = {mu: RatQU.from_poly(p) for mu, p in table.items()}
-            coeffs.append(SymFunc(self.k, n, "s", schur).to_powersum())
+            coeffs.append(SymFunc(self.k, n, "s", table).to_powersum())
         return GradedSeries(self.k, self.N, coeffs)
 
     def tau_schur(self, n: int) -> dict[MultiPartition, PolyQU]:
@@ -246,15 +239,22 @@ class MasterContext:
             return self._tau_schur[n]
         if not 1 <= n <= self.N:
             raise ValueError(f"degree {n} outside 1..{self.N}")
-        sf = self.exp_u_psi.coeffs[n].to_schur()
-        table: dict[MultiPartition, PolyQU] = {}
-        for key, c in sorted(sf.coeffs.items()):
-            p = c.to_poly()
-            if p.is_zero():
-                continue
-            table[key] = _div_u(p, key)
+        table = _schur_table(self.exp_u_psi.coeffs[n])
+        table = {key: _div_u(p, key) for key, p in table.items()}
         self._tau_schur[n] = table
         return table
+
+
+def _factorial_dens(k: int, N: int) -> list[PolyQU]:
+    """(n!)^k for n = 0..N, the denominators of the master series, of
+    Exp(u Psi) and of the product-oracle series."""
+    return [PolyQU.const(factorial(n) ** k) for n in range(N + 1)]
+
+
+def _schur_table(f: SymFunc) -> dict[MultiPartition, PolyQU]:
+    """The Schur coefficients of f, which must be polynomials, sorted by
+    multipartition."""
+    return dict(sorted(f.to_schur().over(ONE).coeffs.items()))
 
 
 def _div_u(p: PolyQU, key) -> PolyQU:
@@ -273,18 +273,26 @@ def _div_u(p: PolyQU, key) -> PolyQU:
 
 def _build_omega(k: int, N: int) -> GradedSeries:
     """The kernel: sum over lam of the product over the k alphabets of
-    H~_lam(x_i) / a_lam(q), summed on the Schur basis, where H~_lam has
-    only the s_nu with nu dominating lam, then one change to power sums
-    per degree."""
-    coeffs: list = [RatQU.from_int(1)]
+    H~_lam(x_i) / a_lam(q), where H~_lam has only the s_nu with nu
+    dominating lam.  Degree n is summed on the Schur basis over
+    q^S (q;q)_n, S the largest power of q in an a_lam(q): every
+    a_lam(q) = q^e prod (q;q)_{m_i} divides it, because q-multinomials are
+    polynomials.  After one change to power sums per degree, the q^S
+    cancels exactly and Omega_n is over (n!)^k (q;q)_n."""
+    coeffs = [SymFunc.one(k)]
+    fk = _factorial_dens(k, N)
     for n in range(1, N + 1):
-        acc: dict[MultiPartition, RatQU] = {}
-        for lam in enumerate_partitions(n):
+        a = {lam: a_poly(lam) for lam in enumerate_partitions(n)}
+        q_shift = max(min(i for i, _ in p.terms) for p in a.values())  # S
+        den = Q**q_shift * q_pochhammer(n)
+        acc: dict[MultiPartition, PolyQU] = {}
+        for lam, a_lam in a.items():
             items = [(nu, v) for (nu,), v in transformed_hl(lam).coeffs.items()]
-            for key, c in tensor_expand([items] * k, RatQU(ONE, a_poly(lam))):
+            for key, c in tensor_expand([items] * k, poly_exact_div(den, a_lam)):
                 cur = acc.get(key)
                 acc[key] = c if cur is None else cur + c
-        coeffs.append(SymFunc(k, n, "s", acc).to_powersum())
+        omega_n = SymFunc(k, n, "s", acc).divide(den).to_powersum()
+        coeffs.append(omega_n.over(fk[n] * q_pochhammer(n)))
     return GradedSeries(k, N, coeffs)
 
 
@@ -303,8 +311,7 @@ def H_omega(ctx: MasterContext, omega) -> PolyQU:
     mt = as_multitype(omega)
     if len(mt) != ctx.k:
         raise ValueError(f"expected {ctx.k} components, got {len(mt)}")
-    comps = [{nu: c.to_poly() for (nu,), c in schur_of_type(tau).coeffs.items()}
-             for tau in mt]
+    comps = [{nu: c for (nu,), c in schur_of_type(tau).coeffs.items()} for tau in mt]
     total = PolyQU()
     for nu, p in ctx.psi_schur(type_size(mt[0])).items():
         cs = [comp.get(part) for part, comp in zip(nu, comps)]
@@ -368,17 +375,17 @@ def Uprime_poly(ctx: MasterContext, mu: MultiPartition) -> PolyQU:
 
 def _signed_neg_q(r: GradedSeries) -> GradedSeries:
     """Degree-m coefficient replaced by (-1)^m times its q -> -q image."""
-    coeffs: list = [r.coeffs[0].subst(q=-Q)]
-    for m in range(1, r.N + 1):
-        f = r.coeffs[m].subst_coeffs(q=-Q)
-        coeffs.append(f.scale((-1) ** m))
-    return GradedSeries(r.k, r.N, coeffs)
+    return GradedSeries(r.k, r.N, [f.subst_coeffs(q=-Q).scale((-1) ** m)
+                                   for m, f in enumerate(r.coeffs)])
 
 
 def _product_oracle(k: int, N: int, ctx: MasterContext | None, log_terms):
     """Schur tables, keyed by (degree, multipartition), of the plain
     exponential of sum(weight * series) over the (series, weight) pairs
-    that log_terms yields from the kernel's plain logarithm truncated at N."""
+    that log_terms yields from the kernel's plain logarithm truncated at N.
+    The sum is over the lcm of its terms' denominators and its degree n
+    then over (n!)^k; only the q -> -q terms of the twisted form need an
+    lcm that is not one of the terms' denominators."""
     ctx = ctx or build_context(k, N)
     if ctx.N < N:
         raise ValueError(f"context truncation {ctx.N} is below requested {N}")
@@ -386,15 +393,10 @@ def _product_oracle(k: int, N: int, ctx: MasterContext | None, log_terms):
     log_sum = GradedSeries.zero(k, N)
     for series, weight in log_terms(r):
         log_sum = log_sum.add(series.scale(weight))
-    ser = log_sum.plain_exp()
-    out: dict[tuple[int, MultiPartition], PolyQU] = {}
-    for n in range(1, N + 1):
-        sf = ser.coeffs[n].to_schur()
-        for key, c in sorted(sf.coeffs.items()):
-            p = c.to_poly()
-            if not p.is_zero():
-                out[(n, key)] = p
-    return out
+    dens = _factorial_dens(k, N)
+    ser = log_sum.over(dens).plain_exp(dens)
+    return {(n, key): p for n in range(1, N + 1)
+            for key, p in _schur_table(ser.coeffs[n]).items()}
 
 
 def U_poly_product_oracle(

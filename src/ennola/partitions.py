@@ -12,7 +12,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import product
 
-from .coeffs import ONE, PolyQU, Q, RatQU
+from .coeffs import ONE, PolyQU, Q, poly_exact_div
 
 Partition = tuple[int, ...]
 MultiPartition = tuple[Partition, ...]
@@ -64,15 +64,25 @@ def _factorial(m: int) -> int:
     return 1 if m <= 1 else m * _factorial(m - 1)
 
 
+@lru_cache(maxsize=None)
+def q_pochhammer(n: int) -> PolyQU:
+    """(q;q)_n := prod_{i<=n} (q^i - 1), with the sign of the centralizer
+    orders: q^{n(n-1)/2} (q;q)_n is the order of GL_n(F_q)."""
+    poly = ONE
+    for i in range(1, n + 1):
+        poly = poly * (Q**i - ONE)
+    return poly
+
+
 def a_poly(lam: Partition) -> PolyQU:
     """Order of the centralizer of a unipotent element of Jordan type lambda
-    in GL_n(F_q), as a polynomial in q."""
+    in GL_n(F_q), as a polynomial in q: q^e times the product of the
+    (q;q)_m over the multiplicities m of lambda."""
     shift = size(lam) + 2 * n_stat(lam)
     poly = ONE
     for m in multiplicities(lam).values():
         shift -= m * (m + 1) // 2
-        for t in range(1, m + 1):
-            poly = poly * (Q**t - ONE)
+        poly = poly * q_pochhammer(m)
     if shift < 0:
         raise AssertionError(f"negative q-power in centralizer order for {lam}")
     return poly * PolyQU.monomial(1, shift, 0)
@@ -92,13 +102,11 @@ def hook_poly(lam: Partition) -> PolyQU:
 def unipotent_degree(mu: Partition) -> PolyQU:
     """Degree of the unipotent character indexed by mu:
     q^{n(mu)} prod_{i<=n} (q^i - 1) / H_mu(q)."""
-    num = PolyQU.monomial(1, n_stat(mu), 0)
-    for i in range(1, size(mu) + 1):
-        num = num * (Q**i - ONE)
-    deg = RatQU(num, hook_poly(mu))
-    if not deg.is_poly():
+    num = PolyQU.monomial(1, n_stat(mu), 0) * q_pochhammer(size(mu))
+    deg = poly_exact_div(num, hook_poly(mu))
+    if deg is None:
         raise AssertionError(f"unipotent degree of {mu} did not divide exactly")
-    return deg.to_poly()
+    return deg
 
 
 @lru_cache(maxsize=None)

@@ -2,36 +2,29 @@
 in a formal variable T, with plethystic exponential and logarithm.
 
 A SymFunc of degree n is an element of the n-th graded piece of
-Lambda(x_1) (x) ... (x) Lambda(x_k) with coefficients in Q(q, u), stored
-sparsely on the power-sum or Schur basis indexed by k-tuples of
-partitions of n.  Power sums are primitive, which makes the Adams
-operation psi_m a key remap plus variable substitution; everything
-plethystic reduces to that plus ordinary exp/log of graded series.
+Lambda(x_1) (x) ... (x) Lambda(x_k) over Q(q, u), stored sparsely on the
+power-sum or Schur basis indexed by k-tuples of partitions of n, as
+integer numerators in Z[q, u] over one denominator in Z[q] for the whole
+piece.  Nothing is reduced by a gcd: each stage of the pipeline knows the
+denominator of its pieces in closed form and rewrites them over it with
+SymFunc.over, one exact division per key.  Adding two pieces over
+different denominators takes their lcm.  Power sums are primitive, which
+makes the Adams operation psi_m a key remap plus variable substitution;
+everything plethystic reduces to that plus ordinary exp/log of graded
+series.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import factorial, lcm
 
-from .coeffs import ONE, RAT_ONE, RAT_ZERO, Q, U, PolyQU, RatQU, poly_exact_div
+from .coeffs import ONE, Q, U, NotPolynomialError, PolyQU, poly_exact_div, poly_lcm
 from .characters import character_value
 from .partitions import MultiPartition, Partition, enumerate_partitions, z_lambda
 
-Coeffs = dict[MultiPartition, RatQU]
-
-
-def _as_rat(c) -> RatQU:
-    if isinstance(c, RatQU):
-        return c
-    if isinstance(c, PolyQU):
-        return RatQU.from_poly(c)
-    if isinstance(c, Fraction):
-        return RatQU.from_frac(c)
-    if isinstance(c, int):
-        return RatQU.from_int(c)
-    raise TypeError(f"cannot use {type(c).__name__} as a coefficient")
+Coeffs = dict[MultiPartition, PolyQU]
 
 
 def tensor_expand(factors, start) -> list:
@@ -54,24 +47,17 @@ def _z_product(rho: MultiPartition) -> int:
     return out
 
 
-def _change_basis(f: "SymFunc", to_powersum: bool) -> Coeffs:
-    """The coefficients of f on the other basis: <f, s_mu> = sum over rho
-    of f_rho chi^mu(rho), and f_rho = sum over mu of f_mu chi^mu(rho) / z_rho,
-    with chi the product of the k one-alphabet characters.  The numerators
-    over one common denominator den in Z[q] go through the character table
-    one alphabet at a time, k p(n)^(k+1) integer scale-adds and no
-    polynomial gcd; each output key then reduces once, over den * z_rho
-    in the power-sum direction."""
-    den = ONE
-    for d in {c.den for c in f.coeffs.values()}:
-        if den.qdeg() == d.qdeg() == 0:
-            den = PolyQU.const(lcm(den.coeff(0, 0), d.coeff(0, 0)))
-        else:
-            den = den * RatQU(den, d).den
-    nums = {key: c.num * poly_exact_div(den, c.den) for key, c in f.coeffs.items()}
+def _change_basis(f: "SymFunc", to_powersum: bool) -> tuple[Coeffs, PolyQU]:
+    """The numerators and denominator of f on the other basis: <f, s_mu> =
+    sum over rho of f_rho chi^mu(rho), and f_rho = sum over mu of f_mu
+    chi^mu(rho) / z_rho, with chi the product of the k one-alphabet
+    characters.  The numerators go through the character table one
+    alphabet at a time, k p(n)^(k+1) integer scale-adds; z_rho divides
+    (n!)^k, so the power-sum side is over den * (n!)^k."""
+    nums = f.coeffs
     shapes = enumerate_partitions(f.n)
     for i in range(f.k):
-        out: dict[MultiPartition, PolyQU] = {}
+        out: Coeffs = {}
         for key, p in nums.items():
             for lam in shapes:
                 chi = character_value(key[i], lam) if to_powersum else character_value(lam, key[i])
@@ -80,9 +66,10 @@ def _change_basis(f: "SymFunc", to_powersum: bool) -> Coeffs:
                     cur = out.get(new)
                     out[new] = p.scale(chi) if cur is None else cur + p.scale(chi)
         nums = out
-    if to_powersum:
-        return {rho: RatQU(p, den.scale(_z_product(rho))) for rho, p in nums.items()}
-    return {mu: RatQU(p, den) for mu, p in nums.items()}
+    if not to_powersum:
+        return nums, f.den
+    zk = factorial(f.n) ** f.k
+    return {rho: p.scale(zk // _z_product(rho)) for rho, p in nums.items()}, f.den.scale(zk)
 
 
 def _merge_parts(a: Partition, b: Partition) -> Partition:
@@ -90,9 +77,10 @@ def _merge_parts(a: Partition, b: Partition) -> Partition:
 
 
 class SymFunc:
-    """Degree-n symmetric function on k alphabets, sparse on one basis."""
+    """Degree-n symmetric function on k alphabets, sparse on one basis:
+    integer numerators in Z[q, u] over the denominator den in Z[q]."""
 
-    __slots__ = ("k", "n", "basis", "coeffs")
+    __slots__ = ("k", "n", "basis", "coeffs", "den")
 
     def __init__(self, k: int, n: int, basis: str, coeffs: Coeffs):
         if basis not in ("p", "s"):
@@ -100,11 +88,23 @@ class SymFunc:
         self.k = k
         self.n = n
         self.basis = basis
-        self.coeffs = {key: c for key, c in coeffs.items() if not c.num.is_zero()}
+        self.coeffs = {key: c for key, c in coeffs.items() if not c.is_zero()}
+        self.den = ONE
 
     @classmethod
     def zero(cls, k: int, n: int, basis: str = "p") -> "SymFunc":
         return cls(k, n, basis, {})
+
+    @classmethod
+    def one(cls, k: int) -> "SymFunc":
+        """The unit, of degree 0."""
+        return cls(k, 0, "p", {((),) * k: ONE})
+
+    def _with(self, coeffs: Coeffs, den: PolyQU, n: int | None = None,
+              basis: str | None = None) -> "SymFunc":
+        f = SymFunc(self.k, self.n if n is None else n, basis or self.basis, coeffs)
+        f.den = den
+        return f
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -114,12 +114,18 @@ class SymFunc:
             return NotImplemented
         if (self.k, self.n) != (other.k, other.n):
             return False
-        a = self if self.basis == "p" else self.to_powersum()
-        b = other if other.basis == "p" else other.to_powersum()
-        return a.coeffs == b.coeffs
+        a, b = self, other
+        if a.basis != b.basis:
+            a, b = a.to_powersum(), b.to_powersum()
+        if a.coeffs.keys() != b.coeffs.keys():
+            return False
+        if a.den == b.den:
+            return a.coeffs == b.coeffs
+        return all(c * b.den == b.coeffs[key] * a.den for key, c in a.coeffs.items())
 
     def __repr__(self) -> str:
-        return f"SymFunc(k={self.k}, n={self.n}, basis={self.basis!r}, {len(self.coeffs)} terms)"
+        return (f"SymFunc(k={self.k}, n={self.n}, basis={self.basis!r}, "
+                f"{len(self.coeffs)} terms over {self.den})")
 
     def _check_compatible(self, other: "SymFunc") -> None:
         if self.k != other.k:
@@ -131,19 +137,64 @@ class SymFunc:
         self._check_compatible(other)
         if self.n != other.n:
             raise ValueError("degrees differ")
-        out = dict(self.coeffs)
-        for key, c in other.coeffs.items():
+        if not other.coeffs:
+            return self
+        if not self.coeffs:
+            return other
+        a, b = self, other
+        if a.den != b.den:
+            den = poly_lcm(a.den, b.den)
+            a, b = a.over(den), b.over(den)
+        out = dict(a.coeffs)
+        for key, c in b.coeffs.items():
             cur = out.get(key)
             out[key] = c if cur is None else cur + c
-        return SymFunc(self.k, self.n, self.basis, out)
+        return a._with(out, a.den)
 
     def scale(self, c) -> "SymFunc":
-        r = _as_rat(c)
-        if r.num.is_zero():
-            return SymFunc.zero(self.k, self.n, self.basis)
-        return SymFunc(
-            self.k, self.n, self.basis, {key: v * r for key, v in self.coeffs.items()}
-        )
+        """self * c for c an integer, a Fraction, or a polynomial in q and u
+        with integer or Fraction coefficients; the lcm of the coefficient
+        denominators goes into the denominator."""
+        if not isinstance(c, PolyQU):
+            c = PolyQU.const(c)
+        m = lcm(*(Fraction(v).denominator for v in c.terms.values()))
+        if m != 1:
+            c = PolyQU({mono: int(v * m) for mono, v in c.terms.items()})
+        if c.terms.keys() == {(0, 0)}:
+            s = c.terms[(0, 0)]
+            out = {key: p.scale(s) for key, p in self.coeffs.items()}
+        else:
+            out = {key: p * c for key, p in self.coeffs.items()}
+        return self._with(out, self.den.scale(m))
+
+    def divide(self, d: PolyQU) -> "SymFunc":
+        """self / d for d a nonzero integer polynomial in q."""
+        if d.is_zero():
+            raise ZeroDivisionError("division by zero")
+        if d.udeg() > 0:
+            raise ValueError(f"u in a denominator: ({d})")
+        return self._with(self.coeffs, self.den * d)
+
+    def over(self, den: PolyQU) -> "SymFunc":
+        """The same function with its numerators over den, a multiple or a
+        divisor of the present denominator: one multiplication or one exact
+        division per key.  Raises NotPolynomialError when den is not a
+        denominator of this function."""
+        if den == self.den:
+            return self
+        up = poly_exact_div(den, self.den)
+        if up is not None:
+            return self._with({key: p * up for key, p in self.coeffs.items()}, den)
+        down = poly_exact_div(self.den, den)
+        if down is None:
+            raise NotPolynomialError(f"not a polynomial: ({den})/({self.den})")
+        out = {}
+        for key, p in self.coeffs.items():
+            quot = poly_exact_div(p, down)
+            if quot is None:
+                raise NotPolynomialError(f"not a polynomial: ({p})/({down}) at {key}")
+            out[key] = quot
+        return self._with(out, den)
 
     def multiply(self, other: "SymFunc") -> "SymFunc":
         """Product in the tensor algebra; power-sum basis only."""
@@ -157,7 +208,7 @@ class SymFunc:
                 c = ca * cb
                 cur = out.get(key)
                 out[key] = c if cur is None else cur + c
-        return SymFunc(self.k, self.n + other.n, "p", out)
+        return self._with(out, self.den * other.den, n=self.n + other.n)
 
     def adams(self, m: int) -> "SymFunc":
         """psi_m: p_r -> p_{mr} on every alphabet, q -> q^m, u -> u^m."""
@@ -170,35 +221,27 @@ class SymFunc:
             tuple(tuple(part * m for part in comp) for comp in key): c.subst(q=qm, u=um)
             for key, c in self.coeffs.items()
         }
-        return SymFunc(self.k, self.n * m, "p", out)
+        return self._with(out, self.den.subst(q=qm), n=self.n * m)
 
     def subst_coeffs(self, q: PolyQU | None = None, u: PolyQU | None = None) -> "SymFunc":
-        return SymFunc(
-            self.k, self.n, self.basis,
-            {key: c.subst(q=q, u=u) for key, c in self.coeffs.items()},
-        )
+        return self._with({key: c.subst(q=q, u=u) for key, c in self.coeffs.items()},
+                          self.den.subst(q=q))
 
     def to_powersum(self) -> "SymFunc":
         if self.basis == "p":
             return self
-        return SymFunc(self.k, self.n, "p", _change_basis(self, to_powersum=True))
+        return self._with(*_change_basis(self, to_powersum=True), basis="p")
 
     def to_schur(self) -> "SymFunc":
         if self.basis == "s":
             return self
-        return SymFunc(self.k, self.n, "s", _change_basis(self, to_powersum=False))
-
-    def schur_coefficient(self, mu: MultiPartition) -> RatQU:
-        """<self, s_mu> under the Hall pairing on each alphabet."""
-        if len(mu) != self.k:
-            raise ValueError(f"expected {self.k} components, got {len(mu)}")
-        return self.to_schur().coeffs.get(mu, RAT_ZERO)
+        return self._with(*_change_basis(self, to_powersum=False), basis="s")
 
 
 def schur_symfunc(k: int, mu: MultiPartition) -> SymFunc:
     """s_{mu^1}(x_1) ... s_{mu^k}(x_k) on the power-sum basis."""
     n = sum(mu[0]) if mu else 0
-    return SymFunc(k, n, "s", {mu: RAT_ONE}).to_powersum()
+    return SymFunc(k, n, "s", {mu: ONE}).to_powersum()
 
 
 @lru_cache(maxsize=None)
@@ -222,8 +265,14 @@ def mobius(n: int) -> int:
 
 
 class GradedSeries:
-    """Series sum_{n=0..N} f_n T^n with f_0 in Q(q,u) and f_n a SymFunc of
-    degree n, truncated at T^N.  Coefficients live on the power-sum basis."""
+    """Series sum_{n=0..N} f_n T^n, f_n a SymFunc of degree n on the
+    power-sum basis, truncated at T^N; the constant term f_0 sits on the
+    one key ((),) * k.
+
+    plain_exp, plain_log and pleth_exp take an optional list dens: dens[n]
+    is a denominator that degree n of the result is known to have, and
+    each degree is rewritten over it before the next one uses it.  Without
+    dens a degree stays over n times the lcm of its terms' denominators."""
 
     __slots__ = ("k", "N", "coeffs")
 
@@ -236,11 +285,11 @@ class GradedSeries:
 
     @classmethod
     def zero(cls, k: int, N: int) -> "GradedSeries":
-        return cls(k, N, [RAT_ZERO] + [SymFunc.zero(k, n) for n in range(1, N + 1)])
+        return cls(k, N, [SymFunc.zero(k, n) for n in range(N + 1)])
 
     @classmethod
     def one(cls, k: int, N: int) -> "GradedSeries":
-        return cls(k, N, [RAT_ONE] + [SymFunc.zero(k, n) for n in range(1, N + 1)])
+        return cls(k, N, [SymFunc.one(k)] + [SymFunc.zero(k, n) for n in range(1, N + 1)])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GradedSeries):
@@ -257,16 +306,17 @@ class GradedSeries:
 
     def add(self, other: "GradedSeries") -> "GradedSeries":
         self._check(other)
-        out = [self.coeffs[0] + other.coeffs[0]]
-        out.extend(a.add(b) for a, b in zip(self.coeffs[1:], other.coeffs[1:]))
-        return self._like(out)
+        return self._like([a.add(b) for a, b in zip(self.coeffs, other.coeffs)])
 
     def sub(self, other: "GradedSeries") -> "GradedSeries":
         return self.add(other.scale(-1))
 
     def scale(self, c) -> "GradedSeries":
-        r = _as_rat(c)
-        return self._like([self.coeffs[0] * r] + [f.scale(r) for f in self.coeffs[1:]])
+        return self._like([f.scale(c) for f in self.coeffs])
+
+    def over(self, dens: list) -> "GradedSeries":
+        """Degree n rewritten over dens[n] (SymFunc.over)."""
+        return self._like([f.over(d) for f, d in zip(self.coeffs, dens)])
 
     def truncate(self, N: int) -> "GradedSeries":
         """Drop the graded pieces above degree N."""
@@ -284,21 +334,11 @@ class GradedSeries:
         self._check(other)
         out = []
         for n in range(self.N + 1):
-            if n == 0:
-                out.append(self.coeffs[0] * other.coeffs[0])
-                continue
             acc = SymFunc.zero(self.k, n)
             for a in range(n + 1):
                 fa, fb = self.coeffs[a], other.coeffs[n - a]
-                if a == 0:
-                    term = fb.scale(fa)
-                elif a == n:
-                    term = fa.scale(fb)
-                else:
-                    if fa.is_zero() or fb.is_zero():
-                        continue
-                    term = fa.multiply(fb)
-                acc = acc.add(term)
+                if not (fa.is_zero() or fb.is_zero()):
+                    acc = acc.add(fa.multiply(fb))
             out.append(acc)
         return self._like(out)
 
@@ -307,53 +347,51 @@ class GradedSeries:
         if m == 1:
             return self
         out = GradedSeries.zero(self.k, self.N).coeffs
-        out[0] = self.coeffs[0].subst(q=Q ** m, u=U ** m)
-        for i in range(1, self.N // m + 1):
+        for i in range(self.N // m + 1):
             out[i * m] = self.coeffs[i].adams(m)
         return self._like(out)
 
-    def plain_exp(self) -> "GradedSeries":
-        """exp of a series with zero constant term."""
-        if not self.coeffs[0].num.is_zero():
+    def plain_exp(self, dens: list | None = None) -> "GradedSeries":
+        """exp of a series with zero constant term, from
+        n E_n = sum_{j=1..n} j f_j E_{n-j}; the j = n term comes first, so
+        when every other term's denominator divides its one, no gcd is
+        taken."""
+        if not self.coeffs[0].is_zero():
             raise ValueError("plain_exp needs zero constant term")
-        out = [RAT_ONE]
+        out = [SymFunc.one(self.k)]
         for n in range(1, self.N + 1):
             acc = SymFunc.zero(self.k, n)
-            for j in range(1, n + 1):
-                g = self.coeffs[j]
-                if g.is_zero():
-                    continue
-                scaled = g.scale(Fraction(j, n))
-                if n == j:
-                    term = scaled.scale(out[0])
-                else:
-                    f = out[n - j]
-                    if f.is_zero():
-                        continue
-                    term = scaled.multiply(f)
-                acc = acc.add(term)
-            out.append(acc)
+            for j in range(n, 0, -1):
+                g, f = self.coeffs[j], out[n - j]
+                if not (g.is_zero() or f.is_zero()):
+                    acc = acc.add(g.multiply(f).scale(j))
+            out.append(self._degree(acc, n, dens))
         return self._like(out)
 
-    def plain_log(self) -> "GradedSeries":
-        """log of a series with constant term 1."""
-        if self.coeffs[0] != RAT_ONE:
+    def plain_log(self, dens: list | None = None) -> "GradedSeries":
+        """log of a series with constant term 1, from
+        n L_n = n f_n - sum_{j=1..n-1} j L_j f_{n-j}."""
+        if self.coeffs[0] != SymFunc.one(self.k):
             raise ValueError("plain_log needs constant term 1")
-        out = [RAT_ZERO]
+        out = [SymFunc.zero(self.k, 0)]
         for n in range(1, self.N + 1):
-            acc = self.coeffs[n]
+            acc = self.coeffs[n].scale(n)
             for j in range(1, n):
-                g = out[j]
-                f = self.coeffs[n - j]
-                if g.is_zero() or f.is_zero():
-                    continue
-                acc = acc.add(g.scale(Fraction(-j, n)).multiply(f))
-            out.append(acc)
+                g, f = out[j], self.coeffs[n - j]
+                if not (g.is_zero() or f.is_zero()):
+                    acc = acc.add(g.multiply(f).scale(-j))
+            out.append(self._degree(acc, n, dens))
         return self._like(out)
+
+    @staticmethod
+    def _degree(n_times: SymFunc, n: int, dens: list | None) -> SymFunc:
+        """n_times / n, over dens[n] when given."""
+        f = n_times.scale(Fraction(1, n))
+        return f if dens is None else f.over(dens[n])
 
     def pleth_psi(self) -> "GradedSeries":
         """Psi f = sum_{m>=1} psi_m(f)/m, for f with zero constant term."""
-        if not self.coeffs[0].num.is_zero():
+        if not self.coeffs[0].is_zero():
             raise ValueError("pleth_psi needs zero constant term")
         acc = self
         for m in range(2, self.N + 1):
@@ -362,7 +400,7 @@ class GradedSeries:
 
     def pleth_psi_inv(self) -> "GradedSeries":
         """Inverse of pleth_psi via Moebius inversion."""
-        if not self.coeffs[0].num.is_zero():
+        if not self.coeffs[0].is_zero():
             raise ValueError("pleth_psi_inv needs zero constant term")
         acc = self
         for m in range(2, self.N + 1):
@@ -371,10 +409,6 @@ class GradedSeries:
                 acc = acc.add(self.adams(m).scale(Fraction(mu, m)))
         return acc
 
-    def pleth_exp(self) -> "GradedSeries":
+    def pleth_exp(self, dens: list | None = None) -> "GradedSeries":
         """Exp f = exp(Psi f)."""
-        return self.pleth_psi().plain_exp()
-
-    def pleth_log(self) -> "GradedSeries":
-        """Log f = Psi^{-1}(log f)."""
-        return self.plain_log().pleth_psi_inv()
+        return self.pleth_psi().plain_exp(dens)

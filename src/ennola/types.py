@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from .coeffs import ONE, Q, PolyQU
+from .coeffs import ONE, Q, ZERO, PolyQU
 from .hall_littlewood import extend_to_type
 from .partitions import (
     ParseError,
@@ -132,16 +132,15 @@ def enumerate_types(n: int) -> tuple[TypeEntries, ...]:
 def schur_of_type(tau: TypeEntries) -> SymFunc:
     """Product over entries of s_{lam} with alphabet powers d and q -> q^d,
     m times each; one alphabet, on the Schur basis, where the coefficients
-    are integers."""
-    return extend_to_type(lambda lam: schur_symfunc(1, (lam,)), tau).to_schur()
+    are integers (over the denominator 1)."""
+    return extend_to_type(lambda lam: schur_symfunc(1, (lam,)), tau).to_schur().over(ONE)
 
 
 def c_omega(tau: TypeEntries, mu: Partition) -> int:
     """Integer Schur coefficient <schur_of_type(tau), s_mu>."""
     if type_size(tau) != size(mu):
         raise ValueError(f"type size {type_size(tau)} != |mu| = {size(mu)}")
-    c = schur_of_type(tau).schur_coefficient((mu,))
-    p = c.to_poly()
+    p = schur_of_type(tau).coeffs.get((mu,), ZERO)
     if p.is_zero():
         return 0
     if set(p.terms) != {(0, 0)}:

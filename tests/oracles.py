@@ -11,7 +11,12 @@ alphabets is the brute-force character-product sum, pairing every source
 key with every target key, with the alternant character values.  The
 kernel and the multitype pairing H_omega are recomputed on the power-sum
 basis, with the Hall pairing sum over rho of z_rho f_rho g_rho, where the
-library works on the Schur basis.
+library works on the Schur basis, and the kernel's degrees are summed with
+the lcm of the 1/a_lam terms, where the library uses a closed form.
+
+A single coefficient in Q(q, u) is represented here as a degree-0 SymFunc
+on one alphabet (`scalar`), so its equality is the library's
+cross-multiplied one.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
 
-from ennola.coeffs import ONE, RAT_ONE, RAT_ZERO, PolyQU, Q, RatQU
+from ennola.coeffs import ONE, ZERO, PolyQU, Q
 from ennola.hall_littlewood import transformed_hl
 from ennola.multiplicities import as_multitype
 from ennola.partitions import a_poly, enumerate_partitions, multipartitions, z_lambda
@@ -65,63 +70,88 @@ def _chi_product(mu: tuple, rho: tuple) -> int:
     return math.prod(character_value_oracle(m, r) for m, r in zip(mu, rho))
 
 
+def scalar(num, den: PolyQU = ONE) -> SymFunc:
+    """num/den, for num an integer, a Fraction or a polynomial, as a
+    degree-0 SymFunc on one alphabet."""
+    return SymFunc.one(1).scale(num).divide(den)
+
+
+def coefficient(f: SymFunc, key: tuple) -> SymFunc:
+    """The coefficient of f at key, as a scalar."""
+    return scalar(f.coeffs.get(key, ZERO), f.den)
+
+
+def as_poly(c: SymFunc) -> PolyQU:
+    """A scalar that is a polynomial, as a PolyQU."""
+    return c.over(ONE).coeffs.get(((),), ZERO)
+
+
 def change_basis_oracle(f: SymFunc) -> SymFunc:
     """f on the other basis: <f, s_mu> = sum over rho of f_rho chi^mu(rho),
-    and f_rho = sum over mu of f_mu chi^mu(rho) / z_rho, one RatQU add per
-    (source key, target key) pair."""
+    and f_rho = sum over mu of f_mu chi^mu(rho) / z_rho, one add per
+    (source key, target key) pair, over den times the lcm of the z_rho."""
+    keys = multipartitions(f.k, f.n)
+    # 1/z_rho on the power-sum side, as (z_lcm / z_rho) / z_lcm
+    inv_z = {rho: 1 for rho in keys}
+    z_lcm = 1
+    if f.basis == "s":
+        zs = {rho: math.prod(map(z_lambda, rho)) for rho in keys}
+        z_lcm = math.lcm(*zs.values())
+        inv_z = {rho: z_lcm // z for rho, z in zs.items()}
     out: dict = {}
     for key, c in f.coeffs.items():
-        for other in multipartitions(f.k, f.n):
+        for other in keys:
             mu, rho = (other, key) if f.basis == "p" else (key, other)
             chi = _chi_product(mu, rho)
-            if not chi:
-                continue
-            if f.basis == "p":
-                term = c.scale_int(chi)
-            else:
-                term = c * RatQU(PolyQU.const(chi), PolyQU.const(math.prod(map(z_lambda, rho))))
-            out[other] = out.get(other, RAT_ZERO) + term
-    return SymFunc(f.k, f.n, "s" if f.basis == "p" else "p", out)
+            if chi:
+                out[other] = out.get(other, ZERO) + c.scale(chi * inv_z[rho])
+    g = SymFunc(f.k, f.n, "s" if f.basis == "p" else "p", out)
+    return g.divide(f.den.scale(z_lcm))
 
 
-def schur_coefficient_oracle(f: SymFunc, mu: tuple) -> RatQU:
+def schur_coefficient_oracle(f: SymFunc, mu: tuple) -> SymFunc:
     """<f, s_mu> from the power-sum basis, one term per key of f."""
-    total = RAT_ZERO
+    total = ZERO
     for rho, c in f.coeffs.items():
-        total = total + c.scale_int(_chi_product(mu, rho))
-    return total
+        total = total + c.scale(_chi_product(mu, rho))
+    return scalar(total, f.den)
 
 
-def pairing(f: SymFunc, g: SymFunc) -> RatQU:
-    """Hall pairing on k alphabets: sum over rho of z_rho f_rho g_rho,
-    with z_rho the product of the k one-alphabet z's."""
+def pairing(f: SymFunc, g: SymFunc) -> SymFunc:
+    """Hall pairing on k alphabets, as a scalar: sum over rho of
+    z_rho f_rho g_rho, with z_rho the product of the k one-alphabet z's."""
     if f.k != g.k or f.n != g.n:
         raise ValueError("pairing requires equal alphabet counts and degrees")
     a, b = f.to_powersum(), g.to_powersum()
-    total = RAT_ZERO
+    total = ZERO
     for rho, ca in a.coeffs.items():
         cb = b.coeffs.get(rho)
         if cb is not None:
-            total = total + (ca * cb).scale_int(math.prod(map(z_lambda, rho)))
-    return total
+            total = total + (ca * cb).scale(math.prod(map(z_lambda, rho)))
+    return scalar(total, a.den * b.den)
 
 
-def _powersum_items(f: SymFunc) -> list:
-    """The (partition, coefficient) pairs of a one-alphabet f on power sums."""
-    return [(rho, v) for (rho,), v in f.to_powersum().coeffs.items()]
+def pleth_log(series: GradedSeries) -> GradedSeries:
+    """Log f = Psi^{-1}(log f), the inverse of GradedSeries.pleth_exp."""
+    return series.plain_log().pleth_psi_inv()
+
+
+def _tensor_power(f: SymFunc, k: int) -> SymFunc:
+    """f(x_1) ... f(x_k) for a one-alphabet f, on the power-sum basis."""
+    f = f.to_powersum()
+    items = [(rho, v) for (rho,), v in f.coeffs.items()]
+    return SymFunc(k, f.n, "p", dict(tensor_expand([items] * k, ONE))).divide(f.den ** k)
 
 
 def omega_oracle(k: int, N: int) -> GradedSeries:
     """The kernel sum over lam of prod_i H~_lam(x_i) / a_lam(q), each
     product expanded on the power-sum basis, p(n)^k terms per lam."""
-    coeffs: list = [RAT_ONE]
+    coeffs = [SymFunc.one(k)]
     for n in range(1, N + 1):
-        acc: dict = {}
+        acc = SymFunc.zero(k, n)
         for lam in enumerate_partitions(n):
-            items = _powersum_items(transformed_hl(lam))
-            for key, c in tensor_expand([items] * k, RatQU(ONE, a_poly(lam))):
-                acc[key] = acc.get(key, RAT_ZERO) + c
-        coeffs.append(SymFunc(k, n, "p", acc))
+            acc = acc.add(_tensor_power(transformed_hl(lam), k).divide(a_poly(lam)))
+        coeffs.append(acc)
     return GradedSeries(k, N, coeffs)
 
 
@@ -130,9 +160,11 @@ def H_omega_oracle(ctx, omega) -> PolyQU:
     power-sum product of the k Schur-type factors of a multitype."""
     mt = as_multitype(omega)
     n = type_size(mt[0])
-    comps = [_powersum_items(schur_of_type(tau)) for tau in mt]
-    s_omega = SymFunc(ctx.k, n, "p", dict(tensor_expand(comps, RAT_ONE)))
-    return pairing(ctx.psi.coeffs[n], s_omega).to_poly()
+    comps = [schur_of_type(tau).to_powersum() for tau in mt]
+    den = math.prod((c.den for c in comps), start=ONE)
+    items = [[(rho, v) for (rho,), v in c.coeffs.items()] for c in comps]
+    s_omega = SymFunc(ctx.k, n, "p", dict(tensor_expand(items, ONE))).divide(den)
+    return as_poly(pairing(ctx.psi.coeffs[n], s_omega))
 
 
 def _cycle_type(perm: tuple) -> tuple:

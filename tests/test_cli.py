@@ -272,18 +272,19 @@ class TestInternalErrors:
     def test_broken_invariant_exits_internal(
         self, capsys, tmp_path, monkeypatch, which, fault, message
     ):
-        # failure injection: a kernel with a spurious 1/(q + 1) makes a
-        # master Schur coefficient non-polynomial; dropping the factor u
-        # from Exp(u Psi) breaks the divisibility that T relies on
+        # failure injection: a kernel with a spurious 1/(q + 1) does not
+        # divide over the closed-form denominator of its logarithm; dropping
+        # the factor u from Exp(u Psi) breaks the divisibility that T
+        # relies on
         import ennola.multiplicities as mult
-        from ennola.coeffs import ONE, Q, RatQU
+        from ennola.coeffs import ONE, Q
 
         if fault == "omega":
             real = mult._build_omega
 
             def skewed(k, N):
                 omega = real(k, N)
-                omega.coeffs[1] = omega.coeffs[1].scale(RatQU(ONE, Q + ONE))
+                omega.coeffs[1] = omega.coeffs[1].divide(Q + ONE)
                 return omega
 
             monkeypatch.setattr(mult, "_build_omega", skewed)

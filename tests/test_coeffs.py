@@ -1,4 +1,4 @@
-"""Exact bivariate polynomial and rational-function arithmetic."""
+"""Exact bivariate polynomial arithmetic, exact division and the Z[q] gcd."""
 
 from __future__ import annotations
 
@@ -11,16 +11,13 @@ from hypothesis import strategies as st
 from ennola.coeffs import (
     ONE,
     Q,
-    RAT_ONE,
-    RAT_ZERO,
     U,
     ZERO,
-    NotPolynomialError,
     PolyQU,
-    RatQU,
     poly_exact_div,
     poly_from_json,
     poly_gcd,
+    poly_lcm,
     poly_to_json,
     poly_to_str,
 )
@@ -49,7 +46,7 @@ def int_polys() -> st.SearchStrategy[PolyQU]:
 
 
 def q_polys() -> st.SearchStrategy[PolyQU]:
-    """Small polynomials in Z[q], the ring of RatQU denominators."""
+    """Small polynomials in Z[q], the ring of the denominators."""
     return polys(max_terms=3, max_deg=3, max_den=1, max_udeg=0)
 
 
@@ -168,11 +165,11 @@ class TestPolyToStr:
 
 
 class TestGcdAndDivision:
-    # RatQU keeps its denominators in Z[q], so poly_gcd takes one nonzero
-    # operand in Z[q] and poly_exact_div a divisor in Z[q]; the strategies
-    # are narrowed to that on purpose.
+    # Denominators live in Z[q]: poly_gcd takes two operands in Z[q] and
+    # poly_exact_div a divisor in Z[q]; the strategies are narrowed to that
+    # on purpose.
 
-    @given(q_polys(), int_polys(), q_polys())
+    @given(q_polys(), q_polys(), q_polys())
     @settings(max_examples=40, deadline=None)
     def test_gcd_divides_both(self, a, b, c):
         g = poly_gcd(a, b)
@@ -200,8 +197,20 @@ class TestGcdAndDivision:
         assert poly_gcd(ZERO, ZERO) == ZERO
 
     def test_two_u_bearing_operands_raise(self):
-        with pytest.raises(ValueError, match=r"gcd of two polynomials in u"):
+        with pytest.raises(ValueError, match=r"gcd of polynomials in u"):
             poly_gcd(U * Q, U + Q)
+        with pytest.raises(ValueError, match=r"gcd of polynomials in u"):
+            poly_gcd(Q, U + Q)
+
+    @given(q_polys(), q_polys())
+    @settings(max_examples=40, deadline=None)
+    def test_lcm_is_a_least_common_multiple(self, a, b):
+        if a.is_zero() or b.is_zero():
+            return
+        m = poly_lcm(a, b)
+        assert poly_exact_div(m, a) is not None and poly_exact_div(m, b) is not None
+        # a * b = gcd * lcm up to sign
+        assert a * b in (poly_gcd(a, b) * m, -(poly_gcd(a, b) * m))
 
     def test_division_by_u_bearing_polynomial_raises(self):
         with pytest.raises(ValueError, match=r"division by a polynomial in u: \(u\)"):
@@ -217,68 +226,3 @@ class TestGcdAndDivision:
         assert poly_gcd(q4_minus_1, q2_minus_1) == q2_minus_1 or poly_gcd(
             q4_minus_1, q2_minus_1
         ) == q2_minus_1.scale(-1)
-
-
-class TestRatQU:
-    def test_construction_and_equality(self):
-        half = RatQU.from_frac(Fraction(1, 2))
-        assert half + half == RAT_ONE
-        assert RatQU.from_int(0) == RAT_ZERO
-        assert not RAT_ZERO
-        assert RAT_ONE
-
-    def test_fraction_coefficients_cleared_at_construction(self):
-        # phi(2) = (q^2 - q)/2 has Fraction coefficients as a PolyQU; as a
-        # RatQU it must take the one canonical form (q^2 - q)/2.
-        from ennola.multiplicities import phi
-
-        a = RatQU.from_poly(phi(2))
-        b = RatQU(Q**2 - Q, PolyQU.const(2))
-        assert a == b
-        assert hash(a) == hash(b)
-        for r in (a, b):
-            assert all(type(c) is int for c in r.num.terms.values())
-            assert all(type(c) is int for c in r.den.terms.values())
-        assert (a.num, a.den) == (Q**2 - Q, PolyQU.const(2))
-        # an integral Fraction is stored as an int too
-        three_q = RatQU.from_poly(PolyQU.monomial(Fraction(3), 1, 0))
-        assert type(three_q.num.terms[(1, 0)]) is int
-
-    def test_u_in_denominator_raises(self):
-        with pytest.raises(ValueError, match=r"u in a denominator: \(1\)/\(u \+ q\)"):
-            RatQU(ONE, U + Q)
-
-    def test_cancellation(self):
-        # (q^2 - 1)/(q - 1) should compare equal to q + 1.
-        r = RatQU(Q**2 - ONE, Q - ONE)
-        assert r == RatQU.from_poly(Q + ONE)
-        assert r.is_poly()
-        assert r.to_poly() == Q + ONE
-
-    def test_non_polynomial_raises(self):
-        r = RatQU(ONE, Q - ONE)
-        assert not r.is_poly()
-        with pytest.raises(NotPolynomialError):
-            r.to_poly()
-
-    def test_field_laws(self):
-        a = RatQU(Q, Q**2 - ONE)
-        b = RatQU(ONE, Q + ONE)
-        c = RatQU.from_poly(U + Q)
-        assert (a + b) - b == a
-        b_inv = RatQU.from_poly(Q + ONE)
-        assert (a * b) * b_inv == a
-        assert a * (b + c) == a * b + a * c
-        assert a * RatQU(Q**2 - ONE, Q) == RAT_ONE
-
-    def test_scalar_helpers(self):
-        a = RatQU(Q, Q + ONE)
-        assert a.scale_int(3) == a + a + a
-
-    def test_evaluate(self):
-        a = RatQU(Q**2 - ONE, Q - ONE)
-        assert a.evaluate(5) == 6
-
-    def test_subst(self):
-        a = RatQU(U, Q - ONE)
-        assert a.subst(u=ONE) == RatQU(ONE, Q - ONE)

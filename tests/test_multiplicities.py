@@ -6,13 +6,12 @@ from __future__ import annotations
 
 import json
 import os
-from fractions import Fraction
 from itertools import combinations_with_replacement, permutations
 
 import pytest
 
 import ennola.multiplicities as mult
-from ennola.coeffs import ONE, Q, RatQU, U, ZERO, PolyQU, poly_to_str
+from ennola.coeffs import ONE, Q, U, ZERO, PolyQU, poly_to_str
 from ennola.multiplicities import (
     H_omega,
     MasterContext,
@@ -299,6 +298,66 @@ class TestSchurSide:
         assert V_poly(warm, mt) == want
         assert warm._psi is None
         assert loads == [(cache, 3, 4)]
+
+
+class TestClosedFormDenominators:
+    """Every stage puts degree n over its closed-form denominator, and the
+    pipeline takes a gcd only for the lcm of the twisted oracle's q -> -q
+    terms."""
+
+    @pytest.mark.parametrize("k, N", [(3, 4), (4, 3)])
+    def test_each_stage_is_over_its_closed_form(self, k, N):
+        from math import factorial
+
+        from ennola.partitions import q_pochhammer
+
+        ctx = build_context(k, N, None)
+        for n in range(1, N + 1):
+            fk = PolyQU.const(factorial(n) ** k)
+            assert ctx.omega.coeffs[n].den == fk * q_pochhammer(n)
+            assert ctx.r_series().coeffs[n].den == fk * (Q**n - ONE)
+            assert ctx.psi.coeffs[n].den == fk
+            assert ctx.exp_u_psi.coeffs[n].den == fk
+
+    def test_only_the_twisted_oracle_takes_a_gcd(self, monkeypatch):
+        import ennola.coeffs as coeffs
+
+        calls = 0
+        real = coeffs.poly_gcd
+
+        def counted(a, b):
+            nonlocal calls
+            calls += 1
+            return real(a, b)
+
+        monkeypatch.setattr(coeffs, "poly_gcd", counted)
+        N = 4
+        ctx = build_context(3, N, None)
+        for n in range(1, N + 1):
+            ctx.psi_schur(n)
+            ctx.tau_schur(n)
+        U_poly_product_oracle(3, N, ctx)
+        T_poly_product_oracle(3, N, ctx)
+        assert calls == 0
+        Uprime_poly_product_oracle(3, N, ctx)
+        # at most one gcd per graded piece for each of its N + N // 2 terms
+        assert 0 < calls <= (N + N // 2) * N
+
+    def test_verify_takes_the_kernel_log_once(self, monkeypatch):
+        from ennola.symfunc import GradedSeries
+
+        ctx = build_context(3, 4, None)
+        logs = []
+        real = GradedSeries.plain_log
+
+        def counted(self, *args, **kwargs):
+            if self is ctx._omega:
+                logs.append(1)
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(GradedSeries, "plain_log", counted)
+        assert verify_suite(ctx).ok
+        assert len(logs) == 1
 
 
 class TestProductOracles:

@@ -11,15 +11,29 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ennola.coeffs import ONE, Q, RAT_ONE, RAT_ZERO, ZERO, PolyQU, RatQU, U
+from ennola.coeffs import ONE, Q, ZERO, NotPolynomialError, PolyQU, U
 from ennola.partitions import enumerate_partitions, multipartitions, z_lambda
 from ennola.symfunc import GradedSeries, SymFunc, mobius, schur_symfunc, tensor_expand
 
-from oracles import change_basis_oracle, pairing, schur_coefficient_oracle
+from oracles import (
+    change_basis_oracle,
+    coefficient,
+    pairing,
+    pleth_log,
+    scalar,
+    schur_coefficient_oracle,
+)
+
+ONE_ = scalar(1)
+ZERO_ = scalar(0)
 
 
-def rat(n, d=1) -> RatQU:
-    return RatQU.from_frac(Fraction(n, d))
+def rat(n, d=1) -> SymFunc:
+    return scalar(Fraction(n, d))
+
+
+def schur_coefficient(f: SymFunc, mu: tuple) -> SymFunc:
+    return coefficient(f.to_schur(), mu)
 
 
 class TestSymFuncBasics:
@@ -36,8 +50,8 @@ class TestSymFuncBasics:
         g = schur_symfunc(1, ((1, 1),))
         h = f.add(g)
         # p_(1,1) = s_2 + s_(1,1) minus... check via schur coefficients
-        assert h.schur_coefficient(((2,),)) == RAT_ONE
-        assert h.schur_coefficient(((1, 1),)) == RAT_ONE
+        assert schur_coefficient(h, ((2,),)) == ONE_
+        assert schur_coefficient(h, ((1, 1),)) == ONE_
         assert f.add(f.scale(-1)).is_zero()
 
     def test_schur_orthonormality(self):
@@ -46,7 +60,7 @@ class TestSymFuncBasics:
             fs = {lam: schur_symfunc(1, (lam,)) for lam in shapes}
             for a in shapes:
                 for b in shapes:
-                    expected = RAT_ONE if a == b else RAT_ZERO
+                    expected = ONE_ if a == b else ZERO_
                     assert pairing(fs[a], fs[b]) == expected, (a, b)
 
     def test_powersum_pairing_is_z(self):
@@ -54,50 +68,50 @@ class TestSymFuncBasics:
             shapes = enumerate_partitions(n)
             for a in shapes:
                 for b in shapes:
-                    fa = SymFunc(1, n, "p", {(a,): RAT_ONE})
-                    fb = SymFunc(1, n, "p", {(b,): RAT_ONE})
+                    fa = SymFunc(1, n, "p", {(a,): ONE})
+                    fb = SymFunc(1, n, "p", {(b,): ONE})
                     got = pairing(fa, fb)
-                    expected = rat(z_lambda(a)) if a == b else RAT_ZERO
+                    expected = rat(z_lambda(a)) if a == b else ZERO_
                     assert got == expected, (a, b)
 
     def test_two_alphabet_pairing_multiplies(self):
         a = schur_symfunc(2, ((2, 1), (1, 1, 1)))
         b = schur_symfunc(2, ((2, 1), (1, 1, 1)))
         c = schur_symfunc(2, ((2, 1), (3,)))
-        assert pairing(a, b) == RAT_ONE
-        assert pairing(a, c) == RAT_ZERO
+        assert pairing(a, b) == ONE_
+        assert pairing(a, c) == ZERO_
 
     def test_schur_powersum_roundtrip(self):
         for lam in [(3,), (2, 1), (1, 1, 1), (2, 2), (3, 2)]:
             f = schur_symfunc(1, (lam,))
-            back = f.to_schur()
-            nonzero = {k: v for k, v in back.coeffs.items() if not v.is_zero()}
-            assert nonzero == {(lam,): RAT_ONE}
+            back = f.to_schur().over(ONE)
+            assert back.coeffs == {(lam,): ONE}
 
     def test_multiply_littlewood_richardson(self):
         # s_1 * s_1 = s_2 + s_(1,1)
         s1 = schur_symfunc(1, ((1,),))
         prod = s1.multiply(s1)
-        assert prod.schur_coefficient(((2,),)) == RAT_ONE
-        assert prod.schur_coefficient(((1, 1),)) == RAT_ONE
+        assert schur_coefficient(prod, ((2,),)) == ONE_
+        assert schur_coefficient(prod, ((1, 1),)) == ONE_
         # s_21 * s_1 = s_31 + s_22 + s_211
         s21 = schur_symfunc(1, ((2, 1),))
         prod2 = s21.multiply(s1)
         for target in [(3, 1), (2, 2), (2, 1, 1)]:
-            assert prod2.schur_coefficient((target,)) == RAT_ONE
-        assert prod2.schur_coefficient(((4,),)) == RAT_ZERO
+            assert schur_coefficient(prod2, (target,)) == ONE_
+        assert schur_coefficient(prod2, ((4,),)) == ZERO_
 
     def test_adams_on_powersums(self):
         # psi_m is multiplicative: p_rho -> p_{m*rho}
-        f = SymFunc(1, 3, "p", {((2, 1),): rat(5)})
+        f = SymFunc(1, 3, "p", {((2, 1),): PolyQU.const(5)}).divide(Q - ONE)
         g = f.adams(2)
         assert g.n == 6
-        assert g.coeffs == {((4, 2),): rat(5)}
+        assert g.coeffs == {((4, 2),): PolyQU.const(5)}
+        assert g.den == Q**2 - ONE
 
     def test_subst_coeffs(self):
-        f = SymFunc(1, 1, "p", {((1,),): RatQU.from_poly(Q + U)})
+        f = SymFunc(1, 1, "p", {((1,),): Q + U})
         g = f.subst_coeffs(q=-Q)
-        assert g.coeffs[((1,),)] == RatQU.from_poly(U - Q)
+        assert g.coeffs[((1,),)] == U - Q
 
     def test_incompatible_ops_raise(self):
         f = SymFunc.zero(1, 2)
@@ -108,13 +122,87 @@ class TestSymFuncBasics:
             pairing(f, g)
 
 
+class TestOneDenominator:
+    """Integer numerators in Z[q, u] over one denominator in Z[q] per
+    piece, rewritten over a known denominator by exact division."""
+
+    def test_equality_across_denominators(self):
+        half = rat(1, 2)
+        assert half.den == PolyQU.const(2)
+        assert half.add(half) == ONE_
+        a = SymFunc(1, 1, "p", {((1,),): Q + ONE})
+        b = SymFunc(1, 1, "p", {((1,),): Q**2 - ONE}).divide(Q - ONE)
+        assert b.den == Q - ONE
+        assert a == b
+        assert a.to_schur() == b
+        assert scalar(0) == ZERO_ and ZERO_.is_zero() and not ONE_.is_zero()
+
+    def test_fraction_coefficients_cleared_by_scale(self):
+        # phi(2) = (q^2 - q)/2 has Fraction coefficients as a PolyQU; as a
+        # factor it gives the integer numerator q^2 - q over 2
+        from ennola.multiplicities import phi
+
+        a = ONE_.scale(phi(2))
+        assert (a.coeffs, a.den) == ({((),): Q**2 - Q}, PolyQU.const(2))
+        assert all(type(c) is int for c in a.coeffs[((),)].terms.values())
+        assert all(type(c) is int for c in a.den.terms.values())
+        assert ONE_.scale(PolyQU.monomial(Fraction(3), 1, 0)).den == ONE
+
+    def test_u_in_denominator_raises(self):
+        with pytest.raises(ValueError, match=r"u in a denominator: \(u \+ q\)"):
+            ONE_.divide(U + Q)
+
+    def test_over_divides_exactly(self):
+        f = scalar(Q**2 - ONE, Q - ONE)
+        assert f.over(ONE).coeffs == {((),): Q + ONE}
+        g = f.over(Q**3 - ONE)
+        assert (g.coeffs, g.den) == ({((),): (Q**2 - ONE) * (Q**2 + Q + ONE)}, Q**3 - ONE)
+        assert g == f
+
+    def test_non_polynomial_raises(self):
+        with pytest.raises(NotPolynomialError):
+            scalar(ONE, Q - ONE).over(ONE)
+        with pytest.raises(NotPolynomialError):
+            scalar(ONE, Q - ONE).over(Q + ONE)
+
+    def test_field_laws(self):
+        a = scalar(Q, Q**2 - ONE)
+        b = scalar(ONE, Q + ONE)
+        c = scalar(U + Q)
+        assert a.add(b).add(b.scale(-1)) == a
+        assert a.multiply(b).multiply(scalar(Q + ONE)) == a
+        assert a.multiply(b.add(c)) == a.multiply(b).add(a.multiply(c))
+        assert a.multiply(scalar(Q**2 - ONE, Q)) == ONE_
+        assert a.scale(3) == a.add(a).add(a)
+
+    def test_add_takes_a_gcd_only_when_no_denominator_divides(self, monkeypatch):
+        import ennola.coeffs as coeffs
+
+        calls = []
+        real = coeffs.poly_gcd
+        monkeypatch.setattr(coeffs, "poly_gcd", lambda a, b: calls.append(1) or real(a, b))
+        a = scalar(ONE, Q - ONE)
+        s = a.add(scalar(ONE, Q**2 - ONE))
+        assert s.den == Q**2 - ONE and s == scalar(Q + PolyQU.const(2), Q**2 - ONE)
+        assert calls == []
+        t = a.add(scalar(ONE, Q + ONE))
+        assert t.den == Q**2 - ONE and t == scalar(Q.scale(2), Q**2 - ONE)
+        assert calls == [1]
+
+    def test_subst_coeffs_substitutes_the_denominator(self):
+        f = scalar(U, Q - ONE)
+        assert f.subst_coeffs(u=ONE) == scalar(ONE, Q - ONE)
+        assert f.subst_coeffs(q=-Q).den == -Q - ONE
+        assert f.adams(2).den == Q**2 - ONE
+
+
 Q_FACTORS = [ONE, Q - ONE, Q + ONE, Q**2 + Q + ONE, Q.scale(2) + ONE.scale(3)]
 
 
 @st.composite
 def symfuncs(draw, basis: str) -> SymFunc:
-    """Sparse SymFuncs with k <= 3, n <= 4, numerators in Z[q, u] and
-    denominators mixing integers and factors in Z[q]."""
+    """Sparse SymFuncs with k <= 3, n <= 4, numerators in Z[q, u] and a
+    denominator mixing an integer and a factor in Z[q]."""
     k = draw(st.integers(min_value=1, max_value=3))
     n = draw(st.integers(min_value=1, max_value=4))
     keys = draw(st.lists(st.sampled_from(multipartitions(k, n)), max_size=6, unique=True))
@@ -127,9 +215,9 @@ def symfuncs(draw, basis: str) -> SymFunc:
                 draw(st.integers(min_value=0, max_value=2)),
                 draw(st.integers(min_value=0, max_value=2)),
             )
-        den = draw(st.sampled_from(Q_FACTORS)).scale(draw(st.integers(min_value=1, max_value=6)))
-        coeffs[key] = RatQU(num, den)
-    return SymFunc(k, n, basis, coeffs)
+        coeffs[key] = num
+    den = draw(st.sampled_from(Q_FACTORS)).scale(draw(st.integers(min_value=1, max_value=6)))
+    return SymFunc(k, n, basis, coeffs).divide(den)
 
 
 class TestChangeOfBasis:
@@ -139,24 +227,28 @@ class TestChangeOfBasis:
     @given(symfuncs("p"))
     @settings(max_examples=40, deadline=None)
     def test_to_schur_matches_reference(self, f):
-        assert f.to_schur().coeffs == change_basis_oracle(f).coeffs
+        got, want = f.to_schur(), change_basis_oracle(f)
+        assert got.basis == want.basis == "s"
+        assert got == want
 
     @given(symfuncs("s"))
     @settings(max_examples=40, deadline=None)
     def test_to_powersum_matches_reference(self, f):
-        assert f.to_powersum().coeffs == change_basis_oracle(f).coeffs
+        got, want = f.to_powersum(), change_basis_oracle(f)
+        assert got.basis == want.basis == "p"
+        assert got == want
 
     @given(symfuncs("p"), st.data())
     @settings(max_examples=40, deadline=None)
     def test_schur_coefficient_matches_reference(self, f, data):
         mu = data.draw(st.sampled_from(multipartitions(f.k, f.n)))
-        assert f.schur_coefficient(mu) == schur_coefficient_oracle(f, mu)
+        assert schur_coefficient(f, mu) == schur_coefficient_oracle(f, mu)
 
     @given(symfuncs("p"), symfuncs("s"))
     @settings(max_examples=40, deadline=None)
     def test_round_trips(self, f, g):
-        assert f.to_schur().to_powersum().coeffs == f.coeffs
-        assert g.to_powersum().to_schur().coeffs == g.coeffs
+        assert f.to_schur().to_powersum().over(f.den).coeffs == f.coeffs
+        assert g.to_powersum().to_schur().over(g.den).coeffs == g.coeffs
 
 
 class TestTensorExpand:
@@ -209,7 +301,7 @@ def geometric_series(k: int, N: int) -> GradedSeries:
     """1 + f + f^2 + ... truncated, for f = s_1 on each alphabet."""
     one = GradedSeries.one(k, N)
     f = GradedSeries.zero(k, N)
-    term = SymFunc(k, 1, "p", {((((1,),) * k)): RAT_ONE})
+    term = SymFunc(k, 1, "p", {((((1,),) * k)): ONE})
     coeffs = list(f.coeffs)
     coeffs[1] = term
     f = GradedSeries(k, N, coeffs)
@@ -225,29 +317,29 @@ class TestGradedSeries:
     def test_mul_grading(self):
         s = geometric_series(1, 4)
         # (sum p_1^n) has degree-n coefficient p_1^n = p_(1^n)
-        assert s.coeffs[0] == RAT_ONE
+        assert s.coeffs[0] == SymFunc.one(1)
         for n in range(1, 5):
             got = s.coeffs[n]
-            assert got.coeffs == {((1,) * n,): RAT_ONE}
+            assert got.coeffs == {((1,) * n,): ONE} and got.den == ONE
 
     def test_exp_log_roundtrip(self):
         f = GradedSeries.zero(2, 5)
         coeffs = list(f.coeffs)
-        coeffs[1] = SymFunc(2, 1, "p", {(((1,), (1,))): RatQU.from_poly(Q)})
-        coeffs[2] = SymFunc(2, 2, "p", {(((2,), (1, 1))): rat(1, 2)})
+        coeffs[1] = SymFunc(2, 1, "p", {(((1,), (1,))): Q})
+        coeffs[2] = SymFunc(2, 2, "p", {(((2,), (1, 1))): ONE}).scale(Fraction(1, 2))
         f = GradedSeries(2, 5, coeffs)
         assert f.plain_exp().plain_log() == f
-        assert f.pleth_exp().pleth_log() == f
+        assert pleth_log(f.pleth_exp()) == f
 
     def test_exp_homomorphism(self):
         # Exp(f+g) = Exp(f) Exp(g), and the same for plain exp
         fa = GradedSeries.zero(1, 5)
         ca = list(fa.coeffs)
-        ca[1] = SymFunc(1, 1, "p", {(((1,),)): RAT_ONE})
+        ca[1] = SymFunc(1, 1, "p", {(((1,),)): ONE})
         fa = GradedSeries(1, 5, ca)
         fb = GradedSeries.zero(1, 5)
         cb = list(fb.coeffs)
-        cb[2] = SymFunc(1, 2, "p", {(((2,),)): RatQU.from_poly(U)})
+        cb[2] = SymFunc(1, 2, "p", {(((2,),)): U})
         fb = GradedSeries(1, 5, cb)
         lhs_plain = fa.add(fb).plain_exp()
         rhs_plain = fa.plain_exp().mul(fb.plain_exp())
@@ -261,21 +353,20 @@ class TestGradedSeries:
         # every p_rho / z_rho
         f = GradedSeries.zero(1, 5)
         c = list(f.coeffs)
-        c[1] = SymFunc(1, 1, "p", {(((1,),)): RAT_ONE})
+        c[1] = SymFunc(1, 1, "p", {(((1,),)): ONE})
         f = GradedSeries(1, 5, c)
         e = f.pleth_exp()
         for n in range(1, 6):
             got = e.coeffs[n]
-            expected = {
-                (rho,): rat(1, z_lambda(rho)) for rho in enumerate_partitions(n)
-            }
-            assert got.coeffs == expected
+            assert got.coeffs.keys() == {(rho,) for rho in enumerate_partitions(n)}
+            for rho in enumerate_partitions(n):
+                assert coefficient(got, (rho,)) == rat(1, z_lambda(rho))
 
     def test_psi_inverse(self):
         f = GradedSeries.zero(1, 6)
         c = list(f.coeffs)
-        c[1] = SymFunc(1, 1, "p", {(((1,),)): RatQU.from_poly(Q)})
-        c[3] = SymFunc(1, 3, "p", {(((2, 1),)): rat(7, 3)})
+        c[1] = SymFunc(1, 1, "p", {(((1,),)): Q})
+        c[3] = SymFunc(1, 3, "p", {(((2, 1),)): PolyQU.const(7)}).divide(PolyQU.const(3))
         f = GradedSeries(1, 6, c)
         assert f.pleth_psi().pleth_psi_inv() == f
         assert f.pleth_psi_inv().pleth_psi() == f
@@ -283,7 +374,7 @@ class TestGradedSeries:
     def test_adams_composition(self):
         f = GradedSeries.zero(1, 6)
         c = list(f.coeffs)
-        c[1] = SymFunc(1, 1, "p", {(((1,),)): RatQU.from_poly(Q + ONE)})
+        c[1] = SymFunc(1, 1, "p", {(((1,),)): Q + ONE})
         f = GradedSeries(1, 6, c)
         assert f.adams(2).adams(3) == f.adams(6)
 
