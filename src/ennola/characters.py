@@ -8,8 +8,8 @@ change of basis, Kronecker coefficients) reads from the same cache.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
+from math import factorial
 
 from .partitions import (
     MultiPartition,
@@ -57,7 +57,9 @@ def kronecker(mu: MultiPartition) -> int:
     n = size(mu[0])
     if any(size(m) != n for m in mu):
         raise ValueError(f"components of {mu} have different sizes")
-    total = Fraction(0)
+    # sum over classes of the character product times the class size n!/z_rho
+    nfact = factorial(n)
+    total = 0
     for rho in enumerate_partitions(n):
         prod = 1
         for m in mu:
@@ -65,7 +67,8 @@ def kronecker(mu: MultiPartition) -> int:
             if prod == 0:
                 break
         if prod:
-            total += Fraction(prod, z_lambda(rho))
-    if total.denominator != 1 or total < 0:
-        raise AssertionError(f"Kronecker coefficient for {mu} came out {total}")
-    return int(total)
+            total += prod * (nfact // z_lambda(rho))
+    g, rem = divmod(total, nfact)
+    if rem or g < 0:
+        raise AssertionError(f"Kronecker coefficient for {mu} came out {total}/{nfact}")
+    return g

@@ -267,11 +267,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_sizes(req: argparse.Namespace) -> None:
+    for opt in ("k", "n"):
+        val = getattr(req, opt, None)
+        if val is not None and val < 1:
+            raise UsageError(f"--{opt} must be at least 1, got {val}")
+
+
 def main(argv: list[str] | None = None) -> int:
     req = build_parser().parse_args(argv)
     if req.cache_dir is None:
         req.cache_dir = default_cache_dir()
     try:
+        _check_sizes(req)
         if req.command == "pair":
             return cmd_pair(req)
         if req.command == "table":

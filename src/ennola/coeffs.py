@@ -2,8 +2,7 @@
 division by a polynomial in q, and the gcd in Z[q].
 
 PolyQU stores a polynomial in q and u as a sparse map (qdeg, udeg) -> coeff
-with no zero entries; coefficients are integers, or exact Fractions where a
-formula divides by an integer (the orbit counts phi).  There is no
+with no zero entries and integer coefficients.  There is no
 rational-function type: a symmetric function keeps integer numerators over
 one denominator in Z[q] per graded piece (symfunc.SymFunc), and each stage
 of the pipeline knows that denominator in closed form, so it needs exact
@@ -14,7 +13,6 @@ Everything is immutable and safe to share; no floating point anywhere.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd as _int_gcd
 
 Monomial = tuple[int, int]
@@ -174,12 +172,11 @@ class PolyQU:
             out = out + (qpow[i] * upow[j]).scale(c)
         return out
 
-    def evaluate(self, qval, uval=0) -> Fraction:
-        """Exact evaluation at rational arguments."""
-        qv, uv = Fraction(qval), Fraction(uval)
-        total = Fraction(0)
+    def evaluate(self, qval, uval=0):
+        """Exact value at integer (or other exact rational) arguments."""
+        total = 0
         for (i, j), c in self.terms.items():
-            total += c * qv**i * uv**j
+            total += c * qval**i * uval**j
         return total
 
     def __str__(self) -> str:

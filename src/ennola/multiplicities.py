@@ -20,8 +20,7 @@ import contextlib
 import json
 import os
 import tempfile
-from dataclasses import dataclass, field
-from fractions import Fraction
+from collections import namedtuple
 from math import factorial, prod
 
 try:  # the builtin SHA-256: importing hashlib loads OpenSSL, +3.7 MB peak RSS
@@ -62,10 +61,11 @@ CACHE_VERSION = 2
 MINUS_ONE = ONE.scale(-1)
 
 
-def phi_u(d: int) -> PolyQU:
+def phi_u(d: int) -> tuple[PolyQU, int]:
     """Orbit-count polynomial (1/d) sum over r | d of mu(r) u^{d/r}
-    (q^{d/r} - 1).  Integer-valued at every integer q and u, but the
-    coefficients themselves can be fractional."""
+    (q^{d/r} - 1), as the pair (numerator, d) of an integer polynomial and
+    the integer d.  Integer-valued at every integer q and u, though its
+    coefficients are not integers."""
     if d < 1:
         raise ValueError("d must be positive")
     acc = PolyQU()
@@ -73,30 +73,28 @@ def phi_u(d: int) -> PolyQU:
         if d % r == 0 and mobius(r):
             e = d // r
             acc = acc + ((U ** e) * (Q ** e - ONE)).scale(mobius(r))
-    return PolyQU({mon: c // d if c % d == 0 else Fraction(c, d)
-                   for mon, c in acc.terms.items()})
+    return acc, d
 
 
-def phi(d: int) -> PolyQU:
+def phi(d: int) -> tuple[PolyQU, int]:
     """Number of size-d Frobenius orbits on the multiplicative group,
-    split form: phi_u at u = 1, e.g. (q^2 - q)/2 at d = 2."""
-    return phi_u(d).subst(u=ONE)
+    split form: phi_u at u = 1, e.g. (q^2 - q, 2) at d = 2."""
+    num, d = phi_u(d)
+    return num.subst(u=ONE), d
 
 
-def phi_prime(d: int) -> PolyQU:
+def phi_prime(d: int) -> tuple[PolyQU, int]:
     """Twisted-form orbit count: phi_u at (u, q) = (-1, -q), which is
-    (1/d) sum of mu(r) (q^{d/r} - (-1)^{d/r})."""
-    return phi_u(d).subst(q=-Q, u=MINUS_ONE)
+    (1/d) sum of mu(r) (q^{d/r} - (-1)^{d/r}); the pair (numerator, d)."""
+    num, d = phi_u(d)
+    return num.subst(q=-Q, u=MINUS_ONE), d
 
 
-@dataclass(frozen=True)
-class SignData:
+class SignData(namedtuple("SignData", "d_mu sign_uprime sign_vprime")):
     """Parity data attached to a multipartition: the even integer d and the
     signs entering the unitary specializations."""
 
-    d_mu: int
-    sign_uprime: int
-    sign_vprime: int
+    __slots__ = ()
 
 
 def d_mu(mu: MultiPartition) -> SignData:
@@ -383,16 +381,18 @@ def _product_oracle(k: int, N: int, ctx: MasterContext | None, log_terms):
     """Schur tables, keyed by (degree, multipartition), of the plain
     exponential of sum(weight * series) over the (series, weight) pairs
     that log_terms yields from the kernel's plain logarithm truncated at N.
-    The sum is over the lcm of its terms' denominators and its degree n
-    then over (n!)^k; only the q -> -q terms of the twisted form need an
-    lcm that is not one of the terms' denominators."""
+    A weight is a pair (numerator, d): the series is scaled by the
+    numerator and divided by d.  The sum is over the lcm of its terms'
+    denominators and its degree n then over (n!)^k; only the q -> -q
+    terms of the twisted form need an lcm that is not one of the terms'
+    denominators."""
     ctx = ctx or build_context(k, N)
     if ctx.N < N:
         raise ValueError(f"context truncation {ctx.N} is below requested {N}")
     r = ctx.r_series().truncate(N)
     log_sum = GradedSeries.zero(k, N)
-    for series, weight in log_terms(r):
-        log_sum = log_sum.add(series.scale(weight))
+    for series, (num, d) in log_terms(r):
+        log_sum = log_sum.add(series.scale(num).divide(d))
     dens = _factorial_dens(k, N)
     ser = log_sum.over(dens).plain_exp(dens)
     return {(n, key): p for n in range(1, N + 1)
@@ -444,12 +444,14 @@ def T_poly_product_oracle(
 # verification suite
 
 
-@dataclass
 class VerifyItem:
-    name: str
-    cases: int = 0
-    failures: int = 0
-    first_failure: str | None = None
+    __slots__ = ("name", "cases", "failures", "first_failure")
+
+    def __init__(self, name: str):
+        self.name = name
+        self.cases = 0
+        self.failures = 0
+        self.first_failure: str | None = None
 
     def record(self, ok: bool, detail: str) -> None:
         self.cases += 1
@@ -459,10 +461,12 @@ class VerifyItem:
                 self.first_failure = detail
 
 
-@dataclass
 class VerifyReport:
-    items: list[VerifyItem] = field(default_factory=list)
-    audits: list[str] = field(default_factory=list)
+    __slots__ = ("items", "audits")
+
+    def __init__(self):
+        self.items: list[VerifyItem] = []
+        self.audits: list[str] = []
 
     @property
     def ok(self) -> bool:

@@ -16,9 +16,8 @@ series.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
-from math import factorial, lcm
+from math import factorial
 
 from .coeffs import ONE, Q, U, NotPolynomialError, PolyQU, poly_exact_div, poly_lcm
 from .characters import character_value
@@ -152,23 +151,23 @@ class SymFunc:
         return a._with(out, a.den)
 
     def scale(self, c) -> "SymFunc":
-        """self * c for c an integer, a Fraction, or a polynomial in q and u
-        with integer or Fraction coefficients; the lcm of the coefficient
-        denominators goes into the denominator."""
+        """self * c for c an integer or an integer polynomial in q and u;
+        any other coefficient raises ValueError (divide by an integer
+        with divide)."""
         if not isinstance(c, PolyQU):
-            c = PolyQU.const(c)
-        m = lcm(*(Fraction(v).denominator for v in c.terms.values()))
-        if m != 1:
-            c = PolyQU({mono: int(v * m) for mono, v in c.terms.items()})
+            if not isinstance(c, int):
+                raise ValueError(f"scale by a non-integer: {c!r}")
+            return self._with({key: p.scale(c) for key, p in self.coeffs.items()}, self.den)
+        if any(type(v) is not int for v in c.terms.values()):
+            raise ValueError(f"scale by a non-integer polynomial: ({c})")
         if c.terms.keys() == {(0, 0)}:
-            s = c.terms[(0, 0)]
-            out = {key: p.scale(s) for key, p in self.coeffs.items()}
-        else:
-            out = {key: p * c for key, p in self.coeffs.items()}
-        return self._with(out, self.den.scale(m))
+            return self.scale(c.terms[(0, 0)])
+        return self._with({key: p * c for key, p in self.coeffs.items()}, self.den)
 
-    def divide(self, d: PolyQU) -> "SymFunc":
-        """self / d for d a nonzero integer polynomial in q."""
+    def divide(self, d) -> "SymFunc":
+        """self / d for d a nonzero integer or integer polynomial in q."""
+        if not isinstance(d, PolyQU):
+            d = PolyQU.const(d)
         if d.is_zero():
             raise ZeroDivisionError("division by zero")
         if d.udeg() > 0:
@@ -314,6 +313,9 @@ class GradedSeries:
     def scale(self, c) -> "GradedSeries":
         return self._like([f.scale(c) for f in self.coeffs])
 
+    def divide(self, d) -> "GradedSeries":
+        return self._like([f.divide(d) for f in self.coeffs])
+
     def over(self, dens: list) -> "GradedSeries":
         """Degree n rewritten over dens[n] (SymFunc.over)."""
         return self._like([f.over(d) for f, d in zip(self.coeffs, dens)])
@@ -386,7 +388,7 @@ class GradedSeries:
     @staticmethod
     def _degree(n_times: SymFunc, n: int, dens: list | None) -> SymFunc:
         """n_times / n, over dens[n] when given."""
-        f = n_times.scale(Fraction(1, n))
+        f = n_times.divide(n)
         return f if dens is None else f.over(dens[n])
 
     def pleth_psi(self) -> "GradedSeries":
@@ -395,7 +397,7 @@ class GradedSeries:
             raise ValueError("pleth_psi needs zero constant term")
         acc = self
         for m in range(2, self.N + 1):
-            acc = acc.add(self.adams(m).scale(Fraction(1, m)))
+            acc = acc.add(self.adams(m).divide(m))
         return acc
 
     def pleth_psi_inv(self) -> "GradedSeries":
@@ -406,7 +408,7 @@ class GradedSeries:
         for m in range(2, self.N + 1):
             mu = mobius(m)
             if mu:
-                acc = acc.add(self.adams(m).scale(Fraction(mu, m)))
+                acc = acc.add(self.adams(m).scale(mu).divide(m))
         return acc
 
     def pleth_exp(self, dens: list | None = None) -> "GradedSeries":

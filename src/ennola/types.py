@@ -11,7 +11,6 @@ on power-substituted alphabets.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
@@ -76,11 +75,13 @@ def dual_type(tau: TypeEntries) -> TypeEntries:
     return make_type([(d, dual(lam), m) for d, lam, m in tau])
 
 
-def c_tau(tau: TypeEntries) -> Fraction:
+def c_tau(tau: TypeEntries):
     """Expansion coefficient of the plethystic logarithm of a partition-
-    indexed generating series: nonzero only when every entry shares one d,
-    in which case it is (-1)^{r-1} mu(d) (r-1)! / (d prod m_i!) with r the
-    entry count with multiplicity."""
+    indexed generating series, as a Fraction: nonzero only when every entry
+    shares one d, in which case it is (-1)^{r-1} mu(d) (r-1)! / (d prod m_i!)
+    with r the entry count with multiplicity."""
+    from fractions import Fraction  # local: no ennola import path loads fractions
+
     ds = {d for d, _, _ in tau}
     if len(ds) != 1:
         return Fraction(0)

@@ -71,7 +71,7 @@ def _chi_product(mu: tuple, rho: tuple) -> int:
 
 
 def scalar(num, den: PolyQU = ONE) -> SymFunc:
-    """num/den, for num an integer, a Fraction or a polynomial, as a
+    """num/den, for num an integer or an integer polynomial, as a
     degree-0 SymFunc on one alphabet."""
     return SymFunc.one(1).scale(num).divide(den)
 

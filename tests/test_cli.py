@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -131,6 +133,31 @@ class TestPairErrors:
         with pytest.raises(SystemExit) as exc:
             main(["pair", "--which", "W", "--mu", "1,1,1", "--cache-dir", cache_dir])
         assert exc.value.code == EXIT_USAGE
+
+
+class TestSizeBounds:
+    """--n and --k below 1 are one usage error for every subcommand and
+    family, before any work is done."""
+
+    @pytest.mark.parametrize("argv, opt, val", [
+        (("table", "--which", "kron", "--n", "0"), "n", 0),
+        (("table", "--which", "T", "--n", "0"), "n", 0),
+        (("table", "--which", "V", "--n", "-2", "--format", "tex"), "n", -2),
+        (("table", "--which", "kron", "--n", "2", "--k", "-1"), "k", -1),
+        (("table", "--which", "U", "--n", "2", "--k", "0"), "k", 0),
+        (("pair", "--which", "kron", "--mu", "2.1,2.1,2.1", "--k", "0"), "k", 0),
+        (("verify", "--n", "0"), "n", 0),
+        (("verify", "--n", "2", "--k", "0"), "k", 0),
+        (("cache", "build", "--n", "0"), "n", 0),
+        (("cache", "clear", "--k", "0"), "k", 0),
+    ])
+    def test_below_one_is_usage_error(self, capsys, tmp_path, argv, opt, val):
+        cache = tmp_path / "cache"
+        rc, out, err = run(capsys, *argv, "--cache-dir", str(cache))
+        assert rc == EXIT_USAGE
+        assert out == ""
+        assert err == f"error: --{opt} must be at least 1, got {val}\n"
+        assert not cache.exists()
 
 
 class TestTable:
@@ -436,3 +463,51 @@ class TestRegressionPins:
                          "--format", "json", "--cache-dir", "")
         assert rc == EXIT_OK
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+class TestStartupImports:
+    """Start-up is most of a small query's cost, so the command line loads
+    no module that the answer does not need: the modules a child
+    interpreter holds after the CLI queries below, minus those it holds
+    after `python -c pass` (site may preload some, typing among them),
+    include none of the heavy standard modules that dataclasses and
+    fractions would pull in."""
+
+    HEAVY = {"dataclasses", "inspect", "fractions", "decimal", "numbers", "typing"}
+
+    QUERIES = [
+        *(["pair", "--which", w, "--mu", "2.1,2.1,1^3"]
+          for w in ("V", "Vprime", "U", "Uprime", "T", "kron")),
+        ["pair", "--which", "V", "--type", "2:1,2:1,2:1"],
+        ["table", "--which", "V", "--n", "3", "--format", "tex"],
+        ["verify", "--n", "3"],
+        ["verify", "--k", "4", "--n", "2"],
+        ["cache", "build", "--n", "2"],
+    ]
+
+    CHILD = """
+import json, sys
+import ennola.cli
+queries, cache = json.loads(sys.argv[1]), sys.argv[2]
+print([ennola.cli.main(q + ["--cache-dir", cache]) for q in queries])
+print(" ".join(sys.modules))
+"""
+
+    def _child(self, code: str, *args: str) -> list[str]:
+        import ennola
+
+        env = dict(os.environ)
+        src = str(Path(ennola.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run([sys.executable, "-c", code, *args], env=env,
+                              capture_output=True, text=True, check=True)
+        return done.stdout.splitlines()
+
+    def test_cli_loads_no_heavy_module(self, tmp_path):
+        base = set(self._child("import sys; print(' '.join(sys.modules))")[-1].split())
+        *_, codes, modules = self._child(self.CHILD, json.dumps(self.QUERIES),
+                                         str(tmp_path / "cache"))
+        assert codes == str([EXIT_OK] * len(self.QUERIES))
+        loaded = set(modules.split()) - base
+        assert "ennola.multiplicities" in loaded
+        assert not loaded & self.HEAVY, sorted(loaded & self.HEAVY)

@@ -44,16 +44,16 @@ from oracles import H_omega_oracle, omega_oracle
 
 class TestOrbitCounts:
     def test_phi_anchors(self):
-        assert phi(1) == Q - ONE
-        # (q^2 - q) / 2, exact fractional coefficients
-        assert phi(2).scale(2) == Q**2 - Q
-        assert phi(3).scale(3) == Q**3 - Q
+        # (numerator, d): phi_d = numerator / d
+        assert phi(1) == (Q - ONE, 1)
+        assert phi(2) == (Q**2 - Q, 2)
+        assert phi(3) == (Q**3 - Q, 3)
 
     def test_phi_prime_anchors(self):
-        assert phi_prime(1) == Q + ONE
+        assert phi_prime(1) == (Q + ONE, 1)
         # (q^2 - q - 2) / 2: size-2 orbits on a cyclic group of order q^2-1
         # under x -> x^{-q}, after removing the q+1 fixed points
-        assert phi_prime(2).scale(2) == Q**2 - Q - PolyQU.const(2)
+        assert phi_prime(2) == (Q**2 - Q - PolyQU.const(2), 2)
 
     def test_phi_mobius_inversion(self):
         # sum over d | m of d * phi_d = q^m - 1
@@ -61,7 +61,9 @@ class TestOrbitCounts:
             total = PolyQU()
             for d in range(1, m + 1):
                 if m % d == 0:
-                    total = total + phi(d).scale(d)
+                    num, den = phi(d)
+                    assert den == d
+                    total = total + num
             assert total == Q**m - ONE, m
 
     def test_phi_prime_mobius_inversion(self):
@@ -70,7 +72,9 @@ class TestOrbitCounts:
             total = PolyQU()
             for d in range(1, m + 1):
                 if m % d == 0:
-                    total = total + phi_prime(d).scale(d)
+                    num, den = phi_prime(d)
+                    assert den == d
+                    total = total + num
             assert total == Q**m - PolyQU.const((-1) ** m), m
 
     def test_phi_u_mobius_inversion(self):
@@ -79,23 +83,26 @@ class TestOrbitCounts:
             total = PolyQU()
             for d in range(1, m + 1):
                 if m % d == 0:
-                    total = total + phi_u(d).scale(d)
+                    num, den = phi_u(d)
+                    assert den == d
+                    total = total + num
             assert total == U**m * (Q**m - ONE), m
 
     def test_phi_u_specializations(self):
+        minus_one = ONE.scale(-1)
         for d in range(1, 8):
-            assert phi_u(d).subst(u=ONE) == phi(d), d
-            minus_one = ONE.scale(-1)
-            assert phi_u(d).subst(q=-Q, u=minus_one) == phi_prime(d), d
+            num, den = phi_u(d)
+            assert (num.subst(u=ONE), den) == phi(d), d
+            assert (num.subst(q=-Q, u=minus_one), den) == phi_prime(d), d
 
     def test_integrality_at_prime_powers(self):
         # orbit counts are integers at every prime power
         for d in range(1, 7):
             for qv in (2, 3, 4, 5, 7, 8, 9):
-                v = phi(d).evaluate(qv)
-                vp = phi_prime(d).evaluate(qv)
-                assert v.denominator == 1 and v >= 0, (d, qv)
-                assert vp.denominator == 1 and vp >= 0, (d, qv)
+                for f in (phi, phi_prime):
+                    num, den = f(d)
+                    v, rem = divmod(num.evaluate(qv), den)
+                    assert rem == 0 and v >= 0, (f, d, qv)
 
     def test_d_must_be_positive(self):
         for f in (phi, phi_prime, phi_u):
@@ -358,6 +365,30 @@ class TestClosedFormDenominators:
         monkeypatch.setattr(GradedSeries, "plain_log", counted)
         assert verify_suite(ctx).ok
         assert len(logs) == 1
+
+
+def _is_integer_poly(p: PolyQU) -> bool:
+    return all(type(c) is int for c in p.terms.values())
+
+
+class TestIntegerCoefficients:
+    """After a whole verify run, every coefficient the context holds, and
+    every oracle table, is a Python int: no stage falls back to Fraction."""
+
+    @pytest.mark.parametrize("k, N", [(3, 4), (4, 3)])
+    def test_every_reachable_coefficient_is_an_int(self, k, N):
+        ctx = build_context(k, N, None)
+        assert verify_suite(ctx).ok
+        for series in (ctx.omega, ctx.r_series(), ctx.psi, ctx.exp_u_psi):
+            for f in series.coeffs:
+                assert _is_integer_poly(f.den), (series, f)
+                assert all(_is_integer_poly(p) for p in f.coeffs.values()), (series, f)
+        tables = [ctx.psi_schur(n) for n in range(1, N + 1)]
+        tables += [ctx.tau_schur(n) for n in range(1, N + 1)]
+        tables += [oracle(k, N, ctx) for oracle in (
+            U_poly_product_oracle, Uprime_poly_product_oracle, T_poly_product_oracle)]
+        for table in tables:
+            assert table and all(_is_integer_poly(p) for p in table.values())
 
 
 class TestProductOracles:

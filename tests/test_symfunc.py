@@ -29,7 +29,7 @@ ZERO_ = scalar(0)
 
 
 def rat(n, d=1) -> SymFunc:
-    return scalar(Fraction(n, d))
+    return scalar(n, PolyQU.const(d))
 
 
 def schur_coefficient(f: SymFunc, mu: tuple) -> SymFunc:
@@ -137,16 +137,19 @@ class TestOneDenominator:
         assert a.to_schur() == b
         assert scalar(0) == ZERO_ and ZERO_.is_zero() and not ONE_.is_zero()
 
-    def test_fraction_coefficients_cleared_by_scale(self):
-        # phi(2) = (q^2 - q)/2 has Fraction coefficients as a PolyQU; as a
-        # factor it gives the integer numerator q^2 - q over 2
+    def test_scale_refuses_non_integer_coefficients(self):
+        for c in (Fraction(1, 2), Fraction(3), 0.5, PolyQU.monomial(Fraction(1, 2), 1, 0),
+                  PolyQU.monomial(Fraction(3), 1, 0)):
+            with pytest.raises(ValueError, match="scale by a non-integer"):
+                ONE_.scale(c)
+        # phi(2) = (q^2 - q)/2 as a factor: scale by the numerator, divide by d
         from ennola.multiplicities import phi
 
-        a = ONE_.scale(phi(2))
+        num, d = phi(2)
+        a = ONE_.scale(num).divide(d)
         assert (a.coeffs, a.den) == ({((),): Q**2 - Q}, PolyQU.const(2))
         assert all(type(c) is int for c in a.coeffs[((),)].terms.values())
         assert all(type(c) is int for c in a.den.terms.values())
-        assert ONE_.scale(PolyQU.monomial(Fraction(3), 1, 0)).den == ONE
 
     def test_u_in_denominator_raises(self):
         with pytest.raises(ValueError, match=r"u in a denominator: \(u \+ q\)"):
@@ -326,7 +329,7 @@ class TestGradedSeries:
         f = GradedSeries.zero(2, 5)
         coeffs = list(f.coeffs)
         coeffs[1] = SymFunc(2, 1, "p", {(((1,), (1,))): Q})
-        coeffs[2] = SymFunc(2, 2, "p", {(((2,), (1, 1))): ONE}).scale(Fraction(1, 2))
+        coeffs[2] = SymFunc(2, 2, "p", {(((2,), (1, 1))): ONE}).divide(2)
         f = GradedSeries(2, 5, coeffs)
         assert f.plain_exp().plain_log() == f
         assert pleth_log(f.pleth_exp()) == f

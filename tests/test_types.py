@@ -138,7 +138,7 @@ class TestCTau:
                     lambda lam: transformed_hl(lam).to_powersum().divide(a_poly(lam)),
                     tau,
                 )
-                acc = acc.add(f.scale(c))
+                acc = acc.add(f.scale(c.numerator).divide(c.denominator))
             assert acc == direct.coeffs[n], n
 
 
