@@ -21,6 +21,7 @@ from .multiplicities import (
     build_context,
     cache_path,
     clear_cache,
+    expand_orbits,
     verify_suite,
 )
 from .partitions import (
@@ -223,7 +224,7 @@ def cmd_cache(req: argparse.Namespace) -> int:
         if ctx.cache_write_error is not None:
             raise ctx.cache_write_error
         verb = "kept" if existed and path not in ctx.ignored_cache_files else "wrote"
-        print(f"{verb} {path} ({len(table)} entries)")
+        print(f"{verb} {path} ({len(expand_orbits(table))} entries)")
     _warn_ignored(ctx)
     return EXIT_OK
 

@@ -19,7 +19,8 @@ Monomial = tuple[int, int]
 
 
 class PolyQU:
-    """Sparse bivariate polynomial with arbitrary-precision integer coefficients."""
+    """Sparse bivariate polynomial with arbitrary-precision integer
+    coefficients; a coefficient that is not an int raises TypeError."""
 
     __slots__ = ("terms", "_hash")
 
@@ -27,6 +28,8 @@ class PolyQU:
         merged: dict[Monomial, int] = {}
         items = terms.items() if isinstance(terms, dict) else terms
         for (i, j), c in items:
+            if type(c) is not int:
+                raise TypeError(f"coefficient {c!r} is not an int")
             if c:
                 acc = merged.get((i, j), 0) + c
                 if acc:
@@ -40,13 +43,13 @@ class PolyQU:
 
     @staticmethod
     def const(n: int) -> "PolyQU":
-        return PolyQU({(0, 0): n} if n else {})
+        return PolyQU({(0, 0): n})
 
     @staticmethod
     def monomial(coeff: int, qdeg: int, udeg: int) -> "PolyQU":
         if qdeg < 0 or udeg < 0:
             raise ValueError("negative exponent")
-        return PolyQU({(qdeg, udeg): coeff} if coeff else {})
+        return PolyQU({(qdeg, udeg): coeff})
 
     def is_zero(self) -> bool:
         return not self.terms

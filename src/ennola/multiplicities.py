@@ -21,6 +21,7 @@ import json
 import os
 import tempfile
 from collections import namedtuple
+from itertools import product
 from math import factorial, prod
 
 try:  # the builtin SHA-256: importing hashlib loads OpenSSL, +3.7 MB peak RSS
@@ -47,7 +48,7 @@ from .partitions import (
     q_pochhammer,
     size,
 )
-from .symfunc import GradedSeries, SymFunc, mobius, tensor_expand
+from .symfunc import GradedSeries, SymFunc, mobius, orbit, tensor_expand
 from .types import (
     TypeEntries,
     from_partition,
@@ -189,8 +190,8 @@ class MasterContext:
     # master-series Schur tables
 
     def psi_schur(self, n: int) -> dict[MultiPartition, PolyQU]:
-        """Schur coefficients of the degree-n master series coefficient;
-        values are integer polynomials in q."""
+        """Schur coefficients of the degree-n master series coefficient at
+        the sorted multipartitions; values are integer polynomials in q."""
         if n in self._psi_schur:
             return self._psi_schur[n]
         if not 1 <= n <= self.N:
@@ -232,7 +233,7 @@ class MasterContext:
         return GradedSeries(self.k, self.N, coeffs)
 
     def tau_schur(self, n: int) -> dict[MultiPartition, PolyQU]:
-        """Interpolation polynomials for all multipartitions of total size n."""
+        """Interpolation polynomials for the sorted multipartitions of n."""
         if n in self._tau_schur:
             return self._tau_schur[n]
         if not 1 <= n <= self.N:
@@ -309,12 +310,12 @@ def H_omega(ctx: MasterContext, omega) -> PolyQU:
     mt = as_multitype(omega)
     if len(mt) != ctx.k:
         raise ValueError(f"expected {ctx.k} components, got {len(mt)}")
-    comps = [{nu: c for (nu,), c in schur_of_type(tau).coeffs.items()} for tau in mt]
+    table = ctx.psi_schur(type_size(mt[0]))
     total = PolyQU()
-    for nu, p in ctx.psi_schur(type_size(mt[0])).items():
-        cs = [comp.get(part) for part, comp in zip(nu, comps)]
-        if None not in cs:
-            total = total + prod(cs, start=p)
+    for combo in product(*(schur_of_type(tau).coeffs.items() for tau in mt)):
+        p = table.get(tuple(sorted(nu for (nu,), _ in combo)))
+        if p is not None:
+            total = total + prod((c for _, c in combo), start=p)
     return total
 
 
@@ -355,7 +356,7 @@ def T_poly(ctx: MasterContext, mu: MultiPartition) -> PolyQU:
     if len(mu) != ctx.k:
         raise ValueError(f"expected {ctx.k} components, got {len(mu)}")
     n = size(mu[0])
-    return ctx.tau_schur(n).get(mu, PolyQU())
+    return ctx.tau_schur(n).get(tuple(sorted(mu)), PolyQU())
 
 
 def U_poly(ctx: MasterContext, mu: MultiPartition) -> PolyQU:
@@ -523,7 +524,8 @@ def verify_suite(ctx: MasterContext, nmax: int | None = None) -> VerifyReport:
     for n in range(1, nmax + 1):
         taus = ctx.tau_schur(n)
         for mu in multipartitions(ctx.k, n):
-            t = taus.get(mu, PolyQU())
+            rep = tuple(sorted(mu))
+            t = taus.get(rep, PolyQU())
             text = multipartition_to_text(mu)
 
             v = V_poly(ctx, mu)
@@ -554,11 +556,11 @@ def verify_suite(ctx: MasterContext, nmax: int | None = None) -> VerifyReport:
                 f"{text}: multipartition and multitype twisted signs disagree",
             )
 
-            o_u = u_oracle.get((n, mu), PolyQU())
+            o_u = u_oracle.get((n, rep), PolyQU())
             oracle.record(o_u == u_val, f"{text}: product oracle U mismatch")
-            o_up = up_oracle.get((n, mu), PolyQU())
+            o_up = up_oracle.get((n, rep), PolyQU())
             oracle.record(o_up == up_val, f"{text}: product oracle U' mismatch")
-            o_t = t_oracle.get((n, mu), PolyQU())
+            o_t = t_oracle.get((n, rep), PolyQU())
             oracle.record(o_t == t, f"{text}: product oracle T mismatch")
 
             if not up_val.is_zero():
@@ -584,9 +586,11 @@ def cache_path(cache_dir: str, k: int, n: int) -> str:
 
 
 def save_cache(cache_dir: str, k: int, n: int, table: dict[MultiPartition, PolyQU]) -> str:
+    """Write a table of sorted keys with every ordering of each key, in
+    sorted order."""
     os.makedirs(cache_dir, exist_ok=True)
-    entries = [{"mu": [partition_to_text(c) for c in mu], "poly": poly_to_json(table[mu])}
-               for mu in sorted(table)]
+    entries = [{"mu": [partition_to_text(c) for c in mu], "poly": poly_to_json(p)}
+               for mu, p in sorted(expand_orbits(table).items())]
     payload = {"version": CACHE_VERSION, "k": k, "n": n, "count": len(entries),
                "sha256": _entries_digest(entries), "entries": entries}
     path = cache_path(cache_dir, k, n)
@@ -610,7 +614,15 @@ def _entries_digest(entries: list) -> str:
     return sha256(text.encode("utf-8")).hexdigest()
 
 
+def expand_orbits(table: dict[MultiPartition, PolyQU]) -> dict[MultiPartition, PolyQU]:
+    """A table of sorted keys with each key's value at every ordering of it."""
+    return {mu: p for key, p in table.items() for mu in orbit(key)}
+
+
 def load_cache(cache_dir: str, k: int, n: int) -> dict[MultiPartition, PolyQU] | None:
+    """The table of sorted keys of a cache file, or None when the file is
+    missing or malformed, holds a key that is not k partitions of n, or
+    does not hold the same polynomial at every ordering of a key."""
     path = cache_path(cache_dir, k, n)
     try:
         with open(path, encoding="utf-8") as fh:
@@ -624,17 +636,18 @@ def load_cache(cache_dir: str, k: int, n: int) -> dict[MultiPartition, PolyQU] |
         or payload.get("n") != n
     ):
         return None
-    table: dict[MultiPartition, PolyQU] = {}
     try:
         entries = payload["entries"]
         if payload["count"] != len(entries) or payload["sha256"] != _entries_digest(entries):
             return None
-        for entry in entries:
-            mu = tuple(parse_partition(t) for t in entry["mu"])
-            table[mu] = poly_from_json(entry["poly"])
+        full = {tuple(parse_partition(t) for t in entry["mu"]): poly_from_json(entry["poly"])
+                for entry in entries}
     except (KeyError, TypeError, ValueError):
         return None
-    return table
+    if any(len(mu) != k or any(size(c) != n for c in mu) for mu in full):
+        return None
+    table = {mu: p for mu, p in full.items() if list(mu) == sorted(mu)}
+    return table if expand_orbits(table) == full else None
 
 
 def clear_cache(cache_dir: str, k: int | None = None) -> list[str]:

@@ -12,11 +12,16 @@ different denominators takes their lcm.  Power sums are primitive, which
 makes the Adams operation psi_m a key remap plus variable substitution;
 everything plethystic reduces to that plus ordinary exp/log of graded
 series.
+
+Every function here is symmetric in the k alphabets, so a SymFunc keeps
+one key per orbit of their permutations: the sorted one, whose coefficient
+stands for each of its orderings (orbit).
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import permutations
 from math import factorial
 
 from .coeffs import ONE, Q, U, NotPolynomialError, PolyQU, poly_exact_div, poly_lcm
@@ -28,14 +33,25 @@ Coeffs = dict[MultiPartition, PolyQU]
 
 def tensor_expand(factors, start) -> list:
     """The (key, start * c_1 * ... * c_k) terms of a product of k
-    one-alphabet expansions, each an iterable of (partition, c_i) pairs;
-    keys are the partition tuples in itertools.product order.  Folding in
-    one factor at a time shares every prefix product, so factors of m_i
-    terms cost m_1 + m_1 m_2 + ... + m_1 ... m_k multiplies."""
+    one-alphabet expansions, each an iterable of (partition, c_i) pairs, at
+    the sorted keys in itertools.product order: for k equal factors, the
+    orbit representatives.  Folding in one factor at a time shares every
+    prefix product."""
     terms = [((), start)]
     for factor in factors:
-        terms = [(key + (rho,), c * v) for key, c in terms for rho, v in factor]
+        terms = [(key + (rho,), c * v) for key, c in terms for rho, v in factor
+                 if not key or key[-1] <= rho]
     return terms
+
+
+def _is_sorted(key: MultiPartition) -> bool:
+    return list(key) == sorted(key)
+
+
+@lru_cache(maxsize=None)
+def orbit(key: MultiPartition) -> tuple[MultiPartition, ...]:
+    """The distinct orderings of key's components, in ascending order."""
+    return tuple(sorted(set(permutations(key))))
 
 
 @lru_cache(maxsize=None)
@@ -51,33 +67,55 @@ def _change_basis(f: "SymFunc", to_powersum: bool) -> tuple[Coeffs, PolyQU]:
     sum over rho of f_rho chi^mu(rho), and f_rho = sum over mu of f_mu
     chi^mu(rho) / z_rho, with chi the product of the k one-alphabet
     characters.  The numerators go through the character table one
-    alphabet at a time, k p(n)^(k+1) integer scale-adds; z_rho divides
-    (n!)^k, so the power-sum side is over den * (n!)^k."""
-    nums = f.coeffs
-    shapes = enumerate_partitions(f.n)
-    for i in range(f.k):
-        out: Coeffs = {}
-        for key, p in nums.items():
-            for lam in shapes:
-                chi = character_value(key[i], lam) if to_powersum else character_value(lam, key[i])
-                if chi:
-                    new = key[:i] + (lam,) + key[i + 1:]
-                    cur = out.get(new)
-                    out[new] = p.scale(chi) if cur is None else cur + p.scale(chi)
+    alphabet at a time, as (head, tail) keys: head the converted
+    components, kept sorted, and tail the others, sorted because the
+    partial sum is symmetric in them.  A tail feeds each of its distinct
+    components to the next pass.  z_rho divides (n!)^k, so the power-sum
+    side is over den * (n!)^k."""
+    def chi(src: Partition, lam: Partition) -> int:
+        return character_value(src, lam) if to_powersum else character_value(lam, src)
+
+    shapes = sorted(enumerate_partitions(f.n))
+    rows = {src: [(lam, c) for lam in shapes if (c := chi(src, lam))] for src in shapes}
+    nums = {((), key): p for key, p in f.coeffs.items()}
+    for _ in range(f.k):
+        out: dict = {}
+        for (head, tail), p in nums.items():
+            low = head[-1] if head else ()
+            for j, src in enumerate(tail):
+                if j and tail[j - 1] == src:
+                    continue
+                rest = tail[:j] + tail[j + 1:]
+                for lam, c in rows[src]:
+                    if lam >= low:
+                        new = (head + (lam,), rest)
+                        cur = out.get(new)
+                        out[new] = p.scale(c) if cur is None else cur + p.scale(c)
         nums = out
     if not to_powersum:
-        return nums, f.den
+        return {head: p for (head, _), p in nums.items()}, f.den
     zk = factorial(f.n) ** f.k
-    return {rho: p.scale(zk // _z_product(rho)) for rho, p in nums.items()}, f.den.scale(zk)
+    return {rho: p.scale(zk // _z_product(rho)) for (rho, _), p in nums.items()}, f.den.scale(zk)
 
 
-def _merge_parts(a: Partition, b: Partition) -> Partition:
-    return tuple(sorted(a + b, reverse=True))
+@lru_cache(maxsize=None)
+def _merged_orbits(ka: MultiPartition, kb: MultiPartition) -> tuple:
+    """(key, count) for the sorted keys among the componentwise merges of
+    the orderings of ka with those of kb: p_ka p_kb summed over both
+    orbits has count times p_key at each representative key."""
+    counts: dict = {}
+    for a in orbit(ka):
+        for b in orbit(kb):
+            key = tuple(tuple(sorted(x + y, reverse=True)) for x, y in zip(a, b))
+            if _is_sorted(key):
+                counts[key] = counts.get(key, 0) + 1
+    return tuple(counts.items())
 
 
 class SymFunc:
     """Degree-n symmetric function on k alphabets, sparse on one basis:
-    integer numerators in Z[q, u] over the denominator den in Z[q]."""
+    integer numerators in Z[q, u] over the denominator den in Z[q], one
+    per sorted key (an orbit representative)."""
 
     __slots__ = ("k", "n", "basis", "coeffs", "den")
 
@@ -88,6 +126,8 @@ class SymFunc:
         self.n = n
         self.basis = basis
         self.coeffs = {key: c for key, c in coeffs.items() if not c.is_zero()}
+        if not all(map(_is_sorted, self.coeffs)):
+            raise ValueError("a key is not sorted: keep one key per orbit")
         self.den = ONE
 
     @classmethod
@@ -151,15 +191,12 @@ class SymFunc:
         return a._with(out, a.den)
 
     def scale(self, c) -> "SymFunc":
-        """self * c for c an integer or an integer polynomial in q and u;
-        any other coefficient raises ValueError (divide by an integer
-        with divide)."""
+        """self * c for c an integer or a polynomial in q and u; any other
+        coefficient raises ValueError (divide by an integer with divide)."""
         if not isinstance(c, PolyQU):
             if not isinstance(c, int):
                 raise ValueError(f"scale by a non-integer: {c!r}")
             return self._with({key: p.scale(c) for key, p in self.coeffs.items()}, self.den)
-        if any(type(v) is not int for v in c.terms.values()):
-            raise ValueError(f"scale by a non-integer polynomial: ({c})")
         if c.terms.keys() == {(0, 0)}:
             return self.scale(c.terms[(0, 0)])
         return self._with({key: p * c for key, p in self.coeffs.items()}, self.den)
@@ -196,17 +233,20 @@ class SymFunc:
         return self._with(out, den)
 
     def multiply(self, other: "SymFunc") -> "SymFunc":
-        """Product in the tensor algebra; power-sum basis only."""
+        """Product in the tensor algebra; power-sum basis only.  One
+        polynomial product per pair of representatives, added with its
+        orbit count at each key it reaches."""
         self._check_compatible(other)
         if self.basis != "p":
             raise ValueError("multiply requires the power-sum basis")
         out: Coeffs = {}
         for ka, ca in self.coeffs.items():
             for kb, cb in other.coeffs.items():
-                key = tuple(_merge_parts(a, b) for a, b in zip(ka, kb))
                 c = ca * cb
-                cur = out.get(key)
-                out[key] = c if cur is None else cur + c
+                for key, count in _merged_orbits(ka, kb):
+                    v = c.scale(count)
+                    cur = out.get(key)
+                    out[key] = v if cur is None else cur + v
         return self._with(out, self.den * other.den, n=self.n + other.n)
 
     def adams(self, m: int) -> "SymFunc":
@@ -238,7 +278,8 @@ class SymFunc:
 
 
 def schur_symfunc(k: int, mu: MultiPartition) -> SymFunc:
-    """s_{mu^1}(x_1) ... s_{mu^k}(x_k) on the power-sum basis."""
+    """The sum over the orbit of mu, a sorted key, of s_{mu^1}(x_1) ...
+    s_{mu^k}(x_k), on the power-sum basis."""
     n = sum(mu[0]) if mu else 0
     return SymFunc(k, n, "s", {mu: ONE}).to_powersum()
 

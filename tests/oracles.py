@@ -14,6 +14,13 @@ basis, with the Hall pairing sum over rho of z_rho f_rho g_rho, where the
 library works on the Schur basis, and the kernel's degrees are summed with
 the lcm of the 1/a_lam terms, where the library uses a closed form.
 
+The library keeps one sorted key per orbit of the k alphabets'
+permutations.  The references here work on every ordered key instead:
+expand_orbits writes a table of sorted keys out in full, symmetrized sums
+a function given on ordered keys over its orbit, and multiply_reference
+and change_basis_reference are the product and the separable change of
+basis computed at every ordered key, with no use of the symmetry.
+
 A single coefficient in Q(q, u) is represented here as a degree-0 SymFunc
 on one alphabet (`scalar`), so its equality is the library's
 cross-multiplied one.
@@ -24,13 +31,14 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations
+from itertools import permutations, product
 
 from ennola.coeffs import ONE, ZERO, PolyQU, Q
 from ennola.hall_littlewood import transformed_hl
 from ennola.multiplicities import as_multitype
+from ennola.characters import character_value
 from ennola.partitions import a_poly, enumerate_partitions, multipartitions, z_lambda
-from ennola.symfunc import GradedSeries, SymFunc, tensor_expand
+from ennola.symfunc import GradedSeries, SymFunc
 from ennola.types import schur_of_type, type_size
 
 
@@ -86,10 +94,72 @@ def as_poly(c: SymFunc) -> PolyQU:
     return c.over(ONE).coeffs.get(((),), ZERO)
 
 
+def expand_orbits(table: dict) -> dict:
+    """A table of sorted keys written out at every ordering of each key."""
+    return {mu: p for key, p in table.items() for mu in set(permutations(key))}
+
+
+def expand_graded(table: dict) -> dict:
+    """expand_orbits for a table keyed by (degree, sorted key)."""
+    return {(n, mu): p for (n, key), p in table.items() for mu in set(permutations(key))}
+
+
+def _is_sorted(key: tuple) -> bool:
+    return list(key) == sorted(key)
+
+
+def symmetrized(k: int, n: int, basis: str, coeffs: dict) -> SymFunc:
+    """The sum over every permutation of the k alphabets of the function
+    with the given coefficients at ordered keys, as a SymFunc."""
+    out: dict = {}
+    for key, c in coeffs.items():
+        for perm in permutations(range(k)):
+            new = tuple(key[i] for i in perm)
+            if _is_sorted(new):
+                out[new] = out.get(new, ZERO) + c
+    return SymFunc(k, n, basis, out)
+
+
+def multiply_reference(a: dict, b: dict) -> dict:
+    """Product of two functions given at every ordered power-sum key:
+    p_rho p_sigma = p_{rho cup sigma} on each alphabet, one polynomial
+    product per pair of ordered keys."""
+    out: dict = {}
+    for ka, ca in a.items():
+        for kb, cb in b.items():
+            key = tuple(tuple(sorted(x + y, reverse=True)) for x, y in zip(ka, kb))
+            out[key] = out.get(key, ZERO) + ca * cb
+    return {key: c for key, c in out.items() if c}
+
+
+def change_basis_reference(coeffs: dict, k: int, n: int, to_powersum: bool) -> tuple[dict, int]:
+    """The separable change of basis on every ordered key, one alphabet at
+    a time, with the library's character values: the numerators on the
+    other basis and the integer (n!)^k (to power sums) or 1 (to Schur
+    functions) that multiplies the denominator."""
+    nums = coeffs
+    shapes = enumerate_partitions(n)
+    for i in range(k):
+        out: dict = {}
+        for key, p in nums.items():
+            for lam in shapes:
+                chi = character_value(key[i], lam) if to_powersum else character_value(lam, key[i])
+                if chi:
+                    new = key[:i] + (lam,) + key[i + 1:]
+                    out[new] = out.get(new, ZERO) + p.scale(chi)
+        nums = {key: c for key, c in out.items() if c}
+    if not to_powersum:
+        return nums, 1
+    zk = math.factorial(n) ** k
+    return {rho: p.scale(zk // math.prod(map(z_lambda, rho))) for rho, p in nums.items()}, zk
+
+
 def change_basis_oracle(f: SymFunc) -> SymFunc:
     """f on the other basis: <f, s_mu> = sum over rho of f_rho chi^mu(rho),
     and f_rho = sum over mu of f_mu chi^mu(rho) / z_rho, one add per
-    (source key, target key) pair, over den times the lcm of the z_rho."""
+    (source key, target key) pair over every ordered key, over den times
+    the lcm of the z_rho.  The result must take one value on each orbit;
+    it comes back at the sorted keys."""
     keys = multipartitions(f.k, f.n)
     # 1/z_rho on the power-sum side, as (z_lcm / z_rho) / z_lcm
     inv_z = {rho: 1 for rho in keys}
@@ -99,33 +169,37 @@ def change_basis_oracle(f: SymFunc) -> SymFunc:
         z_lcm = math.lcm(*zs.values())
         inv_z = {rho: z_lcm // z for rho, z in zs.items()}
     out: dict = {}
-    for key, c in f.coeffs.items():
+    for key, c in expand_orbits(f.coeffs).items():
         for other in keys:
             mu, rho = (other, key) if f.basis == "p" else (key, other)
             chi = _chi_product(mu, rho)
             if chi:
                 out[other] = out.get(other, ZERO) + c.scale(chi * inv_z[rho])
-    g = SymFunc(f.k, f.n, "s" if f.basis == "p" else "p", out)
+    out = {key: c for key, c in out.items() if c}
+    reps = {key: c for key, c in out.items() if _is_sorted(key)}
+    assert expand_orbits(reps) == out, "change of basis is not symmetric"
+    g = SymFunc(f.k, f.n, "s" if f.basis == "p" else "p", reps)
     return g.divide(f.den.scale(z_lcm))
 
 
 def schur_coefficient_oracle(f: SymFunc, mu: tuple) -> SymFunc:
-    """<f, s_mu> from the power-sum basis, one term per key of f."""
+    """<f, s_mu> from the power-sum basis, one term per ordered key of f."""
     total = ZERO
-    for rho, c in f.coeffs.items():
+    for rho, c in expand_orbits(f.coeffs).items():
         total = total + c.scale(_chi_product(mu, rho))
     return scalar(total, f.den)
 
 
 def pairing(f: SymFunc, g: SymFunc) -> SymFunc:
-    """Hall pairing on k alphabets, as a scalar: sum over rho of
-    z_rho f_rho g_rho, with z_rho the product of the k one-alphabet z's."""
+    """Hall pairing on k alphabets, as a scalar: sum over every ordered rho
+    of z_rho f_rho g_rho, with z_rho the product of the k one-alphabet z's."""
     if f.k != g.k or f.n != g.n:
         raise ValueError("pairing requires equal alphabet counts and degrees")
     a, b = f.to_powersum(), g.to_powersum()
+    b_full = expand_orbits(b.coeffs)
     total = ZERO
-    for rho, ca in a.coeffs.items():
-        cb = b.coeffs.get(rho)
+    for rho, ca in expand_orbits(a.coeffs).items():
+        cb = b_full.get(rho)
         if cb is not None:
             total = total + (ca * cb).scale(math.prod(map(z_lambda, rho)))
     return scalar(total, a.den * b.den)
@@ -137,10 +211,14 @@ def pleth_log(series: GradedSeries) -> GradedSeries:
 
 
 def _tensor_power(f: SymFunc, k: int) -> SymFunc:
-    """f(x_1) ... f(x_k) for a one-alphabet f, on the power-sum basis."""
+    """f(x_1) ... f(x_k) for a one-alphabet f, on the power-sum basis,
+    expanded at every ordered key and then kept at the sorted ones."""
     f = f.to_powersum()
-    items = [(rho, v) for (rho,), v in f.coeffs.items()]
-    return SymFunc(k, f.n, "p", dict(tensor_expand([items] * k, ONE))).divide(f.den ** k)
+    full = {tuple(rho for (rho,), _ in combo): math.prod((v for _, v in combo), start=ONE)
+            for combo in product(f.coeffs.items(), repeat=k)}
+    reps = {key: c for key, c in full.items() if _is_sorted(key)}
+    assert expand_orbits(reps) == full
+    return SymFunc(k, f.n, "p", reps).divide(f.den ** k)
 
 
 def omega_oracle(k: int, N: int) -> GradedSeries:
@@ -156,15 +234,23 @@ def omega_oracle(k: int, N: int) -> GradedSeries:
 
 
 def H_omega_oracle(ctx, omega) -> PolyQU:
-    """Hall pairing of the power-sum master coefficient Psi_n with the
-    power-sum product of the k Schur-type factors of a multitype."""
+    """Hall pairing of the power-sum master coefficient Psi_n, at every
+    ordered key, with the power-sum product of the k Schur-type factors of
+    a multitype, which is not symmetric."""
     mt = as_multitype(omega)
     n = type_size(mt[0])
     comps = [schur_of_type(tau).to_powersum() for tau in mt]
-    den = math.prod((c.den for c in comps), start=ONE)
-    items = [[(rho, v) for (rho,), v in c.coeffs.items()] for c in comps]
-    s_omega = SymFunc(ctx.k, n, "p", dict(tensor_expand(items, ONE))).divide(den)
-    return as_poly(pairing(ctx.psi.coeffs[n], s_omega))
+    psi = ctx.psi.coeffs[n]
+    den = math.prod((c.den for c in comps), start=psi.den)
+    psi_full = expand_orbits(psi.coeffs)
+    total = ZERO
+    for combo in product(*(c.coeffs.items() for c in comps)):
+        rho = tuple(r for (r,), _ in combo)
+        c = psi_full.get(rho)
+        if c is not None:
+            c = math.prod((v for _, v in combo), start=c)
+            total = total + c.scale(math.prod(map(z_lambda, rho)))
+    return as_poly(scalar(total, den))
 
 
 def _cycle_type(perm: tuple) -> tuple:

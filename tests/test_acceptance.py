@@ -19,7 +19,15 @@ from golden_tables import (
     UNIPOTENT_SPLIT,
     UNIPOTENT_TWISTED,
 )
-from oracles import kronecker_oracle, pairing, pleth_log, q_weight_multiplicity, scalar
+from oracles import (
+    expand_graded,
+    expand_orbits,
+    kronecker_oracle,
+    pairing,
+    pleth_log,
+    q_weight_multiplicity,
+    scalar,
+)
 
 from ennola.coeffs import ONE, Q, U, PolyQU, poly_to_str
 from ennola.hall_littlewood import extend_to_type, kostka_foulkes, transformed_hl
@@ -152,8 +160,9 @@ def test_criterion_4_interpolation_table_matches_intro(ctx5):
 def test_criterion_5_specializations_recover_all_three_tables(ctx5):
     checked = 0
     for n in range(1, 6):
-        tau = ctx5.tau_schur(n)
-        psi = ctx5.psi_schur(n)
+        # the tables hold sorted keys; compare at every ordering of them
+        tau = expand_orbits(ctx5.tau_schur(n))
+        psi = expand_orbits(ctx5.psi_schur(n))
         # u -> 0 equals the generic multiplicity from the logarithm route,
         # over every ordered key either side produces
         for mu in set(tau) | set(psi):
@@ -181,7 +190,7 @@ def test_criterion_5_specializations_recover_all_three_tables(ctx5):
 
 def test_criterion_6_top_u_coefficient_is_kronecker(ctx5, cache_dir):
     for n in range(1, 6):
-        tau = ctx5.tau_schur(n)
+        tau = expand_orbits(ctx5.tau_schur(n))
         for mu in product(_parts_lex(n), repeat=3):
             t = tau.get(mu, PolyQU())
             g = kronecker_oracle(mu)
@@ -194,7 +203,7 @@ def test_criterion_6_top_u_coefficient_is_kronecker(ctx5, cache_dir):
 
     ctx4 = build_context(4, 4, cache_dir)
     for n in range(1, 5):
-        tau = ctx4.tau_schur(n)
+        tau = expand_orbits(ctx4.tau_schur(n))
         for mu in product(_parts_lex(n), repeat=4):
             t = tau.get(mu, PolyQU())
             g = kronecker_oracle(mu)
@@ -211,7 +220,9 @@ def test_criterion_7_product_route_matches_exponential_route(ctx5):
         (T_poly_product_oracle, T_poly),
     )
     for oracle_fn, main_fn in routes:
-        table = oracle_fn(3, 4, ctx5)
+        # the oracle's sorted keys at every ordering, against the main
+        # route asked in that order
+        table = expand_graded(oracle_fn(3, 4, ctx5))
         seen = set()
         for (n, mu), p in table.items():
             assert p == main_fn(ctx5, mu), (main_fn.__name__, n, mu)

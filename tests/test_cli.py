@@ -342,6 +342,21 @@ class TestCache:
         after = {f: (Path(cache) / f).read_bytes() for f in files}
         assert before == after  # rebuilding is byte-idempotent
 
+    def test_build_prints_the_entries_in_each_file(self, capsys, tmp_path):
+        # the file holds every ordering of a key, and so does the count
+        cache = str(tmp_path / "c")
+        for verb in ("wrote", "kept"):
+            rc, out, _ = run(capsys, "cache", "build", "--n", "4", "--cache-dir", cache)
+            assert rc == EXIT_OK
+            lines = out.splitlines()
+            assert [line.split(" (")[1] for line in lines] == [
+                "1 entries)", "1 entries)", "4 entries)", "20 entries)"]
+            for line in lines:
+                assert line.startswith(verb + " ")
+                path = line.split()[1]
+                count = json.loads(Path(path).read_text())["count"]
+                assert line.endswith(f"({count} entries)")
+
     def test_clear(self, capsys, tmp_path):
         cache = str(tmp_path / "c")
         run(capsys, "cache", "build", "--n", "1", "--cache-dir", cache)
@@ -427,6 +442,31 @@ class TestCache:
         )
         assert rc == EXIT_OK
         assert out == expected + "\n"
+        assert f"ignoring incompatible cache file {path}" in err
+
+    @pytest.mark.parametrize("edited", [["1^3", "1^3", "2.1"], ["1^3", "2.1", "1^3"]])
+    @pytest.mark.parametrize("which", ["V", "Vprime", "U", "T"])
+    def test_orbit_members_that_disagree_are_ignored(self, capsys, tmp_path, edited, which):
+        # the file holds every ordering of a key; when two orderings carry
+        # different polynomials under a valid count and digest, the file is
+        # ignored and the answer is the one computed with no cache
+        import ennola.multiplicities as mult
+
+        mu = "2.1,1^3,1^3"
+        rc, want, _ = run(capsys, "pair", "--which", which, "--mu", mu, "--cache-dir", "")
+        assert rc == EXIT_OK
+        cache = str(tmp_path / "c")
+        run(capsys, "cache", "build", "--n", "3", "--cache-dir", cache)
+        path = mult.cache_path(cache, 3, 3)
+        payload = json.loads(Path(path).read_text())
+        hits = [e for e in payload["entries"] if e["mu"] == edited]
+        assert len(hits) == 1 and hits[0]["poly"] == [["1", 0, 0]]
+        hits[0]["poly"] = [["5", 0, 0]]
+        payload["sha256"] = mult._entries_digest(payload["entries"])
+        Path(path).write_text(json.dumps(payload))
+        rc, out, err = run(capsys, "pair", "--which", which, "--mu", mu, "--cache-dir", cache)
+        assert rc == EXIT_OK
+        assert out == want
         assert f"ignoring incompatible cache file {path}" in err
 
     def test_corrupt_cache_warns_and_recomputes(self, capsys, tmp_path):

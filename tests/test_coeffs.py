@@ -24,30 +24,27 @@ from ennola.coeffs import (
 
 
 @st.composite
-def polys(
-    draw, max_terms: int = 4, max_deg: int = 4, max_den: int = 4, max_udeg: int | None = None
-) -> PolyQU:
-    """Sparse polynomials with coefficients num/den, den <= max_den (so
-    max_den=1 gives Z[q,u]), and u-degree at most max_udeg (max_deg if None)."""
+def polys(draw, max_terms: int = 4, max_deg: int = 4, max_udeg: int | None = None) -> PolyQU:
+    """Sparse polynomials in Z[q,u] with u-degree at most max_udeg
+    (max_deg if None)."""
     n_terms = draw(st.integers(min_value=0, max_value=max_terms))
     acc = ZERO
     for _ in range(n_terms):
-        num = draw(st.integers(min_value=-9, max_value=9))
-        den = draw(st.integers(min_value=1, max_value=max_den))
+        c = draw(st.integers(min_value=-9, max_value=9))
         qd = draw(st.integers(min_value=0, max_value=max_deg))
         ud = draw(st.integers(min_value=0, max_value=max_deg if max_udeg is None else max_udeg))
-        acc = acc + PolyQU.monomial(Fraction(num, den) if max_den > 1 else num, qd, ud)
+        acc = acc + PolyQU.monomial(c, qd, ud)
     return acc
 
 
 def int_polys() -> st.SearchStrategy[PolyQU]:
     """Small polynomials in Z[q,u]."""
-    return polys(max_terms=3, max_deg=3, max_den=1)
+    return polys(max_terms=3, max_deg=3)
 
 
 def q_polys() -> st.SearchStrategy[PolyQU]:
     """Small polynomials in Z[q], the ring of the denominators."""
-    return polys(max_terms=3, max_deg=3, max_den=1, max_udeg=0)
+    return polys(max_terms=3, max_deg=3, max_udeg=0)
 
 
 def _positive_lead(p: PolyQU) -> PolyQU:
@@ -109,6 +106,17 @@ class TestPolyRingLaws:
 
 
 class TestPolyBasics:
+    @pytest.mark.parametrize("c", [Fraction(1, 2), Fraction(3), Fraction(0), 0.5, 1.0, "1"])
+    def test_non_int_coefficient_raises(self, c):
+        with pytest.raises(TypeError, match="is not an int"):
+            PolyQU({(1, 0): c})
+        with pytest.raises(TypeError, match="is not an int"):
+            PolyQU([((0, 2), c)])
+        with pytest.raises(TypeError, match="is not an int"):
+            PolyQU.const(c)
+        with pytest.raises(TypeError, match="is not an int"):
+            PolyQU.monomial(c, 2, 1)
+
     def test_zero_and_truthiness(self):
         assert ZERO.is_zero()
         assert not ZERO

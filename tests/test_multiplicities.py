@@ -37,9 +37,9 @@ from ennola.multiplicities import (
     save_cache,
     verify_suite,
 )
-from ennola.partitions import multipartitions
+from ennola.partitions import multipartitions, parse_partition
 from ennola.types import enumerate_types, from_partition, make_type
-from oracles import H_omega_oracle, omega_oracle
+from oracles import H_omega_oracle, expand_graded, expand_orbits, omega_oracle
 
 
 class TestOrbitCounts:
@@ -394,9 +394,9 @@ class TestIntegerCoefficients:
 class TestProductOracles:
     def test_oracles_match_main_route(self):
         ctx = build_context(3, 3, None)
-        u_table = U_poly_product_oracle(3, 3, ctx)
-        up_table = Uprime_poly_product_oracle(3, 3, ctx)
-        t_table = T_poly_product_oracle(3, 3, ctx)
+        u_table = expand_graded(U_poly_product_oracle(3, 3, ctx))
+        up_table = expand_graded(Uprime_poly_product_oracle(3, 3, ctx))
+        t_table = expand_graded(T_poly_product_oracle(3, 3, ctx))
         for n in range(1, 4):
             for mu in multipartitions(3, n):
                 assert u_table.get((n, mu), ZERO) == U_poly(ctx, mu), mu
@@ -553,6 +553,45 @@ class TestCache:
             table = load_cache(fixture, 3, n)
             assert table is not None, n
             assert table == ctx.psi_schur(n)
+
+    def test_file_holds_every_ordering_and_loads_the_sorted_keys(self, tmp_path):
+        ctx = build_context(3, 4, None)
+        table = ctx.psi_schur(4)
+        assert all(list(mu) == sorted(mu) for mu in table)
+        path = save_cache(str(tmp_path), 3, 4, table)
+        entries = json.load(open(path))["entries"]
+        written = [tuple(parse_partition(t) for t in e["mu"]) for e in entries]
+        assert written == sorted(expand_orbits(table))
+        assert len(written) > len(table)
+        assert load_cache(str(tmp_path), 3, 4) == table
+
+    @pytest.mark.parametrize("edit", ["change_sorted", "change_other", "drop_other",
+                                      "drop_sorted", "add_wrong_size", "add_wrong_k"])
+    def test_orbit_that_disagrees_is_ignored(self, tmp_path, edit):
+        # count and digest rewritten to match, so only the key checks can
+        # catch the change
+        cache = str(tmp_path)
+        cold = build_context(3, 4, None)
+        path = save_cache(cache, 3, 4, cold.psi_schur(4))
+        payload = json.load(open(path))
+        entries = payload["entries"]
+        target = ("2.1^2", "2.1^2", "1^4") if edit.endswith("other") else ("1^4", "2.1^2",
+                                                                            "2.1^2")
+        i = next(i for i, e in enumerate(entries) if tuple(e["mu"]) == target)
+        if edit.startswith("change"):
+            entries[i]["poly"] = [["7", 1, 0]]
+        elif edit.startswith("drop"):
+            del entries[i]
+        else:
+            mu = ["1^3"] * 3 if edit == "add_wrong_size" else ["1^4"] * 2
+            entries.append({"mu": mu, "poly": [["1", 0, 0]]})
+        payload["count"] = len(entries)
+        payload["sha256"] = mult._entries_digest(entries)
+        json.dump(payload, open(path, "w"))
+        assert load_cache(cache, 3, 4) is None
+        warm = build_context(3, 4, cache)
+        assert warm.psi_schur(4) == cold.psi_schur(4)
+        assert warm.ignored_cache_files == [path]
 
     def test_non_integer_coefficient_ignored(self, tmp_path):
         # the cache holds integer polynomials only: a fractional coefficient

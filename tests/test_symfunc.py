@@ -17,11 +17,15 @@ from ennola.symfunc import GradedSeries, SymFunc, mobius, schur_symfunc, tensor_
 
 from oracles import (
     change_basis_oracle,
+    change_basis_reference,
     coefficient,
+    expand_orbits,
+    multiply_reference,
     pairing,
     pleth_log,
     scalar,
     schur_coefficient_oracle,
+    symmetrized,
 )
 
 ONE_ = scalar(1)
@@ -33,7 +37,8 @@ def rat(n, d=1) -> SymFunc:
 
 
 def schur_coefficient(f: SymFunc, mu: tuple) -> SymFunc:
-    return coefficient(f.to_schur(), mu)
+    """<f, s_mu> for mu in any order, read at its sorted key."""
+    return coefficient(f.to_schur(), tuple(sorted(mu)))
 
 
 class TestSymFuncBasics:
@@ -75,11 +80,26 @@ class TestSymFuncBasics:
                     assert got == expected, (a, b)
 
     def test_two_alphabet_pairing_multiplies(self):
-        a = schur_symfunc(2, ((2, 1), (1, 1, 1)))
-        b = schur_symfunc(2, ((2, 1), (1, 1, 1)))
+        # a sorted key stands for its orbit: s_111(x) s_21(y) + s_21(x) s_111(y)
+        a = schur_symfunc(2, ((1, 1, 1), (2, 1)))
+        b = schur_symfunc(2, ((1, 1, 1), (2, 1)))
         c = schur_symfunc(2, ((2, 1), (3,)))
-        assert pairing(a, b) == ONE_
+        d = schur_symfunc(2, ((2, 1), (2, 1)))
+        assert pairing(a, b) == rat(2)
+        assert pairing(d, d) == ONE_
         assert pairing(a, c) == ZERO_
+        assert pairing(a, d) == ZERO_
+
+    def test_unsorted_key_refused(self):
+        for k, key in ((2, ((2, 1), (1, 1, 1))), (3, ((1, 1), (2,), (1, 1))),
+                       (4, ((2,), (1, 1), (1, 1), (2,)))):
+            with pytest.raises(ValueError, match="not sorted"):
+                SymFunc(k, sum(key[0]), "p", {key: ONE})
+            with pytest.raises(ValueError, match="not sorted"):
+                schur_symfunc(k, key)
+        # a zero coefficient is dropped before the check, a sorted key passes
+        assert SymFunc(2, 3, "s", {((2, 1), (1, 1, 1)): ZERO}).is_zero()
+        assert schur_symfunc(2, ((1, 1, 1), (2, 1))).basis == "p"
 
     def test_schur_powersum_roundtrip(self):
         for lam in [(3,), (2, 1), (1, 1, 1), (2, 2), (3, 2)]:
@@ -138,10 +158,13 @@ class TestOneDenominator:
         assert scalar(0) == ZERO_ and ZERO_.is_zero() and not ONE_.is_zero()
 
     def test_scale_refuses_non_integer_coefficients(self):
-        for c in (Fraction(1, 2), Fraction(3), 0.5, PolyQU.monomial(Fraction(1, 2), 1, 0),
-                  PolyQU.monomial(Fraction(3), 1, 0)):
+        for c in (Fraction(1, 2), Fraction(3), 0.5):
             with pytest.raises(ValueError, match="scale by a non-integer"):
                 ONE_.scale(c)
+        # a polynomial with such a coefficient cannot be made at all
+        for c in (Fraction(1, 2), Fraction(3)):
+            with pytest.raises(TypeError, match="is not an int"):
+                PolyQU.monomial(c, 1, 0)
         # phi(2) = (q^2 - q)/2 as a factor: scale by the numerator, divide by d
         from ennola.multiplicities import phi
 
@@ -203,11 +226,14 @@ Q_FACTORS = [ONE, Q - ONE, Q + ONE, Q**2 + Q + ONE, Q.scale(2) + ONE.scale(3)]
 
 
 @st.composite
-def symfuncs(draw, basis: str) -> SymFunc:
-    """Sparse SymFuncs with k <= 3, n <= 4, numerators in Z[q, u] and a
-    denominator mixing an integer and a factor in Z[q]."""
-    k = draw(st.integers(min_value=1, max_value=3))
-    n = draw(st.integers(min_value=1, max_value=4))
+def symfuncs(draw, basis: str, k: int | None = None, n: int | None = None) -> SymFunc:
+    """Sparse SymFuncs with k <= 4, n <= 4 (n <= 3 at k = 4), numerators
+    in Z[q, u] and a denominator mixing an integer and a factor in Z[q]:
+    random coefficients at ordered keys, summed over their orbits."""
+    if k is None:
+        k = draw(st.integers(min_value=1, max_value=4))
+    if n is None:
+        n = draw(st.integers(min_value=1, max_value=4 if k < 4 else 3))
     keys = draw(st.lists(st.sampled_from(multipartitions(k, n)), max_size=6, unique=True))
     coeffs = {}
     for key in keys:
@@ -220,7 +246,7 @@ def symfuncs(draw, basis: str) -> SymFunc:
             )
         coeffs[key] = num
     den = draw(st.sampled_from(Q_FACTORS)).scale(draw(st.integers(min_value=1, max_value=6)))
-    return SymFunc(k, n, basis, coeffs).divide(den)
+    return symmetrized(k, n, basis, coeffs).divide(den)
 
 
 class TestChangeOfBasis:
@@ -244,6 +270,7 @@ class TestChangeOfBasis:
     @given(symfuncs("p"), st.data())
     @settings(max_examples=40, deadline=None)
     def test_schur_coefficient_matches_reference(self, f, data):
+        # any ordered key: the library reads it at its sorted key
         mu = data.draw(st.sampled_from(multipartitions(f.k, f.n)))
         assert schur_coefficient(f, mu) == schur_coefficient_oracle(f, mu)
 
@@ -254,21 +281,85 @@ class TestChangeOfBasis:
         assert g.to_powersum().to_schur().over(g.den).coeffs == g.coeffs
 
 
+# keys with repeated components, for k = 2, 3 and 4
+REPEATED = [
+    (2, 3, [((1, 1, 1), (1, 1, 1)), ((2, 1), (2, 1)), ((1, 1, 1), (3,))]),
+    (3, 3, [((2, 1), (2, 1), (2, 1)), ((1, 1, 1), (2, 1), (2, 1)), ((1, 1, 1), (3,), (3,))]),
+    (3, 4, [((2, 2), (2, 2), (3, 1)), ((1, 1, 1, 1), (2, 1, 1), (4,))]),
+    (4, 2, [((1, 1), (1, 1), (2,), (2,)), ((2,), (2,), (2,), (2,)), ((1, 1),) * 3 + ((2,),)]),
+    (4, 3, [((1, 1, 1), (2, 1), (2, 1), (3,)), ((2, 1),) * 4]),
+]
+
+
+def _with_repeated_keys(k: int, n: int, keys, basis: str) -> SymFunc:
+    coeffs = {key: Q.scale(i + 1) + U**i for i, key in enumerate(keys)}
+    return SymFunc(k, n, basis, coeffs).divide(Q + ONE)
+
+
+class TestFullKeyReferences:
+    """multiply and the change of basis on sorted keys against the full-key
+    versions of tests/oracles.py, compared at every ordered key."""
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_multiply_matches_full_key_product(self, data):
+        k = data.draw(st.integers(min_value=1, max_value=4))
+        f = data.draw(symfuncs("p", k=k, n=data.draw(st.integers(1, 3))))
+        g = data.draw(symfuncs("p", k=k, n=data.draw(st.integers(1, 2))))
+        h = f.multiply(g)
+        assert h.den == f.den * g.den
+        assert expand_orbits(h.coeffs) == multiply_reference(
+            expand_orbits(f.coeffs), expand_orbits(g.coeffs))
+
+    @given(symfuncs("p"), symfuncs("s"))
+    @settings(max_examples=40, deadline=None)
+    def test_change_basis_matches_full_key_reference(self, f, g):
+        for h, to_powersum in ((f, False), (g, True)):
+            got = h.to_powersum() if to_powersum else h.to_schur()
+            nums, zk = change_basis_reference(expand_orbits(h.coeffs), h.k, h.n, to_powersum)
+            assert got.den == h.den.scale(zk)
+            assert expand_orbits(got.coeffs) == nums
+
+    @pytest.mark.parametrize("k, n, keys", REPEATED)
+    def test_repeated_components(self, k, n, keys):
+        f = _with_repeated_keys(k, n, keys, "p")
+        g = _with_repeated_keys(k, n, keys[::-1], "s").to_powersum()
+        full_f, full_g = expand_orbits(f.coeffs), expand_orbits(g.coeffs)
+        assert expand_orbits(f.multiply(g).coeffs) == multiply_reference(full_f, full_g)
+        assert expand_orbits(f.multiply(f).coeffs) == multiply_reference(full_f, full_f)
+        for h, to_powersum in ((f, False), (_with_repeated_keys(k, n, keys, "s"), True)):
+            got = h.to_powersum() if to_powersum else h.to_schur()
+            nums, zk = change_basis_reference(expand_orbits(h.coeffs), k, n, to_powersum)
+            assert got.den == h.den.scale(zk)
+            assert expand_orbits(got.coeffs) == nums
+            assert got == change_basis_oracle(h)
+
+
 class TestTensorExpand:
     FACTORS = [
-        [((2,), 2), ((1, 1), 3)],
         [((1,), 5)],
-        [((3,), 7), ((2, 1), 11), ((1, 1, 1), 13)],
+        [((1, 1), 3), ((2,), 2)],
+        [((1, 1, 1), 13), ((2, 1), 11), ((3,), 7)],
         [((2,), 17), ((1, 1), 19)],
     ]
 
     def test_keys_in_product_order_and_coefficients_are_products(self):
         terms = tensor_expand(self.FACTORS, 23)
-        combos = list(product(*self.FACTORS))
+        combos = [c for c in product(*self.FACTORS) if list(c) == sorted(c)]
         assert [key for key, _ in terms] == [tuple(r for r, _ in combo) for combo in combos]
+        assert len(terms) == 1
         for (_, c), combo in zip(terms, combos):
             assert c == 23 * math.prod(v for _, v in combo)
         assert tensor_expand([], 23) == [((), 23)]
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_equal_factors_give_the_orbit_representatives(self, k):
+        factor = [((1, 1, 1), 13), ((2, 1), 11), ((3,), 7)]
+        reps = dict(tensor_expand([factor] * k, 1))
+        full = {tuple(r for r, _ in combo): math.prod(v for _, v in combo)
+                for combo in product(factor, repeat=k)}
+        assert all(list(key) == sorted(key) for key in reps)
+        assert expand_orbits(reps) == full
 
     def test_prefix_products_are_shared(self):
         class Counted:
@@ -283,8 +374,10 @@ class TestTensorExpand:
 
         factors = [[(rho, Counted(v)) for rho, v in f] for f in self.FACTORS]
         terms = tensor_expand(factors, Counted(1))
-        # factor sizes 2, 1, 3, 2: 2 + 2*1 + 2*1*3 + 2*1*3*2 multiplies
-        assert Counted.muls == 2 + 2 + 6 + 12
+        # one multiply per sorted prefix: 1 + 2 + 5 + 1
+        sorted_prefixes = sum(
+            1 for i in range(1, 5) for c in product(*self.FACTORS[:i]) if list(c) == sorted(c))
+        assert Counted.muls == sorted_prefixes == 9
         assert [c.v for _, c in terms] == [c for _, c in tensor_expand(self.FACTORS, 1)]
 
 
@@ -329,7 +422,8 @@ class TestGradedSeries:
         f = GradedSeries.zero(2, 5)
         coeffs = list(f.coeffs)
         coeffs[1] = SymFunc(2, 1, "p", {(((1,), (1,))): Q})
-        coeffs[2] = SymFunc(2, 2, "p", {(((2,), (1, 1))): ONE}).divide(2)
+        # the orbit sum p_2(x) p_11(y) + p_11(x) p_2(y), and p_2 p_2
+        coeffs[2] = SymFunc(2, 2, "p", {((1, 1), (2,)): ONE, ((2,), (2,)): U}).divide(2)
         f = GradedSeries(2, 5, coeffs)
         assert f.plain_exp().plain_log() == f
         assert pleth_log(f.pleth_exp()) == f

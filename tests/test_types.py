@@ -3,6 +3,7 @@ their enumeration, statistics, logarithm coefficients, and Schur expansions."""
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -224,11 +225,12 @@ class TestClassEquation:
             gl = ONE
             for i in range(n):
                 gl = gl * (Q**n - Q**i)
+            counts = {tau: _degree_poly_count(tau) for tau in enumerate_types(n)}
+            lcm = math.lcm(*(d for _, d in counts.values()))
             total = ZERO
-            for tau in enumerate_types(n):
-                deg_count = _degree_poly_count(tau)
-                total = total + poly_exact_div(gl, a_type_poly(tau)) * deg_count
-            assert total == gl
+            for tau, (num, d) in counts.items():
+                total = total + (poly_exact_div(gl, a_type_poly(tau)) * num).scale(lcm // d)
+            assert total == gl.scale(lcm)
 
     def test_twisted_class_equation_via_substitution(self):
         # the twisted centralizer order satisfies a'(q) = (-1)^n a(-q), so
@@ -241,11 +243,13 @@ class TestClassEquation:
             for i in range(n):
                 gl = gl * (Q**n - Q**i)
             common = gl.subst(q=-Q).scale(sign)
+            counts = {tau: _degree_poly_count(tau) for tau in enumerate_types(n)}
+            lcm = math.lcm(*(d for _, d in counts.values()))
             total = ZERO
-            for tau in enumerate_types(n):
-                cnt = _degree_poly_count(tau).subst(q=-Q).scale(sign)
+            for tau, (num, d) in counts.items():
+                cnt = num.subst(q=-Q).scale(sign * (lcm // d))
                 total = total + poly_exact_div(common, a_prime_poly(tau)) * cnt
-            assert total == common, n
+            assert total == common.scale(lcm), n
 
     def test_twisted_centralizer_orders_positive(self):
         for n in range(1, 5):
@@ -260,13 +264,16 @@ def _degree_poly_count(tau):
     irreducibles over F_q (minus the char-poly-zero constraint handled by
     excluding x), as a polynomial in q: product over d of falling factorials
     of I_d(q) = (number of monic irreducibles of degree d, excluding x for
-    d = 1), one factor per distinct partition choice at that degree."""
+    d = 1), one factor per distinct partition choice at that degree.  The
+    polynomial has rational coefficients; it comes back as (numerator, den)
+    with an integer polynomial numerator and an integer den."""
     from collections import Counter
 
+    from ennola.coeffs import PolyQU
     from ennola.symfunc import mobius
 
-    # I_d as polynomial: (1/d) sum_{e | d} mobius(e) q^{d/e}; for d = 1 drop x
-    def irr_count(d):
+    # d I_d as polynomial: sum_{e | d} mobius(e) q^{d/e}; for d = 1 drop x
+    def irr_count_times_d(d):
         total = None
         for e in range(1, d + 1):
             if d % e:
@@ -274,49 +281,28 @@ def _degree_poly_count(tau):
             term = Q ** (d // e)
             term = term.scale(mobius(e))
             total = term if total is None else total + term
-        halves = {m: Fraction(c, d) for m, c in total.terms.items()}
-        from ennola.coeffs import PolyQU
-
-        p = PolyQU(halves)
         if d == 1:
-            p = p - ONE  # exclude the polynomial x itself
-        return p
+            total = total - ONE  # exclude the polynomial x itself
+        return total
 
     by_degree = Counter()
     for d, lam, m in tau:
         by_degree[d] += m
     out = ONE
+    den = 1
     for d, slots in by_degree.items():
-        base = irr_count(d)
+        base = irr_count_times_d(d)
         for i in range(slots):
-            out = out * (base - PolyQU_const(i))
+            # I_d - i = (d I_d - i d) / d
+            out = out * (base - PolyQU.const(i * d))
+            den *= d
         # distinct partitions attached to the same degree are unordered per
         # multiplicity, already handled by make_type merging; divide by the
         # multiset permutations of equal (d, lam) entries
     # divide by product of m! for identical entries
-    denom = 1
     for d, lam, m in tau:
-        denom *= _factorial(m)
-    return _poly_div_int(out, denom)
-
-
-def PolyQU_const(n: int):
-    from ennola.coeffs import PolyQU
-
-    return PolyQU.const(n)
-
-
-def _factorial(m: int) -> int:
-    out = 1
-    for i in range(2, m + 1):
-        out *= i
-    return out
-
-
-def _poly_div_int(p, n: int):
-    from ennola.coeffs import PolyQU
-
-    return PolyQU({m: Fraction(c, n) for m, c in p.terms.items()})
+        den *= math.factorial(m)
+    return out, den
 
 
 class TestTextForms:
