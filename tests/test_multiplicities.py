@@ -567,7 +567,7 @@ class TestCache:
 
     @pytest.mark.parametrize("edit", ["change_sorted", "change_other", "drop_other",
                                       "drop_sorted", "add_wrong_size", "add_wrong_k"])
-    def test_orbit_that_disagrees_is_ignored(self, tmp_path, edit):
+    def test_bad_orbit_or_key_is_ignored(self, tmp_path, edit):
         # count and digest rewritten to match, so only the key checks can
         # catch the change
         cache = str(tmp_path)
