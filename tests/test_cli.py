@@ -486,10 +486,12 @@ class TestCache:
 
 
 class TestRegressionPins:
-    """SHA-256 of whole CLI tables as the code printed them when the pins
+    """SHA-256 of whole CLI outputs as the code printed them when the pins
     were taken, trailing newline included, computed with no cache.  These
     are regression pins, not paper goldens: they guard the degree-6 T table
-    and the k = 4, degree-5 T table, which no reference file covers."""
+    and the k = 4, degree-5 T table, which no reference file covers, and
+    the JSON verify reports at (k, n) = (3, 4) and (4, 3), whose case
+    counts, failure texts and audits must not move."""
 
     @pytest.mark.parametrize("args,digest", [
         (("--n", "6"), "cc99daf022be7cb4783259ee087b5a59cbf7b571aa28c8f3613db9dd82462b09"),
@@ -501,6 +503,18 @@ class TestRegressionPins:
 
         rc, out, _ = run(capsys, "table", "--which", "T", *args,
                          "--format", "json", "--cache-dir", "")
+        assert rc == EXIT_OK
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+    @pytest.mark.parametrize("args,digest", [
+        (("--n", "4"), "fe5c2b56b16ca6dd051a538c86b955ed36a143da3487dc95b3e51d0314ba6ad7"),
+        (("--k", "4", "--n", "3"),
+         "60d9e4bc93665a86686e3387694a24aa65ad8e2a2f27086dd1e1000bd4fdda84"),
+    ])
+    def test_verify_report_digest(self, capsys, args, digest):
+        import hashlib
+
+        rc, out, _ = run(capsys, "verify", *args, "--format", "json", "--cache-dir", "")
         assert rc == EXIT_OK
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
