@@ -1,5 +1,6 @@
-"""Exact coefficient arithmetic: sparse polynomials in (q, u), exact
-division by a polynomial in q, and the gcd in Z[q].
+"""Exact coefficient arithmetic: sparse polynomials in (q, u), their
+Kronecker-substitution packing into one integer, exact division by a
+polynomial in q, and the gcd in Z[q].
 
 PolyQU stores a polynomial in q and u as a sparse map (qdeg, udeg) -> coeff
 with no zero entries and integer coefficients.  There is no
@@ -7,6 +8,16 @@ rational-function type: a symmetric function keeps integer numerators over
 one denominator in Z[q] per graded piece (symfunc.SymFunc), and each stage
 of the pipeline knows that denominator in closed form, so it needs exact
 division here and never a gcd per coefficient.
+
+pack(p, B, W) is the integer p(2^B, 2^(B*W)): coefficient c_ij sits in
+base-2^B digit i + W*j.  Sums, integer multiples and products of packed
+polynomials are the packed sums, multiples and products, so an
+integer-linear map or a long product over Z[q, u] runs as a few big-integer
+operations.  unpack(N, B, W) reads the digits back in balanced form, in
+[-2^(B-1), 2^(B-1)); that recovers the polynomial exactly when its
+q-degree is below W and every |coefficient| is below 2^(B-1), whatever the
+coefficients met along the way.  So a caller derives B from an a priori
+bound on the coefficients of its result, never from a guess.
 
 Everything is immutable and safe to share; no floating point anywhere.
 """
@@ -207,6 +218,38 @@ U = PolyQU.monomial(1, 0, 1)
 
 
 # ---------------------------------------------------------------------------
+# Kronecker substitution (see the module docstring)
+
+def pack(p: PolyQU, B: int, W: int) -> int:
+    """p at q = 2^B, u = 2^(B*W); W must exceed the q-degree of p."""
+    return sum(c << (B * (i + W * j)) for (i, j), c in p.terms.items())
+
+
+def unpack(N: int, B: int, W: int) -> PolyQU:
+    """The polynomial whose pack(., B, W) is N, read in balanced base-2^B
+    digits; exact when every |coefficient| is below 2^(B-1) and the
+    q-degree below W.  B must be at least 2: with B = 1 the digits are
+    -1 and 0, and no positive N has an expansion."""
+    if B < 2:
+        raise ValueError(f"digit size {B} below 2")
+    full = 1 << B
+    half, mask = full >> 1, full - 1
+    terms: dict[Monomial, int] = {}
+    slot = 0
+    while N:
+        d = N & mask
+        N >>= B
+        if d:
+            if d >= half:  # a negative digit borrows one from the rest
+                d -= full
+                N += 1
+            j, i = divmod(slot, W)
+            terms[(i, j)] = d
+        slot += 1
+    return _from_terms(terms)
+
+
+# ---------------------------------------------------------------------------
 # exact division and the Z[q] gcd
 #
 # Denominators live in Z[q], one per graded piece of a symmetric function
@@ -235,27 +278,27 @@ def _q_scale(f: list[int], n: int) -> list[int]:
 
 
 def _q_exact_div(f: list[int], g: list[int]) -> list[int] | None:
-    """Exact quotient f/g over Z[q], or None when it does not divide."""
+    """Exact quotient f/g over Z[q], or None when it does not divide; the
+    elimination touches only the nonzero entries of g."""
     if not g:
         raise ZeroDivisionError
-    if not f:
-        return []
+    dg = len(g) - 1
+    if len(f) <= dg:
+        return None if any(f) else []
     f = list(f)
-    out = [0] * (len(f) - len(g) + 1) if len(f) >= len(g) else None
-    if out is None:
-        return None
-    while f:
-        if len(f) < len(g):
-            return None
-        qcoef, rem = divmod(f[-1], g[-1])
-        if rem:
-            return None
-        k = len(f) - len(g)
-        out[k] = qcoef
-        for i, b in enumerate(g):
-            f[k + i] -= qcoef * b
-        _q_trim(f)
-    return out
+    lead = g[-1]
+    low = [(i, b) for i, b in enumerate(g[:-1]) if b]
+    out = [0] * (len(f) - dg)
+    for k in range(len(f) - 1 - dg, -1, -1):
+        c = f[k + dg]
+        if c:
+            qcoef, rem = divmod(c, lead)
+            if rem:
+                return None
+            out[k] = qcoef
+            for i, b in low:
+                f[k + i] -= qcoef * b
+    return None if any(f[:dg]) else out
 
 
 def _q_gcd(f: list[int], g: list[int]) -> list[int]:
@@ -327,15 +370,13 @@ def poly_exact_div(a: PolyQU, b: PolyQU) -> PolyQU | None:
     or None when b does not divide a over Z."""
     if b.is_zero():
         raise ZeroDivisionError("polynomial division by zero")
-    if b.terms.keys() == {(0, 0)}:
-        d = b.terms[(0, 0)]
-        out: dict[Monomial, int] = {}
-        for m, c in a.terms.items():
-            quot, rem = divmod(c, d)
-            if rem:
-                return None
-            out[m] = quot
-        return _from_terms(out)
+    if len(b.terms) == 1:  # a monomial c*q^s: a shift and an integer divmod
+        ((s, ub), d), = b.terms.items()
+        if ub:
+            raise ValueError(f"exact division by a polynomial in u: ({b})")
+        if any(i < s for i, _ in a.terms) or (d != 1 and any(c % d for c in a.terms.values())):
+            return None
+        return _from_terms({(i - s, j): c // d for (i, j), c in a.terms.items()})
     sb = _u_slices(b)
     if sb.keys() != {0}:
         raise ValueError(f"exact division by a polynomial in u: ({b})")
@@ -347,7 +388,7 @@ def poly_exact_div(a: PolyQU, b: PolyQU) -> PolyQU | None:
         for i, c in enumerate(quot):
             if c:
                 out[(i, j)] = c
-    return PolyQU(out)
+    return _from_terms(out)
 
 
 class NotPolynomialError(ValueError):

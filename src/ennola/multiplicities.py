@@ -32,7 +32,17 @@ except ImportError:
     except ImportError:
         from hashlib import sha256  # builds without the builtin hashes
 
-from .coeffs import ONE, Q, U, PolyQU, poly_exact_div, poly_from_json, poly_to_json
+from .coeffs import (
+    ONE,
+    Q,
+    U,
+    PolyQU,
+    pack,
+    poly_exact_div,
+    poly_from_json,
+    poly_to_json,
+    unpack,
+)
 from .characters import kronecker
 from .hall_littlewood import transformed_hl
 from .partitions import (
@@ -48,7 +58,15 @@ from .partitions import (
     q_pochhammer,
     size,
 )
-from .symfunc import GradedSeries, SymFunc, mobius, orbit, tensor_expand
+from .symfunc import (
+    GradedSeries,
+    SymFunc,
+    basis_bound,
+    change_basis_packed,
+    mobius,
+    orbit,
+    tensor_expand,
+)
 from .types import (
     TypeEntries,
     from_partition,
@@ -277,22 +295,41 @@ def _build_omega(k: int, N: int) -> GradedSeries:
     q^S (q;q)_n, S the largest power of q in an a_lam(q): every
     a_lam(q) = q^e prod (q;q)_{m_i} divides it, because q-multinomials are
     polynomials.  After one change to power sums per degree, the q^S
-    cancels exactly and Omega_n is over (n!)^k (q;q)_n."""
+    cancels exactly and Omega_n is over (n!)^k (q;q)_n.
+
+    The sum and the change of basis run on packed integers (coeffs.pack),
+    unpacked once per power-sum key.  A Schur-side numerator is a sum over
+    lam of den/a_lam times k coefficients K~_{nu lam}; since
+    |f g|_max <= |f|_1 |g|_max, its coefficients are at most
+    sum over lam of |den/a_lam|_1 (max over nu of |K~_{nu lam}|_1)^k, and
+    the change of basis multiplies that by at most symfunc.basis_bound."""
     coeffs = [SymFunc.one(k)]
     fk = _factorial_dens(k, N)
     for n in range(1, N + 1):
         a = {lam: a_poly(lam) for lam in enumerate_partitions(n)}
         q_shift = max(min(i for i, _ in p.terms) for p in a.values())  # S
         den = Q**q_shift * q_pochhammer(n)
-        acc: dict[MultiPartition, PolyQU] = {}
-        for lam, a_lam in a.items():
-            items = [(nu, v) for (nu,), v in transformed_hl(lam).coeffs.items()]
-            for key, c in tensor_expand([items] * k, poly_exact_div(den, a_lam)):
-                cur = acc.get(key)
-                acc[key] = c if cur is None else cur + c
-        omega_n = SymFunc(k, n, "s", acc).divide(den).to_powersum()
-        coeffs.append(omega_n.over(fk[n] * q_pochhammer(n)))
+        terms = [(poly_exact_div(den, a_lam),
+                  [(nu, v) for (nu,), v in transformed_hl(lam).coeffs.items()])
+                 for lam, a_lam in a.items()]
+        bound = sum(_norm1(start) * max(_norm1(v) for _, v in items) ** k
+                    for start, items in terms)
+        B = (bound * basis_bound(k, n, True)).bit_length() + 1
+        W = 1 + max(start.qdeg() + k * max(v.qdeg() for _, v in items)
+                    for start, items in terms)
+        acc: dict[MultiPartition, int] = {}
+        for start, items in terms:
+            packed = [(nu, pack(v, B, W)) for nu, v in items]
+            for key, c in tensor_expand([packed] * k, pack(start, B, W)):
+                acc[key] = acc.get(key, 0) + c
+        nums = change_basis_packed(k, n, acc, to_powersum=True)
+        omega_n = SymFunc(k, n, "p", {key: unpack(v, B, W) for key, v in nums.items()})
+        coeffs.append(omega_n.divide(den * fk[n]).over(fk[n] * q_pochhammer(n)))
     return GradedSeries(k, N, coeffs)
+
+
+def _norm1(p: PolyQU) -> int:
+    return sum(map(abs, p.terms.values()))
 
 
 def build_context(k: int, N: int, cache_dir: str | None = None) -> MasterContext:
@@ -505,7 +542,10 @@ class VerifyReport:
 
 def verify_suite(ctx: MasterContext, nmax: int | None = None) -> VerifyReport:
     """Check every interpolation identity for all multipartitions up to
-    nmax; failures come back as data, never exceptions."""
+    nmax; failures come back as data, never exceptions.  Every family is
+    symmetric in the k factors, so each sorted key is computed and compared
+    once, and its outcome recorded, in the walk over the ordered
+    multipartitions, for each ordering of it under that ordering's name."""
     nmax = ctx.N if nmax is None else min(nmax, ctx.N)
     report = VerifyReport()
     at_zero = VerifyItem("tau-at-0-matches-generic")
@@ -521,60 +561,47 @@ def verify_suite(ctx: MasterContext, nmax: int | None = None) -> VerifyReport:
     up_oracle = Uprime_poly_product_oracle(ctx.k, nmax, ctx)
     t_oracle = T_poly_product_oracle(ctx.k, nmax, ctx)
 
+    def check(n: int, rep: MultiPartition, t: PolyQU) -> tuple[list, list]:
+        """The comparisons at the sorted key rep, as (family, ok, failure
+        text after the multipartition's name), and the (family name,
+        value) pairs whose leading coefficient is negative."""
+        v = V_poly(ctx, rep)
+        u_val = U_poly(ctx, rep)
+        sd = d_mu(rep)
+        up_val = Uprime_poly(ctx, rep)
+        kron = kronecker(rep)
+        top = t.coeff_of_u(n - 1).subst(u=ONE)
+        vp_general = Vprime_poly(ctx, rep)
+        checks = [
+            (at_zero, t.subst(u=PolyQU()) == v, "tau(0,q) != V"),
+            (at_one, t.subst(u=ONE) == u_val, "tau(1,q) != U"),
+            (at_minus, t.subst(q=-Q, u=MINUS_ONE).scale(sd.sign_uprime) == up_val,
+             "signed tau(-1,-q) != U'"),
+            (top_u, top == PolyQU.const(kron), f"[u^{n-1}] tau = {top}, kronecker = {kron}"),
+            (nonneg, all(c >= 0 for c in t.terms.values()), f"negative tau coefficient in {t}"),
+            (sign_consistency, v.subst(q=-Q).scale(sd.sign_vprime) == vp_general,
+             "multipartition and multitype twisted signs disagree"),
+            (oracle, u_oracle.get((n, rep), PolyQU()) == u_val, "product oracle U mismatch"),
+            (oracle, up_oracle.get((n, rep), PolyQU()) == up_val, "product oracle U' mismatch"),
+            (oracle, t_oracle.get((n, rep), PolyQU()) == t, "product oracle T mismatch"),
+        ]
+        negative = [(name, p) for name, p in (("U'", up_val), ("V'", vp_general))
+                    if p and p.leading()[1] < 0]
+        return checks, negative
+
     for n in range(1, nmax + 1):
         taus = ctx.tau_schur(n)
+        outcomes: dict[MultiPartition, tuple[list, list]] = {}
         for mu in multipartitions(ctx.k, n):
             rep = tuple(sorted(mu))
-            t = taus.get(rep, PolyQU())
+            if rep not in outcomes:
+                outcomes[rep] = check(n, rep, taus.get(rep, PolyQU()))
+            checks, negative = outcomes[rep]
             text = multipartition_to_text(mu)
-
-            v = V_poly(ctx, mu)
-            at_zero.record(t.subst(u=PolyQU()) == v, f"{text}: tau(0,q) != V")
-
-            u_val = U_poly(ctx, mu)
-            at_one.record(t.subst(u=ONE) == u_val, f"{text}: tau(1,q) != U")
-
-            sd = d_mu(mu)
-            up_val = Uprime_poly(ctx, mu)
-            expect = t.subst(q=-Q, u=MINUS_ONE).scale(sd.sign_uprime)
-            at_minus.record(expect == up_val, f"{text}: signed tau(-1,-q) != U'")
-
-            kron = kronecker(mu)
-            top = t.coeff_of_u(n - 1).subst(u=ONE) if n >= 1 else t
-            top_u.record(
-                top == PolyQU.const(kron),
-                f"{text}: [u^{n-1}] tau = {top}, kronecker = {kron}",
-            )
-
-            bad = [c for c in t.terms.values() if c < 0]
-            nonneg.record(not bad, f"{text}: negative tau coefficient in {t}")
-
-            vp_direct = v.subst(q=-Q).scale(sd.sign_vprime)
-            vp_general = Vprime_poly(ctx, mu)
-            sign_consistency.record(
-                vp_direct == vp_general,
-                f"{text}: multipartition and multitype twisted signs disagree",
-            )
-
-            o_u = u_oracle.get((n, rep), PolyQU())
-            oracle.record(o_u == u_val, f"{text}: product oracle U mismatch")
-            o_up = up_oracle.get((n, rep), PolyQU())
-            oracle.record(o_up == up_val, f"{text}: product oracle U' mismatch")
-            o_t = t_oracle.get((n, rep), PolyQU())
-            oracle.record(o_t == t, f"{text}: product oracle T mismatch")
-
-            if not up_val.is_zero():
-                _, lead = up_val.leading()
-                if lead < 0:
-                    report.audits.append(
-                        f"negative leading coefficient in U' at {text}: {up_val}"
-                    )
-            if not vp_general.is_zero():
-                _, lead = vp_general.leading()
-                if lead < 0:
-                    report.audits.append(
-                        f"negative leading coefficient in V' at {text}: {vp_general}"
-                    )
+            for item, ok, detail in checks:
+                item.record(ok, f"{text}: {detail}")
+            report.audits.extend(f"negative leading coefficient in {name} at {text}: {p}"
+                                 for name, p in negative)
     return report
 
 

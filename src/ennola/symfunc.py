@@ -16,6 +16,11 @@ series.
 Every function here is symmetric in the k alphabets, so a SymFunc keeps
 one key per orbit of their permutations: the sorted one, whose coefficient
 stands for each of its orderings (orbit).
+
+The Schur <-> power-sum change of basis is an integer-linear map of the
+numerators, so it runs on packed integers (coeffs.pack): each numerator is
+packed once, the character table is applied with integer scale-adds, and
+each output is unpacked once, with the digit size taken from basis_bound.
 """
 
 from __future__ import annotations
@@ -24,7 +29,17 @@ from functools import lru_cache
 from itertools import permutations
 from math import factorial
 
-from .coeffs import ONE, Q, U, NotPolynomialError, PolyQU, poly_exact_div, poly_lcm
+from .coeffs import (
+    ONE,
+    Q,
+    U,
+    NotPolynomialError,
+    PolyQU,
+    pack,
+    poly_exact_div,
+    poly_lcm,
+    unpack,
+)
 from .characters import character_value
 from .partitions import MultiPartition, Partition, enumerate_partitions, z_lambda
 
@@ -62,40 +77,72 @@ def _z_product(rho: MultiPartition) -> int:
     return out
 
 
-def _change_basis(f: "SymFunc", to_powersum: bool) -> tuple[Coeffs, PolyQU]:
-    """The numerators and denominator of f on the other basis: <f, s_mu> =
-    sum over rho of f_rho chi^mu(rho), and f_rho = sum over mu of f_mu
-    chi^mu(rho) / z_rho, with chi the product of the k one-alphabet
-    characters.  The numerators go through the character table one
-    alphabet at a time, as (head, tail) keys: head the converted
-    components, kept sorted, and tail the others, sorted because the
-    partial sum is symmetric in them.  A tail feeds each of its distinct
-    components to the next pass.  z_rho divides (n!)^k, so the power-sum
-    side is over den * (n!)^k."""
+@lru_cache(maxsize=None)
+def _character_rows(n: int, to_powersum: bool) -> tuple[dict, int]:
+    """The one-alphabet change of basis at degree n as rows[src, low], the
+    (target, chi) pairs with chi nonzero and target >= low (low a shape or
+    ()), and C, the largest sum of |chi| over the sources of one target."""
     def chi(src: Partition, lam: Partition) -> int:
         return character_value(src, lam) if to_powersum else character_value(lam, src)
 
-    shapes = sorted(enumerate_partitions(f.n))
-    rows = {src: [(lam, c) for lam in shapes if (c := chi(src, lam))] for src in shapes}
-    nums = {((), key): p for key, p in f.coeffs.items()}
-    for _ in range(f.k):
+    shapes = sorted(enumerate_partitions(n))
+    rows = {(src, low): tuple((lam, c) for lam in shapes if lam >= low and (c := chi(src, lam)))
+            for src in shapes for low in [(), *shapes]}
+    return rows, max(sum(abs(chi(src, lam)) for src in shapes) for lam in shapes)
+
+
+def basis_bound(k: int, n: int, to_powersum: bool) -> int:
+    """A factor M such that every coefficient (in q and u) of every output
+    numerator of change_basis_packed is at most M times the largest
+    |coefficient| of its input numerators.  An output at a key lam_1..lam_k
+    is the sum over the source keys src of f_src chi(src_1, lam_1) ...
+    chi(src_k, lam_k), at most max |f| times prod_i sum_src |chi(src, lam_i)|
+    <= max |f| C^k; the power-sum side then scales by (n!)^k / z_rho <= (n!)^k."""
+    c = _character_rows(n, to_powersum)[1] ** k
+    return c * factorial(n) ** k if to_powersum else c
+
+
+def change_basis_packed(k: int, n: int, nums: dict, to_powersum: bool) -> dict:
+    """The numerators of a degree-n function on the other basis, as packed
+    integers (coeffs.pack) in and out: <f, s_mu> = sum over rho of f_rho
+    chi^mu(rho), and f_rho = sum over mu of f_mu chi^mu(rho) / z_rho, with
+    chi the product of the k one-alphabet characters.  The numerators go
+    through the character table one alphabet at a time, as (head, tail)
+    keys: head the converted components, kept sorted, and tail the others,
+    sorted because the partial sum is symmetric in them.  A tail feeds
+    each of its distinct components to the next pass.  z_rho divides
+    (n!)^k, so the power-sum side is scaled to lie over den * (n!)^k."""
+    rows = _character_rows(n, to_powersum)[0]
+    cur = {((), key): v for key, v in nums.items()}
+    for _ in range(k):
         out: dict = {}
-        for (head, tail), p in nums.items():
+        for (head, tail), v in cur.items():
             low = head[-1] if head else ()
             for j, src in enumerate(tail):
                 if j and tail[j - 1] == src:
                     continue
                 rest = tail[:j] + tail[j + 1:]
-                for lam, c in rows[src]:
-                    if lam >= low:
-                        new = (head + (lam,), rest)
-                        cur = out.get(new)
-                        out[new] = p.scale(c) if cur is None else cur + p.scale(c)
-        nums = out
+                for lam, c in rows[src, low]:
+                    new = (head + (lam,), rest)
+                    out[new] = out.get(new, 0) + c * v
+        cur = out
     if not to_powersum:
-        return {head: p for (head, _), p in nums.items()}, f.den
-    zk = factorial(f.n) ** f.k
-    return {rho: p.scale(zk // _z_product(rho)) for (rho, _), p in nums.items()}, f.den.scale(zk)
+        return {head: v for (head, _), v in cur.items()}
+    zk = factorial(n) ** k
+    return {rho: v * (zk // _z_product(rho)) for (rho, _), v in cur.items()}
+
+
+def _change_basis(f: "SymFunc", to_powersum: bool) -> tuple[Coeffs, PolyQU]:
+    """The numerators and denominator of f on the other basis: each
+    numerator packed once with B from basis_bound, converted by
+    change_basis_packed, and unpacked once."""
+    top = max((abs(c) for p in f.coeffs.values() for c in p.terms.values()), default=0)
+    B = (top * basis_bound(f.k, f.n, to_powersum)).bit_length() + 1
+    W = 1 + max((p.qdeg() for p in f.coeffs.values()), default=0)
+    nums = change_basis_packed(f.k, f.n, {key: pack(p, B, W) for key, p in f.coeffs.items()},
+                               to_powersum)
+    den = f.den.scale(factorial(f.n) ** f.k) if to_powersum else f.den
+    return {key: unpack(v, B, W) for key, v in nums.items()}, den
 
 
 @lru_cache(maxsize=None)

@@ -14,12 +14,14 @@ from ennola.coeffs import (
     U,
     ZERO,
     PolyQU,
+    pack,
     poly_exact_div,
     poly_from_json,
     poly_gcd,
     poly_lcm,
     poly_to_json,
     poly_to_str,
+    unpack,
 )
 
 
@@ -234,3 +236,76 @@ class TestGcdAndDivision:
         assert poly_gcd(q4_minus_1, q2_minus_1) == q2_minus_1 or poly_gcd(
             q4_minus_1, q2_minus_1
         ) == q2_minus_1.scale(-1)
+
+
+class TestExactDivisionFastPaths:
+    """A monomial divisor c*q^s is a shift plus an integer divmod, and a
+    sparse divisor such as q^n - 1 eliminates only at its nonzero entries;
+    both still give None on any remainder."""
+
+    @given(int_polys(), st.integers(-6, 6).filter(bool), st.integers(0, 5))
+    @settings(max_examples=40, deadline=None)
+    def test_monomial_divisor_roundtrip(self, a, c, s):
+        m = PolyQU.monomial(c, s, 0)
+        assert poly_exact_div(a * m, m) == a
+
+    def test_monomial_divisor_remainders(self):
+        assert poly_exact_div(Q**3 + Q, Q**2) is None  # q-degree below s
+        assert poly_exact_div(Q.scale(3), Q.scale(2)) is None  # integer remainder
+        assert poly_exact_div(Q.scale(-6) * U, Q.scale(2)) == U.scale(-3)
+        assert poly_exact_div(ZERO, Q**4) == ZERO
+
+    @given(int_polys(), st.integers(1, 7))
+    @settings(max_examples=40, deadline=None)
+    def test_sparse_divisor_roundtrip(self, a, n):
+        g = Q**n - ONE
+        assert poly_exact_div(a * g, g) == a
+        if a:
+            assert poly_exact_div(a * g + ONE, g) is None
+            assert poly_exact_div(a * g + Q ** (a.qdeg() + n + 1), g) is None
+
+
+class TestPacking:
+    """pack evaluates at q = 2^B, u = 2^(B*W); unpack reads balanced
+    base-2^B digits back, exactly while every |coefficient| < 2^(B-1)."""
+
+    @pytest.mark.parametrize("B", [2, 3, 8, 63, 64, 65, 200])
+    @pytest.mark.parametrize("W", [1, 3])
+    def test_round_trip_at_the_digit_edges(self, B, W):
+        top, low = 2 ** (B - 1) - 1, -(2 ** (B - 1))
+        # every slot of the first W u-slices, with zero slots between
+        # nonzero ones and u-degree up to 3
+        cases = [
+            {(0, 0): top}, {(0, 0): -top}, {(0, 0): low},
+            {(W - 1, 0): low, (0, 1): top},
+            {(0, 0): low, (W - 1, 3): low},
+            {(i, j): (top, -top, low)[(i + j) % 3] for i in range(W) for j in range(4)},
+            {(W - 1, 3): top, (0, 2): -top},
+        ]
+        for terms in cases:
+            p = PolyQU(terms)
+            assert unpack(pack(p, B, W), B, W) == p
+        assert unpack(0, B, W) == ZERO
+
+    def test_a_coefficient_past_the_edge_is_not_recovered(self):
+        p = PolyQU.const(2 ** 7)
+        assert unpack(pack(p, 8, 1), 8, 1) != p
+
+    def test_one_bit_digits_are_refused(self):
+        with pytest.raises(ValueError, match="digit size 1 below 2"):
+            unpack(1, 1, 1)
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_round_trip_and_ring_maps(self, data):
+        B = data.draw(st.integers(2, 130))
+        W = data.draw(st.integers(1, 5))
+        edge = 2 ** (B - 1)
+        coeffs = st.integers(-edge, edge - 1)
+        slots = st.tuples(st.integers(0, W - 1), st.integers(0, 3))
+        p = PolyQU(data.draw(st.dictionaries(slots, coeffs, max_size=8)))
+        assert unpack(pack(p, B, W), B, W) == p
+        a, b = data.draw(int_polys()), data.draw(int_polys())
+        # small polynomials: products stay well inside the digits
+        assert unpack(pack(a, 16, 7) * pack(b, 16, 7) + 3 * pack(a, 16, 7), 16, 7) == (
+            a * b + a.scale(3))

@@ -37,7 +37,7 @@ from ennola.multiplicities import (
     save_cache,
     verify_suite,
 )
-from ennola.partitions import multipartitions, parse_partition
+from ennola.partitions import multipartition_to_text, multipartitions, parse_partition
 from ennola.types import enumerate_types, from_partition, make_type
 from oracles import H_omega_oracle, expand_graded, expand_orbits, omega_oracle
 
@@ -428,6 +428,22 @@ class TestVerifySuite:
         ctx = build_context(3, 3, None)
         report = verify_suite(ctx, nmax=2)
         assert report.ok
+
+    def test_a_fault_at_one_orbit_fails_at_each_ordering(self, monkeypatch):
+        # each sorted key is checked once; its outcome is recorded for every
+        # ordering of it, and the first failure names the first ordering
+        # that the walk over the ordered multipartitions meets
+        rep = ((1, 1), (1, 1), (2,))
+        real = mult.kronecker
+        monkeypatch.setattr(mult, "kronecker",
+                            lambda mu: real(mu) + (tuple(sorted(mu)) == rep))
+        report = verify_suite(build_context(3, 2, None))
+        orderings = [mu for mu in multipartitions(3, 2) if tuple(sorted(mu)) == rep]
+        assert [(i.name, i.failures) for i in report.items if i.failures] == [
+            ("top-u-coefficient-is-kronecker", len(orderings))]
+        first = next(i for i in report.items if i.failures).first_failure
+        assert first.startswith(multipartition_to_text(orderings[0]) + ": ")
+        assert len(orderings) == 3
 
 
 class TestCache:

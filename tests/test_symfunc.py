@@ -13,7 +13,15 @@ from hypothesis import strategies as st
 
 from ennola.coeffs import ONE, Q, ZERO, NotPolynomialError, PolyQU, U
 from ennola.partitions import enumerate_partitions, multipartitions, z_lambda
-from ennola.symfunc import GradedSeries, SymFunc, mobius, schur_symfunc, tensor_expand
+from ennola.characters import character_value
+from ennola.symfunc import (
+    GradedSeries,
+    SymFunc,
+    basis_bound,
+    mobius,
+    schur_symfunc,
+    tensor_expand,
+)
 
 from oracles import (
     change_basis_oracle,
@@ -333,6 +341,67 @@ class TestFullKeyReferences:
             assert got.den == h.den.scale(zk)
             assert expand_orbits(got.coeffs) == nums
             assert got == change_basis_oracle(h)
+
+
+@st.composite
+def wide_symfuncs(draw, basis: str) -> SymFunc:
+    """SymFuncs with k <= 4 and coefficients up to 2^200 in size, q-degree
+    up to 4 and u-degree up to 3, over the denominator 1."""
+    k = draw(st.integers(min_value=1, max_value=4))
+    n = draw(st.integers(min_value=1, max_value=4 if k < 4 else 3))
+    keys = draw(st.lists(st.sampled_from(multipartitions(k, n)), max_size=5, unique=True))
+    big = st.integers(min_value=-(2**200), max_value=2**200)
+    coeffs = {key: PolyQU(draw(st.dictionaries(
+        st.tuples(st.integers(0, 4), st.integers(0, 3)), big, min_size=1, max_size=4)))
+        for key in keys}
+    return symmetrized(k, n, basis, coeffs)
+
+
+class TestPackedChangeOfBasis:
+    """The change of basis runs on packed integers whose digit size comes
+    from basis_bound; checked against the per-coefficient full-key
+    reference at coefficient sizes far past the pipeline's."""
+
+    @given(wide_symfuncs("p"), wide_symfuncs("s"))
+    @settings(max_examples=40, deadline=None)
+    def test_wide_coefficients_match_reference(self, f, g):
+        for h, to_powersum in ((f, False), (g, True)):
+            got = h.to_powersum() if to_powersum else h.to_schur()
+            nums, zk = change_basis_reference(expand_orbits(h.coeffs), h.k, h.n, to_powersum)
+            assert got.den == h.den.scale(zk)
+            assert expand_orbits(got.coeffs) == nums
+
+    @pytest.mark.parametrize("k, n", [(1, 5), (2, 4), (3, 4), (4, 3)])
+    @pytest.mark.parametrize("to_powersum", [True, False])
+    def test_bound_covers_an_all_positive_column(self, k, n, to_powersum):
+        # the input takes the sign of chi(src, target) at the target whose
+        # column has the largest sum of |chi|, C; to power sums that is
+        # rho = 1^n, where every character value is a positive degree.
+        # The output there is max |input| * C^k (times (n!)^k / z_rho),
+        # the bound's own product, and it must still fit the digits.
+        def chi(src, lam):
+            return character_value(src, lam) if to_powersum else character_value(lam, src)
+
+        shapes = enumerate_partitions(n)
+        column = {lam: sum(abs(chi(src, lam)) for src in shapes) for lam in shapes}
+        C = max(column.values())
+        target = next(lam for lam in shapes if column[lam] == C)
+        if to_powersum:
+            assert target == (1,) * n
+        assert basis_bound(k, n, to_powersum) == C**k * (math.factorial(n) ** k
+                                                          if to_powersum else 1)
+        sign = {src: (chi(src, target) > 0) - (chi(src, target) < 0) for src in shapes}
+        M = 2**200 - 1
+        f = SymFunc(k, n, "s" if to_powersum else "p",
+                    {key: PolyQU.const(M * math.prod(sign[c] for c in key))
+                     for key in multipartitions(k, n) if list(key) == sorted(key)})
+        got = f.to_powersum() if to_powersum else f.to_schur()
+        B = (M * basis_bound(k, n, to_powersum)).bit_length() + 1
+        assert max(abs(c) for p in got.coeffs.values() for c in p.terms.values()) < 2 ** (B - 1)
+        z = math.factorial(n) ** k // z_lambda(target) ** k if to_powersum else 1
+        assert got.coeffs[(target,) * k] == PolyQU.const(M * C**k * z)
+        nums, _ = change_basis_reference(expand_orbits(f.coeffs), k, n, to_powersum)
+        assert expand_orbits(got.coeffs) == nums
 
 
 class TestTensorExpand:
