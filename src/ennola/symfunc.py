@@ -111,7 +111,8 @@ def change_basis_packed(k: int, n: int, nums: dict, to_powersum: bool) -> dict:
     keys: head the converted components, kept sorted, and tail the others,
     sorted because the partial sum is symmetric in them.  A tail feeds
     each of its distinct components to the next pass.  z_rho divides
-    (n!)^k, so the power-sum side is scaled to lie over den * (n!)^k."""
+    (n!)^k, so a power-sum output comes scaled by (n!)^k / z_rho and its
+    denominator gains the factor (n!)^k."""
     rows = _character_rows(n, to_powersum)[0]
     cur = {((), key): v for key, v in nums.items()}
     for _ in range(k):
