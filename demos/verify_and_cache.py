@@ -1,10 +1,12 @@
 """Machine verification and the disk cache.
 
-The package re-derives every multiplicity family along two independent
-computational routes (an exponential of the master series, and infinite
-products with orbit-count exponents) and cross-checks the identity
-lattice connecting them.  `verify_suite` runs all of those checks and
-reports failures as data.  The expensive part of a build -- the master
+`verify_suite` checks the five identities of the interpolation
+polynomial T(u, q), each against a second route: T(0, q) against the
+generic multiplicity V from the master series' pairing, T against the
+u-deformed infinite product, the signed T(-1, -q) against the twisted
+infinite product, the top u-coefficient against the Kronecker
+coefficient, and every coefficient against zero.  It reports failures as
+data.  The expensive part of a build -- the master
 series' Schur coefficient tables -- can be cached on disk and reloaded
 byte-identically.  Run as `python3 demos/verify_and_cache.py`.
 """

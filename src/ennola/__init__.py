@@ -15,7 +15,6 @@ from .multiplicities import (
     Vprime_poly,
     build_context,
     d_mu,
-    phi,
     phi_prime,
     phi_u,
     verify_suite,
@@ -52,7 +51,6 @@ __all__ = [
     "parse_partition",
     "parse_type",
     "partition_to_text",
-    "phi",
     "phi_prime",
     "phi_u",
     "poly_to_str",

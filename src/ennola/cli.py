@@ -237,11 +237,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
+    def common(p: argparse.ArgumentParser, formats=("text", "json", "csv", "tex")) -> None:
         p.add_argument("--k", type=int, default=None,
                        help="number of tensor factors (default 3)")
-        p.add_argument("--format", dest="fmt", default="text",
-                       choices=("text", "json", "csv", "tex"))
+        if formats:
+            p.add_argument("--format", dest="fmt", default="text", choices=formats)
         p.add_argument("--cache-dir", default=None,
                        help="cache directory (default: user cache dir)")
 
@@ -259,12 +259,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the identity verification suite")
     p.add_argument("--n", type=int, required=True)
-    common(p)
+    common(p, ("text", "json"))
 
     p = sub.add_parser("cache", help="build or clear the disk cache")
     p.add_argument("action", choices=("build", "clear"))
     p.add_argument("--n", type=int, default=None)
-    common(p)
+    common(p, ())
     return parser
 
 

@@ -48,11 +48,9 @@ from .hall_littlewood import transformed_hl
 from .partitions import (
     MultiPartition,
     a_poly,
-    dual,
     enumerate_partitions,
     multipartition_to_text,
     multipartitions,
-    n_stat,
     parse_partition,
     partition_to_text,
     q_pochhammer,
@@ -95,13 +93,6 @@ def phi_u(d: int) -> tuple[PolyQU, int]:
     return acc, d
 
 
-def phi(d: int) -> tuple[PolyQU, int]:
-    """Number of size-d Frobenius orbits on the multiplicative group,
-    split form: phi_u at u = 1, e.g. (q^2 - q, 2) at d = 2."""
-    num, d = phi_u(d)
-    return num.subst(u=ONE), d
-
-
 def phi_prime(d: int) -> tuple[PolyQU, int]:
     """Twisted-form orbit count: phi_u at (u, q) = (-1, -q), which is
     (1/d) sum of mu(r) (q^{d/r} - (-1)^{d/r}); the pair (numerator, d)."""
@@ -109,9 +100,9 @@ def phi_prime(d: int) -> tuple[PolyQU, int]:
     return num.subst(q=-Q, u=MINUS_ONE), d
 
 
-class SignData(namedtuple("SignData", "d_mu sign_uprime sign_vprime")):
+class SignData(namedtuple("SignData", "d_mu sign_uprime")):
     """Parity data attached to a multipartition: the even integer d and the
-    signs entering the unitary specializations."""
+    sign (-1)^(d/2) of U' = (-1)^(d/2) T(-1, -q)."""
 
     __slots__ = ()
 
@@ -125,10 +116,7 @@ def d_mu(mu: MultiPartition) -> SignData:
     d = n * n * (k - 2) - sum(p * p for comp in mu for p in comp) + 2
     if d % 2:
         raise AssertionError(f"odd pairing degree {d} for {mu}")
-    half = d // 2
-    n_dual = sum(n_stat(dual(comp)) for comp in mu)
-    vp = -1 if (k * (n + (n + 1) // 2) + n_dual + n + 1) % 2 else 1
-    return SignData(d_mu=d, sign_uprime=-1 if half % 2 else 1, sign_vprime=vp)
+    return SignData(d_mu=d, sign_uprime=-1 if (d // 2) % 2 else 1)
 
 
 def as_multitype(arg) -> tuple[TypeEntries, ...]:
@@ -356,8 +344,10 @@ def H_omega(ctx: MasterContext, omega) -> PolyQU:
     return total
 
 
-def _multitype_stats(mt) -> tuple[int, int, int, int]:
-    """(n, r, r_prime, n_dual) summed over components."""
+def _multitype_signs(mt) -> tuple[int, int]:
+    """The signs s, s' of V(q) = s H(q) and V'(q) = s' H(-q), H the pairing
+    H_omega: s = (-1)^r and s' = (-1)^(r' + n_dual + n + 1), with r, r'
+    and n_dual summed over the components."""
     n = type_size(mt[0])
     r = rp = nd = 0
     for comp in mt:
@@ -365,24 +355,22 @@ def _multitype_stats(mt) -> tuple[int, int, int, int]:
         r += r_c
         rp += rp_c
         nd += type_stats(dual_type(comp))[0]
-    return n, r, rp, nd
+    return (-1) ** r, (-1) ** (rp + nd + n + 1)
 
 
 def V_poly(ctx: MasterContext, omega) -> PolyQU:
     """Generic multiplicity for the split form: (-1)^{r} times the master
     coefficient pairing."""
     mt = as_multitype(omega)
-    _, r, _, _ = _multitype_stats(mt)
-    return H_omega(ctx, mt).scale((-1) ** r)
+    return H_omega(ctx, mt).scale(_multitype_signs(mt)[0])
 
 
 def Vprime_poly(ctx: MasterContext, omega) -> PolyQU:
-    """Generic multiplicity for the twisted form, as the signed q -> -q
-    substitution of the split-form value."""
+    """Generic multiplicity for the twisted form, by the stated sign
+    identity V'(q) = +-V(-q): the pairing at -q times
+    (-1)^(r' + n_dual + n + 1)."""
     mt = as_multitype(omega)
-    n, r, rp, nd = _multitype_stats(mt)
-    sign = (-1) ** (rp + r + nd + n + 1)
-    return V_poly(ctx, mt).subst(q=-Q).scale(sign)
+    return H_omega(ctx, mt).subst(q=-Q).scale(_multitype_signs(mt)[1])
 
 
 # unipotent multiplicities and the interpolation
@@ -437,16 +425,6 @@ def _product_oracle(k: int, N: int, ctx: MasterContext | None, log_terms):
             for key, p in _schur_table(ser.coeffs[n]).items()}
 
 
-def U_poly_product_oracle(
-    k: int, N: int, ctx: MasterContext | None = None
-) -> dict[tuple[int, MultiPartition], PolyQU]:
-    """Split-form unipotent multiplicities recomputed from the infinite
-    product with orbit-count exponents, truncated at degree N."""
-    return _product_oracle(
-        k, N, ctx, lambda r: ((r.adams(d), phi(d)) for d in range(1, N + 1))
-    )
-
-
 def _uprime_log_terms(r: GradedSeries):
     """The three-part log form of the twisted infinite product."""
     r_alt = _signed_neg_q(r)
@@ -477,6 +455,14 @@ def T_poly_product_oracle(
         k, N, ctx, lambda r: ((r.adams(d), phi_u(d)) for d in range(1, N + 1))
     )
     return {key: _div_u(p, key[1]) for key, p in raw.items()}
+
+
+def U_poly_product_oracle(
+    k: int, N: int, ctx: MasterContext | None = None
+) -> dict[tuple[int, MultiPartition], PolyQU]:
+    """Split-form unipotent multiplicities from the product route: the
+    u-deformed product's table at u = 1, where phi_{u,d} is phi_d."""
+    return {key: p.subst(u=ONE) for key, p in T_poly_product_oracle(k, N, ctx).items()}
 
 
 # verification suite
@@ -541,51 +527,46 @@ class VerifyReport:
 
 
 def verify_suite(ctx: MasterContext, nmax: int | None = None) -> VerifyReport:
-    """Check every interpolation identity for all multipartitions up to
-    nmax; failures come back as data, never exceptions.  Every family is
-    symmetric in the k factors, so each sorted key is computed and compared
-    once, and its outcome recorded, in the walk over the ordered
-    multipartitions, for each ordering of it under that ordering's name."""
+    """Check each identity of the interpolation for all multipartitions up
+    to nmax against a second route, which shares at most its input series
+    with T's: V through H_omega, the u-deformed product, the twisted
+    product, the Kronecker coefficient, and positivity.  Failures come back
+    as data, never exceptions.  Every family is symmetric in the k factors, so each sorted
+    key is computed and compared once, and its outcome recorded, in the
+    walk over the ordered multipartitions, for each ordering of it under
+    that ordering's name."""
     nmax = ctx.N if nmax is None else min(nmax, ctx.N)
     report = VerifyReport()
     at_zero = VerifyItem("tau-at-0-matches-generic")
-    at_one = VerifyItem("tau-at-1-matches-split-unipotent")
-    at_minus = VerifyItem("tau-at-minus-1-matches-twisted-unipotent")
+    product_route = VerifyItem("tau-matches-u-deformed-product")
+    twisted = VerifyItem("tau-at-minus-1-matches-twisted-product")
     top_u = VerifyItem("top-u-coefficient-is-kronecker")
     nonneg = VerifyItem("tau-coefficients-nonnegative")
-    sign_consistency = VerifyItem("twisted-generic-sign-consistency")
-    oracle = VerifyItem("product-oracle-agreement")
-    report.items = [at_zero, at_one, at_minus, top_u, nonneg, sign_consistency, oracle]
+    report.items = [at_zero, product_route, twisted, top_u, nonneg]
 
-    u_oracle = U_poly_product_oracle(ctx.k, nmax, ctx)
-    up_oracle = Uprime_poly_product_oracle(ctx.k, nmax, ctx)
     t_oracle = T_poly_product_oracle(ctx.k, nmax, ctx)
+    up_oracle = Uprime_poly_product_oracle(ctx.k, nmax, ctx)
 
     def check(n: int, rep: MultiPartition, t: PolyQU) -> tuple[list, list]:
         """The comparisons at the sorted key rep, as (family, ok, failure
         text after the multipartition's name), and the (family name,
         value) pairs whose leading coefficient is negative."""
         v = V_poly(ctx, rep)
-        u_val = U_poly(ctx, rep)
-        sd = d_mu(rep)
         up_val = Uprime_poly(ctx, rep)
         kron = kronecker(rep)
         top = t.coeff_of_u(n - 1).subst(u=ONE)
-        vp_general = Vprime_poly(ctx, rep)
+        s, s_prime = _multitype_signs(as_multitype(rep))
+        vp = v.subst(q=-Q).scale(s * s_prime)  # V'(q) = s s' V(-q)
         checks = [
             (at_zero, t.subst(u=PolyQU()) == v, "tau(0,q) != V"),
-            (at_one, t.subst(u=ONE) == u_val, "tau(1,q) != U"),
-            (at_minus, t.subst(q=-Q, u=MINUS_ONE).scale(sd.sign_uprime) == up_val,
-             "signed tau(-1,-q) != U'"),
+            (product_route, t_oracle.get((n, rep), PolyQU()) == t,
+             "tau != u-deformed product"),
+            (twisted, up_oracle.get((n, rep), PolyQU()) == up_val,
+             "signed tau(-1,-q) != twisted product"),
             (top_u, top == PolyQU.const(kron), f"[u^{n-1}] tau = {top}, kronecker = {kron}"),
             (nonneg, all(c >= 0 for c in t.terms.values()), f"negative tau coefficient in {t}"),
-            (sign_consistency, v.subst(q=-Q).scale(sd.sign_vprime) == vp_general,
-             "multipartition and multitype twisted signs disagree"),
-            (oracle, u_oracle.get((n, rep), PolyQU()) == u_val, "product oracle U mismatch"),
-            (oracle, up_oracle.get((n, rep), PolyQU()) == up_val, "product oracle U' mismatch"),
-            (oracle, t_oracle.get((n, rep), PolyQU()) == t, "product oracle T mismatch"),
         ]
-        negative = [(name, p) for name, p in (("U'", up_val), ("V'", vp_general))
+        negative = [(name, p) for name, p in (("U'", up_val), ("V'", vp))
                     if p and p.leading()[1] < 0]
         return checks, negative
 

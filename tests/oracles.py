@@ -21,6 +21,11 @@ a function given on ordered keys over its orbit, and multiply_reference
 and change_basis_reference are the product and the separable change of
 basis computed at every ordered key, with no use of the symmetry.
 
+The split orbit count phi_d is written from its Moebius-inversion
+formula, where the library only specializes phi_u; the sign of
+V'(q) = +-V(-q) at a multipartition comes from the multipartition's
+statistics, where the library reads it off multitype statistics.
+
 A single coefficient in Q(q, u) is represented here as a degree-0 SymFunc
 on one alphabet (`scalar`), so its equality is the library's
 cross-multiplied one.
@@ -37,7 +42,14 @@ from ennola.coeffs import ONE, ZERO, PolyQU, Q
 from ennola.hall_littlewood import transformed_hl
 from ennola.multiplicities import as_multitype
 from ennola.characters import character_value
-from ennola.partitions import a_poly, enumerate_partitions, multipartitions, z_lambda
+from ennola.partitions import (
+    a_poly,
+    dual,
+    enumerate_partitions,
+    multipartitions,
+    n_stat,
+    z_lambda,
+)
 from ennola.symfunc import GradedSeries, SymFunc
 from ennola.types import schur_of_type, type_size
 
@@ -365,3 +377,40 @@ def ssyt_count(shape: tuple, content: tuple) -> int:
         return total
 
     return fill(0, None, tuple(content))
+
+
+def _mobius(n: int) -> int:
+    """The Moebius function by trial division."""
+    out, p = 1, 2
+    while n > 1:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            out = -out
+        p += 1
+    return out
+
+
+def phi(d: int) -> tuple[PolyQU, int]:
+    """Number of size-d Frobenius orbits on the multiplicative group of
+    F_{q^d}, split form, by Moebius inversion: (1/d) sum over r | d of
+    mu(r) (q^{d/r} - 1), as the pair (numerator, d).  The library has only
+    phi_u, whose value at u = 1 this is."""
+    if d < 1:
+        raise ValueError("d must be positive")
+    num = PolyQU()
+    for r in range(1, d + 1):
+        if d % r == 0 and _mobius(r):
+            num = num + (Q ** (d // r) - ONE).scale(_mobius(r))
+    return num, d
+
+
+def vprime_sign_reference(mu: tuple) -> int:
+    """The sign s of V'(q) = s V(-q) at k partitions of n, from the
+    multipartition statistics alone: (-1)^(k (n + ceil(n/2)) + n_dual + n + 1),
+    n_dual the sum of n(mu^i') over the components.  The library computes
+    the sign from multitype statistics, which also cover semisimple types."""
+    k, n = len(mu), sum(mu[0])
+    n_dual = sum(n_stat(dual(comp)) for comp in mu)
+    return -1 if (k * (n + (n + 1) // 2) + n_dual + n + 1) % 2 else 1

@@ -244,8 +244,8 @@ class TestVerify:
     def test_green_run(self, capsys, cache_dir):
         rc, out, _ = run(capsys, "verify", "--n", "2", "--cache-dir", cache_dir)
         assert rc == EXIT_OK
-        assert "7 identity families, 0 failures" in out
-        assert out.count("ok ") == 7
+        assert "5 identity families, 0 failures" in out
+        assert out.count("ok ") == 5
 
     def test_json_format(self, capsys, cache_dir):
         rc, out, _ = run(
@@ -286,9 +286,24 @@ class TestVerify:
         rc, out, _ = run(capsys, "verify", "--n", "2", "--cache-dir", cache_dir)
         assert rc == EXIT_VERIFY
         assert [line.split(":")[0] for line in out.splitlines() if line.startswith("FAIL")] == [
-            "FAIL product-oracle-agreement"
+            "FAIL tau-matches-u-deformed-product"
         ]
-        assert "product oracle T mismatch" in out
+        assert "tau != u-deformed product" in out
+
+    @pytest.mark.parametrize("argv", [
+        ("verify", "--n", "1", "--format", "csv"),
+        ("verify", "--n", "1", "--format", "tex"),
+        ("cache", "build", "--n", "1", "--format", "tex"),
+        ("cache", "clear", "--format", "json"),
+    ])
+    def test_format_a_subcommand_does_not_read_is_rejected(self, capsys, tmp_path, argv):
+        # verify prints text or json only, and cache prints no table
+        cache = tmp_path / "cache"
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--cache-dir", str(cache)])
+        assert exc.value.code == EXIT_USAGE
+        assert capsys.readouterr().out == ""
+        assert not cache.exists()
 
 
 class TestInternalErrors:
@@ -507,10 +522,10 @@ class TestRegressionPins:
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
     @pytest.mark.parametrize("args,digest", [
-        (("--n", "4"), "fe5c2b56b16ca6dd051a538c86b955ed36a143da3487dc95b3e51d0314ba6ad7"),
+        (("--n", "4"), "c3beeb4f12117cacbc084dea14055215e5de44432afce1848dbc8edbd74466d2"),
         (("--k", "4", "--n", "3"),
-         "60d9e4bc93665a86686e3387694a24aa65ad8e2a2f27086dd1e1000bd4fdda84"),
-    ])
+         "c2a7d6ec82a5657cfcc16654e3c572ba11a9058d9d93c0ae0b6c17299995ecc6"),
+    ], ids=["n4", "k4-n3"])
     def test_verify_report_digest(self, capsys, args, digest):
         import hashlib
 

@@ -25,13 +25,13 @@ from ennola.multiplicities import (
     V_poly,
     Vprime_poly,
     _build_omega,
+    _multitype_signs,
     as_multitype,
     build_context,
     cache_path,
     clear_cache,
     d_mu,
     load_cache,
-    phi,
     phi_prime,
     phi_u,
     save_cache,
@@ -39,7 +39,14 @@ from ennola.multiplicities import (
 )
 from ennola.partitions import multipartition_to_text, multipartitions, parse_partition
 from ennola.types import enumerate_types, from_partition, make_type
-from oracles import H_omega_oracle, expand_graded, expand_orbits, omega_oracle
+from oracles import (
+    H_omega_oracle,
+    expand_graded,
+    expand_orbits,
+    omega_oracle,
+    phi,
+    vprime_sign_reference,
+)
 
 
 class TestOrbitCounts:
@@ -89,6 +96,7 @@ class TestOrbitCounts:
             assert total == U**m * (Q**m - ONE), m
 
     def test_phi_u_specializations(self):
+        # phi here is the Moebius-inversion reference in oracles.py
         minus_one = ONE.scale(-1)
         for d in range(1, 8):
             num, den = phi_u(d)
@@ -105,7 +113,7 @@ class TestOrbitCounts:
                     assert rem == 0 and v >= 0, (f, d, qv)
 
     def test_d_must_be_positive(self):
-        for f in (phi, phi_prime, phi_u):
+        for f in (phi_prime, phi_u):
             with pytest.raises(ValueError):
                 f(0)
 
@@ -118,7 +126,6 @@ class TestSignData:
                     sd = d_mu(mu)
                     assert sd.d_mu % 2 == 0, mu
                     assert sd.sign_uprime in (-1, 1)
-                    assert sd.sign_vprime in (-1, 1)
 
     def test_negative_pairing_degree(self):
         # three copies of (2): d = 4*1 - 12 + 2 = -6, half = -3, sign = -1
@@ -140,6 +147,19 @@ class TestSignData:
     def test_component_size_mismatch(self):
         with pytest.raises(ValueError):
             d_mu(((2,), (1,)))
+
+    def test_multitype_vprime_sign_matches_multipartition_reference(self):
+        # V'(q) = s V(-q) with s the product of V's and V''s signs against
+        # the pairing; on multipartitions s must be the reference sign read
+        # off the multipartition statistics
+        count = 0
+        for k, nmax in ((2, 6), (3, 6), (4, 5), (5, 4)):
+            for n in range(1, nmax + 1):
+                for mu in multipartitions(k, n):
+                    s, s_prime = _multitype_signs(as_multitype(mu))
+                    assert s * s_prime == vprime_sign_reference(mu), mu
+                    count += 1
+        assert count == 8569
 
 
 class TestAsMultitype:
@@ -205,12 +225,11 @@ class TestPipelineSmall:
             assert v.evaluate(qv) >= 0
 
     def test_vprime_relates_to_v_functionally(self, ctx5):
-        # V' is a global sign times V at -q; spot check on a handful
-        for mu in [((1, 1),) * 3, ((2, 1),) * 3, ((3,),) * 3]:
-            v = V_poly(ctx5, mu)
-            vp = Vprime_poly(ctx5, mu)
-            again = vp.subst(q=-Q)
-            assert again == v or again == v.scale(-1), mu
+        # V'(q) = s V(-q), s the reference sign of the multipartition
+        for n in range(1, 5):
+            for mu in multipartitions(3, n):
+                want = V_poly(ctx5, mu).subst(q=-Q).scale(vprime_sign_reference(mu))
+                assert Vprime_poly(ctx5, mu) == want, mu
 
 
 class TestComponentSymmetry:
@@ -404,17 +423,63 @@ class TestProductOracles:
                 assert t_table.get((n, mu), ZERO) == T_poly(ctx, mu), mu
 
 
+FAMILIES = [
+    "tau-at-0-matches-generic",
+    "tau-matches-u-deformed-product",
+    "tau-at-minus-1-matches-twisted-product",
+    "top-u-coefficient-is-kronecker",
+    "tau-coefficients-nonnegative",
+]
+
+
+def _seed_fault(monkeypatch, family: str, rep) -> None:
+    """Corrupt the value at the sorted key rep of degree 4 on the route that
+    only the given family reads."""
+
+    def at_rep(name, fault):
+        real = getattr(mult, name)
+
+        def corrupted(k, N, ctx=None):
+            table = dict(real(k, N, ctx))
+            table[(4, rep)] = fault(table[(4, rep)])
+            return table
+
+        monkeypatch.setattr(mult, name, corrupted)
+
+    if family == "tau-at-0-matches-generic":
+        real_h = mult.H_omega
+        monkeypatch.setattr(mult, "H_omega", lambda ctx, mt: real_h(ctx, mt) + (
+            ONE if mt == as_multitype(rep) else ZERO))
+    elif family == "tau-matches-u-deformed-product":
+        at_rep("T_poly_product_oracle", lambda p: p + U)
+    elif family == "tau-at-minus-1-matches-twisted-product":
+        at_rep("Uprime_poly_product_oracle", lambda p: p + ONE)
+    elif family == "top-u-coefficient-is-kronecker":
+        real_k = mult.kronecker
+        monkeypatch.setattr(mult, "kronecker",
+                            lambda mu: real_k(mu) + (tuple(sorted(mu)) == rep))
+    else:
+        # a term that vanishes at u = 0 and u = -1 and leaves [u^3] alone,
+        # put into T and its product route alike: only positivity sees it
+        extra = (Q**100 * U * (ONE + U)).scale(-1)
+        at_rep("T_poly_product_oracle", lambda p: p + extra)
+        real_tau = MasterContext.tau_schur
+
+        def tau_schur(ctx, n):
+            table = real_tau(ctx, n)
+            return {**table, rep: table[rep] + extra} if n == 4 else table
+
+        monkeypatch.setattr(MasterContext, "tau_schur", tau_schur)
+
+
 class TestVerifySuite:
     def test_green_at_small_size(self):
         ctx = build_context(3, 3, None)
         report = verify_suite(ctx)
         assert report.ok
         lines = report.summary_lines()
-        assert lines[-1].endswith("0 failures")
-        assert len(report.items) == 7
-        names = {item.name for item in report.items}
-        assert "top-u-coefficient-is-kronecker" in names
-        assert "tau-at-minus-1-matches-twisted-unipotent" in names
+        assert lines[-1] == "5 identity families, 0 failures"
+        assert [item.name for item in report.items] == FAMILIES
 
     def test_json_shape(self):
         ctx = build_context(3, 2, None)
@@ -422,7 +487,18 @@ class TestVerifySuite:
         data = report.to_json()
         parsed = json.loads(json.dumps(data))
         assert parsed["ok"] is True
-        assert len(parsed["items"]) == 7
+        assert [item["name"] for item in parsed["items"]] == FAMILIES
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_seeded_fault_fails_only_its_family(self, monkeypatch, family):
+        # each family compares two routes that share no formula, so a fault
+        # on one route fails that family alone, at each of the key's three
+        # orderings
+        rep = ((1, 1, 1, 1), (1, 1, 1, 1), (2, 2))
+        _seed_fault(monkeypatch, family, rep)
+        report = verify_suite(build_context(3, 4, None))
+        assert [(i.name, i.failures) for i in report.items if i.failures] == [(family, 3)]
+        assert [i.cases for i in report.items] == [161] * 5
 
     def test_nmax_restricts(self):
         ctx = build_context(3, 3, None)

@@ -174,7 +174,7 @@ class TestOneDenominator:
             with pytest.raises(TypeError, match="is not an int"):
                 PolyQU.monomial(c, 1, 0)
         # phi(2) = (q^2 - q)/2 as a factor: scale by the numerator, divide by d
-        from ennola.multiplicities import phi
+        from oracles import phi
 
         num, d = phi(2)
         a = ONE_.scale(num).divide(d)
