@@ -25,7 +25,6 @@ from .multiplicities import (
     verify_suite,
 )
 from .partitions import (
-    ParseError,
     enumerate_partitions,
     parse_multipartition,
     partition_to_text,
@@ -50,8 +49,9 @@ HEADER_SYMBOL = {
 }
 
 
-class UsageError(Exception):
-    pass
+class UsageError(ValueError):
+    """A request the options allow but the command cannot serve; reported,
+    like every other ValueError, as a usage error."""
 
 
 def default_cache_dir() -> str:
@@ -291,12 +291,6 @@ def main(argv: list[str] | None = None) -> int:
     except (NotPolynomialError, AssertionError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -146,12 +146,6 @@ class PolyQU:
         m = max(self.terms)
         return m, self.terms[m]
 
-    def content(self) -> int:
-        g = 0
-        for c in self.terms.values():
-            g = _int_gcd(g, c)
-        return g
-
     def coeff(self, qdeg: int, udeg: int) -> int:
         return self.terms.get((qdeg, udeg), 0)
 

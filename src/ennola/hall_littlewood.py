@@ -1,11 +1,18 @@
-"""Kostka-Foulkes polynomials via the charge statistic and the transformed
-Hall-Littlewood symmetric functions built from them.
+"""Kostka-Foulkes polynomials by the Hall-Littlewood vertex-operator
+recursion, and the transformed Hall-Littlewood symmetric functions built
+from them.
 
-K_{nu,lam}(q) = sum over semistandard tableaux of shape nu and content lam
-of q^charge(reading word).  Tableaux are enumerated as chains of horizontal
-strips, one strip per letter.  The transformed variant reverses the
-coefficients against the top degree n(lam), giving the Schur expansion of
-the modified Hall-Littlewood function whose coefficients are cocharge
+Q'_mu = sum_nu K_{nu,mu}(q) s_nu comes row by row from
+Q'_(m, rest) = sum_{j >= 0} h_{m+j} (h_j[(q-1)X])^perp Q'_rest, with
+h_j[(q-1)X] = sum_{a+b=j} q^a (-1)^b h_a e_b (Macdonald, Symmetric
+Functions and Hall Polynomials, ch. III; Jing, Vertex operators and
+Hall-Littlewood symmetric functions).  By the Pieri rules h_a^perp removes
+a horizontal strip of a cells, e_b^perp a vertical strip of b cells (a
+horizontal strip of the conjugate), and multiplying by h_{m+j} adds a
+horizontal strip, so one strip helper does all the combinatorics.  Only
+the s_nu with nu dominating mu survive.  The transformed variant reverses
+the coefficients against the top degree n(mu), giving the Schur expansion
+of the modified Hall-Littlewood function whose coefficients are cocharge
 generating polynomials.
 """
 
@@ -13,117 +20,56 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .coeffs import ONE, ZERO, PolyQU
-from .partitions import Partition, dominates, enumerate_partitions, n_stat, size
+from .coeffs import ZERO, PolyQU
+from .partitions import Partition, dual, n_stat, size
 from .symfunc import SymFunc
 
 
-def charge(word: tuple[int, ...]) -> int:
-    """Charge of a word with partition content.
-
-    Repeatedly extract a standard subword: take the rightmost 1, then scan
-    leftward (cyclically) for a 2, then for a 3, and so on while the next
-    letter still occurs; the extracted letters keep their original order.
-    Each subword contributes sum of indices, where letter 1 has index 0 and
-    letter r+1 has index(r) + 1 exactly when it sits right of letter r.
-    """
-    remaining = list(word)
-    total = 0
-    while remaining:
-        m = len(remaining)
-        idx = max(i for i in range(m) if remaining[i] == 1)
-        chosen = [idx]
-        letter = 2
-        while any(w == letter for w in remaining):
-            j = idx
-            for _ in range(m):
-                j = (j - 1) % m
-                if remaining[j] == letter:
-                    break
-            idx = j
-            chosen.append(idx)
-            letter += 1
-        by_pos = sorted(chosen)
-        pos_of = {remaining[p]: i for i, p in enumerate(by_pos)}
-        index = 0
-        for r in range(2, letter):
-            if pos_of[r] > pos_of[r - 1]:
-                index += 1
-            total += index
-        chosen_set = set(chosen)
-        remaining = [w for i, w in enumerate(remaining) if i not in chosen_set]
-    return total
-
-
-def _horizontal_extensions(prev: Partition, strip: int, bound: Partition):
-    """Partitions sigma with prev <= sigma <= bound, |sigma/prev| = strip,
-    and sigma/prev a horizontal strip."""
-    rows = len(bound)
-    out: list[Partition] = []
-
-    def rec(i: int, left: int, acc: list[int]) -> None:
-        if i == rows:
-            if left == 0:
-                sigma = tuple(acc)
-                while sigma and sigma[-1] == 0:
-                    sigma = sigma[:-1]
-                out.append(sigma)
-            return
-        prev_i = prev[i] if i < len(prev) else 0
-        prev_above = prev[i - 1] if 0 < i <= len(prev) else (10 ** 9 if i == 0 else 0)
-        hi = min(bound[i], prev_above, prev_i + left)
-        if i > 0:
-            hi = min(hi, acc[i - 1])
-        for v in range(prev_i, hi + 1):
-            acc.append(v)
-            rec(i + 1, left - (v - prev_i), acc)
-            acc.pop()
-
-    rec(0, strip, [])
-    return out
-
-
-def _reading_words(nu: Partition, lam: Partition):
-    """Reading words (rows bottom to top, each left to right) of all
-    semistandard tableaux of shape nu and content lam."""
-    words: list[tuple[int, ...]] = []
-
-    def rec(j: int, chain: list[Partition]) -> None:
-        if j == len(lam):
-            if chain[-1] == nu:
-                rows = []
-                for i in range(len(nu)):
-                    row = []
-                    for step in range(1, len(chain)):
-                        lo = chain[step - 1][i] if i < len(chain[step - 1]) else 0
-                        hi = chain[step][i] if i < len(chain[step]) else 0
-                        row.extend([step] * (hi - lo))
-                    rows.append(row)
-                words.append(tuple(w for row in reversed(rows) for w in row))
-            return
-        for sigma in _horizontal_extensions(chain[-1], lam[j], nu):
-            chain.append(sigma)
-            rec(j + 1, chain)
-            chain.pop()
-
-    rec(0, [()])
-    return words
+@lru_cache(maxsize=None)
+def _strips(shape: Partition, r: int, sign: int) -> tuple[Partition, ...]:
+    """The partitions shape + sign * (a horizontal strip of r cells): sign 1
+    adds the strip, sign -1 removes it.  Row i moves by at most the gap to
+    its upper neighbour (adding) or to its lower neighbour (removing)."""
+    rows = shape + (0,)
+    if sign > 0:
+        caps = (r,) + tuple(rows[i - 1] - rows[i] for i in range(1, len(rows)))
+    else:
+        caps = tuple(rows[i] - rows[i + 1] for i in range(len(shape))) + (0,)
+    out = [((), r)]
+    for row, cap in zip(rows, caps):
+        out = [(acc + (row + sign * d,), left - d)
+               for acc, left in out for d in range(min(cap, left) + 1)]
+    return tuple(tuple(p for p in acc if p) for acc, left in out if left == 0)
 
 
 @lru_cache(maxsize=None)
+def _q_prime(mu: Partition) -> dict[Partition, dict[int, int]]:
+    """Q'_mu as nu -> {q-degree: coefficient of K_{nu,mu}(q)}; cached and
+    shared, so no caller mutates it."""
+    if not mu:
+        return {(): {0: 1}}
+    m, rest = mu[0], mu[1:]
+    out: dict[Partition, dict[int, int]] = {}
+    # e_b^perp, then h_a^perp, weighted q^a (-1)^b, then times h_{m+a+b}
+    for nu, poly in _q_prime(rest).items():
+        for b in range(len(nu) + 1):
+            for sigma in (dual(s) for s in _strips(dual(nu), b, -1)):
+                for a in range((sigma[0] if sigma else 0) + 1):
+                    for tau in _strips(sigma, a, -1):
+                        for rho in _strips(tau, m + a + b, 1):
+                            acc = out.setdefault(rho, {})
+                            for d, c in poly.items():
+                                acc[d + a] = acc.get(d + a, 0) + (-c if b & 1 else c)
+    return {nu: kept for nu, acc in out.items()
+            if (kept := {d: c for d, c in acc.items() if c})}
+
+
 def kostka_foulkes(nu: Partition, lam: Partition) -> PolyQU:
     """K_{nu,lam}(q); zero unless nu dominates lam, and K_{lam,lam} = 1."""
     if size(nu) != size(lam):
         raise ValueError("shapes of different sizes")
-    if not dominates(nu, lam):
-        return ZERO
-    if nu == lam:
-        return ONE
-    terms: dict[tuple[int, int], int] = {}
-    for word in _reading_words(nu, lam):
-        key = (charge(word), 0)
-        terms[key] = terms.get(key, 0) + 1
-    return PolyQU(terms)
+    kf = _q_prime(lam).get(nu)
+    return ZERO if kf is None else PolyQU({(d, 0): c for d, c in kf.items()})
 
 
 @lru_cache(maxsize=None)
@@ -132,7 +78,7 @@ def transformed_kostka(nu: Partition, lam: Partition) -> PolyQU:
     kf = kostka_foulkes(nu, lam)
     top = n_stat(lam)
     if kf.qdeg() > top:
-        raise AssertionError(f"charge exceeded n(lam) for {nu}, {lam}")
+        raise AssertionError(f"K_{{nu,lam}} exceeds degree n(lam) for {nu}, {lam}")
     return PolyQU({(top - d, 0): c for (d, _), c in kf.terms.items()})
 
 
@@ -140,13 +86,9 @@ def transformed_kostka(nu: Partition, lam: Partition) -> PolyQU:
 def transformed_hl(lam: Partition) -> SymFunc:
     """Modified Hall-Littlewood function indexed by lam, one alphabet, on
     the Schur basis: only s_nu with nu dominating lam occur."""
-    coeffs = {(nu,): transformed_kostka(nu, lam) for nu in _dominating(lam)}
+    coeffs = {(nu,): transformed_kostka(nu, lam)
+              for nu in sorted(_q_prime(lam), reverse=True)}
     return SymFunc(1, size(lam), "s", coeffs)
-
-
-@lru_cache(maxsize=None)
-def _dominating(lam: Partition) -> tuple[Partition, ...]:
-    return tuple(nu for nu in enumerate_partitions(size(lam)) if dominates(nu, lam))
 
 
 def extend_to_type(family, entries) -> SymFunc:

@@ -133,19 +133,6 @@ def _gen_partitions(n: int, largest: int):
             yield (first,) + rest
 
 
-def dominates(nu: Partition, lam: Partition) -> bool:
-    """Dominance order: partial sums of nu are at least those of lam."""
-    if sum(nu) != sum(lam):
-        return False
-    run_n = run_l = 0
-    for i in range(max(len(nu), len(lam))):
-        run_n += nu[i] if i < len(nu) else 0
-        run_l += lam[i] if i < len(lam) else 0
-        if run_n < run_l:
-            return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # text syntax
 #

@@ -262,10 +262,13 @@ class SymFunc:
     def over(self, den: PolyQU) -> "SymFunc":
         """The same function with its numerators over den, a multiple or a
         divisor of the present denominator: one multiplication or one exact
-        division per key.  Raises NotPolynomialError when den is not a
-        denominator of this function."""
+        division per key.  A function with no terms goes over any den.
+        Raises NotPolynomialError when den is not a denominator of this
+        function."""
         if den == self.den:
             return self
+        if not self.coeffs:
+            return self._with({}, den)
         up = poly_exact_div(den, self.den)
         if up is not None:
             return self._with({key: p * up for key, p in self.coeffs.items()}, den)

@@ -4,9 +4,10 @@ Everything here is computed by a different route than the library uses:
 symmetric-group characters via alternant coefficient extraction instead
 of border-strip recursion, Kostka-Foulkes polynomials via the q-analog
 of the weight multiplicity (alternating sum over the Weyl group with a
-q-deformed partition function) instead of tableau charge, Kronecker
-coefficients by averaging over all permutations, and Kostka numbers by
-brute tableau filling.  The Schur <-> power-sum change of basis on k
+q-deformed partition function) instead of the vertex-operator recursion,
+Kronecker coefficients by averaging over all permutations, and Kostka
+numbers by brute tableau filling.  The dominance order, which only the
+tests use, is here too.  The Schur <-> power-sum change of basis on k
 alphabets is the brute-force character-product sum, pairing every source
 key with every target key, with the alternant character values.  The
 kernel and the multitype pairing H_omega are recomputed on the power-sum
@@ -302,6 +303,19 @@ def _factorial(n: int) -> int:
     for i in range(2, n + 1):
         out *= i
     return out
+
+
+def dominates(nu: tuple, lam: tuple) -> bool:
+    """Dominance order: partial sums of nu are at least those of lam."""
+    if sum(nu) != sum(lam):
+        return False
+    run_n = run_l = 0
+    for i in range(max(len(nu), len(lam))):
+        run_n += nu[i] if i < len(nu) else 0
+        run_l += lam[i] if i < len(lam) else 0
+        if run_n < run_l:
+            return False
+    return True
 
 
 def q_weight_multiplicity(nu: tuple, lam: tuple) -> PolyQU:

@@ -319,7 +319,7 @@ def test_criterion_9_property_suites(ctx5):
                 wz = scalar(z_lambda(a) if a == b else 0)
                 assert pairing(pa, pb) == wz, (a, b)
 
-    # charge-statistic Kostka-Foulkes polynomials against the weight-space
+    # vertex-operator Kostka-Foulkes polynomials against the weight-space
     # q-analog recomputation
     for n in range(1, 7):
         for nu in enumerate_partitions(n):

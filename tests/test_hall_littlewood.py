@@ -1,40 +1,53 @@
-"""Charge statistic, Kostka-Foulkes polynomials, and modified
-Hall-Littlewood functions, cross-checked against a weight-multiplicity
-oracle and tableau counts."""
+"""Kostka-Foulkes polynomials and modified Hall-Littlewood functions,
+cross-checked against a weight-multiplicity oracle and tableau counts, and
+the whole transformed table pinned by digest."""
 
 from __future__ import annotations
+
+import hashlib
 
 import pytest
 
 from ennola.coeffs import ONE, Q, ZERO
 from ennola.hall_littlewood import (
-    charge,
+    _strips,
     kostka_foulkes,
     transformed_hl,
     transformed_kostka,
 )
-from ennola.partitions import dominates, dual, enumerate_partitions, n_stat, size
-from oracles import q_weight_multiplicity, ssyt_count
+from ennola.partitions import enumerate_partitions, n_stat, size
+from oracles import dominates, q_weight_multiplicity, ssyt_count
 
 
-class TestCharge:
-    def test_pinned_small_words(self):
-        assert charge((1, 2)) == 1
-        assert charge((2, 1)) == 0
-        assert charge((1, 2, 3)) == 3
-        assert charge((3, 2, 1)) == 0
+def _is_horizontal_strip(big: tuple, small: tuple) -> bool:
+    """big/small is a horizontal strip: big_{i+1} <= small_i <= big_i."""
+    rows = max(len(big), len(small)) + 1
+    b = big + (0,) * (rows - len(big))
+    s = small + (0,) * (rows - len(small))
+    return all(b[i + 1] <= s[i] <= b[i] for i in range(rows - 1))
 
-    def test_pinned_repeated_letter_words(self):
-        # these five values distinguish the charge convention from its mirror
-        assert charge((3, 1, 1, 2, 2)) == 3
-        assert charge((2, 1, 1, 2, 3)) == 2
-        assert charge((3, 2, 1, 1, 2)) == 1
-        assert charge((1, 1, 2, 2, 3)) == 4
-        assert charge((3, 2, 2, 1, 1)) == 0
 
-    def test_single_letter_words(self):
-        assert charge((1,)) == 0
-        assert charge((1, 1, 1)) == 0
+class TestStrips:
+    def test_matches_the_interlacing_definition(self):
+        for n in range(7):
+            for shape in enumerate_partitions(n):
+                for r in range(4):
+                    grown = _strips(shape, r, 1)
+                    assert len(set(grown)) == len(grown)
+                    assert set(grown) == {rho for rho in enumerate_partitions(n + r)
+                                          if _is_horizontal_strip(rho, shape)}
+                    shrunk = _strips(shape, r, -1)
+                    assert len(set(shrunk)) == len(shrunk)
+                    smaller = enumerate_partitions(n - r) if r <= n else ()
+                    assert set(shrunk) == {sigma for sigma in smaller
+                                           if _is_horizontal_strip(shape, sigma)}
+
+    def test_pieri_anchors(self):
+        # h_2 s_(1): s_3 + s_(2,1); removing two cells from (2, 1) leaves (1)
+        assert sorted(_strips((1,), 2, 1)) == [(2, 1), (3,)]
+        assert _strips((2, 1), 2, -1) == ((1,),)
+        assert _strips((1, 1), 2, -1) == ()
+        assert _strips((), 0, 1) == ((),)
 
 
 class TestKostkaFoulkes:
@@ -135,3 +148,29 @@ class TestTransformedHL:
             for key, c in f.coeffs.items():
                 nu = key[0]
                 assert c.evaluate(1) == ssyt_count(nu, lam)
+
+
+class TestTransformedTablePin:
+    """SHA-256 of a canonical dump of every transformed_hl(lam) with
+    |lam| <= 9, taken from the charge-statistic definition
+    K_{nu,lam} = sum of q^charge over tableaux: the weight-multiplicity
+    oracle is affordable only through |lam| = 6."""
+
+    DIGEST = "59550d4a16b853435c44ae6e753787ed9dc341d2f0c8e424d110303b2035cd5a"
+
+    def test_digest(self):
+        lines = []
+        for n in range(1, 10):
+            for lam in enumerate_partitions(n):
+                f = transformed_hl(lam)
+                lines.append(f"{lam} over {sorted(f.den.terms.items())}")
+                lines.extend(f"  {nu}: {sorted(c.terms.items())}"
+                             for (nu,), c in sorted(f.coeffs.items()))
+        dump = "\n".join(lines) + "\n"
+        assert hashlib.sha256(dump.encode("utf-8")).hexdigest() == self.DIGEST
+
+    def test_keys_are_the_dominating_shapes_in_enumeration_order(self):
+        for n in range(1, 8):
+            for lam in enumerate_partitions(n):
+                keys = [nu for (nu,) in transformed_hl(lam).coeffs]
+                assert keys == [nu for nu in enumerate_partitions(n) if dominates(nu, lam)]

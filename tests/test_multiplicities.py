@@ -37,7 +37,12 @@ from ennola.multiplicities import (
     save_cache,
     verify_suite,
 )
-from ennola.partitions import multipartition_to_text, multipartitions, parse_partition
+from ennola.partitions import (
+    enumerate_partitions,
+    multipartition_to_text,
+    multipartitions,
+    parse_partition,
+)
 from ennola.types import enumerate_types, from_partition, make_type
 from oracles import (
     H_omega_oracle,
@@ -520,6 +525,31 @@ class TestVerifySuite:
         first = next(i for i in report.items if i.failures).first_failure
         assert first.startswith(multipartition_to_text(orderings[0]) + ": ")
         assert len(orderings) == 3
+
+
+class TestEveryFactorCount:
+    """verify is green for k = 1..6, and T has its closed form where the
+    kernel collapses: for k = 1 it is u^(n-1) at (n), for k = 2 it is
+    u^(n-1) on the diagonal (mu, mu) and zero elsewhere.  At k <= 2 the
+    log of the kernel has zero graded pieces, which must not keep a
+    denominator that the master series cannot be rewritten over."""
+
+    @pytest.mark.parametrize("k, N", [(1, 8), (2, 7), (3, 5), (4, 4), (5, 4), (6, 3)])
+    def test_verify_is_green(self, k, N):
+        report = verify_suite(build_context(k, N, None))
+        assert report.ok
+        assert sum(item.failures for item in report.items) == 0
+
+    def test_one_factor_closed_form(self):
+        ctx = build_context(1, 8, None)
+        for n in range(1, 9):
+            assert ctx.tau_schur(n) == {((n,),): U ** (n - 1)}, n
+
+    def test_two_factor_closed_form(self):
+        ctx = build_context(2, 7, None)
+        for n in range(1, 8):
+            assert ctx.tau_schur(n) == {
+                (mu, mu): U ** (n - 1) for mu in enumerate_partitions(n)}, n
 
 
 class TestCache:

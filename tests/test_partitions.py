@@ -13,7 +13,6 @@ from ennola.partitions import (
     ParseError,
     a_poly,
     check_partition,
-    dominates,
     dual,
     enumerate_partitions,
     hook_poly,
@@ -26,6 +25,7 @@ from ennola.partitions import (
     unipotent_degree,
     z_lambda,
 )
+from oracles import dominates
 
 
 @st.composite
