@@ -101,6 +101,8 @@ def cmd_pair(req: argparse.Namespace) -> int:
     elif req.mu is not None:
         mu = parse_multipartition(req.mu)
         k, n = len(mu), size(mu[0])
+        if n < 1:
+            raise UsageError(f"--mu must have size at least 1, got {n}")
         labels = [partition_to_text(c) for c in mu]
     else:
         raise UsageError("one of --mu or --type is required")

@@ -154,31 +154,12 @@ class PolyQU:
         return PolyQU({(i, 0): c for (i, j), c in self.terms.items() if j == udeg})
 
     def subst(self, q: "PolyQU | None" = None, u: "PolyQU | None" = None) -> "PolyQU":
-        """Simultaneous substitution q -> q_val, u -> u_val (defaults keep the variable)."""
-        if q is None and u is None:
-            return self
-        qv = Q if q is None else q
-        uv = U if u is None else u
-        qpow: dict[int, PolyQU] = {0: ONE}
-        upow: dict[int, PolyQU] = {0: ONE}
-        out = _ZERO
-        for (i, j), c in sorted(self.terms.items()):
-            if i not in qpow:
-                k = max(k for k in qpow if k <= i)
-                acc = qpow[k]
-                while k < i:
-                    acc = acc * qv
-                    k += 1
-                    qpow[k] = acc
-            if j not in upow:
-                k = max(k for k in upow if k <= j)
-                acc = upow[k]
-                while k < j:
-                    acc = acc * uv
-                    k += 1
-                    upow[k] = acc
-            out = out + (qpow[i] * upow[j]).scale(c)
-        return out
+        """Simultaneous substitution q -> q_val, u -> u_val, each None (keep
+        the variable), a monomial c*q^a*u^b or zero: a remap of the terms.
+        Any other value raises ValueError."""
+        (cq, (qa, qb)), (cu, (ua, ub)) = _monomial_of(q, Q), _monomial_of(u, U)
+        return PolyQU(((qa * i + ua * j, qb * i + ub * j), c * cq**i * cu**j)
+                      for (i, j), c in self.terms.items())
 
     def evaluate(self, qval, uval=0):
         """Exact value at integer (or other exact rational) arguments."""
@@ -192,6 +173,16 @@ class PolyQU:
 
     def __repr__(self) -> str:
         return f"PolyQU({poly_to_str(self)})"
+
+
+def _monomial_of(value: PolyQU | None, keep: PolyQU) -> tuple[int, Monomial]:
+    """(c, (a, b)) for value = c*q^a*u^b, keep when value is None, and
+    (0, (0, 0)) for zero; ValueError for anything else."""
+    value = keep if value is None else value
+    if not isinstance(value, PolyQU) or len(value.terms) > 1:
+        raise ValueError(f"substitution by a non-monomial: {value!r}")
+    ((m, c),) = value.terms.items() or (((0, 0), 0),)
+    return c, m
 
 
 def _from_terms(terms: dict[Monomial, int]) -> PolyQU:

@@ -554,7 +554,7 @@ def verify_suite(ctx: MasterContext, nmax: int | None = None) -> VerifyReport:
         v = V_poly(ctx, rep)
         up_val = Uprime_poly(ctx, rep)
         kron = kronecker(rep)
-        top = t.coeff_of_u(n - 1).subst(u=ONE)
+        top = t.coeff_of_u(n - 1)
         s, s_prime = _multitype_signs(as_multitype(rep))
         vp = v.subst(q=-Q).scale(s * s_prime)  # V'(q) = s s' V(-q)
         checks = [

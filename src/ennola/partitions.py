@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import product
+from math import factorial
 
 from .coeffs import ONE, PolyQU, Q, poly_exact_div
 
@@ -55,13 +56,8 @@ def z_lambda(lam: Partition) -> int:
     """Centralizer order of a permutation of cycle type lambda."""
     z = 1
     for part, m in multiplicities(lam).items():
-        z *= part**m * _factorial(m)
+        z *= part**m * factorial(m)
     return z
-
-
-@lru_cache(maxsize=None)
-def _factorial(m: int) -> int:
-    return 1 if m <= 1 else m * _factorial(m - 1)
 
 
 @lru_cache(maxsize=None)

@@ -9,9 +9,9 @@ piece.  Nothing is reduced by a gcd: each stage of the pipeline knows the
 denominator of its pieces in closed form and rewrites them over it with
 SymFunc.over, one exact division per key.  Adding two pieces over
 different denominators takes their lcm.  Power sums are primitive, which
-makes the Adams operation psi_m a key remap plus variable substitution;
-everything plethystic reduces to that plus ordinary exp/log of graded
-series.
+makes the Adams operation psi_m a key remap plus the monomial remap
+q -> q^m, u -> u^m; everything plethystic reduces to that, one Adams sum
+and one Newton recurrence for exp/log of graded series.
 
 Every function here is symmetric in the k alphabets, so a SymFunc keeps
 one key per orbit of their permutations: the sorted one, whose coefficient
@@ -446,62 +446,52 @@ class GradedSeries:
         return self._like(out)
 
     def plain_exp(self, dens: list | None = None) -> "GradedSeries":
-        """exp of a series with zero constant term, from
-        n E_n = sum_{j=1..n} j f_j E_{n-j}; the j = n term comes first, so
-        when every other term's denominator divides its one, no gcd is
-        taken."""
+        """exp of a series with zero constant term (_newton, w = n - i)."""
         if not self.coeffs[0].is_zero():
             raise ValueError("plain_exp needs zero constant term")
-        out = [SymFunc.one(self.k)]
-        for n in range(1, self.N + 1):
-            acc = SymFunc.zero(self.k, n)
-            for j in range(n, 0, -1):
-                g, f = self.coeffs[j], out[n - j]
-                if not (g.is_zero() or f.is_zero()):
-                    acc = acc.add(g.multiply(f).scale(j))
-            out.append(self._degree(acc, n, dens))
-        return self._like(out)
+        return self._newton(SymFunc.one(self.k), lambda n, i: n - i, dens)
 
     def plain_log(self, dens: list | None = None) -> "GradedSeries":
-        """log of a series with constant term 1, from
-        n L_n = n f_n - sum_{j=1..n-1} j L_j f_{n-j}."""
+        """log of a series with constant term 1 (_newton, w = -i)."""
         if self.coeffs[0] != SymFunc.one(self.k):
             raise ValueError("plain_log needs constant term 1")
-        out = [SymFunc.zero(self.k, 0)]
+        return self._newton(SymFunc.zero(self.k, 0), lambda n, i: -i, dens)
+
+    def _newton(self, x0: SymFunc, w, dens: list | None) -> "GradedSeries":
+        """The series X with constant term x0 and, for n >= 1,
+        n X_n = n f_n + sum_{0<i<n} w(n, i) X_i f_{n-i}: X = exp f for
+        w = n - i, X = log f for w = -i.  The n f_n term comes first, so
+        when every other term's denominator divides its one, no gcd is
+        taken.  Degree n is rewritten over dens[n] when dens is given."""
+        out = [x0]
         for n in range(1, self.N + 1):
             acc = self.coeffs[n].scale(n)
-            for j in range(1, n):
-                g, f = out[j], self.coeffs[n - j]
+            for i in range(1, n):
+                g, f = out[i], self.coeffs[n - i]
                 if not (g.is_zero() or f.is_zero()):
-                    acc = acc.add(g.multiply(f).scale(-j))
-            out.append(self._degree(acc, n, dens))
+                    acc = acc.add(g.multiply(f).scale(w(n, i)))
+            acc = acc.divide(n)
+            out.append(acc if dens is None else acc.over(dens[n]))
         return self._like(out)
 
-    @staticmethod
-    def _degree(n_times: SymFunc, n: int, dens: list | None) -> SymFunc:
-        """n_times / n, over dens[n] when given."""
-        f = n_times.divide(n)
-        return f if dens is None else f.over(dens[n])
+    def _adams_sum(self, c) -> "GradedSeries":
+        """sum_{m>=1} c(m) psi_m(f)/m, for f with zero constant term and
+        c(1) = 1."""
+        if not self.coeffs[0].is_zero():
+            raise ValueError("the Adams sum needs zero constant term")
+        acc = self
+        for m in range(2, self.N + 1):
+            if cm := c(m):
+                acc = acc.add(self.adams(m).scale(cm).divide(m))
+        return acc
 
     def pleth_psi(self) -> "GradedSeries":
-        """Psi f = sum_{m>=1} psi_m(f)/m, for f with zero constant term."""
-        if not self.coeffs[0].is_zero():
-            raise ValueError("pleth_psi needs zero constant term")
-        acc = self
-        for m in range(2, self.N + 1):
-            acc = acc.add(self.adams(m).divide(m))
-        return acc
+        """Psi f = sum_{m>=1} psi_m(f)/m."""
+        return self._adams_sum(lambda m: 1)
 
     def pleth_psi_inv(self) -> "GradedSeries":
-        """Inverse of pleth_psi via Moebius inversion."""
-        if not self.coeffs[0].is_zero():
-            raise ValueError("pleth_psi_inv needs zero constant term")
-        acc = self
-        for m in range(2, self.N + 1):
-            mu = mobius(m)
-            if mu:
-                acc = acc.add(self.adams(m).scale(mu).divide(m))
-        return acc
+        """Inverse of pleth_psi by Moebius inversion: c = mu."""
+        return self._adams_sum(mobius)
 
     def pleth_exp(self, dens: list | None = None) -> "GradedSeries":
         """Exp f = exp(Psi f)."""

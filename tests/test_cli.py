@@ -11,7 +11,15 @@ from pathlib import Path
 
 import pytest
 
-from ennola.cli import EXIT_INTERNAL, EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
+from ennola.cli import (
+    EXIT_INTERNAL,
+    EXIT_IO,
+    EXIT_OK,
+    EXIT_USAGE,
+    EXIT_VERIFY,
+    WHICH_CHOICES,
+    main,
+)
 
 DATA = Path(__file__).parent / "data"
 
@@ -157,6 +165,16 @@ class TestSizeBounds:
         assert rc == EXIT_USAGE
         assert out == ""
         assert err == f"error: --{opt} must be at least 1, got {val}\n"
+        assert not cache.exists()
+
+    @pytest.mark.parametrize("which", WHICH_CHOICES)
+    def test_size_zero_mu_is_usage_error(self, capsys, tmp_path, which):
+        cache = tmp_path / "cache"
+        rc, out, err = run(capsys, "pair", "--which", which, "--mu", "0,0,0",
+                           "--cache-dir", str(cache))
+        assert rc == EXIT_USAGE
+        assert out == ""
+        assert err == "error: --mu must have size at least 1, got 0\n"
         assert not cache.exists()
 
 

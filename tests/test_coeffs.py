@@ -106,6 +106,26 @@ class TestPolyRingLaws:
     def test_subst_identity(self, a):
         assert a.subst(q=Q, u=U) == a
 
+    @given(polys(), st.sampled_from([1, -1]), st.integers(0, 3),
+           st.integers(-3, 3), st.integers(0, 3), st.booleans())
+    @settings(max_examples=60)
+    def test_subst_monomial_matches_evaluate(self, a, sign, qa, c, ub, keep_u):
+        # q -> sign*q^qa and u -> c*u^ub (c = 0 is u -> 0), or u kept
+        qval = PolyQU.monomial(sign, qa, 0)
+        uval = None if keep_u else PolyQU.monomial(c, 0, ub)
+        got = a.subst(q=qval, u=uval)
+        for x, y in [(2, 3), (-1, 5), (3, -2), (0, 1)]:
+            uy = y if keep_u else c * y**ub
+            assert got.evaluate(x, y) == a.evaluate(sign * x**qa, uy)
+
+    @pytest.mark.parametrize("bad", [Q + ONE, U - Q, Q * Q + U, 2])
+    def test_subst_refuses_non_monomials(self, bad):
+        p = Q**2 * U + ONE
+        with pytest.raises(ValueError, match="non-monomial"):
+            p.subst(q=bad)
+        with pytest.raises(ValueError, match="non-monomial"):
+            p.subst(u=bad)
+
 
 class TestPolyBasics:
     @pytest.mark.parametrize("c", [Fraction(1, 2), Fraction(3), Fraction(0), 0.5, 1.0, "1"])

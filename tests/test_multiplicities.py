@@ -552,6 +552,16 @@ class TestEveryFactorCount:
                 (mu, mu): U ** (n - 1) for mu in enumerate_partitions(n)}, n
 
 
+def _read_json(path):
+    with open(path) as fh:
+        return json.load(fh)
+
+
+def _write_json(path, payload) -> None:
+    with open(path, "w") as fh:
+        json.dump(payload, fh)
+
+
 class TestCache:
     def test_roundtrip(self, tmp_path):
         table = {
@@ -581,9 +591,9 @@ class TestCache:
     def test_version_mismatch(self, tmp_path):
         save_cache(str(tmp_path), 3, 1, {})
         path = cache_path(str(tmp_path), 3, 1)
-        payload = json.load(open(path))
+        payload = _read_json(path)
         payload["version"] = -1
-        json.dump(payload, open(path, "w"))
+        _write_json(path, payload)
         assert load_cache(str(tmp_path), 3, 1) is None
 
     @pytest.mark.parametrize("field,value", [
@@ -592,20 +602,20 @@ class TestCache:
     def test_count_and_digest_checked(self, tmp_path, field, value):
         table = {((1,), (1,), (1,)): Q - ONE, ((2,), (2,), (2,)): ONE}
         path = save_cache(str(tmp_path), 3, 1, table)
-        payload = json.load(open(path))
+        payload = _read_json(path)
         if value is None:
             del payload[field]
         else:
             payload[field] = value
-        json.dump(payload, open(path, "w"))
+        _write_json(path, payload)
         assert load_cache(str(tmp_path), 3, 1) is None
 
     def test_dropped_entry_rejected(self, tmp_path):
         table = {((1,), (1,), (1,)): Q - ONE, ((2,), (2,), (2,)): ONE}
         path = save_cache(str(tmp_path), 3, 1, table)
-        payload = json.load(open(path))
+        payload = _read_json(path)
         del payload["entries"][0]
-        json.dump(payload, open(path, "w"))
+        _write_json(path, payload)
         assert load_cache(str(tmp_path), 3, 1) is None
 
     def test_temp_name_is_not_shared(self, tmp_path):
@@ -633,7 +643,8 @@ class TestCache:
         table = {((1,), (1,), (1,)): Q - ONE}
         p1 = save_cache(str(tmp_path / "a"), 3, 1, table)
         p2 = save_cache(str(tmp_path / "b"), 3, 1, table)
-        assert open(p1, "rb").read() == open(p2, "rb").read()
+        with open(p1, "rb") as f1, open(p2, "rb") as f2:
+            assert f1.read() == f2.read()
 
     def test_clear_cache_scoped(self, tmp_path):
         save_cache(str(tmp_path), 3, 1, {})
@@ -681,7 +692,7 @@ class TestCache:
         table = ctx.psi_schur(4)
         assert all(list(mu) == sorted(mu) for mu in table)
         path = save_cache(str(tmp_path), 3, 4, table)
-        entries = json.load(open(path))["entries"]
+        entries = _read_json(path)["entries"]
         written = [tuple(parse_partition(t) for t in e["mu"]) for e in entries]
         assert written == sorted(expand_orbits(table))
         assert len(written) > len(table)
@@ -695,7 +706,7 @@ class TestCache:
         cache = str(tmp_path)
         cold = build_context(3, 4, None)
         path = save_cache(cache, 3, 4, cold.psi_schur(4))
-        payload = json.load(open(path))
+        payload = _read_json(path)
         entries = payload["entries"]
         target = ("2.1^2", "2.1^2", "1^4") if edit.endswith("other") else ("1^4", "2.1^2",
                                                                             "2.1^2")
@@ -709,7 +720,7 @@ class TestCache:
             entries.append({"mu": mu, "poly": [["1", 0, 0]]})
         payload["count"] = len(entries)
         payload["sha256"] = mult._entries_digest(entries)
-        json.dump(payload, open(path, "w"))
+        _write_json(path, payload)
         assert load_cache(cache, 3, 4) is None
         warm = build_context(3, 4, cache)
         assert warm.psi_schur(4) == cold.psi_schur(4)
@@ -720,10 +731,10 @@ class TestCache:
         # is refused even under a matching count and digest
         cache = str(tmp_path)
         path = save_cache(cache, 3, 1, {((1,), (1,), (1,)): ONE})
-        payload = json.load(open(path))
+        payload = _read_json(path)
         payload["entries"][0]["poly"] = [["1/2", 0, 0]]
         payload["sha256"] = mult._entries_digest(payload["entries"])
-        json.dump(payload, open(path, "w"))
+        _write_json(path, payload)
         assert load_cache(cache, 3, 1) is None
         ctx = build_context(3, 1, cache)
         assert ctx.psi_schur(1) == {((1,), (1,), (1,)): ONE}
