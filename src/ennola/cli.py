@@ -11,26 +11,16 @@ from itertools import combinations_with_replacement
 
 from .characters import kronecker
 from .coeffs import NotPolynomialError, PolyQU, poly_to_json, poly_to_str
-from .multiplicities import (
-    MasterContext,
-    T_poly,
-    U_poly,
-    Uprime_poly,
-    V_poly,
-    Vprime_poly,
-    build_context,
-    cache_path,
-    clear_cache,
-    expand_orbits,
-    verify_suite,
-)
 from .partitions import (
     enumerate_partitions,
     parse_multipartition,
     partition_to_text,
     size,
 )
-from .types import parse_multitype, type_size, type_to_text
+
+# The pipeline (multiplicities, and types for --type) is imported by the
+# commands that run it, so `pair` and `table` for kron, --help and a usage
+# error never compile it.
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -69,58 +59,61 @@ def _poly_tex(p: PolyQU) -> str:
     return poly_to_str(p).replace("*", "")
 
 
-def _warn_ignored(ctx: MasterContext) -> None:
+def _warn_cache(ctx) -> None:
+    """One warning on stderr per ignored cache file and one for a failed
+    cache write; neither changes the answer or the exit code."""
     for path in ctx.ignored_cache_files:
         print(f"warning: ignoring incompatible cache file {path}; recomputing",
               file=sys.stderr)
     ctx.ignored_cache_files.clear()
+    if ctx.cache_write_error is not None:
+        print(f"warning: cache not written: {ctx.cache_write_error}", file=sys.stderr)
 
 
-def _pair_value(ctx: MasterContext | None, which: str, mu, mt) -> PolyQU:
-    if which == "V":
-        return V_poly(ctx, mt if mt is not None else mu)
-    if which == "Vprime":
-        return Vprime_poly(ctx, mt if mt is not None else mu)
-    if which == "U":
-        return U_poly(ctx, mu)
-    if which == "Uprime":
-        return Uprime_poly(ctx, mu)
-    if which == "T":
-        return T_poly(ctx, mu)
+def _kron_value(ctx, mu) -> PolyQU:
     return PolyQU.const(kronecker(mu))
 
 
+def _family(which: str, k: int, n: int, cache_dir: str):
+    """The function (ctx, key) -> polynomial of a family and the context it
+    reads; kron needs neither the pipeline nor a context."""
+    if which == "kron":
+        return _kron_value, None
+    from . import multiplicities as m
+
+    value = {"V": m.V_poly, "Vprime": m.Vprime_poly, "U": m.U_poly,
+             "Uprime": m.Uprime_poly, "T": m.T_poly}[which]
+    return value, m.build_context(k, n, cache_dir)
+
+
 def cmd_pair(req: argparse.Namespace) -> int:
-    mu = mt = None
     if req.type_literal is not None:
         if req.which not in ("V", "Vprime"):
             raise UsageError("--type is only valid with --which V or Vprime")
-        mt = parse_multitype(req.type_literal)
-        k, n = len(mt), type_size(mt[0])
-        labels = [type_to_text(c) for c in mt]
-    elif req.mu is not None:
-        mu = parse_multipartition(req.mu)
-        k, n = len(mu), size(mu[0])
+        from .types import parse_multitype, type_size, type_to_text
+
+        key = parse_multitype(req.type_literal)
+        k, n = len(key), type_size(key[0])
+        labels = [type_to_text(c) for c in key]
+    else:
+        key = parse_multipartition(req.mu)
+        k, n = len(key), size(key[0])
         if n < 1:
             raise UsageError(f"--mu must have size at least 1, got {n}")
-        labels = [partition_to_text(c) for c in mu]
-    else:
-        raise UsageError("one of --mu or --type is required")
+        labels = [partition_to_text(c) for c in key]
     if req.k is not None and req.k != k:
         raise UsageError(f"--k {req.k} does not match literal with {k} components")
 
-    ctx = None
-    if req.which != "kron":
-        ctx = build_context(k, n, req.cache_dir)
-    val = _pair_value(ctx, req.which, mu, mt)
+    value, ctx = _family(req.which, k, n, req.cache_dir)
+    val = value(ctx, key)
     if ctx is not None:
-        _warn_ignored(ctx)
+        _warn_cache(ctx)
 
     if req.fmt == "text":
         print(poly_to_str(val))
     elif req.fmt == "json":
         obj = {"which": req.which, "k": k, "n": n,
-               ("type" if mt is not None else "mu"): labels,
+               ("mu" if req.type_literal is None else "type"): labels,
                "poly": poly_to_json(val), "text": poly_to_str(val)}
         print(json.dumps(obj, separators=(",", ":")))
     elif req.fmt == "csv":
@@ -132,11 +125,11 @@ def cmd_pair(req: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _table_rows(ctx: MasterContext | None, which: str, k: int, n: int):
+def _table_rows(value, ctx, k: int, n: int):
     parts = sorted(enumerate_partitions(n))
     rows = []
     for mu in combinations_with_replacement(parts, k):
-        val = _pair_value(ctx, which, mu, None)
+        val = value(ctx, mu)
         if not val.is_zero():
             rows.append((mu, val))
     return rows
@@ -179,26 +172,33 @@ def format_table(rows, which: str, k: int, n: int, fmt: str) -> str:
 
 def cmd_table(req: argparse.Namespace) -> int:
     k = req.k if req.k is not None else 3
-    ctx = None
-    if req.which != "kron":
-        ctx = build_context(k, req.n, req.cache_dir)
+    value, ctx = _family(req.which, k, req.n, req.cache_dir)
+    if ctx is not None:
         if req.which in ("V", "Vprime"):
             ctx.psi_schur(req.n)
         else:
             ctx.tau_schur(req.n)
-        _warn_ignored(ctx)
-    rows = _table_rows(ctx, req.which, k, req.n)
+        _warn_cache(ctx)
+    rows = _table_rows(value, ctx, k, req.n)
     out = format_table(rows, req.which, k, req.n, req.fmt)
     if out:
         print(out)
     return EXIT_OK
 
 
+def verify_suite(ctx):
+    """Lazy multiplicities.verify_suite, wrapped by perfbench; ROADMAP item 2 removes it."""
+    from .multiplicities import verify_suite as run_suite
+    return run_suite(ctx)
+
+
 def cmd_verify(req: argparse.Namespace) -> int:
+    from .multiplicities import build_context
+
     k = req.k if req.k is not None else 3
     ctx = build_context(k, req.n, req.cache_dir)
     report = verify_suite(ctx)
-    _warn_ignored(ctx)
+    _warn_cache(ctx)
     if req.fmt == "json":
         print(json.dumps(report.to_json(), separators=(",", ":")))
     else:
@@ -211,6 +211,8 @@ def cmd_cache(req: argparse.Namespace) -> int:
     cache_dir = req.cache_dir
     if not cache_dir:
         raise UsageError('cache needs a directory; --cache-dir "" means no cache')
+    from .multiplicities import build_context, cache_path, clear_cache, expand_orbits
+
     if req.action == "clear":
         removed = clear_cache(cache_dir, req.k)
         print(f"removed {len(removed)} cache file(s) from {cache_dir}")
@@ -227,7 +229,7 @@ def cmd_cache(req: argparse.Namespace) -> int:
             raise ctx.cache_write_error
         verb = "kept" if existed and path not in ctx.ignored_cache_files else "wrote"
         print(f"{verb} {path} ({len(expand_orbits(table))} entries)")
-    _warn_ignored(ctx)
+    _warn_cache(ctx)
     return EXIT_OK
 
 
@@ -249,8 +251,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pair", help="one multiplicity polynomial")
     p.add_argument("--which", choices=WHICH_CHOICES, required=True)
-    p.add_argument("--mu", help='multipartition literal, e.g. "1^4,1^4,1^4"')
-    p.add_argument("--type", dest="type_literal",
+    literal = p.add_mutually_exclusive_group(required=True)
+    literal.add_argument("--mu", help='multipartition literal, e.g. "1^4,1^4,1^4"')
+    literal.add_argument("--type", dest="type_literal",
                    help='multitype literal, e.g. "1:2.1,1:2.1,2:1;1:1"')
     common(p)
 

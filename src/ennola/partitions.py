@@ -152,11 +152,25 @@ def partition_to_text(lam: Partition) -> str:
 
 
 class ParseError(ValueError):
-    """Raised with a position when a partition or type literal is malformed."""
+    """Raised with a position when a partition or type literal is malformed:
+    pos is the offset in text, the literal as given, of the piece at fault."""
 
     def __init__(self, text: str, pos: int, message: str):
-        self.text, self.pos = text, pos
+        self.text, self.pos, self.message = text, pos, message
         super().__init__(f"{message} at position {pos} in {text!r}")
+
+    def within(self, text: str, offset: int) -> ParseError:
+        """The same error in an enclosing literal where this one's text
+        starts at offset."""
+        return ParseError(text, offset + self.pos, self.message)
+
+
+def split_at(text: str, sep: str):
+    """(offset, piece) for each sep-separated piece of text."""
+    pos = 0
+    for piece in text.split(sep):
+        yield pos, piece
+        pos += len(piece) + len(sep)
 
 
 def parse_partition(text: str) -> Partition:
@@ -165,10 +179,8 @@ def parse_partition(text: str) -> Partition:
         raise ParseError(text, 0, "empty partition literal")
     if s == "0":
         return ()
-    sep = "," if "," in s else "."
     parts: list[int] = []
-    pos = 0
-    for piece in s.split(sep):
+    for pos, piece in split_at(text, "," if "," in s else "."):
         item = piece.strip()
         if "^" in item:
             base_s, _, exp_s = item.partition("^")
@@ -178,7 +190,6 @@ def parse_partition(text: str) -> Partition:
         if base < 1 or exp < 1:
             raise ParseError(text, pos, "parts and exponents must be >= 1")
         parts.extend([base] * exp)
-        pos += len(piece) + 1
     try:
         return check_partition(parts)
     except ValueError:
@@ -194,12 +205,17 @@ def _parse_int(text: str, pos: int, s: str) -> int:
 
 def parse_multipartition(text: str) -> MultiPartition:
     """Comma-separated list of dot-form partitions, e.g. "1^4,2.1.1,2^2"."""
-    pieces = text.split(",")
-    mu = tuple(parse_partition(p) for p in pieces)
-    sizes = {size(m) for m in mu}
-    if len(sizes) > 1:
-        raise ParseError(text, 0, f"components must have equal size, got {sorted(sizes)}")
-    return mu
+    mu: list[Partition] = []
+    for pos, piece in split_at(text, ","):
+        try:
+            lam = parse_partition(piece)
+        except ParseError as exc:
+            raise exc.within(text, pos) from None
+        if mu and size(lam) != size(mu[0]):
+            raise ParseError(text, pos, "components must have equal size, got "
+                             f"{size(mu[0])} and {size(lam)}")
+        mu.append(lam)
+    return tuple(mu)
 
 
 def multipartition_to_text(mu: MultiPartition) -> str:

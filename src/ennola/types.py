@@ -25,6 +25,7 @@ from .partitions import (
     enumerate_partitions,
     n_stat,
     size,
+    split_at,
 )
 from .symfunc import SymFunc, mobius, schur_symfunc
 
@@ -167,40 +168,37 @@ def a_prime_poly(tau: TypeEntries) -> PolyQU:
 
 
 def parse_type(text: str) -> TypeEntries:
-    raw = text.strip()
-    if not raw:
-        raise ParseError(raw, 0, "empty type literal")
+    if not text.strip():
+        raise ParseError(text, 0, "empty type literal")
     entries = []
-    pos = 0
-    for piece in raw.split(";"):
+    for pos, piece in split_at(text, ";"):
         body = piece.strip()
         if ":" not in body:
-            raise ParseError(body, pos, "type entry needs 'd:parts'")
+            raise ParseError(text, pos, "type entry needs 'd:parts'")
         d_text, rest = body.split(":", 1)
         if not d_text.strip().isdigit():
-            raise ParseError(d_text, pos, "bad degree")
+            raise ParseError(text, pos, f"bad degree {d_text!r}")
         d = int(d_text)
         if "^" in rest:
             parts_text, m_text = rest.rsplit("^", 1)
             if not m_text.strip().isdigit():
-                raise ParseError(m_text, pos, "bad multiplicity")
+                raise ParseError(text, pos, f"bad multiplicity {m_text!r}")
             m = int(m_text)
         else:
             parts_text, m = rest, 1
         parts = []
         for p in parts_text.split("."):
             if not p.strip().isdigit():
-                raise ParseError(p, pos, "bad part")
+                raise ParseError(text, pos, f"bad part {p!r}")
             parts.append(int(p))
         lam = tuple(parts)
         try:
             check_partition(lam)
         except ValueError as e:
-            raise ParseError(parts_text, pos, str(e)) from None
+            raise ParseError(text, pos, str(e)) from None
         if d < 1 or m < 1 or not lam:
-            raise ParseError(body, pos, "degree and multiplicity must be positive")
+            raise ParseError(text, pos, "degree and multiplicity must be positive")
         entries.append((d, lam, m))
-        pos += len(piece) + 1
     return make_type(entries)
 
 
@@ -215,11 +213,16 @@ def type_to_text(tau: TypeEntries) -> str:
 
 
 def parse_multitype(text: str) -> tuple[TypeEntries, ...]:
-    comps = tuple(parse_type(piece) for piece in text.split(","))
-    sizes = {type_size(c) for c in comps}
-    if len(sizes) > 1:
-        raise ParseError(text, 0, "type components have different sizes")
-    return comps
+    comps: list[TypeEntries] = []
+    for pos, piece in split_at(text, ","):
+        try:
+            tau = parse_type(piece)
+        except ParseError as exc:
+            raise exc.within(text, pos) from None
+        if comps and type_size(tau) != type_size(comps[0]):
+            raise ParseError(text, pos, "type components have different sizes")
+        comps.append(tau)
+    return tuple(comps)
 
 
 def multitype_to_text(omega: tuple[TypeEntries, ...]) -> str:

@@ -134,8 +134,17 @@ class TestPairErrors:
         assert "only valid" in err
 
     def test_missing_mu(self, capsys, cache_dir):
-        rc, _, err = run(capsys, "pair", "--which", "U", "--cache-dir", cache_dir)
-        assert rc == EXIT_USAGE
+        with pytest.raises(SystemExit) as exc:
+            main(["pair", "--which", "U", "--cache-dir", cache_dir])
+        assert exc.value.code == EXIT_USAGE
+        assert "one of the arguments --mu --type is required" in capsys.readouterr().err
+
+    def test_mu_and_type_together(self, capsys, cache_dir):
+        with pytest.raises(SystemExit) as exc:
+            main(["pair", "--which", "V", "--type", "1:1,1:1,1:1", "--mu", "1,1,1",
+                  "--cache-dir", cache_dir])
+        assert exc.value.code == EXIT_USAGE
+        assert "not allowed with argument" in capsys.readouterr().err
 
     def test_unknown_which_is_argparse_error(self, cache_dir):
         with pytest.raises(SystemExit) as exc:
@@ -455,6 +464,22 @@ class TestCache:
         assert rc == EXIT_IO
         assert "error:" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("pair", "--which", "V", "--mu", "2.1,2.1,2.1"),
+        ("table", "--which", "V", "--n", "2"),
+        ("verify", "--n", "2"),
+    ])
+    def test_failed_cache_write_warns_once(self, capsys, tmp_path, argv):
+        # a regular file as the cache directory: the answer and the exit
+        # code are those of a run without a cache, plus one warning
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        rc, out, err = run(capsys, *argv, "--cache-dir", str(blocker))
+        assert (rc, out) == run(capsys, *argv, "--cache-dir", "")[:2]
+        assert err.startswith("warning: cache not written: ")
+        assert err.count("\n") == 1
+        assert blocker.read_text() == ""
+
     @pytest.mark.parametrize("which,expected", [("U", "q + 1"), ("V", "q")])
     def test_cache_missing_an_entry_is_ignored(self, capsys, tmp_path, which, expected):
         # a well-formed cache file with one entry dropped must not change
@@ -558,7 +583,8 @@ class TestStartupImports:
     interpreter holds after the CLI queries below, minus those it holds
     after `python -c pass` (site may preload some, typing among them),
     include none of the heavy standard modules that dataclasses and
-    fractions would pull in."""
+    fractions would pull in; and the Kronecker queries, --help and usage
+    errors load none of the pipeline's modules."""
 
     HEAVY = {"dataclasses", "inspect", "fractions", "decimal", "numbers", "typing"}
 
@@ -572,11 +598,29 @@ class TestStartupImports:
         ["cache", "build", "--n", "2"],
     ]
 
+    PIPELINE = {"ennola.multiplicities", "ennola.symfunc", "ennola.hall_littlewood",
+                "ennola.types"}
+
+    NO_PIPELINE_QUERIES = [
+        ["pair", "--which", "kron", "--mu", "2.1,2.1,1^3"],
+        ["table", "--which", "kron", "--n", "3"],
+        ["pair", "--which", "V", "--mu", "2.1,2"],
+        ["pair", "--which", "V", "--mu", "1,1,1", "--type", "1:1,1:1,1:1"],
+        ["--help"],
+    ]
+
     CHILD = """
 import json, sys
 import ennola.cli
+
+def code(argv):
+    try:
+        return ennola.cli.main(argv)
+    except SystemExit as exc:
+        return exc.code
+
 queries, cache = json.loads(sys.argv[1]), sys.argv[2]
-print([ennola.cli.main(q + ["--cache-dir", cache]) for q in queries])
+print([code(q + ["--cache-dir", cache]) for q in queries])
 print(" ".join(sys.modules))
 """
 
@@ -598,3 +642,13 @@ print(" ".join(sys.modules))
         loaded = set(modules.split()) - base
         assert "ennola.multiplicities" in loaded
         assert not loaded & self.HEAVY, sorted(loaded & self.HEAVY)
+
+    def test_kron_and_usage_errors_load_no_pipeline(self, tmp_path):
+        cache = tmp_path / "cache"
+        *_, codes, modules = self._child(self.CHILD, json.dumps(self.NO_PIPELINE_QUERIES),
+                                         str(cache))
+        assert codes == str([EXIT_OK, EXIT_OK, EXIT_USAGE, EXIT_USAGE, EXIT_OK])
+        loaded = set(modules.split())
+        assert "ennola.characters" in loaded
+        assert not loaded & self.PIPELINE, sorted(loaded & self.PIPELINE)
+        assert not cache.exists()

@@ -10,7 +10,13 @@ import pytest
 
 from ennola.coeffs import ONE, Q, ZERO, poly_exact_div
 from ennola.hall_littlewood import extend_to_type, transformed_hl
-from ennola.partitions import ParseError, dual, enumerate_partitions, size
+from ennola.partitions import (
+    ParseError,
+    dual,
+    enumerate_partitions,
+    parse_multipartition,
+    size,
+)
 from ennola.symfunc import GradedSeries, SymFunc, schur_symfunc
 from ennola.types import (
     a_prime_poly,
@@ -320,6 +326,22 @@ class TestTextForms:
         for bad in ["", "x:1", "1:", "1:0", "1:2.1^0", "0:1"]:
             with pytest.raises(ParseError):
                 parse_type(bad)
+        # each error quotes the whole literal, at the offset of the bad piece
+        for parse, bad, pos in [
+            (parse_type, "1:1;x:1", 4),
+            (parse_type, "2:1; 1:2.x", 4),
+            (parse_multitype, "1:1,1:1,1:1;", 12),
+            (parse_multitype, "1:1,1:x,1:1", 4),
+            (parse_multitype, "1:1,1:2,1:1", 4),
+            (parse_multipartition, "1.1,2,a", 6),
+            (parse_multipartition, "1.1,2^x,2", 4),
+            (parse_multipartition, "2,1.1,3", 6),
+            (parse_multipartition, "2.1,,2.1", 4),
+        ]:
+            with pytest.raises(ParseError) as exc:
+                parse(bad)
+            assert (exc.value.text, exc.value.pos) == (bad, pos)
+            assert str(exc.value).endswith(f" at position {pos} in {bad!r}")
 
     def test_multitype(self):
         omega = parse_multitype("1:1^2,2:1")
