@@ -211,7 +211,7 @@ def cmd_cache(req: argparse.Namespace) -> int:
     cache_dir = req.cache_dir
     if not cache_dir:
         raise UsageError('cache needs a directory; --cache-dir "" means no cache')
-    from .multiplicities import build_context, cache_path, clear_cache, expand_orbits
+    from .multiplicities import build_context, cache_path, clear_cache
 
     if req.action == "clear":
         removed = clear_cache(cache_dir, req.k)
@@ -228,7 +228,7 @@ def cmd_cache(req: argparse.Namespace) -> int:
         if ctx.cache_write_error is not None:
             raise ctx.cache_write_error
         verb = "kept" if existed and path not in ctx.ignored_cache_files else "wrote"
-        print(f"{verb} {path} ({len(expand_orbits(table))} entries)")
+        print(f"{verb} {path} ({len(table)} entries)")
     _warn_cache(ctx)
     return EXIT_OK
 

@@ -391,13 +391,16 @@ def poly_to_json(p: PolyQU) -> list[list]:
 
 
 def poly_from_json(data) -> PolyQU:
-    """Inverse of poly_to_json for integer coefficients; any other
-    coefficient raises ValueError or TypeError."""
+    """Inverse of poly_to_json for integer coefficients and exponents; any
+    other coefficient, and an exponent that is not an int >= 0, raises
+    ValueError or TypeError."""
     terms = {}
     for cstr, i, j in data:
         if not isinstance(cstr, str):
             raise TypeError(f"coefficient {cstr!r} is not a decimal string")
-        terms[(int(i), int(j))] = int(cstr)
+        if not all(type(e) is int and e >= 0 for e in (i, j)):
+            raise ValueError(f"exponents ({i!r}, {j!r}) are not ints >= 0")
+        terms[(i, j)] = int(cstr)
     return PolyQU(terms)
 
 

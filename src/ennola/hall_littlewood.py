@@ -21,7 +21,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .coeffs import ZERO, PolyQU
-from .partitions import Partition, dual, n_stat, size
+from .partitions import MultiPartition, Partition, dual, n_stat, size
 from .symfunc import SymFunc
 
 
@@ -83,12 +83,11 @@ def transformed_kostka(nu: Partition, lam: Partition) -> PolyQU:
 
 
 @lru_cache(maxsize=None)
-def transformed_hl(lam: Partition) -> SymFunc:
-    """Modified Hall-Littlewood function indexed by lam, one alphabet, on
-    the Schur basis: only s_nu with nu dominating lam occur."""
-    coeffs = {(nu,): transformed_kostka(nu, lam)
-              for nu in sorted(_q_prime(lam), reverse=True)}
-    return SymFunc(1, size(lam), "s", coeffs)
+def transformed_hl(lam: Partition) -> dict[MultiPartition, PolyQU]:
+    """The Schur table of the modified Hall-Littlewood function indexed by
+    lam, one alphabet: only s_nu with nu dominating lam occur, in
+    enumeration order.  Cached and shared, so no caller mutates it."""
+    return {(nu,): transformed_kostka(nu, lam) for nu in sorted(_q_prime(lam), reverse=True)}
 
 
 def extend_to_type(family, entries) -> SymFunc:
@@ -96,11 +95,11 @@ def extend_to_type(family, entries) -> SymFunc:
     alphabet power index multiplied by d and q replaced by q^d, taken m times.
 
     `family` maps a partition to a one-alphabet SymFunc; the result is
-    again one-alphabet, on the power-sum basis.
+    again one-alphabet.
     """
     out = SymFunc.one(1)
     for d, lam, m in entries:
-        piece = family(lam).to_powersum().adams(d)
+        piece = family(lam).adams(d)
         for _ in range(m):
             out = out.multiply(piece)
     return out

@@ -62,7 +62,6 @@ from .symfunc import (
     basis_bound,
     change_basis_packed,
     mobius,
-    orbit,
     tensor_expand,
 )
 from .types import (
@@ -74,7 +73,7 @@ from .types import (
     dual_type,
 )
 
-CACHE_VERSION = 2
+CACHE_VERSION = 3
 MINUS_ONE = ONE.scale(-1)
 
 
@@ -136,11 +135,13 @@ def as_multitype(arg) -> tuple[TypeEntries, ...]:
 class MasterContext:
     """Shared state for one (k, N): the kernel series, the master series,
     its u-exponential, and per-degree Schur coefficient tables.  All the
-    heavy series are built lazily.  A disk cache holds one file of master
-    series Schur coefficients per degree: a V or V' query of size n reads
-    only the degree-n file and never builds the master series, and the
-    T, U, U' and verify queries rebuild the master series from all N
-    files.  A failed cache write does not stop a query; it is kept in
+    heavy series are built lazily.  A disk cache holds one file per degree,
+    the master series' Schur table, and only psi_schur writes one.  So a
+    V or V' query of size n reads and writes only the degree-n file and
+    never builds the master series from a warm cache; verify and
+    `cache build` write every degree; T, U and U' rebuild the master
+    series from all N files when each is present and never write one.  A
+    failed cache write does not stop a query; it is kept in
     cache_write_error."""
 
     def __init__(self, k: int, N: int, cache_dir: str | None = None):
@@ -204,7 +205,7 @@ class MasterContext:
             raise ValueError(f"degree {n} outside 1..{self.N}")
         table = self._load_cached(n) if self.cache_dir else None
         if table is None:
-            table = _schur_table(self.psi.coeffs[n])
+            table = self.psi.coeffs[n].to_schur()
             if self.cache_dir:
                 try:
                     save_cache(self.cache_dir, self.k, n, table)
@@ -235,7 +236,7 @@ class MasterContext:
         coeffs = [SymFunc.zero(self.k, 0)]
         for n, table in enumerate(tables, start=1):
             self._psi_schur[n] = table
-            coeffs.append(SymFunc(self.k, n, "s", table).to_powersum())
+            coeffs.append(SymFunc.from_schur(self.k, n, table))
         return GradedSeries(self.k, self.N, coeffs)
 
     def tau_schur(self, n: int) -> dict[MultiPartition, PolyQU]:
@@ -244,8 +245,7 @@ class MasterContext:
             return self._tau_schur[n]
         if not 1 <= n <= self.N:
             raise ValueError(f"degree {n} outside 1..{self.N}")
-        table = _schur_table(self.exp_u_psi.coeffs[n])
-        table = {key: _div_u(p, key) for key, p in table.items()}
+        table = {key: _div_u(p, key) for key, p in self.exp_u_psi.coeffs[n].to_schur().items()}
         self._tau_schur[n] = table
         return table
 
@@ -254,12 +254,6 @@ def _factorial_dens(k: int, N: int) -> list[PolyQU]:
     """(n!)^k for n = 0..N, the denominators of the master series, of
     Exp(u Psi) and of the product-oracle series."""
     return [PolyQU.const(factorial(n) ** k) for n in range(N + 1)]
-
-
-def _schur_table(f: SymFunc) -> dict[MultiPartition, PolyQU]:
-    """The Schur coefficients of f, which must be polynomials, sorted by
-    multipartition."""
-    return dict(sorted(f.to_schur().over(ONE).coeffs.items()))
 
 
 def _div_u(p: PolyQU, key) -> PolyQU:
@@ -298,7 +292,7 @@ def _build_omega(k: int, N: int) -> GradedSeries:
         q_shift = max(min(i for i, _ in p.terms) for p in a.values())  # S
         den = Q**q_shift * q_pochhammer(n)
         terms = [(poly_exact_div(den, a_lam),
-                  [(nu, v) for (nu,), v in transformed_hl(lam).coeffs.items()])
+                  [(nu, v) for (nu,), v in transformed_hl(lam).items()])
                  for lam, a_lam in a.items()]
         bound = sum(_norm1(start) * max(_norm1(v) for _, v in items) ** k
                     for start, items in terms)
@@ -311,7 +305,7 @@ def _build_omega(k: int, N: int) -> GradedSeries:
             for key, c in tensor_expand([packed] * k, pack(start, B, W)):
                 acc[key] = acc.get(key, 0) + c
         nums = change_basis_packed(k, n, acc, to_powersum=True)
-        omega_n = SymFunc(k, n, "p", {key: unpack(v, B, W) for key, v in nums.items()})
+        omega_n = SymFunc(k, n, {key: unpack(v, B, W) for key, v in nums.items()})
         coeffs.append(omega_n.divide(den * fk[n]).over(fk[n] * q_pochhammer(n)))
     return GradedSeries(k, N, coeffs)
 
@@ -337,7 +331,7 @@ def H_omega(ctx: MasterContext, omega) -> PolyQU:
         raise ValueError(f"expected {ctx.k} components, got {len(mt)}")
     table = ctx.psi_schur(type_size(mt[0]))
     total = PolyQU()
-    for combo in product(*(schur_of_type(tau).coeffs.items() for tau in mt)):
+    for combo in product(*(schur_of_type(tau).items() for tau in mt)):
         p = table.get(tuple(sorted(nu for (nu,), _ in combo)))
         if p is not None:
             total = total + prod((c for _, c in combo), start=p)
@@ -422,7 +416,7 @@ def _product_oracle(k: int, N: int, ctx: MasterContext | None, log_terms):
     dens = _factorial_dens(k, N)
     ser = log_sum.over(dens).plain_exp(dens)
     return {(n, key): p for n in range(1, N + 1)
-            for key, p in _schur_table(ser.coeffs[n]).items()}
+            for key, p in ser.coeffs[n].to_schur().items()}
 
 
 def _uprime_log_terms(r: GradedSeries):
@@ -594,11 +588,10 @@ def cache_path(cache_dir: str, k: int, n: int) -> str:
 
 
 def save_cache(cache_dir: str, k: int, n: int, table: dict[MultiPartition, PolyQU]) -> str:
-    """Write a table of sorted keys with every ordering of each key, in
-    sorted order."""
+    """Write a Schur table, one entry per sorted key, in ascending order."""
     os.makedirs(cache_dir, exist_ok=True)
     entries = [{"mu": [partition_to_text(c) for c in mu], "poly": poly_to_json(p)}
-               for mu, p in sorted(expand_orbits(table).items())]
+               for mu, p in sorted(table.items())]
     payload = {"version": CACHE_VERSION, "k": k, "n": n, "count": len(entries),
                "sha256": _entries_digest(entries), "entries": entries}
     path = cache_path(cache_dir, k, n)
@@ -622,15 +615,10 @@ def _entries_digest(entries: list) -> str:
     return sha256(text.encode("utf-8")).hexdigest()
 
 
-def expand_orbits(table: dict[MultiPartition, PolyQU]) -> dict[MultiPartition, PolyQU]:
-    """A table of sorted keys with each key's value at every ordering of it."""
-    return {mu: p for key, p in table.items() for mu in orbit(key)}
-
-
 def load_cache(cache_dir: str, k: int, n: int) -> dict[MultiPartition, PolyQU] | None:
-    """The table of sorted keys of a cache file, or None when the file is
-    missing or malformed, holds a key that is not k partitions of n, or
-    does not hold the same polynomial at every ordering of a key."""
+    """The Schur table of a cache file, or None when the file is missing or
+    malformed, or holds a key that is not k partitions of n, is not
+    sorted or comes twice."""
     path = cache_path(cache_dir, k, n)
     try:
         with open(path, encoding="utf-8") as fh:
@@ -648,14 +636,19 @@ def load_cache(cache_dir: str, k: int, n: int) -> dict[MultiPartition, PolyQU] |
         entries = payload["entries"]
         if payload["count"] != len(entries) or payload["sha256"] != _entries_digest(entries):
             return None
-        full = {tuple(parse_partition(t) for t in entry["mu"]): poly_from_json(entry["poly"])
-                for entry in entries}
+        table = {}
+        for entry in entries:
+            texts = entry["mu"]
+            if not isinstance(texts, list) or not all(isinstance(t, str) for t in texts):
+                return None
+            table[tuple(map(parse_partition, texts))] = poly_from_json(entry["poly"])
     except (KeyError, TypeError, ValueError):
         return None
-    if any(len(mu) != k or any(size(c) != n for c in mu) for mu in full):
+    if len(table) != len(entries) or any(
+            len(mu) != k or list(mu) != sorted(mu) or any(size(c) != n for c in mu)
+            for mu in table):
         return None
-    table = {mu: p for mu, p in full.items() if list(mu) == sorted(mu)}
-    return table if expand_orbits(table) == full else None
+    return table
 
 
 def clear_cache(cache_dir: str, k: int | None = None) -> list[str]:

@@ -3,9 +3,9 @@ in a formal variable T, with plethystic exponential and logarithm.
 
 A SymFunc of degree n is an element of the n-th graded piece of
 Lambda(x_1) (x) ... (x) Lambda(x_k) over Q(q, u), stored sparsely on the
-power-sum or Schur basis indexed by k-tuples of partitions of n, as
-integer numerators in Z[q, u] over one denominator in Z[q] for the whole
-piece.  Nothing is reduced by a gcd: each stage of the pipeline knows the
+power-sum basis indexed by k-tuples of partitions of n, as integer
+numerators in Z[q, u] over one denominator in Z[q] for the whole piece.
+Nothing is reduced by a gcd: each stage of the pipeline knows the
 denominator of its pieces in closed form and rewrites them over it with
 SymFunc.over, one exact division per key.  Adding two pieces over
 different denominators takes their lcm.  Power sums are primitive, which
@@ -13,9 +13,13 @@ makes the Adams operation psi_m a key remap plus the monomial remap
 q -> q^m, u -> u^m; everything plethystic reduces to that, one Adams sum
 and one Newton recurrence for exp/log of graded series.
 
-Every function here is symmetric in the k alphabets, so a SymFunc keeps
-one key per orbit of their permutations: the sorted one, whose coefficient
-stands for each of its orderings (orbit).
+The Schur side has one form, the Schur table: a dict from sorted keys to
+integer polynomials, over the denominator 1.  to_schur reads it off a
+SymFunc and from_schur builds the SymFunc back from it.
+
+Every function here is symmetric in the k alphabets, so a SymFunc and a
+Schur table keep one key per orbit of their permutations: the sorted one,
+whose coefficient stands for each of its orderings (orbit).
 
 The Schur <-> power-sum change of basis is an integer-linear map of the
 numerators, so it runs on packed integers (coeffs.pack): each numerator is
@@ -133,17 +137,16 @@ def change_basis_packed(k: int, n: int, nums: dict, to_powersum: bool) -> dict:
     return {rho: v * (zk // _z_product(rho)) for (rho, _), v in cur.items()}
 
 
-def _change_basis(f: "SymFunc", to_powersum: bool) -> tuple[Coeffs, PolyQU]:
-    """The numerators and denominator of f on the other basis: each
-    numerator packed once with B from basis_bound, converted by
-    change_basis_packed, and unpacked once."""
+def _change_basis(f: "SymFunc", to_powersum: bool) -> Coeffs:
+    """The numerators of f's coefficients read on the other basis: each
+    packed once with B from basis_bound, converted by change_basis_packed,
+    and unpacked once."""
     top = max((abs(c) for p in f.coeffs.values() for c in p.terms.values()), default=0)
     B = (top * basis_bound(f.k, f.n, to_powersum)).bit_length() + 1
     W = 1 + max((p.qdeg() for p in f.coeffs.values()), default=0)
     nums = change_basis_packed(f.k, f.n, {key: pack(p, B, W) for key, p in f.coeffs.items()},
                                to_powersum)
-    den = f.den.scale(factorial(f.n) ** f.k) if to_powersum else f.den
-    return {key: unpack(v, B, W) for key, v in nums.items()}, den
+    return {key: unpack(v, B, W) for key, v in nums.items()}
 
 
 @lru_cache(maxsize=None)
@@ -161,35 +164,39 @@ def _merged_orbits(ka: MultiPartition, kb: MultiPartition) -> tuple:
 
 
 class SymFunc:
-    """Degree-n symmetric function on k alphabets, sparse on one basis:
-    integer numerators in Z[q, u] over the denominator den in Z[q], one
-    per sorted key (an orbit representative)."""
+    """Degree-n symmetric function on k alphabets, sparse on the power-sum
+    basis: integer numerators in Z[q, u] over the denominator den in Z[q],
+    one per sorted key (an orbit representative)."""
 
-    __slots__ = ("k", "n", "basis", "coeffs", "den")
+    __slots__ = ("k", "n", "coeffs", "den")
 
-    def __init__(self, k: int, n: int, basis: str, coeffs: Coeffs):
-        if basis not in ("p", "s"):
-            raise ValueError(f"unknown basis {basis!r}")
+    def __init__(self, k: int, n: int, coeffs: Coeffs):
         self.k = k
         self.n = n
-        self.basis = basis
         self.coeffs = {key: c for key, c in coeffs.items() if not c.is_zero()}
         if not all(map(_is_sorted, self.coeffs)):
             raise ValueError("a key is not sorted: keep one key per orbit")
         self.den = ONE
 
     @classmethod
-    def zero(cls, k: int, n: int, basis: str = "p") -> "SymFunc":
-        return cls(k, n, basis, {})
+    def zero(cls, k: int, n: int) -> "SymFunc":
+        return cls(k, n, {})
 
     @classmethod
     def one(cls, k: int) -> "SymFunc":
         """The unit, of degree 0."""
-        return cls(k, 0, "p", {((),) * k: ONE})
+        return cls(k, 0, {((),) * k: ONE})
 
-    def _with(self, coeffs: Coeffs, den: PolyQU, n: int | None = None,
-              basis: str | None = None) -> "SymFunc":
-        f = SymFunc(self.k, self.n if n is None else n, basis or self.basis, coeffs)
+    @classmethod
+    def from_schur(cls, k: int, n: int, table: Coeffs) -> "SymFunc":
+        """The degree-n function whose Schur table is table (sorted keys,
+        integer polynomials), over (n!)^k."""
+        schur = cls(k, n, table)  # checks the keys and drops zeros
+        return schur._with(_change_basis(schur, to_powersum=True),
+                           PolyQU.const(factorial(n) ** k))
+
+    def _with(self, coeffs: Coeffs, den: PolyQU, n: int | None = None) -> "SymFunc":
+        f = SymFunc(self.k, self.n if n is None else n, coeffs)
         f.den = den
         return f
 
@@ -199,26 +206,19 @@ class SymFunc:
     def __eq__(self, other) -> bool:
         if not isinstance(other, SymFunc):
             return NotImplemented
-        if (self.k, self.n) != (other.k, other.n):
-            return False
         a, b = self, other
-        if a.basis != b.basis:
-            a, b = a.to_powersum(), b.to_powersum()
-        if a.coeffs.keys() != b.coeffs.keys():
+        if (a.k, a.n) != (b.k, b.n) or a.coeffs.keys() != b.coeffs.keys():
             return False
         if a.den == b.den:
             return a.coeffs == b.coeffs
         return all(c * b.den == b.coeffs[key] * a.den for key, c in a.coeffs.items())
 
     def __repr__(self) -> str:
-        return (f"SymFunc(k={self.k}, n={self.n}, basis={self.basis!r}, "
-                f"{len(self.coeffs)} terms over {self.den})")
+        return f"SymFunc(k={self.k}, n={self.n}, {len(self.coeffs)} terms over {self.den})"
 
     def _check_compatible(self, other: "SymFunc") -> None:
         if self.k != other.k:
             raise ValueError("alphabet counts differ")
-        if self.basis != other.basis:
-            raise ValueError("bases differ; change basis first")
 
     def add(self, other: "SymFunc") -> "SymFunc":
         self._check_compatible(other)
@@ -284,12 +284,10 @@ class SymFunc:
         return self._with(out, den)
 
     def multiply(self, other: "SymFunc") -> "SymFunc":
-        """Product in the tensor algebra; power-sum basis only.  One
-        polynomial product per pair of representatives, added with its
-        orbit count at each key it reaches."""
+        """Product in the tensor algebra.  One polynomial product per pair
+        of representatives, added with its orbit count at each key it
+        reaches."""
         self._check_compatible(other)
-        if self.basis != "p":
-            raise ValueError("multiply requires the power-sum basis")
         out: Coeffs = {}
         for ka, ca in self.coeffs.items():
             for kb, cb in other.coeffs.items():
@@ -302,8 +300,6 @@ class SymFunc:
 
     def adams(self, m: int) -> "SymFunc":
         """psi_m: p_r -> p_{mr} on every alphabet, q -> q^m, u -> u^m."""
-        if self.basis != "p":
-            raise ValueError("adams requires the power-sum basis")
         if m == 1:
             return self
         qm, um = Q ** m, U ** m
@@ -317,22 +313,18 @@ class SymFunc:
         return self._with({key: c.subst(q=q, u=u) for key, c in self.coeffs.items()},
                           self.den.subst(q=q))
 
-    def to_powersum(self) -> "SymFunc":
-        if self.basis == "p":
-            return self
-        return self._with(*_change_basis(self, to_powersum=True), basis="p")
-
-    def to_schur(self) -> "SymFunc":
-        if self.basis == "s":
-            return self
-        return self._with(*_change_basis(self, to_powersum=False), basis="s")
+    def to_schur(self) -> Coeffs:
+        """The Schur table: each Schur coefficient divided exactly by den,
+        at the sorted keys in ascending order.  Raises NotPolynomialError
+        when a coefficient is not a polynomial."""
+        nums = self._with(_change_basis(self, to_powersum=False), self.den)
+        return dict(sorted(nums.over(ONE).coeffs.items()))
 
 
 def schur_symfunc(k: int, mu: MultiPartition) -> SymFunc:
     """The sum over the orbit of mu, a sorted key, of s_{mu^1}(x_1) ...
-    s_{mu^k}(x_k), on the power-sum basis."""
-    n = sum(mu[0]) if mu else 0
-    return SymFunc(k, n, "s", {mu: ONE}).to_powersum()
+    s_{mu^k}(x_k)."""
+    return SymFunc.from_schur(k, sum(mu[0]) if mu else 0, {mu: ONE})
 
 
 @lru_cache(maxsize=None)

@@ -17,6 +17,7 @@ from math import factorial
 from .coeffs import ONE, Q, ZERO, PolyQU
 from .hall_littlewood import extend_to_type
 from .partitions import (
+    MultiPartition,
     ParseError,
     Partition,
     a_poly,
@@ -27,7 +28,7 @@ from .partitions import (
     size,
     split_at,
 )
-from .symfunc import SymFunc, mobius, schur_symfunc
+from .symfunc import mobius, schur_symfunc
 
 TypeEntries = tuple[tuple[int, Partition, int], ...]
 
@@ -131,18 +132,18 @@ def enumerate_types(n: int) -> tuple[TypeEntries, ...]:
 
 
 @lru_cache(maxsize=None)
-def schur_of_type(tau: TypeEntries) -> SymFunc:
-    """Product over entries of s_{lam} with alphabet powers d and q -> q^d,
-    m times each; one alphabet, on the Schur basis, where the coefficients
-    are integers (over the denominator 1)."""
-    return extend_to_type(lambda lam: schur_symfunc(1, (lam,)), tau).to_schur().over(ONE)
+def schur_of_type(tau: TypeEntries) -> dict[MultiPartition, PolyQU]:
+    """The Schur table of the product over entries of s_{lam} with alphabet
+    powers d and q -> q^d, m times each; one alphabet, integer
+    coefficients.  Cached and shared, so no caller mutates it."""
+    return extend_to_type(lambda lam: schur_symfunc(1, (lam,)), tau).to_schur()
 
 
 def c_omega(tau: TypeEntries, mu: Partition) -> int:
     """Integer Schur coefficient <schur_of_type(tau), s_mu>."""
     if type_size(tau) != size(mu):
         raise ValueError(f"type size {type_size(tau)} != |mu| = {size(mu)}")
-    p = schur_of_type(tau).coeffs.get((mu,), ZERO)
+    p = schur_of_type(tau).get((mu,), ZERO)
     if p.is_zero():
         return 0
     if set(p.terms) != {(0, 0)}:

@@ -12,13 +12,13 @@ alphabets is the brute-force character-product sum, pairing every source
 key with every target key, with the alternant character values.  The
 kernel and the multitype pairing H_omega are recomputed on the power-sum
 basis, with the Hall pairing sum over rho of z_rho f_rho g_rho, where the
-library works on the Schur basis, and the kernel's degrees are summed with
+library works on Schur tables, and the kernel's degrees are summed with
 the lcm of the 1/a_lam terms, where the library uses a closed form.
 
 The library keeps one sorted key per orbit of the k alphabets'
 permutations.  The references here work on every ordered key instead:
 expand_orbits writes a table of sorted keys out in full, symmetrized sums
-a function given on ordered keys over its orbit, and multiply_reference
+a table given on ordered keys over its orbit, and multiply_reference
 and change_basis_reference are the product and the separable change of
 basis computed at every ordered key, with no use of the symmetry.
 
@@ -26,6 +26,10 @@ The split orbit count phi_d is written from its Moebius-inversion
 formula, where the library only specializes phi_u; the sign of
 V'(q) = +-V(-q) at a multipartition comes from the multipartition's
 statistics, where the library reads it off multitype statistics.
+
+unipotent_multiplicities_from_group owes nothing to symmetric functions:
+it counts U(q) at a prime q in GL_n(F_q) itself, from stable flags of the
+matrices over F_q.
 
 A single coefficient in Q(q, u) is represented here as a degree-0 SymFunc
 on one alphabet (`scalar`), so its equality is the library's
@@ -121,16 +125,17 @@ def _is_sorted(key: tuple) -> bool:
     return list(key) == sorted(key)
 
 
-def symmetrized(k: int, n: int, basis: str, coeffs: dict) -> SymFunc:
+def symmetrized(k: int, coeffs: dict) -> dict:
     """The sum over every permutation of the k alphabets of the function
-    with the given coefficients at ordered keys, as a SymFunc."""
+    with the given coefficients at ordered keys, as a table of sorted
+    keys."""
     out: dict = {}
     for key, c in coeffs.items():
         for perm in permutations(range(k)):
             new = tuple(key[i] for i in perm)
             if _is_sorted(new):
                 out[new] = out.get(new, ZERO) + c
-    return SymFunc(k, n, basis, out)
+    return out
 
 
 def multiply_reference(a: dict, b: dict) -> dict:
@@ -167,32 +172,42 @@ def change_basis_reference(coeffs: dict, k: int, n: int, to_powersum: bool) -> t
     return {rho: p.scale(zk // math.prod(map(z_lambda, rho))) for rho, p in nums.items()}, zk
 
 
-def change_basis_oracle(f: SymFunc) -> SymFunc:
-    """f on the other basis: <f, s_mu> = sum over rho of f_rho chi^mu(rho),
-    and f_rho = sum over mu of f_mu chi^mu(rho) / z_rho, one add per
-    (source key, target key) pair over every ordered key, over den times
-    the lcm of the z_rho.  The result must take one value on each orbit;
-    it comes back at the sorted keys."""
+def _sorted_reps(full: dict) -> dict:
+    """The sorted keys of a table given at every ordered key, which must
+    take one value on each orbit."""
+    full = {key: c for key, c in full.items() if c}
+    reps = {key: c for key, c in full.items() if _is_sorted(key)}
+    assert expand_orbits(reps) == full, "not symmetric in the alphabets"
+    return reps
+
+
+def schur_table_oracle(f: SymFunc) -> dict:
+    """The Schur table of f: <f, s_mu> = sum over rho of f_rho chi^mu(rho),
+    one add per (source key, target key) pair over every ordered key, each
+    sum then divided exactly by den (as_poly: NotPolynomialError when it
+    is not a polynomial)."""
     keys = multipartitions(f.k, f.n)
-    # 1/z_rho on the power-sum side, as (z_lcm / z_rho) / z_lcm
-    inv_z = {rho: 1 for rho in keys}
-    z_lcm = 1
-    if f.basis == "s":
-        zs = {rho: math.prod(map(z_lambda, rho)) for rho in keys}
-        z_lcm = math.lcm(*zs.values())
-        inv_z = {rho: z_lcm // z for rho, z in zs.items()}
     out: dict = {}
-    for key, c in expand_orbits(f.coeffs).items():
-        for other in keys:
-            mu, rho = (other, key) if f.basis == "p" else (key, other)
-            chi = _chi_product(mu, rho)
-            if chi:
-                out[other] = out.get(other, ZERO) + c.scale(chi * inv_z[rho])
-    out = {key: c for key, c in out.items() if c}
-    reps = {key: c for key, c in out.items() if _is_sorted(key)}
-    assert expand_orbits(reps) == out, "change of basis is not symmetric"
-    g = SymFunc(f.k, f.n, "s" if f.basis == "p" else "p", reps)
-    return g.divide(f.den.scale(z_lcm))
+    for rho, c in expand_orbits(f.coeffs).items():
+        for mu in keys:
+            if chi := _chi_product(mu, rho):
+                out[mu] = out.get(mu, ZERO) + c.scale(chi)
+    return {mu: as_poly(scalar(c, f.den)) for mu, c in sorted(_sorted_reps(out).items())}
+
+
+def from_schur_oracle(k: int, n: int, table: dict) -> SymFunc:
+    """The power-sum function with the given Schur table: f_rho = sum over
+    mu of t_mu chi^mu(rho) / z_rho, one add per (source key, target key)
+    pair over every ordered key, over the lcm of the z_rho."""
+    keys = multipartitions(k, n)
+    zs = {rho: math.prod(map(z_lambda, rho)) for rho in keys}
+    z_lcm = math.lcm(*zs.values())
+    out: dict = {}
+    for mu, c in expand_orbits(table).items():
+        for rho in keys:
+            if chi := _chi_product(mu, rho):
+                out[rho] = out.get(rho, ZERO) + c.scale(chi * (z_lcm // zs[rho]))
+    return SymFunc(k, n, _sorted_reps(out)).divide(z_lcm)
 
 
 def schur_coefficient_oracle(f: SymFunc, mu: tuple) -> SymFunc:
@@ -208,14 +223,13 @@ def pairing(f: SymFunc, g: SymFunc) -> SymFunc:
     of z_rho f_rho g_rho, with z_rho the product of the k one-alphabet z's."""
     if f.k != g.k or f.n != g.n:
         raise ValueError("pairing requires equal alphabet counts and degrees")
-    a, b = f.to_powersum(), g.to_powersum()
-    b_full = expand_orbits(b.coeffs)
+    g_full = expand_orbits(g.coeffs)
     total = ZERO
-    for rho, ca in expand_orbits(a.coeffs).items():
-        cb = b_full.get(rho)
+    for rho, ca in expand_orbits(f.coeffs).items():
+        cb = g_full.get(rho)
         if cb is not None:
             total = total + (ca * cb).scale(math.prod(map(z_lambda, rho)))
-    return scalar(total, a.den * b.den)
+    return scalar(total, f.den * g.den)
 
 
 def pleth_log(series: GradedSeries) -> GradedSeries:
@@ -224,14 +238,11 @@ def pleth_log(series: GradedSeries) -> GradedSeries:
 
 
 def _tensor_power(f: SymFunc, k: int) -> SymFunc:
-    """f(x_1) ... f(x_k) for a one-alphabet f, on the power-sum basis,
-    expanded at every ordered key and then kept at the sorted ones."""
-    f = f.to_powersum()
+    """f(x_1) ... f(x_k) for a one-alphabet f, expanded at every ordered
+    key and then kept at the sorted ones."""
     full = {tuple(rho for (rho,), _ in combo): math.prod((v for _, v in combo), start=ONE)
             for combo in product(f.coeffs.items(), repeat=k)}
-    reps = {key: c for key, c in full.items() if _is_sorted(key)}
-    assert expand_orbits(reps) == full
-    return SymFunc(k, f.n, "p", reps).divide(f.den ** k)
+    return SymFunc(k, f.n, _sorted_reps(full)).divide(f.den ** k)
 
 
 def omega_oracle(k: int, N: int) -> GradedSeries:
@@ -241,7 +252,8 @@ def omega_oracle(k: int, N: int) -> GradedSeries:
     for n in range(1, N + 1):
         acc = SymFunc.zero(k, n)
         for lam in enumerate_partitions(n):
-            acc = acc.add(_tensor_power(transformed_hl(lam), k).divide(a_poly(lam)))
+            hl = from_schur_oracle(1, n, transformed_hl(lam))
+            acc = acc.add(_tensor_power(hl, k).divide(a_poly(lam)))
         coeffs.append(acc)
     return GradedSeries(k, N, coeffs)
 
@@ -252,7 +264,7 @@ def H_omega_oracle(ctx, omega) -> PolyQU:
     a multitype, which is not symmetric."""
     mt = as_multitype(omega)
     n = type_size(mt[0])
-    comps = [schur_of_type(tau).to_powersum() for tau in mt]
+    comps = [from_schur_oracle(1, n, schur_of_type(tau)) for tau in mt]
     psi = ctx.psi.coeffs[n]
     den = math.prod((c.den for c in comps), start=psi.den)
     psi_full = expand_orbits(psi.coeffs)
@@ -428,3 +440,61 @@ def vprime_sign_reference(mu: tuple) -> int:
     k, n = len(mu), sum(mu[0])
     n_dual = sum(n_stat(dual(comp)) for comp in mu)
     return -1 if (k * (n + (n + 1) // 2) + n_dual + n + 1) % 2 else 1
+
+
+def _subspaces(n: int, q: int) -> list[list[frozenset]]:
+    """Every subspace of F_q^n as the frozenset of its vectors, listed by
+    dimension: each space of dimension d + 1 is one of dimension d plus
+    the multiples of one vector outside it."""
+    vectors = list(product(range(q), repeat=n))
+    by_dim = [[frozenset([(0,) * n])]]
+    for _ in range(n):
+        by_dim.append(list({
+            frozenset(tuple((a + c * b) % q for a, b in zip(x, v)) for x in space for c in range(q))
+            for space in by_dim[-1] for v in vectors if v not in space}))
+    return by_dim
+
+
+def unipotent_multiplicities_from_group(n: int, q: int, k: int) -> dict:
+    """U_mu(q) = (1/|G|) sum over g in G = GL_n(F_q) of prod_i chi^{mu^i}(g)
+    for every sorted key mu of k partitions of n, from the matrices over
+    F_q alone.  pi_lam(g), the number of g-stable flags of type lam, is
+    the permutation character on G/P_lam = sum over mu of K_{mu lam}
+    chi^mu, with Kostka numbers K from ssyt_count; so the unipotent
+    characters come from the pi_lam by forward substitution from (n),
+    the trivial character, down to 1^n, the Steinberg character.  The
+    elements are grouped by their vector of pi values, which is all the
+    characters see."""
+    vectors = list(product(range(q), repeat=n))
+    by_dim = _subspaces(n, q)
+    spaces = [space for dim in by_dim for space in dim]
+    shapes = sorted(enumerate_partitions(n), reverse=True)  # (n) first
+    flags = {}
+    for lam in shapes:
+        chains = [()]
+        for i in range(1, len(lam)):
+            chains = [c + (V,) for c in chains for V in by_dim[sum(lam[:i])]
+                      if not c or c[-1] <= V]
+        flags[lam] = chains
+    classes: dict = {}
+    for entries in product(range(q), repeat=n * n):
+        rows = [entries[i * n:(i + 1) * n] for i in range(n)]
+        image = {v: tuple(sum(r * x for r, x in zip(row, v)) % q for row in rows) for v in vectors}
+        if len(set(image.values())) < len(vectors):
+            continue  # not invertible
+        stable = {V for V in spaces if all(image[v] in V for v in V)}
+        pi = tuple(sum(all(V in stable for V in c) for c in flags[lam]) for lam in shapes)
+        classes[pi] = classes.get(pi, 0) + 1
+    chi: dict = {}
+    for j, lam in enumerate(shapes):
+        above = [(ssyt_count(mu, lam), chi[mu]) for mu in shapes[:j]]
+        chi[lam] = {pi: pi[j] - sum(K * c[pi] for K, c in above) for pi in classes}
+    order = sum(classes.values())
+    out = {}
+    for key in multipartitions(k, n):
+        if _is_sorted(key):
+            total = sum(count * math.prod(chi[mu][pi] for mu in key)
+                        for pi, count in classes.items())
+            assert total % order == 0, (key, total, order)
+            out[key] = total // order
+    return out

@@ -263,10 +263,10 @@ def test_criterion_9_property_suites(ctx5):
     # coefficients
     coeffs_a = [SymFunc.zero(1, i) for i in range(6)]
     coeffs_b = [SymFunc.zero(1, i) for i in range(6)]
-    coeffs_a[1] = SymFunc(1, 1, "p", {((1,),): ONE})
-    coeffs_a[3] = SymFunc(1, 3, "p", {((2, 1),): ONE}).divide(2)
-    coeffs_b[2] = SymFunc(1, 2, "p", {((2,),): U})
-    coeffs_b[4] = SymFunc(1, 4, "p", {((1, 1, 1, 1),): Q})
+    coeffs_a[1] = SymFunc(1, 1, {((1,),): ONE})
+    coeffs_a[3] = SymFunc(1, 3, {((2, 1),): ONE}).divide(2)
+    coeffs_b[2] = SymFunc(1, 2, {((2,),): U})
+    coeffs_b[4] = SymFunc(1, 4, {((1, 1, 1, 1),): Q})
     fa = GradedSeries(1, 5, coeffs_a)
     fb = GradedSeries(1, 5, coeffs_b)
     assert fa.add(fb).pleth_exp() == fa.pleth_exp().mul(fb.pleth_exp())
@@ -281,7 +281,7 @@ def test_criterion_9_property_suites(ctx5):
     for n in range(1, N + 1):
         acc = SymFunc.zero(1, n)
         for lam in enumerate_partitions(n):
-            f = transformed_hl(lam).to_powersum()
+            f = SymFunc.from_schur(1, n, transformed_hl(lam))
             acc = acc.add(f.divide(a_poly(lam)))
         series.append(acc)
     direct = pleth_log(GradedSeries(1, N, series))
@@ -292,7 +292,8 @@ def test_criterion_9_property_suites(ctx5):
             if not c:
                 continue
             f = extend_to_type(
-                lambda lam: transformed_hl(lam).to_powersum().divide(a_poly(lam)),
+                lambda lam: SymFunc.from_schur(1, sum(lam), transformed_hl(lam))
+                .divide(a_poly(lam)),
                 tau,
             )
             acc = acc.add(f.scale(c.numerator).divide(c.denominator))
@@ -314,8 +315,8 @@ def test_criterion_9_property_suites(ctx5):
             for b in shapes:
                 want = scalar(1 if a == b else 0)
                 assert pairing(fs[a], fs[b]) == want, (a, b)
-                pa = SymFunc(1, n, "p", {(a,): ONE})
-                pb = SymFunc(1, n, "p", {(b,): ONE})
+                pa = SymFunc(1, n, {(a,): ONE})
+                pb = SymFunc(1, n, {(b,): ONE})
                 wz = scalar(z_lambda(a) if a == b else 0)
                 assert pairing(pa, pb) == wz, (a, b)
 

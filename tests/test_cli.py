@@ -385,14 +385,14 @@ class TestCache:
         assert before == after  # rebuilding is byte-idempotent
 
     def test_build_prints_the_entries_in_each_file(self, capsys, tmp_path):
-        # the file holds every ordering of a key, and so does the count
+        # the file holds one entry per sorted key, and so does the count
         cache = str(tmp_path / "c")
         for verb in ("wrote", "kept"):
             rc, out, _ = run(capsys, "cache", "build", "--n", "4", "--cache-dir", cache)
             assert rc == EXIT_OK
             lines = out.splitlines()
             assert [line.split(" (")[1] for line in lines] == [
-                "1 entries)", "1 entries)", "4 entries)", "20 entries)"]
+                "1 entries)", "1 entries)", "2 entries)", "7 entries)"]
             for line in lines:
                 assert line.startswith(verb + " ")
                 path = line.split()[1]
@@ -505,9 +505,10 @@ class TestCache:
     @pytest.mark.parametrize("edited", [["1^3", "1^3", "2.1"], ["1^3", "2.1", "1^3"]])
     @pytest.mark.parametrize("which", ["V", "Vprime", "U", "T"])
     def test_orbit_members_that_disagree_are_ignored(self, capsys, tmp_path, edited, which):
-        # the file holds every ordering of a key; when two orderings carry
-        # different polynomials under a valid count and digest, the file is
-        # ignored and the answer is the one computed with no cache
+        # the file holds one entry per sorted key; a second entry of the
+        # same orbit, at the sorted key (a repeat) or at another ordering
+        # (an unsorted key), under a valid count and digest makes the file
+        # ignored, and the answer is the one computed with no cache
         import ennola.multiplicities as mult
 
         mu = "2.1,1^3,1^3"
@@ -517,15 +518,86 @@ class TestCache:
         run(capsys, "cache", "build", "--n", "3", "--cache-dir", cache)
         path = mult.cache_path(cache, 3, 3)
         payload = json.loads(Path(path).read_text())
-        hits = [e for e in payload["entries"] if e["mu"] == edited]
-        assert len(hits) == 1 and hits[0]["poly"] == [["1", 0, 0]]
-        hits[0]["poly"] = [["5", 0, 0]]
+        hits = [e for e in payload["entries"] if sorted(e["mu"]) == sorted(edited)]
+        assert [e["mu"] for e in hits] == [["1^3", "1^3", "2.1"]]
+        assert hits[0]["poly"] == [["1", 0, 0]]
+        payload["entries"].append({"mu": edited, "poly": [["5", 0, 0]]})
+        payload["count"] = len(payload["entries"])
         payload["sha256"] = mult._entries_digest(payload["entries"])
         Path(path).write_text(json.dumps(payload))
         rc, out, err = run(capsys, "pair", "--which", which, "--mu", mu, "--cache-dir", cache)
         assert rc == EXIT_OK
         assert out == want
         assert f"ignoring incompatible cache file {path}" in err
+
+    @pytest.mark.parametrize("field,value,queries", [
+        # each passed the count and digest checks and reached parse_partition
+        # or PolyQU unchecked
+        ("mu", [2, 2, 2], [("V", "2,2,2")]),
+        ("qdeg", -1, [("V", "1^3,1^3,1^3"), ("T", "2.1,2.1,1^3")]),
+        ("qdeg", 1.5, [("V", "1^3,1^3,1^3")]),
+        ("qdeg", True, [("V", "1^3,1^3,1^3")]),
+    ], ids=["int-partition-text", "negative-exponent", "float-exponent", "bool-exponent"])
+    def test_malformed_field_is_ignored(self, capsys, tmp_path, field, value, queries):
+        # one entry's field replaced under a rewritten digest: the file is
+        # ignored with one warning, and each answer is the no-cache one
+        import ennola.multiplicities as mult
+
+        for which, mu in queries:
+            rc, want, _ = run(capsys, "pair", "--which", which, "--mu", mu, "--cache-dir", "")
+            assert rc == EXIT_OK
+            cache = str(tmp_path / which)
+            n = 2 if field == "mu" else 3
+            run(capsys, "cache", "build", "--n", str(n), "--cache-dir", cache)
+            path = mult.cache_path(cache, 3, n)
+            payload = json.loads(Path(path).read_text())
+            entry = next(e for e in payload["entries"] if e["mu"] == ["1^%d" % n] * 3)
+            if field == "mu":
+                entry["mu"] = value
+            else:
+                entry["poly"][0][1] = value
+            payload["sha256"] = mult._entries_digest(payload["entries"])
+            Path(path).write_text(json.dumps(payload))
+            rc, out, err = run(capsys, "pair", "--which", which, "--mu", mu, "--cache-dir", cache)
+            assert (rc, out) == (EXIT_OK, want)
+            assert err == f"warning: ignoring incompatible cache file {path}; recomputing\n"
+
+    def test_v2_fixture_is_ignored(self, capsys, tmp_path):
+        # the committed version-2 files, every ordering of each key: the
+        # no-cache answer and one warning per file (the cold master series
+        # tries every degree), and a V query rewrites only its own degree
+        import shutil
+
+        cache = tmp_path / "c"
+        shutil.copytree(DATA / "cache_v2", cache)
+        want = run(capsys, "pair", "--which", "V", "--mu", "1^2,1^2,1^2", "--cache-dir", "")
+        rc, out, err = run(capsys, "pair", "--which", "V", "--mu", "1^2,1^2,1^2",
+                           "--cache-dir", str(cache))
+        assert (rc, out) == want[:2]
+        assert err.splitlines() == [f"warning: ignoring incompatible cache file "
+                                    f"{cache / name}; recomputing"
+                                    for name in ("psi_k3_n2.json", "psi_k3_n1.json")]
+        assert json.loads((cache / "psi_k3_n2.json").read_text())["version"] == 3
+        assert json.loads((cache / "psi_k3_n1.json").read_text())["version"] == 2
+
+    def test_only_v_queries_verify_and_build_write(self, capsys, tmp_path):
+        # psi_schur alone saves: a V or V' query writes its own degree,
+        # verify and cache build every degree, and T, U, U' none
+        every = ["psi_k3_n1.json", "psi_k3_n2.json", "psi_k3_n3.json"]
+        runs = [
+            (("table", "--which", "T", "--n", "3"), []),
+            (("pair", "--which", "U", "--mu", "2.1,2.1,1^3"), []),
+            (("pair", "--which", "Uprime", "--mu", "2.1,2.1,1^3"), []),
+            (("pair", "--which", "V", "--mu", "2.1,2.1,1^3"), ["psi_k3_n3.json"]),
+            (("pair", "--which", "Vprime", "--type", "2:1,2:1,2:1"), ["psi_k3_n2.json"]),
+            (("table", "--which", "V", "--n", "3"), ["psi_k3_n3.json"]),
+            (("verify", "--n", "3"), every),
+            (("cache", "build", "--n", "3"), every),
+        ]
+        for i, (argv, files) in enumerate(runs):
+            cache = tmp_path / str(i)
+            assert run(capsys, *argv, "--cache-dir", str(cache))[0] == EXIT_OK
+            assert (sorted(os.listdir(cache)) if cache.exists() else []) == files, argv
 
     def test_corrupt_cache_warns_and_recomputes(self, capsys, tmp_path):
         from ennola.multiplicities import cache_path

@@ -47,9 +47,9 @@ from ennola.types import enumerate_types, from_partition, make_type
 from oracles import (
     H_omega_oracle,
     expand_graded,
-    expand_orbits,
     omega_oracle,
     phi,
+    unipotent_multiplicities_from_group,
     vprime_sign_reference,
 )
 
@@ -415,6 +415,23 @@ class TestIntegerCoefficients:
             assert table and all(_is_integer_poly(p) for p in table.values())
 
 
+class TestUnipotentFromTheGroup:
+    """U(q) at a prime q against the same count made in GL_n(F_q) itself:
+    flag-counting permutation characters, unipotent characters by Kostka
+    forward substitution, and the average of their products over the
+    group (tests/oracles.py), a route that owes nothing to symmetric
+    functions."""
+
+    @pytest.mark.parametrize("n, q", [(2, 2), (2, 3), (2, 5), (3, 2)])
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_matches_the_group_count(self, n, q, k):
+        ctx = build_context(k, n, None)
+        got = unipotent_multiplicities_from_group(n, q, k)
+        assert len(got) == len(set(tuple(sorted(mu)) for mu in multipartitions(k, n)))
+        for mu, value in got.items():
+            assert U_poly(ctx, mu).evaluate(q) == value, mu
+
+
 class TestProductOracles:
     def test_oracles_match_main_route(self):
         ctx = build_context(3, 3, None)
@@ -687,34 +704,36 @@ class TestCache:
             assert table is not None, n
             assert table == ctx.psi_schur(n)
 
-    def test_file_holds_every_ordering_and_loads_the_sorted_keys(self, tmp_path):
+    def test_file_holds_one_entry_per_sorted_key(self, tmp_path):
         ctx = build_context(3, 4, None)
         table = ctx.psi_schur(4)
         assert all(list(mu) == sorted(mu) for mu in table)
         path = save_cache(str(tmp_path), 3, 4, table)
         entries = _read_json(path)["entries"]
         written = [tuple(parse_partition(t) for t in e["mu"]) for e in entries]
-        assert written == sorted(expand_orbits(table))
-        assert len(written) > len(table)
+        assert written == list(table) == sorted(table)
         assert load_cache(str(tmp_path), 3, 4) == table
 
-    @pytest.mark.parametrize("edit", ["change_sorted", "change_other", "drop_other",
-                                      "drop_sorted", "add_wrong_size", "add_wrong_k"])
+    @pytest.mark.parametrize("edit", ["change_sorted", "change_other", "drop_sorted",
+                                      "add_wrong_size", "add_wrong_k"])
     def test_bad_orbit_or_key_is_ignored(self, tmp_path, edit):
         # count and digest rewritten to match, so only the key checks can
-        # catch the change
+        # catch the change: a second, changed entry at a sorted key; a
+        # changed entry at another ordering of it; the sorted key's entry
+        # moved to another ordering; a key that is not k partitions of n
         cache = str(tmp_path)
         cold = build_context(3, 4, None)
         path = save_cache(cache, 3, 4, cold.psi_schur(4))
         payload = _read_json(path)
         entries = payload["entries"]
-        target = ("2.1^2", "2.1^2", "1^4") if edit.endswith("other") else ("1^4", "2.1^2",
-                                                                            "2.1^2")
-        i = next(i for i, e in enumerate(entries) if tuple(e["mu"]) == target)
-        if edit.startswith("change"):
-            entries[i]["poly"] = [["7", 1, 0]]
-        elif edit.startswith("drop"):
-            del entries[i]
+        i = next(i for i, e in enumerate(entries) if e["mu"] == ["1^4", "2.1^2", "2.1^2"])
+        other = ["2.1^2", "2.1^2", "1^4"]
+        if edit == "change_sorted":
+            entries.append({"mu": entries[i]["mu"], "poly": [["7", 1, 0]]})
+        elif edit == "change_other":
+            entries.append({"mu": other, "poly": [["7", 1, 0]]})
+        elif edit == "drop_sorted":
+            entries[i]["mu"] = other
         else:
             mu = ["1^3"] * 3 if edit == "add_wrong_size" else ["1^4"] * 2
             entries.append({"mu": mu, "poly": [["1", 0, 0]]})

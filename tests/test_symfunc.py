@@ -24,15 +24,16 @@ from ennola.symfunc import (
 )
 
 from oracles import (
-    change_basis_oracle,
     change_basis_reference,
     coefficient,
     expand_orbits,
+    from_schur_oracle,
     multiply_reference,
     pairing,
     pleth_log,
     scalar,
     schur_coefficient_oracle,
+    schur_table_oracle,
     symmetrized,
 )
 
@@ -45,15 +46,15 @@ def rat(n, d=1) -> SymFunc:
 
 
 def schur_coefficient(f: SymFunc, mu: tuple) -> SymFunc:
-    """<f, s_mu> for mu in any order, read at its sorted key."""
-    return coefficient(f.to_schur(), tuple(sorted(mu)))
+    """<f, s_mu> for mu in any order, read at its sorted key, as a scalar."""
+    return scalar(f.to_schur().get(tuple(sorted(mu)), ZERO))
 
 
 class TestSymFuncBasics:
     def test_zero_and_equality(self):
         z = SymFunc.zero(2, 3)
         assert z.is_zero()
-        assert z == SymFunc(2, 3, "p", {})
+        assert z == SymFunc(2, 3, {})
         f = schur_symfunc(1, ((2, 1),))
         assert not f.is_zero()
         assert f == f
@@ -81,8 +82,8 @@ class TestSymFuncBasics:
             shapes = enumerate_partitions(n)
             for a in shapes:
                 for b in shapes:
-                    fa = SymFunc(1, n, "p", {(a,): ONE})
-                    fb = SymFunc(1, n, "p", {(b,): ONE})
+                    fa = SymFunc(1, n, {(a,): ONE})
+                    fb = SymFunc(1, n, {(b,): ONE})
                     got = pairing(fa, fb)
                     expected = rat(z_lambda(a)) if a == b else ZERO_
                     assert got == expected, (a, b)
@@ -102,18 +103,22 @@ class TestSymFuncBasics:
         for k, key in ((2, ((2, 1), (1, 1, 1))), (3, ((1, 1), (2,), (1, 1))),
                        (4, ((2,), (1, 1), (1, 1), (2,)))):
             with pytest.raises(ValueError, match="not sorted"):
-                SymFunc(k, sum(key[0]), "p", {key: ONE})
+                SymFunc(k, sum(key[0]), {key: ONE})
             with pytest.raises(ValueError, match="not sorted"):
                 schur_symfunc(k, key)
+            with pytest.raises(ValueError, match="not sorted"):
+                SymFunc.from_schur(k, sum(key[0]), {key: ONE})
         # a zero coefficient is dropped before the check, a sorted key passes
-        assert SymFunc(2, 3, "s", {((2, 1), (1, 1, 1)): ZERO}).is_zero()
-        assert schur_symfunc(2, ((1, 1, 1), (2, 1))).basis == "p"
+        assert SymFunc(2, 3, {((2, 1), (1, 1, 1)): ZERO}).is_zero()
+        assert SymFunc.from_schur(2, 3, {((2, 1), (1, 1, 1)): ZERO}).is_zero()
+        assert schur_symfunc(2, ((1, 1, 1), (2, 1))).den == PolyQU.const(36)
+        # one basis only: a Schur table is a dict, never a SymFunc
+        assert not hasattr(SymFunc, "basis")
 
     def test_schur_powersum_roundtrip(self):
         for lam in [(3,), (2, 1), (1, 1, 1), (2, 2), (3, 2)]:
             f = schur_symfunc(1, (lam,))
-            back = f.to_schur().over(ONE)
-            assert back.coeffs == {(lam,): ONE}
+            assert f.to_schur() == {(lam,): ONE}
 
     def test_multiply_littlewood_richardson(self):
         # s_1 * s_1 = s_2 + s_(1,1)
@@ -130,14 +135,14 @@ class TestSymFuncBasics:
 
     def test_adams_on_powersums(self):
         # psi_m is multiplicative: p_rho -> p_{m*rho}
-        f = SymFunc(1, 3, "p", {((2, 1),): PolyQU.const(5)}).divide(Q - ONE)
+        f = SymFunc(1, 3, {((2, 1),): PolyQU.const(5)}).divide(Q - ONE)
         g = f.adams(2)
         assert g.n == 6
         assert g.coeffs == {((4, 2),): PolyQU.const(5)}
         assert g.den == Q**2 - ONE
 
     def test_subst_coeffs(self):
-        f = SymFunc(1, 1, "p", {((1,),): Q + U})
+        f = SymFunc(1, 1, {((1,),): Q + U})
         g = f.subst_coeffs(q=-Q)
         assert g.coeffs[((1,),)] == U - Q
 
@@ -158,11 +163,11 @@ class TestOneDenominator:
         half = rat(1, 2)
         assert half.den == PolyQU.const(2)
         assert half.add(half) == ONE_
-        a = SymFunc(1, 1, "p", {((1,),): Q + ONE})
-        b = SymFunc(1, 1, "p", {((1,),): Q**2 - ONE}).divide(Q - ONE)
+        a = SymFunc(1, 1, {((1,),): Q + ONE})
+        b = SymFunc(1, 1, {((1,),): Q**2 - ONE}).divide(Q - ONE)
         assert b.den == Q - ONE
         assert a == b
-        assert a.to_schur() == b
+        assert a.to_schur() == b.to_schur() == {((1,),): Q + ONE}
         assert scalar(0) == ZERO_ and ZERO_.is_zero() and not ONE_.is_zero()
 
     def test_scale_refuses_non_integer_coefficients(self):
@@ -198,6 +203,10 @@ class TestOneDenominator:
             scalar(ONE, Q - ONE).over(ONE)
         with pytest.raises(NotPolynomialError):
             scalar(ONE, Q - ONE).over(Q + ONE)
+        with pytest.raises(NotPolynomialError, match="not a polynomial"):
+            scalar(ONE, Q - ONE).to_schur()
+        with pytest.raises(NotPolynomialError, match="not a polynomial"):
+            schur_symfunc(1, ((2, 1),)).divide(2).to_schur()
 
     def test_field_laws(self):
         a = scalar(Q, Q**2 - ONE)
@@ -234,10 +243,11 @@ Q_FACTORS = [ONE, Q - ONE, Q + ONE, Q**2 + Q + ONE, Q.scale(2) + ONE.scale(3)]
 
 
 @st.composite
-def symfuncs(draw, basis: str, k: int | None = None, n: int | None = None) -> SymFunc:
-    """Sparse SymFuncs with k <= 4, n <= 4 (n <= 3 at k = 4), numerators
-    in Z[q, u] and a denominator mixing an integer and a factor in Z[q]:
-    random coefficients at ordered keys, summed over their orbits."""
+def integer_tables(draw, k: int | None = None, n: int | None = None) -> tuple:
+    """(k, n, table): k <= 4, n <= 4 (n <= 3 at k = 4) and a sparse table
+    of integer polynomials in q, u at sorted keys, random coefficients at
+    ordered keys summed over their orbits.  It serves as a Schur table
+    and as the numerators of a power-sum function alike."""
     if k is None:
         k = draw(st.integers(min_value=1, max_value=4))
     if n is None:
@@ -253,40 +263,69 @@ def symfuncs(draw, basis: str, k: int | None = None, n: int | None = None) -> Sy
                 draw(st.integers(min_value=0, max_value=2)),
             )
         coeffs[key] = num
-    den = draw(st.sampled_from(Q_FACTORS)).scale(draw(st.integers(min_value=1, max_value=6)))
-    return symmetrized(k, n, basis, coeffs).divide(den)
+    return k, n, symmetrized(k, coeffs)
+
+
+denominators = st.builds(PolyQU.scale, st.sampled_from(Q_FACTORS), st.integers(1, 6))
+
+
+@st.composite
+def symfuncs(draw, k: int | None = None, n: int | None = None) -> SymFunc:
+    """Sparse SymFuncs: integer_tables as numerators over a denominator
+    mixing an integer and a factor in Z[q]."""
+    k, n, nums = draw(integer_tables(k, n))
+    return SymFunc(k, n, nums).divide(draw(denominators))
 
 
 class TestChangeOfBasis:
     """The separable change of basis against the brute-force
     character-product sum of tests/oracles.py."""
 
-    @given(symfuncs("p"))
+    @given(integer_tables(), denominators)
     @settings(max_examples=40, deadline=None)
-    def test_to_schur_matches_reference(self, f):
-        got, want = f.to_schur(), change_basis_oracle(f)
-        assert got.basis == want.basis == "s"
-        assert got == want
+    def test_to_schur_matches_reference(self, drawn, den):
+        # numerators that den divides: to_schur divides them back exactly
+        k, n, nums = drawn
+        f = SymFunc(k, n, nums).scale(den).divide(den)
+        assert f.to_schur() == schur_table_oracle(f) == SymFunc(k, n, nums).to_schur()
+        assert list(f.to_schur()) == sorted(f.to_schur())
 
-    @given(symfuncs("s"))
+    @given(symfuncs())
     @settings(max_examples=40, deadline=None)
-    def test_to_powersum_matches_reference(self, f):
-        got, want = f.to_powersum(), change_basis_oracle(f)
-        assert got.basis == want.basis == "p"
-        assert got == want
+    def test_to_schur_refuses_a_coefficient_that_is_not_a_polynomial(self, f):
+        try:
+            want = schur_table_oracle(f)
+        except NotPolynomialError:
+            with pytest.raises(NotPolynomialError):
+                f.to_schur()
+        else:
+            assert f.to_schur() == want
 
-    @given(symfuncs("p"), st.data())
+    @given(integer_tables())
+    @settings(max_examples=40, deadline=None)
+    def test_to_powersum_matches_reference(self, drawn):
+        k, n, table = drawn
+        got = SymFunc.from_schur(k, n, table)
+        assert got.den == PolyQU.const(math.factorial(n) ** k)
+        assert got == from_schur_oracle(k, n, table)
+
+    @given(symfuncs(), st.data())
     @settings(max_examples=40, deadline=None)
     def test_schur_coefficient_matches_reference(self, f, data):
         # any ordered key: the library reads it at its sorted key
         mu = data.draw(st.sampled_from(multipartitions(f.k, f.n)))
+        f = f.scale(f.den)  # polynomial Schur coefficients
         assert schur_coefficient(f, mu) == schur_coefficient_oracle(f, mu)
 
-    @given(symfuncs("p"), symfuncs("s"))
+    @given(integer_tables(), integer_tables(), denominators)
     @settings(max_examples=40, deadline=None)
-    def test_round_trips(self, f, g):
-        assert f.to_schur().to_powersum().over(f.den).coeffs == f.coeffs
-        assert g.to_powersum().to_schur().over(g.den).coeffs == g.coeffs
+    def test_round_trips(self, a, b, den):
+        k, n, nums = a
+        f = SymFunc(k, n, nums).scale(den).divide(den)
+        assert SymFunc.from_schur(k, n, f.to_schur()) == f
+        k, n, table = b
+        nonzero = {key: p for key, p in sorted(table.items()) if p}
+        assert SymFunc.from_schur(k, n, table).to_schur() == nonzero
 
 
 # keys with repeated components, for k = 2, 3 and 4
@@ -299,9 +338,8 @@ REPEATED = [
 ]
 
 
-def _with_repeated_keys(k: int, n: int, keys, basis: str) -> SymFunc:
-    coeffs = {key: Q.scale(i + 1) + U**i for i, key in enumerate(keys)}
-    return SymFunc(k, n, basis, coeffs).divide(Q + ONE)
+def _with_repeated_keys(keys) -> dict:
+    return {key: Q.scale(i + 1) + U**i for i, key in enumerate(keys)}
 
 
 class TestFullKeyReferences:
@@ -312,41 +350,53 @@ class TestFullKeyReferences:
     @settings(max_examples=40, deadline=None)
     def test_multiply_matches_full_key_product(self, data):
         k = data.draw(st.integers(min_value=1, max_value=4))
-        f = data.draw(symfuncs("p", k=k, n=data.draw(st.integers(1, 3))))
-        g = data.draw(symfuncs("p", k=k, n=data.draw(st.integers(1, 2))))
+        f = data.draw(symfuncs(k=k, n=data.draw(st.integers(1, 3))))
+        g = data.draw(symfuncs(k=k, n=data.draw(st.integers(1, 2))))
         h = f.multiply(g)
         assert h.den == f.den * g.den
         assert expand_orbits(h.coeffs) == multiply_reference(
             expand_orbits(f.coeffs), expand_orbits(g.coeffs))
 
-    @given(symfuncs("p"), symfuncs("s"))
+    @given(integer_tables(), integer_tables())
     @settings(max_examples=40, deadline=None)
-    def test_change_basis_matches_full_key_reference(self, f, g):
-        for h, to_powersum in ((f, False), (g, True)):
-            got = h.to_powersum() if to_powersum else h.to_schur()
-            nums, zk = change_basis_reference(expand_orbits(h.coeffs), h.k, h.n, to_powersum)
-            assert got.den == h.den.scale(zk)
-            assert expand_orbits(got.coeffs) == nums
+    def test_change_basis_matches_full_key_reference(self, a, b):
+        _check_to_schur(*a)
+        _check_from_schur(*b)
 
     @pytest.mark.parametrize("k, n, keys", REPEATED)
     def test_repeated_components(self, k, n, keys):
-        f = _with_repeated_keys(k, n, keys, "p")
-        g = _with_repeated_keys(k, n, keys[::-1], "s").to_powersum()
+        f = SymFunc(k, n, _with_repeated_keys(keys)).divide(Q + ONE)
+        g = SymFunc.from_schur(k, n, _with_repeated_keys(keys[::-1])).divide(Q + ONE)
         full_f, full_g = expand_orbits(f.coeffs), expand_orbits(g.coeffs)
         assert expand_orbits(f.multiply(g).coeffs) == multiply_reference(full_f, full_g)
         assert expand_orbits(f.multiply(f).coeffs) == multiply_reference(full_f, full_f)
-        for h, to_powersum in ((f, False), (_with_repeated_keys(k, n, keys, "s"), True)):
-            got = h.to_powersum() if to_powersum else h.to_schur()
-            nums, zk = change_basis_reference(expand_orbits(h.coeffs), k, n, to_powersum)
-            assert got.den == h.den.scale(zk)
-            assert expand_orbits(got.coeffs) == nums
-            assert got == change_basis_oracle(h)
+        table = _with_repeated_keys(keys)
+        _check_to_schur(k, n, table)
+        _check_from_schur(k, n, table)
+        assert SymFunc(k, n, table).to_schur() == schur_table_oracle(SymFunc(k, n, table))
+        assert SymFunc.from_schur(k, n, table) == from_schur_oracle(k, n, table)
+
+
+def _check_to_schur(k: int, n: int, nums: dict) -> None:
+    """to_schur of the power-sum function with numerators nums against
+    change_basis_reference, at every ordered key."""
+    want, _ = change_basis_reference(expand_orbits(nums), k, n, False)
+    assert expand_orbits(SymFunc(k, n, nums).to_schur()) == want
+
+
+def _check_from_schur(k: int, n: int, table: dict) -> None:
+    """from_schur of a Schur table against change_basis_reference, at
+    every ordered key."""
+    want, zk = change_basis_reference(expand_orbits(table), k, n, True)
+    got = SymFunc.from_schur(k, n, table)
+    assert got.den == PolyQU.const(zk)
+    assert expand_orbits(got.coeffs) == want
 
 
 @st.composite
-def wide_symfuncs(draw, basis: str) -> SymFunc:
-    """SymFuncs with k <= 4 and coefficients up to 2^200 in size, q-degree
-    up to 4 and u-degree up to 3, over the denominator 1."""
+def wide_tables(draw) -> tuple:
+    """(k, n, table) with k <= 4 and integer coefficients up to 2^200 in
+    size, q-degree up to 4 and u-degree up to 3."""
     k = draw(st.integers(min_value=1, max_value=4))
     n = draw(st.integers(min_value=1, max_value=4 if k < 4 else 3))
     keys = draw(st.lists(st.sampled_from(multipartitions(k, n)), max_size=5, unique=True))
@@ -354,7 +404,7 @@ def wide_symfuncs(draw, basis: str) -> SymFunc:
     coeffs = {key: PolyQU(draw(st.dictionaries(
         st.tuples(st.integers(0, 4), st.integers(0, 3)), big, min_size=1, max_size=4)))
         for key in keys}
-    return symmetrized(k, n, basis, coeffs)
+    return k, n, symmetrized(k, coeffs)
 
 
 class TestPackedChangeOfBasis:
@@ -362,14 +412,11 @@ class TestPackedChangeOfBasis:
     from basis_bound; checked against the per-coefficient full-key
     reference at coefficient sizes far past the pipeline's."""
 
-    @given(wide_symfuncs("p"), wide_symfuncs("s"))
+    @given(wide_tables(), wide_tables())
     @settings(max_examples=40, deadline=None)
-    def test_wide_coefficients_match_reference(self, f, g):
-        for h, to_powersum in ((f, False), (g, True)):
-            got = h.to_powersum() if to_powersum else h.to_schur()
-            nums, zk = change_basis_reference(expand_orbits(h.coeffs), h.k, h.n, to_powersum)
-            assert got.den == h.den.scale(zk)
-            assert expand_orbits(got.coeffs) == nums
+    def test_wide_coefficients_match_reference(self, a, b):
+        _check_to_schur(*a)
+        _check_from_schur(*b)
 
     @pytest.mark.parametrize("k, n", [(1, 5), (2, 4), (3, 4), (4, 3)])
     @pytest.mark.parametrize("to_powersum", [True, False])
@@ -392,16 +439,16 @@ class TestPackedChangeOfBasis:
                                                           if to_powersum else 1)
         sign = {src: (chi(src, target) > 0) - (chi(src, target) < 0) for src in shapes}
         M = 2**200 - 1
-        f = SymFunc(k, n, "s" if to_powersum else "p",
-                    {key: PolyQU.const(M * math.prod(sign[c] for c in key))
-                     for key in multipartitions(k, n) if list(key) == sorted(key)})
-        got = f.to_powersum() if to_powersum else f.to_schur()
+        table = {key: PolyQU.const(M * math.prod(sign[c] for c in key))
+                 for key in multipartitions(k, n) if list(key) == sorted(key)}
+        got = (SymFunc.from_schur(k, n, table).coeffs if to_powersum
+               else SymFunc(k, n, table).to_schur())
         B = (M * basis_bound(k, n, to_powersum)).bit_length() + 1
-        assert max(abs(c) for p in got.coeffs.values() for c in p.terms.values()) < 2 ** (B - 1)
+        assert max(abs(c) for p in got.values() for c in p.terms.values()) < 2 ** (B - 1)
         z = math.factorial(n) ** k // z_lambda(target) ** k if to_powersum else 1
-        assert got.coeffs[(target,) * k] == PolyQU.const(M * C**k * z)
-        nums, _ = change_basis_reference(expand_orbits(f.coeffs), k, n, to_powersum)
-        assert expand_orbits(got.coeffs) == nums
+        assert got[(target,) * k] == PolyQU.const(M * C**k * z)
+        nums, _ = change_basis_reference(expand_orbits(table), k, n, to_powersum)
+        assert expand_orbits(got) == nums
 
 
 class TestTensorExpand:
@@ -466,7 +513,7 @@ def geometric_series(k: int, N: int) -> GradedSeries:
     """1 + f + f^2 + ... truncated, for f = s_1 on each alphabet."""
     one = GradedSeries.one(k, N)
     f = GradedSeries.zero(k, N)
-    term = SymFunc(k, 1, "p", {((((1,),) * k)): ONE})
+    term = SymFunc(k, 1, {((((1,),) * k)): ONE})
     coeffs = list(f.coeffs)
     coeffs[1] = term
     f = GradedSeries(k, N, coeffs)
@@ -490,9 +537,9 @@ class TestGradedSeries:
     def test_exp_log_roundtrip(self):
         f = GradedSeries.zero(2, 5)
         coeffs = list(f.coeffs)
-        coeffs[1] = SymFunc(2, 1, "p", {(((1,), (1,))): Q})
+        coeffs[1] = SymFunc(2, 1, {(((1,), (1,))): Q})
         # the orbit sum p_2(x) p_11(y) + p_11(x) p_2(y), and p_2 p_2
-        coeffs[2] = SymFunc(2, 2, "p", {((1, 1), (2,)): ONE, ((2,), (2,)): U}).divide(2)
+        coeffs[2] = SymFunc(2, 2, {((1, 1), (2,)): ONE, ((2,), (2,)): U}).divide(2)
         f = GradedSeries(2, 5, coeffs)
         assert f.plain_exp().plain_log() == f
         assert pleth_log(f.pleth_exp()) == f
@@ -501,11 +548,11 @@ class TestGradedSeries:
         # Exp(f+g) = Exp(f) Exp(g), and the same for plain exp
         fa = GradedSeries.zero(1, 5)
         ca = list(fa.coeffs)
-        ca[1] = SymFunc(1, 1, "p", {(((1,),)): ONE})
+        ca[1] = SymFunc(1, 1, {(((1,),)): ONE})
         fa = GradedSeries(1, 5, ca)
         fb = GradedSeries.zero(1, 5)
         cb = list(fb.coeffs)
-        cb[2] = SymFunc(1, 2, "p", {(((2,),)): U})
+        cb[2] = SymFunc(1, 2, {(((2,),)): U})
         fb = GradedSeries(1, 5, cb)
         lhs_plain = fa.add(fb).plain_exp()
         rhs_plain = fa.plain_exp().mul(fb.plain_exp())
@@ -519,7 +566,7 @@ class TestGradedSeries:
         # every p_rho / z_rho
         f = GradedSeries.zero(1, 5)
         c = list(f.coeffs)
-        c[1] = SymFunc(1, 1, "p", {(((1,),)): ONE})
+        c[1] = SymFunc(1, 1, {(((1,),)): ONE})
         f = GradedSeries(1, 5, c)
         e = f.pleth_exp()
         for n in range(1, 6):
@@ -531,8 +578,8 @@ class TestGradedSeries:
     def test_psi_inverse(self):
         f = GradedSeries.zero(1, 6)
         c = list(f.coeffs)
-        c[1] = SymFunc(1, 1, "p", {(((1,),)): Q})
-        c[3] = SymFunc(1, 3, "p", {(((2, 1),)): PolyQU.const(7)}).divide(PolyQU.const(3))
+        c[1] = SymFunc(1, 1, {(((1,),)): Q})
+        c[3] = SymFunc(1, 3, {(((2, 1),)): PolyQU.const(7)}).divide(PolyQU.const(3))
         f = GradedSeries(1, 6, c)
         assert f.pleth_psi().pleth_psi_inv() == f
         assert f.pleth_psi_inv().pleth_psi() == f
@@ -540,7 +587,7 @@ class TestGradedSeries:
     def test_adams_composition(self):
         f = GradedSeries.zero(1, 6)
         c = list(f.coeffs)
-        c[1] = SymFunc(1, 1, "p", {(((1,),)): Q + ONE})
+        c[1] = SymFunc(1, 1, {(((1,),)): Q + ONE})
         f = GradedSeries(1, 6, c)
         assert f.adams(2).adams(3) == f.adams(6)
 
