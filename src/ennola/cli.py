@@ -4,6 +4,7 @@ verification suite, and cache management."""
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -281,6 +282,9 @@ def _check_sizes(req: argparse.Namespace) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command and return its exit code; argparse raises SystemExit
+    for --help and malformed options.  The garbage collector is left as
+    the caller set it: only the process entry `run` turns it off."""
     req = build_parser().parse_args(argv)
     if req.cache_dir is None:
         req.cache_dir = default_cache_dir()
@@ -304,5 +308,22 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_IO
 
 
+def run() -> int:
+    """Process entry of the `ennola` console script and of `python -m
+    ennola.cli`: `main()` with the cyclic garbage collector off, and the
+    heap frozen before the interpreter exits, so that neither the pipeline
+    nor finalization spends time on collections.  That is sound only while
+    the pipeline makes no reference cycles, which
+    `TestProcessEntry.test_pipeline_makes_no_cycles` in tests/test_cli.py
+    pins; what argparse leaves in cycles, once per process, stays until
+    the process ends.  The collector stays off after the return, so this
+    is for a process entry only; library callers use `main(argv)`."""
+    gc.disable()
+    try:
+        return main()
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

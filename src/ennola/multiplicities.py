@@ -48,9 +48,11 @@ from .hall_littlewood import transformed_hl
 from .partitions import (
     MultiPartition,
     a_poly,
+    dual,
     enumerate_partitions,
     multipartition_to_text,
     multipartitions,
+    n_stat,
     parse_partition,
     partition_to_text,
     q_pochhammer,
@@ -70,7 +72,6 @@ from .types import (
     schur_of_type,
     type_size,
     type_stats,
-    dual_type,
 )
 
 CACHE_VERSION = 3
@@ -348,7 +349,7 @@ def _multitype_signs(mt) -> tuple[int, int]:
         _, r_c, rp_c = type_stats(comp)
         r += r_c
         rp += rp_c
-        nd += type_stats(dual_type(comp))[0]
+        nd += sum(m * d * n_stat(dual(lam)) for d, lam, m in comp)
     return (-1) ** r, (-1) ** (rp + nd + n + 1)
 
 
@@ -545,12 +546,13 @@ def verify_suite(ctx: MasterContext, nmax: int | None = None) -> VerifyReport:
         """The comparisons at the sorted key rep, as (family, ok, failure
         text after the multipartition's name), and the (family name,
         value) pairs whose leading coefficient is negative."""
-        v = V_poly(ctx, rep)
+        mt = as_multitype(rep)
+        s, s_prime = _multitype_signs(mt)
+        h = H_omega(ctx, mt)
+        v, vp = h.scale(s), h.subst(q=-Q).scale(s_prime)  # V_poly, Vprime_poly
         up_val = Uprime_poly(ctx, rep)
         kron = kronecker(rep)
         top = t.coeff_of_u(n - 1)
-        s, s_prime = _multitype_signs(as_multitype(rep))
-        vp = v.subst(q=-Q).scale(s * s_prime)  # V'(q) = s s' V(-q)
         checks = [
             (at_zero, t.subst(u=PolyQU()) == v, "tau(0,q) != V"),
             (product_route, t_oracle.get((n, rep), PolyQU()) == t,
@@ -599,8 +601,9 @@ def save_cache(cache_dir: str, k: int, n: int, table: dict[MultiPartition, PolyQ
     fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, separators=(",", ":"))
-            fh.write("\n")
+            # json.dumps runs the C encoder; json.dump, the pure-Python
+            # one, whose closures leave reference cycles (see cli.run)
+            fh.write(json.dumps(payload, separators=(",", ":")) + "\n")
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):

@@ -3,6 +3,7 @@ byte-exact agreement with the frozen reference tables."""
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import subprocess
@@ -22,6 +23,19 @@ from ennola.cli import (
 )
 
 DATA = Path(__file__).parent / "data"
+
+
+def _child(code: str, *args: str) -> list[str]:
+    """The stdout lines of `python -c code args` with this package's sources
+    on the path; COLUMNS fixes the width of argparse's help."""
+    import ennola
+
+    env = dict(os.environ, COLUMNS="80")
+    src = str(Path(ennola.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True, check=True)
+    return done.stdout.splitlines()
 
 
 def run(capsys, *argv):
@@ -696,19 +710,9 @@ print([code(q + ["--cache-dir", cache]) for q in queries])
 print(" ".join(sys.modules))
 """
 
-    def _child(self, code: str, *args: str) -> list[str]:
-        import ennola
-
-        env = dict(os.environ)
-        src = str(Path(ennola.__file__).resolve().parents[1])
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        done = subprocess.run([sys.executable, "-c", code, *args], env=env,
-                              capture_output=True, text=True, check=True)
-        return done.stdout.splitlines()
-
     def test_cli_loads_no_heavy_module(self, tmp_path):
-        base = set(self._child("import sys; print(' '.join(sys.modules))")[-1].split())
-        *_, codes, modules = self._child(self.CHILD, json.dumps(self.QUERIES),
+        base = set(_child("import sys; print(' '.join(sys.modules))")[-1].split())
+        *_, codes, modules = _child(self.CHILD, json.dumps(self.QUERIES),
                                          str(tmp_path / "cache"))
         assert codes == str([EXIT_OK] * len(self.QUERIES))
         loaded = set(modules.split()) - base
@@ -717,10 +721,114 @@ print(" ".join(sys.modules))
 
     def test_kron_and_usage_errors_load_no_pipeline(self, tmp_path):
         cache = tmp_path / "cache"
-        *_, codes, modules = self._child(self.CHILD, json.dumps(self.NO_PIPELINE_QUERIES),
+        *_, codes, modules = _child(self.CHILD, json.dumps(self.NO_PIPELINE_QUERIES),
                                          str(cache))
         assert codes == str([EXIT_OK, EXIT_OK, EXIT_USAGE, EXIT_USAGE, EXIT_OK])
         loaded = set(modules.split())
         assert "ennola.characters" in loaded
         assert not loaded & self.PIPELINE, sorted(loaded & self.PIPELINE)
         assert not cache.exists()
+
+
+class TestProcessEntry:
+    """`cli.run`, the process entry, runs `main()` with the cyclic garbage
+    collector off and freezes the heap before exit.  That is sound only
+    while the pipeline makes no reference cycles, which the first test
+    checks; `main(argv)` itself leaves the collector alone."""
+
+    def test_pipeline_makes_no_cycles(self, tmp_path):
+        from ennola.multiplicities import (
+            T_poly_product_oracle,
+            Uprime_poly_product_oracle,
+            V_poly,
+            build_context,
+            load_cache,
+            save_cache,
+            verify_suite,
+        )
+        from ennola.types import parse_multitype
+
+        def pipeline(cache: str) -> None:
+            for k, n in ((3, 5), (4, 4)):
+                ctx = build_context(k, n, cache)
+                ctx.tau_schur(n)
+                table = ctx.psi_schur(n)
+                T_poly_product_oracle(k, n, ctx)
+                Uprime_poly_product_oracle(k, n, ctx)
+                assert verify_suite(ctx).ok
+                save_cache(cache + "-copy", k, n, table)
+                assert load_cache(cache + "-copy", k, n) == table
+            V_poly(build_context(3, 4, cache), parse_multitype("1:1.1;2:1,1:1^4,3:1;1:1"))
+
+        pipeline(str(tmp_path / "warm-up"))  # one-time cycles: imports, caches
+        gc.collect()
+        gc.disable()
+        try:
+            pipeline(str(tmp_path / "measured"))
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    QUERIES = [
+        ["pair", "--which", "T", "--mu", "2.1,2.1,1^3", "--cache-dir", ""],
+        ["pair", "--which", "V", "--mu", "2.1,2", "--cache-dir", ""],
+        ["pair", "--which", "X", "--mu", "1,1,1"],
+        ["--help"],
+    ]
+
+    CHILD = """
+import contextlib, gc, io, json, runpy, sys
+import ennola.multiplicities as m
+
+states = []
+build = m.build_context
+
+def spy(*args):
+    states.append(gc.isenabled())
+    return build(*args)
+
+m.build_context = spy
+
+def entry(argv):
+    gc.enable()
+    sys.argv = ["ennola", *argv]
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            runpy.run_module("ennola.cli", run_name="__main__")
+    except SystemExit as exc:
+        return [exc.code, out.getvalue(), err.getvalue()]
+
+print(json.dumps([[entry(q) for q in json.loads(sys.argv[1])], states]))
+"""
+
+    def test_entry_runs_without_collector_and_answers_as_main(self, capsys, monkeypatch):
+        results, states = json.loads(_child(self.CHILD, json.dumps(self.QUERIES))[-1])
+        assert states == [False]  # the one query that reaches the pipeline
+
+        monkeypatch.setenv("COLUMNS", "80")
+        expected = []
+        for argv in self.QUERIES:
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            expected.append([code, *capsys.readouterr()])
+        assert [r[0] for r in expected] == [EXIT_OK, EXIT_USAGE, EXIT_USAGE, EXIT_OK]
+        assert results == expected
+
+    def test_console_script_is_the_entry(self):
+        pyproject = Path(__file__).parents[1] / "pyproject.toml"
+        assert 'ennola = "ennola.cli:run"' in pyproject.read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_main_leaves_the_collector_alone(self, capsys, enabled):
+        frozen = gc.get_freeze_count()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            assert main(["pair", "--which", "T", "--mu", "2.1,2.1,1^3",
+                         "--cache-dir", ""]) == EXIT_OK
+            assert gc.isenabled() is enabled
+            assert gc.get_freeze_count() == frozen
+        finally:
+            gc.enable()

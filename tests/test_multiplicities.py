@@ -648,10 +648,14 @@ class TestCache:
     def test_failed_write_removes_temp_file(self, tmp_path, monkeypatch):
         import ennola.multiplicities as mult
 
-        def fail(*_args, **_kwargs):
-            raise OSError("disk full")
+        real_dumps = mult.json.dumps
 
-        monkeypatch.setattr(mult.json, "dump", fail)
+        def fail(obj, **kwargs):
+            if isinstance(obj, dict):  # the file's payload, written after mkstemp
+                raise OSError("disk full")
+            return real_dumps(obj, **kwargs)
+
+        monkeypatch.setattr(mult.json, "dumps", fail)
         with pytest.raises(OSError, match="disk full"):
             save_cache(str(tmp_path), 3, 1, {})
         assert os.listdir(tmp_path) == []
