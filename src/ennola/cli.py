@@ -46,8 +46,10 @@ class UsageError(ValueError):
 
 
 def default_cache_dir() -> str:
-    base = os.environ.get("XDG_CACHE_HOME")
-    if not base:
+    """ennola under XDG_CACHE_HOME, or under ~/.cache when that is unset or
+    not an absolute path, which the XDG Base Directory spec calls invalid."""
+    base = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(base):
         base = os.path.join(os.path.expanduser("~"), ".cache")
     return os.path.join(base, "ennola")
 
@@ -95,13 +97,13 @@ def cmd_pair(req: argparse.Namespace) -> int:
 
         key = parse_multitype(req.type_literal)
         k, n = len(key), type_size(key[0])
-        labels = [type_to_text(c) for c in key]
+        labels, column = [type_to_text(c) for c in key], "type"
     else:
         key = parse_multipartition(req.mu)
         k, n = len(key), size(key[0])
         if n < 1:
             raise UsageError(f"--mu must have size at least 1, got {n}")
-        labels = [partition_to_text(c) for c in key]
+        labels, column = [partition_to_text(c) for c in key], "mu"
     if req.k is not None and req.k != k:
         raise UsageError(f"--k {req.k} does not match literal with {k} components")
 
@@ -113,12 +115,11 @@ def cmd_pair(req: argparse.Namespace) -> int:
     if req.fmt == "text":
         print(poly_to_str(val))
     elif req.fmt == "json":
-        obj = {"which": req.which, "k": k, "n": n,
-               ("mu" if req.type_literal is None else "type"): labels,
+        obj = {"which": req.which, "k": k, "n": n, column: labels,
                "poly": poly_to_json(val), "text": poly_to_str(val)}
         print(json.dumps(obj, separators=(",", ":")))
     elif req.fmt == "csv":
-        header = ",".join(f"mu{i + 1}" for i in range(k)) + ",polynomial"
+        header = ",".join(f"{column}{i + 1}" for i in range(k)) + ",polynomial"
         print(header)
         print(",".join(labels) + "," + poly_to_str(val))
     else:

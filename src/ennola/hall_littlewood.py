@@ -22,7 +22,6 @@ from functools import lru_cache
 
 from .coeffs import ZERO, PolyQU
 from .partitions import MultiPartition, Partition, dual, n_stat, size
-from .symfunc import SymFunc
 
 
 @lru_cache(maxsize=None)
@@ -88,18 +87,3 @@ def transformed_hl(lam: Partition) -> dict[MultiPartition, PolyQU]:
     lam, one alphabet: only s_nu with nu dominating lam occur, in
     enumeration order.  Cached and shared, so no caller mutates it."""
     return {(nu,): transformed_kostka(nu, lam) for nu in sorted(_q_prime(lam), reverse=True)}
-
-
-def extend_to_type(family, entries) -> SymFunc:
-    """Product over type entries (d, lam, m) of family(lam) with every
-    alphabet power index multiplied by d and q replaced by q^d, taken m times.
-
-    `family` maps a partition to a one-alphabet SymFunc; the result is
-    again one-alphabet.
-    """
-    out = SymFunc.one(1)
-    for d, lam, m in entries:
-        piece = family(lam).adams(d)
-        for _ in range(m):
-            out = out.multiply(piece)
-    return out

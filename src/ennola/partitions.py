@@ -1,5 +1,5 @@
-"""Integer partitions, their statistics, and the centralizer and hook
-polynomials attached to unipotent classes and unipotent characters.
+"""Integer partitions, their statistics, the centralizer orders of
+unipotent classes as polynomials in q, and the text syntax.
 
 A partition is a plain tuple of weakly decreasing positive ints (the empty
 tuple is the zero partition); a multipartition is a tuple of k partitions
@@ -13,7 +13,7 @@ from functools import lru_cache
 from itertools import product
 from math import factorial
 
-from .coeffs import ONE, PolyQU, Q, poly_exact_div
+from .coeffs import ONE, PolyQU, Q
 
 Partition = tuple[int, ...]
 MultiPartition = tuple[Partition, ...]
@@ -84,27 +84,6 @@ def a_poly(lam: Partition) -> PolyQU:
     return poly * PolyQU.monomial(1, shift, 0)
 
 
-def hook_poly(lam: Partition) -> PolyQU:
-    """H_lambda(q) = product over cells of (q^hook - 1)."""
-    dl = dual(lam)
-    poly = ONE
-    for i, row in enumerate(lam):
-        for j in range(row):
-            h = row - j + dl[j] - i - 1
-            poly = poly * (Q**h - ONE)
-    return poly
-
-
-def unipotent_degree(mu: Partition) -> PolyQU:
-    """Degree of the unipotent character indexed by mu:
-    q^{n(mu)} prod_{i<=n} (q^i - 1) / H_mu(q)."""
-    num = PolyQU.monomial(1, n_stat(mu), 0) * q_pochhammer(size(mu))
-    deg = poly_exact_div(num, hook_poly(mu))
-    if deg is None:
-        raise AssertionError(f"unipotent degree of {mu} did not divide exactly")
-    return deg
-
-
 @lru_cache(maxsize=None)
 def enumerate_partitions(n: int) -> tuple[Partition, ...]:
     """All partitions of n, reverse-lexicographic: (n) first, (1^n) last."""
@@ -132,9 +111,10 @@ def _gen_partitions(n: int, largest: int):
 # ---------------------------------------------------------------------------
 # text syntax
 #
-# A partition prints as parts joined by "." with exponent shorthand for
-# repeats: "2.1^2" is (2,1,1), "1^4" is (1,1,1,1), "0" is the empty
-# partition.  The parser additionally accepts the comma form "2,1,1".
+# A partition prints and parses as parts joined by "." with exponent
+# shorthand for repeats: "2.1^2" is (2,1,1), "1^4" is (1,1,1,1), "0" is
+# the empty partition.  A comma separates the components of a
+# multipartition, never the parts of one partition.
 
 def partition_to_text(lam: Partition) -> str:
     if not lam:
@@ -180,7 +160,7 @@ def parse_partition(text: str) -> Partition:
     if s == "0":
         return ()
     parts: list[int] = []
-    for pos, piece in split_at(text, "," if "," in s else "."):
+    for pos, piece in split_at(text, "."):
         item = piece.strip()
         if "^" in item:
             base_s, _, exp_s = item.partition("^")

@@ -416,18 +416,6 @@ class GradedSeries:
         if (self.k, self.N) != (other.k, other.N):
             raise ValueError("series shapes differ")
 
-    def mul(self, other: "GradedSeries") -> "GradedSeries":
-        self._check(other)
-        out = []
-        for n in range(self.N + 1):
-            acc = SymFunc.zero(self.k, n)
-            for a in range(n + 1):
-                fa, fb = self.coeffs[a], other.coeffs[n - a]
-                if not (fa.is_zero() or fb.is_zero()):
-                    acc = acc.add(fa.multiply(fb))
-            out.append(acc)
-        return self._like(out)
-
     def adams(self, m: int) -> "GradedSeries":
         """psi_m including T -> T^m, truncated at T^N."""
         if m == 1:

@@ -3,32 +3,26 @@ recording how Frobenius permutes eigenvalue data.
 
 A type of size n is stored as a canonically sorted tuple of entries
 (d, lam, m) with distinct (d, lam) pairs and n = sum m*d*|lam|.  The
-module provides the statistics n, r, r', duality, the rational expansion
-coefficients attached to single-d types, deterministic enumeration, and
-the integer Schur expansion of the product of Schur functions evaluated
-on power-substituted alphabets.
+module provides the statistics n, r, r', the integer Schur expansion of
+the product of Schur functions evaluated on power-substituted alphabets,
+and the text syntax of types and multitypes.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from math import factorial
 
-from .coeffs import ONE, Q, ZERO, PolyQU
-from .hall_littlewood import extend_to_type
+from .coeffs import PolyQU
 from .partitions import (
     MultiPartition,
     ParseError,
     Partition,
-    a_poly,
     check_partition,
-    dual,
-    enumerate_partitions,
     n_stat,
     size,
     split_at,
 )
-from .symfunc import mobius, schur_symfunc
+from .symfunc import SymFunc, schur_symfunc
 
 TypeEntries = tuple[tuple[int, Partition, int], ...]
 
@@ -59,11 +53,6 @@ def type_size(tau: TypeEntries) -> int:
     return sum(m * d * size(lam) for d, lam, m in tau)
 
 
-def entry_count(tau: TypeEntries) -> int:
-    """Number of entries counted with multiplicity."""
-    return sum(m for _, _, m in tau)
-
-
 def type_stats(tau: TypeEntries) -> tuple[int, int, int]:
     """(n_stat, r_stat, r_prime): sum of m*d*n(lam), |tau| + sum of m*|lam|,
     and ceil(|tau|/2) + sum of m*|lam|."""
@@ -73,95 +62,17 @@ def type_stats(tau: TypeEntries) -> tuple[int, int, int]:
     return n_val, n + weight, (n + 1) // 2 + weight
 
 
-def dual_type(tau: TypeEntries) -> TypeEntries:
-    return make_type([(d, dual(lam), m) for d, lam, m in tau])
-
-
-def c_tau(tau: TypeEntries):
-    """Expansion coefficient of the plethystic logarithm of a partition-
-    indexed generating series, as a Fraction: nonzero only when every entry
-    shares one d, in which case it is (-1)^{r-1} mu(d) (r-1)! / (d prod m_i!)
-    with r the entry count with multiplicity."""
-    from fractions import Fraction  # local: no ennola import path loads fractions
-
-    ds = {d for d, _, _ in tau}
-    if len(ds) != 1:
-        return Fraction(0)
-    d = ds.pop()
-    mu_d = mobius(d)
-    if mu_d == 0:
-        return Fraction(0)
-    r = entry_count(tau)
-    denom = d
-    for _, _, m in tau:
-        denom *= factorial(m)
-    return Fraction((-1) ** (r - 1) * mu_d * factorial(r - 1), denom)
-
-
-@lru_cache(maxsize=None)
-def enumerate_types(n: int) -> tuple[TypeEntries, ...]:
-    """All types of size n, deterministically ordered."""
-    if n < 1:
-        raise ValueError("size must be at least 1")
-    pairs = [
-        (d, lam)
-        for d in range(1, n + 1)
-        for s in range(1, n // d + 1)
-        for lam in enumerate_partitions(s)
-    ]
-    out: list[TypeEntries] = []
-
-    def rec(i: int, remaining: int, acc: list) -> None:
-        if remaining == 0:
-            out.append(make_type(acc))
-            return
-        if i == len(pairs):
-            return
-        rec(i + 1, remaining, acc)
-        d, lam = pairs[i]
-        w = d * size(lam)
-        m = 1
-        while m * w <= remaining:
-            acc.append((d, lam, m))
-            rec(i + 1, remaining - m * w, acc)
-            acc.pop()
-            m += 1
-
-    rec(0, n, [])
-    return tuple(sorted(out))
-
-
 @lru_cache(maxsize=None)
 def schur_of_type(tau: TypeEntries) -> dict[MultiPartition, PolyQU]:
     """The Schur table of the product over entries of s_{lam} with alphabet
     powers d and q -> q^d, m times each; one alphabet, integer
     coefficients.  Cached and shared, so no caller mutates it."""
-    return extend_to_type(lambda lam: schur_symfunc(1, (lam,)), tau).to_schur()
-
-
-def c_omega(tau: TypeEntries, mu: Partition) -> int:
-    """Integer Schur coefficient <schur_of_type(tau), s_mu>."""
-    if type_size(tau) != size(mu):
-        raise ValueError(f"type size {type_size(tau)} != |mu| = {size(mu)}")
-    p = schur_of_type(tau).get((mu,), ZERO)
-    if p.is_zero():
-        return 0
-    if set(p.terms) != {(0, 0)}:
-        raise AssertionError(f"non-constant Schur coefficient for {tau}, {mu}")
-    return p.terms[(0, 0)]
-
-
-def a_type_poly(tau: TypeEntries) -> PolyQU:
-    """Centralizer-order polynomial: product of a_lam(q^d)^m over entries."""
-    out = ONE
+    out = SymFunc.one(1)
     for d, lam, m in tau:
-        out = out * (a_poly(lam).subst(q=Q ** d) ** m)
-    return out
-
-
-def a_prime_poly(tau: TypeEntries) -> PolyQU:
-    """(-1)^{|tau|} a_tau(-q), the twisted centralizer-order polynomial."""
-    return a_type_poly(tau).subst(q=-Q).scale((-1) ** type_size(tau))
+        piece = schur_symfunc(1, (lam,)).adams(d)
+        for _ in range(m):
+            out = out.multiply(piece)
+    return out.to_schur()
 
 
 # text syntax: entries "d:parts^m" joined by ";", parts dot-separated with
@@ -224,7 +135,3 @@ def parse_multitype(text: str) -> tuple[TypeEntries, ...]:
             raise ParseError(text, pos, "type components have different sizes")
         comps.append(tau)
     return tuple(comps)
-
-
-def multitype_to_text(omega: tuple[TypeEntries, ...]) -> str:
-    return ",".join(type_to_text(c) for c in omega)

@@ -29,7 +29,17 @@ statistics, where the library reads it off multitype statistics.
 
 unipotent_multiplicities_from_group owes nothing to symmetric functions:
 it counts U(q) at a prime q in GL_n(F_q) itself, from stable flags of the
-matrices over F_q.
+matrices over F_q; generic_multiplicities_from_group counts V(q) the same
+way in GL_2(F_q), with one factor twisted by the Legendre symbol of the
+determinant.
+
+The helpers that only the tests call live here too, where no command
+loads them: the type combinatorics of the kernel logarithm's expansion
+(c_tau, enumerate_types, extend_to_type), the Schur coefficients of a
+type (c_omega) and the dual type, the centralizer orders of types
+(a_type_poly, a_prime_poly), the unipotent character degrees
+(unipotent_degree), the text form of a multitype, and the product of
+graded series (series_mul), the reference for the exp/log laws.
 
 A single coefficient in Q(q, u) is represented here as a degree-0 SymFunc
 on one alphabet (`scalar`), so its equality is the library's
@@ -43,20 +53,29 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations, product
 
-from ennola.coeffs import ONE, ZERO, PolyQU, Q
+from ennola.coeffs import ONE, ZERO, PolyQU, Q, poly_exact_div
 from ennola.hall_littlewood import transformed_hl
 from ennola.multiplicities import as_multitype
 from ennola.characters import character_value
 from ennola.partitions import (
+    Partition,
     a_poly,
     dual,
     enumerate_partitions,
     multipartitions,
     n_stat,
+    q_pochhammer,
+    size,
     z_lambda,
 )
-from ennola.symfunc import GradedSeries, SymFunc
-from ennola.types import schur_of_type, type_size
+from ennola.symfunc import GradedSeries, SymFunc, mobius
+from ennola.types import (
+    TypeEntries,
+    make_type,
+    schur_of_type,
+    type_size,
+    type_to_text,
+)
 
 
 @lru_cache(maxsize=None)
@@ -455,16 +474,26 @@ def _subspaces(n: int, q: int) -> list[list[frozenset]]:
     return by_dim
 
 
-def unipotent_multiplicities_from_group(n: int, q: int, k: int) -> dict:
-    """U_mu(q) = (1/|G|) sum over g in G = GL_n(F_q) of prod_i chi^{mu^i}(g)
-    for every sorted key mu of k partitions of n, from the matrices over
-    F_q alone.  pi_lam(g), the number of g-stable flags of type lam, is
-    the permutation character on G/P_lam = sum over mu of K_{mu lam}
-    chi^mu, with Kostka numbers K from ssyt_count; so the unipotent
-    characters come from the pi_lam by forward substitution from (n),
-    the trivial character, down to 1^n, the Steinberg character.  The
-    elements are grouped by their vector of pi values, which is all the
-    characters see."""
+def _det(rows: list, q: int) -> int:
+    """The determinant of a square matrix over F_q, by the Leibniz sum."""
+    n = len(rows)
+    total = 0
+    for perm in permutations(range(n)):
+        inv = sum(1 for i in range(n) for j in range(i + 1, n) if perm[i] > perm[j])
+        total += (-1) ** inv * math.prod(rows[i][perm[i]] for i in range(n))
+    return total % q
+
+
+@lru_cache(maxsize=None)
+def _group_classes(n: int, q: int) -> tuple[dict, dict]:
+    """The elements of G = GL_n(F_q) counted by (pi vector, det), and each
+    unipotent character as a function of the pi vector.  pi_lam(g), the
+    number of g-stable flags of type lam, is the permutation character on
+    G/P_lam = sum over mu of K_{mu lam} chi^mu, with Kostka numbers K from
+    ssyt_count; so the unipotent characters come from the pi_lam by
+    forward substitution from (n), the trivial character, down to 1^n,
+    the Steinberg character.  The pi vector is all the unipotent
+    characters see; the determinant is all a linear character sees."""
     vectors = list(product(range(q), repeat=n))
     by_dim = _subspaces(n, q)
     spaces = [space for dim in by_dim for space in dim]
@@ -484,17 +513,192 @@ def unipotent_multiplicities_from_group(n: int, q: int, k: int) -> dict:
             continue  # not invertible
         stable = {V for V in spaces if all(image[v] in V for v in V)}
         pi = tuple(sum(all(V in stable for V in c) for c in flags[lam]) for lam in shapes)
-        classes[pi] = classes.get(pi, 0) + 1
+        key = (pi, _det(rows, q))
+        classes[key] = classes.get(key, 0) + 1
+    pis = {pi for pi, _ in classes}
     chi: dict = {}
     for j, lam in enumerate(shapes):
         above = [(ssyt_count(mu, lam), chi[mu]) for mu in shapes[:j]]
-        chi[lam] = {pi: pi[j] - sum(K * c[pi] for K, c in above) for pi in classes}
+        chi[lam] = {pi: pi[j] - sum(K * c[pi] for K, c in above) for pi in pis}
+    return chi, classes
+
+
+def _multiplicities_from_group(n: int, q: int, k: int, alpha) -> dict:
+    """(1/|G|) sum over g in G = GL_n(F_q) of alpha(det g) prod_i
+    chi^{mu^i}(g) for every sorted key mu of k partitions of n, alpha an
+    integer-valued linear character of F_q^*."""
+    chi, classes = _group_classes(n, q)
     order = sum(classes.values())
     out = {}
     for key in multipartitions(k, n):
         if _is_sorted(key):
-            total = sum(count * math.prod(chi[mu][pi] for mu in key)
-                        for pi, count in classes.items())
+            total = sum(count * alpha(det) * math.prod(chi[mu][pi] for mu in key)
+                        for (pi, det), count in classes.items())
             assert total % order == 0, (key, total, order)
             out[key] = total // order
     return out
+
+
+def unipotent_multiplicities_from_group(n: int, q: int, k: int) -> dict:
+    """U_mu(q) = (1/|G|) sum over g in G = GL_n(F_q) of prod_i chi^{mu^i}(g)
+    for every sorted key mu of k partitions of n, from the matrices over
+    F_q alone (_group_classes)."""
+    return _multiplicities_from_group(n, q, k, lambda det: 1)
+
+
+def generic_multiplicities_from_group(q: int, k: int) -> dict:
+    """V_mu(q) at n = 2 for an odd prime q, from the matrices over F_q
+    alone: (1/|G|) sum over g in G = GL_2(F_q) of alpha(det g)
+    prod_i chi^{mu^i}(g), alpha the Legendre symbol, the linear character
+    of F_q^* of order exactly n = 2.  Twisting one factor by alpha o det
+    makes the tuple generic (Hausel, Letellier and Rodriguez-Villegas),
+    and the paper states that T(0, q) is this multiplicity."""
+    if q % 2 == 0:
+        raise ValueError("the Legendre symbol needs an odd prime q")
+    return _multiplicities_from_group(
+        2, q, k, lambda det: 1 if pow(det, (q - 1) // 2, q) == 1 else -1)
+
+
+# helpers that only the tests call
+
+
+def entry_count(tau: TypeEntries) -> int:
+    """Number of entries counted with multiplicity."""
+    return sum(m for _, _, m in tau)
+
+
+def dual_type(tau: TypeEntries) -> TypeEntries:
+    return make_type([(d, dual(lam), m) for d, lam, m in tau])
+
+
+def c_tau(tau: TypeEntries) -> Fraction:
+    """Expansion coefficient of the plethystic logarithm of a partition-
+    indexed generating series: nonzero only when every entry shares one
+    d, in which case it is (-1)^{r-1} mu(d) (r-1)! / (d prod m_i!) with r
+    the entry count with multiplicity."""
+    ds = {d for d, _, _ in tau}
+    if len(ds) != 1:
+        return Fraction(0)
+    d = ds.pop()
+    mu_d = mobius(d)
+    if mu_d == 0:
+        return Fraction(0)
+    r = entry_count(tau)
+    denom = d
+    for _, _, m in tau:
+        denom *= math.factorial(m)
+    return Fraction((-1) ** (r - 1) * mu_d * math.factorial(r - 1), denom)
+
+
+@lru_cache(maxsize=None)
+def enumerate_types(n: int) -> tuple[TypeEntries, ...]:
+    """All types of size n, deterministically ordered."""
+    if n < 1:
+        raise ValueError("size must be at least 1")
+    pairs = [
+        (d, lam)
+        for d in range(1, n + 1)
+        for s in range(1, n // d + 1)
+        for lam in enumerate_partitions(s)
+    ]
+    out: list[TypeEntries] = []
+
+    def rec(i: int, remaining: int, acc: list) -> None:
+        if remaining == 0:
+            out.append(make_type(acc))
+            return
+        if i == len(pairs):
+            return
+        rec(i + 1, remaining, acc)
+        d, lam = pairs[i]
+        w = d * size(lam)
+        m = 1
+        while m * w <= remaining:
+            acc.append((d, lam, m))
+            rec(i + 1, remaining - m * w, acc)
+            acc.pop()
+            m += 1
+
+    rec(0, n, [])
+    return tuple(sorted(out))
+
+
+def extend_to_type(family, entries) -> SymFunc:
+    """Product over type entries (d, lam, m) of family(lam) with every
+    alphabet power index multiplied by d and q replaced by q^d, taken m times.
+
+    `family` maps a partition to a one-alphabet SymFunc; the result is
+    again one-alphabet.
+    """
+    out = SymFunc.one(1)
+    for d, lam, m in entries:
+        piece = family(lam).adams(d)
+        for _ in range(m):
+            out = out.multiply(piece)
+    return out
+
+
+def c_omega(tau: TypeEntries, mu: Partition) -> int:
+    """Integer Schur coefficient <schur_of_type(tau), s_mu>."""
+    if type_size(tau) != size(mu):
+        raise ValueError(f"type size {type_size(tau)} != |mu| = {size(mu)}")
+    p = schur_of_type(tau).get((mu,), ZERO)
+    if p.is_zero():
+        return 0
+    if set(p.terms) != {(0, 0)}:
+        raise AssertionError(f"non-constant Schur coefficient for {tau}, {mu}")
+    return p.terms[(0, 0)]
+
+
+def a_type_poly(tau: TypeEntries) -> PolyQU:
+    """Centralizer-order polynomial: product of a_lam(q^d)^m over entries."""
+    out = ONE
+    for d, lam, m in tau:
+        out = out * (a_poly(lam).subst(q=Q ** d) ** m)
+    return out
+
+
+def a_prime_poly(tau: TypeEntries) -> PolyQU:
+    """(-1)^{|tau|} a_tau(-q), the twisted centralizer-order polynomial."""
+    return a_type_poly(tau).subst(q=-Q).scale((-1) ** type_size(tau))
+
+
+def multitype_to_text(omega: tuple[TypeEntries, ...]) -> str:
+    return ",".join(type_to_text(c) for c in omega)
+
+
+def hook_poly(lam: Partition) -> PolyQU:
+    """H_lambda(q) = product over cells of (q^hook - 1)."""
+    dl = dual(lam)
+    poly = ONE
+    for i, row in enumerate(lam):
+        for j in range(row):
+            h = row - j + dl[j] - i - 1
+            poly = poly * (Q**h - ONE)
+    return poly
+
+
+def unipotent_degree(mu: Partition) -> PolyQU:
+    """Degree of the unipotent character indexed by mu:
+    q^{n(mu)} prod_{i<=n} (q^i - 1) / H_mu(q)."""
+    num = PolyQU.monomial(1, n_stat(mu), 0) * q_pochhammer(size(mu))
+    deg = poly_exact_div(num, hook_poly(mu))
+    if deg is None:
+        raise AssertionError(f"unipotent degree of {mu} did not divide exactly")
+    return deg
+
+
+def series_mul(a: GradedSeries, b: GradedSeries) -> GradedSeries:
+    """The product of two series of one shape, truncated at their order:
+    degree n is the sum over i of a_i b_{n-i}."""
+    if (a.k, a.N) != (b.k, b.N):
+        raise ValueError("series shapes differ")
+    out = []
+    for n in range(a.N + 1):
+        acc = SymFunc.zero(a.k, n)
+        for i in range(n + 1):
+            fa, fb = a.coeffs[i], b.coeffs[n - i]
+            if not (fa.is_zero() or fb.is_zero()):
+                acc = acc.add(fa.multiply(fb))
+        out.append(acc)
+    return GradedSeries(a.k, a.N, out)

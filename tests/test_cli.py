@@ -105,6 +105,17 @@ class TestPair:
         assert lines[0] == "mu1,mu2,mu3,polynomial"
         assert lines[1] == "1^3,1^3,2.1,1"
 
+    def test_csv_format_of_a_type_literal(self, capsys, cache_dir):
+        # the columns are named like the JSON key, "type"
+        rc, out, _ = run(
+            capsys, "pair", "--which", "Vprime", "--type", "2:1,2:1,1:1^2",
+            "--format", "csv", "--cache-dir", cache_dir,
+        )
+        assert rc == EXIT_OK
+        header, row = out.splitlines()
+        assert header == "type1,type2,type3,polynomial"
+        assert row.startswith("2:1,2:1,1:1^2,")
+
     def test_tex_format(self, capsys, cache_dir):
         rc, out, _ = run(
             capsys, "pair", "--which", "U", "--mu", "1^4,1^4,1^4",
@@ -449,6 +460,21 @@ class TestCache:
         assert sorted(p.name for p in xdg.rglob("*")) == ["ennola", "psi_k3_n1.json"]
         assert kept.read_text() == "{}"
 
+    def test_relative_xdg_cache_home_is_ignored(self, capsys, tmp_path, monkeypatch):
+        # the XDG Base Directory spec calls a relative XDG_CACHE_HOME invalid:
+        # the default is then ~/.cache/ennola, not a directory under the
+        # working directory
+        cwd, home = tmp_path / "cwd", tmp_path / "home"
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        monkeypatch.setenv("HOME", str(home))
+        monkeypatch.setenv("XDG_CACHE_HOME", "rel")
+        argv = ("pair", "--which", "V", "--mu", "2,2,2")
+        want = run(capsys, *argv, "--cache-dir", "")
+        assert run(capsys, *argv) == want
+        assert list(cwd.iterdir()) == []
+        assert [p.name for p in (home / ".cache" / "ennola").iterdir()] == ["psi_k3_n2.json"]
+
     def test_cold_build_writes_each_table_once(self, capsys, tmp_path, monkeypatch):
         import ennola.cli as cli
         import ennola.multiplicities as mult
@@ -551,7 +577,9 @@ class TestCache:
         ("qdeg", -1, [("V", "1^3,1^3,1^3"), ("T", "2.1,2.1,1^3")]),
         ("qdeg", 1.5, [("V", "1^3,1^3,1^3")]),
         ("qdeg", True, [("V", "1^3,1^3,1^3")]),
-    ], ids=["int-partition-text", "negative-exponent", "float-exponent", "bool-exponent"])
+        ("mu", ["1,1", "1,1", "1,1"], [("V", "1^2,1^2,1^2")]),
+    ], ids=["int-partition-text", "negative-exponent", "float-exponent", "bool-exponent",
+            "comma-partition-text"])
     def test_malformed_field_is_ignored(self, capsys, tmp_path, field, value, queries):
         # one entry's field replaced under a rewritten digest: the file is
         # ignored with one warning, and each answer is the no-cache one
@@ -832,3 +860,87 @@ print(json.dumps([[entry(q) for q in json.loads(sys.argv[1])], states]))
             assert gc.get_freeze_count() == frozen
         finally:
             gc.enable()
+
+
+class TestEveryFunctionRuns:
+    """src/ holds what the commands run: a child interpreter runs every
+    family and format of `pair` and `table` at n <= 3, the `--type`
+    queries, `verify`, `cache build`, a warm `pair`, `cache clear` and a
+    usage error, all under sys.setprofile, and every module-level function
+    and non-dunder method of the package is entered, save the ones below.
+    A helper that only the tests call belongs in tests/oracles.py."""
+
+    NOT_RUN = {
+        "coeffs.PolyQU.evaluate": "the library user's way from a polynomial to a number",
+        "coeffs.PolyQU.coeff": "an accessor of the polynomial value type",
+        "symfunc.GradedSeries.one": "an accessor of the graded series value type",
+        "cli.run": "the process entry, which TestProcessEntry runs",
+        "multiplicities.U_poly_product_oracle":
+            "perfbench wraps it; it leaves with the closed-form denominators (ROADMAP)",
+    }
+
+    CHILD = """
+import contextlib, importlib, io, json, os, pkgutil, sys, types
+import ennola.cli
+
+queries = json.loads(sys.argv[1])
+os.environ["XDG_CACHE_HOME"] = sys.argv[2]  # the default cache directory
+entered = set()
+
+def profile(frame, event, arg):
+    if event == "call":
+        entered.add(frame.f_code)
+
+codes = []
+sys.setprofile(profile)
+for argv in queries:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            codes.append(ennola.cli.main(argv))
+        except SystemExit as exc:
+            codes.append(exc.code)
+sys.setprofile(None)
+
+def functions(owner):
+    for name, obj in vars(owner).items():
+        for fn in (obj.fget, obj.fset) if isinstance(obj, property) else (obj,):
+            fn = getattr(fn, "__func__", fn)  # classmethod, staticmethod
+            fn = getattr(fn, "__wrapped__", fn)  # lru_cache
+            if isinstance(fn, types.FunctionType):
+                yield name, fn
+
+missed = []
+for info in pkgutil.iter_modules(ennola.__path__):
+    module = importlib.import_module("ennola." + info.name)
+    for name, obj in vars(module).items():
+        if isinstance(obj, type) and obj.__module__ == module.__name__:
+            missed += [f"{info.name}.{name}.{attr}" for attr, fn in functions(obj)
+                       if not (attr.startswith("__") and attr.endswith("__"))
+                       and fn.__code__ not in entered]
+    missed += [f"{info.name}.{name}" for name, fn in functions(module)
+               if fn.__module__ == module.__name__ and fn.__code__ not in entered]
+print(json.dumps([codes, sorted(missed)]))
+"""
+
+    def queries(self) -> list[list[str]]:
+        mu, mt = "2.1,2.1,1^3", "1:1.1;2:1,1:1^4,3:1;1:1"
+        formats = ("text", "json", "csv", "tex")
+        return [
+            *(["pair", "--which", w, "--mu", mu, "--format", f]
+              for w in WHICH_CHOICES for f in formats),
+            *(["table", "--which", w, "--n", str(n), "--format", f]
+              for w in WHICH_CHOICES for n in (1, 2, 3) for f in formats),
+            *(["pair", "--which", w, "--type", mt, "--format", f]
+              for w in ("V", "Vprime") for f in formats),
+            *(["verify", "--n", "3", "--format", f] for f in ("text", "json")),
+            ["cache", "build", "--n", "3"],
+            ["pair", "--which", "T", "--mu", mu],
+            ["cache", "clear"],
+            ["pair", "--which", "V", "--mu", "2.1,2.x,1^3"],
+        ]
+
+    def test_every_function_is_entered(self, tmp_path):
+        queries = self.queries()
+        codes, missed = json.loads(_child(self.CHILD, json.dumps(queries), str(tmp_path))[-1])
+        assert codes == [EXIT_OK] * (len(queries) - 1) + [EXIT_USAGE]
+        assert missed == sorted(self.NOT_RUN)

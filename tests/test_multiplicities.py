@@ -43,10 +43,12 @@ from ennola.partitions import (
     multipartitions,
     parse_partition,
 )
-from ennola.types import enumerate_types, from_partition, make_type
+from ennola.types import from_partition, make_type
 from oracles import (
     H_omega_oracle,
+    enumerate_types,
     expand_graded,
+    generic_multiplicities_from_group,
     omega_oracle,
     phi,
     unipotent_multiplicities_from_group,
@@ -430,6 +432,29 @@ class TestUnipotentFromTheGroup:
         assert len(got) == len(set(tuple(sorted(mu)) for mu in multipartitions(k, n)))
         for mu, value in got.items():
             assert U_poly(ctx, mu).evaluate(q) == value, mu
+
+
+class TestGenericFromTheGroup:
+    """The paper's statement that T(0, q) is the multiplicity for generic
+    characters of unipotent type, against GL_2(F_q) itself: one factor
+    twisted by the Legendre symbol of the determinant, the linear
+    character of order exactly n = 2 (tests/oracles.py)."""
+
+    @pytest.mark.parametrize("q, k", [(3, 3), (5, 3), (3, 4), (5, 5)])
+    def test_v_and_t_at_zero_match_the_group_count(self, q, k):
+        ctx = build_context(k, 2, None)
+        got = generic_multiplicities_from_group(q, k)
+        assert len(got) == len(set(tuple(sorted(mu)) for mu in multipartitions(k, 2)))
+        for mu, value in got.items():
+            assert V_poly(ctx, mu).evaluate(q) == value, mu
+            assert T_poly(ctx, mu).evaluate(q, 0) == value, mu
+
+    def test_the_group_separates_v_from_u(self):
+        mu = ((1, 1),) * 4 + ((2,),)
+        assert generic_multiplicities_from_group(5, 5)[mu] == 5
+        assert unipotent_multiplicities_from_group(2, 5, 5)[mu] == 6
+        ctx = build_context(5, 2, None)
+        assert (V_poly(ctx, mu).evaluate(5), U_poly(ctx, mu).evaluate(5)) == (5, 6)
 
 
 class TestProductOracles:

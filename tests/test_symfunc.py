@@ -34,6 +34,7 @@ from oracles import (
     scalar,
     schur_coefficient_oracle,
     schur_table_oracle,
+    series_mul,
     symmetrized,
 )
 
@@ -520,7 +521,7 @@ def geometric_series(k: int, N: int) -> GradedSeries:
     acc = one
     power = one
     for _ in range(N):
-        power = power.mul(f)
+        power = series_mul(power, f)
         acc = acc.add(power)
     return acc
 
@@ -555,10 +556,10 @@ class TestGradedSeries:
         cb[2] = SymFunc(1, 2, {(((2,),)): U})
         fb = GradedSeries(1, 5, cb)
         lhs_plain = fa.add(fb).plain_exp()
-        rhs_plain = fa.plain_exp().mul(fb.plain_exp())
+        rhs_plain = series_mul(fa.plain_exp(), fb.plain_exp())
         assert lhs_plain == rhs_plain
         lhs = fa.add(fb).pleth_exp()
-        rhs = fa.pleth_exp().mul(fb.pleth_exp())
+        rhs = series_mul(fa.pleth_exp(), fb.pleth_exp())
         assert lhs == rhs
 
     def test_pleth_exp_of_p1_counts_partitions(self):

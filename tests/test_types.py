@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from ennola.coeffs import ONE, Q, ZERO, poly_exact_div
-from ennola.hall_littlewood import extend_to_type, transformed_hl
+from ennola.hall_littlewood import transformed_hl
 from ennola.partitions import (
     ParseError,
     dual,
@@ -17,24 +17,27 @@ from ennola.partitions import (
     parse_multipartition,
     size,
 )
-from ennola.symfunc import GradedSeries, SymFunc, schur_symfunc
+from ennola.symfunc import GradedSeries, SymFunc
 from ennola.types import (
-    a_prime_poly,
-    a_type_poly,
-    c_omega,
-    c_tau,
-    dual_type,
-    enumerate_types,
-    entry_count,
     from_partition,
     make_type,
-    multitype_to_text,
     parse_multitype,
     parse_type,
     schur_of_type,
     type_size,
     type_stats,
     type_to_text,
+)
+from oracles import (
+    a_prime_poly,
+    a_type_poly,
+    c_omega,
+    c_tau,
+    dual_type,
+    entry_count,
+    enumerate_types,
+    extend_to_type,
+    multitype_to_text,
 )
 
 
