@@ -175,13 +175,9 @@ def format_table(rows, which: str, k: int, n: int, fmt: str) -> str:
 def cmd_table(req: argparse.Namespace) -> int:
     k = req.k if req.k is not None else 3
     value, ctx = _family(req.which, k, req.n, req.cache_dir)
-    if ctx is not None:
-        if req.which in ("V", "Vprime"):
-            ctx.psi_schur(req.n)
-        else:
-            ctx.tau_schur(req.n)
-        _warn_cache(ctx)
     rows = _table_rows(value, ctx, k, req.n)
+    if ctx is not None:
+        _warn_cache(ctx)
     out = format_table(rows, req.which, k, req.n, req.fmt)
     if out:
         print(out)
@@ -189,7 +185,7 @@ def cmd_table(req: argparse.Namespace) -> int:
 
 
 def verify_suite(ctx):
-    """Lazy multiplicities.verify_suite, wrapped by perfbench; ROADMAP item 2 removes it."""
+    """Lazy multiplicities.verify_suite, wrapped by perfbench; ROADMAP item 1 removes it."""
     from .multiplicities import verify_suite as run_suite
     return run_suite(ctx)
 

@@ -146,9 +146,6 @@ class PolyQU:
         m = max(self.terms)
         return m, self.terms[m]
 
-    def coeff(self, qdeg: int, udeg: int) -> int:
-        return self.terms.get((qdeg, udeg), 0)
-
     def coeff_of_u(self, udeg: int) -> "PolyQU":
         """The q-polynomial multiplying u^udeg."""
         return PolyQU({(i, 0): c for (i, j), c in self.terms.items() if j == udeg})

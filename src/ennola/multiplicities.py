@@ -322,12 +322,11 @@ def build_context(k: int, N: int, cache_dir: str | None = None) -> MasterContext
 # generic multiplicities
 
 
-def H_omega(ctx: MasterContext, omega) -> PolyQU:
+def H_omega(ctx: MasterContext, mt) -> PolyQU:
     """Hall pairing of the degree-n master coefficient with the Schur-type
-    product attached to a multitype: the sum over nu of the Schur table
-    entry at nu times the s_{nu^i} coefficients of the k Schur-type
-    factors; an integer polynomial in q."""
-    mt = as_multitype(omega)
+    product attached to a multitype, as as_multitype returns it: the sum
+    over nu of the Schur table entry at nu times the s_{nu^i} coefficients
+    of the k Schur-type factors; an integer polynomial in q."""
     if len(mt) != ctx.k:
         raise ValueError(f"expected {ctx.k} components, got {len(mt)}")
     table = ctx.psi_schur(type_size(mt[0]))
@@ -346,7 +345,7 @@ def _multitype_signs(mt) -> tuple[int, int]:
     n = type_size(mt[0])
     r = rp = nd = 0
     for comp in mt:
-        _, r_c, rp_c = type_stats(comp)
+        r_c, rp_c = type_stats(comp)
         r += r_c
         rp += rp_c
         nd += sum(m * d * n_stat(dual(lam)) for d, lam, m in comp)
@@ -398,25 +397,21 @@ def _signed_neg_q(r: GradedSeries) -> GradedSeries:
                                    for m, f in enumerate(r.coeffs)])
 
 
-def _product_oracle(k: int, N: int, ctx: MasterContext | None, log_terms):
+def _product_oracle(ctx: MasterContext, log_terms):
     """Schur tables, keyed by (degree, multipartition), of the plain
     exponential of sum(weight * series) over the (series, weight) pairs
-    that log_terms yields from the kernel's plain logarithm truncated at N.
-    A weight is a pair (numerator, d): the series is scaled by the
-    numerator and divided by d.  The sum is over the lcm of its terms'
-    denominators and its degree n then over (n!)^k; only the q -> -q
-    terms of the twisted form need an lcm that is not one of the terms'
-    denominators."""
-    ctx = ctx or build_context(k, N)
-    if ctx.N < N:
-        raise ValueError(f"context truncation {ctx.N} is below requested {N}")
-    r = ctx.r_series().truncate(N)
-    log_sum = GradedSeries.zero(k, N)
+    that log_terms yields from the kernel's plain logarithm.  A weight is
+    a pair (numerator, d): the series is scaled by the numerator and
+    divided by d.  The sum is over the lcm of its terms' denominators and
+    its degree n then over (n!)^k; only the q -> -q terms of the twisted
+    form need an lcm that is not one of the terms' denominators."""
+    r = ctx.r_series()
+    log_sum = GradedSeries.zero(ctx.k, ctx.N)
     for series, (num, d) in log_terms(r):
         log_sum = log_sum.add(series.scale(num).divide(d))
-    dens = _factorial_dens(k, N)
+    dens = _factorial_dens(ctx.k, ctx.N)
     ser = log_sum.over(dens).plain_exp(dens)
-    return {(n, key): p for n in range(1, N + 1)
+    return {(n, key): p for n in range(1, ctx.N + 1)
             for key, p in ser.coeffs[n].to_schur().items()}
 
 
@@ -429,35 +424,27 @@ def _uprime_log_terms(r: GradedSeries):
         yield r.adams(2 * d).sub(r_alt.adams(2 * d)), phi_prime(2 * d)
 
 
-def Uprime_poly_product_oracle(
-    k: int, N: int, ctx: MasterContext | None = None
-) -> dict[tuple[int, MultiPartition], PolyQU]:
+def Uprime_poly_product_oracle(ctx: MasterContext) -> dict[tuple[int, MultiPartition], PolyQU]:
     """Twisted-form unipotent multiplicities from the three-part log form
     of the twisted infinite product, converted by the explicit sign."""
-    raw = _product_oracle(k, N, ctx, _uprime_log_terms)
+    raw = _product_oracle(ctx, _uprime_log_terms)
     return {
         (n, key): p.scale(d_mu(key).sign_uprime * (-1) ** (n + 1))
         for (n, key), p in raw.items()
     }
 
 
-def T_poly_product_oracle(
-    k: int, N: int, ctx: MasterContext | None = None
-) -> dict[tuple[int, MultiPartition], PolyQU]:
+def T_poly_product_oracle(ctx: MasterContext) -> dict[tuple[int, MultiPartition], PolyQU]:
     """Two-variable interpolation polynomials recomputed from the
     u-deformed infinite product."""
-    raw = _product_oracle(
-        k, N, ctx, lambda r: ((r.adams(d), phi_u(d)) for d in range(1, N + 1))
-    )
+    raw = _product_oracle(ctx, lambda r: ((r.adams(d), phi_u(d)) for d in range(1, r.N + 1)))
     return {key: _div_u(p, key[1]) for key, p in raw.items()}
 
 
-def U_poly_product_oracle(
-    k: int, N: int, ctx: MasterContext | None = None
-) -> dict[tuple[int, MultiPartition], PolyQU]:
+def U_poly_product_oracle(ctx: MasterContext) -> dict[tuple[int, MultiPartition], PolyQU]:
     """Split-form unipotent multiplicities from the product route: the
     u-deformed product's table at u = 1, where phi_{u,d} is phi_d."""
-    return {key: p.subst(u=ONE) for key, p in T_poly_product_oracle(k, N, ctx).items()}
+    return {key: p.subst(u=ONE) for key, p in T_poly_product_oracle(ctx).items()}
 
 
 # verification suite
@@ -521,16 +508,15 @@ class VerifyReport:
         }
 
 
-def verify_suite(ctx: MasterContext, nmax: int | None = None) -> VerifyReport:
-    """Check each identity of the interpolation for all multipartitions up
-    to nmax against a second route, which shares at most its input series
+def verify_suite(ctx: MasterContext) -> VerifyReport:
+    """Check each identity of the interpolation for all multipartitions of
+    1..ctx.N against a second route, which shares at most its input series
     with T's: V through H_omega, the u-deformed product, the twisted
     product, the Kronecker coefficient, and positivity.  Failures come back
-    as data, never exceptions.  Every family is symmetric in the k factors, so each sorted
-    key is computed and compared once, and its outcome recorded, in the
-    walk over the ordered multipartitions, for each ordering of it under
-    that ordering's name."""
-    nmax = ctx.N if nmax is None else min(nmax, ctx.N)
+    as data, never exceptions.  Every family is symmetric in the k factors,
+    so each sorted key is computed and compared once, and its outcome
+    recorded, in the walk over the ordered multipartitions, for each
+    ordering of it under that ordering's name."""
     report = VerifyReport()
     at_zero = VerifyItem("tau-at-0-matches-generic")
     product_route = VerifyItem("tau-matches-u-deformed-product")
@@ -539,8 +525,8 @@ def verify_suite(ctx: MasterContext, nmax: int | None = None) -> VerifyReport:
     nonneg = VerifyItem("tau-coefficients-nonnegative")
     report.items = [at_zero, product_route, twisted, top_u, nonneg]
 
-    t_oracle = T_poly_product_oracle(ctx.k, nmax, ctx)
-    up_oracle = Uprime_poly_product_oracle(ctx.k, nmax, ctx)
+    t_oracle = T_poly_product_oracle(ctx)
+    up_oracle = Uprime_poly_product_oracle(ctx)
 
     def check(n: int, rep: MultiPartition, t: PolyQU) -> tuple[list, list]:
         """The comparisons at the sorted key rep, as (family, ok, failure
@@ -566,7 +552,7 @@ def verify_suite(ctx: MasterContext, nmax: int | None = None) -> VerifyReport:
                     if p and p.leading()[1] < 0]
         return checks, negative
 
-    for n in range(1, nmax + 1):
+    for n in range(1, ctx.N + 1):
         taus = ctx.tau_schur(n)
         outcomes: dict[MultiPartition, tuple[list, list]] = {}
         for mu in multipartitions(ctx.k, n):

@@ -153,14 +153,15 @@ def _change_basis(f: "SymFunc", to_powersum: bool) -> Coeffs:
 def _merged_orbits(ka: MultiPartition, kb: MultiPartition) -> tuple:
     """(key, count) for the sorted keys among the componentwise merges of
     the orderings of ka with those of kb: p_ka p_kb summed over both
-    orbits has count times p_key at each representative key."""
+    orbits has count times p_key at each representative key.  Permuting
+    the alphabets permutes those merges, so by orbit-stabilizer counting
+    it is enough to merge ka with each ordering of kb, count each merge at
+    its sorted key, and scale by |orbit(ka)| / |orbit(key)|."""
     counts: dict = {}
-    for a in orbit(ka):
-        for b in orbit(kb):
-            key = tuple(tuple(sorted(x + y, reverse=True)) for x, y in zip(a, b))
-            if _is_sorted(key):
-                counts[key] = counts.get(key, 0) + 1
-    return tuple(counts.items())
+    for b in orbit(kb):
+        key = tuple(sorted(tuple(sorted(x + y, reverse=True)) for x, y in zip(ka, b)))
+        counts[key] = counts.get(key, 0) + 1
+    return tuple((key, c * len(orbit(ka)) // len(orbit(key))) for key, c in counts.items())
 
 
 class SymFunc:
@@ -370,10 +371,6 @@ class GradedSeries:
     def zero(cls, k: int, N: int) -> "GradedSeries":
         return cls(k, N, [SymFunc.zero(k, n) for n in range(N + 1)])
 
-    @classmethod
-    def one(cls, k: int, N: int) -> "GradedSeries":
-        return cls(k, N, [SymFunc.one(k)] + [SymFunc.zero(k, n) for n in range(1, N + 1)])
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, GradedSeries):
             return NotImplemented
@@ -403,14 +400,6 @@ class GradedSeries:
     def over(self, dens: list) -> "GradedSeries":
         """Degree n rewritten over dens[n] (SymFunc.over)."""
         return self._like([f.over(d) for f, d in zip(self.coeffs, dens)])
-
-    def truncate(self, N: int) -> "GradedSeries":
-        """Drop the graded pieces above degree N."""
-        if N >= self.N:
-            return self
-        if N < 0:
-            raise ValueError("truncation order must be nonnegative")
-        return GradedSeries(self.k, N, list(self.coeffs[: N + 1]))
 
     def _check(self, other: "GradedSeries") -> None:
         if (self.k, self.N) != (other.k, other.N):

@@ -3,7 +3,7 @@ recording how Frobenius permutes eigenvalue data.
 
 A type of size n is stored as a canonically sorted tuple of entries
 (d, lam, m) with distinct (d, lam) pairs and n = sum m*d*|lam|.  The
-module provides the statistics n, r, r', the integer Schur expansion of
+module provides the statistics r and r', the integer Schur expansion of
 the product of Schur functions evaluated on power-substituted alphabets,
 and the text syntax of types and multitypes.
 """
@@ -18,7 +18,6 @@ from .partitions import (
     ParseError,
     Partition,
     check_partition,
-    n_stat,
     size,
     split_at,
 )
@@ -53,13 +52,12 @@ def type_size(tau: TypeEntries) -> int:
     return sum(m * d * size(lam) for d, lam, m in tau)
 
 
-def type_stats(tau: TypeEntries) -> tuple[int, int, int]:
-    """(n_stat, r_stat, r_prime): sum of m*d*n(lam), |tau| + sum of m*|lam|,
-    and ceil(|tau|/2) + sum of m*|lam|."""
+def type_stats(tau: TypeEntries) -> tuple[int, int]:
+    """(r_stat, r_prime): |tau| + sum of m*|lam| and ceil(|tau|/2) + sum of
+    m*|lam|."""
     n = type_size(tau)
     weight = sum(m * size(lam) for _, lam, m in tau)
-    n_val = sum(m * d * n_stat(lam) for d, lam, m in tau)
-    return n_val, n + weight, (n + 1) // 2 + weight
+    return n + weight, (n + 1) // 2 + weight
 
 
 @lru_cache(maxsize=None)

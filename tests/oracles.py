@@ -20,7 +20,9 @@ permutations.  The references here work on every ordered key instead:
 expand_orbits writes a table of sorted keys out in full, symmetrized sums
 a table given on ordered keys over its orbit, and multiply_reference
 and change_basis_reference are the product and the separable change of
-basis computed at every ordered key, with no use of the symmetry.
+basis computed at every ordered key, with no use of the symmetry;
+merged_orbits_reference counts the merges of two orbits pair by pair,
+where the library counts by orbit-stabilizer.
 
 The split orbit count phi_d is written from its Moebius-inversion
 formula, where the library only specializes phi_u; the sign of
@@ -28,10 +30,11 @@ V'(q) = +-V(-q) at a multipartition comes from the multipartition's
 statistics, where the library reads it off multitype statistics.
 
 unipotent_multiplicities_from_group owes nothing to symmetric functions:
-it counts U(q) at a prime q in GL_n(F_q) itself, from stable flags of the
-matrices over F_q; generic_multiplicities_from_group counts V(q) the same
-way in GL_2(F_q), with one factor twisted by the Legendre symbol of the
-determinant.
+it counts U(q) at a prime q in GL_n(F_q) itself, from stable flags of one
+block-diagonal representative per conjugacy class, weighted by the class
+size from the centralizer orders a_lam; generic_multiplicities_from_group
+counts V(q) the same way in GL_2(F_q), with one factor twisted by the
+Legendre symbol of the determinant.
 
 The helpers that only the tests call live here too, where no command
 loads them: the type combinatorics of the kernel logarithm's expansion
@@ -51,7 +54,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations, product
+from itertools import accumulate, permutations, product
 
 from ennola.coeffs import ONE, ZERO, PolyQU, Q, poly_exact_div
 from ennola.hall_littlewood import transformed_hl
@@ -167,6 +170,19 @@ def multiply_reference(a: dict, b: dict) -> dict:
             key = tuple(tuple(sorted(x + y, reverse=True)) for x, y in zip(ka, kb))
             out[key] = out.get(key, ZERO) + ca * cb
     return {key: c for key, c in out.items() if c}
+
+
+def merged_orbits_reference(ka: tuple, kb: tuple) -> dict:
+    """The count of each sorted key among the componentwise merges of
+    every ordering of ka with every ordering of kb: the double loop over
+    both orbits."""
+    counts: dict = {}
+    for a in set(permutations(ka)):
+        for b in set(permutations(kb)):
+            key = tuple(tuple(sorted(x + y, reverse=True)) for x, y in zip(a, b))
+            if _is_sorted(key):
+                counts[key] = counts.get(key, 0) + 1
+    return counts
 
 
 def change_basis_reference(coeffs: dict, k: int, n: int, to_powersum: bool) -> tuple[dict, int]:
@@ -474,26 +490,79 @@ def _subspaces(n: int, q: int) -> list[list[frozenset]]:
     return by_dim
 
 
-def _det(rows: list, q: int) -> int:
-    """The determinant of a square matrix over F_q, by the Leibniz sum."""
-    n = len(rows)
-    total = 0
-    for perm in permutations(range(n)):
-        inv = sum(1 for i in range(n) for j in range(i + 1, n) if perm[i] > perm[j])
-        total += (-1) ** inv * math.prod(rows[i][perm[i]] for i in range(n))
-    return total % q
+def _poly_mul(a: tuple, b: tuple, q: int) -> tuple:
+    """The product of two polynomials over F_q, each a tuple of
+    coefficients from the constant term up."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = (out[i + j] + x * y) % q
+    return tuple(out)
+
+
+def _monic(d: int, q: int) -> list[tuple]:
+    return [low + (1,) for low in product(range(q), repeat=d)]
+
+
+def _irreducibles(n: int, q: int) -> list[tuple]:
+    """The monic irreducible polynomials f != x over F_q of degree at most
+    n: the monic ones with a nonzero constant term that are no product of
+    two monic ones of lower degree."""
+    out = []
+    for d in range(1, n + 1):
+        reducible = {_poly_mul(a, b, q) for i in range(1, d // 2 + 1)
+                     for a in _monic(i, q) for b in _monic(d - i, q)}
+        out += [f for f in _monic(d, q) if f[0] and f not in reducible]
+    return out
+
+
+def conjugacy_classes(n: int, q: int):
+    """Each conjugacy class of GL_n(F_q) as (its elementary divisors, the
+    order of its centralizer).  A class is a map f -> lam(f) from the
+    monic irreducible f != x to partitions with sum of deg f |lam(f)| = n;
+    its elementary divisors are the f^(lam_i), and its centralizer has
+    order prod over f of a_{lam(f)}(q^(deg f)) (Macdonald IV.2)."""
+    irr = _irreducibles(n, q)
+
+    def assign(i: int, rest: int):
+        if rest == 0:
+            yield [], 1
+            return
+        if i == len(irr):
+            return
+        f, d = irr[i], len(irr[i]) - 1
+        yield from assign(i + 1, rest)
+        powers = [(1,)]  # f^0, f^1, ...
+        for s in range(1, rest // d + 1):
+            powers.append(_poly_mul(powers[-1], f, q))
+            for lam in enumerate_partitions(s):
+                c = a_poly(lam).evaluate(q ** d)
+                for divisors, c_rest in assign(i + 1, rest - d * s):
+                    yield [powers[part] for part in lam] + divisors, c * c_rest
+
+    yield from assign(0, n)
+
+
+def _companion_image(v: tuple, p: tuple, q: int) -> tuple:
+    """The companion matrix of the monic p applied to v: e_i -> e_(i+1)
+    and e_(m-1) -> -(p_0 e_0 + ... + p_(m-1) e_(m-1))."""
+    return tuple((prev - v[-1] * c) % q for prev, c in zip((0,) + v[:-1], p))
 
 
 @lru_cache(maxsize=None)
 def _group_classes(n: int, q: int) -> tuple[dict, dict]:
     """The elements of G = GL_n(F_q) counted by (pi vector, det), and each
-    unipotent character as a function of the pi vector.  pi_lam(g), the
-    number of g-stable flags of type lam, is the permutation character on
-    G/P_lam = sum over mu of K_{mu lam} chi^mu, with Kostka numbers K from
-    ssyt_count; so the unipotent characters come from the pi_lam by
-    forward substitution from (n), the trivial character, down to 1^n,
-    the Steinberg character.  The pi vector is all the unipotent
-    characters see; the determinant is all a linear character sees."""
+    unipotent character as a function of the pi vector.  Each conjugacy
+    class is read on one representative, the block-diagonal matrix of the
+    companion matrices of its elementary divisors, and counts |G| / |C(g)|
+    elements; the determinant of a block of degree m is (-1)^m p(0).
+    pi_lam(g), the number of g-stable flags of type lam, is the
+    permutation character on G/P_lam = sum over mu of K_{mu lam} chi^mu,
+    with Kostka numbers K from ssyt_count; so the unipotent characters
+    come from the pi_lam by forward substitution from (n), the trivial
+    character, down to 1^n, the Steinberg character.  The pi vector is all
+    the unipotent characters see; the determinant is all a linear
+    character sees."""
     vectors = list(product(range(q), repeat=n))
     by_dim = _subspaces(n, q)
     spaces = [space for dim in by_dim for space in dim]
@@ -505,16 +574,19 @@ def _group_classes(n: int, q: int) -> tuple[dict, dict]:
             chains = [c + (V,) for c in chains for V in by_dim[sum(lam[:i])]
                       if not c or c[-1] <= V]
         flags[lam] = chains
+    order = math.prod(q**n - q**i for i in range(n))
     classes: dict = {}
-    for entries in product(range(q), repeat=n * n):
-        rows = [entries[i * n:(i + 1) * n] for i in range(n)]
-        image = {v: tuple(sum(r * x for r, x in zip(row, v)) % q for row in rows) for v in vectors}
-        if len(set(image.values())) < len(vectors):
-            continue  # not invertible
+    for divisors, centralizer in conjugacy_classes(n, q):
+        ends = list(accumulate(len(p) - 1 for p in divisors))
+        image = {v: sum((_companion_image(v[e - len(p) + 1:e], p, q)
+                         for p, e in zip(divisors, ends)), ())
+                 for v in vectors}
         stable = {V for V in spaces if all(image[v] in V for v in V)}
         pi = tuple(sum(all(V in stable for V in c) for c in flags[lam]) for lam in shapes)
-        key = (pi, _det(rows, q))
-        classes[key] = classes.get(key, 0) + 1
+        det = math.prod((-1) ** (len(p) - 1) * p[0] for p in divisors) % q
+        assert order % centralizer == 0, (divisors, centralizer)
+        classes[pi, det] = classes.get((pi, det), 0) + order // centralizer
+    assert sum(classes.values()) == order, (n, q)
     pis = {pi for pi, _ in classes}
     chi: dict = {}
     for j, lam in enumerate(shapes):

@@ -328,8 +328,8 @@ class TestVerify:
 
         real = mult.T_poly_product_oracle
 
-        def corrupted(k, N, ctx=None):
-            table = real(k, N, ctx)
+        def corrupted(ctx):
+            table = real(ctx)
             key = min(table)
             table[key] = table[key] + mult.U
             return table
@@ -476,7 +476,6 @@ class TestCache:
         assert [p.name for p in (home / ".cache" / "ennola").iterdir()] == ["psi_k3_n2.json"]
 
     def test_cold_build_writes_each_table_once(self, capsys, tmp_path, monkeypatch):
-        import ennola.cli as cli
         import ennola.multiplicities as mult
 
         calls = []
@@ -487,7 +486,6 @@ class TestCache:
             return real(cache_dir, k, n, table)
 
         monkeypatch.setattr(mult, "save_cache", counted)
-        monkeypatch.setattr(cli, "save_cache", counted, raising=False)
         cache = str(tmp_path / "c")
         rc, out, _ = run(capsys, "cache", "build", "--n", "3", "--cache-dir", cache)
         assert rc == EXIT_OK
@@ -781,8 +779,8 @@ class TestProcessEntry:
                 ctx = build_context(k, n, cache)
                 ctx.tau_schur(n)
                 table = ctx.psi_schur(n)
-                T_poly_product_oracle(k, n, ctx)
-                Uprime_poly_product_oracle(k, n, ctx)
+                T_poly_product_oracle(ctx)
+                Uprime_poly_product_oracle(ctx)
                 assert verify_suite(ctx).ok
                 save_cache(cache + "-copy", k, n, table)
                 assert load_cache(cache + "-copy", k, n) == table
@@ -872,8 +870,6 @@ class TestEveryFunctionRuns:
 
     NOT_RUN = {
         "coeffs.PolyQU.evaluate": "the library user's way from a polynomial to a number",
-        "coeffs.PolyQU.coeff": "an accessor of the polynomial value type",
-        "symfunc.GradedSeries.one": "an accessor of the graded series value type",
         "cli.run": "the process entry, which TestProcessEntry runs",
         "multiplicities.U_poly_product_oracle":
             "perfbench wraps it; it leaves with the closed-form denominators (ROADMAP)",

@@ -153,9 +153,9 @@ class TestPolyBasics:
 
     def test_coeff_accessors(self):
         p = Q**2 * U + Q * U + PolyQU.const(5)
-        assert p.coeff(2, 1) == 1
-        assert p.coeff(0, 0) == 5
-        assert p.coeff(7, 7) == 0
+        assert p.terms.get((2, 1), 0) == 1
+        assert p.terms.get((0, 0), 0) == 5
+        assert p.terms.get((7, 7), 0) == 0
         assert p.coeff_of_u(1) == Q**2 + Q
         assert p.coeff_of_u(0) == PolyQU.const(5)
 

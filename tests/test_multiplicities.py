@@ -5,6 +5,7 @@ and the on-disk cache."""
 from __future__ import annotations
 
 import json
+import math
 import os
 from itertools import combinations_with_replacement, permutations
 
@@ -46,6 +47,7 @@ from ennola.partitions import (
 from ennola.types import from_partition, make_type
 from oracles import (
     H_omega_oracle,
+    conjugacy_classes,
     enumerate_types,
     expand_graded,
     generic_multiplicities_from_group,
@@ -369,10 +371,10 @@ class TestClosedFormDenominators:
         for n in range(1, N + 1):
             ctx.psi_schur(n)
             ctx.tau_schur(n)
-        U_poly_product_oracle(3, N, ctx)
-        T_poly_product_oracle(3, N, ctx)
+        U_poly_product_oracle(ctx)
+        T_poly_product_oracle(ctx)
         assert calls == 0
-        Uprime_poly_product_oracle(3, N, ctx)
+        Uprime_poly_product_oracle(ctx)
         # at most one gcd per graded piece for each of its N + N // 2 terms
         assert 0 < calls <= (N + N // 2) * N
 
@@ -411,7 +413,7 @@ class TestIntegerCoefficients:
                 assert all(_is_integer_poly(p) for p in f.coeffs.values()), (series, f)
         tables = [ctx.psi_schur(n) for n in range(1, N + 1)]
         tables += [ctx.tau_schur(n) for n in range(1, N + 1)]
-        tables += [oracle(k, N, ctx) for oracle in (
+        tables += [oracle(ctx) for oracle in (
             U_poly_product_oracle, Uprime_poly_product_oracle, T_poly_product_oracle)]
         for table in tables:
             assert table and all(_is_integer_poly(p) for p in table.values())
@@ -419,12 +421,23 @@ class TestIntegerCoefficients:
 
 class TestUnipotentFromTheGroup:
     """U(q) at a prime q against the same count made in GL_n(F_q) itself:
-    flag-counting permutation characters, unipotent characters by Kostka
-    forward substitution, and the average of their products over the
-    group (tests/oracles.py), a route that owes nothing to symmetric
-    functions."""
+    flag-counting permutation characters on one representative per
+    conjugacy class, unipotent characters by Kostka forward substitution,
+    and the average of their products over the group (tests/oracles.py),
+    a route that owes nothing to symmetric functions."""
 
-    @pytest.mark.parametrize("n, q", [(2, 2), (2, 3), (2, 5), (3, 2)])
+    @pytest.mark.parametrize("n, q, count", [
+        (1, 7, 6), (2, 5, 24), (3, 3, 24), (3, 7, 336), (4, 2, 14), (4, 3, 78)])
+    def test_one_class_per_conjugacy_class(self, n, q, count):
+        # GL_n(F_q) has q - 1, q^2 - 1, q^3 - q and q^4 - q classes for
+        # n = 1..4, and their sizes |G| / |C(g)| add up to |G|
+        classes = list(conjugacy_classes(n, q))
+        order = math.prod(q**n - q**i for i in range(n))
+        assert len(classes) == count
+        assert sum(order // centralizer for _, centralizer in classes) == order
+        assert all(sum(len(p) - 1 for p in divisors) == n for divisors, _ in classes)
+
+    @pytest.mark.parametrize("n, q", [(2, 2), (2, 3), (2, 5), (3, 2), (3, 3), (4, 2), (4, 3)])
     @pytest.mark.parametrize("k", [3, 4])
     def test_matches_the_group_count(self, n, q, k):
         ctx = build_context(k, n, None)
@@ -460,9 +473,9 @@ class TestGenericFromTheGroup:
 class TestProductOracles:
     def test_oracles_match_main_route(self):
         ctx = build_context(3, 3, None)
-        u_table = expand_graded(U_poly_product_oracle(3, 3, ctx))
-        up_table = expand_graded(Uprime_poly_product_oracle(3, 3, ctx))
-        t_table = expand_graded(T_poly_product_oracle(3, 3, ctx))
+        u_table = expand_graded(U_poly_product_oracle(ctx))
+        up_table = expand_graded(Uprime_poly_product_oracle(ctx))
+        t_table = expand_graded(T_poly_product_oracle(ctx))
         for n in range(1, 4):
             for mu in multipartitions(3, n):
                 assert u_table.get((n, mu), ZERO) == U_poly(ctx, mu), mu
@@ -486,8 +499,8 @@ def _seed_fault(monkeypatch, family: str, rep) -> None:
     def at_rep(name, fault):
         real = getattr(mult, name)
 
-        def corrupted(k, N, ctx=None):
-            table = dict(real(k, N, ctx))
+        def corrupted(ctx):
+            table = dict(real(ctx))
             table[(4, rep)] = fault(table[(4, rep)])
             return table
 
@@ -546,11 +559,6 @@ class TestVerifySuite:
         report = verify_suite(build_context(3, 4, None))
         assert [(i.name, i.failures) for i in report.items if i.failures] == [(family, 3)]
         assert [i.cases for i in report.items] == [161] * 5
-
-    def test_nmax_restricts(self):
-        ctx = build_context(3, 3, None)
-        report = verify_suite(ctx, nmax=2)
-        assert report.ok
 
     def test_a_fault_at_one_orbit_fails_at_each_ordering(self, monkeypatch):
         # each sorted key is checked once; its outcome is recorded for every

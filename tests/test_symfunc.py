@@ -21,6 +21,7 @@ from ennola.symfunc import (
     mobius,
     schur_symfunc,
     tensor_expand,
+    _merged_orbits,
 )
 
 from oracles import (
@@ -28,6 +29,7 @@ from oracles import (
     coefficient,
     expand_orbits,
     from_schur_oracle,
+    merged_orbits_reference,
     multiply_reference,
     pairing,
     pleth_log,
@@ -358,6 +360,18 @@ class TestFullKeyReferences:
         assert expand_orbits(h.coeffs) == multiply_reference(
             expand_orbits(f.coeffs), expand_orbits(g.coeffs))
 
+    def test_merged_orbits_match_the_double_loop(self):
+        # every pair of sorted keys, k = 2..4, |ka| <= 3 and 1 <= |kb| <= 3
+        pairs = 0
+        for k in (2, 3, 4):
+            keys = [key for n in range(4) for key in multipartitions(k, n)
+                    if key == tuple(sorted(key))]
+            for ka in keys:
+                for kb in (key for key in keys if key[0]):
+                    assert dict(_merged_orbits(ka, kb)) == merged_orbits_reference(ka, kb)
+                    pairs += 1
+        assert pairs == 812
+
     @given(integer_tables(), integer_tables())
     @settings(max_examples=40, deadline=None)
     def test_change_basis_matches_full_key_reference(self, a, b):
@@ -512,7 +526,7 @@ class TestMobius:
 
 def geometric_series(k: int, N: int) -> GradedSeries:
     """1 + f + f^2 + ... truncated, for f = s_1 on each alphabet."""
-    one = GradedSeries.one(k, N)
+    one = GradedSeries(k, N, [SymFunc.one(k)] + [SymFunc.zero(k, n) for n in range(1, N + 1)])
     f = GradedSeries.zero(k, N)
     term = SymFunc(k, 1, {((((1,),) * k)): ONE})
     coeffs = list(f.coeffs)
@@ -593,7 +607,8 @@ class TestGradedSeries:
         assert f.adams(2).adams(3) == f.adams(6)
 
     def test_exp_requires_zero_constant_term(self):
+        one = [SymFunc.one(1)] + [SymFunc.zero(1, n) for n in (1, 2, 3)]
         with pytest.raises(ValueError):
-            GradedSeries.one(1, 3).plain_exp()
+            GradedSeries(1, 3, one).plain_exp()
         with pytest.raises(ValueError):
             GradedSeries.zero(1, 3).plain_log()

@@ -81,10 +81,10 @@ class TestMakeAndEnumerate:
 
 class TestStats:
     def test_stats_on_partition_types(self):
-        # single entry (1, lam, 1): n = n(lam), r = n + |lam|, r' = ceil(n/2)+|lam|
+        # single entry (1, lam, 1): r = n + |lam|, r' = ceil(n/2) + |lam|
         for lam in [(3,), (2, 1), (1, 1, 1)]:
             tau = from_partition(lam)
-            n_val, r_val, rp_val = type_stats(tau)
+            r_val, rp_val = type_stats(tau)
             n = size(lam)
             assert r_val == n + n
             assert rp_val == (n + 1) // 2 + n
@@ -92,8 +92,7 @@ class TestStats:
     def test_stats_higher_degree(self):
         # entry (2, (1), 1): size 2, weight 1
         tau = make_type([(2, (1,), 1)])
-        n_val, r_val, rp_val = type_stats(tau)
-        assert n_val == 0
+        r_val, rp_val = type_stats(tau)
         assert r_val == 2 + 1
         assert rp_val == 1 + 1
 
