@@ -127,6 +127,8 @@ class PolyQU:
         return result
 
     def scale(self, n: int) -> "PolyQU":
+        if type(n) is not int:
+            raise TypeError(f"scale by {n!r}, not an int")
         if n == 1:
             return self
         return _from_terms({m: n * c for m, c in self.terms.items()} if n else {})

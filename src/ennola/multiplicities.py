@@ -8,7 +8,10 @@ Schur coefficients are the generic multiplicities, then form the
 plethystic exponential of u * Psi whose Schur coefficients, divided by u,
 are the two-variable interpolation polynomials.  Specializing u to 0, 1,
 and -1 (the last with q -> -q and an explicit sign) recovers the generic,
-general-linear unipotent, and unitary unipotent multiplicities.
+general-linear unipotent, and unitary unipotent multiplicities.  Each
+stage keeps degree n over a denominator known in closed form: the kernel
+over (q;q)_n, its plain logarithm over q^n - 1, and the master series,
+Exp(u Psi) and the product routes' log sums over 1 (symfunc.SymFunc).
 
 Infinite products with orbit-count exponents give an independent
 recomputation of the same polynomials and serve as cross-checks.
@@ -22,7 +25,7 @@ import os
 import tempfile
 from collections import namedtuple
 from itertools import product
-from math import factorial, prod
+from math import prod
 
 try:  # the builtin SHA-256: importing hashlib loads OpenSSL, +3.7 MB peak RSS
     from _sha2 import sha256  # Python >= 3.12
@@ -78,11 +81,10 @@ CACHE_VERSION = 3
 MINUS_ONE = ONE.scale(-1)
 
 
-def phi_u(d: int) -> tuple[PolyQU, int]:
-    """Orbit-count polynomial (1/d) sum over r | d of mu(r) u^{d/r}
-    (q^{d/r} - 1), as the pair (numerator, d) of an integer polynomial and
-    the integer d.  Integer-valued at every integer q and u, though its
-    coefficients are not integers."""
+def phi_u(d: int) -> PolyQU:
+    """d phi_{u,d}, an integer polynomial, for the orbit count phi_{u,d} =
+    (1/d) sum over r | d of mu(r) u^{d/r} (q^{d/r} - 1), which is
+    integer-valued at every integer q and u."""
     if d < 1:
         raise ValueError("d must be positive")
     acc = PolyQU()
@@ -90,14 +92,13 @@ def phi_u(d: int) -> tuple[PolyQU, int]:
         if d % r == 0 and mobius(r):
             e = d // r
             acc = acc + ((U ** e) * (Q ** e - ONE)).scale(mobius(r))
-    return acc, d
+    return acc
 
 
-def phi_prime(d: int) -> tuple[PolyQU, int]:
-    """Twisted-form orbit count: phi_u at (u, q) = (-1, -q), which is
-    (1/d) sum of mu(r) (q^{d/r} - (-1)^{d/r}); the pair (numerator, d)."""
-    num, d = phi_u(d)
-    return num.subst(q=-Q, u=MINUS_ONE), d
+def phi_prime(d: int) -> PolyQU:
+    """d phi'_d, for the twisted-form orbit count phi'_d: phi_u at
+    (u, q) = (-1, -q), which is (1/d) sum of mu(r) (q^{d/r} - (-1)^{d/r})."""
+    return phi_u(d).subst(q=-Q, u=MINUS_ONE)
 
 
 class SignData(namedtuple("SignData", "d_mu sign_uprime")):
@@ -169,29 +170,25 @@ class MasterContext:
     @property
     def psi(self) -> GradedSeries:
         if self._psi is None:
-            cached = self._psi_from_cache()
-            if cached is not None:
-                self._psi = cached
-            else:
+            self._psi = self._psi_from_cache()
+            if self._psi is None:
                 # Psi = (q - 1) Log Omega; degree n of Log Omega is over
-                # (n!)^k (q^n - 1), and (q^n - 1) cancels exactly
+                # q^n - 1, which cancels exactly
                 log = self.r_series().pleth_psi_inv().scale(Q - ONE)
-                self._psi = log.over(_factorial_dens(self.k, self.N))
+                self._psi = log.over([ONE] * (self.N + 1))
         return self._psi
 
     @property
     def exp_u_psi(self) -> GradedSeries:
         if self._exp_u_psi is None:
-            dens = _factorial_dens(self.k, self.N)
-            self._exp_u_psi = self.psi.scale(U).pleth_exp(dens)
+            self._exp_u_psi = self.psi.scale(U).pleth_exp([ONE] * (self.N + 1))
         return self._exp_u_psi
 
     def r_series(self) -> GradedSeries:
         """Coefficients of the plain logarithm of the kernel series; degree
-        n is over (n!)^k (q^n - 1)."""
+        n is over q^n - 1."""
         if self._r_series is None:
-            fk = _factorial_dens(self.k, self.N)
-            dens = [ONE] + [fk[n] * (Q**n - ONE) for n in range(1, self.N + 1)]
+            dens = [ONE] + [Q**n - ONE for n in range(1, self.N + 1)]
             self._r_series = self.omega.plain_log(dens)
         return self._r_series
 
@@ -251,12 +248,6 @@ class MasterContext:
         return table
 
 
-def _factorial_dens(k: int, N: int) -> list[PolyQU]:
-    """(n!)^k for n = 0..N, the denominators of the master series, of
-    Exp(u Psi) and of the product-oracle series."""
-    return [PolyQU.const(factorial(n) ** k) for n in range(N + 1)]
-
-
 def _div_u(p: PolyQU, key) -> PolyQU:
     """Exact division by u with degree sanity checks."""
     shifted = {}
@@ -277,8 +268,8 @@ def _build_omega(k: int, N: int) -> GradedSeries:
     dominating lam.  Degree n is summed on the Schur basis over
     q^S (q;q)_n, S the largest power of q in an a_lam(q): every
     a_lam(q) = q^e prod (q;q)_{m_i} divides it, because q-multinomials are
-    polynomials.  After one change to power sums per degree, the q^S
-    cancels exactly and Omega_n is over (n!)^k (q;q)_n.
+    polynomials.  After one change to the basis b_rho = p_rho / z_rho per
+    degree, the q^S cancels exactly and Omega_n is over (q;q)_n.
 
     The sum and the change of basis run on packed integers (coeffs.pack),
     unpacked once per power-sum key.  A Schur-side numerator is a sum over
@@ -287,7 +278,6 @@ def _build_omega(k: int, N: int) -> GradedSeries:
     sum over lam of |den/a_lam|_1 (max over nu of |K~_{nu lam}|_1)^k, and
     the change of basis multiplies that by at most symfunc.basis_bound."""
     coeffs = [SymFunc.one(k)]
-    fk = _factorial_dens(k, N)
     for n in range(1, N + 1):
         a = {lam: a_poly(lam) for lam in enumerate_partitions(n)}
         q_shift = max(min(i for i, _ in p.terms) for p in a.values())  # S
@@ -307,7 +297,7 @@ def _build_omega(k: int, N: int) -> GradedSeries:
                 acc[key] = acc.get(key, 0) + c
         nums = change_basis_packed(k, n, acc, to_powersum=True)
         omega_n = SymFunc(k, n, {key: unpack(v, B, W) for key, v in nums.items()})
-        coeffs.append(omega_n.divide(den * fk[n]).over(fk[n] * q_pochhammer(n)))
+        coeffs.append(omega_n.divide(den).over(q_pochhammer(n)))
     return GradedSeries(k, N, coeffs)
 
 
@@ -375,6 +365,8 @@ def T_poly(ctx: MasterContext, mu: MultiPartition) -> PolyQU:
     if len(mu) != ctx.k:
         raise ValueError(f"expected {ctx.k} components, got {len(mu)}")
     n = size(mu[0])
+    if any(size(c) != n for c in mu):
+        raise ValueError("components of different sizes")
     return ctx.tau_schur(n).get(tuple(sorted(mu)), PolyQU())
 
 
@@ -400,17 +392,16 @@ def _signed_neg_q(r: GradedSeries) -> GradedSeries:
 def _product_oracle(ctx: MasterContext, log_terms):
     """Schur tables, keyed by (degree, multipartition), of the plain
     exponential of sum(weight * series) over the (series, weight) pairs
-    that log_terms yields from the kernel's plain logarithm.  A weight is
-    a pair (numerator, d): the series is scaled by the numerator and
-    divided by d.  The sum is over the lcm of its terms' denominators and
-    its degree n then over (n!)^k; only the q -> -q terms of the twisted
-    form need an lcm that is not one of the terms' denominators."""
+    that log_terms yields from the kernel's plain logarithm: psi_d(r)/d
+    (GradedSeries.adams) and the integer polynomial d phi_d.  The sum is
+    integral; only the twisted form's q -> -q terms, over divisors of
+    q^(2n) - 1, need an lcm that is not one of their denominators."""
     r = ctx.r_series()
     log_sum = GradedSeries.zero(ctx.k, ctx.N)
-    for series, (num, d) in log_terms(r):
-        log_sum = log_sum.add(series.scale(num).divide(d))
-    dens = _factorial_dens(ctx.k, ctx.N)
-    ser = log_sum.over(dens).plain_exp(dens)
+    for series, num in log_terms(r):
+        log_sum = log_sum.add(series.scale(num))
+    ones = [ONE] * (ctx.N + 1)
+    ser = log_sum.over(ones).plain_exp(ones)
     return {(n, key): p for n in range(1, ctx.N + 1)
             for key, p in ser.coeffs[n].to_schur().items()}
 

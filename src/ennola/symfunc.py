@@ -3,15 +3,19 @@ in a formal variable T, with plethystic exponential and logarithm.
 
 A SymFunc of degree n is an element of the n-th graded piece of
 Lambda(x_1) (x) ... (x) Lambda(x_k) over Q(q, u), stored sparsely on the
-power-sum basis indexed by k-tuples of partitions of n, as integer
-numerators in Z[q, u] over one denominator in Z[q] for the whole piece.
-Nothing is reduced by a gcd: each stage of the pipeline knows the
-denominator of its pieces in closed form and rewrites them over it with
-SymFunc.over, one exact division per key.  Adding two pieces over
-different denominators takes their lcm.  Power sums are primitive, which
-makes the Adams operation psi_m a key remap plus the monomial remap
-q -> q^m, u -> u^m; everything plethystic reduces to that, one Adams sum
-and one Newton recurrence for exp/log of graded series.
+basis b_rho = p_rho / z_rho dual to the power sums (p_rho and z_rho the
+products of the k one-alphabet ones), indexed by k-tuples of partitions
+of n, as integer numerators in Z[q, u] over one denominator in Z[q] for
+the whole piece.  As s_lam = sum over rho of chi^lam(rho) b_rho, an
+integer Schur table has integer numerators over 1.  Nothing is reduced
+by a gcd: each stage of the pipeline knows the denominator of its pieces
+in closed form and rewrites them over it with SymFunc.over, one exact
+division per key.  Adding two pieces over different denominators takes
+their lcm.  As psi_m p_rho = p_{m rho} and z_{m rho} = m^l(rho) z_rho,
+l(rho) the number of parts, the Adams operation psi_m / m is a key remap
+times m^(l(rho) - 1) plus the monomial remap q -> q^m, u -> u^m;
+everything plethystic reduces to that, one Adams sum and one Newton
+recurrence for exp/log of graded series.
 
 The Schur side has one form, the Schur table: a dict from sorted keys to
 integer polynomials, over the denominator 1.  to_schur reads it off a
@@ -21,17 +25,19 @@ Every function here is symmetric in the k alphabets, so a SymFunc and a
 Schur table keep one key per orbit of their permutations: the sorted one,
 whose coefficient stands for each of its orderings (orbit).
 
-The Schur <-> power-sum change of basis is an integer-linear map of the
-numerators, so it runs on packed integers (coeffs.pack): each numerator is
-packed once, the character table is applied with integer scale-adds, and
-each output is unpacked once, with the digit size taken from basis_bound.
+The Schur <-> b change of basis is an integer-linear map of the
+numerators (toward the Schur side after a scaling by (n!)^k / z_rho, the
+one place z_rho appears), so it runs on packed integers (coeffs.pack):
+each numerator is packed once, the character table is applied with
+integer scale-adds, and each output is unpacked once, with the digit
+size taken from basis_bound.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import permutations
-from math import factorial
+from math import factorial, prod
 
 from .coeffs import (
     ONE,
@@ -75,10 +81,7 @@ def orbit(key: MultiPartition) -> tuple[MultiPartition, ...]:
 
 @lru_cache(maxsize=None)
 def _z_product(rho: MultiPartition) -> int:
-    out = 1
-    for comp in rho:
-        out *= z_lambda(comp)
-    return out
+    return prod(map(z_lambda, rho))
 
 
 @lru_cache(maxsize=None)
@@ -101,22 +104,20 @@ def basis_bound(k: int, n: int, to_powersum: bool) -> int:
     |coefficient| of its input numerators.  An output at a key lam_1..lam_k
     is the sum over the source keys src of f_src chi(src_1, lam_1) ...
     chi(src_k, lam_k), at most max |f| times prod_i sum_src |chi(src, lam_i)|
-    <= max |f| C^k; the power-sum side then scales by (n!)^k / z_rho <= (n!)^k."""
-    c = _character_rows(n, to_powersum)[1] ** k
-    return c * factorial(n) ** k if to_powersum else c
+    <= max |f| C^k."""
+    return _character_rows(n, to_powersum)[1] ** k
 
 
 def change_basis_packed(k: int, n: int, nums: dict, to_powersum: bool) -> dict:
     """The numerators of a degree-n function on the other basis, as packed
-    integers (coeffs.pack) in and out: <f, s_mu> = sum over rho of f_rho
-    chi^mu(rho), and f_rho = sum over mu of f_mu chi^mu(rho) / z_rho, with
-    chi the product of the k one-alphabet characters.  The numerators go
-    through the character table one alphabet at a time, as (head, tail)
-    keys: head the converted components, kept sorted, and tail the others,
-    sorted because the partial sum is symmetric in them.  A tail feeds
-    each of its distinct components to the next pass.  z_rho divides
-    (n!)^k, so a power-sum output comes scaled by (n!)^k / z_rho and its
-    denominator gains the factor (n!)^k."""
+    integers (coeffs.pack) in and out: f_rho = sum over mu of f_mu
+    chi^mu(rho) toward b_rho, and (n!)^k <f, s_mu> = sum over rho of
+    f_rho chi^mu(rho) for inputs already scaled by (n!)^k / z_rho
+    (_change_basis), chi the product of the k one-alphabet characters.
+    The numerators go through the character table one alphabet at a time,
+    as (head, tail) keys: head the converted components, kept sorted, and
+    tail the others, sorted because the partial sum is symmetric in them.
+    A tail feeds each of its distinct components to the next pass."""
     rows = _character_rows(n, to_powersum)[0]
     cur = {((), key): v for key, v in nums.items()}
     for _ in range(k):
@@ -131,43 +132,47 @@ def change_basis_packed(k: int, n: int, nums: dict, to_powersum: bool) -> dict:
                     new = (head + (lam,), rest)
                     out[new] = out.get(new, 0) + c * v
         cur = out
-    if not to_powersum:
-        return {head: v for (head, _), v in cur.items()}
-    zk = factorial(n) ** k
-    return {rho: v * (zk // _z_product(rho)) for (rho, _), v in cur.items()}
+    return {head: v for (head, _), v in cur.items()}
 
 
 def _change_basis(f: "SymFunc", to_powersum: bool) -> Coeffs:
-    """The numerators of f's coefficients read on the other basis: each
-    packed once with B from basis_bound, converted by change_basis_packed,
-    and unpacked once."""
-    top = max((abs(c) for p in f.coeffs.values() for c in p.terms.values()), default=0)
+    """The numerators of f's coefficients read on the other basis, times
+    (n!)^k on the Schur side: each packed once, multiplied toward the
+    Schur side by (n!)^k / z_rho, converted by change_basis_packed, and
+    unpacked once, with B from basis_bound and the scaled inputs."""
+    zk = factorial(f.n) ** f.k
+    weight = {key: 1 if to_powersum else zk // _z_product(key) for key in f.coeffs}
+    top = max((max(map(abs, p.terms.values())) * weight[key] for key, p in f.coeffs.items()),
+              default=0)
     B = (top * basis_bound(f.k, f.n, to_powersum)).bit_length() + 1
     W = 1 + max((p.qdeg() for p in f.coeffs.values()), default=0)
-    nums = change_basis_packed(f.k, f.n, {key: pack(p, B, W) for key, p in f.coeffs.items()},
-                               to_powersum)
+    nums = change_basis_packed(f.k, f.n, {key: pack(p, B, W) * weight[key]
+                                          for key, p in f.coeffs.items()}, to_powersum)
     return {key: unpack(v, B, W) for key, v in nums.items()}
 
 
 @lru_cache(maxsize=None)
 def _merged_orbits(ka: MultiPartition, kb: MultiPartition) -> tuple:
     """(key, count) for the sorted keys among the componentwise merges of
-    the orderings of ka with those of kb: p_ka p_kb summed over both
-    orbits has count times p_key at each representative key.  Permuting
+    the orderings of ka with those of kb: b_ka b_kb summed over both
+    orbits has count times b_key at each representative key.  Permuting
     the alphabets permutes those merges, so by orbit-stabilizer counting
     it is enough to merge ka with each ordering of kb, count each merge at
-    its sorted key, and scale by |orbit(ka)| / |orbit(key)|."""
+    its sorted key, and scale by |orbit(ka)| / |orbit(key)|, then by
+    z_key / (z_ka z_kb), on each alphabet a product of binomials."""
     counts: dict = {}
     for b in orbit(kb):
         key = tuple(sorted(tuple(sorted(x + y, reverse=True)) for x, y in zip(ka, b)))
         counts[key] = counts.get(key, 0) + 1
-    return tuple((key, c * len(orbit(ka)) // len(orbit(key))) for key, c in counts.items())
+    za, zb = _z_product(ka), _z_product(kb)
+    return tuple((key, c * len(orbit(ka)) // len(orbit(key)) * (_z_product(key) // (za * zb)))
+                 for key, c in counts.items())
 
 
 class SymFunc:
-    """Degree-n symmetric function on k alphabets, sparse on the power-sum
-    basis: integer numerators in Z[q, u] over the denominator den in Z[q],
-    one per sorted key (an orbit representative)."""
+    """Degree-n symmetric function on k alphabets, sparse on the basis
+    b_rho = p_rho / z_rho: integer numerators in Z[q, u] over the
+    denominator den in Z[q], one per sorted key (an orbit representative)."""
 
     __slots__ = ("k", "n", "coeffs", "den")
 
@@ -191,10 +196,9 @@ class SymFunc:
     @classmethod
     def from_schur(cls, k: int, n: int, table: Coeffs) -> "SymFunc":
         """The degree-n function whose Schur table is table (sorted keys,
-        integer polynomials), over (n!)^k."""
+        integer polynomials), over 1."""
         schur = cls(k, n, table)  # checks the keys and drops zeros
-        return schur._with(_change_basis(schur, to_powersum=True),
-                           PolyQU.const(factorial(n) ** k))
+        return cls(k, n, _change_basis(schur, to_powersum=True))
 
     def _with(self, coeffs: Coeffs, den: PolyQU, n: int | None = None) -> "SymFunc":
         f = SymFunc(self.k, self.n if n is None else n, coeffs)
@@ -286,8 +290,8 @@ class SymFunc:
 
     def multiply(self, other: "SymFunc") -> "SymFunc":
         """Product in the tensor algebra.  One polynomial product per pair
-        of representatives, added with its orbit count at each key it
-        reaches."""
+        of representatives, added at each key it reaches times the
+        integer factor from _merged_orbits."""
         self._check_compatible(other)
         out: Coeffs = {}
         for ka, ca in self.coeffs.items():
@@ -300,14 +304,17 @@ class SymFunc:
         return self._with(out, self.den * other.den, n=self.n + other.n)
 
     def adams(self, m: int) -> "SymFunc":
-        """psi_m: p_r -> p_{mr} on every alphabet, q -> q^m, u -> u^m."""
+        """psi_m / m: b_rho -> m^(l(rho) - 1) b_{m rho}, l(rho) the number
+        of parts on all alphabets, with q -> q^m and u -> u^m.  A nonzero
+        degree-0 piece, whose factor would be 1/m, raises ValueError."""
         if m == 1:
             return self
+        if self.n == 0 and self.coeffs:
+            raise ValueError(f"psi_{m}/{m} of a nonzero degree-0 piece")
         qm, um = Q ** m, U ** m
-        out = {
-            tuple(tuple(part * m for part in comp) for comp in key): c.subst(q=qm, u=um)
-            for key, c in self.coeffs.items()
-        }
+        out = {tuple(tuple(part * m for part in comp) for comp in key):
+               c.subst(q=qm, u=um).scale(m ** (sum(map(len, key)) - 1))
+               for key, c in self.coeffs.items()}
         return self._with(out, self.den.subst(q=qm), n=self.n * m)
 
     def subst_coeffs(self, q: PolyQU | None = None, u: PolyQU | None = None) -> "SymFunc":
@@ -315,10 +322,11 @@ class SymFunc:
                           self.den.subst(q=q))
 
     def to_schur(self) -> Coeffs:
-        """The Schur table: each Schur coefficient divided exactly by den,
-        at the sorted keys in ascending order.  Raises NotPolynomialError
-        when a coefficient is not a polynomial."""
-        nums = self._with(_change_basis(self, to_powersum=False), self.den)
+        """The Schur table: each Schur coefficient divided exactly by
+        (n!)^k den, at the sorted keys in ascending order.  Raises
+        NotPolynomialError when a coefficient is not a polynomial."""
+        zk = factorial(self.n) ** self.k
+        nums = self._with(_change_basis(self, to_powersum=False), self.den.scale(zk))
         return dict(sorted(nums.over(ONE).coeffs.items()))
 
 
@@ -349,9 +357,8 @@ def mobius(n: int) -> int:
 
 
 class GradedSeries:
-    """Series sum_{n=0..N} f_n T^n, f_n a SymFunc of degree n on the
-    power-sum basis, truncated at T^N; the constant term f_0 sits on the
-    one key ((),) * k.
+    """Series sum_{n=0..N} f_n T^n, f_n a SymFunc of degree n, truncated
+    at T^N; the constant term f_0 sits on the one key ((),) * k.
 
     plain_exp, plain_log and pleth_exp take an optional list dens: dens[n]
     is a denominator that degree n of the result is known to have, and
@@ -394,9 +401,6 @@ class GradedSeries:
     def scale(self, c) -> "GradedSeries":
         return self._like([f.scale(c) for f in self.coeffs])
 
-    def divide(self, d) -> "GradedSeries":
-        return self._like([f.divide(d) for f in self.coeffs])
-
     def over(self, dens: list) -> "GradedSeries":
         """Degree n rewritten over dens[n] (SymFunc.over)."""
         return self._like([f.over(d) for f, d in zip(self.coeffs, dens)])
@@ -406,7 +410,7 @@ class GradedSeries:
             raise ValueError("series shapes differ")
 
     def adams(self, m: int) -> "GradedSeries":
-        """psi_m including T -> T^m, truncated at T^N."""
+        """psi_m / m (SymFunc.adams) including T -> T^m, truncated at T^N."""
         if m == 1:
             return self
         out = GradedSeries.zero(self.k, self.N).coeffs
@@ -451,7 +455,7 @@ class GradedSeries:
         acc = self
         for m in range(2, self.N + 1):
             if cm := c(m):
-                acc = acc.add(self.adams(m).scale(cm).divide(m))
+                acc = acc.add(self.adams(m).scale(cm))
         return acc
 
     def pleth_psi(self) -> "GradedSeries":

@@ -62,12 +62,13 @@ def type_stats(tau: TypeEntries) -> tuple[int, int]:
 
 @lru_cache(maxsize=None)
 def schur_of_type(tau: TypeEntries) -> dict[MultiPartition, PolyQU]:
-    """The Schur table of the product over entries of s_{lam} with alphabet
-    powers d and q -> q^d, m times each; one alphabet, integer
-    coefficients.  Cached and shared, so no caller mutates it."""
+    """The Schur table of the product over entries of psi_d s_{lam}
+    (alphabet powers d and q -> q^d), m times each; one alphabet, integer
+    coefficients.  SymFunc.adams is psi_d / d, hence the factor d.  Cached
+    and shared, so no caller mutates it."""
     out = SymFunc.one(1)
     for d, lam, m in tau:
-        piece = schur_symfunc(1, (lam,)).adams(d)
+        piece = schur_symfunc(1, (lam,)).adams(d).scale(d)
         for _ in range(m):
             out = out.multiply(piece)
     return out.to_schur()

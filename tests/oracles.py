@@ -15,6 +15,11 @@ basis, with the Hall pairing sum over rho of z_rho f_rho g_rho, where the
 library works on Schur tables, and the kernel's degrees are summed with
 the lcm of the 1/a_lam terms, where the library uses a closed form.
 
+The library's SymFunc keeps its numerators on b_rho = p_rho / z_rho; the
+references here read and build power-sum coefficients, and reach a
+SymFunc only through bp_convert, the one b <-> p conversion
+(powersum_of and powersum_symfunc wrap it).
+
 The library keeps one sorted key per orbit of the k alphabets'
 permutations.  The references here work on every ordered key instead:
 expand_orbits writes a table of sorted keys out in full, symmetrized sums
@@ -117,6 +122,36 @@ def _chi_product(mu: tuple, rho: tuple) -> int:
     return math.prod(character_value_oracle(m, r) for m, r in zip(mu, rho))
 
 
+def _z(rho: tuple) -> int:
+    """z_rho on k alphabets: the product of the one-alphabet z's."""
+    return math.prod(map(z_lambda, rho))
+
+
+def bp_convert(k: int, n: int, nums: dict, to_powersum: bool) -> tuple[dict, int]:
+    """The b <-> p conversion of degree-n numerators on k alphabets:
+    f = sum f_rho p_rho = sum z_rho f_rho b_rho.  To power sums each is
+    multiplied by (n!)^k / z_rho, and the returned integer (n!)^k
+    multiplies the denominator; to b each is multiplied by z_rho, and the
+    integer is 1."""
+    if not to_powersum:
+        return {rho: p.scale(_z(rho)) for rho, p in nums.items()}, 1
+    zk = math.factorial(n) ** k
+    return {rho: p.scale(zk // _z(rho)) for rho, p in nums.items()}, zk
+
+
+def powersum_of(f: SymFunc) -> tuple[dict, PolyQU]:
+    """f's power-sum numerators at every ordered key, and their one
+    denominator."""
+    nums, zk = bp_convert(f.k, f.n, f.coeffs, True)
+    return expand_orbits(nums), f.den.scale(zk)
+
+
+def powersum_symfunc(k: int, n: int, nums: dict, den: PolyQU = ONE) -> SymFunc:
+    """The SymFunc sum over sorted rho of nums[rho] p_rho / den (each key
+    standing for its orbit)."""
+    return SymFunc(k, n, bp_convert(k, n, nums, False)[0]).divide(den)
+
+
 def scalar(num, den: PolyQU = ONE) -> SymFunc:
     """num/den, for num an integer or an integer polynomial, as a
     degree-0 SymFunc on one alphabet."""
@@ -124,8 +159,9 @@ def scalar(num, den: PolyQU = ONE) -> SymFunc:
 
 
 def coefficient(f: SymFunc, key: tuple) -> SymFunc:
-    """The coefficient of f at key, as a scalar."""
-    return scalar(f.coeffs.get(key, ZERO), f.den)
+    """The coefficient of p_key in f, as a scalar."""
+    nums, den = powersum_of(f)
+    return scalar(nums.get(key, ZERO), den)
 
 
 def as_poly(c: SymFunc) -> PolyQU:
@@ -173,15 +209,16 @@ def multiply_reference(a: dict, b: dict) -> dict:
 
 
 def merged_orbits_reference(ka: tuple, kb: tuple) -> dict:
-    """The count of each sorted key among the componentwise merges of
-    every ordering of ka with every ordering of kb: the double loop over
-    both orbits."""
+    """The coefficient of b_key, at each sorted key, in b_ka b_kb summed
+    over both orbits: the double loop over every ordering of ka and every
+    ordering of kb, each merge read off p_a p_b = p_merge, so that it adds
+    z_merge / (z_a z_b)."""
     counts: dict = {}
     for a in set(permutations(ka)):
         for b in set(permutations(kb)):
             key = tuple(tuple(sorted(x + y, reverse=True)) for x, y in zip(a, b))
             if _is_sorted(key):
-                counts[key] = counts.get(key, 0) + 1
+                counts[key] = counts.get(key, 0) + Fraction(_z(key), _z(a) * _z(b))
     return counts
 
 
@@ -222,12 +259,13 @@ def schur_table_oracle(f: SymFunc) -> dict:
     sum then divided exactly by den (as_poly: NotPolynomialError when it
     is not a polynomial)."""
     keys = multipartitions(f.k, f.n)
+    nums, den = powersum_of(f)
     out: dict = {}
-    for rho, c in expand_orbits(f.coeffs).items():
+    for rho, c in nums.items():
         for mu in keys:
             if chi := _chi_product(mu, rho):
                 out[mu] = out.get(mu, ZERO) + c.scale(chi)
-    return {mu: as_poly(scalar(c, f.den)) for mu, c in sorted(_sorted_reps(out).items())}
+    return {mu: as_poly(scalar(c, den)) for mu, c in sorted(_sorted_reps(out).items())}
 
 
 def from_schur_oracle(k: int, n: int, table: dict) -> SymFunc:
@@ -242,15 +280,16 @@ def from_schur_oracle(k: int, n: int, table: dict) -> SymFunc:
         for rho in keys:
             if chi := _chi_product(mu, rho):
                 out[rho] = out.get(rho, ZERO) + c.scale(chi * (z_lcm // zs[rho]))
-    return SymFunc(k, n, _sorted_reps(out)).divide(z_lcm)
+    return powersum_symfunc(k, n, _sorted_reps(out), PolyQU.const(z_lcm))
 
 
 def schur_coefficient_oracle(f: SymFunc, mu: tuple) -> SymFunc:
     """<f, s_mu> from the power-sum basis, one term per ordered key of f."""
+    nums, den = powersum_of(f)
     total = ZERO
-    for rho, c in expand_orbits(f.coeffs).items():
+    for rho, c in nums.items():
         total = total + c.scale(_chi_product(mu, rho))
-    return scalar(total, f.den)
+    return scalar(total, den)
 
 
 def pairing(f: SymFunc, g: SymFunc) -> SymFunc:
@@ -258,13 +297,13 @@ def pairing(f: SymFunc, g: SymFunc) -> SymFunc:
     of z_rho f_rho g_rho, with z_rho the product of the k one-alphabet z's."""
     if f.k != g.k or f.n != g.n:
         raise ValueError("pairing requires equal alphabet counts and degrees")
-    g_full = expand_orbits(g.coeffs)
+    (f_full, f_den), (g_full, g_den) = powersum_of(f), powersum_of(g)
     total = ZERO
-    for rho, ca in expand_orbits(f.coeffs).items():
+    for rho, ca in f_full.items():
         cb = g_full.get(rho)
         if cb is not None:
             total = total + (ca * cb).scale(math.prod(map(z_lambda, rho)))
-    return scalar(total, f.den * g.den)
+    return scalar(total, f_den * g_den)
 
 
 def pleth_log(series: GradedSeries) -> GradedSeries:
@@ -275,9 +314,10 @@ def pleth_log(series: GradedSeries) -> GradedSeries:
 def _tensor_power(f: SymFunc, k: int) -> SymFunc:
     """f(x_1) ... f(x_k) for a one-alphabet f, expanded at every ordered
     key and then kept at the sorted ones."""
+    nums, den = powersum_of(f)
     full = {tuple(rho for (rho,), _ in combo): math.prod((v for _, v in combo), start=ONE)
-            for combo in product(f.coeffs.items(), repeat=k)}
-    return SymFunc(k, f.n, _sorted_reps(full)).divide(f.den ** k)
+            for combo in product(nums.items(), repeat=k)}
+    return powersum_symfunc(k, f.n, _sorted_reps(full), den ** k)
 
 
 def omega_oracle(k: int, N: int) -> GradedSeries:
@@ -299,12 +339,11 @@ def H_omega_oracle(ctx, omega) -> PolyQU:
     a multitype, which is not symmetric."""
     mt = as_multitype(omega)
     n = type_size(mt[0])
-    comps = [from_schur_oracle(1, n, schur_of_type(tau)) for tau in mt]
-    psi = ctx.psi.coeffs[n]
-    den = math.prod((c.den for c in comps), start=psi.den)
-    psi_full = expand_orbits(psi.coeffs)
+    comps = [powersum_of(from_schur_oracle(1, n, schur_of_type(tau))) for tau in mt]
+    psi_full, psi_den = powersum_of(ctx.psi.coeffs[n])
+    den = math.prod((c_den for _, c_den in comps), start=psi_den)
     total = ZERO
-    for combo in product(*(c.coeffs.items() for c in comps)):
+    for combo in product(*(nums.items() for nums, _ in comps)):
         rho = tuple(r for (r,), _ in combo)
         c = psi_full.get(rho)
         if c is not None:
@@ -697,14 +736,15 @@ def enumerate_types(n: int) -> tuple[TypeEntries, ...]:
 
 def extend_to_type(family, entries) -> SymFunc:
     """Product over type entries (d, lam, m) of family(lam) with every
-    alphabet power index multiplied by d and q replaced by q^d, taken m times.
+    alphabet power index multiplied by d and q replaced by q^d (psi_d,
+    which is d times SymFunc.adams), taken m times.
 
     `family` maps a partition to a one-alphabet SymFunc; the result is
     again one-alphabet.
     """
     out = SymFunc.one(1)
     for d, lam, m in entries:
-        piece = family(lam).adams(d)
+        piece = family(lam).adams(d).scale(d)
         for _ in range(m):
             out = out.multiply(piece)
     return out

@@ -30,6 +30,7 @@ from oracles import (
     kronecker_oracle,
     pairing,
     pleth_log,
+    powersum_symfunc,
     q_weight_multiplicity,
     scalar,
     series_mul,
@@ -320,8 +321,8 @@ def test_criterion_9_property_suites(ctx5):
             for b in shapes:
                 want = scalar(1 if a == b else 0)
                 assert pairing(fs[a], fs[b]) == want, (a, b)
-                pa = SymFunc(1, n, {(a,): ONE})
-                pb = SymFunc(1, n, {(b,): ONE})
+                pa = powersum_symfunc(1, n, {(a,): ONE})
+                pb = powersum_symfunc(1, n, {(b,): ONE})
                 wz = scalar(z_lambda(a) if a == b else 0)
                 assert pairing(pa, pb) == wz, (a, b)
 

@@ -138,6 +138,10 @@ class TestPolyBasics:
             PolyQU.const(c)
         with pytest.raises(TypeError, match="is not an int"):
             PolyQU.monomial(c, 2, 1)
+        # scale keeps the rule: (q + 1).scale(0.5) would hold floats
+        for p in (Q + ONE, ZERO):
+            with pytest.raises(TypeError, match="not an int"):
+                p.scale(c)
 
     def test_zero_and_truthiness(self):
         assert ZERO.is_zero()

@@ -12,7 +12,7 @@ from itertools import combinations_with_replacement, permutations
 import pytest
 
 import ennola.multiplicities as mult
-from ennola.coeffs import ONE, Q, U, ZERO, PolyQU, poly_to_str
+from ennola.coeffs import ONE, Q, U, ZERO, PolyQU, poly_exact_div, poly_to_str
 from ennola.multiplicities import (
     H_omega,
     MasterContext,
@@ -66,10 +66,11 @@ class TestOrbitCounts:
         assert phi(3) == (Q**3 - Q, 3)
 
     def test_phi_prime_anchors(self):
-        assert phi_prime(1) == (Q + ONE, 1)
+        # the library's orbit counts come as d phi'_d, an integer polynomial
+        assert phi_prime(1) == Q + ONE
         # (q^2 - q - 2) / 2: size-2 orbits on a cyclic group of order q^2-1
         # under x -> x^{-q}, after removing the q+1 fixed points
-        assert phi_prime(2) == (Q**2 - Q - PolyQU.const(2), 2)
+        assert phi_prime(2) == Q**2 - Q - PolyQU.const(2)
 
     def test_phi_mobius_inversion(self):
         # sum over d | m of d * phi_d = q^m - 1
@@ -88,9 +89,7 @@ class TestOrbitCounts:
             total = PolyQU()
             for d in range(1, m + 1):
                 if m % d == 0:
-                    num, den = phi_prime(d)
-                    assert den == d
-                    total = total + num
+                    total = total + phi_prime(d)
             assert total == Q**m - PolyQU.const((-1) ** m), m
 
     def test_phi_u_mobius_inversion(self):
@@ -99,27 +98,24 @@ class TestOrbitCounts:
             total = PolyQU()
             for d in range(1, m + 1):
                 if m % d == 0:
-                    num, den = phi_u(d)
-                    assert den == d
-                    total = total + num
+                    total = total + phi_u(d)
             assert total == U**m * (Q**m - ONE), m
 
     def test_phi_u_specializations(self):
         # phi here is the Moebius-inversion reference in oracles.py
         minus_one = ONE.scale(-1)
         for d in range(1, 8):
-            num, den = phi_u(d)
-            assert (num.subst(u=ONE), den) == phi(d), d
-            assert (num.subst(q=-Q, u=minus_one), den) == phi_prime(d), d
+            num = phi_u(d)
+            assert (num.subst(u=ONE), d) == phi(d), d
+            assert num.subst(q=-Q, u=minus_one) == phi_prime(d), d
 
     def test_integrality_at_prime_powers(self):
         # orbit counts are integers at every prime power
         for d in range(1, 7):
             for qv in (2, 3, 4, 5, 7, 8, 9):
-                for f in (phi, phi_prime):
-                    num, den = f(d)
-                    v, rem = divmod(num.evaluate(qv), den)
-                    assert rem == 0 and v >= 0, (f, d, qv)
+                for name, num in (("phi", phi(d)[0]), ("phi'", phi_prime(d))):
+                    v, rem = divmod(num.evaluate(qv), d)
+                    assert rem == 0 and v >= 0, (name, d, qv)
 
     def test_d_must_be_positive(self):
         for f in (phi_prime, phi_u):
@@ -233,6 +229,12 @@ class TestPipelineSmall:
         for qv in (2, 3, 4):
             assert v.evaluate(qv) >= 0
 
+    @pytest.mark.parametrize("family", [T_poly, U_poly, Uprime_poly, V_poly, Vprime_poly])
+    def test_components_of_different_sizes_are_refused(self, ctx5, family):
+        for mu in (((2,), (1, 1), (1, 1, 1)), ((1,), (2,), (2,)), ((2, 1), (3,), (1, 1))):
+            with pytest.raises(ValueError, match="different sizes"):
+                family(ctx5, mu)
+
     def test_vprime_relates_to_v_functionally(self, ctx5):
         # V'(q) = s V(-q), s the reference sign of the multipartition
         for n in range(1, 5):
@@ -342,17 +344,36 @@ class TestClosedFormDenominators:
 
     @pytest.mark.parametrize("k, N", [(3, 4), (4, 3)])
     def test_each_stage_is_over_its_closed_form(self, k, N):
-        from math import factorial
-
         from ennola.partitions import q_pochhammer
 
         ctx = build_context(k, N, None)
         for n in range(1, N + 1):
-            fk = PolyQU.const(factorial(n) ** k)
-            assert ctx.omega.coeffs[n].den == fk * q_pochhammer(n)
-            assert ctx.r_series().coeffs[n].den == fk * (Q**n - ONE)
-            assert ctx.psi.coeffs[n].den == fk
-            assert ctx.exp_u_psi.coeffs[n].den == fk
+            assert ctx.omega.coeffs[n].den == q_pochhammer(n)
+            assert ctx.r_series().coeffs[n].den == Q**n - ONE
+            assert ctx.psi.coeffs[n].den == ctx.exp_u_psi.coeffs[n].den == ONE
+
+    @pytest.mark.parametrize("k, N", [(3, 5), (4, 4), (2, 6), (1, 8)])
+    def test_oracle_log_sums_over_closed_forms(self, k, N):
+        # ROADMAP item 2: every piece psi_d(r) phi_d of the twisted log form
+        # is over a divisor of q^(2n) - 1 at degree n, those of the
+        # u-deformed form over q^n - 1, and each sum is integral
+        from ennola.multiplicities import _uprime_log_terms
+        from ennola.symfunc import GradedSeries
+
+        r = build_context(k, N, None).r_series()
+        twisted = list(_uprime_log_terms(r))
+        u_deformed = [(r.adams(d), phi_u(d)) for d in range(1, N + 1)]
+        for terms, closed_form in ((twisted, lambda n: Q**(2 * n) - ONE),
+                                   (u_deformed, lambda n: Q**n - ONE)):
+            total = GradedSeries.zero(k, N)
+            for series, num in terms:
+                piece = series.scale(num)
+                for n in range(1, N + 1):
+                    den = piece.coeffs[n].den
+                    assert poly_exact_div(closed_form(n), den) is not None, (n, den)
+                total = total.add(piece)
+            integral = total.over([ONE] * (N + 1))  # NotPolynomialError if not
+            assert integral == total
 
     def test_only_the_twisted_oracle_takes_a_gcd(self, monkeypatch):
         import ennola.coeffs as coeffs

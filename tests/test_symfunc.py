@@ -21,6 +21,7 @@ from ennola.symfunc import (
     mobius,
     schur_symfunc,
     tensor_expand,
+    _change_basis,
     _merged_orbits,
 )
 
@@ -33,6 +34,8 @@ from oracles import (
     multiply_reference,
     pairing,
     pleth_log,
+    powersum_of,
+    powersum_symfunc,
     scalar,
     schur_coefficient_oracle,
     schur_table_oracle,
@@ -85,8 +88,8 @@ class TestSymFuncBasics:
             shapes = enumerate_partitions(n)
             for a in shapes:
                 for b in shapes:
-                    fa = SymFunc(1, n, {(a,): ONE})
-                    fb = SymFunc(1, n, {(b,): ONE})
+                    fa = powersum_symfunc(1, n, {(a,): ONE})
+                    fb = powersum_symfunc(1, n, {(b,): ONE})
                     got = pairing(fa, fb)
                     expected = rat(z_lambda(a)) if a == b else ZERO_
                     assert got == expected, (a, b)
@@ -114,7 +117,8 @@ class TestSymFuncBasics:
         # a zero coefficient is dropped before the check, a sorted key passes
         assert SymFunc(2, 3, {((2, 1), (1, 1, 1)): ZERO}).is_zero()
         assert SymFunc.from_schur(2, 3, {((2, 1), (1, 1, 1)): ZERO}).is_zero()
-        assert schur_symfunc(2, ((1, 1, 1), (2, 1))).den == PolyQU.const(36)
+        # an integer Schur table has integer numerators on b_rho = p_rho / z_rho
+        assert schur_symfunc(2, ((1, 1, 1), (2, 1))).den == ONE
         # one basis only: a Schur table is a dict, never a SymFunc
         assert not hasattr(SymFunc, "basis")
 
@@ -137,12 +141,26 @@ class TestSymFuncBasics:
         assert schur_coefficient(prod2, ((4,),)) == ZERO_
 
     def test_adams_on_powersums(self):
-        # psi_m is multiplicative: p_rho -> p_{m*rho}
-        f = SymFunc(1, 3, {((2, 1),): PolyQU.const(5)}).divide(Q - ONE)
+        # adams(m) is psi_m / m, and psi_m sends p_rho to p_{m*rho}; on
+        # b_rho = p_rho / z_rho that is b_rho -> m^(l(rho) - 1) b_{m*rho}
+        f = powersum_symfunc(1, 3, {((2, 1),): PolyQU.const(5)}, Q - ONE)
         g = f.adams(2)
         assert g.n == 6
-        assert g.coeffs == {((4, 2),): PolyQU.const(5)}
+        assert g.coeffs == {((4, 2),): PolyQU.const(20)}
         assert g.den == Q**2 - ONE
+        assert g.scale(2) == powersum_symfunc(1, 6, {((4, 2),): PolyQU.const(5)}, Q**2 - ONE)
+        # three alphabets, l(rho) = 4: the factor 3^3
+        key = ((1, 1), (2,), (2,))
+        assert SymFunc(3, 2, {key: U}).adams(3).coeffs == {((3, 3), (6,), (6,)): (U**3).scale(27)}
+        assert powersum_symfunc(3, 2, {key: U}).adams(3).scale(3) == powersum_symfunc(
+            3, 6, {((3, 3), (6,), (6,)): U**3})
+
+    def test_adams_refuses_a_nonzero_degree_zero_piece(self):
+        # psi_m / m of a constant would be the constant over m
+        with pytest.raises(ValueError, match="degree-0"):
+            ONE_.adams(2)
+        assert SymFunc.zero(2, 0).adams(2).is_zero()
+        assert ONE_.adams(1) == ONE_
 
     def test_subst_coeffs(self):
         f = SymFunc(1, 1, {((1,),): Q + U})
@@ -239,7 +257,7 @@ class TestOneDenominator:
         f = scalar(U, Q - ONE)
         assert f.subst_coeffs(u=ONE) == scalar(ONE, Q - ONE)
         assert f.subst_coeffs(q=-Q).den == -Q - ONE
-        assert f.adams(2).den == Q**2 - ONE
+        assert SymFunc(1, 1, {((1,),): U}).divide(Q - ONE).adams(2).den == Q**2 - ONE
 
 
 Q_FACTORS = [ONE, Q - ONE, Q + ONE, Q**2 + Q + ONE, Q.scale(2) + ONE.scale(3)]
@@ -250,7 +268,8 @@ def integer_tables(draw, k: int | None = None, n: int | None = None) -> tuple:
     """(k, n, table): k <= 4, n <= 4 (n <= 3 at k = 4) and a sparse table
     of integer polynomials in q, u at sorted keys, random coefficients at
     ordered keys summed over their orbits.  It serves as a Schur table
-    and as the numerators of a power-sum function alike."""
+    and as the numerators of a power-sum function (powersum_symfunc)
+    alike."""
     if k is None:
         k = draw(st.integers(min_value=1, max_value=4))
     if n is None:
@@ -274,10 +293,10 @@ denominators = st.builds(PolyQU.scale, st.sampled_from(Q_FACTORS), st.integers(1
 
 @st.composite
 def symfuncs(draw, k: int | None = None, n: int | None = None) -> SymFunc:
-    """Sparse SymFuncs: integer_tables as numerators over a denominator
-    mixing an integer and a factor in Z[q]."""
+    """Sparse SymFuncs: integer_tables as power-sum numerators over a
+    denominator mixing an integer and a factor in Z[q]."""
     k, n, nums = draw(integer_tables(k, n))
-    return SymFunc(k, n, nums).divide(draw(denominators))
+    return powersum_symfunc(k, n, nums, draw(denominators))
 
 
 class TestChangeOfBasis:
@@ -289,8 +308,8 @@ class TestChangeOfBasis:
     def test_to_schur_matches_reference(self, drawn, den):
         # numerators that den divides: to_schur divides them back exactly
         k, n, nums = drawn
-        f = SymFunc(k, n, nums).scale(den).divide(den)
-        assert f.to_schur() == schur_table_oracle(f) == SymFunc(k, n, nums).to_schur()
+        f = powersum_symfunc(k, n, nums).scale(den).divide(den)
+        assert f.to_schur() == schur_table_oracle(f) == powersum_symfunc(k, n, nums).to_schur()
         assert list(f.to_schur()) == sorted(f.to_schur())
 
     @given(symfuncs())
@@ -309,7 +328,7 @@ class TestChangeOfBasis:
     def test_to_powersum_matches_reference(self, drawn):
         k, n, table = drawn
         got = SymFunc.from_schur(k, n, table)
-        assert got.den == PolyQU.const(math.factorial(n) ** k)
+        assert got.den == ONE
         assert got == from_schur_oracle(k, n, table)
 
     @given(symfuncs(), st.data())
@@ -324,7 +343,7 @@ class TestChangeOfBasis:
     @settings(max_examples=40, deadline=None)
     def test_round_trips(self, a, b, den):
         k, n, nums = a
-        f = SymFunc(k, n, nums).scale(den).divide(den)
+        f = powersum_symfunc(k, n, nums).scale(den).divide(den)
         assert SymFunc.from_schur(k, n, f.to_schur()) == f
         k, n, table = b
         nonzero = {key: p for key, p in sorted(table.items()) if p}
@@ -357,8 +376,7 @@ class TestFullKeyReferences:
         g = data.draw(symfuncs(k=k, n=data.draw(st.integers(1, 2))))
         h = f.multiply(g)
         assert h.den == f.den * g.den
-        assert expand_orbits(h.coeffs) == multiply_reference(
-            expand_orbits(f.coeffs), expand_orbits(g.coeffs))
+        _check_product(f, g, h)
 
     def test_merged_orbits_match_the_double_loop(self):
         # every pair of sorted keys, k = 2..4, |ka| <= 3 and 1 <= |kb| <= 3
@@ -380,32 +398,42 @@ class TestFullKeyReferences:
 
     @pytest.mark.parametrize("k, n, keys", REPEATED)
     def test_repeated_components(self, k, n, keys):
-        f = SymFunc(k, n, _with_repeated_keys(keys)).divide(Q + ONE)
+        f = powersum_symfunc(k, n, _with_repeated_keys(keys), Q + ONE)
         g = SymFunc.from_schur(k, n, _with_repeated_keys(keys[::-1])).divide(Q + ONE)
-        full_f, full_g = expand_orbits(f.coeffs), expand_orbits(g.coeffs)
-        assert expand_orbits(f.multiply(g).coeffs) == multiply_reference(full_f, full_g)
-        assert expand_orbits(f.multiply(f).coeffs) == multiply_reference(full_f, full_f)
+        _check_product(f, g, f.multiply(g))
+        _check_product(f, f, f.multiply(f))
         table = _with_repeated_keys(keys)
         _check_to_schur(k, n, table)
         _check_from_schur(k, n, table)
-        assert SymFunc(k, n, table).to_schur() == schur_table_oracle(SymFunc(k, n, table))
+        f = powersum_symfunc(k, n, table)
+        assert f.to_schur() == schur_table_oracle(f)
         assert SymFunc.from_schur(k, n, table) == from_schur_oracle(k, n, table)
+
+
+def _check_product(f: SymFunc, g: SymFunc, h: SymFunc) -> None:
+    """h = f g against multiply_reference on the power-sum numerators, at
+    every ordered key, cross-multiplied by the denominators."""
+    (fp, f_den), (gp, g_den), (hp, h_den) = powersum_of(f), powersum_of(g), powersum_of(h)
+    want = multiply_reference(fp, gp)  # over f_den * g_den
+    assert ({key: p * f_den * g_den for key, p in hp.items()}
+            == {key: p * h_den for key, p in want.items()})
 
 
 def _check_to_schur(k: int, n: int, nums: dict) -> None:
     """to_schur of the power-sum function with numerators nums against
     change_basis_reference, at every ordered key."""
     want, _ = change_basis_reference(expand_orbits(nums), k, n, False)
-    assert expand_orbits(SymFunc(k, n, nums).to_schur()) == want
+    assert expand_orbits(powersum_symfunc(k, n, nums).to_schur()) == want
 
 
 def _check_from_schur(k: int, n: int, table: dict) -> None:
     """from_schur of a Schur table against change_basis_reference, at
-    every ordered key."""
+    every ordered key: over 1, with the reference's power-sum numerators
+    over (n!)^k."""
     want, zk = change_basis_reference(expand_orbits(table), k, n, True)
     got = SymFunc.from_schur(k, n, table)
-    assert got.den == PolyQU.const(zk)
-    assert expand_orbits(got.coeffs) == want
+    assert got.den == ONE
+    assert powersum_of(got) == (want, PolyQU.const(zk))
 
 
 @st.composite
@@ -437,10 +465,12 @@ class TestPackedChangeOfBasis:
     @pytest.mark.parametrize("to_powersum", [True, False])
     def test_bound_covers_an_all_positive_column(self, k, n, to_powersum):
         # the input takes the sign of chi(src, target) at the target whose
-        # column has the largest sum of |chi|, C; to power sums that is
+        # column has the largest sum of |chi|, C; toward b_rho that is
         # rho = 1^n, where every character value is a positive degree.
-        # The output there is max |input| * C^k (times (n!)^k / z_rho),
-        # the bound's own product, and it must still fit the digits.
+        # Toward the Schur side each input is first scaled by
+        # (n!)^k / z_src, so there it is taken z_src times larger.  The
+        # output is max |scaled input| * C^k, the bound's own product, and
+        # it must still fit the digits.
         def chi(src, lam):
             return character_value(src, lam) if to_powersum else character_value(lam, src)
 
@@ -450,20 +480,24 @@ class TestPackedChangeOfBasis:
         target = next(lam for lam in shapes if column[lam] == C)
         if to_powersum:
             assert target == (1,) * n
-        assert basis_bound(k, n, to_powersum) == C**k * (math.factorial(n) ** k
-                                                          if to_powersum else 1)
+        assert basis_bound(k, n, to_powersum) == C**k
         sign = {src: (chi(src, target) > 0) - (chi(src, target) < 0) for src in shapes}
+        weight = {src: 1 if to_powersum else z_lambda(src) for src in shapes}
         M = 2**200 - 1
-        table = {key: PolyQU.const(M * math.prod(sign[c] for c in key))
+        table = {key: PolyQU.const(M * math.prod(sign[c] * weight[c] for c in key))
                  for key in multipartitions(k, n) if list(key) == sorted(key)}
-        got = (SymFunc.from_schur(k, n, table).coeffs if to_powersum
-               else SymFunc(k, n, table).to_schur())
-        B = (M * basis_bound(k, n, to_powersum)).bit_length() + 1
+        got = _change_basis(SymFunc(k, n, table), to_powersum)  # before any division
+        top = M * (1 if to_powersum else math.factorial(n) ** k)  # the scaled inputs
+        B = (top * basis_bound(k, n, to_powersum)).bit_length() + 1
         assert max(abs(c) for p in got.values() for c in p.terms.values()) < 2 ** (B - 1)
-        z = math.factorial(n) ** k // z_lambda(target) ** k if to_powersum else 1
-        assert got[(target,) * k] == PolyQU.const(M * C**k * z)
-        nums, _ = change_basis_reference(expand_orbits(table), k, n, to_powersum)
-        assert expand_orbits(got) == nums
+        assert got[(target,) * k] == PolyQU.const(top * C**k)
+        if to_powersum:
+            nums, zk = change_basis_reference(expand_orbits(table), k, n, True)
+            assert powersum_of(SymFunc(k, n, got)) == (nums, PolyQU.const(zk))
+        else:
+            nums, _ = powersum_of(SymFunc(k, n, table))
+            nonzero = {key: p for key, p in got.items() if p}
+            assert expand_orbits(nonzero) == change_basis_reference(nums, k, n, False)[0]
 
 
 class TestTensorExpand:
@@ -547,14 +581,14 @@ class TestGradedSeries:
         assert s.coeffs[0] == SymFunc.one(1)
         for n in range(1, 5):
             got = s.coeffs[n]
-            assert got.coeffs == {((1,) * n,): ONE} and got.den == ONE
+            assert got == powersum_symfunc(1, n, {((1,) * n,): ONE}) and got.den == ONE
 
     def test_exp_log_roundtrip(self):
         f = GradedSeries.zero(2, 5)
         coeffs = list(f.coeffs)
         coeffs[1] = SymFunc(2, 1, {(((1,), (1,))): Q})
         # the orbit sum p_2(x) p_11(y) + p_11(x) p_2(y), and p_2 p_2
-        coeffs[2] = SymFunc(2, 2, {((1, 1), (2,)): ONE, ((2,), (2,)): U}).divide(2)
+        coeffs[2] = powersum_symfunc(2, 2, {((1, 1), (2,)): ONE, ((2,), (2,)): U}, PolyQU.const(2))
         f = GradedSeries(2, 5, coeffs)
         assert f.plain_exp().plain_log() == f
         assert pleth_log(f.pleth_exp()) == f
