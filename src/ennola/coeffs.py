@@ -33,7 +33,7 @@ class PolyQU:
     """Sparse bivariate polynomial with arbitrary-precision integer
     coefficients; a coefficient that is not an int raises TypeError."""
 
-    __slots__ = ("terms", "_hash")
+    __slots__ = ("terms",)
 
     def __init__(self, terms=()):
         merged: dict[Monomial, int] = {}
@@ -48,7 +48,6 @@ class PolyQU:
                 elif (i, j) in merged:
                     del merged[(i, j)]
         self.terms = merged
-        self._hash = None
 
     # construction helpers
 
@@ -70,11 +69,6 @@ class PolyQU:
 
     def __eq__(self, other) -> bool:
         return isinstance(other, PolyQU) and self.terms == other.terms
-
-    def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash(frozenset(self.terms.items()))
-        return self._hash
 
     def __neg__(self) -> "PolyQU":
         return PolyQU({m: -c for m, c in self.terms.items()})
@@ -188,7 +182,6 @@ def _from_terms(terms: dict[Monomial, int]) -> PolyQU:
     """A PolyQU over terms that are already merged and nonzero."""
     p = PolyQU.__new__(PolyQU)
     p.terms = terms
-    p._hash = None
     return p
 
 

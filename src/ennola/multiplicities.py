@@ -64,8 +64,6 @@ from .partitions import (
 from .symfunc import (
     GradedSeries,
     SymFunc,
-    basis_bound,
-    change_basis_packed,
     mobius,
     tensor_expand,
 )
@@ -264,39 +262,39 @@ def _div_u(p: PolyQU, key) -> PolyQU:
 
 def _build_omega(k: int, N: int) -> GradedSeries:
     """The kernel: sum over lam of the product over the k alphabets of
-    H~_lam(x_i) / a_lam(q), where H~_lam has only the s_nu with nu
-    dominating lam.  Degree n is summed on the Schur basis over
-    q^S (q;q)_n, S the largest power of q in an a_lam(q): every
-    a_lam(q) = q^e prod (q;q)_{m_i} divides it, because q-multinomials are
-    polynomials.  After one change to the basis b_rho = p_rho / z_rho per
-    degree, the q^S cancels exactly and Omega_n is over (q;q)_n.
+    H~_lam(x_i) / a_lam(q).  On the basis b_rho the coefficients of H~_lam
+    are the Green polynomials Q^lam_rho(q) = sum over nu of
+    chi^nu(rho) K~_{nu lam}(q), integer polynomials (Macdonald III.7), so
+    the product is their k-fold tensor power at the sorted keys
+    (symfunc.tensor_expand).  Degree n is summed over q^S (q;q)_n, S the
+    largest power of q in an a_lam(q): every a_lam(q) = q^e prod
+    (q;q)_{m_i} divides it, because q-multinomials are polynomials.  The
+    q^S cancels exactly and Omega_n is over (q;q)_n.
 
-    The sum and the change of basis run on packed integers (coeffs.pack),
-    unpacked once per power-sum key.  A Schur-side numerator is a sum over
-    lam of den/a_lam times k coefficients K~_{nu lam}; since
-    |f g|_max <= |f|_1 |g|_max, its coefficients are at most
-    sum over lam of |den/a_lam|_1 (max over nu of |K~_{nu lam}|_1)^k, and
-    the change of basis multiplies that by at most symfunc.basis_bound."""
+    The sum runs on packed integers (coeffs.pack), unpacked once per key.
+    A numerator is a sum over lam of den/a_lam times k Green polynomials;
+    since |f g|_max <= |f|_1 |g|_max, its coefficients are at most
+    sum over lam of |den/a_lam|_1 (max over rho of |Q^lam_rho|_1)^k."""
     coeffs = [SymFunc.one(k)]
     for n in range(1, N + 1):
         a = {lam: a_poly(lam) for lam in enumerate_partitions(n)}
         q_shift = max(min(i for i, _ in p.terms) for p in a.values())  # S
         den = Q**q_shift * q_pochhammer(n)
         terms = [(poly_exact_div(den, a_lam),
-                  [(nu, v) for (nu,), v in transformed_hl(lam).items()])
+                  [(rho, v) for (rho,), v in
+                   SymFunc.from_schur(1, n, transformed_hl(lam)).coeffs.items()])
                  for lam, a_lam in a.items()]
         bound = sum(_norm1(start) * max(_norm1(v) for _, v in items) ** k
                     for start, items in terms)
-        B = (bound * basis_bound(k, n, True)).bit_length() + 1
+        B = bound.bit_length() + 1
         W = 1 + max(start.qdeg() + k * max(v.qdeg() for _, v in items)
                     for start, items in terms)
         acc: dict[MultiPartition, int] = {}
         for start, items in terms:
-            packed = [(nu, pack(v, B, W)) for nu, v in items]
+            packed = [(rho, pack(v, B, W)) for rho, v in items]
             for key, c in tensor_expand([packed] * k, pack(start, B, W)):
                 acc[key] = acc.get(key, 0) + c
-        nums = change_basis_packed(k, n, acc, to_powersum=True)
-        omega_n = SymFunc(k, n, {key: unpack(v, B, W) for key, v in nums.items()})
+        omega_n = SymFunc(k, n, {key: unpack(v, B, W) for key, v in acc.items()})
         coeffs.append(omega_n.divide(den).over(q_pochhammer(n)))
     return GradedSeries(k, N, coeffs)
 

@@ -245,14 +245,13 @@ class SymFunc:
 
     def scale(self, c) -> "SymFunc":
         """self * c for c an integer or a polynomial in q and u; any other
-        coefficient raises ValueError (divide by an integer with divide)."""
-        if not isinstance(c, PolyQU):
-            if not isinstance(c, int):
-                raise ValueError(f"scale by a non-integer: {c!r}")
-            return self._with({key: p.scale(c) for key, p in self.coeffs.items()}, self.den)
-        if c.terms.keys() == {(0, 0)}:
-            return self.scale(c.terms[(0, 0)])
-        return self._with({key: p * c for key, p in self.coeffs.items()}, self.den)
+        coefficient raises TypeError, as PolyQU.scale does (divide by an
+        integer with divide)."""
+        if isinstance(c, PolyQU):
+            return self._with({key: p * c for key, p in self.coeffs.items()}, self.den)
+        if type(c) is not int:
+            raise TypeError(f"scale by {c!r}, not an int")
+        return self._with({key: p.scale(c) for key, p in self.coeffs.items()}, self.den)
 
     def divide(self, d) -> "SymFunc":
         """self / d for d a nonzero integer or integer polynomial in q."""

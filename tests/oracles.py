@@ -10,10 +10,14 @@ numbers by brute tableau filling.  The dominance order, which only the
 tests use, is here too.  The Schur <-> power-sum change of basis on k
 alphabets is the brute-force character-product sum, pairing every source
 key with every target key, with the alternant character values.  The
-kernel and the multitype pairing H_omega are recomputed on the power-sum
-basis, with the Hall pairing sum over rho of z_rho f_rho g_rho, where the
-library works on Schur tables, and the kernel's degrees are summed with
-the lcm of the 1/a_lam terms, where the library uses a closed form.
+kernel is recomputed at every ordered key, from the power-sum expansions
+of from_schur_oracle, with its degrees summed by rational adds over the
+lcm of the 1/a_lam terms; the library sums it on b_rho, from the Green
+polynomials, at the sorted keys, on packed integers over a closed-form
+denominator.  The multitype pairing H_omega is recomputed on the
+power-sum basis, with the Hall pairing sum over rho of
+z_rho f_rho g_rho; the library computes it on the Schur side, from
+Schur tables.
 
 The library's SymFunc keeps its numerators on b_rho = p_rho / z_rho; the
 references here read and build power-sum coefficients, and reach a
@@ -59,7 +63,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, permutations, product
+from itertools import accumulate, combinations, permutations, product
 
 from ennola.coeffs import ONE, ZERO, PolyQU, Q, poly_exact_div
 from ennola.hall_littlewood import transformed_hl
@@ -518,14 +522,23 @@ def vprime_sign_reference(mu: tuple) -> int:
 
 def _subspaces(n: int, q: int) -> list[list[frozenset]]:
     """Every subspace of F_q^n as the frozenset of its vectors, listed by
-    dimension: each space of dimension d + 1 is one of dimension d plus
-    the multiples of one vector outside it."""
-    vectors = list(product(range(q), repeat=n))
-    by_dim = [[frozenset([(0,) * n])]]
-    for _ in range(n):
-        by_dim.append(list({
-            frozenset(tuple((a + c * b) % q for a, b in zip(x, v)) for x in space for c in range(q))
-            for space in by_dim[-1] for v in vectors if v not in space}))
+    dimension.  Each is built once, as the span of its reduced row echelon
+    basis: one for each set of pivot columns and each filling of the
+    entries right of a pivot that lie in no pivot column."""
+    by_dim = []
+    for d in range(n + 1):
+        spaces = []
+        for pivots in combinations(range(n), d):
+            free = [(i, j) for i, p in enumerate(pivots) for j in range(p + 1, n)
+                    if j not in pivots]
+            for entries in product(range(q), repeat=len(free)):
+                rows = [[int(j == p) for j in range(n)] for p in pivots]
+                for (i, j), c in zip(free, entries):
+                    rows[i][j] = c
+                spaces.append(frozenset(
+                    tuple(sum(c * r[j] for c, r in zip(cs, rows)) % q for j in range(n))
+                    for cs in product(range(q), repeat=d)))
+        by_dim.append(spaces)
     return by_dim
 
 

@@ -47,6 +47,7 @@ from ennola.partitions import (
 from ennola.types import from_partition, make_type
 from oracles import (
     H_omega_oracle,
+    _subspaces,
     conjugacy_classes,
     enumerate_types,
     expand_graded,
@@ -298,8 +299,9 @@ class TestSchurExtraction:
 
 
 class TestSchurSide:
-    """The kernel and H_omega are assembled on the Schur basis; the
-    power-sum routes in oracles.py are the reference."""
+    """The kernel is summed on b_rho from the Green polynomials and
+    H_omega is computed on the Schur side; the power-sum routes in
+    oracles.py, at every ordered key, are the reference."""
 
     @pytest.mark.parametrize("k, N", [(3, 4), (4, 3)])
     def test_h_omega_matches_powersum_pairing(self, k, N):
@@ -308,7 +310,7 @@ class TestSchurSide:
             for mt in combinations_with_replacement(enumerate_types(n), k):
                 assert H_omega(ctx, mt) == H_omega_oracle(ctx, mt), mt
 
-    @pytest.mark.parametrize("k, N", [(3, 4), (4, 3)])
+    @pytest.mark.parametrize("k, N", [(3, 4), (4, 3), (2, 6), (5, 3)])
     def test_omega_matches_powersum_assembly(self, k, N):
         assert _build_omega(k, N) == omega_oracle(k, N)
 
@@ -457,6 +459,18 @@ class TestUnipotentFromTheGroup:
         assert len(classes) == count
         assert sum(order // centralizer for _, centralizer in classes) == order
         assert all(sum(len(p) - 1 for p in divisors) == n for divisors, _ in classes)
+
+    @pytest.mark.parametrize("n, q", [(3, 7), (4, 5)])
+    def test_subspaces_per_dimension_are_gaussian_binomials(self, n, q):
+        # F_q^n has prod_{i<d} (q^(n-i) - 1) / (q^(i+1) - 1) subspaces of
+        # dimension d, each of q^d vectors, and no subspace twice
+        by_dim = _subspaces(n, q)
+        for d, spaces in enumerate(by_dim):
+            binomial = math.prod(q**(n - i) - 1 for i in range(d)) // math.prod(
+                q**(i + 1) - 1 for i in range(d))
+            assert len(spaces) == len(set(spaces)) == binomial, d
+            assert all(len(V) == q**d for V in spaces), d
+        assert len(by_dim) == n + 1
 
     @pytest.mark.parametrize("n, q", [(2, 2), (2, 3), (2, 5), (3, 2), (3, 3), (4, 2), (4, 3)])
     @pytest.mark.parametrize("k", [3, 4])
