@@ -29,7 +29,6 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_INTERNAL = 4
 
-WHICH_CHOICES = ("V", "Vprime", "U", "Uprime", "T", "kron")
 HEADER_SYMBOL = {
     "V": "V",
     "Vprime": "V'",
@@ -38,6 +37,7 @@ HEADER_SYMBOL = {
     "T": "\\mathcal{T}",
     "kron": "g",
 }
+WHICH_CHOICES = tuple(HEADER_SYMBOL)
 
 
 class UsageError(ValueError):

@@ -72,18 +72,16 @@ def kostka_foulkes(nu: Partition, lam: Partition) -> PolyQU:
 
 
 @lru_cache(maxsize=None)
-def transformed_kostka(nu: Partition, lam: Partition) -> PolyQU:
-    """q^{n(lam)} K_{nu,lam}(1/q), the cocharge Kostka-Foulkes polynomial."""
-    kf = kostka_foulkes(nu, lam)
-    top = n_stat(lam)
-    if kf.qdeg() > top:
-        raise AssertionError(f"K_{{nu,lam}} exceeds degree n(lam) for {nu}, {lam}")
-    return PolyQU({(top - d, 0): c for (d, _), c in kf.terms.items()})
-
-
-@lru_cache(maxsize=None)
 def transformed_hl(lam: Partition) -> dict[MultiPartition, PolyQU]:
     """The Schur table of the modified Hall-Littlewood function indexed by
-    lam, one alphabet: only s_nu with nu dominating lam occur, in
+    lam, one alphabet: at s_nu the cocharge Kostka-Foulkes polynomial
+    q^{n(lam)} K_{nu,lam}(1/q).  Only s_nu with nu dominating lam occur, in
     enumeration order.  Cached and shared, so no caller mutates it."""
-    return {(nu,): transformed_kostka(nu, lam) for nu in sorted(_q_prime(lam), reverse=True)}
+    top = n_stat(lam)
+    out = {}
+    for nu in sorted(_q_prime(lam), reverse=True):
+        kf = kostka_foulkes(nu, lam)
+        if kf.qdeg() > top:
+            raise AssertionError(f"K_{{nu,lam}} exceeds degree n(lam) for {nu}, {lam}")
+        out[(nu,)] = PolyQU({(top - d, 0): c for (d, _), c in kf.terms.items()})
+    return out

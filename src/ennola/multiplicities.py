@@ -340,19 +340,25 @@ def _multitype_signs(mt) -> tuple[int, int]:
     return (-1) ** r, (-1) ** (rp + nd + n + 1)
 
 
-def V_poly(ctx: MasterContext, omega) -> PolyQU:
-    """Generic multiplicity for the split form: (-1)^{r} times the master
-    coefficient pairing."""
+def V_pair(ctx: MasterContext, omega) -> tuple[PolyQU, PolyQU]:
+    """The generic multiplicities (V, V') for the split and the twisted
+    form, from one pairing H = H_omega: V(q) = (-1)^r H(q) and, by the
+    stated sign identity V'(q) = +-V(-q), V'(q) = (-1)^(r' + n_dual + n + 1)
+    H(-q)."""
     mt = as_multitype(omega)
-    return H_omega(ctx, mt).scale(_multitype_signs(mt)[0])
+    h = H_omega(ctx, mt)
+    s, s_prime = _multitype_signs(mt)
+    return h.scale(s), h.subst(q=-Q).scale(s_prime)
+
+
+def V_poly(ctx: MasterContext, omega) -> PolyQU:
+    """Generic multiplicity for the split form, V of V_pair."""
+    return V_pair(ctx, omega)[0]
 
 
 def Vprime_poly(ctx: MasterContext, omega) -> PolyQU:
-    """Generic multiplicity for the twisted form, by the stated sign
-    identity V'(q) = +-V(-q): the pairing at -q times
-    (-1)^(r' + n_dual + n + 1)."""
-    mt = as_multitype(omega)
-    return H_omega(ctx, mt).subst(q=-Q).scale(_multitype_signs(mt)[1])
+    """Generic multiplicity for the twisted form, V' of V_pair."""
+    return V_pair(ctx, omega)[1]
 
 
 # unipotent multiplicities and the interpolation
@@ -392,8 +398,9 @@ def _product_oracle(ctx: MasterContext, log_terms):
     exponential of sum(weight * series) over the (series, weight) pairs
     that log_terms yields from the kernel's plain logarithm: psi_d(r)/d
     (GradedSeries.adams) and the integer polynomial d phi_d.  The sum is
-    integral; only the twisted form's q -> -q terms, over divisors of
-    q^(2n) - 1, need an lcm that is not one of their denominators."""
+    integral.  Only the three-part twisted form takes an lcm, where its
+    q -> -q terms meet r's; regrouped in two parts, odd d on the q -> -q
+    image and even d on r, every degree-n term is over (-q)^n - 1."""
     r = ctx.r_series()
     log_sum = GradedSeries.zero(ctx.k, ctx.N)
     for series, num in log_terms(r):
@@ -521,10 +528,7 @@ def verify_suite(ctx: MasterContext) -> VerifyReport:
         """The comparisons at the sorted key rep, as (family, ok, failure
         text after the multipartition's name), and the (family name,
         value) pairs whose leading coefficient is negative."""
-        mt = as_multitype(rep)
-        s, s_prime = _multitype_signs(mt)
-        h = H_omega(ctx, mt)
-        v, vp = h.scale(s), h.subst(q=-Q).scale(s_prime)  # V_poly, Vprime_poly
+        v, vp = V_pair(ctx, rep)
         up_val = Uprime_poly(ctx, rep)
         kron = kronecker(rep)
         top = t.coeff_of_u(n - 1)

@@ -329,12 +329,6 @@ class SymFunc:
         return dict(sorted(nums.over(ONE).coeffs.items()))
 
 
-def schur_symfunc(k: int, mu: MultiPartition) -> SymFunc:
-    """The sum over the orbit of mu, a sorted key, of s_{mu^1}(x_1) ...
-    s_{mu^k}(x_k)."""
-    return SymFunc.from_schur(k, sum(mu[0]) if mu else 0, {mu: ONE})
-
-
 @lru_cache(maxsize=None)
 def mobius(n: int) -> int:
     if n < 1:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .coeffs import PolyQU
+from .coeffs import ONE, PolyQU
 from .partitions import (
     MultiPartition,
     ParseError,
@@ -21,7 +21,7 @@ from .partitions import (
     size,
     split_at,
 )
-from .symfunc import SymFunc, schur_symfunc
+from .symfunc import SymFunc
 
 TypeEntries = tuple[tuple[int, Partition, int], ...]
 
@@ -68,7 +68,7 @@ def schur_of_type(tau: TypeEntries) -> dict[MultiPartition, PolyQU]:
     and shared, so no caller mutates it."""
     out = SymFunc.one(1)
     for d, lam, m in tau:
-        piece = schur_symfunc(1, (lam,)).adams(d).scale(d)
+        piece = SymFunc.from_schur(1, size(lam), {(lam,): ONE}).adams(d).scale(d)
         for _ in range(m):
             out = out.multiply(piece)
     return out.to_schur()

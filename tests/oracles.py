@@ -34,7 +34,9 @@ merged_orbits_reference counts the merges of two orbits pair by pair,
 where the library counts by orbit-stabilizer.
 
 The split orbit count phi_d is written from its Moebius-inversion
-formula, where the library only specializes phi_u; the sign of
+formula, where the library only specializes phi_u; the twisted product's
+log terms come in the two-part form (uprime_log_two_part), every degree
+over (-q)^n - 1, where the library sums three parts; the sign of
 V'(q) = +-V(-q) at a multipartition comes from the multipartition's
 statistics, where the library reads it off multitype statistics.
 
@@ -67,7 +69,7 @@ from itertools import accumulate, combinations, permutations, product
 
 from ennola.coeffs import ONE, ZERO, PolyQU, Q, poly_exact_div
 from ennola.hall_littlewood import transformed_hl
-from ennola.multiplicities import as_multitype
+from ennola.multiplicities import _signed_neg_q, as_multitype, phi_prime
 from ennola.characters import character_value
 from ennola.partitions import (
     Partition,
@@ -510,6 +512,18 @@ def phi(d: int) -> tuple[PolyQU, int]:
     return num, d
 
 
+def uprime_log_two_part(r: GradedSeries):
+    """The log terms of the twisted infinite product in two parts: the sum
+    over odd d of phi'_d psi_d(r_alt)/d plus the sum over even d of
+    phi'_d psi_d(r)/d, r_alt the signed q -> -q image of r.  The library's
+    three-part form regrouped: its third part turns the even-d terms of
+    its first from r_alt into r.  Every degree-n term is over
+    (-q)^n - 1, so the sum takes no lcm."""
+    r_alt = _signed_neg_q(r)
+    for d in range(1, r.N + 1):
+        yield (r_alt if d % 2 else r).adams(d), phi_prime(d)
+
+
 def vprime_sign_reference(mu: tuple) -> int:
     """The sign s of V'(q) = s V(-q) at k partitions of n, from the
     multipartition statistics alone: (-1)^(k (n + ceil(n/2)) + n_dual + n + 1),
@@ -608,7 +622,8 @@ def _group_classes(n: int, q: int) -> tuple[dict, dict]:
     class is read on one representative, the block-diagonal matrix of the
     companion matrices of its elementary divisors, and counts |G| / |C(g)|
     elements; the determinant of a block of degree m is (-1)^m p(0).
-    pi_lam(g), the number of g-stable flags of type lam, is the
+    pi_lam(g), the number of g-stable flags of type lam, counted one
+    dimension at a time through the g-stable subspaces only, is the
     permutation character on G/P_lam = sum over mu of K_{mu lam} chi^mu,
     with Kostka numbers K from ssyt_count; so the unipotent characters
     come from the pi_lam by forward substitution from (n), the trivial
@@ -617,15 +632,7 @@ def _group_classes(n: int, q: int) -> tuple[dict, dict]:
     character sees."""
     vectors = list(product(range(q), repeat=n))
     by_dim = _subspaces(n, q)
-    spaces = [space for dim in by_dim for space in dim]
     shapes = sorted(enumerate_partitions(n), reverse=True)  # (n) first
-    flags = {}
-    for lam in shapes:
-        chains = [()]
-        for i in range(1, len(lam)):
-            chains = [c + (V,) for c in chains for V in by_dim[sum(lam[:i])]
-                      if not c or c[-1] <= V]
-        flags[lam] = chains
     order = math.prod(q**n - q**i for i in range(n))
     classes: dict = {}
     for divisors, centralizer in conjugacy_classes(n, q):
@@ -633,8 +640,15 @@ def _group_classes(n: int, q: int) -> tuple[dict, dict]:
         image = {v: sum((_companion_image(v[e - len(p) + 1:e], p, q)
                          for p, e in zip(divisors, ends)), ())
                  for v in vectors}
-        stable = {V for V in spaces if all(image[v] in V for v in V)}
-        pi = tuple(sum(all(V in stable for V in c) for c in flags[lam]) for lam in shapes)
+        stable = [[V for V in dim if all(image[v] in V for v in V)] for dim in by_dim]
+        pi = []
+        for lam in shapes:
+            # stable chains, counted per stable subspace they end in
+            chains = dict.fromkeys(stable[0], 1)
+            for d in accumulate(lam[:-1]):
+                chains = {V: sum(c for W, c in chains.items() if W <= V) for V in stable[d]}
+            pi.append(sum(chains.values()))
+        pi = tuple(pi)
         det = math.prod((-1) ** (len(p) - 1) * p[0] for p in divisors) % q
         assert order % centralizer == 0, (divisors, centralizer)
         classes[pi, det] = classes.get((pi, det), 0) + order // centralizer

@@ -50,7 +50,7 @@ from ennola.multiplicities import (
     d_mu,
 )
 from ennola.partitions import a_poly, dual, enumerate_partitions, z_lambda
-from ennola.symfunc import GradedSeries, SymFunc, schur_symfunc
+from ennola.symfunc import GradedSeries, SymFunc
 
 MINUS_ONE = ONE.scale(-1)
 
@@ -316,7 +316,7 @@ def test_criterion_9_property_suites(ctx5):
     # Hall pairing: Schur orthonormality and the power-sum normalization
     for n in range(1, 7):
         shapes = enumerate_partitions(n)
-        fs = {lam: schur_symfunc(1, (lam,)) for lam in shapes}
+        fs = {lam: SymFunc.from_schur(1, n, {(lam,): ONE}) for lam in shapes}
         for a in shapes:
             for b in shapes:
                 want = scalar(1 if a == b else 0)

@@ -872,7 +872,7 @@ class TestEveryFunctionRuns:
         "coeffs.PolyQU.evaluate": "the library user's way from a polynomial to a number",
         "cli.run": "the process entry, which TestProcessEntry runs",
         "multiplicities.U_poly_product_oracle":
-            "perfbench wraps it; it leaves with the closed-form denominators (ROADMAP)",
+            "perfbench wraps it; it leaves when perfbench reads a trace (ROADMAP item 1)",
     }
 
     CHILD = """

@@ -13,7 +13,6 @@ from ennola.hall_littlewood import (
     _strips,
     kostka_foulkes,
     transformed_hl,
-    transformed_kostka,
 )
 from ennola.partitions import enumerate_partitions, n_stat, size
 from oracles import dominates, q_weight_multiplicity, ssyt_count
@@ -103,7 +102,7 @@ class TestTransformedKostka:
             for nu in enumerate_partitions(n):
                 for lam in enumerate_partitions(n):
                     kf = kostka_foulkes(nu, lam)
-                    tk = transformed_kostka(nu, lam)
+                    tk = transformed_hl(lam).get((nu,), ZERO)
                     assert tk.evaluate(1) == kf.evaluate(1)
                     if not kf.is_zero():
                         assert tk.qdeg() == n_stat(lam) - min(
@@ -112,8 +111,8 @@ class TestTransformedKostka:
 
     def test_anchors(self):
         # n((1,1)) = 1: K~_{(2),(11)} = q * (1/q) = 1... times charge q -> q^0+?
-        assert transformed_kostka((2,), (1, 1)) == ONE
-        assert transformed_kostka((1, 1), (1, 1)) == Q ** n_stat((1, 1)) * ONE
+        assert transformed_hl((1, 1)).get(((2,),), ZERO) == ONE
+        assert transformed_hl((1, 1)).get(((1, 1),), ZERO) == Q ** n_stat((1, 1)) * ONE
 
 
 class TestTransformedHL:

@@ -27,6 +27,8 @@ from ennola.multiplicities import (
     Vprime_poly,
     _build_omega,
     _multitype_signs,
+    _product_oracle,
+    _uprime_log_terms,
     as_multitype,
     build_context,
     cache_path,
@@ -55,6 +57,7 @@ from oracles import (
     omega_oracle,
     phi,
     unipotent_multiplicities_from_group,
+    uprime_log_two_part,
     vprime_sign_reference,
 )
 
@@ -286,12 +289,15 @@ class TestSchurExtraction:
                     rows = table(n)
                     assert calls <= len(rows), (k, n, table.__name__)
 
-    def test_warm_psi_equals_cold_psi(self, tmp_path):
+    @pytest.mark.parametrize("k, N", [(3, 4), (4, 3), (2, 5)])
+    def test_warm_psi_equals_cold_psi(self, tmp_path, k, N):
+        # the warm rebuild is the only caller of the k > 1 Schur -> b change
+        # of basis, so it is checked at more than one k
         cache = str(tmp_path)
-        cold = build_context(3, 4, cache)
-        for n in range(1, 5):
+        cold = build_context(k, N, cache)
+        for n in range(1, N + 1):
             cold.psi_schur(n)
-        warm = build_context(3, 4, cache)
+        warm = build_context(k, N, cache)
         rebuilt = warm._psi_from_cache()
         assert rebuilt is not None
         assert [f.coeffs for f in rebuilt.coeffs[1:]] == [f.coeffs for f in cold.psi.coeffs[1:]]
@@ -356,10 +362,9 @@ class TestClosedFormDenominators:
 
     @pytest.mark.parametrize("k, N", [(3, 5), (4, 4), (2, 6), (1, 8)])
     def test_oracle_log_sums_over_closed_forms(self, k, N):
-        # ROADMAP item 2: every piece psi_d(r) phi_d of the twisted log form
-        # is over a divisor of q^(2n) - 1 at degree n, those of the
+        # every piece psi_d(r) phi_d of the three-part twisted log form is
+        # over a divisor of q^(2n) - 1 at degree n, those of the
         # u-deformed form over q^n - 1, and each sum is integral
-        from ennola.multiplicities import _uprime_log_terms
         from ennola.symfunc import GradedSeries
 
         r = build_context(k, N, None).r_series()
@@ -472,7 +477,8 @@ class TestUnipotentFromTheGroup:
             assert all(len(V) == q**d for V in spaces), d
         assert len(by_dim) == n + 1
 
-    @pytest.mark.parametrize("n, q", [(2, 2), (2, 3), (2, 5), (3, 2), (3, 3), (4, 2), (4, 3)])
+    @pytest.mark.parametrize("n, q", [
+        (2, 2), (2, 3), (2, 5), (3, 2), (3, 3), (4, 2), (4, 3), (4, 5)])
     @pytest.mark.parametrize("k", [3, 4])
     def test_matches_the_group_count(self, n, q, k):
         ctx = build_context(k, n, None)
@@ -516,6 +522,34 @@ class TestProductOracles:
                 assert u_table.get((n, mu), ZERO) == U_poly(ctx, mu), mu
                 assert up_table.get((n, mu), ZERO) == Uprime_poly(ctx, mu), mu
                 assert t_table.get((n, mu), ZERO) == T_poly(ctx, mu), mu
+
+    @pytest.mark.parametrize("k, N, three_part_gcds", [
+        (3, 5, 4), (4, 4, 4), (2, 6, 7), (1, 8, 9)])
+    def test_twisted_log_in_two_parts(self, monkeypatch, k, N, three_part_gcds):
+        # regrouped, the twisted log form gives the same tables and takes
+        # no lcm, so no gcd; the three-part form takes one per lcm
+        import ennola.coeffs as coeffs
+
+        calls = []
+        real = coeffs.poly_gcd
+        monkeypatch.setattr(coeffs, "poly_gcd", lambda a, b: calls.append(1) or real(a, b))
+        ctx = build_context(k, N, None)
+        ctx.r_series()  # built before counting, so only the oracle counts
+        three = _product_oracle(ctx, _uprime_log_terms)
+        assert len(calls) == three_part_gcds
+        calls.clear()
+        assert _product_oracle(ctx, uprime_log_two_part) == three
+        assert calls == []
+
+    @pytest.mark.parametrize("k, N", [(3, 6), (2, 7)])
+    def test_two_part_twisted_log_sums_over_minus_q_closed_form(self, k, N):
+        from ennola.symfunc import GradedSeries
+
+        total = GradedSeries.zero(k, N)
+        for series, num in uprime_log_two_part(build_context(k, N, None).r_series()):
+            total = total.add(series.scale(num))
+        assert [total.coeffs[n].den for n in range(1, N + 1)] == [
+            (-Q)**n - ONE for n in range(1, N + 1)]
 
 
 FAMILIES = [
@@ -594,6 +628,19 @@ class TestVerifySuite:
         report = verify_suite(build_context(3, 4, None))
         assert [(i.name, i.failures) for i in report.items if i.failures] == [(family, 3)]
         assert [i.cases for i in report.items] == [161] * 5
+
+    def test_v_and_vprime_come_from_v_pair(self, monkeypatch):
+        # verify reads V and V' through the commands' own V_pair, one call
+        # and one pairing per sorted key
+        calls = {"V_pair": 0, "H_omega": 0}
+        for name in calls:
+            def counted(*args, _real=getattr(mult, name), _name=name):
+                calls[_name] += 1
+                return _real(*args)
+            monkeypatch.setattr(mult, name, counted)
+        assert verify_suite(build_context(3, 3, None)).ok
+        keys = {tuple(sorted(mu)) for n in range(1, 4) for mu in multipartitions(3, n)}
+        assert calls == {"V_pair": len(keys), "H_omega": len(keys)}
 
     def test_a_fault_at_one_orbit_fails_at_each_ordering(self, monkeypatch):
         # each sorted key is checked once; its outcome is recorded for every
