@@ -294,8 +294,8 @@ def _build_omega(k: int, N: int) -> GradedSeries:
             packed = [(rho, pack(v, B, W)) for rho, v in items]
             for key, c in tensor_expand([packed] * k, pack(start, B, W)):
                 acc[key] = acc.get(key, 0) + c
-        omega_n = SymFunc(k, n, {key: unpack(v, B, W) for key, v in acc.items()})
-        coeffs.append(omega_n.divide(den).over(q_pochhammer(n)))
+        nums = {key: unpack(v, B, W) for key, v in acc.items()}
+        coeffs.append(SymFunc(k, n, nums, den).over(q_pochhammer(n)))
     return GradedSeries(k, N, coeffs)
 
 
@@ -466,8 +466,8 @@ class VerifyItem:
 class VerifyReport:
     __slots__ = ("items", "audits")
 
-    def __init__(self):
-        self.items: list[VerifyItem] = []
+    def __init__(self, items: list[VerifyItem]):
+        self.items = items
         self.audits: list[str] = []
 
     @property
@@ -513,13 +513,12 @@ def verify_suite(ctx: MasterContext) -> VerifyReport:
     so each sorted key is computed and compared once, and its outcome
     recorded, in the walk over the ordered multipartitions, for each
     ordering of it under that ordering's name."""
-    report = VerifyReport()
     at_zero = VerifyItem("tau-at-0-matches-generic")
     product_route = VerifyItem("tau-matches-u-deformed-product")
     twisted = VerifyItem("tau-at-minus-1-matches-twisted-product")
     top_u = VerifyItem("top-u-coefficient-is-kronecker")
     nonneg = VerifyItem("tau-coefficients-nonnegative")
-    report.items = [at_zero, product_route, twisted, top_u, nonneg]
+    report = VerifyReport([at_zero, product_route, twisted, top_u, nonneg])
 
     t_oracle = T_poly_product_oracle(ctx)
     up_oracle = Uprime_poly_product_oracle(ctx)

@@ -7,15 +7,15 @@ basis b_rho = p_rho / z_rho dual to the power sums (p_rho and z_rho the
 products of the k one-alphabet ones), indexed by k-tuples of partitions
 of n, as integer numerators in Z[q, u] over one denominator in Z[q] for
 the whole piece.  As s_lam = sum over rho of chi^lam(rho) b_rho, an
-integer Schur table has integer numerators over 1.  Nothing is reduced
-by a gcd: each stage of the pipeline knows the denominator of its pieces
-in closed form and rewrites them over it with SymFunc.over, one exact
-division per key.  Adding two pieces over different denominators takes
-their lcm.  As psi_m p_rho = p_{m rho} and z_{m rho} = m^l(rho) z_rho,
-l(rho) the number of parts, the Adams operation psi_m / m is a key remap
-times m^(l(rho) - 1) plus the monomial remap q -> q^m, u -> u^m;
-everything plethystic reduces to that, one Adams sum and one Newton
-recurrence for exp/log of graded series.
+integer Schur table has integer numerators over 1.  A SymFunc is built
+over its denominator, and SymFunc.over is the one rewrite, one exact
+division per key; each stage knows its denominators in closed form, so
+no gcd reduces a piece.  Adding two pieces over different denominators
+takes their lcm.  As psi_m p_rho = p_{m rho} and z_{m rho} =
+m^l(rho) z_rho, l(rho) the number of parts, the Adams operation
+psi_m / m is a key remap times m^(l(rho) - 1) plus the monomial remap
+q -> q^m, u -> u^m; everything plethystic reduces to that, one Adams
+sum and one Newton recurrence for exp/log of graded series.
 
 The Schur side has one form, the Schur table: a dict from sorted keys to
 integer polynomials, over the denominator 1.  to_schur reads it off a
@@ -171,18 +171,22 @@ def _merged_orbits(ka: MultiPartition, kb: MultiPartition) -> tuple:
 
 class SymFunc:
     """Degree-n symmetric function on k alphabets, sparse on the basis
-    b_rho = p_rho / z_rho: integer numerators in Z[q, u] over the
-    denominator den in Z[q], one per sorted key (an orbit representative)."""
+    b_rho = p_rho / z_rho: integer numerators in Z[q, u], one per sorted key
+    (an orbit representative), over den, a nonzero polynomial in q."""
 
     __slots__ = ("k", "n", "coeffs", "den")
 
-    def __init__(self, k: int, n: int, coeffs: Coeffs):
+    def __init__(self, k: int, n: int, coeffs: Coeffs, den: PolyQU = ONE):
+        if den.is_zero():
+            raise ZeroDivisionError("division by zero")
+        if den.udeg() > 0:
+            raise ValueError(f"u in a denominator: ({den})")
         self.k = k
         self.n = n
         self.coeffs = {key: c for key, c in coeffs.items() if not c.is_zero()}
         if not all(map(_is_sorted, self.coeffs)):
             raise ValueError("a key is not sorted: keep one key per orbit")
-        self.den = ONE
+        self.den = den
 
     @classmethod
     def zero(cls, k: int, n: int) -> "SymFunc":
@@ -201,9 +205,7 @@ class SymFunc:
         return cls(k, n, _change_basis(schur, to_powersum=True))
 
     def _with(self, coeffs: Coeffs, den: PolyQU, n: int | None = None) -> "SymFunc":
-        f = SymFunc(self.k, self.n if n is None else n, coeffs)
-        f.den = den
-        return f
+        return SymFunc(self.k, self.n if n is None else n, coeffs, den)
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -245,23 +247,12 @@ class SymFunc:
 
     def scale(self, c) -> "SymFunc":
         """self * c for c an integer or a polynomial in q and u; any other
-        coefficient raises TypeError, as PolyQU.scale does (divide by an
-        integer with divide)."""
+        coefficient raises TypeError, as PolyQU.scale does."""
         if isinstance(c, PolyQU):
             return self._with({key: p * c for key, p in self.coeffs.items()}, self.den)
         if type(c) is not int:
             raise TypeError(f"scale by {c!r}, not an int")
         return self._with({key: p.scale(c) for key, p in self.coeffs.items()}, self.den)
-
-    def divide(self, d) -> "SymFunc":
-        """self / d for d a nonzero integer or integer polynomial in q."""
-        if not isinstance(d, PolyQU):
-            d = PolyQU.const(d)
-        if d.is_zero():
-            raise ZeroDivisionError("division by zero")
-        if d.udeg() > 0:
-            raise ValueError(f"u in a denominator: ({d})")
-        return self._with(self.coeffs, self.den * d)
 
     def over(self, den: PolyQU) -> "SymFunc":
         """The same function with its numerators over den, a multiple or a
@@ -436,7 +427,7 @@ class GradedSeries:
                 g, f = out[i], self.coeffs[n - i]
                 if not (g.is_zero() or f.is_zero()):
                     acc = acc.add(g.multiply(f).scale(w(n, i)))
-            acc = acc.divide(n)
+            acc = acc._with(acc.coeffs, acc.den.scale(n))
             out.append(acc if dens is None else acc.over(dens[n]))
         return self._like(out)
 

@@ -155,13 +155,13 @@ def powersum_of(f: SymFunc) -> tuple[dict, PolyQU]:
 def powersum_symfunc(k: int, n: int, nums: dict, den: PolyQU = ONE) -> SymFunc:
     """The SymFunc sum over sorted rho of nums[rho] p_rho / den (each key
     standing for its orbit)."""
-    return SymFunc(k, n, bp_convert(k, n, nums, False)[0]).divide(den)
+    return SymFunc(k, n, bp_convert(k, n, nums, False)[0], den)
 
 
 def scalar(num, den: PolyQU = ONE) -> SymFunc:
     """num/den, for num an integer or an integer polynomial, as a
     degree-0 SymFunc on one alphabet."""
-    return SymFunc.one(1).scale(num).divide(den)
+    return SymFunc(1, 0, SymFunc.one(1).scale(num).coeffs, den)
 
 
 def coefficient(f: SymFunc, key: tuple) -> SymFunc:
@@ -334,7 +334,8 @@ def omega_oracle(k: int, N: int) -> GradedSeries:
         acc = SymFunc.zero(k, n)
         for lam in enumerate_partitions(n):
             hl = from_schur_oracle(1, n, transformed_hl(lam))
-            acc = acc.add(_tensor_power(hl, k).divide(a_poly(lam)))
+            f = _tensor_power(hl, k)
+            acc = acc.add(SymFunc(k, n, f.coeffs, f.den * a_poly(lam)))
         coeffs.append(acc)
     return GradedSeries(k, N, coeffs)
 
@@ -695,6 +696,48 @@ def generic_multiplicities_from_group(q: int, k: int) -> dict:
         raise ValueError("the Legendre symbol needs an odd prime q")
     return _multiplicities_from_group(
         2, q, k, lambda det: 1 if pow(det, (q - 1) // 2, q) == 1 else -1)
+
+
+def star_quiver(mu: tuple) -> tuple[list[int], list[list[int]]]:
+    """The dimension vector v_mu of the star-shaped quiver of a
+    multipartition of n, and its adjacency lists: vertex 0 is the centre,
+    of dimension n, and leg i reads n - mu^i_1, n - mu^i_1 - mu^i_2, ...,
+    its positive entries only."""
+    n = size(mu[0])
+    v, adj = [n], [[]]
+    for comp in mu:
+        prev = 0
+        for used in accumulate(comp[:-1]):
+            adj[prev].append(len(v))
+            adj.append([prev])
+            prev = len(v)
+            v.append(n - used)
+    return v, adj
+
+
+def is_root(v: list[int], adj: list[list[int]]) -> bool:
+    """Whether v, with no negative entry, is a root of the loop-free quiver
+    with adjacency lists adj (Kac): reflect at any x with
+    2 v_x > sum over the neighbours y of v_y until a coordinate goes
+    negative (not a root), a single nonzero coordinate is left (a root iff
+    it is 1), or no reflection applies (a root iff the support is
+    connected)."""
+    v = list(v)
+    while True:
+        support = [x for x, c in enumerate(v) if c]
+        if len(support) <= 1:
+            return [v[x] for x in support] == [1]
+        x = next((x for x in support if 2 * v[x] > sum(v[y] for y in adj[x])), None)
+        if x is None:
+            seen, todo = {support[0]}, [support[0]]
+            while todo:
+                new = [y for y in adj[todo.pop()] if v[y] and y not in seen]
+                seen.update(new)
+                todo += new
+            return len(seen) == len(support)
+        v[x] = sum(v[y] for y in adj[x]) - v[x]
+        if v[x] < 0:
+            return False
 
 
 # helpers that only the tests call

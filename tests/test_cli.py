@@ -372,13 +372,15 @@ class TestInternalErrors:
         # relies on
         import ennola.multiplicities as mult
         from ennola.coeffs import ONE, Q
+        from ennola.symfunc import SymFunc
 
         if fault == "omega":
             real = mult._build_omega
 
             def skewed(k, N):
                 omega = real(k, N)
-                omega.coeffs[1] = omega.coeffs[1].divide(Q + ONE)
+                f = omega.coeffs[1]
+                omega.coeffs[1] = SymFunc(f.k, f.n, f.coeffs, f.den * (Q + ONE))
                 return omega
 
             monkeypatch.setattr(mult, "_build_omega", skewed)

@@ -46,7 +46,7 @@ from ennola.partitions import (
     multipartitions,
     parse_partition,
 )
-from ennola.types import from_partition, make_type
+from ennola.types import from_partition, make_type, parse_multitype, type_size
 from oracles import (
     H_omega_oracle,
     _subspaces,
@@ -54,8 +54,10 @@ from oracles import (
     enumerate_types,
     expand_graded,
     generic_multiplicities_from_group,
+    is_root,
     omega_oracle,
     phi,
+    star_quiver,
     unipotent_multiplicities_from_group,
     uprime_log_two_part,
     vprime_sign_reference,
@@ -509,6 +511,40 @@ class TestGenericFromTheGroup:
         assert unipotent_multiplicities_from_group(2, 5, 5)[mu] == 6
         ctx = build_context(5, 2, None)
         assert (V_poly(ctx, mu).evaluate(5), U_poly(ctx, mu).evaluate(5)) == (5, 6)
+
+
+class TestKacRoots:
+    """V against the star-shaped quiver of mu, a tie that never goes
+    through the kernel: for a generic tuple the multiplicity is nonzero iff
+    v_mu is a root (Letellier 2013), and a Kac polynomial is monic of
+    degree 1 - <v, v> at an imaginary root and 1 at a real one (Kac 1980),
+    <v, v> the Euler form, so that d_mu = 2 (1 - <v_mu, v_mu>)."""
+
+    @pytest.mark.parametrize("k, N", [(3, 6), (4, 4), (2, 6), (5, 3)])
+    def test_v_is_nonzero_exactly_at_the_roots(self, k, N):
+        ctx = build_context(k, N, None)
+        for n in range(1, N + 1):
+            for mu in combinations_with_replacement(sorted(enumerate_partitions(n)), k):
+                v, adj = star_quiver(mu)
+                euler = sum(c * c for c in v) - sum(
+                    v[x] * v[y] for x in range(len(v)) for y in adj[x]) // 2
+                assert d_mu(mu).d_mu == 2 * (1 - euler), mu
+                value = V_poly(ctx, mu)
+                assert bool(value) == is_root(v, adj), mu
+                assert not value or value.qdeg() == 1 - euler, mu
+
+    @pytest.mark.parametrize("text, vertices", [
+        ("1:1^2,1:1^2,1:1^2,1:1^2", 5),  # D4~, delta
+        ("1:2^2,1:2^2,1:2^2,1:2^2", 5),  # D4~, 2 delta
+        ("1:1^3,1:1^3,1:1^3", 7),  # E6~
+        ("1:1^4,1:1^4,1:2^2", 8),  # E7~
+        ("1:1^6,1:2^3,1:3^2", 9),  # E8~
+    ])
+    def test_affine_null_roots(self, text, vertices):
+        # split semisimple types: A_delta(q) = q + (number of vertices - 1)
+        mt = parse_multitype(text)
+        ctx = build_context(len(mt), type_size(mt[0]), None)
+        assert V_poly(ctx, mt) == Q + PolyQU.const(vertices - 1)
 
 
 class TestProductOracles:
