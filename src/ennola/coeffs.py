@@ -1,6 +1,6 @@
 """Exact coefficient arithmetic: sparse polynomials in (q, u), their
 Kronecker-substitution packing into one integer, exact division by a
-polynomial in q, and the gcd in Z[q].
+polynomial in q on that packing, and the gcd in Z[q].
 
 PolyQU stores a polynomial in q and u as a sparse map (qdeg, udeg) -> coeff
 with no zero entries and integer coefficients.  There is no
@@ -17,7 +17,11 @@ operations.  unpack(N, B, W) reads the digits back in balanced form, in
 [-2^(B-1), 2^(B-1)); that recovers the polynomial exactly when its
 q-degree is below W and every |coefficient| is below 2^(B-1), whatever the
 coefficients met along the way.  So a caller derives B from an a priori
-bound on the coefficients of its result, never from a guess.
+bound on the coefficients of its result, never from a guess.  Exact
+division is one packed divmod too: Mignotte's bound (a factor c of a in
+Z[q] has |c|_1 <= 2^deg(c) ||a||_2) sizes the digits, and the quotient
+is accepted only where pack is injective on it times the divisor, so
+products and quotients share one big-integer technique.
 
 Everything is immutable and safe to share; no floating point anywhere.
 """
@@ -231,11 +235,10 @@ def unpack(N: int, B: int, W: int) -> PolyQU:
 #
 # Denominators live in Z[q], one per graded piece of a symmetric function
 # (see symfunc.SymFunc), and are known in closed form; so the division
-# needed is exact division of an integer polynomial by a u-free one.  A
-# PolyQU is viewed as a polynomial in u whose coefficients (u-slices) are
-# q-polynomials, handled as dense integer lists (lowest degree first), and
-# divided slice by slice.  The Z[q] gcd only serves the lcm of two
-# denominators that do not divide one another.
+# needed is exact division of an integer polynomial by a u-free one, and
+# it runs as one packed big-integer divmod (see exact_quotients).  The Z[q]
+# gcd, on dense integer lists (lowest degree first), only serves the lcm
+# of two denominators that do not divide one another.
 
 def _q_trim(f: list[int]) -> list[int]:
     while f and f[-1] == 0:
@@ -252,30 +255,6 @@ def _q_content(f: list[int]) -> int:
 
 def _q_scale(f: list[int], n: int) -> list[int]:
     return [c * n for c in f]
-
-
-def _q_exact_div(f: list[int], g: list[int]) -> list[int] | None:
-    """Exact quotient f/g over Z[q], or None when it does not divide; the
-    elimination touches only the nonzero entries of g."""
-    if not g:
-        raise ZeroDivisionError
-    dg = len(g) - 1
-    if len(f) <= dg:
-        return None if any(f) else []
-    f = list(f)
-    lead = g[-1]
-    low = [(i, b) for i, b in enumerate(g[:-1]) if b]
-    out = [0] * (len(f) - dg)
-    for k in range(len(f) - 1 - dg, -1, -1):
-        c = f[k + dg]
-        if c:
-            qcoef, rem = divmod(c, lead)
-            if rem:
-                return None
-            out[k] = qcoef
-            for i, b in low:
-                f[k + i] -= qcoef * b
-    return None if any(f[:dg]) else out
 
 
 def _q_gcd(f: list[int], g: list[int]) -> list[int]:
@@ -309,27 +288,16 @@ def _q_gcd(f: list[int], g: list[int]) -> list[int]:
     return _q_scale(f, c)
 
 
-def _u_slices(p: PolyQU) -> dict[int, list[int]]:
-    """u-degree -> dense q-coefficient list of that slice (no trailing zeros)."""
-    out: dict[int, list[int]] = {}
-    for (i, j), c in p.terms.items():
-        row = out.setdefault(j, [])
-        if len(row) <= i:
-            row.extend([0] * (i + 1 - len(row)))
-        row[i] = c
-    return out
-
-
 def poly_gcd(a: PolyQU, b: PolyQU) -> PolyQU:
     """gcd in Z[q] (integer content included), leading coefficient
     positive; gcd(0, b) is b up to sign."""
     if a.is_zero() or b.is_zero():
         g = b if a.is_zero() else a
         return -g if g and g.leading()[1] < 0 else g
-    sa, sb = _u_slices(a), _u_slices(b)
-    if sa.keys() != {0} or sb.keys() != {0}:
+    if a.udeg() or b.udeg():
         raise ValueError(f"gcd of polynomials in u: ({a}), ({b})")
-    return PolyQU({(i, 0): c for i, c in enumerate(_q_gcd(sa[0], sb[0])) if c})
+    dense = [[p.terms.get((i, 0), 0) for i in range(p.qdeg() + 1)] for p in (a, b)]
+    return PolyQU({(i, 0): c for i, c in enumerate(_q_gcd(*dense)) if c})
 
 
 def poly_lcm(a: PolyQU, b: PolyQU) -> PolyQU:
@@ -344,28 +312,52 @@ def poly_lcm(a: PolyQU, b: PolyQU) -> PolyQU:
 
 def poly_exact_div(a: PolyQU, b: PolyQU) -> PolyQU | None:
     """Exact quotient a/b in Z[q,u] for integer a and b with b free of u,
-    or None when b does not divide a over Z."""
+    or None when b does not divide a over Z (exact_quotients)."""
+    return exact_quotients([a], b)[0]
+
+
+def exact_quotients(nums: list[PolyQU], b: PolyQU) -> list[PolyQU | None]:
+    """[a/b for a in nums], each exact in Z[q,u] or None where b does not
+    divide a over Z; b must be nonzero and free of u.
+
+    A monomial c*q^s divides by a shift and an integer divmod.  Any other
+    b takes one divmod of packed integers per a, with b packed once.  Let
+    W = 1 + the largest qdeg(a).  A quotient c exists only if each u-slice
+    c_j of it divides a_j by b, and then Mignotte's bound gives |c_j|_1 <=
+    2^deg(c_j) ||a_j||_2, so |c|_1 |b|_max <= 2^(W - 1 - qdeg(b)) |a|_1
+    |b|_max, which the digit size B keeps below 2^(B-1).  Then pack(a) =
+    pack(c) pack(b) and unpack returns c.  Conversely the unpacked quotient
+    c is returned only when the remainder is 0, qdeg(c) + qdeg(b) < W and
+    |c|_1 |b|_max < 2^(B-1): then c b and a both lie where pack(., B, W)
+    is injective, so c b = a exactly."""
     if b.is_zero():
         raise ZeroDivisionError("polynomial division by zero")
-    if len(b.terms) == 1:  # a monomial c*q^s: a shift and an integer divmod
-        ((s, ub), d), = b.terms.items()
-        if ub:
-            raise ValueError(f"exact division by a polynomial in u: ({b})")
-        if any(i < s for i, _ in a.terms) or (d != 1 and any(c % d for c in a.terms.values())):
-            return None
-        return _from_terms({(i - s, j): c // d for (i, j), c in a.terms.items()})
-    sb = _u_slices(b)
-    if sb.keys() != {0}:
+    if b.udeg():
         raise ValueError(f"exact division by a polynomial in u: ({b})")
-    out = {}
-    for j, row in _u_slices(a).items():
-        quot = _q_exact_div(row, sb[0])
-        if quot is None:
-            return None
-        for i, c in enumerate(quot):
-            if c:
-                out[(i, j)] = c
-    return _from_terms(out)
+    if len(b.terms) == 1:
+        ((s, _), d), = b.terms.items()
+        return [_from_terms({(i - s, j): c // d for (i, j), c in a.terms.items()})
+                if all(i >= s and not c % d for (i, _), c in a.terms.items()) else None
+                for a in nums]
+    a_max = max(map(norm1, nums), default=0)
+    if not a_max:  # every a is zero
+        return list(nums)
+    W, db = 1 + max(a.qdeg() for a in nums), b.qdeg()
+    b_max = max(map(abs, b.terms.values()))
+    B = max(W - 1 - db, 0) + (a_max * b_max).bit_length() + 1
+    packed_b, out = pack(b, B, W), []
+    for a in nums:
+        quot, rem = divmod(pack(a, B, W), packed_b)
+        c = None if rem else unpack(quot, B, W)
+        if c is not None and (c.qdeg() + db >= W or norm1(c) * b_max >> (B - 1)):
+            c = None
+        out.append(c)
+    return out
+
+
+def norm1(p: PolyQU) -> int:
+    """|p|_1, the sum of the absolute values of the coefficients."""
+    return sum(map(abs, p.terms.values()))
 
 
 class NotPolynomialError(ValueError):

@@ -40,6 +40,7 @@ from .coeffs import (
     Q,
     U,
     PolyQU,
+    norm1,
     pack,
     poly_exact_div,
     poly_from_json,
@@ -171,9 +172,11 @@ class MasterContext:
             self._psi = self._psi_from_cache()
             if self._psi is None:
                 # Psi = (q - 1) Log Omega; degree n of Log Omega is over
-                # q^n - 1, which cancels exactly
-                log = self.r_series().pleth_psi_inv().scale(Q - ONE)
-                self._psi = log.over([ONE] * (self.N + 1))
+                # q^n - 1, so Psi_n is its numerators over [n]_q =
+                # (q^n - 1)/(q - 1), which cancels exactly
+                log = self.r_series().pleth_psi_inv().coeffs
+                self._psi = GradedSeries(self.k, self.N, log[:1] + [
+                    f._with(f.coeffs, poly_exact_div(f.den, Q - ONE)).over(ONE) for f in log[1:]])
         return self._psi
 
     @property
@@ -284,7 +287,7 @@ def _build_omega(k: int, N: int) -> GradedSeries:
                   [(rho, v) for (rho,), v in
                    SymFunc.from_schur(1, n, transformed_hl(lam)).coeffs.items()])
                  for lam, a_lam in a.items()]
-        bound = sum(_norm1(start) * max(_norm1(v) for _, v in items) ** k
+        bound = sum(norm1(start) * max(norm1(v) for _, v in items) ** k
                     for start, items in terms)
         B = bound.bit_length() + 1
         W = 1 + max(start.qdeg() + k * max(v.qdeg() for _, v in items)
@@ -297,10 +300,6 @@ def _build_omega(k: int, N: int) -> GradedSeries:
         nums = {key: unpack(v, B, W) for key, v in acc.items()}
         coeffs.append(SymFunc(k, n, nums, den).over(q_pochhammer(n)))
     return GradedSeries(k, N, coeffs)
-
-
-def _norm1(p: PolyQU) -> int:
-    return sum(map(abs, p.terms.values()))
 
 
 def build_context(k: int, N: int, cache_dir: str | None = None) -> MasterContext:

@@ -45,6 +45,7 @@ from .coeffs import (
     U,
     NotPolynomialError,
     PolyQU,
+    exact_quotients,
     pack,
     poly_exact_div,
     poly_lcm,
@@ -270,13 +271,11 @@ class SymFunc:
         down = poly_exact_div(self.den, den)
         if down is None:
             raise NotPolynomialError(f"not a polynomial: ({den})/({self.den})")
-        out = {}
-        for key, p in self.coeffs.items():
-            quot = poly_exact_div(p, down)
+        quots = exact_quotients(list(self.coeffs.values()), down)
+        for (key, p), quot in zip(self.coeffs.items(), quots):
             if quot is None:
                 raise NotPolynomialError(f"not a polynomial: ({p})/({down}) at {key}")
-            out[key] = quot
-        return self._with(out, den)
+        return self._with(dict(zip(self.coeffs, quots)), den)
 
     def multiply(self, other: "SymFunc") -> "SymFunc":
         """Product in the tensor algebra.  One polynomial product per pair

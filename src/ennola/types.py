@@ -64,8 +64,11 @@ def type_stats(tau: TypeEntries) -> tuple[int, int]:
 def schur_of_type(tau: TypeEntries) -> dict[MultiPartition, PolyQU]:
     """The Schur table of the product over entries of psi_d s_{lam}
     (alphabet powers d and q -> q^d), m times each; one alphabet, integer
-    coefficients.  SymFunc.adams is psi_d / d, hence the factor d.  Cached
-    and shared, so no caller mutates it."""
+    coefficients.  SymFunc.adams is psi_d / d, hence the factor d.  A
+    lone entry (1, lam, 1) is s_lam itself.  Cached and shared, so no
+    caller mutates it."""
+    if len(tau) == 1 and tau[0][0] == tau[0][2] == 1:
+        return {(tau[0][1],): ONE}
     out = SymFunc.one(1)
     for d, lam, m in tau:
         piece = SymFunc.from_schur(1, size(lam), {(lam,): ONE}).adams(d).scale(d)

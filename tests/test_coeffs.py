@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from ennola.coeffs import (
     U,
     ZERO,
     PolyQU,
+    exact_quotients,
     pack,
     poly_exact_div,
     poly_from_json,
@@ -263,9 +265,8 @@ class TestGcdAndDivision:
 
 
 class TestExactDivisionFastPaths:
-    """A monomial divisor c*q^s is a shift plus an integer divmod, and a
-    sparse divisor such as q^n - 1 eliminates only at its nonzero entries;
-    both still give None on any remainder."""
+    """A monomial divisor c*q^s is a shift plus an integer divmod, and any
+    other divisor one packed divmod; both give None on any remainder."""
 
     @given(int_polys(), st.integers(-6, 6).filter(bool), st.integers(0, 5))
     @settings(max_examples=40, deadline=None)
@@ -287,6 +288,60 @@ class TestExactDivisionFastPaths:
         if a:
             assert poly_exact_div(a * g + ONE, g) is None
             assert poly_exact_div(a * g + Q ** (a.qdeg() + n + 1), g) is None
+
+
+class TestPackedDivision:
+    """The packed divmod sizes its digits by Mignotte's bound, and returns
+    a quotient only where pack is injective on it times the divisor."""
+
+    BINOMIAL_ROW = PolyQU({(i, 0): math.comb(40, i) for i in range(41)})
+    SLICES = (Q**5 + Q.scale(3) + ONE + U * (Q**2).scale(2) - U.scale(7)
+              + U**3 * (Q**9 - Q**4 + PolyQU.const(5)))
+
+    @pytest.mark.parametrize("c, b", [
+        # quotient coefficients far above the dividend's
+        (BINOMIAL_ROW, (Q - ONE) ** 3),
+        (BINOMIAL_ROW * U + BINOMIAL_ROW.scale(-3), (Q - ONE) ** 3),
+        # u-slices of different q-degree
+        (SLICES, Q**2 + Q + ONE),
+        (SLICES, (Q - ONE) ** 2 * (Q**3 + ONE)),
+        # negative leading coefficients
+        (SLICES, ONE - Q),
+        (BINOMIAL_ROW, (Q**3).scale(-2) + Q - PolyQU.const(5)),
+        # integer content and a power of q
+        (SLICES, Q.scale(2) - PolyQU.const(2)),
+        (BINOMIAL_ROW * U**2, Q**3 - Q),
+        (SLICES.scale(6), (Q**3 - Q).scale(-3)),
+    ])
+    def test_quotient_and_remainders(self, c, b):
+        a = c * b
+        assert poly_exact_div(a, b) == c
+        db = b.qdeg()
+        for r in (ONE, Q ** (db - 1), (U**2 * Q ** (db - 1)).scale(-4) + ONE):
+            assert poly_exact_div(a + r, b) is None, r
+
+    def test_binomial_quotient_is_far_above_its_dividend(self):
+        a = self.BINOMIAL_ROW * (Q - ONE) ** 3
+        top = max(map(abs, a.terms.values()))
+        assert max(self.BINOMIAL_ROW.terms.values()) > 10 * top
+
+    @pytest.mark.parametrize("a, b", [
+        (U - ONE, Q - ONE),  # divmod exact, quotient 1 fails the degree check
+        ((Q**2).scale(2) - PolyQU.const(2), Q.scale(-3) - PolyQU.const(3)),
+        (-U - Q**2, (Q**2).scale(2) + Q.scale(2)),
+    ])
+    def test_checks_reject_what_divmod_accepts(self, a, b):
+        # the packed remainder is 0, but the unpacked quotient lies outside
+        # the range where pack is injective, so it is not a/b
+        assert poly_exact_div(a, b) is None
+
+    def test_batch_shares_one_digit_size(self):
+        b = Q**2 - Q.scale(3) + ONE
+        nums = [self.BINOMIAL_ROW * b, ONE + Q * b, ZERO, self.SLICES * b, U * b]
+        quots = exact_quotients(nums, b)
+        assert quots == [self.BINOMIAL_ROW, None, ZERO, self.SLICES, U]
+        assert quots == [poly_exact_div(a, b) for a in nums]
+        assert exact_quotients([], b) == []
 
 
 class TestPacking:

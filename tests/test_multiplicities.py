@@ -533,6 +533,31 @@ class TestKacRoots:
                 assert bool(value) == is_root(v, adj), mu
                 assert not value or value.qdeg() == 1 - euler, mu
 
+    @pytest.mark.parametrize("k, N, real, imaginary", [
+        (3, 6, 24, 86), (4, 4, 9, 38), (2, 6, 1, 0), (5, 3, 4, 13)])
+    def test_split_semisimple_v_is_the_kac_polynomial(self, k, N, real, imaginary):
+        # the split semisimple type of a component puts each part p in its
+        # own entry 1:p (equal parts merged), so V is the Kac polynomial
+        # A_{v_mu}(q) (Letellier 2013): 0 off the roots, 1 at a real root,
+        # monic of degree 1 - <v, v> = d_mu / 2 at an imaginary one
+        ctx = build_context(k, N, None)
+        seen = {"real": 0, "imaginary": 0}
+        for n in range(1, N + 1):
+            for mu in combinations_with_replacement(sorted(enumerate_partitions(n)), k):
+                v, adj = star_quiver(mu)
+                split = tuple(make_type([(1, (p,), 1) for p in comp]) for comp in mu)
+                value = V_poly(ctx, split)
+                if not is_root(v, adj):
+                    assert value == ZERO, mu
+                elif d_mu(mu).d_mu == 0:
+                    seen["real"] += 1
+                    assert value == ONE, mu
+                else:
+                    seen["imaginary"] += 1
+                    assert value.qdeg() == d_mu(mu).d_mu // 2, mu
+                    assert value.terms[(value.qdeg(), 0)] == 1, mu
+        assert seen == {"real": real, "imaginary": imaginary}
+
     @pytest.mark.parametrize("text, vertices", [
         ("1:1^2,1:1^2,1:1^2,1:1^2", 5),  # D4~, delta
         ("1:2^2,1:2^2,1:2^2,1:2^2", 5),  # D4~, 2 delta

@@ -158,6 +158,14 @@ class TestSchurOfType:
         for lam in [(2,), (1, 1), (2, 1)]:
             assert schur_of_type(from_partition(lam)) == {(lam,): ONE}
 
+    def test_unipotent_shortcut_is_the_change_of_basis_round_trip(self):
+        # a lone entry (1, lam, 1) returns s_lam without a change of basis;
+        # the round trip through b_rho gives the same table
+        for n in range(1, 7):
+            for lam in enumerate_partitions(n):
+                round_trip = SymFunc.from_schur(1, n, {(lam,): ONE}).to_schur()
+                assert schur_of_type(from_partition(lam)) == round_trip, lam
+
     def test_degree_two_type(self):
         # entry (2, (1), 1): s_1 with doubled alphabet = p_2 = s_2 - s_(1,1)
         f = schur_of_type(make_type([(2, (1,), 1)]))
