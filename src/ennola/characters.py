@@ -14,6 +14,7 @@ from math import factorial
 from .partitions import (
     MultiPartition,
     Partition,
+    check_multipartition,
     enumerate_partitions,
     size,
     z_lambda,
@@ -52,11 +53,8 @@ def character_value(lam: Partition, rho: Partition) -> int:
 
 def kronecker(mu: MultiPartition) -> int:
     """Multiplicity of the trivial character in chi^{mu^1} x ... x chi^{mu^k}."""
-    if not mu:
-        raise ValueError("empty multipartition")
+    mu = check_multipartition(mu)
     n = size(mu[0])
-    if any(size(m) != n for m in mu):
-        raise ValueError(f"components of {mu} have different sizes")
     # sum over classes of the character product times the class size n!/z_rho
     nfact = factorial(n)
     total = 0

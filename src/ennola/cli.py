@@ -14,6 +14,7 @@ from .characters import kronecker
 from .coeffs import NotPolynomialError, PolyQU, poly_to_json, poly_to_str
 from .partitions import (
     enumerate_partitions,
+    multipartition_to_text,
     parse_multipartition,
     partition_to_text,
     size,
@@ -147,9 +148,7 @@ def format_table(rows, which: str, k: int, n: int, fmt: str) -> str:
     if fmt == "csv":
         lines = [",".join(f"mu{i + 1}" for i in range(k)) + ",polynomial"]
         for mu, val in rows:
-            lines.append(
-                ",".join(partition_to_text(c) for c in mu) + "," + poly_to_str(val)
-            )
+            lines.append(f"{multipartition_to_text(mu)},{poly_to_str(val)}")
         return "\n".join(lines)
     if fmt == "json":
         obj = {

@@ -52,6 +52,7 @@ from .hall_littlewood import transformed_hl
 from .partitions import (
     MultiPartition,
     a_poly,
+    check_multipartition,
     dual,
     enumerate_partitions,
     multipartition_to_text,
@@ -71,6 +72,7 @@ from .symfunc import (
 from .types import (
     TypeEntries,
     from_partition,
+    make_type,
     schur_of_type,
     type_size,
     type_stats,
@@ -108,11 +110,8 @@ class SignData(namedtuple("SignData", "d_mu sign_uprime")):
 
 
 def d_mu(mu: MultiPartition) -> SignData:
-    k = len(mu)
-    n = size(mu[0]) if mu else 0
-    for comp in mu:
-        if size(comp) != n:
-            raise ValueError("components of different sizes")
+    mu = check_multipartition(mu)
+    k, n = len(mu), size(mu[0])
     d = n * n * (k - 2) - sum(p * p for comp in mu for p in comp) + 2
     if d % 2:
         raise AssertionError(f"odd pairing degree {d} for {mu}")
@@ -120,17 +119,13 @@ def d_mu(mu: MultiPartition) -> SignData:
 
 
 def as_multitype(arg) -> tuple[TypeEntries, ...]:
-    """Accept a multipartition or a multitype; return the multitype."""
-    comps = []
-    for comp in arg:
-        if comp and isinstance(comp[0], tuple):
-            comps.append(comp)
-        else:
-            comps.append(from_partition(comp))
-    sizes = {type_size(c) for c in comps}
-    if len(sizes) > 1:
+    """Accept a multipartition or a multitype; return the multitype, each
+    component validated and in canonical form (types.make_type)."""
+    comps = tuple(make_type(c) if c and isinstance(c[0], tuple) else from_partition(c)
+                  for c in arg)
+    if len({type_size(c) for c in comps}) > 1:
         raise ValueError("components of different sizes")
-    return tuple(comps)
+    return comps
 
 
 class MasterContext:
@@ -364,13 +359,8 @@ def Vprime_poly(ctx: MasterContext, omega) -> PolyQU:
 
 
 def T_poly(ctx: MasterContext, mu: MultiPartition) -> PolyQU:
-    mu = tuple(tuple(c) for c in mu)
-    if len(mu) != ctx.k:
-        raise ValueError(f"expected {ctx.k} components, got {len(mu)}")
-    n = size(mu[0])
-    if any(size(c) != n for c in mu):
-        raise ValueError("components of different sizes")
-    return ctx.tau_schur(n).get(tuple(sorted(mu)), PolyQU())
+    mu = check_multipartition(mu, ctx.k)
+    return ctx.tau_schur(size(mu[0])).get(tuple(sorted(mu)), PolyQU())
 
 
 def U_poly(ctx: MasterContext, mu: MultiPartition) -> PolyQU:
@@ -378,9 +368,8 @@ def U_poly(ctx: MasterContext, mu: MultiPartition) -> PolyQU:
 
 
 def Uprime_poly(ctx: MasterContext, mu: MultiPartition) -> PolyQU:
-    sd = d_mu(tuple(tuple(c) for c in mu))
     val = T_poly(ctx, mu).subst(q=-Q, u=MINUS_ONE)
-    return val.scale(sd.sign_uprime)
+    return val.scale(d_mu(mu).sign_uprime)
 
 
 # infinite-product oracles
@@ -454,12 +443,13 @@ class VerifyItem:
         self.failures = 0
         self.first_failure: str | None = None
 
-    def record(self, ok: bool, detail: str) -> None:
+    def record(self, ok: bool, mu: MultiPartition, why: str, args: list) -> None:
+        """Count one case at mu; only a first failure's text is built."""
         self.cases += 1
         if not ok:
             self.failures += 1
             if self.first_failure is None:
-                self.first_failure = detail
+                self.first_failure = f"{multipartition_to_text(mu)}: {why.format(*args)}"
 
 
 class VerifyReport:
@@ -524,8 +514,8 @@ def verify_suite(ctx: MasterContext) -> VerifyReport:
 
     def check(n: int, rep: MultiPartition, t: PolyQU) -> tuple[list, list]:
         """The comparisons at the sorted key rep, as (family, ok, failure
-        text after the multipartition's name), and the (family name,
-        value) pairs whose leading coefficient is negative."""
+        text after the key's name, *its format arguments), and the (family
+        name, value) pairs whose leading coefficient is negative."""
         v, vp = V_pair(ctx, rep)
         up_val = Uprime_poly(ctx, rep)
         kron = kronecker(rep)
@@ -536,8 +526,8 @@ def verify_suite(ctx: MasterContext) -> VerifyReport:
              "tau != u-deformed product"),
             (twisted, up_oracle.get((n, rep), PolyQU()) == up_val,
              "signed tau(-1,-q) != twisted product"),
-            (top_u, top == PolyQU.const(kron), f"[u^{n-1}] tau = {top}, kronecker = {kron}"),
-            (nonneg, all(c >= 0 for c in t.terms.values()), f"negative tau coefficient in {t}"),
+            (top_u, top == PolyQU.const(kron), "[u^{}] tau = {}, kronecker = {}", n - 1, top, kron),
+            (nonneg, all(c >= 0 for c in t.terms.values()), "negative tau coefficient in {}", t),
         ]
         negative = [(name, p) for name, p in (("U'", up_val), ("V'", vp))
                     if p and p.leading()[1] < 0]
@@ -551,11 +541,10 @@ def verify_suite(ctx: MasterContext) -> VerifyReport:
             if rep not in outcomes:
                 outcomes[rep] = check(n, rep, taus.get(rep, PolyQU()))
             checks, negative = outcomes[rep]
-            text = multipartition_to_text(mu)
-            for item, ok, detail in checks:
-                item.record(ok, f"{text}: {detail}")
-            report.audits.extend(f"negative leading coefficient in {name} at {text}: {p}"
-                                 for name, p in negative)
+            for item, ok, why, *args in checks:
+                item.record(ok, mu, why, args)
+            report.audits.extend(f"negative leading coefficient in {name} at "
+                                 f"{multipartition_to_text(mu)}: {p}" for name, p in negative)
     return report
 
 

@@ -29,6 +29,19 @@ def check_partition(parts) -> Partition:
     return lam
 
 
+def check_multipartition(mu, k: int | None = None) -> MultiPartition:
+    """mu as a tuple of partitions, at least one and all of one size, and
+    exactly k of them when k is given; ValueError otherwise."""
+    mu = tuple(map(check_partition, mu))
+    if k is not None and len(mu) != k:
+        raise ValueError(f"expected {k} components, got {len(mu)}")
+    if not mu:
+        raise ValueError("a multipartition needs at least one component")
+    if len({size(c) for c in mu}) > 1:
+        raise ValueError(f"components of {mu} have different sizes")
+    return mu
+
+
 def size(lam: Partition) -> int:
     return sum(lam)
 
@@ -183,19 +196,25 @@ def _parse_int(text: str, pos: int, s: str) -> int:
     return int(s)
 
 
-def parse_multipartition(text: str) -> MultiPartition:
-    """Comma-separated list of dot-form partitions, e.g. "1^4,2.1.1,2^2"."""
-    mu: list[Partition] = []
+def parse_components(text: str, parse_one, size_of) -> tuple:
+    """The comma-separated components of text, each read by parse_one, all
+    of one size_of; a ParseError gives the offset in text of the fault."""
+    comps: list = []
     for pos, piece in split_at(text, ","):
         try:
-            lam = parse_partition(piece)
+            comp = parse_one(piece)
         except ParseError as exc:
             raise exc.within(text, pos) from None
-        if mu and size(lam) != size(mu[0]):
+        if comps and size_of(comp) != size_of(comps[0]):
             raise ParseError(text, pos, "components must have equal size, got "
-                             f"{size(mu[0])} and {size(lam)}")
-        mu.append(lam)
-    return tuple(mu)
+                             f"{size_of(comps[0])} and {size_of(comp)}")
+        comps.append(comp)
+    return tuple(comps)
+
+
+def parse_multipartition(text: str) -> MultiPartition:
+    """Comma-separated list of dot-form partitions, e.g. "1^4,2.1.1,2^2"."""
+    return parse_components(text, parse_partition, size)
 
 
 def multipartition_to_text(mu: MultiPartition) -> str:

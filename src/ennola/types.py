@@ -18,6 +18,7 @@ from .partitions import (
     ParseError,
     Partition,
     check_partition,
+    parse_components,
     size,
     split_at,
 )
@@ -127,13 +128,5 @@ def type_to_text(tau: TypeEntries) -> str:
 
 
 def parse_multitype(text: str) -> tuple[TypeEntries, ...]:
-    comps: list[TypeEntries] = []
-    for pos, piece in split_at(text, ","):
-        try:
-            tau = parse_type(piece)
-        except ParseError as exc:
-            raise exc.within(text, pos) from None
-        if comps and type_size(tau) != type_size(comps[0]):
-            raise ParseError(text, pos, "type components have different sizes")
-        comps.append(tau)
-    return tuple(comps)
+    """Comma-separated list of types, e.g. "1:1.1;2:1,1:1^4,3:1;1:1"."""
+    return parse_components(text, parse_type, type_size)

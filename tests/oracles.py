@@ -47,6 +47,11 @@ size from the centralizer orders a_lam; generic_multiplicities_from_group
 counts V(q) the same way in GL_2(F_q), with one factor twisted by the
 Legendre symbol of the determinant.
 
+kac_polynomial_hua evaluates the Kac polynomial of a dimension vector of
+a loop-free quiver at an integer q by Hua's formula, a plethystic log of
+a sum over tuples of partitions, one per vertex, in exact fractions; it
+shares nothing with the kernel of the library.
+
 The helpers that only the tests call live here too, where no command
 loads them: the type combinatorics of the kernel logarithm's expansion
 (c_tau, enumerate_types, extend_to_type), the Schur coefficients of a
@@ -63,6 +68,7 @@ cross-multiplied one.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, combinations, permutations, product
@@ -738,6 +744,48 @@ def is_root(v: list[int], adj: list[list[int]]) -> bool:
         v[x] = sum(v[y] for y in adj[x]) - v[x]
         if v[x] < 0:
             return False
+
+
+def kac_polynomial_hua(v: list[int], adj: list[list[int]], q: int) -> int:
+    """The Kac polynomial A_v at an integer q by Hua's formula (J. Algebra,
+    2000), for the loop-free quiver with adjacency lists adj:
+    sum over v of A_v(q) X^v = (q - 1) Log P, P the sum over tuples pi of
+    partitions, one per vertex, of X^|pi| times the product over edges
+    x - y of q^<pi^x, pi^y> over the product over vertices x of
+    q^<pi^x, pi^x> b_{pi^x}(1/q), where <lam, nu> = sum_i lam'_i nu'_i and
+    b_lam(t) = prod_i prod_{j <= m_i(lam)} (1 - t^j).  The plain log of P
+    is taken degree by degree over w <= v, from the Euler operator:
+    |w| L_w = |w| P_w - sum over 0 < u < w of |u| L_u P_{w-u}; then
+    A_v(q) = (q - 1) sum over d | gcd(v) of mu(d)/d L_{v/d}(q^d)."""
+    edges = [(x, y) for x in range(len(v)) for y in adj[x] if x < y]
+
+    def pair(a: tuple, b: tuple) -> int:
+        return sum(i * j for i, j in zip(dual(a), dual(b)))
+
+    def plain_log(top: list[int], t: Fraction) -> Fraction:
+        weight = {lam: 1 / (t ** pair(lam, lam) * math.prod(
+            1 - t ** -j for m in Counter(lam).values() for j in range(1, m + 1)))
+            for c in range(max(top) + 1) for lam in enumerate_partitions(c)}
+        grid = list(product(*(range(c + 1) for c in top)))  # u < w comes first
+        P = {w: sum(math.prod(weight[lam] for lam in pi) *
+                    t ** sum(pair(pi[x], pi[y]) for x, y in edges)
+                    for pi in product(*map(enumerate_partitions, w)))
+             for w in grid}
+        L: dict[tuple, Fraction] = {}
+        for w in grid[1:]:
+            acc = sum(w) * P[w]
+            for u in product(*(range(c + 1) for c in w)):
+                if 0 < sum(u) < sum(w):
+                    acc -= sum(u) * L[u] * P[tuple(a - b for a, b in zip(w, u))]
+            L[w] = acc / sum(w)
+        return L[tuple(top)]
+
+    g = math.gcd(*v)
+    total = (q - 1) * sum(Fraction(_mobius(d), d) * plain_log([c // d for c in v], Fraction(q ** d))
+                          for d in range(1, g + 1) if g % d == 0 and _mobius(d))
+    if total.denominator != 1:
+        raise AssertionError(f"A_{v}({q}) came out {total}")
+    return int(total)
 
 
 # helpers that only the tests call

@@ -11,7 +11,9 @@ from itertools import combinations_with_replacement, permutations
 
 import pytest
 
+import ennola.coeffs as coeffs
 import ennola.multiplicities as mult
+from ennola.characters import kronecker
 from ennola.coeffs import ONE, Q, U, ZERO, PolyQU, poly_exact_div, poly_to_str
 from ennola.multiplicities import (
     H_omega,
@@ -55,6 +57,7 @@ from oracles import (
     expand_graded,
     generic_multiplicities_from_group,
     is_root,
+    kac_polynomial_hua,
     omega_oracle,
     phi,
     star_quiver,
@@ -187,6 +190,10 @@ class TestAsMultitype:
         with pytest.raises(ValueError):
             as_multitype(((2, 1), (1,)))
 
+    def test_types_come_out_canonical(self):
+        raw = ((2, (1,), 1), (1, (1,), 1), (1, (1,), 1))
+        assert as_multitype((raw,)) == (make_type(raw),) == (((1, (1,), 2), (2, (1,), 1)),)
+
 
 class TestPipelineSmall:
     """Exercise a small standalone context so these tests stay independent
@@ -235,11 +242,31 @@ class TestPipelineSmall:
         for qv in (2, 3, 4):
             assert v.evaluate(qv) >= 0
 
-    @pytest.mark.parametrize("family", [T_poly, U_poly, Uprime_poly, V_poly, Vprime_poly])
-    def test_components_of_different_sizes_are_refused(self, ctx5, family):
-        for mu in (((2,), (1, 1), (1, 1, 1)), ((1,), (2,), (2,)), ((2, 1), (3,), (1, 1))):
-            with pytest.raises(ValueError, match="different sizes"):
-                family(ctx5, mu)
+    @pytest.mark.parametrize("family", [
+        T_poly, U_poly, Uprime_poly, V_poly, Vprime_poly,
+        pytest.param(lambda ctx, mu: kronecker(mu), id="kronecker"),
+        pytest.param(lambda ctx, mu: d_mu(mu), id="d_mu")])
+    def test_components_of_different_sizes_are_refused(self, family):
+        # a key that is not a multipartition is refused, never read as 0
+        ctx = build_context(3, 3, None)
+        for mu, message in [
+            (((2,), (1, 1), (1, 1, 1)), "different sizes"),
+            (((1,), (2,), (2,)), "different sizes"),
+            (((2, 1), (3,), (1, 1)), "different sizes"),
+            (((2, 1), (1, 2), (3,)), r"weakly decreasing, got \(1, 2\)$"),
+            (((2, 1, 0), (2, 1), (3,)), r"positive integers, got \(2, 1, 0\)$"),
+        ]:
+            with pytest.raises(ValueError, match=message):
+                family(ctx, mu)
+
+    @pytest.mark.parametrize("family", [V_poly, Vprime_poly])
+    def test_typed_components_are_checked(self, family):
+        ctx = build_context(3, 3, None)
+        other = from_partition((2, 1))
+        for entry, message in [((1, (1, 2), 1), r"weakly decreasing, got \(1, 2\)$"),
+                               ((0, (3,), 1), r"entry \(0, \(3,\), 1\) needs positive d")]:
+            with pytest.raises(ValueError, match=message):
+                family(ctx, ((entry,), other, other))
 
     def test_vprime_relates_to_v_functionally(self, ctx5):
         # V'(q) = s V(-q), s the reference sign of the multipartition
@@ -558,6 +585,20 @@ class TestKacRoots:
                     assert value.terms[(value.qdeg(), 0)] == 1, mu
         assert seen == {"real": real, "imaginary": imaginary}
 
+    @pytest.mark.parametrize("k, N", [(3, 3), (4, 2), (5, 2)])
+    def test_split_semisimple_v_is_hua_formula(self, k, N):
+        # V on the split semisimple type against Hua's formula for A_{v_mu}
+        # at q = 2, 3, ...: both sides have degree at most d_mu / 2, so
+        # d_mu / 2 + 1 values determine the polynomial
+        ctx = build_context(k, N, None)
+        for n in range(1, N + 1):
+            for mu in combinations_with_replacement(sorted(enumerate_partitions(n)), k):
+                v, adj = star_quiver(mu)
+                value = V_poly(ctx, tuple(make_type([(1, (p,), 1) for p in comp])
+                                          for comp in mu))
+                for q in range(2, max(d_mu(mu).d_mu // 2, 0) + 3):
+                    assert value.evaluate(q) == kac_polynomial_hua(v, adj, q), (mu, q)
+
     @pytest.mark.parametrize("text, vertices", [
         ("1:1^2,1:1^2,1:1^2,1:1^2", 5),  # D4~, delta
         ("1:2^2,1:2^2,1:2^2,1:2^2", 5),  # D4~, 2 delta
@@ -702,6 +743,19 @@ class TestVerifySuite:
         assert verify_suite(build_context(3, 3, None)).ok
         keys = {tuple(sorted(mu)) for n in range(1, 4) for mu in multipartitions(3, n)}
         assert calls == {"V_pair": len(keys), "H_omega": len(keys)}
+
+    def test_a_green_run_formats_no_failure_text(self, monkeypatch):
+        # the text of a failure or an audit note is built only when one is
+        # due, and verify at (3, 4) has neither
+        calls = {"multipartition_to_text": 0, "poly_to_str": 0}
+        for module, name in ((mult, "multipartition_to_text"), (coeffs, "poly_to_str")):
+            def counted(*args, _real=getattr(module, name), _name=name):
+                calls[_name] += 1
+                return _real(*args)
+            monkeypatch.setattr(module, name, counted)
+        report = verify_suite(build_context(3, 4, None))
+        assert report.ok and not report.audits
+        assert calls == {"multipartition_to_text": 0, "poly_to_str": 0}
 
     def test_a_fault_at_one_orbit_fails_at_each_ordering(self, monkeypatch):
         # each sorted key is checked once; its outcome is recorded for every

@@ -358,3 +358,5 @@ class TestTextForms:
         assert multitype_to_text(omega) == "1:1^2,2:1"
         with pytest.raises(ParseError):
             parse_multitype("1:1,1:2")
+        with pytest.raises(ParseError, match=r"got 1 and 2 at position 4 in '1:1,1:1\.1'$"):
+            parse_multitype("1:1,1:1.1")
