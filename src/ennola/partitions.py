@@ -174,12 +174,9 @@ def parse_partition(text: str) -> Partition:
         return ()
     parts: list[int] = []
     for pos, piece in split_at(text, "."):
-        item = piece.strip()
-        if "^" in item:
-            base_s, _, exp_s = item.partition("^")
-            base, exp = _parse_int(text, pos, base_s), _parse_int(text, pos, exp_s)
-        else:
-            base, exp = _parse_int(text, pos, item), 1
+        base_s, hat, exp_s = piece.partition("^")
+        base = parse_int(text, pos, base_s)
+        exp = parse_int(text, pos, exp_s) if hat else 1
         if base < 1 or exp < 1:
             raise ParseError(text, pos, "parts and exponents must be >= 1")
         parts.extend([base] * exp)
@@ -189,7 +186,9 @@ def parse_partition(text: str) -> Partition:
         raise ParseError(text, 0, "parts must be weakly decreasing") from None
 
 
-def _parse_int(text: str, pos: int, s: str) -> int:
+def parse_int(text: str, pos: int, s: str) -> int:
+    """The integer that s spells, blanks aside; a ParseError at pos in
+    text otherwise.  Partition and type literals read with it."""
     s = s.strip()
     if not s.isdigit():
         raise ParseError(text, pos, f"expected an integer, got {s!r}")

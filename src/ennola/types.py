@@ -19,6 +19,7 @@ from .partitions import (
     Partition,
     check_partition,
     parse_components,
+    parse_int,
     size,
     split_at,
 )
@@ -31,10 +32,9 @@ def make_type(entries) -> TypeEntries:
     """Canonical form: validated entries, equal (d, lam) merged, sorted."""
     merged: dict[tuple[int, Partition], int] = {}
     for d, lam, m in entries:
+        lam = check_partition(lam)
         if d < 1 or m < 1:
             raise ValueError(f"entry ({d}, {lam}, {m}) needs positive d and m")
-        lam = tuple(lam)
-        check_partition(lam)
         if not lam:
             raise ValueError("empty partition in a type entry")
         key = (d, lam)
@@ -83,37 +83,25 @@ def schur_of_type(tau: TypeEntries) -> dict[MultiPartition, PolyQU]:
 
 
 def parse_type(text: str) -> TypeEntries:
+    """Syntax only: each entry's ranges and shape are make_type's to check,
+    and its ValueError comes back as a ParseError at the entry."""
     if not text.strip():
         raise ParseError(text, 0, "empty type literal")
     entries = []
     for pos, piece in split_at(text, ";"):
-        body = piece.strip()
-        if ":" not in body:
+        d_text, colon, rest = piece.partition(":")
+        if not colon:
             raise ParseError(text, pos, "type entry needs 'd:parts'")
-        d_text, rest = body.split(":", 1)
-        if not d_text.strip().isdigit():
-            raise ParseError(text, pos, f"bad degree {d_text!r}")
-        d = int(d_text)
-        if "^" in rest:
-            parts_text, m_text = rest.rsplit("^", 1)
-            if not m_text.strip().isdigit():
-                raise ParseError(text, pos, f"bad multiplicity {m_text!r}")
-            m = int(m_text)
-        else:
-            parts_text, m = rest, 1
-        parts = []
-        for p in parts_text.split("."):
-            if not p.strip().isdigit():
-                raise ParseError(text, pos, f"bad part {p!r}")
-            parts.append(int(p))
-        lam = tuple(parts)
+        parts_text, hat, m_text = rest.rpartition("^")
+        if not hat:
+            parts_text, m_text = rest, "1"
+        d, m = parse_int(text, pos, d_text), parse_int(text, pos, m_text)
+        entry = (d, tuple(parse_int(text, pos, p) for p in parts_text.split(".")), m)
         try:
-            check_partition(lam)
+            make_type([entry])
         except ValueError as e:
             raise ParseError(text, pos, str(e)) from None
-        if d < 1 or m < 1 or not lam:
-            raise ParseError(text, pos, "degree and multiplicity must be positive")
-        entries.append((d, lam, m))
+        entries.append(entry)
     return make_type(entries)
 
 

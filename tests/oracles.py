@@ -44,8 +44,9 @@ unipotent_multiplicities_from_group owes nothing to symmetric functions:
 it counts U(q) at a prime q in GL_n(F_q) itself, from stable flags of one
 block-diagonal representative per conjugacy class, weighted by the class
 size from the centralizer orders a_lam; generic_multiplicities_from_group
-counts V(q) the same way in GL_2(F_q), with one factor twisted by the
-Legendre symbol of the determinant.
+counts V(q) the same way in GL_n(F_q), with one factor twisted by a linear
+character of order n of the determinant, summed per class of its
+exponent: the Legendre symbol at n = 2, cube roots of unity at n = 3.
 
 kac_polynomial_hua evaluates the Kac polynomial of a dimension vector of
 a loop-free quiver at an integer q by Hua's formula, a plethystic log of
@@ -668,17 +669,30 @@ def _group_classes(n: int, q: int) -> tuple[dict, dict]:
     return chi, classes
 
 
-def _multiplicities_from_group(n: int, q: int, k: int, alpha) -> dict:
+def _multiplicities_from_group(n: int, q: int, k: int, exponent) -> dict:
     """(1/|G|) sum over g in G = GL_n(F_q) of alpha(det g) prod_i
-    chi^{mu^i}(g) for every sorted key mu of k partitions of n, alpha an
-    integer-valued linear character of F_q^*."""
+    chi^{mu^i}(g) for every sorted key mu of k partitions of n, alpha =
+    zeta^exponent(det) a linear character of F_q^* with values in the n-th
+    roots of unity, exponent(det) in 0..n-1.  The sum is taken per exponent
+    class: S_e sums prod_i chi^{mu^i}(g) over the g with exponent(det g) = e.
+    The multiplicity is rational only if S_1 = ... = S_(n-1), which is
+    asserted, and then it is (S_0 - S_1)/|G|, as the n-th roots of unity
+    other than 1 add up to -1."""
     chi, classes = _group_classes(n, q)
     order = sum(classes.values())
+    by_pi: dict = {}
+    for (pi, det), count in classes.items():
+        by_pi.setdefault(pi, [0] * n)[exponent(det)] += count
     out = {}
     for key in multipartitions(k, n):
         if _is_sorted(key):
-            total = sum(count * alpha(det) * math.prod(chi[mu][pi] for mu in key)
-                        for (pi, det), count in classes.items())
+            sums = [0] * n
+            for pi, counts in by_pi.items():
+                value = math.prod(chi[mu][pi] for mu in key)
+                for e, count in enumerate(counts):
+                    sums[e] += count * value
+            assert len(set(sums[1:])) <= 1, (key, sums)
+            total = sums[0] - (sums[1] if n > 1 else 0)
             assert total % order == 0, (key, total, order)
             out[key] = total // order
     return out
@@ -687,21 +701,25 @@ def _multiplicities_from_group(n: int, q: int, k: int, alpha) -> dict:
 def unipotent_multiplicities_from_group(n: int, q: int, k: int) -> dict:
     """U_mu(q) = (1/|G|) sum over g in G = GL_n(F_q) of prod_i chi^{mu^i}(g)
     for every sorted key mu of k partitions of n, from the matrices over
-    F_q alone (_group_classes)."""
-    return _multiplicities_from_group(n, q, k, lambda det: 1)
+    F_q alone (_group_classes): the trivial character, exponent 0."""
+    return _multiplicities_from_group(n, q, k, lambda det: 0)
 
 
-def generic_multiplicities_from_group(q: int, k: int) -> dict:
-    """V_mu(q) at n = 2 for an odd prime q, from the matrices over F_q
-    alone: (1/|G|) sum over g in G = GL_2(F_q) of alpha(det g)
-    prod_i chi^{mu^i}(g), alpha the Legendre symbol, the linear character
-    of F_q^* of order exactly n = 2.  Twisting one factor by alpha o det
-    makes the tuple generic (Hausel, Letellier and Rodriguez-Villegas),
-    and the paper states that T(0, q) is this multiplicity."""
-    if q % 2 == 0:
-        raise ValueError("the Legendre symbol needs an odd prime q")
-    return _multiplicities_from_group(
-        2, q, k, lambda det: 1 if pow(det, (q - 1) // 2, q) == 1 else -1)
+def generic_multiplicities_from_group(n: int, q: int, k: int) -> dict:
+    """V_mu(q) for a prime q = 1 mod n, from the matrices over F_q alone:
+    (1/|G|) sum over g in G = GL_n(F_q) of alpha(det g) prod_i
+    chi^{mu^i}(g), alpha a linear character of F_q^* of order exactly n,
+    read off det^((q-1)/n): the Legendre symbol at n = 2, and at n = 3,
+    q = 7 the cube roots of unity 1, 2, 4 mod 7.  Twisting one factor by
+    alpha o det makes the tuple generic (Hausel, Letellier and
+    Rodriguez-Villegas), and the paper states that T(0, q) is this
+    multiplicity."""
+    if (q - 1) % n:
+        raise ValueError(f"a linear character of order {n} needs {n} | q - 1")
+    roots = {pow(x, (q - 1) // n, q) for x in range(1, q)}
+    zeta = next(r for r in sorted(roots) if all(pow(r, t, q) != 1 for t in range(1, n)))
+    log = {pow(zeta, e, q): e for e in range(n)}
+    return _multiplicities_from_group(n, q, k, lambda det: log[pow(det, (q - 1) // n, q)])
 
 
 def star_quiver(mu: tuple) -> tuple[list[int], list[list[int]]]:

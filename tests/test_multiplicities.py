@@ -519,22 +519,34 @@ class TestUnipotentFromTheGroup:
 
 class TestGenericFromTheGroup:
     """The paper's statement that T(0, q) is the multiplicity for generic
-    characters of unipotent type, against GL_2(F_q) itself: one factor
-    twisted by the Legendre symbol of the determinant, the linear
-    character of order exactly n = 2 (tests/oracles.py)."""
+    characters of unipotent type, against GL_n(F_q) itself: one factor
+    twisted by a linear character of order exactly n of the determinant,
+    the Legendre symbol at n = 2 and a cube-root-of-unity character at
+    n = 3, q = 7, summed per class of its exponent (tests/oracles.py)."""
 
-    @pytest.mark.parametrize("q, k", [(3, 3), (5, 3), (3, 4), (5, 5)])
-    def test_v_and_t_at_zero_match_the_group_count(self, q, k):
-        ctx = build_context(k, 2, None)
-        got = generic_multiplicities_from_group(q, k)
-        assert len(got) == len(set(tuple(sorted(mu)) for mu in multipartitions(k, 2)))
+    @staticmethod
+    def check(n, q, k):
+        ctx = build_context(k, n, None)
+        got = generic_multiplicities_from_group(n, q, k)
+        assert len(got) == len(set(tuple(sorted(mu)) for mu in multipartitions(k, n)))
         for mu, value in got.items():
             assert V_poly(ctx, mu).evaluate(q) == value, mu
             assert T_poly(ctx, mu).evaluate(q, 0) == value, mu
+        return got
+
+    @pytest.mark.parametrize("q, k", [(3, 3), (5, 3), (3, 4), (5, 5)])
+    def test_v_and_t_at_zero_match_the_group_count(self, q, k):
+        self.check(2, q, k)
+
+    @pytest.mark.parametrize("k, nonzero", [(3, 2), (4, 7), (5, 13)])
+    def test_gl3_f7_with_a_character_of_order_three(self, k, nonzero):
+        # 3 | 7 - 1, so the twist takes values in the cube roots of unity
+        got = self.check(3, 7, k)
+        assert sum(1 for value in got.values() if value) == nonzero
 
     def test_the_group_separates_v_from_u(self):
         mu = ((1, 1),) * 4 + ((2,),)
-        assert generic_multiplicities_from_group(5, 5)[mu] == 5
+        assert generic_multiplicities_from_group(2, 5, 5)[mu] == 5
         assert unipotent_multiplicities_from_group(2, 5, 5)[mu] == 6
         ctx = build_context(5, 2, None)
         assert (V_poly(ctx, mu).evaluate(5), U_poly(ctx, mu).evaluate(5)) == (5, 6)
@@ -585,11 +597,13 @@ class TestKacRoots:
                     assert value.terms[(value.qdeg(), 0)] == 1, mu
         assert seen == {"real": real, "imaginary": imaginary}
 
-    @pytest.mark.parametrize("k, N", [(3, 3), (4, 2), (5, 2)])
+    @pytest.mark.parametrize("k, N", [
+        (3, 3), (4, 2), (5, 2), pytest.param(4, 3, marks=pytest.mark.slow)])
     def test_split_semisimple_v_is_hua_formula(self, k, N):
         # V on the split semisimple type against Hua's formula for A_{v_mu}
         # at q = 2, 3, ...: both sides have degree at most d_mu / 2, so
-        # d_mu / 2 + 1 values determine the polynomial
+        # d_mu / 2 + 1 values determine the polynomial; (4, 3) takes over
+        # a minute, so it is marked slow and runs in CI under -m slow
         ctx = build_context(k, N, None)
         for n in range(1, N + 1):
             for mu in combinations_with_replacement(sorted(enumerate_partitions(n)), k):

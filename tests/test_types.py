@@ -332,24 +332,35 @@ class TestTextForms:
         assert parse_type("1:2.1;2:1") == ((1, (2, 1), 1), (2, (1,), 1))
 
     def test_parse_errors_carry_position_info(self):
-        for bad in ["", "x:1", "1:", "1:0", "1:2.1^0", "0:1"]:
-            with pytest.raises(ParseError):
-                parse_type(bad)
-        # each error quotes the whole literal, at the offset of the bad piece
-        for parse, bad, pos in [
-            (parse_type, "1:1;x:1", 4),
-            (parse_type, "2:1; 1:2.x", 4),
-            (parse_multitype, "1:1,1:1,1:1;", 12),
-            (parse_multitype, "1:1,1:x,1:1", 4),
-            (parse_multitype, "1:1,1:2,1:1", 4),
-            (parse_multipartition, "1.1,2,a", 6),
-            (parse_multipartition, "1.1,2^x,2", 4),
-            (parse_multipartition, "2,1.1,3", 6),
-            (parse_multipartition, "2.1,,2.1", 4),
+        # each error quotes the whole literal, at the offset of the bad piece,
+        # with the message of the one check that refused it: the integer
+        # reader for a non-digit, and make_type (or check_partition through
+        # it) for an entry's ranges and shape
+        for parse, bad, pos, message in [
+            (parse_type, "", 0, "empty type literal"),
+            (parse_type, "x:1", 0, "expected an integer, got 'x'"),
+            (parse_type, "1:", 0, "expected an integer, got ''"),
+            (parse_type, "1:0", 0, "partition parts must be positive integers, got (0,)"),
+            (parse_type, "1:2.1^0", 0, "entry (1, (2, 1), 0) needs positive d and m"),
+            (parse_type, "0:1", 0, "entry (0, (1,), 1) needs positive d and m"),
+            (parse_type, "1:1.2", 0, "partition parts must be weakly decreasing, got (1, 2)"),
+            (parse_type, "1:1;2.1", 4, "type entry needs 'd:parts'"),
+            (parse_type, "1:1;x:1", 4, "expected an integer, got 'x'"),
+            (parse_type, "2:1; 1:2.x", 4, "expected an integer, got 'x'"),
+            (parse_type, "2:1;1:1^x", 4, "expected an integer, got 'x'"),
+            (parse_type, "2:1;1:0.1", 4, "partition parts must be positive integers, got (0, 1)"),
+            (parse_multitype, "1:1,0:1,1:1", 4, "entry (0, (1,), 1) needs positive d and m"),
+            (parse_multitype, "1:1,1:1,1:1;", 12, "type entry needs 'd:parts'"),
+            (parse_multitype, "1:1,1:x,1:1", 4, "expected an integer, got 'x'"),
+            (parse_multitype, "1:1,1:2,1:1", 4, "components must have equal size, got 1 and 2"),
+            (parse_multipartition, "1.1,2,a", 6, "expected an integer, got 'a'"),
+            (parse_multipartition, "1.1,2^x,2", 4, "expected an integer, got 'x'"),
+            (parse_multipartition, "2,1.1,3", 6, "components must have equal size, got 2 and 3"),
+            (parse_multipartition, "2.1,,2.1", 4, "empty partition literal"),
         ]:
             with pytest.raises(ParseError) as exc:
                 parse(bad)
-            assert (exc.value.text, exc.value.pos) == (bad, pos)
+            assert (exc.value.text, exc.value.pos, exc.value.message) == (bad, pos, message)
             assert str(exc.value).endswith(f" at position {pos} in {bad!r}")
 
     def test_multitype(self):
