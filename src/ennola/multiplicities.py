@@ -169,7 +169,7 @@ class MasterContext:
                 # Psi = (q - 1) Log Omega; degree n of Log Omega is over
                 # q^n - 1, so Psi_n is its numerators over [n]_q =
                 # (q^n - 1)/(q - 1), which cancels exactly
-                log = self.r_series().pleth_psi_inv().coeffs
+                log = self.r_series().adams_sum(mobius).coeffs
                 self._psi = GradedSeries(self.k, self.N, log[:1] + [
                     f._with(f.coeffs, poly_exact_div(f.den, Q - ONE)).over(ONE) for f in log[1:]])
         return self._psi
@@ -381,37 +381,31 @@ def _signed_neg_q(r: GradedSeries) -> GradedSeries:
                                    for m, f in enumerate(r.coeffs)])
 
 
-def _product_oracle(ctx: MasterContext, log_terms):
+def _product_oracle(ctx: MasterContext, log_sum: GradedSeries):
     """Schur tables, keyed by (degree, multipartition), of the plain
-    exponential of sum(weight * series) over the (series, weight) pairs
-    that log_terms yields from the kernel's plain logarithm: psi_d(r)/d
-    (GradedSeries.adams) and the integer polynomial d phi_d.  The sum is
+    exponential of log_sum, a weighted Adams sum of the kernel's plain
+    logarithm r with weights d phi_d, integer polynomials.  The sum is
     integral.  Only the three-part twisted form takes an lcm, where its
     q -> -q terms meet r's; regrouped in two parts, odd d on the q -> -q
     image and even d on r, every degree-n term is over (-q)^n - 1."""
-    r = ctx.r_series()
-    log_sum = GradedSeries.zero(ctx.k, ctx.N)
-    for series, num in log_terms(r):
-        log_sum = log_sum.add(series.scale(num))
     ones = [ONE] * (ctx.N + 1)
     ser = log_sum.over(ones).plain_exp(ones)
     return {(n, key): p for n in range(1, ctx.N + 1)
             for key, p in ser.coeffs[n].to_schur().items()}
 
 
-def _uprime_log_terms(r: GradedSeries):
-    """The three-part log form of the twisted infinite product."""
+def _uprime_log_sum(r: GradedSeries) -> GradedSeries:
+    """The three-part log form of the twisted infinite product: every d on
+    r_alt, then the even d turned from r_alt to r."""
     r_alt = _signed_neg_q(r)
-    for d in range(1, r.N + 1):
-        yield r_alt.adams(d), phi_prime(d)
-    for d in range(1, r.N // 2 + 1):
-        yield r.adams(2 * d).sub(r_alt.adams(2 * d)), phi_prime(2 * d)
+    return r_alt.adams_sum(phi_prime).add(
+        r.sub(r_alt).adams_sum(lambda d: 0 if d % 2 else phi_prime(d)))
 
 
 def Uprime_poly_product_oracle(ctx: MasterContext) -> dict[tuple[int, MultiPartition], PolyQU]:
     """Twisted-form unipotent multiplicities from the three-part log form
     of the twisted infinite product, converted by the explicit sign."""
-    raw = _product_oracle(ctx, _uprime_log_terms)
+    raw = _product_oracle(ctx, _uprime_log_sum(ctx.r_series()))
     return {
         (n, key): p.scale(d_mu(key).sign_uprime * (-1) ** (n + 1))
         for (n, key), p in raw.items()
@@ -421,7 +415,7 @@ def Uprime_poly_product_oracle(ctx: MasterContext) -> dict[tuple[int, MultiParti
 def T_poly_product_oracle(ctx: MasterContext) -> dict[tuple[int, MultiPartition], PolyQU]:
     """Two-variable interpolation polynomials recomputed from the
     u-deformed infinite product."""
-    raw = _product_oracle(ctx, lambda r: ((r.adams(d), phi_u(d)) for d in range(1, r.N + 1)))
+    raw = _product_oracle(ctx, ctx.r_series().adams_sum(phi_u))
     return {key: _div_u(p, key[1]) for key, p in raw.items()}
 
 

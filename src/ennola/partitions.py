@@ -187,10 +187,10 @@ def parse_partition(text: str) -> Partition:
 
 
 def parse_int(text: str, pos: int, s: str) -> int:
-    """The integer that s spells, blanks aside; a ParseError at pos in
-    text otherwise.  Partition and type literals read with it."""
+    """The integer that s spells in ASCII digits, blanks aside, or a
+    ParseError at pos in text.  Partition and type literals read with it."""
     s = s.strip()
-    if not s.isdigit():
+    if not (s.isascii() and s.isdigit()):
         raise ParseError(text, pos, f"expected an integer, got {s!r}")
     return int(s)
 

@@ -430,25 +430,18 @@ class GradedSeries:
             out.append(acc if dens is None else acc.over(dens[n]))
         return self._like(out)
 
-    def _adams_sum(self, c) -> "GradedSeries":
-        """sum_{m>=1} c(m) psi_m(f)/m, for f with zero constant term and
-        c(1) = 1."""
+    def adams_sum(self, weight) -> "GradedSeries":
+        """sum_{m>=1} weight(m) psi_m(f)/m, for f with zero constant term;
+        weight(m) is an int or a polynomial in q and u, and a zero weight
+        skips m.  Weight 1 is the plethystic Psi, weight mu its inverse."""
         if not self.coeffs[0].is_zero():
             raise ValueError("the Adams sum needs zero constant term")
-        acc = self
-        for m in range(2, self.N + 1):
-            if cm := c(m):
-                acc = acc.add(self.adams(m).scale(cm))
+        acc = GradedSeries.zero(self.k, self.N)
+        for m in range(1, self.N + 1):
+            if w := weight(m):
+                acc = acc.add(self.adams(m).scale(w))
         return acc
 
-    def pleth_psi(self) -> "GradedSeries":
-        """Psi f = sum_{m>=1} psi_m(f)/m."""
-        return self._adams_sum(lambda m: 1)
-
-    def pleth_psi_inv(self) -> "GradedSeries":
-        """Inverse of pleth_psi by Moebius inversion: c = mu."""
-        return self._adams_sum(mobius)
-
     def pleth_exp(self, dens: list | None = None) -> "GradedSeries":
-        """Exp f = exp(Psi f)."""
-        return self.pleth_psi().plain_exp(dens)
+        """Exp f = exp(sum_{m>=1} psi_m(f)/m)."""
+        return self.adams_sum(lambda m: 1).plain_exp(dens)

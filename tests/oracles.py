@@ -35,7 +35,7 @@ where the library counts by orbit-stabilizer.
 
 The split orbit count phi_d is written from its Moebius-inversion
 formula, where the library only specializes phi_u; the twisted product's
-log terms come in the two-part form (uprime_log_two_part), every degree
+log sum comes in the two-part form (uprime_log_two_part), every degree
 over (-q)^n - 1, where the library sums three parts; the sign of
 V'(q) = +-V(-q) at a multipartition comes from the multipartition's
 statistics, where the library reads it off multitype statistics.
@@ -47,6 +47,10 @@ size from the centralizer orders a_lam; generic_multiplicities_from_group
 counts V(q) the same way in GL_n(F_q), with one factor twisted by a linear
 character of order n of the determinant, summed per class of its
 exponent: the Legendre symbol at n = 2, cube roots of unity at n = 3.
+unitary_multiplicities_from_group counts U'(q) and V'(q) the same way in
+GU_n(F_q), n = 2 and 3, enumerated as matrices over F_(q^2) with
+orthonormal columns (gu_classes), with the trivial and Steinberg
+characters and the unipotent piece of Gerardin's Weil representation.
 
 kac_polynomial_hua evaluates the Kac polynomial of a dimension vector of
 a loop-free quiver at an integer q by Hua's formula, a plethystic log of
@@ -320,8 +324,9 @@ def pairing(f: SymFunc, g: SymFunc) -> SymFunc:
 
 
 def pleth_log(series: GradedSeries) -> GradedSeries:
-    """Log f = Psi^{-1}(log f), the inverse of GradedSeries.pleth_exp."""
-    return series.plain_log().pleth_psi_inv()
+    """Log f = Psi^{-1}(log f), the inverse of GradedSeries.pleth_exp:
+    the Adams sum of log f with Moebius weights."""
+    return series.plain_log().adams_sum(mobius)
 
 
 def _tensor_power(f: SymFunc, k: int) -> SymFunc:
@@ -520,16 +525,16 @@ def phi(d: int) -> tuple[PolyQU, int]:
     return num, d
 
 
-def uprime_log_two_part(r: GradedSeries):
-    """The log terms of the twisted infinite product in two parts: the sum
-    over odd d of phi'_d psi_d(r_alt)/d plus the sum over even d of
+def uprime_log_two_part(r: GradedSeries) -> GradedSeries:
+    """The log of the twisted infinite product in two parts: the sum over
+    odd d of phi'_d psi_d(r_alt)/d plus the sum over even d of
     phi'_d psi_d(r)/d, r_alt the signed q -> -q image of r.  The library's
-    three-part form regrouped: its third part turns the even-d terms of
-    its first from r_alt into r.  Every degree-n term is over
+    three-part form regrouped: its even-d correction turns the even-d
+    terms of its first part from r_alt into r.  Every degree-n term is over
     (-q)^n - 1, so the sum takes no lcm."""
     r_alt = _signed_neg_q(r)
-    for d in range(1, r.N + 1):
-        yield (r_alt if d % 2 else r).adams(d), phi_prime(d)
+    return r_alt.adams_sum(lambda d: phi_prime(d) if d % 2 else 0).add(
+        r.adams_sum(lambda d: 0 if d % 2 else phi_prime(d)))
 
 
 def vprime_sign_reference(mu: tuple) -> int:
@@ -669,16 +674,18 @@ def _group_classes(n: int, q: int) -> tuple[dict, dict]:
     return chi, classes
 
 
-def _multiplicities_from_group(n: int, q: int, k: int, exponent) -> dict:
-    """(1/|G|) sum over g in G = GL_n(F_q) of alpha(det g) prod_i
-    chi^{mu^i}(g) for every sorted key mu of k partitions of n, alpha =
-    zeta^exponent(det) a linear character of F_q^* with values in the n-th
-    roots of unity, exponent(det) in 0..n-1.  The sum is taken per exponent
-    class: S_e sums prod_i chi^{mu^i}(g) over the g with exponent(det g) = e.
-    The multiplicity is rational only if S_1 = ... = S_(n-1), which is
-    asserted, and then it is (S_0 - S_1)/|G|, as the n-th roots of unity
-    other than 1 add up to -1."""
-    chi, classes = _group_classes(n, q)
+def _multiplicities_from_group(group: tuple[dict, dict], n: int, k: int, exponent) -> dict:
+    """(1/|G|) sum over g in G of alpha(det g) prod_i chi^{mu^i}(g) for
+    every sorted key mu of k partitions of n, where group = (chi, classes)
+    gives each unipotent character chi^lam of G as a function of an
+    element's signature and counts the elements of G by (signature, det),
+    and alpha = zeta^exponent(det) is a linear character of G with values
+    in the n-th roots of unity, exponent(det) in 0..n-1.  The sum is taken
+    per exponent class: S_e sums prod_i chi^{mu^i}(g) over the g with
+    exponent(det g) = e.  The multiplicity is rational only if
+    S_1 = ... = S_(n-1), which is asserted, and then it is (S_0 - S_1)/|G|,
+    as the n-th roots of unity other than 1 add up to -1."""
+    chi, classes = group
     order = sum(classes.values())
     by_pi: dict = {}
     for (pi, det), count in classes.items():
@@ -702,7 +709,7 @@ def unipotent_multiplicities_from_group(n: int, q: int, k: int) -> dict:
     """U_mu(q) = (1/|G|) sum over g in G = GL_n(F_q) of prod_i chi^{mu^i}(g)
     for every sorted key mu of k partitions of n, from the matrices over
     F_q alone (_group_classes): the trivial character, exponent 0."""
-    return _multiplicities_from_group(n, q, k, lambda det: 0)
+    return _multiplicities_from_group(_group_classes(n, q), n, k, lambda det: 0)
 
 
 def generic_multiplicities_from_group(n: int, q: int, k: int) -> dict:
@@ -719,7 +726,158 @@ def generic_multiplicities_from_group(n: int, q: int, k: int) -> dict:
     roots = {pow(x, (q - 1) // n, q) for x in range(1, q)}
     zeta = next(r for r in sorted(roots) if all(pow(r, t, q) != 1 for t in range(1, n)))
     log = {pow(zeta, e, q): e for e in range(n)}
-    return _multiplicities_from_group(n, q, k, lambda det: log[pow(det, (q - 1) // n, q)])
+    return _multiplicities_from_group(_group_classes(n, q), n, k,
+                                      lambda det: log[pow(det, (q - 1) // n, q)])
+
+
+@lru_cache(maxsize=None)
+def _fq2(q: int) -> tuple[list, list, list, list]:
+    """F_(q^2) for a prime q, its elements the integers a + b q standing
+    for a + b x, x a root of the first monic quadratic x^2 + c x + e with
+    no root in F_q: the tables of sums and products, the inverses (None
+    at 0) and the Frobenius z -> z^q."""
+    c, e = next((c, e) for c in range(q) for e in range(q)
+                if all((x * x + c * x + e) % q for x in range(q)))
+    field = range(q * q)
+
+    def mul(a: int, b: int) -> int:
+        a0, a1, b0, b1 = a % q, a // q, b % q, b // q
+        return (a0 * b0 - e * a1 * b1) % q + (a0 * b1 + a1 * b0 - c * a1 * b1) % q * q
+
+    add = [[(a % q + b % q) % q + (a // q + b // q) % q * q for b in field] for a in field]
+    times = [[mul(a, b) for b in field] for a in field]
+    inv = [next((b for b in field if times[a][b] == 1), None) for a in field]
+    frob = [_fq2_power(times, a, q) for a in field]
+    return add, times, inv, frob
+
+
+def _fq2_power(times: list, a: int, e: int) -> int:
+    out = 1
+    for _ in range(e):
+        out = times[out][a]
+    return out
+
+
+@lru_cache(maxsize=None)
+def gu_classes(n: int, q: int) -> tuple[dict, dict]:
+    """The elements of G = GU_n(F_q), n = 2 or 3 and q a prime, counted by
+    (signature, det), and each unipotent character as a function of the
+    signature, from matrices over F_(q^2) alone.  G is enumerated as the
+    matrices whose columns are orthonormal for the Hermitian form
+    <x, y> = sum_i x_i y_i^q, column by column from the unit vectors
+    orthogonal to the columns before.  The signature of g is
+    (dim ker(g - z) for each z in the centre mu_(q+1), with z = 1 first;
+    the number of isotropic lines that g fixes).  G has F_q-rank 1, so the
+    permutation character on the isotropic lines is 1 + St, and:
+    - (n) is the trivial character;
+    - (1^n) is the Steinberg character, the fixed isotropic lines less 1;
+    - (n - 1, 1) is the piece of the Weil representation on which the
+      centre acts trivially, (-1)^n/(q + 1) times the sum over z of
+      (-q)^dim ker(g - z), from Gerardin's Weil character
+      (-1)^n (-q)^dim ker(g - 1).  At n = 3 it is the cuspidal unipotent
+      character, of degree q(q - 1); at n = 2 it is the Steinberg
+      character again, which is asserted.
+    The labels follow Ennola: chi^lam has degree +-(the GL_n(F_q) degree
+    of lam at -q)."""
+    if n not in (2, 3):
+        raise ValueError("the unipotent characters are built at n = 2 and 3 only")
+    add, times, inv, frob = _fq2(q)
+    minus_one = q - 1
+
+    def herm(x: tuple, y: tuple) -> int:
+        acc = 0
+        for a, b in zip(x, y):
+            acc = add[acc][times[a][frob[b]]]
+        return acc
+
+    def apply(cols: tuple, v: tuple) -> tuple:
+        out = [0] * n
+        for c, col in zip(v, cols):
+            for i, a in enumerate(col):
+                out[i] = add[out[i]][times[c][a]]
+        return tuple(out)
+
+    def rank(rows: list) -> int:
+        r = 0
+        for j in range(n):
+            piv = next((i for i in range(r, n) if rows[i][j]), None)
+            if piv is not None:
+                rows[r], rows[piv] = rows[piv], rows[r]
+                s = times[minus_one][inv[rows[r][j]]]
+                for i in range(r + 1, n):
+                    f = times[s][rows[i][j]]
+                    rows[i] = [add[x][times[f][y]] for x, y in zip(rows[i], rows[r])]
+                r += 1
+        return r
+
+    def det(cols: tuple) -> int:
+        out = 0
+        for perm in permutations(range(n)):
+            term = minus_one if sum(a > b for a, b in combinations(perm, 2)) % 2 else 1
+            for j, i in enumerate(perm):
+                term = times[term][cols[j][i]]
+            out = add[out][term]
+        return out
+
+    def frames(cols: tuple, candidates: list):
+        if len(cols) == n:
+            yield cols
+            return
+        for v in candidates:
+            yield from frames(cols + (v,), [w for w in candidates if herm(w, v) == 0])
+
+    vectors = list(product(range(q * q), repeat=n))
+    units = [v for v in vectors if herm(v, v) == 1]
+    # isotropic lines, each by its vector whose first nonzero entry is 1
+    lines = [(v, v.index(1)) for v in vectors
+             if any(v) and herm(v, v) == 0 and v[next(i for i, c in enumerate(v) if c)] == 1]
+    centre = [z for z in range(1, q * q) if times[z][frob[z]] == 1]
+    classes: dict = {}
+    for cols in frames((), units):
+        kernels = tuple(n - rank([[add[cols[j][i]][times[minus_one][z] if i == j else 0]
+                                   for j in range(n)] for i in range(n)])
+                        for z in centre)
+        fixed = 0
+        for v, i in lines:
+            w = apply(cols, v)
+            fixed += w == tuple(times[w[i]][a] for a in v)
+        sig = (kernels, fixed)
+        classes[sig, det(cols)] = classes.get((sig, det(cols)), 0) + 1
+    order = q ** (n * (n - 1) // 2) * math.prod(q**i - (-1)**i for i in range(1, n + 1))
+    assert sum(classes.values()) == order, (n, q)
+    sigs = {sig for sig, _ in classes}
+    weil = {}
+    for sig in sigs:
+        total = (-1) ** n * sum((-q) ** d for d in sig[0])
+        assert total % (q + 1) == 0, sig
+        weil[sig] = total // (q + 1)
+    chi = {(n,): dict.fromkeys(sigs, 1), (1,) * n: {sig: sig[1] - 1 for sig in sigs}}
+    if n == 2:
+        assert weil == chi[1, 1]
+    else:
+        chi[2, 1] = weil
+    return chi, classes
+
+
+def unitary_multiplicities_from_group(n: int, q: int, k: int, generic: bool = False) -> dict:
+    """U'_mu(q), or V'_mu(q) when generic, for every sorted key mu of k
+    partitions of n, from GU_n(F_q) itself (gu_classes): the average over
+    G of prod_i chi^{mu^i}(g), with one factor twisted for V' by a linear
+    character of order exactly n of det, which lies in mu_(q+1); so V'
+    needs n | q + 1."""
+    group = gu_classes(n, q)
+    if not generic:
+        return _multiplicities_from_group(group, n, k, lambda det: 0)
+    if (q + 1) % n:
+        raise ValueError(f"a linear character of order {n} needs {n} | q + 1")
+    _, times, _, frob = _fq2(q)
+    centre = [z for z in range(1, q * q) if times[z][frob[z]] == 1]
+    roots = {_fq2_power(times, z, (q + 1) // n) for z in centre}
+    zeta = next(r for r in sorted(roots)
+                if all(_fq2_power(times, r, t) != 1 for t in range(1, n)))
+    log = {_fq2_power(times, zeta, e): e for e in range(n)}
+    return _multiplicities_from_group(
+        group, n, k, lambda det: log[_fq2_power(times, det, (q + 1) // n)])
 
 
 def star_quiver(mu: tuple) -> tuple[list[int], list[list[int]]]:

@@ -30,7 +30,8 @@ from ennola.multiplicities import (
     _build_omega,
     _multitype_signs,
     _product_oracle,
-    _uprime_log_terms,
+    _signed_neg_q,
+    _uprime_log_sum,
     as_multitype,
     build_context,
     cache_path,
@@ -56,12 +57,15 @@ from oracles import (
     enumerate_types,
     expand_graded,
     generic_multiplicities_from_group,
+    gu_classes,
     is_root,
     kac_polynomial_hua,
     omega_oracle,
     phi,
     star_quiver,
+    unipotent_degree,
     unipotent_multiplicities_from_group,
+    unitary_multiplicities_from_group,
     uprime_log_two_part,
     vprime_sign_reference,
 )
@@ -393,21 +397,20 @@ class TestClosedFormDenominators:
     def test_oracle_log_sums_over_closed_forms(self, k, N):
         # every piece psi_d(r) phi_d of the three-part twisted log form is
         # over a divisor of q^(2n) - 1 at degree n, those of the
-        # u-deformed form over q^n - 1, and each sum is integral
-        from ennola.symfunc import GradedSeries
-
+        # u-deformed form over q^n - 1, and so is each log sum the oracles
+        # take, which is integral
         r = build_context(k, N, None).r_series()
-        twisted = list(_uprime_log_terms(r))
-        u_deformed = [(r.adams(d), phi_u(d)) for d in range(1, N + 1)]
-        for terms, closed_form in ((twisted, lambda n: Q**(2 * n) - ONE),
-                                   (u_deformed, lambda n: Q**n - ONE)):
-            total = GradedSeries.zero(k, N)
-            for series, num in terms:
-                piece = series.scale(num)
+        r_alt = _signed_neg_q(r)
+        twisted = [r_alt.adams(d).scale(phi_prime(d)) for d in range(1, N + 1)]
+        twisted += [r.sub(r_alt).adams(d).scale(phi_prime(d)) for d in range(2, N + 1, 2)]
+        u_deformed = [r.adams(d).scale(phi_u(d)) for d in range(1, N + 1)]
+        for pieces, total, closed_form in (
+                (twisted, _uprime_log_sum(r), lambda n: Q**(2 * n) - ONE),
+                (u_deformed, r.adams_sum(phi_u), lambda n: Q**n - ONE)):
+            for piece in pieces + [total]:
                 for n in range(1, N + 1):
                     den = piece.coeffs[n].den
                     assert poly_exact_div(closed_form(n), den) is not None, (n, den)
-                total = total.add(piece)
             integral = total.over([ONE] * (N + 1))  # NotPolynomialError if not
             assert integral == total
 
@@ -552,6 +555,53 @@ class TestGenericFromTheGroup:
         assert (V_poly(ctx, mu).evaluate(5), U_poly(ctx, mu).evaluate(5)) == (5, 6)
 
 
+class TestUnitaryFromTheGroup:
+    """U' and V' against GU_n(F_q) itself, at n = 2 and 3, from matrices
+    over F_(q^2) alone (gu_classes in tests/oracles.py): the trivial and
+    Steinberg characters and the unipotent piece of the Weil
+    representation, averaged in products over the group.  The group reads
+    neither the kernel nor its log r, which the twisted product route
+    shares with T, so it checks that route and the main one,
+    T(-1, -q) with its sign, alike."""
+
+    @pytest.mark.parametrize("n, q", [
+        (2, 2), (2, 3), (2, 5), (2, 7), (3, 2), pytest.param(3, 3, marks=pytest.mark.slow)])
+    def test_unipotent_characters_are_orthonormal_with_ennola_degrees(self, n, q):
+        chi, classes = gu_classes(n, q)
+        order = sum(classes.values())
+        assert sorted(chi) == sorted(enumerate_partitions(n))
+        one = next(sig for sig, _ in classes if sig[0][0] == n)  # ker(g - 1) is everything
+        for lam, a in chi.items():
+            for mu, b in chi.items():
+                inner = sum(count * a[sig] * b[sig] for (sig, _), count in classes.items())
+                assert inner == (order if lam == mu else 0), (lam, mu)
+            assert a[one] == abs(unipotent_degree(lam).evaluate(-q)), lam
+
+    @pytest.mark.parametrize("n, q, vprime_nonzero, off_ennola", [
+        (2, 2, None, 2), (2, 3, 6, 2), (2, 5, 6, 2), (2, 7, 6, 2), (3, 2, 18, 26),
+        pytest.param(3, 3, None, 26, marks=pytest.mark.slow)])
+    def test_uprime_and_vprime_match_the_group_count(self, n, q, vprime_nonzero, off_ennola):
+        # every sorted key at k = 2..5; V' where det has a linear character
+        # of order n, n | q + 1.  off_ennola counts the keys where U'(q) is
+        # not +-U(-q): there Ennola duality is more than q -> -q
+        off, nonzero = 0, 0
+        for k in range(2, 6):
+            ctx = build_context(k, n, None)
+            got = unitary_multiplicities_from_group(n, q, k)
+            assert len(got) == len(set(tuple(sorted(mu)) for mu in multipartitions(k, n)))
+            oracle = Uprime_poly_product_oracle(ctx)
+            for mu, value in got.items():
+                assert Uprime_poly(ctx, mu).evaluate(q) == value, mu
+                assert oracle.get((n, mu), ZERO).evaluate(q) == value, mu
+                off += value not in (U_poly(ctx, mu).evaluate(-q), -U_poly(ctx, mu).evaluate(-q))
+            if vprime_nonzero is not None:
+                for mu, value in unitary_multiplicities_from_group(n, q, k, generic=True).items():
+                    assert Vprime_poly(ctx, mu).evaluate(q) == value, mu
+                    nonzero += value != 0
+        assert off == off_ennola
+        assert nonzero == (vprime_nonzero or 0)
+
+
 class TestKacRoots:
     """V against the star-shaped quiver of mu, a tie that never goes
     through the kernel: for a generic tuple the multiplicity is nonzero iff
@@ -640,7 +690,7 @@ class TestProductOracles:
                 assert t_table.get((n, mu), ZERO) == T_poly(ctx, mu), mu
 
     @pytest.mark.parametrize("k, N, three_part_gcds", [
-        (3, 5, 4), (4, 4, 4), (2, 6, 7), (1, 8, 9)])
+        (3, 5, 5), (4, 4, 4), (2, 6, 6), (1, 8, 8)])
     def test_twisted_log_in_two_parts(self, monkeypatch, k, N, three_part_gcds):
         # regrouped, the twisted log form gives the same tables and takes
         # no lcm, so no gcd; the three-part form takes one per lcm
@@ -650,20 +700,16 @@ class TestProductOracles:
         real = coeffs.poly_gcd
         monkeypatch.setattr(coeffs, "poly_gcd", lambda a, b: calls.append(1) or real(a, b))
         ctx = build_context(k, N, None)
-        ctx.r_series()  # built before counting, so only the oracle counts
-        three = _product_oracle(ctx, _uprime_log_terms)
+        r = ctx.r_series()  # built before counting, so only the oracle counts
+        three = _product_oracle(ctx, _uprime_log_sum(r))
         assert len(calls) == three_part_gcds
         calls.clear()
-        assert _product_oracle(ctx, uprime_log_two_part) == three
+        assert _product_oracle(ctx, uprime_log_two_part(r)) == three
         assert calls == []
 
     @pytest.mark.parametrize("k, N", [(3, 6), (2, 7)])
     def test_two_part_twisted_log_sums_over_minus_q_closed_form(self, k, N):
-        from ennola.symfunc import GradedSeries
-
-        total = GradedSeries.zero(k, N)
-        for series, num in uprime_log_two_part(build_context(k, N, None).r_series()):
-            total = total.add(series.scale(num))
+        total = uprime_log_two_part(build_context(k, N, None).r_series())
         assert [total.coeffs[n].den for n in range(1, N + 1)] == [
             (-Q)**n - ONE for n in range(1, N + 1)]
 

@@ -634,8 +634,28 @@ class TestGradedSeries:
         c[1] = SymFunc(1, 1, {(((1,),)): Q})
         c[3] = SymFunc(1, 3, {(((2, 1),)): PolyQU.const(7)}, PolyQU.const(3))
         f = GradedSeries(1, 6, c)
-        assert f.pleth_psi().pleth_psi_inv() == f
-        assert f.pleth_psi_inv().pleth_psi() == f
+        # Psi is the Adams sum with weight 1, its inverse the one with mu
+        psi = f.adams_sum(lambda m: 1)
+        assert psi != f
+        assert psi.adams_sum(mobius) == f
+        assert f.adams_sum(mobius).adams_sum(lambda m: 1) == f
+
+    @pytest.mark.parametrize("weight", [
+        lambda m: 1,
+        lambda m: Q * U + PolyQU.const(m),  # polynomial in q and u
+        lambda m: 0 if m in (2, 5) else 3 - m,  # zero weights, and 2 at m = 1
+        lambda m: PolyQU() if m == 1 else U**m - Q,  # the zero polynomial at m = 1
+    ])
+    def test_adams_sum_is_the_weighted_sum_of_adams(self, weight):
+        f = GradedSeries.zero(2, 6)
+        c = list(f.coeffs)
+        c[1] = SymFunc(2, 1, {((1,), (1,)): Q + U})
+        c[2] = powersum_symfunc(2, 2, {((1, 1), (2,)): ONE, ((2,), (2,)): U}, Q - ONE)
+        f = GradedSeries(2, 6, c)
+        by_hand = GradedSeries.zero(2, 6)
+        for m in range(1, 7):
+            by_hand = by_hand.add(f.adams(m).scale(weight(m)))
+        assert f.adams_sum(weight) == by_hand
 
     def test_adams_composition(self):
         f = GradedSeries.zero(1, 6)
@@ -648,5 +668,7 @@ class TestGradedSeries:
         one = [SymFunc.one(1)] + [SymFunc.zero(1, n) for n in (1, 2, 3)]
         with pytest.raises(ValueError):
             GradedSeries(1, 3, one).plain_exp()
+        with pytest.raises(ValueError, match="zero constant term"):
+            GradedSeries(1, 3, one).adams_sum(lambda m: 1)
         with pytest.raises(ValueError):
             GradedSeries.zero(1, 3).plain_log()

@@ -349,6 +349,7 @@ class TestTextForms:
             (parse_type, "2:1; 1:2.x", 4, "expected an integer, got 'x'"),
             (parse_type, "2:1;1:1^x", 4, "expected an integer, got 'x'"),
             (parse_type, "2:1;1:0.1", 4, "partition parts must be positive integers, got (0, 1)"),
+            (parse_type, "1:\u00b2", 0, "expected an integer, got '\u00b2'"),
             (parse_multitype, "1:1,0:1,1:1", 4, "entry (0, (1,), 1) needs positive d and m"),
             (parse_multitype, "1:1,1:1,1:1;", 12, "type entry needs 'd:parts'"),
             (parse_multitype, "1:1,1:x,1:1", 4, "expected an integer, got 'x'"),
@@ -357,6 +358,9 @@ class TestTextForms:
             (parse_multipartition, "1.1,2^x,2", 4, "expected an integer, got 'x'"),
             (parse_multipartition, "2,1.1,3", 6, "components must have equal size, got 2 and 3"),
             (parse_multipartition, "2.1,,2.1", 4, "empty partition literal"),
+            # digits that int() refuses, and non-ASCII ones that it reads
+            (parse_multipartition, "\u00b2,1", 0, "expected an integer, got '\u00b2'"),
+            (parse_multipartition, "\u0663,\u0663,\u0663", 0, "expected an integer, got '\u0663'"),
         ]:
             with pytest.raises(ParseError) as exc:
                 parse(bad)
