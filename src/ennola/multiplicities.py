@@ -579,39 +579,28 @@ def _entries_digest(entries: list) -> str:
 
 
 def load_cache(cache_dir: str, k: int, n: int) -> dict[MultiPartition, PolyQU] | None:
-    """The Schur table of a cache file, or None when the file is missing or
-    malformed, or holds a key that is not k partitions of n, is not
-    sorted or comes twice."""
-    path = cache_path(cache_dir, k, n)
+    """The Schur table of a cache file, or None when the file is missing,
+    cannot be read or decoded however that fails (nesting too deep for
+    the decoder too), does not match this version, k, n, its count and
+    its digest, or holds a key that is not k partitions of n, is not
+    sorted or comes twice: any error of reading or checking means None."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(cache_path(cache_dir, k, n), encoding="utf-8") as fh:
             payload = json.load(fh)
-    except (OSError, ValueError):
-        return None
-    if (
-        not isinstance(payload, dict)
-        or payload.get("version") != CACHE_VERSION
-        or payload.get("k") != k
-        or payload.get("n") != n
-    ):
-        return None
-    try:
         entries = payload["entries"]
-        if payload["count"] != len(entries) or payload["sha256"] != _entries_digest(entries):
+        found = (payload["version"], payload["k"], payload["n"], payload["count"], payload["sha256"])
+        if found != (CACHE_VERSION, k, n, len(entries), _entries_digest(entries)):
             return None
         table = {}
         for entry in entries:
-            texts = entry["mu"]
-            if not isinstance(texts, list) or not all(isinstance(t, str) for t in texts):
+            texts = entry["mu"]  # a partition text that is no str: AttributeError
+            mu = check_multipartition(map(parse_partition, texts), k)
+            if type(texts) is not list or size(mu[0]) != n or list(mu) != sorted(mu):
                 return None
-            table[tuple(map(parse_partition, texts))] = poly_from_json(entry["poly"])
-    except (KeyError, TypeError, ValueError):
+            table[mu] = poly_from_json(entry["poly"])
+    except (OSError, ValueError, KeyError, TypeError, AttributeError, RecursionError):
         return None
-    if len(table) != len(entries) or any(
-            len(mu) != k or list(mu) != sorted(mu) or any(size(c) != n for c in mu)
-            for mu in table):
-        return None
-    return table
+    return table if len(table) == len(entries) else None
 
 
 def clear_cache(cache_dir: str, k: int | None = None) -> list[str]:

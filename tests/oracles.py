@@ -51,6 +51,10 @@ unitary_multiplicities_from_group counts U'(q) and V'(q) the same way in
 GU_n(F_q), n = 2 and 3, enumerated as matrices over F_(q^2) with
 orthonormal columns (gu_classes), with the trivial and Steinberg
 characters and the unipotent piece of Gerardin's Weil representation.
+gl2_generic_multiplicities reaches every multitype of size 2, the first
+non-unipotent types checked against a group: it sums the character table
+of GL_2(F_q) (Fulton and Harris, section 5.2) over the classes, exactly
+in Z[x]/(x^m - 1), m = q^2 - 1, for one generic tuple of characters.
 
 kac_polynomial_hua evaluates the Kac polynomial of a dimension vector of
 a loop-free quiver at an integer q by Hua's formula, a plethystic log of
@@ -76,7 +80,13 @@ import math
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, combinations, permutations, product
+from itertools import (
+    accumulate,
+    combinations,
+    combinations_with_replacement,
+    permutations,
+    product,
+)
 
 from ennola.coeffs import ONE, ZERO, PolyQU, Q, poly_exact_div
 from ennola.hall_littlewood import transformed_hl
@@ -878,6 +888,148 @@ def unitary_multiplicities_from_group(n: int, q: int, k: int, generic: bool = Fa
     log = {_fq2_power(times, zeta, e): e for e in range(n)}
     return _multiplicities_from_group(
         group, n, k, lambda det: log[_fq2_power(times, det, (q + 1) // n)])
+
+
+@lru_cache(maxsize=None)
+def _cyclotomic(m: int) -> tuple:
+    """The m-th cyclotomic polynomial, coefficients from the constant term
+    up: x^m - 1 divided by every Phi_d, d | m, d < m."""
+    num = [-1] + [0] * (m - 1) + [1]
+    for d in range(1, m):
+        if m % d == 0:
+            num, rem = _divmod_monic(num, _cyclotomic(d))
+            assert not any(rem), (m, d, rem)
+    return tuple(num)
+
+
+def _divmod_monic(a: list, b: tuple) -> tuple[list, list]:
+    """The quotient and the remainder of a by the monic b over Z, each a
+    list of coefficients from the constant term up."""
+    a, out = list(a), [0] * max(len(a) - len(b) + 1, 0)
+    for i in range(len(a) - len(b), -1, -1):
+        c = out[i] = a[i + len(b) - 1]
+        for j, bj in enumerate(b):
+            a[i + j] -= c * bj
+    return out, a[:len(b) - 1]
+
+
+GL2_TYPES = (((1, (2,), 1),), ((1, (1, 1), 1),), ((1, (1,), 2),), ((2, (1,), 1),))
+
+
+def _gl2_classes(q: int) -> list:
+    """The conjugacy classes of GL_2(F_q) as (size, kind, exponents), the
+    exponents s of their eigenvalues g^s for a generator g of F_(q^2)^*,
+    whose subgroup F_q^* is the g^s with q + 1 | s: a scalar a (size 1),
+    a times a nontrivial unipotent (q^2 - 1), a split semisimple diag(a, b)
+    with a != b (q(q + 1)) and an elliptic element with eigenvalues z,
+    z^q, z not in F_q (q(q - 1))."""
+    m = q * q - 1
+    scalars = range(0, m, q + 1)
+    classes = [(1, "scalar", (s,)) for s in scalars]
+    classes += [(m, "unipotent", (s,)) for s in scalars]
+    classes += [(q * q + q, "split", pair) for pair in combinations(scalars, 2)]
+    classes += [(q * q - q, "elliptic", (t,)) for t in range(m)
+                if t % (q + 1) and t < t * q % m]
+    assert sum(c for c, _, _ in classes) == (q * q - 1) * (q * q - q)
+    return classes
+
+
+def _gl2_character(tau, params: tuple, q: int, kind: str, exps: tuple) -> list:
+    """The value of the irreducible character of GL_2(F_q) of type tau
+    (GL2_TYPES) with the given parameters at a class, as pairs (e, c) for
+    the sum of c zeta^e, zeta = exp(2 pi i/(q^2 - 1)); a character theta_j
+    of F_(q^2)^* takes zeta^(j s) at g^s, and alpha_i of F_q^*, the
+    restriction of theta_i, takes zeta^(i s) at a = g^s.  From Fulton and
+    Harris, section 5.2, at a scalar a, a non-semisimple a u, diag(a, b)
+    and an elliptic element with eigenvalue z:
+      1:2, alpha o det: alpha(a^2), alpha(a^2), alpha(ab), alpha(z^(q+1));
+      1:1.1, alpha o det times Steinberg: q alpha(a^2), 0, alpha(ab),
+        -alpha(z^(q+1));
+      1:1^2, the principal series of alpha != beta, the sum over the
+        g-fixed lines L of alpha(g|L) beta(det g/g|L): (q + 1) alpha(a)
+        beta(a), alpha(a) beta(a), alpha(a) beta(b) + alpha(b) beta(a), 0;
+      2:1, the cuspidal character of theta != theta^q: (q - 1) theta(a),
+        -theta(a), 0, -(theta(z) + theta(z^q))."""
+    d, lam, _ = tau[0]
+    if d == 2:
+        j, s = params[0], exps[0]
+        return {"scalar": [(j * s, q - 1)], "unipotent": [(j * s, -1)], "split": [],
+                "elliptic": [(j * s, -1), (j * s * q, -1)]}[kind]
+    i, i2 = params if len(params) == 2 else params * 2
+    if kind == "split":
+        s1, s2 = exps
+        return [(i * (s1 + s2), 1)] if i == i2 else [(i * s1 + i2 * s2, 1), (i * s2 + i2 * s1, 1)]
+    if kind == "elliptic":
+        return {(2,): [(i * (q + 1) * exps[0], 1)], (1, 1): [(i * (q + 1) * exps[0], -1)],
+                (1,): []}[lam]
+    if kind == "unipotent":
+        return [] if lam == (1, 1) else [((i + i2) * exps[0], 1)]
+    return [((i + i2) * exps[0], {(2,): 1, (1, 1): q, (1,): q + 1}[lam])]
+
+
+def _gl2_parameters(tau, q: int) -> list:
+    """The parameters of the characters of type tau, one per character:
+    alpha_i for a degree-1 entry of size 2, {alpha_i, alpha_i'} with
+    i < i' for 1:1^2, and theta_j with q + 1 not dividing j, one j per
+    {j, qj}, for 2:1."""
+    m, d, _, mult = q * q - 1, *tau[0]
+    if d == 2:
+        return [(j,) for j in range(m) if j % (q + 1) and j < j * q % m]
+    if mult == 2:
+        return list(combinations(range(q - 1), 2))
+    return [(i,) for i in range(q - 1)]
+
+
+def _gl2_eigenvalues(tau, params: tuple, q: int) -> tuple:
+    """The two eigenvalues of a character, as exponents j of characters
+    theta_j of F_(q^2)^*: alpha_i o N is theta_((q + 1) i), and a cuspidal
+    theta_j has theta_j and theta_j^q = theta_(qj)."""
+    if tau[0][0] == 2:
+        return params[0], params[0] * q % (q * q - 1)
+    i, i2 = params if len(params) == 2 else params * 2
+    return (q + 1) * i, (q + 1) * i2
+
+
+def gl2_generic_multiplicities(q: int, k: int) -> dict:
+    """For every multitype of k types of size 2 (GL2_TYPES, sorted), the
+    multiplicity of the trivial character in the tensor product of a
+    generic k-tuple of irreducible characters of GL_2(F_q) of those types,
+    (1/|G|) sum over the classes of |class| prod_i chi_i, or None when no
+    k-tuple of the multitype is generic.  Genericity (Hausel, Letellier
+    and Rodriguez-Villegas) with every eigenvalue read as a character of
+    F_(q^2)^*: the product of all 2k eigenvalues is 1, which says that the
+    central characters multiply to 1, and no choice of one eigenvalue per
+    factor multiplies to 1.  The first generic tuple in the order of
+    _gl2_parameters is taken.  The sum is exact in Z[x]/(x^m - 1),
+    m = q^2 - 1, x for zeta, and reduced modulo Phi_m, where it must be
+    an integer times |G|."""
+    m, classes = q * q - 1, _gl2_classes(q)
+    order, cyclo = m * (q * q - q), _cyclotomic(m)
+
+    def generic(mt, choice) -> bool:
+        eigenvalues = [_gl2_eigenvalues(t, p, q) for t, p in zip(mt, choice)]
+        return sum(map(sum, eigenvalues)) % m == 0 and all(
+            sum(pick) % m for pick in product(*eigenvalues))
+
+    out = {}
+    for mt in combinations_with_replacement(GL2_TYPES, k):
+        choice = next((params for params in product(*(_gl2_parameters(t, q) for t in mt))
+                       if generic(mt, params)), None)
+        if choice is None:
+            out[mt] = None
+            continue
+        total = [0] * m
+        for count, kind, exps in classes:
+            value = [(0, count)]
+            for tau, params in zip(mt, choice):
+                value = [(e + f, c * v) for e, c in value
+                         for f, v in _gl2_character(tau, params, q, kind, exps)]
+            for e, c in value:
+                total[e % m] += c
+        rem = _divmod_monic(total, cyclo)[1]
+        assert not any(rem[1:]) and rem[0] % order == 0, (mt, rem)
+        out[mt] = rem[0] // order
+    return out
 
 
 def star_quiver(mu: tuple) -> tuple[list[int], list[list[int]]]:

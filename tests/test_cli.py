@@ -395,6 +395,26 @@ class TestInternalErrors:
         assert out == ""
         assert err.startswith(message)
 
+    @pytest.mark.parametrize("argv", [
+        ("pair", "--which", "T", "--mu", "1,1,1"),
+        ("verify", "--n", "2"),
+    ])
+    def test_any_other_exception_exits_internal(self, capsys, monkeypatch, argv):
+        # an exception outside the four classes is an internal error, not
+        # exit 1, which is the code of a failed verify identity
+        import ennola.multiplicities as mult
+
+        def broken(ctx, n):
+            raise RuntimeError("stage broke")
+
+        monkeypatch.setattr(mult.MasterContext, "tau_schur", broken)
+        rc, out, err = run(capsys, *argv, "--cache-dir", "")
+        assert (rc, out) == (EXIT_INTERNAL, "")
+        first, *trace = err.splitlines()
+        assert first == "internal error: RuntimeError: stage broke"
+        assert trace[0] == "Traceback (most recent call last):"
+        assert trace[-1] == "RuntimeError: stage broke"
+
 
 class TestCache:
     def test_build_then_reuse(self, capsys, tmp_path):
@@ -640,6 +660,21 @@ class TestCache:
             cache = tmp_path / str(i)
             assert run(capsys, *argv, "--cache-dir", str(cache))[0] == EXIT_OK
             assert (sorted(os.listdir(cache)) if cache.exists() else []) == files, argv
+
+    def test_nesting_too_deep_to_decode_is_ignored(self, capsys, tmp_path):
+        # the decoder raises RecursionError, not ValueError, on 200,000
+        # nested arrays: the file is ignored like any other bad file
+        from ennola.multiplicities import cache_path
+
+        argv = ("pair", "--which", "V", "--mu", "1,1,1")
+        want = run(capsys, *argv, "--cache-dir", "")
+        cache = str(tmp_path / "c")
+        os.makedirs(cache)
+        path = cache_path(cache, 3, 1)
+        Path(path).write_text("[" * 200_000)
+        rc, out, err = run(capsys, *argv, "--cache-dir", cache)
+        assert (rc, out) == want[:2] == (EXIT_OK, "1\n")
+        assert err == f"warning: ignoring incompatible cache file {path}; recomputing\n"
 
     def test_corrupt_cache_warns_and_recomputes(self, capsys, tmp_path):
         from ennola.multiplicities import cache_path

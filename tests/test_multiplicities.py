@@ -57,6 +57,7 @@ from oracles import (
     enumerate_types,
     expand_graded,
     generic_multiplicities_from_group,
+    gl2_generic_multiplicities,
     gu_classes,
     is_root,
     kac_polynomial_hua,
@@ -555,6 +556,44 @@ class TestGenericFromTheGroup:
         assert (V_poly(ctx, mu).evaluate(5), U_poly(ctx, mu).evaluate(5)) == (5, 6)
 
 
+class TestEveryMultitypeAgainstGL2:
+    """V at every multitype of size 2 against GL_2(F_q) itself, the first
+    group check of non-unipotent types (gl2_generic_multiplicities in
+    tests/oracles.py).  The characters, from Fulton and Harris section 5.2,
+    at a scalar a, a non-semisimple a u, a split diag(a, b) and an
+    elliptic element with eigenvalue z in F_(q^2) \\ F_q:
+      1:2, alpha o det: alpha(a^2), alpha(a^2), alpha(ab), alpha(z^(q+1));
+      1:1.1, alpha o det times Steinberg: q alpha(a^2), 0, alpha(ab),
+        -alpha(z^(q+1));
+      1:1^2, the principal series of alpha != beta, the sum over the
+        g-fixed lines L of alpha(g|L) beta(det g/g|L);
+      2:1, the cuspidal character of theta != theta^q: (q - 1) theta(a),
+        -theta(a), 0, -(theta(z) + theta(z^q)).
+    Their values lie in Z[zeta_m], m = q^2 - 1; the sums run exactly in
+    Z[x]/(x^m - 1) and are reduced modulo Phi_m.  Genericity (Hausel,
+    Letellier and Rodriguez-Villegas), every eigenvalue read as a
+    character of F_(q^2)^*, alpha o N for a degree-1 entry and theta,
+    theta^q for a cuspidal: the central characters multiply to 1, and no
+    choice of one eigenvalue per factor multiplies to 1.  Read over F_q
+    alone, the rule picks non-generic tuples at q = 3 and gives false
+    mismatches.  One generic choice per multitype, the first one found,
+    is compared with V(q)."""
+
+    @pytest.mark.parametrize("q, checked, nonzero", [(5, 64, 34), (7, 65, 35)])
+    def test_v_matches_the_group_at_every_multitype(self, q, checked, nonzero):
+        counts = [0, 0]
+        for k in (2, 3, 4):
+            ctx = build_context(k, 2, None)
+            got = gl2_generic_multiplicities(q, k)
+            assert len(got) == math.comb(k + 3, k)
+            for mt, value in got.items():
+                if value is not None:
+                    assert V_poly(ctx, mt).evaluate(q) == value, mt
+                    counts[0] += 1
+                    counts[1] += value != 0
+        assert counts == [checked, nonzero]
+
+
 class TestUnitaryFromTheGroup:
     """U' and V' against GU_n(F_q) itself, at n = 2 and 3, from matrices
     over F_(q^2) alone (gu_classes in tests/oracles.py): the trivial and
@@ -706,6 +745,27 @@ class TestProductOracles:
         calls.clear()
         assert _product_oracle(ctx, uprime_log_two_part(r)) == three
         assert calls == []
+
+    @pytest.mark.parametrize("k, N", [(3, 5), (4, 4), (2, 6), (1, 8)])
+    def test_twisted_route_is_the_u_deformed_one_at_minus_one_minus_q(self, k, N):
+        # phi'_d is phi_{u,d} at (u, q) = (-1, -q), so the twisted log sum
+        # is the u-deformed one with u -> -1 in every numerator and q -> -q
+        # everywhere, degree m signed by (-1)^m: equal as series of
+        # rational functions, the derived one over (-q)^m - 1 where the
+        # three-part sum takes an lcm; so the twisted oracle is the T
+        # oracle at (-1, -q), signed as U' is
+        ctx = build_context(k, N, None)
+        r = ctx.r_series()
+        minus_one = ONE.scale(-1)
+        derived = _signed_neg_q(r.adams_sum(phi_u))
+        derived = derived._like([f.subst_coeffs(u=minus_one) for f in derived.coeffs])
+        assert _uprime_log_sum(r) == derived
+        assert [f.den for f in derived.coeffs] == [(-Q)**m - ONE if m else ONE
+                                                   for m in range(N + 1)]
+        from_t = {key: p.subst(q=-Q, u=minus_one).scale(d_mu(key[1]).sign_uprime)
+                  for key, p in T_poly_product_oracle(ctx).items()}
+        assert Uprime_poly_product_oracle(ctx) == {
+            key: p for key, p in from_t.items() if not p.is_zero()}
 
     @pytest.mark.parametrize("k, N", [(3, 6), (2, 7)])
     def test_two_part_twisted_log_sums_over_minus_q_closed_form(self, k, N):
@@ -893,6 +953,26 @@ class TestCache:
         assert load_cache(str(tmp_path), 3, 1) is None
         with open(path, "wb") as fh:
             fh.write(b"\xff\xfe not utf-8")
+        assert load_cache(str(tmp_path), 3, 1) is None
+
+    @pytest.mark.parametrize("text", [
+        "[" * 200_000, '{"entries": ' + "[" * 200_000, "[]", '"psi"', "3", "null",
+    ], ids=["nested-arrays", "nested-entries", "list", "string", "number", "null"])
+    def test_any_undecodable_or_misshapen_file_is_none(self, tmp_path, text):
+        path = cache_path(str(tmp_path), 3, 1)
+        with open(path, "w") as fh:
+            fh.write(text)
+        assert load_cache(str(tmp_path), 3, 1) is None
+
+    @pytest.mark.parametrize("mu", ["111", {"1": 0, " 1": 0, "1 ": 0}, [], ["1", "1", 1]])
+    def test_key_that_is_no_list_of_texts_is_refused(self, tmp_path, mu):
+        # under a matching count and digest: "111" and the dict read as
+        # three partitions of 1 if iterated, so the list check must stay
+        path = save_cache(str(tmp_path), 3, 1, {((1,), (1,), (1,)): ONE})
+        payload = _read_json(path)
+        payload["entries"][0]["mu"] = mu
+        payload["sha256"] = mult._entries_digest(payload["entries"])
+        _write_json(path, payload)
         assert load_cache(str(tmp_path), 3, 1) is None
 
     def test_version_mismatch(self, tmp_path):
