@@ -22,7 +22,6 @@ from ennola.multiplicities import (
     Uprime_poly,
     V_poly,
     build_context,
-    d_mu,
 )
 from ennola.partitions import partition_to_text
 
@@ -35,19 +34,27 @@ def heading(text: str) -> None:
     print("-" * len(text))
 
 
+def pairing_degree(mu) -> tuple[int, int]:
+    """The pairing degree d = n^2 (k - 2) - (sum of all squared parts) + 2
+    of k partitions of n, always even, and the twisted sign (-1)^(d/2)."""
+    k, n = len(mu), sum(mu[0])
+    d = n * n * (k - 2) - sum(p * p for comp in mu for p in comp) + 2
+    return d, -1 if d // 2 % 2 else 1
+
+
 def tell(ctx, mu) -> None:
     label = ", ".join(f"({partition_to_text(c)})" for c in mu)
     n = sum(mu[0])
     t = T_poly(ctx, mu)
-    sd = d_mu(mu)
+    _, sign = pairing_degree(mu)
     print(f"  triple     : {label}")
     print(f"  T(u, q)    : {poly_to_str(t)}")
     print(f"  T(0, q)    : {poly_to_str(t.subst(u=PolyQU()))}"
           f"   == V: {poly_to_str(V_poly(ctx, mu))}")
     print(f"  T(1, q)    : {poly_to_str(t.subst(u=ONE))}"
           f"   == U: {poly_to_str(U_poly(ctx, mu))}")
-    signed = t.subst(q=-Q, u=MINUS_ONE).scale(sd.sign_uprime)
-    sign_txt = "+" if sd.sign_uprime > 0 else "-"
+    signed = t.subst(q=-Q, u=MINUS_ONE).scale(sign)
+    sign_txt = "+" if sign > 0 else "-"
     print(f"  {sign_txt}T(-1, -q) : {poly_to_str(signed)}"
           f"   == U': {poly_to_str(Uprime_poly(ctx, mu))}")
     top = PolyQU({(i, 0): c for (i, j), c in t.terms.items() if j == n - 1})
@@ -71,9 +78,8 @@ def main() -> None:
     print("""
 The twisted value alternates interior signs yet still leads with a
 positive coefficient.  Its sign is pinned by the pairing degree:""")
-    sd = d_mu(mu)
-    print(f"  pairing degree d = {sd.d_mu},  twisted sign = "
-          f"(-1)^(d/2) = {sd.sign_uprime:+d}")
+    d, sign = pairing_degree(mu)
+    print(f"  pairing degree d = {d},  twisted sign = (-1)^(d/2) = {sign:+d}")
 
 
 if __name__ == "__main__":

@@ -238,9 +238,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, formats=("text", "json", "csv", "tex")) -> None:
-        p.add_argument("--k", type=int, default=None,
-                       help="number of tensor factors (default 3)")
+    def common(p: argparse.ArgumentParser, formats=("text", "json", "csv", "tex"),
+               k_help="number of tensor factors (default 3)") -> None:
+        p.add_argument("--k", type=int, default=None, help=k_help)
         if formats:
             p.add_argument("--format", dest="fmt", default="text", choices=formats)
         p.add_argument("--cache-dir", default=None,
@@ -252,7 +252,8 @@ def build_parser() -> argparse.ArgumentParser:
     literal.add_argument("--mu", help='multipartition literal, e.g. "1^4,1^4,1^4"')
     literal.add_argument("--type", dest="type_literal",
                    help='multitype literal, e.g. "1:2.1,1:2.1,2:1;1:1"')
-    common(p)
+    common(p, k_help="number of tensor factors; must match the literal's "
+           "components (default: read from the literal)")
 
     p = sub.add_parser("table", help="all nonzero rows for one degree")
     p.add_argument("--which", choices=WHICH_CHOICES, required=True)
@@ -266,7 +267,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cache", help="build or clear the disk cache")
     p.add_argument("action", choices=("build", "clear"))
     p.add_argument("--n", type=int, default=None)
-    common(p, ())
+    common(p, (), "number of tensor factors (default 3 for build; clear "
+           "without it removes the files of every k)")
     return parser
 
 

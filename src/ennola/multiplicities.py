@@ -7,7 +7,7 @@ plethystic logarithm scaled by (q - 1) to get the master series Psi whose
 Schur coefficients are the generic multiplicities, then form the
 plethystic exponential of u * Psi whose Schur coefficients, divided by u,
 are the two-variable interpolation polynomials.  Specializing u to 0, 1,
-and -1 (the last with q -> -q and an explicit sign) recovers the generic,
+and -1 (U'(q) = s' T(-1, -q), s' the sign of V') recovers the generic,
 general-linear unipotent, and unitary unipotent multiplicities.  Each
 stage keeps degree n over a denominator known in closed form: the kernel
 over (q;q)_n, its plain logarithm over q^n - 1, and the master series,
@@ -23,7 +23,6 @@ import contextlib
 import json
 import os
 import tempfile
-from collections import namedtuple
 from itertools import product
 from math import prod
 
@@ -75,7 +74,6 @@ from .types import (
     make_type,
     schur_of_type,
     type_size,
-    type_stats,
 )
 
 CACHE_VERSION = 3
@@ -100,22 +98,6 @@ def phi_prime(d: int) -> PolyQU:
     """d phi'_d, for the twisted-form orbit count phi'_d: phi_u at
     (u, q) = (-1, -q), which is (1/d) sum of mu(r) (q^{d/r} - (-1)^{d/r})."""
     return phi_u(d).subst(q=-Q, u=MINUS_ONE)
-
-
-class SignData(namedtuple("SignData", "d_mu sign_uprime")):
-    """Parity data attached to a multipartition: the even integer d and the
-    sign (-1)^(d/2) of U' = (-1)^(d/2) T(-1, -q)."""
-
-    __slots__ = ()
-
-
-def d_mu(mu: MultiPartition) -> SignData:
-    mu = check_multipartition(mu)
-    k, n = len(mu), size(mu[0])
-    d = n * n * (k - 2) - sum(p * p for comp in mu for p in comp) + 2
-    if d % 2:
-        raise AssertionError(f"odd pairing degree {d} for {mu}")
-    return SignData(d_mu=d, sign_uprime=-1 if (d // 2) % 2 else 1)
 
 
 def as_multitype(arg) -> tuple[TypeEntries, ...]:
@@ -322,16 +304,14 @@ def H_omega(ctx: MasterContext, mt) -> PolyQU:
 
 def _multitype_signs(mt) -> tuple[int, int]:
     """The signs s, s' of V(q) = s H(q) and V'(q) = s' H(-q), H the pairing
-    H_omega: s = (-1)^r and s' = (-1)^(r' + n_dual + n + 1), with r, r'
-    and n_dual summed over the components."""
-    n = type_size(mt[0])
-    r = rp = nd = 0
-    for comp in mt:
-        r_c, rp_c = type_stats(comp)
-        r += r_c
-        rp += rp_c
-        nd += sum(m * d * n_stat(dual(lam)) for d, lam, m in comp)
-    return (-1) ** r, (-1) ** (rp + nd + n + 1)
+    H_omega, and of U'(q) = s' T(-1, -q) on a multipartition: s = (-1)^r
+    and s' = (-1)^(r' + n_dual + n + 1), where with k components of size n
+    and w the sum of m |lam| over all entries, r = k n + w and
+    r' = k ceil(n/2) + w, and n_dual sums m d n(lam') over all entries."""
+    k, n = len(mt), type_size(mt[0])
+    w = sum(m * size(lam) for comp in mt for _, lam, m in comp)
+    nd = sum(m * d * n_stat(dual(lam)) for comp in mt for d, lam, m in comp)
+    return (-1) ** (k * n + w), (-1) ** (k * ((n + 1) // 2) + w + nd + n + 1)
 
 
 def V_pair(ctx: MasterContext, omega) -> tuple[PolyQU, PolyQU]:
@@ -368,8 +348,9 @@ def U_poly(ctx: MasterContext, mu: MultiPartition) -> PolyQU:
 
 
 def Uprime_poly(ctx: MasterContext, mu: MultiPartition) -> PolyQU:
+    """U'(q) = s' T(-1, -q), s' the sign of V' (_multitype_signs)."""
     val = T_poly(ctx, mu).subst(q=-Q, u=MINUS_ONE)
-    return val.scale(d_mu(mu).sign_uprime)
+    return val.scale(_multitype_signs(as_multitype(mu))[1])
 
 
 # infinite-product oracles
@@ -407,7 +388,7 @@ def Uprime_poly_product_oracle(ctx: MasterContext) -> dict[tuple[int, MultiParti
     of the twisted infinite product, converted by the explicit sign."""
     raw = _product_oracle(ctx, _uprime_log_sum(ctx.r_series()))
     return {
-        (n, key): p.scale(d_mu(key).sign_uprime * (-1) ** (n + 1))
+        (n, key): p.scale(_multitype_signs(as_multitype(key))[1] * (-1) ** (n + 1))
         for (n, key), p in raw.items()
     }
 

@@ -3,9 +3,9 @@ recording how Frobenius permutes eigenvalue data.
 
 A type of size n is stored as a canonically sorted tuple of entries
 (d, lam, m) with distinct (d, lam) pairs and n = sum m*d*|lam|.  The
-module provides the statistics r and r', the integer Schur expansion of
-the product of Schur functions evaluated on power-substituted alphabets,
-and the text syntax of types and multitypes.
+module provides the integer Schur expansion of the product of Schur
+functions evaluated on power-substituted alphabets, and the text syntax
+of types and multitypes.
 """
 
 from __future__ import annotations
@@ -51,14 +51,6 @@ def from_partition(lam: Partition) -> TypeEntries:
 
 def type_size(tau: TypeEntries) -> int:
     return sum(m * d * size(lam) for d, lam, m in tau)
-
-
-def type_stats(tau: TypeEntries) -> tuple[int, int]:
-    """(r_stat, r_prime): |tau| + sum of m*|lam| and ceil(|tau|/2) + sum of
-    m*|lam|."""
-    n = type_size(tau)
-    weight = sum(m * size(lam) for _, lam, m in tau)
-    return n + weight, (n + 1) // 2 + weight
 
 
 @lru_cache(maxsize=None)

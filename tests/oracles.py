@@ -38,7 +38,9 @@ formula, where the library only specializes phi_u; the twisted product's
 log sum comes in the two-part form (uprime_log_two_part), every degree
 over (-q)^n - 1, where the library sums three parts; the sign of
 V'(q) = +-V(-q) at a multipartition comes from the multipartition's
-statistics, where the library reads it off multitype statistics.
+statistics, and the sign (-1)^(d_mu/2) of U'(q) = +-T(-1, -q) from the
+paper's pairing degree (pairing_degree), where the library reads both
+off multitype statistics.
 
 unipotent_multiplicities_from_group owes nothing to symmetric functions:
 it counts U(q) at a prime q in GL_n(F_q) itself, from stable flags of one
@@ -55,6 +57,10 @@ gl2_generic_multiplicities reaches every multitype of size 2, the first
 non-unipotent types checked against a group: it sums the character table
 of GL_2(F_q) (Fulton and Harris, section 5.2) over the classes, exactly
 in Z[x]/(x^m - 1), m = q^2 - 1, for one generic tuple of characters.
+gu2_generic_multiplicities does the same for V' with the character table
+of GU_2(F_q): alpha o det, alpha o det times Steinberg, the cuspidals
+alpha o det times a nontrivial piece of Gerardin's Weil character, and
+the principal series induced from the stabilizer of an isotropic line.
 
 kac_polynomial_hua evaluates the Kac polynomial of a dimension vector of
 a loop-free quiver at an integer q by Hua's formula, a plethystic log of
@@ -547,6 +553,16 @@ def uprime_log_two_part(r: GradedSeries) -> GradedSeries:
         r.adams_sum(lambda d: 0 if d % 2 else phi_prime(d)))
 
 
+def pairing_degree(mu: tuple) -> int:
+    """The paper's pairing degree of k partitions of n,
+    d_mu = n^2 (k - 2) - sum of the squares of all parts + 2, an even
+    integer: U'(q) is (-1)^(d_mu/2) T(-1, -q), and on the star-shaped
+    quiver of mu, d_mu = 2 (1 - <v_mu, v_mu>).  The library signs U' by
+    multitype statistics instead."""
+    k, n = len(mu), sum(mu[0])
+    return n * n * (k - 2) - sum(p * p for comp in mu for p in comp) + 2
+
+
 def vprime_sign_reference(mu: tuple) -> int:
     """The sign s of V'(q) = s V(-q) at k partitions of n, from the
     multipartition statistics alone: (-1)^(k (n + ceil(n/2)) + n_dual + n + 1),
@@ -994,26 +1010,40 @@ def gl2_generic_multiplicities(q: int, k: int) -> dict:
     """For every multitype of k types of size 2 (GL2_TYPES, sorted), the
     multiplicity of the trivial character in the tensor product of a
     generic k-tuple of irreducible characters of GL_2(F_q) of those types,
+    or None when no k-tuple of the multitype is generic
+    (_size_two_multiplicities)."""
+    return _size_two_multiplicities(q, k, _gl2_classes(q), _gl2_character,
+                                    _gl2_parameters, _gl2_eigenvalues)
+
+
+def _size_two_multiplicities(q: int, k: int, classes: list, character, parameters,
+                             eigenvalues) -> dict:
+    """For every multitype of k types of size 2 (GL2_TYPES, sorted), the
+    multiplicity of the trivial character in the tensor product of a
+    generic k-tuple of irreducible characters of G of those types,
     (1/|G|) sum over the classes of |class| prod_i chi_i, or None when no
-    k-tuple of the multitype is generic.  Genericity (Hausel, Letellier
-    and Rodriguez-Villegas) with every eigenvalue read as a character of
+    k-tuple of the multitype is generic.  G is given by its classes
+    (size, kind, exponents) and the functions character, parameters and
+    eigenvalues of _gl2_character, _gl2_parameters and _gl2_eigenvalues,
+    or of their GU_2 counterparts.  Genericity (Hausel, Letellier and
+    Rodriguez-Villegas) with every eigenvalue read as a character of
     F_(q^2)^*: the product of all 2k eigenvalues is 1, which says that the
     central characters multiply to 1, and no choice of one eigenvalue per
-    factor multiplies to 1.  The first generic tuple in the order of
-    _gl2_parameters is taken.  The sum is exact in Z[x]/(x^m - 1),
+    factor multiplies to 1.  The first generic tuple in the order of the
+    parameters is taken.  The sum is exact in Z[x]/(x^m - 1),
     m = q^2 - 1, x for zeta, and reduced modulo Phi_m, where it must be
     an integer times |G|."""
-    m, classes = q * q - 1, _gl2_classes(q)
-    order, cyclo = m * (q * q - q), _cyclotomic(m)
+    m, cyclo = q * q - 1, _cyclotomic(q * q - 1)
+    order = sum(count for count, _, _ in classes)
 
     def generic(mt, choice) -> bool:
-        eigenvalues = [_gl2_eigenvalues(t, p, q) for t, p in zip(mt, choice)]
-        return sum(map(sum, eigenvalues)) % m == 0 and all(
-            sum(pick) % m for pick in product(*eigenvalues))
+        values = [eigenvalues(t, p, q) for t, p in zip(mt, choice)]
+        return sum(map(sum, values)) % m == 0 and all(
+            sum(pick) % m for pick in product(*values))
 
     out = {}
     for mt in combinations_with_replacement(GL2_TYPES, k):
-        choice = next((params for params in product(*(_gl2_parameters(t, q) for t in mt))
+        choice = next((params for params in product(*(parameters(t, q) for t in mt))
                        if generic(mt, params)), None)
         if choice is None:
             out[mt] = None
@@ -1023,13 +1053,114 @@ def gl2_generic_multiplicities(q: int, k: int) -> dict:
             value = [(0, count)]
             for tau, params in zip(mt, choice):
                 value = [(e + f, c * v) for e, c in value
-                         for f, v in _gl2_character(tau, params, q, kind, exps)]
+                         for f, v in character(tau, params, q, kind, exps)]
             for e, c in value:
                 total[e % m] += c
         rem = _divmod_monic(total, cyclo)[1]
         assert not any(rem[1:]) and rem[0] % order == 0, (mt, rem)
         out[mt] = rem[0] // order
     return out
+
+
+def _gu2_classes(q: int) -> list:
+    """The conjugacy classes of GU_2(F_q) as (size, kind, exponents), the
+    exponents s of their eigenvalues g^s for a generator g of F_(q^2)^*,
+    whose subgroup mu_(q+1) is the g^s with q - 1 | s.  The eigenvalues of
+    an element are closed under z -> z^(-q), so at n = 2 they lie in
+    F_(q^2): a scalar z (size 1), z times a nontrivial unipotent
+    (q^2 - 1), an anisotropic diag(a, b) with a != b in mu_(q+1), its
+    eigenlines anisotropic (q(q - 1)), and an isotropic element with
+    eigenvalues c, c^(-q), c not in mu_(q+1), its eigenlines isotropic
+    (q(q + 1)).  These are GL_2's classes with q -> -q: the split torus
+    (F_q^*)^2 becomes mu_(q+1)^2 and the elliptic F_(q^2)^* stays."""
+    m = q * q - 1
+    centre = range(0, m, q - 1)
+    classes = [(1, "scalar", (s,)) for s in centre]
+    classes += [(m, "unipotent", (s,)) for s in centre]
+    classes += [(q * q - q, "anisotropic", pair) for pair in combinations(centre, 2)]
+    classes += [(q * q + q, "isotropic", (t,)) for t in range(m)
+                if t % (q - 1) and t < -q * t % m]
+    assert sum(c for c, _, _ in classes) == q * (q + 1) * m
+    return classes
+
+
+def _gu2_character(tau, params: tuple, q: int, kind: str, exps: tuple) -> list:
+    """The value of the irreducible character of GU_2(F_q) of type tau
+    (GL2_TYPES, read through Ennola duality) with the given parameters at a
+    class (_gu2_classes), as pairs (e, c) for the sum of c zeta^e,
+    zeta = exp(2 pi i/(q^2 - 1)); theta_j of F_(q^2)^* takes zeta^(j s) at
+    g^s, and alpha_i of mu_(q+1), the restriction of theta_i, takes
+    zeta^(i s) at g^s.  At a scalar z, a non-semisimple z u, an
+    anisotropic diag(a, b) and an isotropic element with eigenvalue c:
+      1:2, alpha o det: alpha(z^2), alpha(z^2), alpha(ab), alpha(c^(1-q));
+      1:1.1, alpha o det times Steinberg (the fixed isotropic lines
+        less 1): q alpha(z^2), 0, -alpha(ab), alpha(c^(1-q));
+      1:1^2, the cuspidal alpha o det times omega_xi, xi != 1, omega_xi
+        the xi-piece of Gerardin's Weil character, (1/(q + 1)) sum over z'
+        in mu_(q+1) of xi(z') (-q)^dim ker(g - z'), which is (q - 1) xi(z),
+        -xi(z), -(xi(a) + xi(b)), 0 as the xi(z') add up to 0;
+      2:1, the principal series induced from the stabilizer of an
+        isotropic line by theta, theta^(q+1) != 1, the sum of theta(g|L)
+        over the isotropic lines L that g fixes: (q + 1) theta(z),
+        theta(z), 0, theta(c) + theta(c^(-q)).
+    Their degrees are those of GL_2 at -q, up to sign: 1, q, q - 1,
+    q + 1."""
+    if tau[0][0] == 2:
+        j, s = params[0], exps[0]
+        return {"scalar": [(j * s, q + 1)], "unipotent": [(j * s, 1)], "anisotropic": [],
+                "isotropic": [(j * s, 1), (-q * j * s, 1)]}[kind]
+    i, i2 = params if len(params) == 2 else params * 2
+    det = {"scalar": 2 * exps[0], "unipotent": 2 * exps[0], "anisotropic": sum(exps),
+           "isotropic": (1 - q) * exps[0]}[kind]
+    lam = tau[0][1]
+    if lam == (2,):
+        return [(i * det, 1)]
+    if lam == (1, 1):
+        return [(i * det, {"scalar": q, "unipotent": 0, "anisotropic": -1, "isotropic": 1}[kind])]
+    x = i2 - i  # xi = alpha_x
+    weil = {"scalar": [(x * exps[0], q - 1)], "unipotent": [(x * exps[0], -1)],
+            "anisotropic": [(x * s, -1) for s in exps], "isotropic": []}[kind]
+    return [(i * det + e, c) for e, c in weil]
+
+
+def _gu2_parameters(tau, q: int) -> list:
+    """The parameters of the characters of GU_2(F_q) of type tau, one per
+    character: alpha_i, i mod q + 1, for a degree-1 entry of size 2;
+    (i, i'), i < i', for 1:1^2, the character alpha_i o det times
+    omega_xi with xi = alpha_(i' - i); and theta_j with q - 1 not dividing
+    j, one j per {j, -qj}, for 2:1."""
+    m, d, _, mult = q * q - 1, *tau[0]
+    if d == 2:
+        return [(j,) for j in range(m) if j % (q - 1) and j < -q * j % m]
+    if mult == 2:
+        return list(combinations(range(q + 1), 2))
+    return [(i,) for i in range(q + 1)]
+
+
+def _gu2_eigenvalues(tau, params: tuple, q: int) -> tuple:
+    """The two eigenvalues of a character of GU_2(F_q), as exponents j of
+    characters theta_j of F_(q^2)^*: alpha_i of mu_(q+1) is read as
+    alpha_i o N, N(t) = t^(1 - q) the norm to mu_(q+1), which is
+    theta_((1 - q) i); alpha_i o det times omega_xi, xi = alpha_(i' - i),
+    has alpha_i and alpha_i'; the principal series of theta_j has theta_j
+    and theta_j^(-q).  So a character's eigenvalues multiply to its
+    central character read through N, and the rule of
+    _size_two_multiplicities is GL_2's over mu_(q+1) and F_(q^2)^*."""
+    m = q * q - 1
+    if tau[0][0] == 2:
+        return params[0], -q * params[0] % m
+    i, i2 = params if len(params) == 2 else params * 2
+    return (1 - q) * i % m, (1 - q) * i2 % m
+
+
+def gu2_generic_multiplicities(q: int, k: int) -> dict:
+    """V' at every multitype of k types of size 2, from GU_2(F_q): the
+    multiplicity of the trivial character in the tensor product of a
+    generic k-tuple of irreducible characters of GU_2(F_q) of those types
+    (_gu2_character), or None when no k-tuple is generic
+    (_size_two_multiplicities)."""
+    return _size_two_multiplicities(q, k, _gu2_classes(q), _gu2_character,
+                                    _gu2_parameters, _gu2_eigenvalues)
 
 
 def star_quiver(mu: tuple) -> tuple[list[int], list[list[int]]]:

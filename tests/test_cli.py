@@ -692,6 +692,41 @@ class TestCache:
         assert "ignoring incompatible cache file" in err
 
 
+class TestHelp:
+    """The --k help of each command says what the command does without
+    --k: pair reads k from its literal, and cache clear removes every k."""
+
+    @pytest.mark.parametrize("command, k_help", [
+        ("pair", "number of tensor factors; must match the literal's components "
+                 "(default: read from the literal)"),
+        ("cache", "number of tensor factors (default 3 for build; clear without it "
+                  "removes the files of every k)"),
+        ("table", "number of tensor factors (default 3)"),
+        ("verify", "number of tensor factors (default 3)"),
+    ])
+    def test_k_help(self, capsys, monkeypatch, command, k_help):
+        monkeypatch.setenv("COLUMNS", "1000")  # one line per option
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        line = next(line for line in capsys.readouterr().out.splitlines()
+                    if line.strip().startswith("--k K"))
+        assert line.split("--k K", 1)[1].strip() == k_help
+
+    def test_pair_reads_k_from_the_literal(self, capsys):
+        rc, out, _ = run(capsys, "pair", "--which", "kron", "--mu", "1,1,1,1")
+        assert (rc, out) == (EXIT_OK, "1\n")
+
+    def test_clear_without_k_removes_every_k(self, capsys, tmp_path):
+        cache = str(tmp_path / "c")
+        for k in ("3", "4"):
+            run(capsys, "cache", "build", "--n", "1", "--k", k, "--cache-dir", cache)
+        rc, out, _ = run(capsys, "cache", "clear", "--cache-dir", cache)
+        assert rc == EXIT_OK
+        assert "removed 2" in out
+        assert os.listdir(cache) == []
+
+
 class TestRegressionPins:
     """SHA-256 of whole CLI outputs as the code printed them when the pins
     were taken, trailing newline included, computed with no cache.  These

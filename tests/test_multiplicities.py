@@ -18,7 +18,6 @@ from ennola.coeffs import ONE, Q, U, ZERO, PolyQU, poly_exact_div, poly_to_str
 from ennola.multiplicities import (
     H_omega,
     MasterContext,
-    SignData,
     T_poly,
     T_poly_product_oracle,
     U_poly,
@@ -36,7 +35,6 @@ from ennola.multiplicities import (
     build_context,
     cache_path,
     clear_cache,
-    d_mu,
     load_cache,
     phi_prime,
     phi_u,
@@ -51,17 +49,26 @@ from ennola.partitions import (
 )
 from ennola.types import from_partition, make_type, parse_multitype, type_size
 from oracles import (
+    GL2_TYPES,
     H_omega_oracle,
+    _cyclotomic,
+    _divmod_monic,
+    _fq2,
+    _gu2_character,
+    _gu2_classes,
+    _gu2_parameters,
     _subspaces,
     conjugacy_classes,
     enumerate_types,
     expand_graded,
     generic_multiplicities_from_group,
     gl2_generic_multiplicities,
+    gu2_generic_multiplicities,
     gu_classes,
     is_root,
     kac_polynomial_hua,
     omega_oracle,
+    pairing_degree,
     phi,
     star_quiver,
     unipotent_degree,
@@ -138,34 +145,41 @@ class TestOrbitCounts:
 
 
 class TestSignData:
+    """The paper's pairing degree d_mu (pairing_degree in tests/oracles.py)
+    and the sign (-1)^(d_mu/2) that it gives U'."""
+
     def test_pairing_degree_always_even(self):
         for k in (3, 4):
             for n in range(1, 7):
                 for mu in multipartitions(k, n):
-                    sd = d_mu(mu)
-                    assert sd.d_mu % 2 == 0, mu
-                    assert sd.sign_uprime in (-1, 1)
+                    assert pairing_degree(mu) % 2 == 0, mu
 
     def test_negative_pairing_degree(self):
         # three copies of (2): d = 4*1 - 12 + 2 = -6, half = -3, sign = -1
-        sd = d_mu(((2,), (2,), (2,)))
-        assert sd.d_mu == -6
-        assert sd.sign_uprime == -1
-        assert isinstance(sd.sign_uprime, int)
+        assert pairing_degree(((2,), (2,), (2,))) == -6
 
     def test_anchor_values(self):
         # (1,1),(1,1),(1,1): d = 4*1 - 6 + 2 = 0 -> sign +1
-        sd = d_mu(((1, 1),) * 3)
-        assert sd.d_mu == 0
-        assert sd.sign_uprime == 1
+        assert pairing_degree(((1, 1),) * 3) == 0
         # (1^4)^3: d = 16 - 12 + 2 = 6 -> half 3, sign -1
-        sd4 = d_mu(((1, 1, 1, 1),) * 3)
-        assert sd4.d_mu == 6
-        assert sd4.sign_uprime == -1
+        assert pairing_degree(((1, 1, 1, 1),) * 3) == 6
 
-    def test_component_size_mismatch(self):
-        with pytest.raises(ValueError):
-            d_mu(((2,), (1,)))
+    def test_uprime_is_t_at_minus_one_minus_q_signed_by_the_pairing_degree(self):
+        # U'(q) = (-1)^(d_mu/2) T(-1, -q), the paper's definition, at every
+        # sorted key for k = 1..6; the library signs U' as it signs V'
+        # (_multitype_signs), so this is the test that pins that sign.
+        # (-1) ** (d // 2) would be a float at d < 0, hence the parity test
+        keys = nonzero = 0
+        for k, N in ((1, 8), (2, 6), (3, 5), (4, 4), (5, 3), (6, 3)):
+            ctx = build_context(k, N, None)
+            for n in range(1, N + 1):
+                for mu in combinations_with_replacement(sorted(enumerate_partitions(n)), k):
+                    sign = -1 if pairing_degree(mu) // 2 % 2 else 1
+                    expected = T_poly(ctx, mu).subst(q=-Q, u=ONE.scale(-1)).scale(sign)
+                    assert Uprime_poly(ctx, mu) == expected, mu
+                    keys += 1
+                    nonzero += not expected.is_zero()
+        assert (keys, nonzero) == (474, 206)
 
     def test_multitype_vprime_sign_matches_multipartition_reference(self):
         # V'(q) = s V(-q) with s the product of V's and V''s signs against
@@ -249,8 +263,7 @@ class TestPipelineSmall:
 
     @pytest.mark.parametrize("family", [
         T_poly, U_poly, Uprime_poly, V_poly, Vprime_poly,
-        pytest.param(lambda ctx, mu: kronecker(mu), id="kronecker"),
-        pytest.param(lambda ctx, mu: d_mu(mu), id="d_mu")])
+        pytest.param(lambda ctx, mu: kronecker(mu), id="kronecker")])
     def test_components_of_different_sizes_are_refused(self, family):
         # a key that is not a multipartition is refused, never read as 0
         ctx = build_context(3, 3, None)
@@ -641,6 +654,87 @@ class TestUnitaryFromTheGroup:
         assert nonzero == (vprime_nonzero or 0)
 
 
+class TestEveryMultitypeAgainstGU2:
+    """V' at every multitype of size 2 against GU_2(F_q) itself
+    (gu2_generic_multiplicities in tests/oracles.py), the twisted
+    counterpart of TestEveryMultitypeAgainstGL2.  Ennola duality names the
+    series: each type of GL_2 becomes the GU_2 series whose degree is the
+    GL_2 degree at -q, up to sign.  So 1:2 and 1:1.1 are alpha o det and
+    alpha o det times Steinberg, of degrees 1 and q; 1:1^2, GL_2's
+    principal series, becomes the cuspidals alpha o det times a piece
+    omega_xi, xi != 1, of Gerardin's Weil character, of degree q - 1; and
+    2:1, GL_2's cuspidals, becomes the principal series induced from the
+    stabilizer of an isotropic line by theta, theta^(q+1) != 1, of degree
+    q + 1.  The classes are checked against the group enumerated by
+    gu_classes, and the characters, degrees and orthonormality, before
+    V' is compared.  Genericity is GL_2's rule, with alpha of mu_(q+1)
+    read as alpha o N for the norm N(t) = t^(1-q) from F_(q^2)^*."""
+
+    @pytest.mark.parametrize("q", [3, 5, 7])
+    def test_classes_count_the_group(self, q):
+        # every class's (signature, det) as gu_classes reads it off the
+        # matrices: dim ker(g - z) for each z in the centre, the fixed
+        # isotropic lines and det, from the eigenvalues g^s in F_(q^2)
+        _, times, _, frob = _fq2(q)
+        m = q * q - 1
+        for g in range(2, q * q):
+            powers = [1]
+            while len(powers) < m:
+                powers.append(times[powers[-1]][g])
+            if len(set(powers)) == m:
+                break
+        centre = [z for z in range(1, q * q) if times[z][frob[z]] == 1]
+        counts: dict = {}
+        for size, kind, exps in _gu2_classes(q):
+            eigen = {"scalar": exps * 2, "unipotent": exps * 2, "anisotropic": exps,
+                     "isotropic": (exps[0], -q * exps[0])}[kind]
+            # z u, u a nontrivial unipotent, has a kernel of dimension 1 at z
+            kernels = tuple(sum(powers[s % m] == z for s in eigen) // (
+                2 if kind == "unipotent" else 1) for z in centre)
+            fixed = {"scalar": q + 1, "unipotent": 1, "anisotropic": 0, "isotropic": 2}[kind]
+            key = ((kernels, fixed), powers[sum(eigen) % m])
+            counts[key] = counts.get(key, 0) + size
+        assert counts == gu_classes(2, q)[1]
+
+    @pytest.mark.parametrize("q", [3, 5, 7])
+    def test_characters_are_the_character_table_with_ennola_degrees(self, q):
+        m, classes = q * q - 1, _gu2_classes(q)
+        order, cyclo = sum(c for c, _, _ in classes), _cyclotomic(q * q - 1)
+        # |GL_2 degree at -q| of 1:2, 1:1.1, 1:1^2 and 2:1
+        degrees = dict(zip(GL2_TYPES, (1, q, q - 1, q + 1)))
+        chars = []
+        for tau in GL2_TYPES:
+            for params in _gu2_parameters(tau, q):
+                values = [_gu2_character(tau, params, q, kind, exps)
+                          for _, kind, exps in classes]
+                assert sum(c for _, c in values[0]) == degrees[tau], (tau, params)
+                chars.append(values)
+        assert len(chars) == len(classes)  # with orthonormality: the whole table
+        for i, a in enumerate(chars):
+            for j, b in enumerate(chars):
+                total = [0] * m
+                for (count, _, _), va, vb in zip(classes, a, b):
+                    for e, c in va:
+                        for f, d in vb:
+                            total[(e - f) % m] += count * c * d
+                rem = _divmod_monic(total, cyclo)[1]
+                assert rem == [order if i == j else 0] + [0] * (len(rem) - 1), (i, j)
+
+    @pytest.mark.parametrize("q, checked, nonzero", [(5, 64, 34), (7, 65, 35)])
+    def test_vprime_matches_the_group_at_every_multitype(self, q, checked, nonzero):
+        counts = [0, 0]
+        for k in (2, 3, 4):
+            ctx = build_context(k, 2, None)
+            got = gu2_generic_multiplicities(q, k)
+            assert len(got) == math.comb(k + 3, k)
+            for mt, value in got.items():
+                if value is not None:
+                    assert Vprime_poly(ctx, mt).evaluate(q) == value, mt
+                    counts[0] += 1
+                    counts[1] += value != 0
+        assert counts == [checked, nonzero]
+
+
 class TestKacRoots:
     """V against the star-shaped quiver of mu, a tie that never goes
     through the kernel: for a generic tuple the multiplicity is nonzero iff
@@ -656,7 +750,7 @@ class TestKacRoots:
                 v, adj = star_quiver(mu)
                 euler = sum(c * c for c in v) - sum(
                     v[x] * v[y] for x in range(len(v)) for y in adj[x]) // 2
-                assert d_mu(mu).d_mu == 2 * (1 - euler), mu
+                assert pairing_degree(mu) == 2 * (1 - euler), mu
                 value = V_poly(ctx, mu)
                 assert bool(value) == is_root(v, adj), mu
                 assert not value or value.qdeg() == 1 - euler, mu
@@ -677,12 +771,12 @@ class TestKacRoots:
                 value = V_poly(ctx, split)
                 if not is_root(v, adj):
                     assert value == ZERO, mu
-                elif d_mu(mu).d_mu == 0:
+                elif pairing_degree(mu) == 0:
                     seen["real"] += 1
                     assert value == ONE, mu
                 else:
                     seen["imaginary"] += 1
-                    assert value.qdeg() == d_mu(mu).d_mu // 2, mu
+                    assert value.qdeg() == pairing_degree(mu) // 2, mu
                     assert value.terms[(value.qdeg(), 0)] == 1, mu
         assert seen == {"real": real, "imaginary": imaginary}
 
@@ -699,7 +793,7 @@ class TestKacRoots:
                 v, adj = star_quiver(mu)
                 value = V_poly(ctx, tuple(make_type([(1, (p,), 1) for p in comp])
                                           for comp in mu))
-                for q in range(2, max(d_mu(mu).d_mu // 2, 0) + 3):
+                for q in range(2, max(pairing_degree(mu) // 2, 0) + 3):
                     assert value.evaluate(q) == kac_polynomial_hua(v, adj, q), (mu, q)
 
     @pytest.mark.parametrize("text, vertices", [
@@ -762,7 +856,8 @@ class TestProductOracles:
         assert _uprime_log_sum(r) == derived
         assert [f.den for f in derived.coeffs] == [(-Q)**m - ONE if m else ONE
                                                    for m in range(N + 1)]
-        from_t = {key: p.subst(q=-Q, u=minus_one).scale(d_mu(key[1]).sign_uprime)
+        from_t = {key: p.subst(q=-Q, u=minus_one).scale(
+                      -1 if pairing_degree(key[1]) // 2 % 2 else 1)
                   for key, p in T_poly_product_oracle(ctx).items()}
         assert Uprime_poly_product_oracle(ctx) == {
             key: p for key, p in from_t.items() if not p.is_zero()}

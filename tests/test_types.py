@@ -15,7 +15,6 @@ from ennola.partitions import (
     dual,
     enumerate_partitions,
     parse_multipartition,
-    size,
 )
 from ennola.symfunc import GradedSeries, SymFunc
 from ennola.types import (
@@ -25,7 +24,6 @@ from ennola.types import (
     parse_type,
     schur_of_type,
     type_size,
-    type_stats,
     type_to_text,
 )
 from oracles import (
@@ -80,22 +78,6 @@ class TestMakeAndEnumerate:
 
 
 class TestStats:
-    def test_stats_on_partition_types(self):
-        # single entry (1, lam, 1): r = n + |lam|, r' = ceil(n/2) + |lam|
-        for lam in [(3,), (2, 1), (1, 1, 1)]:
-            tau = from_partition(lam)
-            r_val, rp_val = type_stats(tau)
-            n = size(lam)
-            assert r_val == n + n
-            assert rp_val == (n + 1) // 2 + n
-
-    def test_stats_higher_degree(self):
-        # entry (2, (1), 1): size 2, weight 1
-        tau = make_type([(2, (1,), 1)])
-        r_val, rp_val = type_stats(tau)
-        assert r_val == 2 + 1
-        assert rp_val == 1 + 1
-
     def test_dual_type(self):
         tau = make_type([(1, (2, 1), 1), (3, (2,), 2)])
         assert dual_type(tau) == make_type([(1, (2, 1), 1), (3, (1, 1), 2)])
