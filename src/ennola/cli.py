@@ -1,5 +1,7 @@
 """Command line front end: single multiplicities, full tables, the
-verification suite, and cache management."""
+verification suite, and the disk cache's `build` and `clear`.  The parser
+declares each subcommand's options, their defaults, which are required
+and which command runs; the commands read the parsed request as it is."""
 
 from __future__ import annotations
 
@@ -172,12 +174,11 @@ def format_table(rows, which: str, k: int, n: int, fmt: str) -> str:
 
 
 def cmd_table(req: argparse.Namespace) -> int:
-    k = req.k if req.k is not None else 3
-    value, ctx = _family(req.which, k, req.n, req.cache_dir)
-    rows = _table_rows(value, ctx, k, req.n)
+    value, ctx = _family(req.which, req.k, req.n, req.cache_dir)
+    rows = _table_rows(value, ctx, req.k, req.n)
     if ctx is not None:
         _warn_cache(ctx)
-    out = format_table(rows, req.which, k, req.n, req.fmt)
+    out = format_table(rows, req.which, req.k, req.n, req.fmt)
     if out:
         print(out)
     return EXIT_OK
@@ -192,8 +193,7 @@ def verify_suite(ctx):
 def cmd_verify(req: argparse.Namespace) -> int:
     from .multiplicities import build_context
 
-    k = req.k if req.k is not None else 3
-    ctx = build_context(k, req.n, req.cache_dir)
+    ctx = build_context(req.k, req.n, req.cache_dir)
     report = verify_suite(ctx)
     _warn_cache(ctx)
     if req.fmt == "json":
@@ -214,12 +214,9 @@ def cmd_cache(req: argparse.Namespace) -> int:
         removed = clear_cache(cache_dir, req.k)
         print(f"removed {len(removed)} cache file(s) from {cache_dir}")
         return EXIT_OK
-    if req.n is None:
-        raise UsageError("--n is required for cache build")
-    k = req.k if req.k is not None else 3
-    ctx = build_context(k, req.n, cache_dir)
+    ctx = build_context(req.k, req.n, cache_dir)
     for n in range(1, req.n + 1):
-        path = cache_path(cache_dir, k, n)
+        path = cache_path(cache_dir, req.k, n)
         existed = os.path.exists(path)
         table = ctx.psi_schur(n)  # saves every table it computes
         if ctx.cache_write_error is not None:
@@ -237,13 +234,15 @@ def build_parser() -> argparse.ArgumentParser:
         "and unitary groups, in exact arithmetic.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    cache_dir = default_cache_dir()
 
-    def common(p: argparse.ArgumentParser, formats=("text", "json", "csv", "tex"),
-               k_help="number of tensor factors (default 3)") -> None:
-        p.add_argument("--k", type=int, default=None, help=k_help)
+    def common(p: argparse.ArgumentParser, cmd, formats=("text", "json", "csv", "tex"),
+               k=3, k_help="number of tensor factors (default 3)") -> None:
+        p.set_defaults(cmd=cmd)
+        p.add_argument("--k", type=int, default=k, help=k_help)
         if formats:
             p.add_argument("--format", dest="fmt", default="text", choices=formats)
-        p.add_argument("--cache-dir", default=None,
+        p.add_argument("--cache-dir", default=cache_dir,
                        help="cache directory (default: user cache dir)")
 
     p = sub.add_parser("pair", help="one multiplicity polynomial")
@@ -252,23 +251,25 @@ def build_parser() -> argparse.ArgumentParser:
     literal.add_argument("--mu", help='multipartition literal, e.g. "1^4,1^4,1^4"')
     literal.add_argument("--type", dest="type_literal",
                    help='multitype literal, e.g. "1:2.1,1:2.1,2:1;1:1"')
-    common(p, k_help="number of tensor factors; must match the literal's "
-           "components (default: read from the literal)")
+    common(p, cmd_pair, k=None, k_help="number of tensor factors; must match the "
+           "literal's components (default: read from the literal)")
 
     p = sub.add_parser("table", help="all nonzero rows for one degree")
     p.add_argument("--which", choices=WHICH_CHOICES, required=True)
     p.add_argument("--n", type=int, required=True)
-    common(p)
+    common(p, cmd_table)
 
     p = sub.add_parser("verify", help="run the identity verification suite")
     p.add_argument("--n", type=int, required=True)
-    common(p, ("text", "json"))
+    common(p, cmd_verify, ("text", "json"))
 
     p = sub.add_parser("cache", help="build or clear the disk cache")
-    p.add_argument("action", choices=("build", "clear"))
-    p.add_argument("--n", type=int, default=None)
-    common(p, (), "number of tensor factors (default 3 for build; clear "
-           "without it removes the files of every k)")
+    actions = p.add_subparsers(dest="action", required=True)
+    p = actions.add_parser("build", help="write the master tables of degrees 1..n")
+    p.add_argument("--n", type=int, required=True)
+    common(p, cmd_cache, ())
+    p = actions.add_parser("clear", help="remove the files of one k, or of every k")
+    common(p, cmd_cache, (), k=None, k_help="number of tensor factors (default: every k)")
     return parser
 
 
@@ -284,17 +285,9 @@ def main(argv: list[str] | None = None) -> int:
     for --help and malformed options.  The garbage collector is left as
     the caller set it: only the process entry `run` turns it off."""
     req = build_parser().parse_args(argv)
-    if req.cache_dir is None:
-        req.cache_dir = default_cache_dir()
     try:
         _check_sizes(req)
-        if req.command == "pair":
-            return cmd_pair(req)
-        if req.command == "table":
-            return cmd_table(req)
-        if req.command == "verify":
-            return cmd_verify(req)
-        return cmd_cache(req)
+        return req.cmd(req)
     except (NotPolynomialError, AssertionError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

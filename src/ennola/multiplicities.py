@@ -585,9 +585,11 @@ def load_cache(cache_dir: str, k: int, n: int) -> dict[MultiPartition, PolyQU] |
 
 
 def clear_cache(cache_dir: str, k: int | None = None) -> list[str]:
-    """Remove cache files, optionally only those for one alphabet count."""
+    """Remove cache files, optionally only those for one alphabet count.  A
+    directory that does not exist holds none; a path that is not a
+    directory raises NotADirectoryError."""
     removed = []
-    if not os.path.isdir(cache_dir):
+    if not os.path.exists(cache_dir):
         return removed
     prefix = "psi_" if k is None else f"psi_k{k}_"
     for name in sorted(os.listdir(cache_dir)):

@@ -463,9 +463,37 @@ class TestCache:
         assert os.listdir(cache) == ["psi_k3_n1.json"]
 
     def test_build_requires_n(self, capsys, tmp_path):
-        rc, _, err = run(capsys, "cache", "build", "--cache-dir", str(tmp_path))
-        assert rc == EXIT_USAGE
-        assert "--n is required" in err
+        with pytest.raises(SystemExit) as exc:
+            main(["cache", "build", "--cache-dir", str(tmp_path)])
+        assert exc.value.code == EXIT_USAGE
+        assert "the following arguments are required: --n" in capsys.readouterr().err
+
+    def test_clear_takes_no_n(self, capsys, tmp_path):
+        # clear removes every degree of one k, or of every k: an --n that
+        # it would ignore is refused before anything is removed
+        cache = str(tmp_path / "c")
+        run(capsys, "cache", "build", "--n", "3", "--cache-dir", cache)
+        with pytest.raises(SystemExit) as exc:
+            main(["cache", "clear", "--n", "3", "--cache-dir", cache])
+        assert exc.value.code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: --n 3" in captured.err
+        assert sorted(os.listdir(cache)) == [f"psi_k3_n{n}.json" for n in (1, 2, 3)]
+
+    def test_clear_of_a_regular_file_is_io_error(self, capsys, tmp_path):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        rc, out, err = run(capsys, "cache", "clear", "--cache-dir", str(blocker))
+        assert (rc, out) == (EXIT_IO, "")
+        assert err.startswith("error: ") and "Not a directory" in err
+        assert blocker.read_text() == ""
+
+    def test_clear_of_a_missing_directory_removes_nothing(self, capsys, tmp_path):
+        cache = tmp_path / "missing"
+        rc, out, _ = run(capsys, "cache", "clear", "--cache-dir", str(cache))
+        assert (rc, out) == (EXIT_OK, f"removed 0 cache file(s) from {cache}\n")
+        assert not cache.exists()
 
     @pytest.mark.parametrize("action", [("build", "--n", "1"), ("clear",)])
     def test_empty_cache_dir_is_usage_error(self, capsys, tmp_path, monkeypatch, action):
@@ -697,17 +725,17 @@ class TestHelp:
     --k: pair reads k from its literal, and cache clear removes every k."""
 
     @pytest.mark.parametrize("command, k_help", [
-        ("pair", "number of tensor factors; must match the literal's components "
-                 "(default: read from the literal)"),
-        ("cache", "number of tensor factors (default 3 for build; clear without it "
-                  "removes the files of every k)"),
-        ("table", "number of tensor factors (default 3)"),
-        ("verify", "number of tensor factors (default 3)"),
-    ])
+        (("pair",), "number of tensor factors; must match the literal's components "
+                    "(default: read from the literal)"),
+        (("cache", "build"), "number of tensor factors (default 3)"),
+        (("cache", "clear"), "number of tensor factors (default: every k)"),
+        (("table",), "number of tensor factors (default 3)"),
+        (("verify",), "number of tensor factors (default 3)"),
+    ], ids=["pair", "cache-build", "cache-clear", "table", "verify"])
     def test_k_help(self, capsys, monkeypatch, command, k_help):
         monkeypatch.setenv("COLUMNS", "1000")  # one line per option
         with pytest.raises(SystemExit) as exc:
-            main([command, "--help"])
+            main([*command, "--help"])
         assert exc.value.code == 0
         line = next(line for line in capsys.readouterr().out.splitlines()
                     if line.strip().startswith("--k K"))

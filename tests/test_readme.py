@@ -50,6 +50,9 @@ EXAMPLES = command_line_examples()
 def test_the_section_has_examples_with_output():
     assert len(EXAMPLES) >= 6
     assert any(command.startswith("ennola verify") and shown for command, shown in EXAMPLES)
+    run = [shlex.split(command, comments=True) for command, _ in EXAMPLES]
+    assert ["ennola", "cache", "build", "--n", "5"] in run
+    assert ["ennola", "cache", "clear", "--k", "3"] in run
 
 
 def test_an_ellipsis_stands_for_any_lines():
