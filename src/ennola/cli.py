@@ -32,15 +32,18 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_INTERNAL = 4
 
-HEADER_SYMBOL = {
-    "V": "V",
-    "Vprime": "V'",
-    "U": "U",
-    "Uprime": "U'",
-    "T": "\\mathcal{T}",
-    "kron": "g",
+# Each family: its tex header symbol, the name of its multiplicities
+# function (looked up when a command runs; None for kron, which needs no
+# pipeline) and whether it takes --type.
+FAMILIES = {
+    "V": ("V", "V_poly", True),
+    "Vprime": ("V'", "Vprime_poly", True),
+    "U": ("U", "U_poly", False),
+    "Uprime": ("U'", "Uprime_poly", False),
+    "T": ("\\mathcal{T}", "T_poly", False),
+    "kron": ("g", None, False),
 }
-WHICH_CHOICES = tuple(HEADER_SYMBOL)
+WHICH_CHOICES = tuple(FAMILIES)
 
 
 class UsageError(ValueError):
@@ -76,26 +79,35 @@ def _warn_cache(ctx) -> None:
         print(f"warning: cache not written: {ctx.cache_write_error}", file=sys.stderr)
 
 
-def _kron_value(ctx, mu) -> PolyQU:
-    return PolyQU.const(kronecker(mu))
-
-
-def _family(which: str, k: int, n: int, cache_dir: str):
-    """The function (ctx, key) -> polynomial of a family and the context it
-    reads; kron needs neither the pipeline nor a context."""
-    if which == "kron":
-        return _kron_value, None
+def _values(which: str, k: int, n: int, cache_dir: str, keys) -> list:
+    """(key, polynomial) for each key of one family, with the warnings of
+    the cache it read; kron needs neither the pipeline nor a cache."""
+    name = FAMILIES[which][1]
+    if name is None:
+        return [(key, PolyQU.const(kronecker(key))) for key in keys]
     from . import multiplicities as m
 
-    value = {"V": m.V_poly, "Vprime": m.Vprime_poly, "U": m.U_poly,
-             "Uprime": m.Uprime_poly, "T": m.T_poly}[which]
-    return value, m.build_context(k, n, cache_dir)
+    value, ctx = getattr(m, name), m.build_context(k, n, cache_dir)
+    out = [(key, value(ctx, key)) for key in keys]
+    _warn_cache(ctx)
+    return out
+
+
+def _json_row(column: str, labels: list[str], val: PolyQU) -> dict:
+    return {column: labels, "poly": poly_to_json(val), "text": poly_to_str(val)}
+
+
+def _csv(column: str, k: int, lines) -> str:
+    """The header of k key columns, then one line per (key text, polynomial)."""
+    header = ",".join(f"{column}{i + 1}" for i in range(k)) + ",polynomial"
+    return "\n".join([header, *(f"{text},{poly_to_str(val)}" for text, val in lines)])
 
 
 def cmd_pair(req: argparse.Namespace) -> int:
     if req.type_literal is not None:
-        if req.which not in ("V", "Vprime"):
-            raise UsageError("--type is only valid with --which V or Vprime")
+        if not FAMILIES[req.which][2]:
+            typed = " or ".join(w for w, fam in FAMILIES.items() if fam[2])
+            raise UsageError(f"--type is only valid with --which {typed}")
         from .types import parse_multitype, type_size, type_to_text
 
         key = parse_multitype(req.type_literal)
@@ -107,37 +119,18 @@ def cmd_pair(req: argparse.Namespace) -> int:
         if n < 1:
             raise UsageError(f"--mu must have size at least 1, got {n}")
         labels, column = [partition_to_text(c) for c in key], "mu"
-    if req.k is not None and req.k != k:
-        raise UsageError(f"--k {req.k} does not match literal with {k} components")
 
-    value, ctx = _family(req.which, k, n, req.cache_dir)
-    val = value(ctx, key)
-    if ctx is not None:
-        _warn_cache(ctx)
-
+    [(_, val)] = _values(req.which, k, n, req.cache_dir, [key])
     if req.fmt == "text":
         print(poly_to_str(val))
     elif req.fmt == "json":
-        obj = {"which": req.which, "k": k, "n": n, column: labels,
-               "poly": poly_to_json(val), "text": poly_to_str(val)}
+        obj = {"which": req.which, "k": k, "n": n, **_json_row(column, labels, val)}
         print(json.dumps(obj, separators=(",", ":")))
     elif req.fmt == "csv":
-        header = ",".join(f"{column}{i + 1}" for i in range(k)) + ",polynomial"
-        print(header)
-        print(",".join(labels) + "," + poly_to_str(val))
+        print(_csv(column, k, [(",".join(labels), val)]))
     else:
         print(f"${_poly_tex(val)}$")
     return EXIT_OK
-
-
-def _table_rows(value, ctx, k: int, n: int):
-    parts = sorted(enumerate_partitions(n))
-    rows = []
-    for mu in combinations_with_replacement(parts, k):
-        val = value(ctx, mu)
-        if not val.is_zero():
-            rows.append((mu, val))
-    return rows
 
 
 def format_table(rows, which: str, k: int, n: int, fmt: str) -> str:
@@ -148,21 +141,13 @@ def format_table(rows, which: str, k: int, n: int, fmt: str) -> str:
             lines.append(f"{cells} → {poly_to_str(val)}")
         return "\n".join(lines)
     if fmt == "csv":
-        lines = [",".join(f"mu{i + 1}" for i in range(k)) + ",polynomial"]
-        for mu, val in rows:
-            lines.append(f"{multipartition_to_text(mu)},{poly_to_str(val)}")
-        return "\n".join(lines)
+        return _csv("mu", k, [(multipartition_to_text(mu), val) for mu, val in rows])
     if fmt == "json":
-        obj = {
-            "which": which, "k": k, "n": n,
-            "rows": [
-                {"mu": [partition_to_text(c) for c in mu],
-                 "poly": poly_to_json(val), "text": poly_to_str(val)}
-                for mu, val in rows
-            ],
-        }
+        obj = {"which": which, "k": k, "n": n,
+               "rows": [_json_row("mu", [partition_to_text(c) for c in mu], val)
+                        for mu, val in rows]}
         return json.dumps(obj, separators=(",", ":"))
-    sym = HEADER_SYMBOL[which]
+    sym = FAMILIES[which][0]
     lines = ["\\begin{tabular}{" + "c" * k + "|l}"]
     lines.append(" & ".join(f"$\\mu^{i + 1}$" for i in range(k)) + f" & ${sym}$\\\\")
     lines.append("\\hline")
@@ -174,10 +159,9 @@ def format_table(rows, which: str, k: int, n: int, fmt: str) -> str:
 
 
 def cmd_table(req: argparse.Namespace) -> int:
-    value, ctx = _family(req.which, req.k, req.n, req.cache_dir)
-    rows = _table_rows(value, ctx, req.k, req.n)
-    if ctx is not None:
-        _warn_cache(ctx)
+    keys = combinations_with_replacement(sorted(enumerate_partitions(req.n)), req.k)
+    rows = [(mu, val) for mu, val in _values(req.which, req.k, req.n, req.cache_dir, keys)
+            if not val.is_zero()]
     out = format_table(rows, req.which, req.k, req.n, req.fmt)
     if out:
         print(out)
@@ -185,7 +169,7 @@ def cmd_table(req: argparse.Namespace) -> int:
 
 
 def verify_suite(ctx):
-    """Lazy multiplicities.verify_suite, wrapped by perfbench; ROADMAP item 1 removes it."""
+    """Lazy multiplicities.verify_suite, wrapped by perfbench; ROADMAP item 1b removes it."""
     from .multiplicities import verify_suite as run_suite
     return run_suite(ctx)
 
@@ -239,7 +223,8 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser, cmd, formats=("text", "json", "csv", "tex"),
                k=3, k_help="number of tensor factors (default 3)") -> None:
         p.set_defaults(cmd=cmd)
-        p.add_argument("--k", type=int, default=k, help=k_help)
+        if k_help:  # pair reads k from its literal
+            p.add_argument("--k", type=int, default=k, help=k_help)
         if formats:
             p.add_argument("--format", dest="fmt", default="text", choices=formats)
         p.add_argument("--cache-dir", default=cache_dir,
@@ -251,8 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     literal.add_argument("--mu", help='multipartition literal, e.g. "1^4,1^4,1^4"')
     literal.add_argument("--type", dest="type_literal",
                    help='multitype literal, e.g. "1:2.1,1:2.1,2:1;1:1"')
-    common(p, cmd_pair, k=None, k_help="number of tensor factors; must match the "
-           "literal's components (default: read from the literal)")
+    common(p, cmd_pair, k_help=None)
 
     p = sub.add_parser("table", help="all nonzero rows for one degree")
     p.add_argument("--which", choices=WHICH_CHOICES, required=True)

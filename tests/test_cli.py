@@ -142,13 +142,15 @@ class TestPairErrors:
         assert rc == EXIT_USAGE
         assert "error:" in err
 
-    def test_k_mismatch(self, capsys, cache_dir):
-        rc, _, err = run(
-            capsys, "pair", "--which", "kron", "--mu", "2.1,2.1,2.1",
-            "--k", "4", "--cache-dir", cache_dir,
-        )
-        assert rc == EXIT_USAGE
-        assert "does not match" in err
+    def test_k_is_not_an_option(self, capsys, tmp_path):
+        # the literal's components are k, so pair declares no --k
+        cache = tmp_path / "cache"
+        with pytest.raises(SystemExit) as exc:
+            main(["pair", "--which", "kron", "--mu", "2.1,2.1,2.1", "--k", "3",
+                  "--cache-dir", str(cache)])
+        assert exc.value.code == EXIT_USAGE
+        assert "unrecognized arguments: --k 3" in capsys.readouterr().err
+        assert not cache.exists()
 
     def test_type_only_for_generic(self, capsys, cache_dir):
         rc, _, err = run(
@@ -187,7 +189,6 @@ class TestSizeBounds:
         (("table", "--which", "V", "--n", "-2", "--format", "tex"), "n", -2),
         (("table", "--which", "kron", "--n", "2", "--k", "-1"), "k", -1),
         (("table", "--which", "U", "--n", "2", "--k", "0"), "k", 0),
-        (("pair", "--which", "kron", "--mu", "2.1,2.1,2.1", "--k", "0"), "k", 0),
         (("verify", "--n", "0"), "n", 0),
         (("verify", "--n", "2", "--k", "0"), "k", 0),
         (("cache", "build", "--n", "0"), "n", 0),
@@ -260,6 +261,44 @@ class TestTable:
         assert lines
         for line in lines:
             assert line.endswith("→ 1")
+
+
+class TestSharedRows:
+    """pair writes its answer as table writes a row: its JSON object less
+    which, k and n is the table's row for that key, and its CSV is the
+    table's header and that key's line."""
+
+    @staticmethod
+    def outputs(capsys, *argv) -> tuple[dict, str]:
+        out = [run(capsys, *argv, "--format", fmt, "--cache-dir", "")[1]
+               for fmt in ("json", "csv")]
+        return json.loads(out[0]), out[1]
+
+    @pytest.mark.parametrize("which", WHICH_CHOICES)
+    def test_pair_is_a_table_row(self, capsys, which):
+        table, csv = self.outputs(capsys, "table", "--which", which, "--n", "3")
+        header, *lines = csv.splitlines()
+        assert len(lines) == len(table["rows"]) > 0
+        for row, line in zip(table["rows"], lines):
+            obj, out = self.outputs(capsys, "pair", "--which", which,
+                                    "--mu", ",".join(row["mu"]))
+            assert list(obj.items()) == [("which", which), ("k", 3), ("n", 3),
+                                         *row.items()]
+            assert out == f"{header}\n{line}\n"
+
+    @pytest.mark.parametrize("which", ["V", "Vprime"])
+    def test_pair_of_a_type_is_a_table_row(self, capsys, which):
+        # one eigenvalue of degree 1 with partition lam is the partition lam
+        literal, mu = "1:1.1.1,1:1.1.1,1:2.1", "1^3,1^3,2.1"
+        table, csv = self.outputs(capsys, "table", "--which", which, "--n", "3")
+        row = next(row for row in table["rows"] if row["mu"] == mu.split(","))
+        header, *lines = csv.splitlines()
+        line = next(line for line in lines if line.startswith(mu + ","))
+        obj, out = self.outputs(capsys, "pair", "--which", which, "--type", literal)
+        assert list(obj.items()) == [("which", which), ("k", 3), ("n", 3),
+                                     ("type", literal.split(",")),
+                                     ("poly", row["poly"]), ("text", row["text"])]
+        assert out == header.replace("mu", "type") + f"\n{literal}{line[len(mu):]}\n"
 
 
 class TestTexGoldens:
@@ -722,16 +761,15 @@ class TestCache:
 
 class TestHelp:
     """The --k help of each command says what the command does without
-    --k: pair reads k from its literal, and cache clear removes every k."""
+    --k: cache clear removes every k.  pair has no --k; it reads k from
+    its literal."""
 
     @pytest.mark.parametrize("command, k_help", [
-        (("pair",), "number of tensor factors; must match the literal's components "
-                    "(default: read from the literal)"),
         (("cache", "build"), "number of tensor factors (default 3)"),
         (("cache", "clear"), "number of tensor factors (default: every k)"),
         (("table",), "number of tensor factors (default 3)"),
         (("verify",), "number of tensor factors (default 3)"),
-    ], ids=["pair", "cache-build", "cache-clear", "table", "verify"])
+    ], ids=["cache-build", "cache-clear", "table", "verify"])
     def test_k_help(self, capsys, monkeypatch, command, k_help):
         monkeypatch.setenv("COLUMNS", "1000")  # one line per option
         with pytest.raises(SystemExit) as exc:
@@ -972,7 +1010,7 @@ class TestEveryFunctionRuns:
         "coeffs.PolyQU.evaluate": "the library user's way from a polynomial to a number",
         "cli.run": "the process entry, which TestProcessEntry runs",
         "multiplicities.U_poly_product_oracle":
-            "perfbench wraps it; it leaves when perfbench reads a trace (ROADMAP item 1)",
+            "perfbench wraps it; it leaves when perfbench reads a trace (ROADMAP item 1b)",
     }
 
     CHILD = """
