@@ -1,6 +1,7 @@
 """Exact coefficient arithmetic: sparse polynomials in (q, u), their
 Kronecker-substitution packing into one integer, exact division by a
-polynomial in q on that packing, and the gcd in Z[q].
+polynomial in q on that packing, and the gcd in Z[q] by one primitive
+pseudo-remainder sequence.
 
 PolyQU stores a polynomial in q and u as a sparse map (qdeg, udeg) -> coeff
 with no zero entries and integer coefficients.  There is no
@@ -237,55 +238,17 @@ def unpack(N: int, B: int, W: int) -> PolyQU:
 # (see symfunc.SymFunc), and are known in closed form; so the division
 # needed is exact division of an integer polynomial by a u-free one, and
 # it runs as one packed big-integer divmod (see exact_quotients).  The Z[q]
-# gcd, on dense integer lists (lowest degree first), only serves the lcm
-# of two denominators that do not divide one another.
+# gcd only serves the lcm of two denominators that do not divide one
+# another: one primitive pseudo-remainder sequence on dense integer lists
+# (lowest degree first), as in Knuth, TAOCP Vol. 2, section 4.6.1.
 
-def _q_trim(f: list[int]) -> list[int]:
-    while f and f[-1] == 0:
-        f.pop()
-    return f
-
-
-def _q_content(f: list[int]) -> int:
-    g = 0
-    for c in f:
-        g = _int_gcd(g, c)
-    return g
-
-
-def _q_scale(f: list[int], n: int) -> list[int]:
-    return [c * n for c in f]
-
-
-def _q_gcd(f: list[int], g: list[int]) -> list[int]:
-    """gcd in Z[q] with positive leading coefficient."""
-    f, g = _q_trim(list(f)), _q_trim(list(g))
-    if not f:
-        return _q_scale(g, -1) if g and g[-1] < 0 else g
-    if not g:
-        return _q_scale(f, -1) if f[-1] < 0 else f
-    if len(f) == 1 or len(g) == 1:
-        return [_int_gcd(_q_content(f), _q_content(g))]
-    cf, cg = _q_content(f), _q_content(g)
-    c = _int_gcd(cf, cg)
-    f = [x // cf for x in f]
-    g = [x // cg for x in g]
-    while g:
-        # pseudo-remainder of f by g
-        r = list(f)
-        lead = g[-1]
-        while r and len(r) >= len(g):
-            k = len(r) - len(g)
-            lc = r[-1]
-            r = _q_scale(r, lead)
-            for i, b in enumerate(g):
-                r[k + i] -= lc * b
-            _q_trim(r)
-        cr = _q_content(r)
-        f, g = g, ([x // cr for x in r] if cr else [])
-    if f[-1] < 0:
-        f = _q_scale(f, -1)
-    return _q_scale(f, c)
+def _primitive(f: list[int]) -> list[int]:
+    """f, with no zero top coefficient, divided by its content and signed
+    so that its leading coefficient is positive ([] stays [])."""
+    c = _int_gcd(*f)
+    if f and f[-1] < 0:
+        c = -c
+    return [x // c for x in f]
 
 
 def poly_gcd(a: PolyQU, b: PolyQU) -> PolyQU:
@@ -296,8 +259,20 @@ def poly_gcd(a: PolyQU, b: PolyQU) -> PolyQU:
         return -g if g and g.leading()[1] < 0 else g
     if a.udeg() or b.udeg():
         raise ValueError(f"gcd of polynomials in u: ({a}), ({b})")
-    dense = [[p.terms.get((i, 0), 0) for i in range(p.qdeg() + 1)] for p in (a, b)]
-    return PolyQU({(i, 0): c for i, c in enumerate(_q_gcd(*dense)) if c})
+    f, g = ([p.terms.get((i, 0), 0) for i in range(p.qdeg() + 1)] for p in (a, b))
+    content = _int_gcd(*f, *g)
+    f, g = _primitive(f), _primitive(g)
+    while g:
+        # f becomes the pseudo-remainder of f by g
+        while len(f) >= len(g):
+            k, lc = len(f) - len(g), f[-1]
+            f = [x * g[-1] for x in f]
+            for i, y in enumerate(g):
+                f[k + i] -= lc * y
+            while f and f[-1] == 0:
+                f.pop()
+        f, g = g, _primitive(f)
+    return PolyQU({(i, 0): content * x for i, x in enumerate(f) if x})
 
 
 def poly_lcm(a: PolyQU, b: PolyQU) -> PolyQU:

@@ -36,11 +36,12 @@ where the library counts by orbit-stabilizer.
 The split orbit count phi_d is written from its Moebius-inversion
 formula, where the library only specializes phi_u; the twisted product's
 log sum comes in the two-part form (uprime_log_two_part), every degree
-over (-q)^n - 1, where the library sums three parts; the sign of
-V'(q) = +-V(-q) at a multipartition comes from the multipartition's
-statistics, and the sign (-1)^(d_mu/2) of U'(q) = +-T(-1, -q) from the
-paper's pairing degree (pairing_degree), where the library reads both
-off multitype statistics.
+over (-q)^n - 1, where the library sums three parts, and the Z[q] gcd
+that the three-part sum's lcm takes is Euclid's algorithm over Q[q]
+(gcd_reference); the sign of V'(q) = +-V(-q) at a multipartition comes
+from the multipartition's statistics, and the sign (-1)^(d_mu/2) of
+U'(q) = +-T(-1, -q) from the paper's pairing degree (pairing_degree),
+where the library reads both off multitype statistics.
 
 unipotent_multiplicities_from_group owes nothing to symmetric functions:
 it counts U(q) at a prime q in GL_n(F_q) itself, from stable flags of one
@@ -551,6 +552,30 @@ def uprime_log_two_part(r: GradedSeries) -> GradedSeries:
     r_alt = _signed_neg_q(r)
     return r_alt.adams_sum(lambda d: phi_prime(d) if d % 2 else 0).add(
         r.adams_sum(lambda d: 0 if d % 2 else phi_prime(d)))
+
+
+def gcd_reference(a: PolyQU, b: PolyQU) -> PolyQU:
+    """The gcd in Z[q] of two polynomials in q by Euclid's algorithm over
+    Q[q] in exact fractions: the last nonzero remainder, cleared of
+    denominators, divided by its content and signed to a positive leading
+    coefficient, times the gcd of the contents of a and b.  The library
+    runs a primitive pseudo-remainder sequence over Z instead."""
+    f, g = ([Fraction(p.terms.get((i, 0), 0)) for i in range(p.qdeg() + 1)] for p in (a, b))
+    while g:
+        while len(f) >= len(g):  # f becomes f mod g
+            t, shift = f[-1] / g[-1], len(f) - len(g)
+            for i, y in enumerate(g):
+                f[shift + i] -= t * y
+            while f and f[-1] == 0:
+                f.pop()
+        f, g = g, f
+    denominator = math.lcm(*(x.denominator for x in f))
+    f = [int(x * denominator) for x in f]
+    content = math.gcd(*f)
+    if f and f[-1] < 0:
+        content = -content
+    scale = math.gcd(*a.terms.values(), *b.terms.values())
+    return PolyQU({(i, 0): x // content * scale for i, x in enumerate(f) if x})
 
 
 def pairing_degree(mu: tuple) -> int:

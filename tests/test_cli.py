@@ -193,7 +193,8 @@ class TestSizeBounds:
         (("verify", "--n", "2", "--k", "0"), "k", 0),
         (("cache", "build", "--n", "0"), "n", 0),
         (("cache", "clear", "--k", "0"), "k", 0),
-    ])
+    ], ids=["table-kron-n0", "table-T-n0", "table-V-tex-n-2", "table-kron-k-1", "table-U-k0",
+            "verify-n0", "verify-k0", "cache-build-n0", "cache-clear-k0"])
     def test_below_one_is_usage_error(self, capsys, tmp_path, argv, opt, val):
         cache = tmp_path / "cache"
         rc, out, err = run(capsys, *argv, "--cache-dir", str(cache))
@@ -386,7 +387,7 @@ class TestVerify:
         ("verify", "--n", "1", "--format", "tex"),
         ("cache", "build", "--n", "1", "--format", "tex"),
         ("cache", "clear", "--format", "json"),
-    ])
+    ], ids=["verify-csv", "verify-tex", "cache-build-tex", "cache-clear-json"])
     def test_format_a_subcommand_does_not_read_is_rejected(self, capsys, tmp_path, argv):
         # verify prints text or json only, and cache prints no table
         cache = tmp_path / "cache"
@@ -437,7 +438,7 @@ class TestInternalErrors:
     @pytest.mark.parametrize("argv", [
         ("pair", "--which", "T", "--mu", "1,1,1"),
         ("verify", "--n", "2"),
-    ])
+    ], ids=["pair", "verify"])
     def test_any_other_exception_exits_internal(self, capsys, monkeypatch, argv):
         # an exception outside the four classes is an internal error, not
         # exit 1, which is the code of a failed verify identity
@@ -534,7 +535,7 @@ class TestCache:
         assert (rc, out) == (EXIT_OK, f"removed 0 cache file(s) from {cache}\n")
         assert not cache.exists()
 
-    @pytest.mark.parametrize("action", [("build", "--n", "1"), ("clear",)])
+    @pytest.mark.parametrize("action", [("build", "--n", "1"), ("clear",)], ids=["build", "clear"])
     def test_empty_cache_dir_is_usage_error(self, capsys, tmp_path, monkeypatch, action):
         # "" means "no cache" for pair, table and verify; cache build and
         # clear must not fall back to the user's default cache directory
@@ -595,7 +596,7 @@ class TestCache:
         ("pair", "--which", "V", "--mu", "2.1,2.1,2.1"),
         ("table", "--which", "V", "--n", "2"),
         ("verify", "--n", "2"),
-    ])
+    ], ids=["pair", "table", "verify"])
     def test_failed_cache_write_warns_once(self, capsys, tmp_path, argv):
         # a regular file as the cache directory: the answer and the exit
         # code are those of a run without a cache, plus one warning
@@ -805,7 +806,7 @@ class TestRegressionPins:
         (("--n", "6"), "cc99daf022be7cb4783259ee087b5a59cbf7b571aa28c8f3613db9dd82462b09"),
         (("--k", "4", "--n", "5"),
          "7ee08f705c45f065e31ddfc8e0cafa403014d1d0a488a04a3bf0da85ae9d89f8"),
-    ])
+    ], ids=["k3-n6", "k4-n5"])
     def test_t_table_digest(self, capsys, args, digest):
         import hashlib
 

@@ -25,6 +25,7 @@ from ennola.coeffs import (
     poly_to_str,
     unpack,
 )
+from oracles import gcd_reference
 
 
 @st.composite
@@ -120,7 +121,8 @@ class TestPolyRingLaws:
             uy = y if keep_u else c * y**ub
             assert got.evaluate(x, y) == a.evaluate(sign * x**qa, uy)
 
-    @pytest.mark.parametrize("bad", [Q + ONE, U - Q, Q * Q + U, 2])
+    @pytest.mark.parametrize("bad", [Q + ONE, U - Q, Q * Q + U, 2],
+                             ids=["q-plus-1", "u-minus-q", "q-squared-plus-u", "int"])
     def test_subst_refuses_non_monomials(self, bad):
         p = Q**2 * U + ONE
         with pytest.raises(ValueError, match="non-monomial"):
@@ -130,7 +132,9 @@ class TestPolyRingLaws:
 
 
 class TestPolyBasics:
-    @pytest.mark.parametrize("c", [Fraction(1, 2), Fraction(3), Fraction(0), 0.5, 1.0, "1"])
+    @pytest.mark.parametrize("c", [Fraction(1, 2), Fraction(3), Fraction(0), 0.5, 1.0, "1"],
+                             ids=["fraction-half", "fraction-3", "fraction-0", "float-half",
+                                  "float-1", "str"])
     def test_non_int_coefficient_raises(self, c):
         with pytest.raises(TypeError, match="is not an int"):
             PolyQU({(1, 0): c})
@@ -219,6 +223,13 @@ class TestGcdAndDivision:
         c = _positive_lead(c)
         if c:
             assert poly_gcd(a * c, b * c) == g * c
+
+    @given(q_polys(), q_polys(), q_polys())
+    @settings(max_examples=60, deadline=None)
+    def test_gcd_is_euclids_over_the_rationals(self, a, b, c):
+        assert poly_gcd(a, b) == gcd_reference(a, b)
+        # a common factor c makes the remainder sequence longer
+        assert poly_gcd(a * c, b * c) == gcd_reference(a * c, b * c)
 
     @given(int_polys(), q_polys())
     @settings(max_examples=40, deadline=None)
@@ -312,7 +323,9 @@ class TestPackedDivision:
         (SLICES, Q.scale(2) - PolyQU.const(2)),
         (BINOMIAL_ROW * U**2, Q**3 - Q),
         (SLICES.scale(6), (Q**3 - Q).scale(-3)),
-    ])
+    ], ids=["big-quotient", "big-quotient-in-u", "slices-degree-2", "slices-degree-5",
+            "negative-lead-1-q", "negative-lead-binomial", "content-2", "power-of-q",
+            "content-6-by-minus-3"])
     def test_quotient_and_remainders(self, c, b):
         a = c * b
         assert poly_exact_div(a, b) == c
@@ -329,7 +342,7 @@ class TestPackedDivision:
         (U - ONE, Q - ONE),  # divmod exact, quotient 1 fails the degree check
         ((Q**2).scale(2) - PolyQU.const(2), Q.scale(-3) - PolyQU.const(3)),
         (-U - Q**2, (Q**2).scale(2) + Q.scale(2)),
-    ])
+    ], ids=["degree-check", "fractional-quotient", "u-and-q-slices"])
     def test_checks_reject_what_divmod_accepts(self, a, b):
         # the packed remainder is 0, but the unpacked quotient lies outside
         # the range where pack is injective, so it is not a/b

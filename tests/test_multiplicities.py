@@ -61,6 +61,7 @@ from oracles import (
     conjugacy_classes,
     enumerate_types,
     expand_graded,
+    gcd_reference,
     generic_multiplicities_from_group,
     gl2_generic_multiplicities,
     gu2_generic_multiplicities,
@@ -841,6 +842,18 @@ class TestProductOracles:
         assert calls == []
 
     @pytest.mark.parametrize("k, N", [(3, 5), (4, 4), (2, 6), (1, 8)])
+    def test_every_gcd_of_verify_is_euclids_over_the_rationals(self, monkeypatch, k, N):
+        # the operands poly_gcd meets in a whole verify run, each checked
+        # against Euclid's algorithm over Q[q]
+        seen = []
+        real = coeffs.poly_gcd
+        monkeypatch.setattr(coeffs, "poly_gcd", lambda a, b: seen.append((a, b)) or real(a, b))
+        assert verify_suite(build_context(k, N, None)).ok
+        assert seen
+        for a, b in seen:
+            assert real(a, b) == gcd_reference(a, b), (a, b)
+
+    @pytest.mark.parametrize("k, N", [(3, 5), (4, 4), (2, 6), (1, 8)])
     def test_twisted_route_is_the_u_deformed_one_at_minus_one_minus_q(self, k, N):
         # phi'_d is phi_{u,d} at (u, q) = (-1, -q), so the twisted log sum
         # is the u-deformed one with u -> -1 in every numerator and q -> -q
@@ -1059,7 +1072,8 @@ class TestCache:
             fh.write(text)
         assert load_cache(str(tmp_path), 3, 1) is None
 
-    @pytest.mark.parametrize("mu", ["111", {"1": 0, " 1": 0, "1 ": 0}, [], ["1", "1", 1]])
+    @pytest.mark.parametrize("mu", ["111", {"1": 0, " 1": 0, "1 ": 0}, [], ["1", "1", 1]],
+                             ids=["string", "object", "empty-list", "non-text-entry"])
     def test_key_that_is_no_list_of_texts_is_refused(self, tmp_path, mu):
         # under a matching count and digest: "111" and the dict read as
         # three partitions of 1 if iterated, so the list check must stay
