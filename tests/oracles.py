@@ -73,8 +73,10 @@ loads them: the type combinatorics of the kernel logarithm's expansion
 (c_tau, enumerate_types, extend_to_type), the Schur coefficients of a
 type (c_omega) and the dual type, the centralizer orders of types
 (a_type_poly, a_prime_poly), the unipotent character degrees
-(unipotent_degree), the text form of a multitype, and the product of
-graded series (series_mul), the reference for the exp/log laws.
+(unipotent_degree), the text form of a multitype, the product of
+graded series (series_mul), the reference for the exp/log laws, and the
+Kostka-Foulkes polynomials (kostka_foulkes), the library's cocharge table
+reflected against n(lam), which the weight-multiplicity oracle checks.
 
 A single coefficient in Q(q, u) is represented here as a degree-0 SymFunc
 on one alphabet (`scalar`), so its equality is the library's
@@ -479,6 +481,14 @@ def q_weight_multiplicity(nu: tuple, lam: tuple) -> PolyQU:
             continue
         out = out + pq(beta, 0).scale((-1) ** inv)
     return out
+
+
+def kostka_foulkes(nu: Partition, lam: Partition) -> PolyQU:
+    """K_{nu,lam}(q): the library's cocharge entry of transformed_hl(lam)
+    at s_nu, reflected against n(lam); zero unless nu dominates lam."""
+    top = n_stat(lam)
+    kf = transformed_hl(lam).get((nu,), ZERO)
+    return PolyQU({(top - d, 0): c for (d, _), c in kf.terms.items()})
 
 
 def ssyt_count(shape: tuple, content: tuple) -> int:

@@ -27,6 +27,7 @@ from oracles import (
     expand_graded,
     expand_orbits,
     extend_to_type,
+    kostka_foulkes,
     kronecker_oracle,
     pairing,
     pairing_degree,
@@ -38,7 +39,7 @@ from oracles import (
 )
 
 from ennola.coeffs import ONE, Q, U, PolyQU, poly_to_str
-from ennola.hall_littlewood import kostka_foulkes, transformed_hl
+from ennola.hall_littlewood import transformed_hl
 from ennola.multiplicities import (
     T_poly,
     T_poly_product_oracle,
