@@ -159,7 +159,8 @@ class MasterContext:
     @property
     def exp_u_psi(self) -> GradedSeries:
         if self._exp_u_psi is None:
-            self._exp_u_psi = self.psi.scale(U).pleth_exp([ONE] * (self.N + 1))
+            # psi_m(u Psi) = u^m psi_m(Psi): Exp(u Psi) is one Adams sum
+            self._exp_u_psi = self.psi.adams_sum(lambda m: U ** m).plain_exp([ONE] * (self.N + 1))
         return self._exp_u_psi
 
     def r_series(self) -> GradedSeries:

@@ -14,8 +14,9 @@ no gcd reduces a piece.  Adding two pieces over different denominators
 takes their lcm.  As psi_m p_rho = p_{m rho} and z_{m rho} =
 m^l(rho) z_rho, l(rho) the number of parts, the Adams operation
 psi_m / m is a key remap times m^(l(rho) - 1) plus the monomial remap
-q -> q^m, u -> u^m; everything plethystic reduces to that, one Adams
-sum and one Newton recurrence for exp/log of graded series.
+q -> q^m, u -> u^m.  Each plethystic step is one weighted Adams sum
+(weight mu for Psi, u^m for Exp(u Psi), d phi_d for the product routes)
+followed by at most one Newton recurrence, the plain exp or log.
 
 The Schur side has one form, the Schur table: a dict from sorted keys to
 integer polynomials, over the denominator 1.  to_schur reads it off a
@@ -343,10 +344,10 @@ class GradedSeries:
     """Series sum_{n=0..N} f_n T^n, f_n a SymFunc of degree n, truncated
     at T^N; the constant term f_0 sits on the one key ((),) * k.
 
-    plain_exp, plain_log and pleth_exp take an optional list dens: dens[n]
-    is a denominator that degree n of the result is known to have, and
-    each degree is rewritten over it before the next one uses it.  Without
-    dens a degree stays over n times the lcm of its terms' denominators."""
+    One plethystic step is adams_sum and at most one plain_exp or
+    plain_log.  Given dens, dens[n] a denominator degree n of the result is
+    known to have, those two rewrite each degree over it before the next
+    uses it; else it stays over n times the lcm of its terms' denominators."""
 
     __slots__ = ("k", "N", "coeffs")
 
@@ -379,10 +380,8 @@ class GradedSeries:
         return self._like([a.add(b) for a, b in zip(self.coeffs, other.coeffs)])
 
     def sub(self, other: "GradedSeries") -> "GradedSeries":
-        return self.add(other.scale(-1))
-
-    def scale(self, c) -> "GradedSeries":
-        return self._like([f.scale(c) for f in self.coeffs])
+        self._check(other)
+        return self._like([a.add(b.scale(-1)) for a, b in zip(self.coeffs, other.coeffs)])
 
     def over(self, dens: list) -> "GradedSeries":
         """Degree n rewritten over dens[n] (SymFunc.over)."""
@@ -391,15 +390,6 @@ class GradedSeries:
     def _check(self, other: "GradedSeries") -> None:
         if (self.k, self.N) != (other.k, other.N):
             raise ValueError("series shapes differ")
-
-    def adams(self, m: int) -> "GradedSeries":
-        """psi_m / m (SymFunc.adams) including T -> T^m, truncated at T^N."""
-        if m == 1:
-            return self
-        out = GradedSeries.zero(self.k, self.N).coeffs
-        for i in range(self.N // m + 1):
-            out[i * m] = self.coeffs[i].adams(m)
-        return self._like(out)
 
     def plain_exp(self, dens: list | None = None) -> "GradedSeries":
         """exp of a series with zero constant term (_newton, w = n - i)."""
@@ -431,17 +421,15 @@ class GradedSeries:
         return self._like(out)
 
     def adams_sum(self, weight) -> "GradedSeries":
-        """sum_{m>=1} weight(m) psi_m(f)/m, for f with zero constant term;
-        weight(m) is an int or a polynomial in q and u, and a zero weight
-        skips m.  Weight 1 is the plethystic Psi, weight mu its inverse."""
+        """sum_{m>=1} weight(m) psi_m(f)/m for f with zero constant term, m
+        ascending: degree i m gains weight(m) f_i.adams(m).  weight(m) is an
+        int or a polynomial in q and u; a zero weight skips m.  Weight 1 is
+        the plethystic Psi, weight mu its inverse."""
         if not self.coeffs[0].is_zero():
             raise ValueError("the Adams sum needs zero constant term")
-        acc = GradedSeries.zero(self.k, self.N)
+        out = GradedSeries.zero(self.k, self.N).coeffs
         for m in range(1, self.N + 1):
             if w := weight(m):
-                acc = acc.add(self.adams(m).scale(w))
-        return acc
-
-    def pleth_exp(self, dens: list | None = None) -> "GradedSeries":
-        """Exp f = exp(sum_{m>=1} psi_m(f)/m)."""
-        return self.adams_sum(lambda m: 1).plain_exp(dens)
+                for i in range(1, self.N // m + 1):
+                    out[i * m] = out[i * m].add(self.coeffs[i].adams(m).scale(w))
+        return self._like(out)

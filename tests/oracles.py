@@ -74,7 +74,10 @@ loads them: the type combinatorics of the kernel logarithm's expansion
 type (c_omega) and the dual type, the centralizer orders of types
 (a_type_poly, a_prime_poly), the unipotent character degrees
 (unipotent_degree), the text form of a multitype, the product of
-graded series (series_mul), the reference for the exp/log laws, and the
+graded series (series_mul), the reference for the exp/log laws, the
+multiple of a series, its Adams operations and its plethystic
+exponential (series_scale, adams_series, pleth_exp), where the library
+has only the degree-wise weighted Adams sum, and the
 Kostka-Foulkes polynomials (kostka_foulkes), the library's cocharge table
 reflected against n(lam), which the weight-multiplicity oracle checks.
 
@@ -342,9 +345,33 @@ def pairing(f: SymFunc, g: SymFunc) -> SymFunc:
     return scalar(total, f_den * g_den)
 
 
+def series_scale(f: GradedSeries, c) -> GradedSeries:
+    """c f, for c an int or a polynomial in q and u (SymFunc.scale)."""
+    return GradedSeries(f.k, f.N, [g.scale(c) for g in f.coeffs])
+
+
+def adams_series(f: GradedSeries, m: int) -> GradedSeries:
+    """psi_m / m (SymFunc.adams) of a whole series, including T -> T^m,
+    truncated at T^N."""
+    out = GradedSeries.zero(f.k, f.N).coeffs
+    for i in range(f.N // m + 1):
+        out[i * m] = f.coeffs[i].adams(m)
+    return GradedSeries(f.k, f.N, out)
+
+
+def pleth_exp(f: GradedSeries, dens: list | None = None) -> GradedSeries:
+    """Exp f = exp(sum_{m>=1} psi_m(f)/m), the Adams sum added one whole
+    series adams_series(f, m) at a time, where the library adds degree by
+    degree (GradedSeries.adams_sum)."""
+    acc = GradedSeries.zero(f.k, f.N)
+    for m in range(1, f.N + 1):
+        acc = acc.add(adams_series(f, m))
+    return acc.plain_exp(dens)
+
+
 def pleth_log(series: GradedSeries) -> GradedSeries:
-    """Log f = Psi^{-1}(log f), the inverse of GradedSeries.pleth_exp:
-    the Adams sum of log f with Moebius weights."""
+    """Log f = Psi^{-1}(log f), the inverse of pleth_exp: the Adams sum of
+    log f with Moebius weights."""
     return series.plain_log().adams_sum(mobius)
 
 

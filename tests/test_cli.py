@@ -413,6 +413,7 @@ class TestInternalErrors:
         import ennola.multiplicities as mult
         from ennola.coeffs import ONE, Q
         from ennola.symfunc import SymFunc
+        from oracles import pleth_exp
 
         if fault == "omega":
             real = mult._build_omega
@@ -426,7 +427,7 @@ class TestInternalErrors:
             monkeypatch.setattr(mult, "_build_omega", skewed)
         else:
             monkeypatch.setattr(mult.MasterContext, "exp_u_psi",
-                                property(lambda ctx: ctx.psi.pleth_exp()))
+                                property(lambda ctx: pleth_exp(ctx.psi)))
         rc, out, err = run(
             capsys, "pair", "--which", which, "--mu", "1,1,1",
             "--cache-dir", str(tmp_path / "c"),
@@ -797,16 +798,19 @@ class TestHelp:
 class TestRegressionPins:
     """SHA-256 of whole CLI outputs as the code printed them when the pins
     were taken, trailing newline included, computed with no cache.  These
-    are regression pins, not paper goldens: they guard the degree-6 T table
-    and the k = 4, degree-5 T table, which no reference file covers, and
-    the JSON verify reports at (k, n) = (3, 4) and (4, 3), whose case
-    counts, failure texts and audits must not move."""
+    are regression pins, not paper goldens: they guard T tables that no
+    reference file covers (degree 6; k = 4 at degree 5; k = 2 at degree 9,
+    where the log of the kernel has empty pieces), and the JSON verify
+    reports at (k, n) = (3, 4) and (4, 3), whose case counts, failure
+    texts and audits must not move."""
 
     @pytest.mark.parametrize("args,digest", [
         (("--n", "6"), "cc99daf022be7cb4783259ee087b5a59cbf7b571aa28c8f3613db9dd82462b09"),
         (("--k", "4", "--n", "5"),
          "7ee08f705c45f065e31ddfc8e0cafa403014d1d0a488a04a3bf0da85ae9d89f8"),
-    ], ids=["k3-n6", "k4-n5"])
+        (("--k", "2", "--n", "9"),
+         "4ad01442fdfea9c704b460397a061d7fb46181d46aa80b623c2ff8a9e41ca151"),
+    ], ids=["k3-n6", "k4-n5", "k2-n9"])
     def test_t_table_digest(self, capsys, args, digest):
         import hashlib
 

@@ -104,7 +104,7 @@ class TestTransformedKostka:
                     assert transformed_hl(lam).get((nu,), ZERO) == want, (nu, lam)
 
     def test_anchors(self):
-        # n((1,1)) = 1: K~_{(2),(11)} = q * (1/q) = 1... times charge q -> q^0+?
+        # K~_{(2),(1,1)} = 1, and K~_{(1,1),(1,1)} = q^{n((1,1))} = q
         assert transformed_hl((1, 1)).get(((2,),), ZERO) == ONE
         assert transformed_hl((1, 1)).get(((1, 1),), ZERO) == Q ** n_stat((1, 1)) * ONE
 

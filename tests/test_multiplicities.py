@@ -58,6 +58,7 @@ from oracles import (
     _gu2_classes,
     _gu2_parameters,
     _subspaces,
+    adams_series,
     conjugacy_classes,
     enumerate_types,
     expand_graded,
@@ -71,6 +72,8 @@ from oracles import (
     omega_oracle,
     pairing_degree,
     phi,
+    pleth_exp,
+    series_scale,
     star_quiver,
     unipotent_degree,
     unipotent_multiplicities_from_group,
@@ -294,6 +297,14 @@ class TestPipelineSmall:
                 want = V_poly(ctx5, mu).subst(q=-Q).scale(vprime_sign_reference(mu))
                 assert Vprime_poly(ctx5, mu) == want, mu
 
+    @pytest.mark.parametrize("k, N", [(3, 5), (4, 4), (2, 7), (1, 8)])
+    def test_exp_u_psi_is_the_plethystic_exp_of_u_psi(self, k, N):
+        # Exp(u Psi) = exp(sum_m psi_m(u Psi)/m): the library weights
+        # psi_m(Psi) by u^m in one Adams sum, while the oracle takes psi_m
+        # of the series u Psi, whose remap sends u to u^m
+        ctx = build_context(k, N, None)
+        assert ctx.exp_u_psi == pleth_exp(series_scale(ctx.psi, U))
+
 
 class TestComponentSymmetry:
     """table lists only sorted multipartitions, so T and V must not depend
@@ -416,9 +427,10 @@ class TestClosedFormDenominators:
         # take, which is integral
         r = build_context(k, N, None).r_series()
         r_alt = _signed_neg_q(r)
-        twisted = [r_alt.adams(d).scale(phi_prime(d)) for d in range(1, N + 1)]
-        twisted += [r.sub(r_alt).adams(d).scale(phi_prime(d)) for d in range(2, N + 1, 2)]
-        u_deformed = [r.adams(d).scale(phi_u(d)) for d in range(1, N + 1)]
+        twisted = [series_scale(adams_series(r_alt, d), phi_prime(d)) for d in range(1, N + 1)]
+        twisted += [series_scale(adams_series(r.sub(r_alt), d), phi_prime(d))
+                    for d in range(2, N + 1, 2)]
+        u_deformed = [series_scale(adams_series(r, d), phi_u(d)) for d in range(1, N + 1)]
         for pieces, total, closed_form in (
                 (twisted, _uprime_log_sum(r), lambda n: Q**(2 * n) - ONE),
                 (u_deformed, r.adams_sum(phi_u), lambda n: Q**n - ONE)):

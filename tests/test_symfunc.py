@@ -25,6 +25,7 @@ from ennola.symfunc import (
 )
 
 from oracles import (
+    adams_series,
     change_basis_reference,
     coefficient,
     expand_orbits,
@@ -32,6 +33,7 @@ from oracles import (
     merged_orbits_reference,
     multiply_reference,
     pairing,
+    pleth_exp,
     pleth_log,
     powersum_of,
     powersum_symfunc,
@@ -39,6 +41,7 @@ from oracles import (
     schur_coefficient_oracle,
     schur_table_oracle,
     series_mul,
+    series_scale,
     symmetrized,
 )
 
@@ -595,7 +598,7 @@ class TestGradedSeries:
         coeffs[2] = powersum_symfunc(2, 2, {((1, 1), (2,)): ONE, ((2,), (2,)): U}, PolyQU.const(2))
         f = GradedSeries(2, 5, coeffs)
         assert f.plain_exp().plain_log() == f
-        assert pleth_log(f.pleth_exp()) == f
+        assert pleth_log(pleth_exp(f)) == f
 
     def test_exp_homomorphism(self):
         # Exp(f+g) = Exp(f) Exp(g), and the same for plain exp
@@ -610,8 +613,8 @@ class TestGradedSeries:
         lhs_plain = fa.add(fb).plain_exp()
         rhs_plain = series_mul(fa.plain_exp(), fb.plain_exp())
         assert lhs_plain == rhs_plain
-        lhs = fa.add(fb).pleth_exp()
-        rhs = series_mul(fa.pleth_exp(), fb.pleth_exp())
+        lhs = pleth_exp(fa.add(fb))
+        rhs = series_mul(pleth_exp(fa), pleth_exp(fb))
         assert lhs == rhs
 
     def test_pleth_exp_of_p1_counts_partitions(self):
@@ -621,7 +624,7 @@ class TestGradedSeries:
         c = list(f.coeffs)
         c[1] = SymFunc(1, 1, {(((1,),)): ONE})
         f = GradedSeries(1, 5, c)
-        e = f.pleth_exp()
+        e = pleth_exp(f)
         for n in range(1, 6):
             got = e.coeffs[n]
             assert got.coeffs.keys() == {(rho,) for rho in enumerate_partitions(n)}
@@ -654,7 +657,7 @@ class TestGradedSeries:
         f = GradedSeries(2, 6, c)
         by_hand = GradedSeries.zero(2, 6)
         for m in range(1, 7):
-            by_hand = by_hand.add(f.adams(m).scale(weight(m)))
+            by_hand = by_hand.add(series_scale(adams_series(f, m), weight(m)))
         assert f.adams_sum(weight) == by_hand
 
     def test_adams_composition(self):
@@ -662,7 +665,7 @@ class TestGradedSeries:
         c = list(f.coeffs)
         c[1] = SymFunc(1, 1, {(((1,),)): Q + ONE})
         f = GradedSeries(1, 6, c)
-        assert f.adams(2).adams(3) == f.adams(6)
+        assert adams_series(adams_series(f, 2), 3) == adams_series(f, 6)
 
     def test_exp_requires_zero_constant_term(self):
         one = [SymFunc.one(1)] + [SymFunc.zero(1, n) for n in (1, 2, 3)]
