@@ -28,25 +28,19 @@ def character_value(lam: Partition, rho: Partition) -> int:
         raise ValueError(f"shape {lam} and class {rho} have different sizes")
     if not lam:
         return 1
-    strip = rho[0]
-    rest = rho[1:]
+    strip, rest = rho[0], rho[1:]
     # beta-numbers of lam; removing a border strip of length `strip` moves
     # one beta-number down by `strip` into an unoccupied slot
     ell = len(lam)
-    beta = [lam[i] + (ell - 1 - i) for i in range(ell)]
-    occupied = set(beta)
+    occupied = {p + ell - 1 - i for i, p in enumerate(lam)}
     total = 0
-    for pos, b in enumerate(beta):
+    for b in occupied:
         nb = b - strip
         if nb < 0 or nb in occupied:
             continue
-        sign = -1 if sum(1 for c in beta if nb < c < b) % 2 else 1
-        new_beta = sorted((x for x in beta if x != b), reverse=True)
-        new_beta.append(nb)
-        new_beta.sort(reverse=True)
-        new_lam = tuple(x - (ell - 1 - i) for i, x in enumerate(new_beta))
-        while new_lam and new_lam[-1] == 0:
-            new_lam = new_lam[:-1]
+        moved = sorted(occupied - {b} | {nb}, reverse=True)
+        new_lam = tuple(x - (ell - 1 - i) for i, x in enumerate(moved) if x > ell - 1 - i)
+        sign = -1 if sum(1 for c in occupied if nb < c < b) % 2 else 1
         total += sign * character_value(new_lam, rest)
     return total
 

@@ -130,18 +130,8 @@ def _gen_partitions(n: int, largest: int):
 # multipartition, never the parts of one partition.
 
 def partition_to_text(lam: Partition) -> str:
-    if not lam:
-        return "0"
-    pieces = []
-    i = 0
-    while i < len(lam):
-        j = i
-        while j < len(lam) and lam[j] == lam[i]:
-            j += 1
-        count = j - i
-        pieces.append(str(lam[i]) if count == 1 else f"{lam[i]}^{count}")
-        i = j
-    return ".".join(pieces)
+    return ".".join([str(p) if m == 1 else f"{p}^{m}"
+                     for p, m in multiplicities(lam).items()]) or "0"
 
 
 class ParseError(ValueError):

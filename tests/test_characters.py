@@ -15,14 +15,14 @@ from oracles import character_value_oracle, kronecker_oracle
 
 class TestCharacterValues:
     def test_trivial_and_sign(self):
-        for n in range(1, 7):
+        for n in range(1, 11):
             for rho in enumerate_partitions(n):
                 assert character_value((n,), rho) == 1
                 parity = (-1) ** (n - len(rho))
                 assert character_value((1,) * n, rho) == parity
 
     def test_dimension_is_value_at_identity(self):
-        # hook length formula cross-check on small shapes
+        # hook length formula n!/prod(hooks), by hand on small shapes
         dims = {
             (2, 1): 2,
             (2, 2): 2,
@@ -35,6 +35,13 @@ class TestCharacterValues:
         for lam, d in dims.items():
             n = size(lam)
             assert character_value(lam, (1,) * n) == d
+        # and every shape up to n = 10, the largest size verify reads
+        for n in range(1, 11):
+            for lam in enumerate_partitions(n):
+                col = dual(lam)
+                hooks = math.prod(p - j + col[j] - i - 1
+                                  for i, p in enumerate(lam) for j in range(p))
+                assert character_value(lam, (1,) * n) == math.factorial(n) // hooks, lam
 
     def test_against_determinant_oracle(self):
         for n in range(1, 6):
@@ -72,7 +79,7 @@ class TestOrthogonality:
                     assert inner == (1 if a == b else 0), (a, b)
 
     def test_column_orthogonality(self):
-        for n in range(1, 7):
+        for n in range(1, 11):
             shapes = enumerate_partitions(n)
             for r1 in shapes:
                 for r2 in shapes:

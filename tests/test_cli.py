@@ -800,9 +800,11 @@ class TestRegressionPins:
     were taken, trailing newline included, computed with no cache.  These
     are regression pins, not paper goldens: they guard T tables that no
     reference file covers (degree 6; k = 4 at degree 5; k = 2 at degree 9,
-    where the log of the kernel has empty pieces), and the JSON verify
+    where the log of the kernel has empty pieces), the JSON verify
     reports at (k, n) = (3, 4) and (4, 3), whose case counts, failure
-    texts and audits must not move."""
+    texts and audits must not move, and the csv Kronecker table at degree
+    9, where every row sums character values and prints its labels, 1^9
+    among them, in the dot form."""
 
     @pytest.mark.parametrize("args,digest", [
         (("--n", "6"), "cc99daf022be7cb4783259ee087b5a59cbf7b571aa28c8f3613db9dd82462b09"),
@@ -828,6 +830,17 @@ class TestRegressionPins:
         import hashlib
 
         rc, out, _ = run(capsys, "verify", *args, "--format", "json", "--cache-dir", "")
+        assert rc == EXIT_OK
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+    @pytest.mark.parametrize("args,digest", [
+        (("--n", "9"), "5b80110ef2d9dd5f25ff79bff1f70287d9e9a48a313a3587b8ecf0b7dd54955a"),
+    ], ids=["k3-n9"])
+    def test_kron_table_digest(self, capsys, args, digest):
+        import hashlib
+
+        rc, out, _ = run(capsys, "table", "--which", "kron", *args,
+                         "--format", "csv", "--cache-dir", "")
         assert rc == EXIT_OK
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 

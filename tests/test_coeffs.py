@@ -132,6 +132,17 @@ class TestPolyRingLaws:
 
 
 class TestPolyBasics:
+    @pytest.mark.parametrize("call, error, message", [
+        (lambda: PolyQU.monomial(1, -1, 0), ValueError, "negative exponent"),
+        (lambda: Q ** -1, ValueError, "negative power of a polynomial"),
+        (lambda: ZERO.leading(), ValueError, "zero polynomial has no leading term"),
+        (lambda: exact_quotients([Q], ZERO), ZeroDivisionError, "polynomial division by zero"),
+    ], ids=["monomial-negative-q", "negative-power", "zero-leading", "quotients-by-zero"])
+    def test_refusals(self, call, error, message):
+        with pytest.raises(error) as exc:
+            call()
+        assert type(exc.value) is error and str(exc.value) == message
+
     @pytest.mark.parametrize("c", [Fraction(1, 2), Fraction(3), Fraction(0), 0.5, 1.0, "1"],
                              ids=["fraction-half", "fraction-3", "fraction-0", "float-half",
                                   "float-1", "str"])

@@ -14,6 +14,7 @@ import pytest
 import ennola.coeffs as coeffs
 import ennola.multiplicities as mult
 from ennola.characters import kronecker
+from ennola.cli import main
 from ennola.coeffs import ONE, Q, U, ZERO, PolyQU, poly_exact_div, poly_to_str
 from ennola.multiplicities import (
     H_omega,
@@ -221,6 +222,22 @@ class TestAsMultitype:
 class TestPipelineSmall:
     """Exercise a small standalone context so these tests stay independent
     of the shared session fixture."""
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: MasterContext(0, 3), "k and N must be positive"),
+        (lambda: MasterContext(3, 0), "k and N must be positive"),
+        (lambda: MasterContext(3, 2).psi_schur(0), "degree 0 outside 1..2"),
+        (lambda: MasterContext(3, 2).psi_schur(3), "degree 3 outside 1..2"),
+        (lambda: MasterContext(3, 2).tau_schur(0), "degree 0 outside 1..2"),
+        (lambda: MasterContext(3, 2).tau_schur(3), "degree 3 outside 1..2"),
+        (lambda: H_omega(MasterContext(3, 2), as_multitype(((1,), (1,)))),
+         "expected 3 components, got 2"),
+    ], ids=["k-0", "N-0", "psi-degree-0", "psi-degree-N+1", "tau-degree-0",
+            "tau-degree-N+1", "H-two-components"])
+    def test_refusals(self, call, message):
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert str(exc.value) == message
 
     def test_intro_evaluations(self, ctx5):
         # the three specializations of the interpolating polynomial at the
@@ -1012,6 +1029,28 @@ class TestVerifySuite:
         first = next(i for i in report.items if i.failures).first_failure
         assert first.startswith(multipartition_to_text(orderings[0]) + ": ")
         assert len(orderings) == 3
+
+    def test_negative_vprime_is_a_note_not_a_failure(self, monkeypatch, capsys):
+        # V' enters no identity family, so a negated V' leaves every family
+        # green and shows only as one audit note per multipartition, printed
+        # just before the total line
+        real = mult.V_pair
+
+        def negated(ctx, omega):
+            v, vp = real(ctx, omega)
+            return v, vp.scale(-1)
+
+        monkeypatch.setattr(mult, "V_pair", negated)
+        report = verify_suite(build_context(3, 2, None))
+        notes = ["negative leading coefficient in V' at 1,1,1: -1",
+                 "negative leading coefficient in V' at 1^2,1^2,1^2: -1"]
+        assert report.ok
+        assert [item.failures for item in report.items] == [0] * 5
+        assert report.summary_lines()[-3:] == [f"note {note}" for note in notes] + [
+            "5 identity families, 0 failures"]
+        assert report.to_json()["audits"] == notes
+        assert main(["verify", "--n", "2", "--cache-dir", ""]) == 0
+        assert f"note {notes[1]}\n5 identity families" in capsys.readouterr().out
 
 
 class TestEveryFactorCount:

@@ -48,6 +48,12 @@ class TestBasics:
         with pytest.raises(ValueError):
             check_partition([2, 0])
 
+    @pytest.mark.parametrize("n", [-1, -3], ids=["n-minus-1", "n-minus-3"])
+    def test_enumerate_refuses_negative_size(self, n):
+        with pytest.raises(ValueError) as exc:
+            enumerate_partitions(n)
+        assert str(exc.value) == "n must be nonnegative"
+
     def test_size_and_counts(self):
         # number of partitions of n for n = 0..9
         expected = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30]

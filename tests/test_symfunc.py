@@ -59,6 +59,18 @@ def schur_coefficient(f: SymFunc, mu: tuple) -> SymFunc:
 
 
 class TestSymFuncBasics:
+    @pytest.mark.parametrize("call, message", [
+        (lambda: mobius(0), "mobius expects a positive integer"),
+        (lambda: SymFunc.zero(3, 1).add(SymFunc.zero(3, 2)), "degrees differ"),
+        (lambda: GradedSeries(1, 2, [SymFunc.zero(1, n) for n in range(2)]),
+         "need exactly N+1 coefficients"),
+        (lambda: GradedSeries.zero(1, 2).add(GradedSeries.zero(1, 3)), "series shapes differ"),
+    ], ids=["mobius-0", "symfunc-degrees", "series-N-coeffs", "series-shapes"])
+    def test_refusals(self, call, message):
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert str(exc.value) == message
+
     def test_zero_and_equality(self):
         z = SymFunc.zero(2, 3)
         assert z.is_zero()
