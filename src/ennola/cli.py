@@ -200,13 +200,11 @@ def cmd_cache(req: argparse.Namespace) -> int:
         return EXIT_OK
     ctx = build_context(req.k, req.n, cache_dir)
     for n in range(1, req.n + 1):
-        path = cache_path(cache_dir, req.k, n)
-        existed = os.path.exists(path)
+        verb = "wrote" if ctx.stored_psi_schur(n) is None else "kept"
         table = ctx.psi_schur(n)  # saves every table it computes
         if ctx.cache_write_error is not None:
             raise ctx.cache_write_error
-        verb = "kept" if existed and path not in ctx.ignored_cache_files else "wrote"
-        print(f"{verb} {path} ({len(table)} entries)")
+        print(f"{verb} {cache_path(cache_dir, req.k, n)} ({len(table)} entries)")
     _warn_cache(ctx)
     return EXIT_OK
 

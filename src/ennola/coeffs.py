@@ -97,7 +97,7 @@ class PolyQU:
 
     def __mul__(self, other: "PolyQU") -> "PolyQU":
         if not self.terms or not other.terms:
-            return _ZERO
+            return ZERO
         if self.terms == _ONE_TERMS:
             return other
         if other.terms == _ONE_TERMS:
@@ -190,10 +190,9 @@ def _from_terms(terms: dict[Monomial, int]) -> PolyQU:
     return p
 
 
-_ZERO = PolyQU()
 _ONE_TERMS = {(0, 0): 1}
 
-ZERO = _ZERO
+ZERO = PolyQU()
 ONE = PolyQU.const(1)
 Q = PolyQU.monomial(1, 1, 0)
 U = PolyQU.monomial(1, 0, 1)

@@ -114,10 +114,11 @@ class MasterContext:
     """Shared state for one (k, N): the kernel series, the master series,
     its u-exponential, and per-degree Schur coefficient tables.  All the
     heavy series are built lazily.  A disk cache holds one file per degree,
-    the master series' Schur table, and only psi_schur writes one.  So a
+    the master series' Schur table; a context reads each file at most once,
+    in stored_psi_schur, and only psi_schur writes one.  So a
     V or V' query of size n reads and writes only the degree-n file and
     never builds the master series from a warm cache; verify and
-    `cache build` write every degree; T, U and U' rebuild the master
+    `cache build` write every missing degree; T, U and U' rebuild the master
     series from all N files when each is present and never write one.  A
     failed cache write does not stop a query; it is kept in
     cache_write_error."""
@@ -134,6 +135,7 @@ class MasterContext:
         self._r_series: GradedSeries | None = None
         self._psi_schur: dict[int, dict[MultiPartition, PolyQU]] = {}
         self._tau_schur: dict[int, dict[MultiPartition, PolyQU]] = {}
+        self._cache_read: set[int] = set()
         self.ignored_cache_files: list[str] = []
         self.cache_write_error: OSError | None = None
 
@@ -176,45 +178,41 @@ class MasterContext:
     def psi_schur(self, n: int) -> dict[MultiPartition, PolyQU]:
         """Schur coefficients of the degree-n master series coefficient at
         the sorted multipartitions; values are integer polynomials in q."""
-        if n in self._psi_schur:
-            return self._psi_schur[n]
-        if not 1 <= n <= self.N:
-            raise ValueError(f"degree {n} outside 1..{self.N}")
-        table = self._load_cached(n) if self.cache_dir else None
+        table = self.stored_psi_schur(n)
         if table is None:
-            table = self.psi.coeffs[n].to_schur()
+            table = self._psi_schur[n] = self.psi.coeffs[n].to_schur()
             if self.cache_dir:
                 try:
                     save_cache(self.cache_dir, self.k, n, table)
                 except OSError as exc:
                     self.cache_write_error = exc
-        self._psi_schur[n] = table
         return table
 
-    def _load_cached(self, n: int) -> dict[MultiPartition, PolyQU] | None:
-        """The cached degree-n table, or None; a file that is present but
+    def stored_psi_schur(self, n: int) -> dict[MultiPartition, PolyQU] | None:
+        """The degree-n table held or read from the cache, or None.  The
+        file is read at most once per context; one that is present but
         fails to load is recorded in ignored_cache_files."""
-        table = load_cache(self.cache_dir, self.k, n)
-        path = cache_path(self.cache_dir, self.k, n)
-        if table is None and os.path.exists(path) and path not in self.ignored_cache_files:
-            self.ignored_cache_files.append(path)
-        return table
+        if not 1 <= n <= self.N:
+            raise ValueError(f"degree {n} outside 1..{self.N}")
+        if self.cache_dir and n not in self._cache_read:
+            self._cache_read.add(n)
+            table = load_cache(self.cache_dir, self.k, n)
+            if table is not None:
+                self._psi_schur[n] = table
+            elif os.path.exists(path := cache_path(self.cache_dir, self.k, n)):
+                self.ignored_cache_files.append(path)
+        return self._psi_schur.get(n)
 
     def _psi_from_cache(self) -> GradedSeries | None:
         """Rebuild the master series from fully cached Schur tables."""
-        if not self.cache_dir:
-            return None
         tables = []
         for n in range(1, self.N + 1):
-            t = self._psi_schur.get(n) or self._load_cached(n)
-            if t is None:
+            table = self.stored_psi_schur(n)
+            if table is None:
                 return None
-            tables.append(t)
-        coeffs = [SymFunc.zero(self.k, 0)]
-        for n, table in enumerate(tables, start=1):
-            self._psi_schur[n] = table
-            coeffs.append(SymFunc.from_schur(self.k, n, table))
-        return GradedSeries(self.k, self.N, coeffs)
+            tables.append(table)
+        return GradedSeries(self.k, self.N, [SymFunc.zero(self.k, 0)] + [
+            SymFunc.from_schur(self.k, n, t) for n, t in enumerate(tables, start=1)])
 
     def tau_schur(self, n: int) -> dict[MultiPartition, PolyQU]:
         """Interpolation polynomials for the sorted multipartitions of n."""

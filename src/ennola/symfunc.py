@@ -8,8 +8,9 @@ products of the k one-alphabet ones), indexed by k-tuples of partitions
 of n, as integer numerators in Z[q, u] over one denominator in Z[q] for
 the whole piece.  As s_lam = sum over rho of chi^lam(rho) b_rho, an
 integer Schur table has integer numerators over 1.  A SymFunc is built
-over its denominator, and SymFunc.over is the one rewrite, one exact
-division per key; each stage knows its denominators in closed form, so
+over its denominator, and SymFunc.over is the one rewrite, one
+multiplication or exact division per key, to a multiple or a divisor of
+the denominator; each stage knows its denominators in closed form, so
 no gcd reduces a piece.  Adding two pieces over different denominators
 takes their lcm.  As psi_m p_rho = p_{m rho} and z_{m rho} =
 m^l(rho) z_rho, l(rho) the number of parts, the Adams operation
@@ -324,8 +325,6 @@ class SymFunc:
 def mobius(n: int) -> int:
     if n < 1:
         raise ValueError("mobius expects a positive integer")
-    if n == 1:
-        return 1
     out = 1
     d = 2
     while d * d <= n:

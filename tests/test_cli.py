@@ -487,6 +487,23 @@ class TestCache:
                 count = json.loads(Path(path).read_text())["count"]
                 assert line.endswith(f"({count} entries)")
 
+    def test_build_over_a_mixed_cache(self, capsys, tmp_path):
+        # degree 1 usable, 2 refused, 3 and 4 missing
+        def mixed(name):
+            cache = str(tmp_path / name)
+            assert run(capsys, "cache", "build", "--n", "2", "--cache-dir", cache)[0] == EXIT_OK
+            (Path(cache) / "psi_k3_n2.json").write_text("{}")
+            return cache
+
+        cache = mixed("c")
+        rc, out, err = run(capsys, "cache", "build", "--n", "4", "--cache-dir", cache)
+        assert rc == EXIT_OK
+        assert [line.split()[0] for line in out.splitlines()] == ["kept", "wrote", "wrote", "wrote"]
+        assert err.count("warning: ignoring") == 1
+        argv = ("verify", "--n", "4", "--format", "json", "--cache-dir")
+        rc, out, _ = run(capsys, *argv, mixed("fresh"))
+        assert (rc, out) == run(capsys, *argv, "")[:2]
+
     def test_clear(self, capsys, tmp_path):
         cache = str(tmp_path / "c")
         run(capsys, "cache", "build", "--n", "1", "--cache-dir", cache)

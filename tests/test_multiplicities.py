@@ -1226,6 +1226,30 @@ class TestCache:
         ctx.psi_schur(1)
         assert path in ctx.ignored_cache_files
 
+    def test_verify_on_partial_cache_loads_each_file_once(self, tmp_path, monkeypatch):
+        # degrees 1 and 3 usable, 2 refused, 4 missing: the warm rebuild
+        # stops at degree 2, and psi_schur reads no file a second time
+        cache = str(tmp_path)
+        cold = build_context(3, 4, cache)
+        for n in (1, 3):
+            cold.psi_schur(n)
+        bad = cache_path(cache, 3, 2)
+        with open(bad, "w") as fh:
+            fh.write("{}")
+        loads = []
+        real = mult.load_cache
+
+        def counted(cache_dir, k, n):
+            loads.append(n)
+            return real(cache_dir, k, n)
+
+        monkeypatch.setattr(mult, "load_cache", counted)
+        warm = MasterContext(3, 4, cache)
+        report = verify_suite(warm)
+        assert sorted(loads) == [1, 2, 3, 4]
+        assert warm.ignored_cache_files == [bad]
+        assert report.to_json() == verify_suite(MasterContext(3, 4, None)).to_json()
+
     def test_committed_fixture_loads_and_matches(self):
         # tests/data/cache_v<CACHE_VERSION> holds k = 3, n <= 2 files written
         # by save_cache; a change of the file format must bump CACHE_VERSION
