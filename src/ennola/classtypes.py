@@ -1,0 +1,226 @@
+"""One entry of T, U, U', V and V' by the sum over class types, without
+the k-fold tables.
+
+The u-deformed product prod_m (psi_m Omega)^{phi_{u,m}}, whose Schur
+coefficients are u T (multiplicities.T_poly_product_oracle), expands
+binomially, (psi_m Omega)^phi = sum_r binom(phi, r) (psi_m Omega - 1)^r,
+into a sum over the class types of size n: multisets tau of atoms
+(m, nu), m >= 1 and nu a nonempty partition, with sum m |nu| = n.  For a
+multipartition mu of n with k components
+
+    u T_mu(u, q) = sum_tau c_tau / A_tau * prod_i <s_{mu^i}, F_tau>,
+
+- c_tau = prod_m falling(phi_{u,m}, r_m) / prod over the distinct atoms
+  of mult!, r_m the number of atoms with that m, phi_{u,m} = phi_u(m)/m;
+- A_tau = prod a_nu(q^m), the centralizer orders;
+- F_tau = prod psi_m H~_nu on one alphabet, psi_m sending p_rho to
+  p_{m rho} and q to q^m.
+
+Each term is a scalar times F_tau(x_1) ... F_tau(x_k), so the pairing
+with s_{mu^1}(x_1) ... s_{mu^k}(x_k) splits into k one-alphabet ones and
+the number of terms depends on n alone.  At u = 1 this is the Frobenius
+sum over the class types of GL_n(F_q) (Green, 1955), at (u, q) =
+(-1, -q) over those of GU_n(F_q) (Ennola, 1963).
+
+Every A_tau divides q^E (q;q)_n, E = max_tau sum m (|nu| + 2 n(nu)) =
+n^2 (at the one atom (1, 1^n)), since prod_j (q^m_j; q^m_j)_{r_j}
+divides (q;q)_n when sum m_j r_j <= n.  So the sum runs on integer
+numerators over that one denominator and an integer L, on packed
+integers (coeffs.pack) with the digit size from an a priori bound, and
+ends in one exact division; a remainder is a broken invariant and
+raises AssertionError.
+"""
+
+from __future__ import annotations
+
+from collections import Counter
+from functools import lru_cache
+from math import factorial, lcm, prod
+
+from .characters import character_value
+from .coeffs import ONE, Q, U, ZERO, PolyQU, norm1, pack, poly_exact_div, unpack
+from .hall_littlewood import transformed_hl
+from .partitions import (
+    Partition,
+    a_poly,
+    check_multipartition,
+    dual,
+    enumerate_partitions,
+    mobius,
+    multipartition_to_text,
+    multiplicities,
+    n_stat,
+    q_pochhammer,
+    size,
+    z_lambda,
+)
+
+MINUS_ONE = ONE.scale(-1)
+
+
+def phi_u(d: int) -> PolyQU:
+    """d phi_{u,d}, an integer polynomial, for the orbit count phi_{u,d} =
+    (1/d) sum over r | d of mu(r) u^{d/r} (q^{d/r} - 1), which is
+    integer-valued at every integer q and u."""
+    if d < 1:
+        raise ValueError("d must be positive")
+    acc = PolyQU()
+    for r in range(1, d + 1):
+        if d % r == 0 and mobius(r):
+            e = d // r
+            acc = acc + ((U ** e) * (Q ** e - ONE)).scale(mobius(r))
+    return acc
+
+
+def _multitype_signs(mt) -> tuple[int, int]:
+    """The signs s, s' of V(q) = s H(q) and V'(q) = s' H(-q), H the pairing
+    multiplicities.H_omega, and of U'(q) = s' T(-1, -q) on a multipartition:
+    s = (-1)^r and s' = (-1)^(r' + n_dual + n + 1), where with k components
+    of size n and w the sum of m |lam| over all entries, r = k n + w and
+    r' = k ceil(n/2) + w, and n_dual sums m d n(lam') over all entries.  A
+    multipartition's components are the types ((1, lam, 1),)."""
+    k, n = len(mt), sum(m * d * size(lam) for d, lam, m in mt[0])
+    w = sum(m * size(lam) for comp in mt for _, lam, m in comp)
+    nd = sum(m * d * n_stat(dual(lam)) for comp in mt for d, lam, m in comp)
+    return (-1) ** (k * n + w), (-1) ** (k * ((n + 1) // 2) + w + nd + n + 1)
+
+
+# (u, q) at which each family reads T, and whether s' signs it; s = 1 on
+# a multipartition, so V' = s' V(-q)
+SPECIALIZATIONS = {
+    "T": (None, None, False),
+    "U": (ONE, None, False),
+    "Uprime": (MINUS_ONE, -Q, True),
+    "V": (ZERO, None, False),
+    "Vprime": (ZERO, -Q, True),
+}
+
+
+def specialize(which: str, t: PolyQU, mu) -> PolyQU:
+    """T, U, U', V or V' at the multipartition mu from its T."""
+    u, q, signed = SPECIALIZATIONS[which]
+    val = t.subst(q=q, u=u)
+    return val.scale(_multitype_signs(tuple(((1, lam, 1),) for lam in mu))[1]) if signed else val
+
+
+@lru_cache(maxsize=None)
+def class_types(n: int) -> tuple[tuple[tuple[int, Partition], ...], ...]:
+    """The class types of size n, each a tuple of atoms (m, nu) in
+    ascending order, an atom repeated as often as it occurs."""
+    atoms = [(m * j, (m, nu)) for m in range(1, n + 1) for j in range(1, n // m + 1)
+             for nu in enumerate_partitions(j)]
+
+    def rec(first: int, rest: int):
+        if not rest:
+            yield ()
+        for i in range(first, len(atoms)):
+            weight, atom = atoms[i]
+            if weight <= rest:
+                for tail in rec(i, rest - weight):
+                    yield (atom,) + tail
+
+    return tuple(rec(0, n))
+
+
+@lru_cache(maxsize=None)
+def _green(nu: Partition) -> tuple:
+    """H~_nu on the power sums times |nu|!: the pairs (rho, |nu|!/z_rho
+    Q^nu_rho(q)) with Q^nu_rho = sum_lam chi^lam(rho) K~_{lam nu}(q), the
+    Green polynomial, nonzero."""
+    j, out = size(nu), []
+    for rho in enumerate_partitions(j):
+        acc: dict = {}
+        for (lam,), kf in transformed_hl(nu).items():
+            if c := character_value(lam, rho):
+                for mono, v in kf.terms.items():
+                    acc[mono] = acc.get(mono, 0) + c * v
+        if green := PolyQU(acc):
+            out.append((rho, green.scale(factorial(j) // z_lambda(rho))))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _atom(m: int, nu: Partition) -> tuple:
+    """The atom (m, nu) as (pairs, norm, shift, ts): psi_m of _green(nu),
+    the pairs (m rho, |nu|!/z_rho Q^nu_rho(q^m)); the sum of their
+    1-norms; and a_nu(q^m) = q^shift prod over ts of (q^t - 1), read off
+    a_nu(q) = q^s prod over the multiplicities r of nu of (q;q)_r."""
+    pairs = tuple((tuple(m * p for p in rho), g.subst(q=Q ** m)) for rho, g in _green(nu))
+    s = min(i for i, _ in a_poly(nu).terms)
+    ts = tuple(m * t for r in multiplicities(nu).values() for t in range(1, r + 1))
+    return pairs, sum(norm1(g) for _, g in pairs), m * s, ts
+
+
+@lru_cache(maxsize=None)
+def _cofactor(n: int, ts: tuple) -> PolyQU:
+    """(q;q)_n / prod over ts of (q^t - 1), A_tau's factors other than its
+    power of q: a polynomial, as the module docstring shows."""
+    cof = poly_exact_div(q_pochhammer(n), prod((Q ** t - ONE for t in ts), start=ONE))
+    if cof is None:
+        raise AssertionError(f"(q;q)_{n} is not a multiple of the factors {ts}")
+    return cof
+
+
+def _pairings(tau, shapes, packed: dict) -> list[int]:
+    """[<s_lam, F_tau> times the |nu|! of its atoms, packed] for lam in
+    shapes: F_tau's power-sum expansion is the product of its atoms',
+    each coefficient read through packed."""
+    f = {(): 1}
+    for atom in tau:
+        nxt: dict = {}
+        for sig, c in f.items():
+            for rho, g in packed[atom]:
+                key = tuple(sorted(sig + rho, reverse=True))
+                nxt[key] = nxt.get(key, 0) + c * g
+        f = nxt
+    return [sum(c * character_value(lam, sig) for sig, c in f.items()) for lam in shapes]
+
+
+def t_poly(mu) -> PolyQU:
+    """T_mu(u, q) for a multipartition mu of n >= 1: u T_mu summed over
+    the class types on packed integers, over L q^(n^2) (q;q)_n."""
+    mu = check_multipartition(mu)
+    k, n = len(mu), size(mu[0])
+    if n < 1:
+        raise ValueError(f"a multipartition of size at least 1, got {n}")
+    shapes = sorted(set(mu))
+    power = [mu.count(lam) for lam in shapes]
+    falling: dict = {}  # prod over m of m^r_m falling(phi_{u,m}, r_m), by the power of u
+    terms = []
+    for tau in class_types(n):
+        atoms = [_atom(*atom) for atom in tau]
+        profile = tuple(sorted(Counter(m for m, _ in tau).items()))
+        if profile not in falling:
+            c = prod((phi_u(m) - PolyQU.const(j * m) for m, r in profile for j in range(r)),
+                     start=ONE)
+            falling[profile] = {j: c.coeff_of_u(j) for j in range(c.udeg() + 1)}
+        ts = tuple(sorted(t for *_, a_ts in atoms for t in a_ts))
+        scale = prod(m ** r for m, r in profile) * prod(map(factorial, Counter(tau).values()))
+        scale *= prod(factorial(size(nu)) for _, nu in tau) ** k
+        norm = prod(a[1] for a in atoms) ** k
+        terms.append((tau, scale, profile, ts, n * n - sum(a[2] for a in atoms), norm))
+    L = lcm(*(term[1] for term in terms))
+    # the scaled <s_lam, F_tau> has 1-norm at most chi^lam(1^n), the
+    # largest |chi^lam|, times the product of its atoms' 1-norms
+    dims = prod(character_value(lam, (1,) * n) for lam in mu)
+    bound = dims * sum(L // scale * norm1(_cofactor(n, ts)) * norm
+                       * sum(map(norm1, falling[profile].values()))
+                       for _, scale, profile, ts, _, norm in terms)
+    B = bound.bit_length() + 1
+    packed = {atom: [(rho, pack(g, B, 1)) for rho, g in _atom(*atom)[0]]
+              for atom in {atom for tau, *_ in terms for atom in tau}}
+    sums: dict[int, int] = {}  # by the power of u
+    for tau, scale, profile, ts, shift, _ in terms:
+        x = L // scale * pack(_cofactor(n, ts), B, 1) << B * shift
+        x *= prod(p ** e for p, e in zip(_pairings(tau, shapes, packed), power))
+        for j, c_j in falling[profile].items():
+            sums[j] = sums.get(j, 0) + x * pack(c_j, B, 1)
+    # a number of b bits has at most b // B + 2 balanced digits, so with
+    # W that large every digit is a power of q
+    total = PolyQU({(i, j): c for j, s in sums.items()
+                    for (i, _), c in unpack(s, B, s.bit_length() // B + 2).terms.items()})
+    ut = poly_exact_div(total, (Q ** (n * n) * q_pochhammer(n)).scale(L))
+    if ut is None or any(j == 0 for _, j in ut.terms):
+        raise AssertionError(f"the class-type sum at {multipartition_to_text(mu)} "
+                             "is not u times a polynomial")
+    return PolyQU({(i, j - 1): c for (i, j), c in ut.terms.items()})

@@ -23,8 +23,9 @@ from .partitions import (
 )
 
 # The pipeline (multiplicities, and types for --type) is imported by the
-# commands that run it, so `pair` and `table` for kron, --help and a usage
-# error never compile it.
+# commands that run it, and the class-type sum by `pair --mu`, so `pair
+# --mu` never compiles the pipeline, and `pair` and `table` for kron,
+# --help and a usage error compile neither.
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -80,8 +81,10 @@ def _warn_cache(ctx) -> None:
 
 
 def _values(which: str, k: int, n: int, cache_dir: str, keys) -> list:
-    """(key, polynomial) for each key of one family, with the warnings of
-    the cache it read; kron needs neither the pipeline nor a cache."""
+    """(key, polynomial) for each key of one family, from the k-fold
+    tables of a MasterContext (`table` and `pair --type`), with the
+    warnings of the cache it read; kron needs neither the pipeline nor a
+    cache."""
     name = FAMILIES[which][1]
     if name is None:
         return [(key, PolyQU.const(kronecker(key))) for key in keys]
@@ -104,6 +107,10 @@ def _csv(column: str, k: int, lines) -> str:
 
 
 def cmd_pair(req: argparse.Namespace) -> int:
+    """One polynomial.  A `--type` key is answered from the k-fold tables
+    (`_values`), which read and write the cache; a `--mu` key by the sum
+    over class types, which needs no table and no cache, and kron by
+    characters.  --cache-dir is accepted either way."""
     if req.type_literal is not None:
         if not FAMILIES[req.which][2]:
             typed = " or ".join(w for w, fam in FAMILIES.items() if fam[2])
@@ -120,7 +127,12 @@ def cmd_pair(req: argparse.Namespace) -> int:
             raise UsageError(f"--mu must have size at least 1, got {n}")
         labels, column = [partition_to_text(c) for c in key], "mu"
 
-    [(_, val)] = _values(req.which, k, n, req.cache_dir, [key])
+    if req.type_literal is None and FAMILIES[req.which][1] is not None:
+        from .classtypes import specialize, t_poly
+
+        val = specialize(req.which, t_poly(key), key)
+    else:
+        [(_, val)] = _values(req.which, k, n, req.cache_dir, [key])
     if req.fmt == "text":
         print(poly_to_str(val))
     elif req.fmt == "json":

@@ -47,27 +47,22 @@ from .coeffs import (
     unpack,
 )
 from .characters import kronecker
+from .classtypes import MINUS_ONE, _multitype_signs, phi_u, specialize
 from .hall_littlewood import transformed_hl
 from .partitions import (
     MultiPartition,
     a_poly,
     check_multipartition,
-    dual,
     enumerate_partitions,
+    mobius,
     multipartition_to_text,
     multipartitions,
-    n_stat,
     parse_partition,
     partition_to_text,
     q_pochhammer,
     size,
 )
-from .symfunc import (
-    GradedSeries,
-    SymFunc,
-    mobius,
-    tensor_expand,
-)
+from .symfunc import GradedSeries, SymFunc, tensor_expand
 from .types import (
     TypeEntries,
     from_partition,
@@ -77,21 +72,6 @@ from .types import (
 )
 
 CACHE_VERSION = 3
-MINUS_ONE = ONE.scale(-1)
-
-
-def phi_u(d: int) -> PolyQU:
-    """d phi_{u,d}, an integer polynomial, for the orbit count phi_{u,d} =
-    (1/d) sum over r | d of mu(r) u^{d/r} (q^{d/r} - 1), which is
-    integer-valued at every integer q and u."""
-    if d < 1:
-        raise ValueError("d must be positive")
-    acc = PolyQU()
-    for r in range(1, d + 1):
-        if d % r == 0 and mobius(r):
-            e = d // r
-            acc = acc + ((U ** e) * (Q ** e - ONE)).scale(mobius(r))
-    return acc
 
 
 def phi_prime(d: int) -> PolyQU:
@@ -115,12 +95,13 @@ class MasterContext:
     its u-exponential, and per-degree Schur coefficient tables.  All the
     heavy series are built lazily.  A disk cache holds one file per degree,
     the master series' Schur table; a context reads each file at most once,
-    in stored_psi_schur, and only psi_schur writes one.  So a
-    V or V' query of size n reads and writes only the degree-n file and
-    never builds the master series from a warm cache; verify and
-    `cache build` write every missing degree; T, U and U' rebuild the master
-    series from all N files when each is present and never write one.  A
-    failed cache write does not stop a query; it is kept in
+    in stored_psi_schur, and only psi_schur writes one.  So a V or V'
+    `pair --type` query of size n reads and writes only the degree-n file
+    and never builds the master series from a warm cache (`pair --mu`
+    takes the class-type sum and builds no context); verify and `cache
+    build` write every missing degree; T, U and U' tables rebuild the
+    master series from all N files when each is present and never write
+    one.  A failed cache write does not stop a query; it is kept in
     cache_write_error."""
 
     def __init__(self, k: int, N: int, cache_dir: str | None = None):
@@ -301,18 +282,6 @@ def H_omega(ctx: MasterContext, mt) -> PolyQU:
     return total
 
 
-def _multitype_signs(mt) -> tuple[int, int]:
-    """The signs s, s' of V(q) = s H(q) and V'(q) = s' H(-q), H the pairing
-    H_omega, and of U'(q) = s' T(-1, -q) on a multipartition: s = (-1)^r
-    and s' = (-1)^(r' + n_dual + n + 1), where with k components of size n
-    and w the sum of m |lam| over all entries, r = k n + w and
-    r' = k ceil(n/2) + w, and n_dual sums m d n(lam') over all entries."""
-    k, n = len(mt), type_size(mt[0])
-    w = sum(m * size(lam) for comp in mt for _, lam, m in comp)
-    nd = sum(m * d * n_stat(dual(lam)) for comp in mt for d, lam, m in comp)
-    return (-1) ** (k * n + w), (-1) ** (k * ((n + 1) // 2) + w + nd + n + 1)
-
-
 def V_pair(ctx: MasterContext, omega) -> tuple[PolyQU, PolyQU]:
     """The generic multiplicities (V, V') for the split and the twisted
     form, from one pairing H = H_omega: V(q) = (-1)^r H(q) and, by the
@@ -343,13 +312,12 @@ def T_poly(ctx: MasterContext, mu: MultiPartition) -> PolyQU:
 
 
 def U_poly(ctx: MasterContext, mu: MultiPartition) -> PolyQU:
-    return T_poly(ctx, mu).subst(u=ONE)
+    return specialize("U", T_poly(ctx, mu), mu)
 
 
 def Uprime_poly(ctx: MasterContext, mu: MultiPartition) -> PolyQU:
-    """U'(q) = s' T(-1, -q), s' the sign of V' (_multitype_signs)."""
-    val = T_poly(ctx, mu).subst(q=-Q, u=MINUS_ONE)
-    return val.scale(_multitype_signs(as_multitype(mu))[1])
+    """U'(q) = s' T(-1, -q), s' the sign of V' (classtypes.specialize)."""
+    return specialize("Uprime", T_poly(ctx, mu), mu)
 
 
 # infinite-product oracles

@@ -1,5 +1,6 @@
 """Integer partitions, their statistics, the centralizer orders of
-unipotent classes as polynomials in q, and the text syntax.
+unipotent classes as polynomials in q, the Moebius function, and the text
+syntax.
 
 A partition is a plain tuple of weakly decreasing positive ints (the empty
 tuple is the zero partition); a multipartition is a tuple of k partitions
@@ -71,6 +72,24 @@ def z_lambda(lam: Partition) -> int:
     for part, m in multiplicities(lam).items():
         z *= part**m * factorial(m)
     return z
+
+
+@lru_cache(maxsize=None)
+def mobius(n: int) -> int:
+    if n < 1:
+        raise ValueError("mobius expects a positive integer")
+    out = 1
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            n //= d
+            if n % d == 0:
+                return 0
+            out = -out
+        d += 1
+    if n > 1:
+        out = -out
+    return out
 
 
 @lru_cache(maxsize=None)

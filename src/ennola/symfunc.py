@@ -321,24 +321,6 @@ class SymFunc:
         return dict(sorted(nums.over(ONE).coeffs.items()))
 
 
-@lru_cache(maxsize=None)
-def mobius(n: int) -> int:
-    if n < 1:
-        raise ValueError("mobius expects a positive integer")
-    out = 1
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            n //= d
-            if n % d == 0:
-                return 0
-            out = -out
-        d += 1
-    if n > 1:
-        out = -out
-    return out
-
-
 class GradedSeries:
     """Series sum_{n=0..N} f_n T^n, f_n a SymFunc of degree n, truncated
     at T^N; the constant term f_0 sits on the one key ((),) * k.

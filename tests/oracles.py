@@ -109,13 +109,14 @@ from ennola.partitions import (
     a_poly,
     dual,
     enumerate_partitions,
+    mobius,
     multipartitions,
     n_stat,
     q_pochhammer,
     size,
     z_lambda,
 )
-from ennola.symfunc import GradedSeries, SymFunc, mobius
+from ennola.symfunc import GradedSeries, SymFunc
 from ennola.types import (
     TypeEntries,
     make_type,

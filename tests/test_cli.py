@@ -8,6 +8,8 @@ import json
 import os
 import subprocess
 import sys
+from functools import lru_cache
+from itertools import combinations_with_replacement
 from pathlib import Path
 
 import pytest
@@ -21,6 +23,7 @@ from ennola.cli import (
     WHICH_CHOICES,
     main,
 )
+from ennola.partitions import enumerate_partitions, parse_partition, partition_to_text
 
 DATA = Path(__file__).parent / "data"
 
@@ -302,6 +305,89 @@ class TestSharedRows:
         assert out == header.replace("mu", "type") + f"\n{literal}{line[len(mu):]}\n"
 
 
+class TestClassTypeSum:
+    """`pair --mu` answers by the sum over class types (ennola.classtypes),
+    while `table` and `pair --type` read the k-fold tables of the
+    pipeline: the two routes give the same polynomials, and a broken
+    invariant of the sum is an internal error."""
+
+    FAMILIES = ("T", "U", "Uprime", "V", "Vprime")
+
+    @staticmethod
+    def orderings(k: int, n: int) -> list[list[str]]:
+        """Each sorted key of k partitions of n, and one other ordering of
+        it where it has one, as lists of partition literals."""
+        out = []
+        for key in combinations_with_replacement(sorted(enumerate_partitions(n)), k):
+            labels = [partition_to_text(c) for c in key]
+            out.append(labels)
+            if len(set(labels)) > 1:
+                out.append(labels[1:] + labels[:1])
+        return out
+
+    @pytest.mark.parametrize("k,n", [(3, 5), (4, 4), (2, 6), (5, 3), (1, 8)],
+                             ids=["k3-n5", "k4-n4", "k2-n6", "k5-n3", "k1-n8"])
+    def test_pair_is_the_table_row(self, capsys, monkeypatch, k, n):
+        # T is summed once per ordering and read by every family
+        import ennola.classtypes as ct
+
+        monkeypatch.setattr(ct, "t_poly", lru_cache(maxsize=None)(ct.t_poly))
+        for which in self.FAMILIES:
+            rc, out, _ = run(capsys, "table", "--which", which, "--k", str(k), "--n", str(n),
+                             "--format", "json", "--cache-dir", "")
+            assert rc == EXIT_OK
+            rows = {tuple(row["mu"]): row for row in json.loads(out)["rows"]}
+            for labels in self.orderings(k, n):
+                rc, out, _ = run(capsys, "pair", "--which", which, "--mu", ",".join(labels),
+                                 "--format", "json", "--cache-dir", "")
+                assert rc == EXIT_OK
+                got = json.loads(out)
+                want = rows.get(tuple(sorted(labels, key=parse_partition)),
+                                {"poly": [], "text": "0"})
+                assert (got["mu"], got["poly"], got["text"]) == (
+                    labels, want["poly"], want["text"]), (which, labels)
+
+    @pytest.mark.parametrize("k,n", [(3, 4), (4, 3)], ids=["k3-n4", "k4-n3"])
+    def test_generic_mu_is_the_degree_one_multitype(self, capsys, tmp_path, k, n):
+        # the --type route reads the degree-n table of a warm cache
+        cache = str(tmp_path / "c")
+        assert run(capsys, "cache", "build", "--k", str(k), "--n", str(n),
+                   "--cache-dir", cache)[0] == EXIT_OK
+        for labels in self.orderings(k, n):
+            mu = ",".join(labels)
+            mt = ",".join("1:" + ".".join(map(str, parse_partition(c))) for c in labels)
+            for which in ("V", "Vprime"):
+                by_sum = run(capsys, "pair", "--which", which, "--mu", mu, "--cache-dir", "")
+                by_table = run(capsys, "pair", "--which", which, "--type", mt, "--cache-dir", cache)
+                assert by_sum == by_table and by_sum[0] == EXIT_OK, (which, mu, mt)
+
+    @pytest.mark.parametrize("mu,message", [
+        (((), ()), "a multipartition of size at least 1, got 0"),
+        (((1, 2), (3,)), "partition parts must be weakly decreasing, got (1, 2)"),
+        (((2, 1), (2,)), "components of ((2, 1), (2,)) have different sizes"),
+    ], ids=["size-0", "increasing", "sizes-differ"])
+    def test_refusals(self, mu, message):
+        from ennola.classtypes import t_poly
+
+        with pytest.raises(ValueError) as exc:
+            t_poly(mu)
+        assert str(exc.value) == message
+
+    def test_broken_sum_exits_internal(self, capsys, monkeypatch):
+        # failure injection: an orbit count off by u leaves a sum that is
+        # not u times a polynomial
+        import ennola.classtypes as ct
+        from ennola.coeffs import U
+
+        real = ct.phi_u
+        monkeypatch.setattr(ct, "phi_u", lambda d: real(d) + U)
+        rc, out, err = run(capsys, "pair", "--which", "T", "--mu", "2.1,2.1,1^3",
+                           "--cache-dir", "")
+        assert (rc, out) == (EXIT_INTERNAL, "")
+        assert err == ("internal error: the class-type sum at 2.1,2.1,1^3 "
+                       "is not u times a polynomial\n")
+
+
 class TestTexGoldens:
     """CLI tex output must agree byte-for-byte with the frozen reference
     files for every table small enough to recompute quickly here; the n = 5
@@ -409,7 +495,8 @@ class TestInternalErrors:
         # failure injection: a kernel with a spurious 1/(q + 1) does not
         # divide over the closed-form denominator of its logarithm; dropping
         # the factor u from Exp(u Psi) breaks the divisibility that T
-        # relies on
+        # relies on.  `pair --mu` takes the class-type sum, so the k-fold
+        # pipeline is reached through `pair --type` (V) and `table` (T)
         import ennola.multiplicities as mult
         from ennola.coeffs import ONE, Q
         from ennola.symfunc import SymFunc
@@ -428,27 +515,27 @@ class TestInternalErrors:
         else:
             monkeypatch.setattr(mult.MasterContext, "exp_u_psi",
                                 property(lambda ctx: pleth_exp(ctx.psi)))
-        rc, out, err = run(
-            capsys, "pair", "--which", which, "--mu", "1,1,1",
-            "--cache-dir", str(tmp_path / "c"),
-        )
+        argv = (("pair", "--which", which, "--type", "1:1,1:1,1:1") if which == "V"
+                else ("table", "--which", which, "--n", "1"))
+        rc, out, err = run(capsys, *argv, "--cache-dir", str(tmp_path / "c"))
         assert rc == EXIT_INTERNAL
         assert out == ""
         assert err.startswith(message)
 
     @pytest.mark.parametrize("argv", [
-        ("pair", "--which", "T", "--mu", "1,1,1"),
+        ("pair", "--which", "V", "--type", "1:1,1:1,1:1"),
         ("verify", "--n", "2"),
     ], ids=["pair", "verify"])
     def test_any_other_exception_exits_internal(self, capsys, monkeypatch, argv):
         # an exception outside the four classes is an internal error, not
-        # exit 1, which is the code of a failed verify identity
+        # exit 1, which is the code of a failed verify identity; both
+        # commands reach the master series' Schur table
         import ennola.multiplicities as mult
 
         def broken(ctx, n):
             raise RuntimeError("stage broke")
 
-        monkeypatch.setattr(mult.MasterContext, "tau_schur", broken)
+        monkeypatch.setattr(mult.MasterContext, "psi_schur", broken)
         rc, out, err = run(capsys, *argv, "--cache-dir", "")
         assert (rc, out) == (EXIT_INTERNAL, "")
         first, *trace = err.splitlines()
@@ -577,7 +664,7 @@ class TestCache:
         monkeypatch.chdir(cwd)
         monkeypatch.setenv("HOME", str(home))
         monkeypatch.setenv("XDG_CACHE_HOME", "rel")
-        argv = ("pair", "--which", "V", "--mu", "2,2,2")
+        argv = ("pair", "--which", "V", "--type", "1:2,1:2,1:2")
         want = run(capsys, *argv, "--cache-dir", "")
         assert run(capsys, *argv) == want
         assert list(cwd.iterdir()) == []
@@ -611,7 +698,7 @@ class TestCache:
         assert "error:" in err
 
     @pytest.mark.parametrize("argv", [
-        ("pair", "--which", "V", "--mu", "2.1,2.1,2.1"),
+        ("pair", "--which", "V", "--type", "1:2.1,1:2.1,1:2.1"),
         ("table", "--which", "V", "--n", "2"),
         ("verify", "--n", "2"),
     ], ids=["pair", "table", "verify"])
@@ -640,12 +727,9 @@ class TestCache:
         assert len(kept) == len(payload["entries"]) - 1
         payload["entries"] = kept
         Path(path).write_text(json.dumps(payload))
-        rc, out, err = run(
-            capsys, "pair", "--which", which, "--mu", "1^3,1^3,1^3",
-            "--cache-dir", cache,
-        )
+        rc, out, err = run(capsys, "table", "--which", which, "--n", "3", "--cache-dir", cache)
         assert rc == EXIT_OK
-        assert out == expected + "\n"
+        assert out.splitlines()[0] == "(1,1,1), (1,1,1), (1,1,1) → " + expected
         assert f"ignoring incompatible cache file {path}" in err
 
     @pytest.mark.parametrize("edited", [["1^3", "1^3", "2.1"], ["1^3", "2.1", "1^3"]])
@@ -657,8 +741,10 @@ class TestCache:
         # ignored, and the answer is the one computed with no cache
         import ennola.multiplicities as mult
 
-        mu = "2.1,1^3,1^3"
-        rc, want, _ = run(capsys, "pair", "--which", which, "--mu", mu, "--cache-dir", "")
+        # the multipartition 2.1,1^3,1^3 for V and V', the table for U and T
+        argv = (("pair", "--which", which, "--type", "1:2.1,1:1.1.1,1:1.1.1")
+                if which in ("V", "Vprime") else ("table", "--which", which, "--n", "3"))
+        rc, want, _ = run(capsys, *argv, "--cache-dir", "")
         assert rc == EXIT_OK
         cache = str(tmp_path / "c")
         run(capsys, "cache", "build", "--n", "3", "--cache-dir", cache)
@@ -671,7 +757,7 @@ class TestCache:
         payload["count"] = len(payload["entries"])
         payload["sha256"] = mult._entries_digest(payload["entries"])
         Path(path).write_text(json.dumps(payload))
-        rc, out, err = run(capsys, "pair", "--which", which, "--mu", mu, "--cache-dir", cache)
+        rc, out, err = run(capsys, *argv, "--cache-dir", cache)
         assert rc == EXIT_OK
         assert out == want
         assert f"ignoring incompatible cache file {path}" in err
@@ -679,20 +765,22 @@ class TestCache:
     @pytest.mark.parametrize("field,value,queries", [
         # each passed the count and digest checks and reached parse_partition
         # or PolyQU unchecked
-        ("mu", [2, 2, 2], [("V", "2,2,2")]),
-        ("qdeg", -1, [("V", "1^3,1^3,1^3"), ("T", "2.1,2.1,1^3")]),
-        ("qdeg", 1.5, [("V", "1^3,1^3,1^3")]),
-        ("qdeg", True, [("V", "1^3,1^3,1^3")]),
-        ("mu", ["1,1", "1,1", "1,1"], [("V", "1^2,1^2,1^2")]),
+        ("mu", [2, 2, 2], [("V", "--type", "1:2,1:2,1:2")]),
+        ("qdeg", -1, [("V", "--type", "1:1.1.1,1:1.1.1,1:1.1.1"), ("T", "--n", "3")]),
+        ("qdeg", 1.5, [("V", "--type", "1:1.1.1,1:1.1.1,1:1.1.1")]),
+        ("qdeg", True, [("V", "--type", "1:1.1.1,1:1.1.1,1:1.1.1")]),
+        ("mu", ["1,1", "1,1", "1,1"], [("V", "--type", "1:1.1,1:1.1,1:1.1")]),
     ], ids=["int-partition-text", "negative-exponent", "float-exponent", "bool-exponent",
             "comma-partition-text"])
     def test_malformed_field_is_ignored(self, capsys, tmp_path, field, value, queries):
         # one entry's field replaced under a rewritten digest: the file is
-        # ignored with one warning, and each answer is the no-cache one
+        # ignored with one warning, and each answer is the no-cache one; a
+        # query is a V `pair --type` or a T `table`
         import ennola.multiplicities as mult
 
-        for which, mu in queries:
-            rc, want, _ = run(capsys, "pair", "--which", which, "--mu", mu, "--cache-dir", "")
+        for which, *literal in queries:
+            argv = ("pair" if literal[0] == "--type" else "table", "--which", which, *literal)
+            rc, want, _ = run(capsys, *argv, "--cache-dir", "")
             assert rc == EXIT_OK
             cache = str(tmp_path / which)
             n = 2 if field == "mu" else 3
@@ -706,7 +794,7 @@ class TestCache:
                 entry["poly"][0][1] = value
             payload["sha256"] = mult._entries_digest(payload["entries"])
             Path(path).write_text(json.dumps(payload))
-            rc, out, err = run(capsys, "pair", "--which", which, "--mu", mu, "--cache-dir", cache)
+            rc, out, err = run(capsys, *argv, "--cache-dir", cache)
             assert (rc, out) == (EXIT_OK, want)
             assert err == f"warning: ignoring incompatible cache file {path}; recomputing\n"
 
@@ -718,9 +806,9 @@ class TestCache:
 
         cache = tmp_path / "c"
         shutil.copytree(DATA / "cache_v2", cache)
-        want = run(capsys, "pair", "--which", "V", "--mu", "1^2,1^2,1^2", "--cache-dir", "")
-        rc, out, err = run(capsys, "pair", "--which", "V", "--mu", "1^2,1^2,1^2",
-                           "--cache-dir", str(cache))
+        argv = ("pair", "--which", "V", "--type", "1:1.1,1:1.1,1:1.1")
+        want = run(capsys, *argv, "--cache-dir", "")
+        rc, out, err = run(capsys, *argv, "--cache-dir", str(cache))
         assert (rc, out) == want[:2]
         assert err.splitlines() == [f"warning: ignoring incompatible cache file "
                                     f"{cache / name}; recomputing"
@@ -729,14 +817,16 @@ class TestCache:
         assert json.loads((cache / "psi_k3_n1.json").read_text())["version"] == 2
 
     def test_only_v_queries_verify_and_build_write(self, capsys, tmp_path):
-        # psi_schur alone saves: a V or V' query writes its own degree,
-        # verify and cache build every degree, and T, U, U' none
+        # psi_schur alone saves: a V or V' `pair --type` query writes its
+        # own degree, verify and cache build every degree, T, U and U'
+        # tables none, and `pair --mu`, which takes the class-type sum, none
         every = ["psi_k3_n1.json", "psi_k3_n2.json", "psi_k3_n3.json"]
         runs = [
             (("table", "--which", "T", "--n", "3"), []),
-            (("pair", "--which", "U", "--mu", "2.1,2.1,1^3"), []),
-            (("pair", "--which", "Uprime", "--mu", "2.1,2.1,1^3"), []),
-            (("pair", "--which", "V", "--mu", "2.1,2.1,1^3"), ["psi_k3_n3.json"]),
+            (("table", "--which", "U", "--n", "3"), []),
+            (("table", "--which", "Uprime", "--n", "3"), []),
+            (("pair", "--which", "V", "--mu", "2.1,2.1,1^3"), []),
+            (("pair", "--which", "V", "--type", "1:2.1,1:2.1,1:1.1.1"), ["psi_k3_n3.json"]),
             (("pair", "--which", "Vprime", "--type", "2:1,2:1,2:1"), ["psi_k3_n2.json"]),
             (("table", "--which", "V", "--n", "3"), ["psi_k3_n3.json"]),
             (("verify", "--n", "3"), every),
@@ -752,7 +842,7 @@ class TestCache:
         # nested arrays: the file is ignored like any other bad file
         from ennola.multiplicities import cache_path
 
-        argv = ("pair", "--which", "V", "--mu", "1,1,1")
+        argv = ("pair", "--which", "V", "--type", "1:1,1:1,1:1")
         want = run(capsys, *argv, "--cache-dir", "")
         cache = str(tmp_path / "c")
         os.makedirs(cache)
@@ -770,7 +860,7 @@ class TestCache:
         with open(cache_path(cache, 3, 2), "w") as fh:
             fh.write('{"version": -99}')
         rc, out, err = run(
-            capsys, "pair", "--which", "V", "--mu", "1^2,1^2,2",
+            capsys, "pair", "--which", "V", "--type", "1:1.1,1:1.1,1:2",
             "--cache-dir", cache,
         )
         assert rc == EXIT_OK
@@ -868,8 +958,9 @@ class TestStartupImports:
     interpreter holds after the CLI queries below, minus those it holds
     after `python -c pass` (site may preload some, typing among them),
     include none of the heavy standard modules that dataclasses and
-    fractions would pull in; and the Kronecker queries, --help and usage
-    errors load none of the pipeline's modules."""
+    fractions would pull in; the Kronecker queries, --help and usage
+    errors load none of the pipeline's modules; and `pair --mu`, which
+    takes the class-type sum, loads none of the k-fold tables' modules."""
 
     HEAVY = {"dataclasses", "inspect", "fractions", "decimal", "numbers", "typing"}
 
@@ -884,7 +975,7 @@ class TestStartupImports:
     ]
 
     PIPELINE = {"ennola.multiplicities", "ennola.symfunc", "ennola.hall_littlewood",
-                "ennola.types"}
+                "ennola.types", "ennola.classtypes"}
 
     NO_PIPELINE_QUERIES = [
         ["pair", "--which", "kron", "--mu", "2.1,2.1,1^3"],
@@ -917,6 +1008,19 @@ print(" ".join(sys.modules))
         loaded = set(modules.split()) - base
         assert "ennola.multiplicities" in loaded
         assert not loaded & self.HEAVY, sorted(loaded & self.HEAVY)
+
+    TABLES = {"ennola.multiplicities", "ennola.symfunc", "ennola.types"}
+
+    def test_pair_mu_loads_no_table_module(self, tmp_path):
+        cache = tmp_path / "cache"
+        queries = [["pair", "--which", w, "--mu", "2.1,2.1,1^3"]
+                   for w in ("V", "Vprime", "U", "Uprime", "T")]
+        *_, codes, modules = _child(self.CHILD, json.dumps(queries), str(cache))
+        assert codes == str([EXIT_OK] * len(queries))
+        loaded = set(modules.split())
+        assert "ennola.classtypes" in loaded
+        assert not loaded & self.TABLES, sorted(loaded & self.TABLES)
+        assert not cache.exists()
 
     def test_kron_and_usage_errors_load_no_pipeline(self, tmp_path):
         cache = tmp_path / "cache"
@@ -969,7 +1073,7 @@ class TestProcessEntry:
             gc.enable()
 
     QUERIES = [
-        ["pair", "--which", "T", "--mu", "2.1,2.1,1^3", "--cache-dir", ""],
+        ["pair", "--which", "V", "--type", "1:2.1,1:2.1,1:1.1.1", "--cache-dir", ""],
         ["pair", "--which", "V", "--mu", "2.1,2", "--cache-dir", ""],
         ["pair", "--which", "X", "--mu", "1,1,1"],
         ["--help"],

@@ -12,13 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ennola.coeffs import ONE, Q, ZERO, NotPolynomialError, PolyQU, U
-from ennola.partitions import enumerate_partitions, multipartitions, z_lambda
+from ennola.partitions import enumerate_partitions, mobius, multipartitions, z_lambda
 from ennola.characters import character_value
 from ennola.symfunc import (
     GradedSeries,
     SymFunc,
     basis_bound,
-    mobius,
     tensor_expand,
     _change_basis,
     _merged_orbits,

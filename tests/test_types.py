@@ -267,7 +267,7 @@ def _degree_poly_count(tau):
     from collections import Counter
 
     from ennola.coeffs import PolyQU
-    from ennola.symfunc import mobius
+    from ennola.partitions import mobius
 
     # d I_d as polynomial: sum_{e | d} mobius(e) q^{d/e}; for d = 1 drop x
     def irr_count_times_d(d):
