@@ -20,7 +20,11 @@ Each term is a scalar times F_tau(x_1) ... F_tau(x_k), so the pairing
 with s_{mu^1}(x_1) ... s_{mu^k}(x_k) splits into k one-alphabet ones and
 the number of terms depends on n alone.  At u = 1 this is the Frobenius
 sum over the class types of GL_n(F_q) (Green, 1955), at (u, q) =
-(-1, -q) over those of GU_n(F_q) (Ennola, 1963).
+(-1, -q) over those of GU_n(F_q) (Ennola, 1963).  The sum is linear in
+each component, so at a multitype the Schur-type products X_1 ... X_k
+(types.schur_of_type) take the place of the Schur functions: each X
+pairs with F_tau through its power-sum weights w_X(rho) = <X, p_rho>
+(power_weights), and T(0, q) is the pairing H of multiplicities.H_omega.
 
 Every A_tau divides q^E (q;q)_n, E = max_tau sum m (|nu| + 2 n(nu)) =
 n^2 (at the one atom (1, 1^n)), since prod_j (q^m_j; q^m_j)_{r_j}
@@ -85,22 +89,32 @@ def _multitype_signs(mt) -> tuple[int, int]:
     return (-1) ** (k * n + w), (-1) ** (k * ((n + 1) // 2) + w + nd + n + 1)
 
 
-# (u, q) at which each family reads T, and whether s' signs it; s = 1 on
-# a multipartition, so V' = s' V(-q)
+def _as_types(key) -> tuple:
+    """The components of a multitype, each in canonical form
+    (types.make_type), as they are; those of a multipartition, checked,
+    as the types ((1, lam, 1),)."""
+    if key and all(c and isinstance(c[0], tuple) for c in key):
+        return tuple(key)
+    return tuple(((1, lam, 1),) for lam in check_multipartition(key))
+
+
+# (u, q) at which each family reads T, and which of _multitype_signs' s
+# (0) and s' (1) signs it, if one does; s = 1 on a multipartition
 SPECIALIZATIONS = {
-    "T": (None, None, False),
-    "U": (ONE, None, False),
-    "Uprime": (MINUS_ONE, -Q, True),
-    "V": (ZERO, None, False),
-    "Vprime": (ZERO, -Q, True),
+    "T": (None, None, None),
+    "U": (ONE, None, None),
+    "Uprime": (MINUS_ONE, -Q, 1),
+    "V": (ZERO, None, 0),
+    "Vprime": (ZERO, -Q, 1),
 }
 
 
-def specialize(which: str, t: PolyQU, mu) -> PolyQU:
-    """T, U, U', V or V' at the multipartition mu from its T."""
-    u, q, signed = SPECIALIZATIONS[which]
+def specialize(which: str, t: PolyQU, key) -> PolyQU:
+    """T, U, U', V or V' at a multipartition, or V or V' at a multitype,
+    from T there."""
+    u, q, sign = SPECIALIZATIONS[which]
     val = t.subst(q=q, u=u)
-    return val.scale(_multitype_signs(tuple(((1, lam, 1),) for lam in mu))[1]) if signed else val
+    return val if sign is None else val.scale(_multitype_signs(_as_types(key))[sign])
 
 
 @lru_cache(maxsize=None)
@@ -161,30 +175,51 @@ def _cofactor(n: int, ts: tuple) -> PolyQU:
     return cof
 
 
-def _pairings(tau, shapes, packed: dict) -> list[int]:
-    """[<s_lam, F_tau> times the |nu|! of its atoms, packed] for lam in
-    shapes: F_tau's power-sum expansion is the product of its atoms',
-    each coefficient read through packed."""
+def _power_product(factors) -> dict:
+    """{rho: coefficient of p_rho} of a product, from each factor's pairs
+    (rho, coefficient of p_rho)."""
     f = {(): 1}
-    for atom in tau:
+    for pairs in factors:
         nxt: dict = {}
         for sig, c in f.items():
-            for rho, g in packed[atom]:
+            for rho, g in pairs:
                 key = tuple(sorted(sig + rho, reverse=True))
                 nxt[key] = nxt.get(key, 0) + c * g
         f = nxt
-    return [sum(c * character_value(lam, sig) for sig, c in f.items()) for lam in shapes]
+    return f
 
 
-def t_poly(mu) -> PolyQU:
-    """T_mu(u, q) for a multipartition mu of n >= 1: u T_mu summed over
-    the class types on packed integers, over L q^(n^2) (q;q)_n."""
-    mu = check_multipartition(mu)
-    k, n = len(mu), size(mu[0])
+@lru_cache(maxsize=None)
+def power_weights(tau) -> dict:
+    """The nonzero w(rho) = <X, p_rho> of the product X over the entries
+    (d, lam, m) of the type tau of psi_d s_lam, m times each: psi_d s_lam
+    = sum over rho of chi^lam(rho)/z_rho p_{d rho}, times |lam|! integer.
+    At the type ((1, lam, 1),) of a partition, w is chi^lam."""
+    factors = [[(tuple(d * p for p in rho), factorial(size(lam)) // z_lambda(rho) * c)
+                for rho in enumerate_partitions(size(lam)) if (c := character_value(lam, rho))]
+               for d, lam, m in tau for _ in range(m)]
+    scale = prod(factorial(size(lam)) ** m for _, lam, m in tau)
+    return {rho: c * z_lambda(rho) // scale for rho, c in _power_product(factors).items() if c}
+
+
+def _pairings(tau, weights, packed: dict) -> list[int]:
+    """[<X, F_tau> times the |nu|! of its atoms, packed] for X's weights w
+    in weights: F_tau's power-sum expansion is the product of its atoms',
+    each coefficient read through packed."""
+    f = _power_product(packed[atom] for atom in tau)
+    return [sum(c * w.get(sig, 0) for sig, c in f.items()) for w in weights]
+
+
+def t_poly(key) -> PolyQU:
+    """T(u, q) at a multipartition or a multitype of n >= 1: u T summed
+    over the class types on packed integers, over L q^(n^2) (q;q)_n."""
+    mt = _as_types(key)
+    k, n = len(mt), sum(m * d * size(lam) for d, lam, m in mt[0])
     if n < 1:
         raise ValueError(f"a multipartition of size at least 1, got {n}")
-    shapes = sorted(set(mu))
-    power = [mu.count(lam) for lam in shapes]
+    comps = sorted(set(mt))
+    power = [mt.count(x) for x in comps]
+    weights = [power_weights(x) for x in comps]
     falling: dict = {}  # prod over m of m^r_m falling(phi_{u,m}, r_m), by the power of u
     terms = []
     for tau in class_types(n):
@@ -200,9 +235,9 @@ def t_poly(mu) -> PolyQU:
         norm = prod(a[1] for a in atoms) ** k
         terms.append((tau, scale, profile, ts, n * n - sum(a[2] for a in atoms), norm))
     L = lcm(*(term[1] for term in terms))
-    # the scaled <s_lam, F_tau> has 1-norm at most chi^lam(1^n), the
-    # largest |chi^lam|, times the product of its atoms' 1-norms
-    dims = prod(character_value(lam, (1,) * n) for lam in mu)
+    # the scaled <X, F_tau> has 1-norm at most the largest |w_X| times
+    # the product of its atoms' 1-norms
+    dims = prod(max(map(abs, w.values())) ** e for w, e in zip(weights, power))
     bound = dims * sum(L // scale * norm1(_cofactor(n, ts)) * norm
                        * sum(map(norm1, falling[profile].values()))
                        for _, scale, profile, ts, _, norm in terms)
@@ -212,7 +247,7 @@ def t_poly(mu) -> PolyQU:
     sums: dict[int, int] = {}  # by the power of u
     for tau, scale, profile, ts, shift, _ in terms:
         x = L // scale * pack(_cofactor(n, ts), B, 1) << B * shift
-        x *= prod(p ** e for p, e in zip(_pairings(tau, shapes, packed), power))
+        x *= prod(p ** e for p, e in zip(_pairings(tau, weights, packed), power))
         for j, c_j in falling[profile].items():
             sums[j] = sums.get(j, 0) + x * pack(c_j, B, 1)
     # a number of b bits has at most b // B + 2 balanced digits, so with
@@ -221,6 +256,7 @@ def t_poly(mu) -> PolyQU:
                     for (i, _), c in unpack(s, B, s.bit_length() // B + 2).terms.items()})
     ut = poly_exact_div(total, (Q ** (n * n) * q_pochhammer(n)).scale(L))
     if ut is None or any(j == 0 for _, j in ut.terms):
-        raise AssertionError(f"the class-type sum at {multipartition_to_text(mu)} "
-                             "is not u times a polynomial")
+        # a multitype is its own types
+        at = str(mt) if mt == tuple(key) else multipartition_to_text(key)
+        raise AssertionError(f"the class-type sum at {at} is not u times a polynomial")
     return PolyQU({(i, j - 1): c for (i, j), c in ut.terms.items()})

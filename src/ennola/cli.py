@@ -22,10 +22,10 @@ from .partitions import (
     size,
 )
 
-# The pipeline (multiplicities, and types for --type) is imported by the
-# commands that run it, and the class-type sum by `pair --mu`, so `pair
-# --mu` never compiles the pipeline, and `pair` and `table` for kron,
-# --help and a usage error compile neither.
+# The pipeline (multiplicities) is imported by the commands that run it,
+# the class-type sum by `pair`, and types by `pair --type`, so `pair`
+# never compiles the pipeline, and `pair` and `table` for kron, --help
+# and a usage error compile neither.
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -34,7 +34,7 @@ EXIT_IO = 3
 EXIT_INTERNAL = 4
 
 # Each family: its tex header symbol, the name of its multiplicities
-# function (looked up when a command runs; None for kron, which needs no
+# function (looked up when `table` runs; None for kron, which needs no
 # pipeline) and whether it takes --type.
 FAMILIES = {
     "V": ("V", "V_poly", True),
@@ -80,22 +80,6 @@ def _warn_cache(ctx) -> None:
         print(f"warning: cache not written: {ctx.cache_write_error}", file=sys.stderr)
 
 
-def _values(which: str, k: int, n: int, cache_dir: str, keys) -> list:
-    """(key, polynomial) for each key of one family, from the k-fold
-    tables of a MasterContext (`table` and `pair --type`), with the
-    warnings of the cache it read; kron needs neither the pipeline nor a
-    cache."""
-    name = FAMILIES[which][1]
-    if name is None:
-        return [(key, PolyQU.const(kronecker(key))) for key in keys]
-    from . import multiplicities as m
-
-    value, ctx = getattr(m, name), m.build_context(k, n, cache_dir)
-    out = [(key, value(ctx, key)) for key in keys]
-    _warn_cache(ctx)
-    return out
-
-
 def _json_row(column: str, labels: list[str], val: PolyQU) -> dict:
     return {column: labels, "poly": poly_to_json(val), "text": poly_to_str(val)}
 
@@ -107,10 +91,10 @@ def _csv(column: str, k: int, lines) -> str:
 
 
 def cmd_pair(req: argparse.Namespace) -> int:
-    """One polynomial.  A `--type` key is answered from the k-fold tables
-    (`_values`), which read and write the cache; a `--mu` key by the sum
-    over class types, which needs no table and no cache, and kron by
-    characters.  --cache-dir is accepted either way."""
+    """One polynomial: kron by characters, every other family by the sum
+    over class types at a `--mu` key, and V and V' at a `--type` key too.
+    The sum needs no k-fold table and no cache; --cache-dir is accepted
+    and unused."""
     if req.type_literal is not None:
         if not FAMILIES[req.which][2]:
             typed = " or ".join(w for w, fam in FAMILIES.items() if fam[2])
@@ -127,12 +111,12 @@ def cmd_pair(req: argparse.Namespace) -> int:
             raise UsageError(f"--mu must have size at least 1, got {n}")
         labels, column = [partition_to_text(c) for c in key], "mu"
 
-    if req.type_literal is None and FAMILIES[req.which][1] is not None:
+    if FAMILIES[req.which][1] is None:
+        val = PolyQU.const(kronecker(key))
+    else:
         from .classtypes import specialize, t_poly
 
         val = specialize(req.which, t_poly(key), key)
-    else:
-        [(_, val)] = _values(req.which, k, n, req.cache_dir, [key])
     if req.fmt == "text":
         print(poly_to_str(val))
     elif req.fmt == "json":
@@ -171,9 +155,20 @@ def format_table(rows, which: str, k: int, n: int, fmt: str) -> str:
 
 
 def cmd_table(req: argparse.Namespace) -> int:
+    """Every nonzero row of one degree: kron by characters, every other
+    family from the k-fold tables of a MasterContext, which read and
+    write the cache."""
     keys = combinations_with_replacement(sorted(enumerate_partitions(req.n)), req.k)
-    rows = [(mu, val) for mu, val in _values(req.which, req.k, req.n, req.cache_dir, keys)
-            if not val.is_zero()]
+    name = FAMILIES[req.which][1]
+    if name is None:
+        vals = [(key, PolyQU.const(kronecker(key))) for key in keys]
+    else:
+        from . import multiplicities as m
+
+        value, ctx = getattr(m, name), m.build_context(req.k, req.n, req.cache_dir)
+        vals = [(key, value(ctx, key)) for key in keys]
+        _warn_cache(ctx)
+    rows = [(mu, val) for mu, val in vals if not val.is_zero()]
     out = format_table(rows, req.which, req.k, req.n, req.fmt)
     if out:
         print(out)

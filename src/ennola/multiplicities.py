@@ -96,12 +96,12 @@ class MasterContext:
     heavy series are built lazily.  A disk cache holds one file per degree,
     the master series' Schur table; a context reads each file at most once,
     in stored_psi_schur, and only psi_schur writes one.  So a V or V'
-    `pair --type` query of size n reads and writes only the degree-n file
-    and never builds the master series from a warm cache (`pair --mu`
-    takes the class-type sum and builds no context); verify and `cache
-    build` write every missing degree; T, U and U' tables rebuild the
-    master series from all N files when each is present and never write
-    one.  A failed cache write does not stop a query; it is kept in
+    table of degree n reads and writes only the degree-n file and never
+    builds the master series from a warm cache; verify and `cache build`
+    write every missing degree; T, U and U' tables rebuild the master
+    series from all N files when each is present and never write one;
+    and `pair`, which takes the class-type sum, builds no context.  A
+    failed cache write does not stop a query; it is kept in
     cache_write_error."""
 
     def __init__(self, k: int, N: int, cache_dir: str | None = None):

@@ -4,26 +4,31 @@ recording how Frobenius permutes eigenvalue data.
 A type of size n is stored as a canonically sorted tuple of entries
 (d, lam, m) with distinct (d, lam) pairs and n = sum m*d*|lam|.  The
 module provides the integer Schur expansion of the product of Schur
-functions evaluated on power-substituted alphabets, and the text syntax
-of types and multitypes.
+functions evaluated on power-substituted alphabets, read off its
+power-sum weights (classtypes.power_weights), and the text syntax of
+types and multitypes.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from math import factorial
 
-from .coeffs import ONE, PolyQU
+from .characters import character_value
+from .classtypes import power_weights
+from .coeffs import PolyQU
 from .partitions import (
     MultiPartition,
     ParseError,
     Partition,
     check_partition,
+    enumerate_partitions,
     parse_components,
     parse_int,
     size,
     split_at,
+    z_lambda,
 )
-from .symfunc import SymFunc
 
 TypeEntries = tuple[tuple[int, Partition, int], ...]
 
@@ -55,19 +60,19 @@ def type_size(tau: TypeEntries) -> int:
 
 @lru_cache(maxsize=None)
 def schur_of_type(tau: TypeEntries) -> dict[MultiPartition, PolyQU]:
-    """The Schur table of the product over entries of psi_d s_{lam}
+    """The Schur table of the product X over entries of psi_d s_{lam}
     (alphabet powers d and q -> q^d), m times each; one alphabet, integer
-    coefficients.  SymFunc.adams is psi_d / d, hence the factor d.  A
-    lone entry (1, lam, 1) is s_lam itself.  Cached and shared, so no
-    caller mutates it."""
-    if len(tau) == 1 and tau[0][0] == tau[0][2] == 1:
-        return {(tau[0][1],): ONE}
-    out = SymFunc.one(1)
-    for d, lam, m in tau:
-        piece = SymFunc.from_schur(1, size(lam), {(lam,): ONE}).adams(d).scale(d)
-        for _ in range(m):
-            out = out.multiply(piece)
-    return out.to_schur()
+    coefficients <X, s_nu> = sum over rho of w(rho) chi^nu(rho) / z_rho,
+    read off X's power-sum weights w (classtypes.power_weights).  Cached
+    and shared, so no caller mutates it."""
+    n, w = type_size(tau), power_weights(tau)
+    out = {}
+    for nu in enumerate_partitions(n):
+        c = sum(v * character_value(nu, rho) * (factorial(n) // z_lambda(rho))
+                for rho, v in w.items()) // factorial(n)
+        if c:
+            out[(nu,)] = PolyQU.const(c)
+    return out
 
 
 # text syntax: entries "d:parts^m" joined by ";", parts dot-separated with

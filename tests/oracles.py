@@ -1390,6 +1390,13 @@ def extend_to_type(family, entries) -> SymFunc:
     return out
 
 
+def schur_of_type_oracle(tau: TypeEntries) -> dict:
+    """types.schur_of_type by SymFunc arithmetic: the product of the
+    Adams-operated Schur functions, converted to the Schur basis."""
+    return extend_to_type(lambda lam: SymFunc.from_schur(1, size(lam), {(lam,): ONE}),
+                          tau).to_schur()
+
+
 def c_omega(tau: TypeEntries, mu: Partition) -> int:
     """Integer Schur coefficient <schur_of_type(tau), s_mu>."""
     if type_size(tau) != size(mu):

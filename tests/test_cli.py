@@ -306,8 +306,9 @@ class TestSharedRows:
 
 
 class TestClassTypeSum:
-    """`pair --mu` answers by the sum over class types (ennola.classtypes),
-    while `table` and `pair --type` read the k-fold tables of the
+    """`pair` answers by the sum over class types (ennola.classtypes), at
+    a `--mu` key and, for V and V', at a `--type` key, while `table` and
+    the library's V_poly and Vprime_poly read the k-fold tables of the
     pipeline: the two routes give the same polynomials, and a broken
     invariant of the sum is an internal error."""
 
@@ -348,18 +349,55 @@ class TestClassTypeSum:
                     labels, want["poly"], want["text"]), (which, labels)
 
     @pytest.mark.parametrize("k,n", [(3, 4), (4, 3)], ids=["k3-n4", "k4-n3"])
-    def test_generic_mu_is_the_degree_one_multitype(self, capsys, tmp_path, k, n):
-        # the --type route reads the degree-n table of a warm cache
-        cache = str(tmp_path / "c")
-        assert run(capsys, "cache", "build", "--k", str(k), "--n", str(n),
-                   "--cache-dir", cache)[0] == EXIT_OK
+    def test_generic_mu_is_the_degree_one_multitype(self, capsys, k, n):
+        # both literals against the master series' pairing on a context
+        # with no cache
+        from ennola.coeffs import poly_to_str
+        from ennola.multiplicities import V_poly, Vprime_poly, build_context
+        from ennola.types import parse_multitype
+
+        ctx = build_context(k, n)
         for labels in self.orderings(k, n):
             mu = ",".join(labels)
             mt = ",".join("1:" + ".".join(map(str, parse_partition(c))) for c in labels)
-            for which in ("V", "Vprime"):
+            for which, value in (("V", V_poly), ("Vprime", Vprime_poly)):
                 by_sum = run(capsys, "pair", "--which", which, "--mu", mu, "--cache-dir", "")
-                by_table = run(capsys, "pair", "--which", which, "--type", mt, "--cache-dir", cache)
-                assert by_sum == by_table and by_sum[0] == EXIT_OK, (which, mu, mt)
+                by_type = run(capsys, "pair", "--which", which, "--type", mt, "--cache-dir", "")
+                by_table = (EXIT_OK, poly_to_str(value(ctx, parse_multitype(mt))) + "\n", "")
+                assert by_sum == by_type == by_table, (which, mu, mt)
+
+    @staticmethod
+    def multitypes(k: int, n: int, count: int | None = None) -> list[str]:
+        """The sorted multitypes of k types of size n, or count of them
+        drawn with a fixed seed, as literals."""
+        import random
+
+        from oracles import enumerate_types
+        from ennola.types import type_to_text
+
+        keys = list(combinations_with_replacement(sorted(enumerate_types(n)), k))
+        if count is not None:
+            keys = random.Random(7919 * k + n).sample(keys, min(count, len(keys)))
+        return [",".join(map(type_to_text, key)) for key in keys]
+
+    CASES = [*((k, n, None) for k in (2, 3) for n in (1, 2, 3)),
+             *((k, n, 16) for k in (1, 2, 3, 4) for n in (4, 5))]
+
+    @pytest.mark.parametrize("k,n,count", CASES, ids=[
+        f"k{k}-n{n}" + ("-sample" if count else "") for k, n, count in CASES])
+    def test_pair_type_is_the_pairing(self, capsys, k, n, count):
+        # V and V' of a multitype by the sum, against multiplicities.H_omega
+        # (V_poly and Vprime_poly) on a context with no cache
+        from ennola.coeffs import poly_to_str
+        from ennola.multiplicities import V_poly, Vprime_poly, build_context
+        from ennola.types import parse_multitype
+
+        ctx = build_context(k, n)
+        for mt in self.multitypes(k, n, count):
+            for which, value in (("V", V_poly), ("Vprime", Vprime_poly)):
+                got = run(capsys, "pair", "--which", which, "--type", mt, "--cache-dir", "")
+                want = poly_to_str(value(ctx, parse_multitype(mt))) + "\n"
+                assert got == (EXIT_OK, want, ""), (which, mt)
 
     @pytest.mark.parametrize("mu,message", [
         (((), ()), "a multipartition of size at least 1, got 0"),
@@ -495,8 +533,8 @@ class TestInternalErrors:
         # failure injection: a kernel with a spurious 1/(q + 1) does not
         # divide over the closed-form denominator of its logarithm; dropping
         # the factor u from Exp(u Psi) breaks the divisibility that T
-        # relies on.  `pair --mu` takes the class-type sum, so the k-fold
-        # pipeline is reached through `pair --type` (V) and `table` (T)
+        # relies on.  `pair` takes the class-type sum, so the k-fold
+        # pipeline is reached through `table`
         import ennola.multiplicities as mult
         from ennola.coeffs import ONE, Q
         from ennola.symfunc import SymFunc
@@ -515,17 +553,16 @@ class TestInternalErrors:
         else:
             monkeypatch.setattr(mult.MasterContext, "exp_u_psi",
                                 property(lambda ctx: pleth_exp(ctx.psi)))
-        argv = (("pair", "--which", which, "--type", "1:1,1:1,1:1") if which == "V"
-                else ("table", "--which", which, "--n", "1"))
-        rc, out, err = run(capsys, *argv, "--cache-dir", str(tmp_path / "c"))
+        rc, out, err = run(capsys, "table", "--which", which, "--n", "1",
+                           "--cache-dir", str(tmp_path / "c"))
         assert rc == EXIT_INTERNAL
         assert out == ""
         assert err.startswith(message)
 
     @pytest.mark.parametrize("argv", [
-        ("pair", "--which", "V", "--type", "1:1,1:1,1:1"),
+        ("table", "--which", "V", "--n", "1"),
         ("verify", "--n", "2"),
-    ], ids=["pair", "verify"])
+    ], ids=["table", "verify"])
     def test_any_other_exception_exits_internal(self, capsys, monkeypatch, argv):
         # an exception outside the four classes is an internal error, not
         # exit 1, which is the code of a failed verify identity; both
@@ -664,7 +701,7 @@ class TestCache:
         monkeypatch.chdir(cwd)
         monkeypatch.setenv("HOME", str(home))
         monkeypatch.setenv("XDG_CACHE_HOME", "rel")
-        argv = ("pair", "--which", "V", "--type", "1:2,1:2,1:2")
+        argv = ("table", "--which", "V", "--n", "2")
         want = run(capsys, *argv, "--cache-dir", "")
         assert run(capsys, *argv) == want
         assert list(cwd.iterdir()) == []
@@ -698,10 +735,10 @@ class TestCache:
         assert "error:" in err
 
     @pytest.mark.parametrize("argv", [
-        ("pair", "--which", "V", "--type", "1:2.1,1:2.1,1:2.1"),
+        ("table", "--which", "Vprime", "--n", "3"),
         ("table", "--which", "V", "--n", "2"),
         ("verify", "--n", "2"),
-    ], ids=["pair", "table", "verify"])
+    ], ids=["table-Vprime", "table", "verify"])
     def test_failed_cache_write_warns_once(self, capsys, tmp_path, argv):
         # a regular file as the cache directory: the answer and the exit
         # code are those of a run without a cache, plus one warning
@@ -741,9 +778,7 @@ class TestCache:
         # ignored, and the answer is the one computed with no cache
         import ennola.multiplicities as mult
 
-        # the multipartition 2.1,1^3,1^3 for V and V', the table for U and T
-        argv = (("pair", "--which", which, "--type", "1:2.1,1:1.1.1,1:1.1.1")
-                if which in ("V", "Vprime") else ("table", "--which", which, "--n", "3"))
+        argv = ("table", "--which", which, "--n", "3")
         rc, want, _ = run(capsys, *argv, "--cache-dir", "")
         assert rc == EXIT_OK
         cache = str(tmp_path / "c")
@@ -765,25 +800,25 @@ class TestCache:
     @pytest.mark.parametrize("field,value,queries", [
         # each passed the count and digest checks and reached parse_partition
         # or PolyQU unchecked
-        ("mu", [2, 2, 2], [("V", "--type", "1:2,1:2,1:2")]),
-        ("qdeg", -1, [("V", "--type", "1:1.1.1,1:1.1.1,1:1.1.1"), ("T", "--n", "3")]),
-        ("qdeg", 1.5, [("V", "--type", "1:1.1.1,1:1.1.1,1:1.1.1")]),
-        ("qdeg", True, [("V", "--type", "1:1.1.1,1:1.1.1,1:1.1.1")]),
-        ("mu", ["1,1", "1,1", "1,1"], [("V", "--type", "1:1.1,1:1.1,1:1.1")]),
+        ("mu", [2, 2, 2], ["V"]),
+        ("qdeg", -1, ["V", "T"]),
+        ("qdeg", 1.5, ["V"]),
+        ("qdeg", True, ["V"]),
+        ("mu", ["1,1", "1,1", "1,1"], ["V"]),
     ], ids=["int-partition-text", "negative-exponent", "float-exponent", "bool-exponent",
             "comma-partition-text"])
     def test_malformed_field_is_ignored(self, capsys, tmp_path, field, value, queries):
         # one entry's field replaced under a rewritten digest: the file is
         # ignored with one warning, and each answer is the no-cache one; a
-        # query is a V `pair --type` or a T `table`
+        # query is the table of one family at the file's degree
         import ennola.multiplicities as mult
 
-        for which, *literal in queries:
-            argv = ("pair" if literal[0] == "--type" else "table", "--which", which, *literal)
+        n = 2 if field == "mu" else 3
+        for which in queries:
+            argv = ("table", "--which", which, "--n", str(n))
             rc, want, _ = run(capsys, *argv, "--cache-dir", "")
             assert rc == EXIT_OK
             cache = str(tmp_path / which)
-            n = 2 if field == "mu" else 3
             run(capsys, "cache", "build", "--n", str(n), "--cache-dir", cache)
             path = mult.cache_path(cache, 3, n)
             payload = json.loads(Path(path).read_text())
@@ -801,12 +836,12 @@ class TestCache:
     def test_v2_fixture_is_ignored(self, capsys, tmp_path):
         # the committed version-2 files, every ordering of each key: the
         # no-cache answer and one warning per file (the cold master series
-        # tries every degree), and a V query rewrites only its own degree
+        # tries every degree), and a V table rewrites only its own degree
         import shutil
 
         cache = tmp_path / "c"
         shutil.copytree(DATA / "cache_v2", cache)
-        argv = ("pair", "--which", "V", "--type", "1:1.1,1:1.1,1:1.1")
+        argv = ("table", "--which", "V", "--n", "2")
         want = run(capsys, *argv, "--cache-dir", "")
         rc, out, err = run(capsys, *argv, "--cache-dir", str(cache))
         assert (rc, out) == want[:2]
@@ -817,17 +852,17 @@ class TestCache:
         assert json.loads((cache / "psi_k3_n1.json").read_text())["version"] == 2
 
     def test_only_v_queries_verify_and_build_write(self, capsys, tmp_path):
-        # psi_schur alone saves: a V or V' `pair --type` query writes its
-        # own degree, verify and cache build every degree, T, U and U'
-        # tables none, and `pair --mu`, which takes the class-type sum, none
+        # psi_schur alone saves: a V or V' table writes its own degree,
+        # verify and cache build every degree, T, U and U' tables none,
+        # and `pair`, which takes the class-type sum, none
         every = ["psi_k3_n1.json", "psi_k3_n2.json", "psi_k3_n3.json"]
         runs = [
             (("table", "--which", "T", "--n", "3"), []),
             (("table", "--which", "U", "--n", "3"), []),
             (("table", "--which", "Uprime", "--n", "3"), []),
             (("pair", "--which", "V", "--mu", "2.1,2.1,1^3"), []),
-            (("pair", "--which", "V", "--type", "1:2.1,1:2.1,1:1.1.1"), ["psi_k3_n3.json"]),
-            (("pair", "--which", "Vprime", "--type", "2:1,2:1,2:1"), ["psi_k3_n2.json"]),
+            (("table", "--which", "Vprime", "--n", "3"), ["psi_k3_n3.json"]),
+            (("table", "--which", "Vprime", "--n", "2"), ["psi_k3_n2.json"]),
             (("table", "--which", "V", "--n", "3"), ["psi_k3_n3.json"]),
             (("verify", "--n", "3"), every),
             (("cache", "build", "--n", "3"), every),
@@ -837,19 +872,33 @@ class TestCache:
             assert run(capsys, *argv, "--cache-dir", str(cache))[0] == EXIT_OK
             assert (sorted(os.listdir(cache)) if cache.exists() else []) == files, argv
 
+    @pytest.mark.parametrize("literal", [
+        ("--mu", "2.1,2.1,1^3"),
+        ("--type", "1:1.1;2:1,1:1^4,3:1;1:1"),
+    ], ids=["mu", "type"])
+    def test_pair_creates_no_cache(self, capsys, tmp_path, literal):
+        # the class-type sum reads and writes no cache: a fresh directory
+        # stays uncreated, for every family that takes the literal
+        cache = tmp_path / "c"
+        families = [w for w in WHICH_CHOICES if literal[0] == "--mu" or w in ("V", "Vprime")]
+        for which in families:
+            assert run(capsys, "pair", "--which", which, *literal,
+                       "--cache-dir", str(cache))[0] == EXIT_OK, which
+            assert not cache.exists(), which
+
     def test_nesting_too_deep_to_decode_is_ignored(self, capsys, tmp_path):
         # the decoder raises RecursionError, not ValueError, on 200,000
         # nested arrays: the file is ignored like any other bad file
         from ennola.multiplicities import cache_path
 
-        argv = ("pair", "--which", "V", "--type", "1:1,1:1,1:1")
+        argv = ("table", "--which", "V", "--n", "1")
         want = run(capsys, *argv, "--cache-dir", "")
         cache = str(tmp_path / "c")
         os.makedirs(cache)
         path = cache_path(cache, 3, 1)
         Path(path).write_text("[" * 200_000)
         rc, out, err = run(capsys, *argv, "--cache-dir", cache)
-        assert (rc, out) == want[:2] == (EXIT_OK, "1\n")
+        assert (rc, out) == want[:2] == (EXIT_OK, "(1), (1), (1) → 1\n")
         assert err == f"warning: ignoring incompatible cache file {path}; recomputing\n"
 
     def test_corrupt_cache_warns_and_recomputes(self, capsys, tmp_path):
@@ -859,10 +908,7 @@ class TestCache:
         os.makedirs(cache)
         with open(cache_path(cache, 3, 2), "w") as fh:
             fh.write('{"version": -99}')
-        rc, out, err = run(
-            capsys, "pair", "--which", "V", "--type", "1:1.1,1:1.1,1:2",
-            "--cache-dir", cache,
-        )
+        rc, out, err = run(capsys, "table", "--which", "V", "--n", "2", "--cache-dir", cache)
         assert rc == EXIT_OK
         assert out.strip()  # answer still produced
         assert "ignoring incompatible cache file" in err
@@ -959,8 +1005,9 @@ class TestStartupImports:
     after `python -c pass` (site may preload some, typing among them),
     include none of the heavy standard modules that dataclasses and
     fractions would pull in; the Kronecker queries, --help and usage
-    errors load none of the pipeline's modules; and `pair --mu`, which
-    takes the class-type sum, loads none of the k-fold tables' modules."""
+    errors load none of the pipeline's modules; and `pair`, which takes
+    the class-type sum, loads none of the k-fold tables' modules, nor
+    `types` for a `--mu` literal."""
 
     HEAVY = {"dataclasses", "inspect", "fractions", "decimal", "numbers", "typing"}
 
@@ -1022,6 +1069,17 @@ print(" ".join(sys.modules))
         assert not loaded & self.TABLES, sorted(loaded & self.TABLES)
         assert not cache.exists()
 
+    def test_pair_type_loads_no_table_module(self, tmp_path):
+        cache = tmp_path / "cache"
+        queries = [["pair", "--which", w, "--type", "1:1.1;2:1,1:1^4,3:1;1:1"]
+                   for w in ("V", "Vprime")]
+        *_, codes, modules = _child(self.CHILD, json.dumps(queries), str(cache))
+        assert codes == str([EXIT_OK] * len(queries))
+        loaded = set(modules.split())
+        assert {"ennola.classtypes", "ennola.types"} <= loaded
+        assert not loaded & (self.TABLES - {"ennola.types"}), sorted(loaded & self.TABLES)
+        assert not cache.exists()
+
     def test_kron_and_usage_errors_load_no_pipeline(self, tmp_path):
         cache = tmp_path / "cache"
         *_, codes, modules = _child(self.CHILD, json.dumps(self.NO_PIPELINE_QUERIES),
@@ -1073,7 +1131,7 @@ class TestProcessEntry:
             gc.enable()
 
     QUERIES = [
-        ["pair", "--which", "V", "--type", "1:2.1,1:2.1,1:1.1.1", "--cache-dir", ""],
+        ["table", "--which", "V", "--n", "3", "--cache-dir", ""],
         ["pair", "--which", "V", "--mu", "2.1,2", "--cache-dir", ""],
         ["pair", "--which", "X", "--mu", "1,1,1"],
         ["--help"],
@@ -1140,7 +1198,7 @@ print(json.dumps([[entry(q) for q in json.loads(sys.argv[1])], states]))
 class TestEveryFunctionRuns:
     """src/ holds what the commands run: a child interpreter runs every
     family and format of `pair` and `table` at n <= 3, the `--type`
-    queries, `verify`, `cache build`, a warm `pair`, `cache clear` and a
+    queries, `verify`, `cache build`, a warm T `table`, `cache clear` and a
     usage error, all under sys.setprofile, and every module-level function
     and non-dunder method of the package is entered, save the ones below.
     A helper that only the tests call belongs in tests/oracles.py."""
@@ -1207,7 +1265,7 @@ print(json.dumps([codes, sorted(missed)]))
               for w in ("V", "Vprime") for f in formats),
             *(["verify", "--n", "3", "--format", f] for f in ("text", "json")),
             ["cache", "build", "--n", "3"],
-            ["pair", "--which", "T", "--mu", mu],
+            ["table", "--which", "T", "--n", "3"],
             ["cache", "clear"],
             ["pair", "--which", "V", "--mu", "2.1,2.x,1^3"],
         ]

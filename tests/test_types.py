@@ -36,6 +36,7 @@ from oracles import (
     enumerate_types,
     extend_to_type,
     multitype_to_text,
+    schur_of_type_oracle,
 )
 
 
@@ -141,12 +142,20 @@ class TestSchurOfType:
             assert schur_of_type(from_partition(lam)) == {(lam,): ONE}
 
     def test_unipotent_shortcut_is_the_change_of_basis_round_trip(self):
-        # a lone entry (1, lam, 1) returns s_lam without a change of basis;
-        # the round trip through b_rho gives the same table
+        # a lone entry (1, lam, 1) has the weights chi^lam, which
+        # orthogonality reads back as s_lam; the round trip through b_rho
+        # gives the same table
         for n in range(1, 7):
             for lam in enumerate_partitions(n):
                 round_trip = SymFunc.from_schur(1, n, {(lam,): ONE}).to_schur()
                 assert schur_of_type(from_partition(lam)) == round_trip, lam
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_is_the_symfunc_product(self, n):
+        # read off the power-sum weights, against the product of the
+        # Adams-operated Schur functions in SymFunc arithmetic
+        for tau in enumerate_types(n):
+            assert schur_of_type(tau) == schur_of_type_oracle(tau), tau
 
     def test_degree_two_type(self):
         # entry (2, (1), 1): s_1 with doubled alphabet = p_2 = s_2 - s_(1,1)
