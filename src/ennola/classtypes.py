@@ -47,7 +47,7 @@ from .hall_littlewood import transformed_hl
 from .partitions import (
     Partition,
     a_poly,
-    check_multipartition,
+    check_partition,
     dual,
     enumerate_partitions,
     mobius,
@@ -76,26 +76,42 @@ def phi_u(d: int) -> PolyQU:
     return acc
 
 
+def type_size(tau) -> int:
+    """n = sum m d |lam| over the entries (d, lam, m) of the type tau."""
+    return sum(m * d * size(lam) for d, lam, m in tau)
+
+
+def as_types(key) -> tuple:
+    """The one normal form of a query key, a multipartition or a multitype:
+    each component a type, a partition lam as ((1, lam, 1),) and a typed
+    one in canonical form (types.make_type), all of one size; ValueError
+    otherwise."""
+    comps = []
+    for c in key:
+        if c and isinstance(c[0], tuple):
+            from .types import make_type  # here, so that `pair --mu` loads no types
+
+            comps.append(make_type(c))
+        else:
+            comps.append(((1, check_partition(c), 1),))
+    if not comps:
+        raise ValueError("a multipartition needs at least one component")
+    if len({type_size(c) for c in comps}) > 1:
+        raise ValueError("components of different sizes")
+    return tuple(comps)
+
+
 def _multitype_signs(mt) -> tuple[int, int]:
     """The signs s, s' of V(q) = s H(q) and V'(q) = s' H(-q), H the pairing
-    multiplicities.H_omega, and of U'(q) = s' T(-1, -q) on a multipartition:
-    s = (-1)^r and s' = (-1)^(r' + n_dual + n + 1), where with k components
-    of size n and w the sum of m |lam| over all entries, r = k n + w and
-    r' = k ceil(n/2) + w, and n_dual sums m d n(lam') over all entries.  A
-    multipartition's components are the types ((1, lam, 1),)."""
-    k, n = len(mt), sum(m * d * size(lam) for d, lam, m in mt[0])
+    multiplicities.H_omega, and of U'(q) = s' T(-1, -q) at a multitype as
+    as_types returns it: s = (-1)^r and s' = (-1)^(r' + n_dual + n + 1),
+    where with k components of size n and w the sum of m |lam| over all
+    entries, r = k n + w and r' = k ceil(n/2) + w, and n_dual sums
+    m d n(lam') over all entries."""
+    k, n = len(mt), type_size(mt[0])
     w = sum(m * size(lam) for comp in mt for _, lam, m in comp)
     nd = sum(m * d * n_stat(dual(lam)) for comp in mt for d, lam, m in comp)
     return (-1) ** (k * n + w), (-1) ** (k * ((n + 1) // 2) + w + nd + n + 1)
-
-
-def _as_types(key) -> tuple:
-    """The components of a multitype, each in canonical form
-    (types.make_type), as they are; those of a multipartition, checked,
-    as the types ((1, lam, 1),)."""
-    if key and all(c and isinstance(c[0], tuple) for c in key):
-        return tuple(key)
-    return tuple(((1, lam, 1),) for lam in check_multipartition(key))
 
 
 # (u, q) at which each family reads T, and which of _multitype_signs' s
@@ -110,11 +126,12 @@ SPECIALIZATIONS = {
 
 
 def specialize(which: str, t: PolyQU, key) -> PolyQU:
-    """T, U, U', V or V' at a multipartition, or V or V' at a multitype,
-    from T there."""
+    """T, U, U', V or V' at a multipartition or a multitype, from T there;
+    V and V' also from the pairing H = T(0, q) of multiplicities.H_omega.
+    The key is checked (as_types) for every family."""
     u, q, sign = SPECIALIZATIONS[which]
-    val = t.subst(q=q, u=u)
-    return val if sign is None else val.scale(_multitype_signs(_as_types(key))[sign])
+    mt, val = as_types(key), t.subst(q=q, u=u)
+    return val if sign is None else val.scale(_multitype_signs(mt)[sign])
 
 
 @lru_cache(maxsize=None)
@@ -213,8 +230,8 @@ def _pairings(tau, weights, packed: dict) -> list[int]:
 def t_poly(key) -> PolyQU:
     """T(u, q) at a multipartition or a multitype of n >= 1: u T summed
     over the class types on packed integers, over L q^(n^2) (q;q)_n."""
-    mt = _as_types(key)
-    k, n = len(mt), sum(m * d * size(lam) for d, lam, m in mt[0])
+    mt = as_types(key)
+    k, n = len(mt), type_size(mt[0])
     if n < 1:
         raise ValueError(f"a multipartition of size at least 1, got {n}")
     comps = sorted(set(mt))
@@ -256,7 +273,8 @@ def t_poly(key) -> PolyQU:
                     for (i, _), c in unpack(s, B, s.bit_length() // B + 2).terms.items()})
     ut = poly_exact_div(total, (Q ** (n * n) * q_pochhammer(n)).scale(L))
     if ut is None or any(j == 0 for _, j in ut.terms):
-        # a multitype is its own types
-        at = str(mt) if mt == tuple(key) else multipartition_to_text(key)
+        # a multipartition by its text, any other key by its types
+        lams = tuple(c[0][1] for c in mt)
+        at = multipartition_to_text(lams) if tuple(key) == lams else str(mt)
         raise AssertionError(f"the class-type sum at {at} is not u times a polynomial")
     return PolyQU({(i, j - 1): c for (i, j), c in ut.terms.items()})

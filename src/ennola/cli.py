@@ -226,14 +226,14 @@ def build_parser() -> argparse.ArgumentParser:
     cache_dir = default_cache_dir()
 
     def common(p: argparse.ArgumentParser, cmd, formats=("text", "json", "csv", "tex"),
-               k=3, k_help="number of tensor factors (default 3)") -> None:
+               k=3, k_help="number of tensor factors (default 3)",
+               cache_help="cache directory (default: user cache dir)") -> None:
         p.set_defaults(cmd=cmd)
         if k_help:  # pair reads k from its literal
             p.add_argument("--k", type=int, default=k, help=k_help)
         if formats:
             p.add_argument("--format", dest="fmt", default="text", choices=formats)
-        p.add_argument("--cache-dir", default=cache_dir,
-                       help="cache directory (default: user cache dir)")
+        p.add_argument("--cache-dir", default=cache_dir, help=cache_help)
 
     p = sub.add_parser("pair", help="one multiplicity polynomial")
     p.add_argument("--which", choices=WHICH_CHOICES, required=True)
@@ -241,7 +241,8 @@ def build_parser() -> argparse.ArgumentParser:
     literal.add_argument("--mu", help='multipartition literal, e.g. "1^4,1^4,1^4"')
     literal.add_argument("--type", dest="type_literal",
                    help='multitype literal, e.g. "1:2.1,1:2.1,2:1;1:1"')
-    common(p, cmd_pair, k_help=None)
+    common(p, cmd_pair, k_help=None,
+           cache_help="accepted and unused: pair reads and writes no cache")
 
     p = sub.add_parser("table", help="all nonzero rows for one degree")
     p.add_argument("--which", choices=WHICH_CHOICES, required=True)

@@ -47,7 +47,7 @@ from .coeffs import (
     unpack,
 )
 from .characters import kronecker
-from .classtypes import MINUS_ONE, _multitype_signs, phi_u, specialize
+from .classtypes import MINUS_ONE, _multitype_signs, as_types, phi_u, specialize, type_size
 from .hall_littlewood import transformed_hl
 from .partitions import (
     MultiPartition,
@@ -63,13 +63,7 @@ from .partitions import (
     size,
 )
 from .symfunc import GradedSeries, SymFunc, tensor_expand
-from .types import (
-    TypeEntries,
-    from_partition,
-    make_type,
-    schur_of_type,
-    type_size,
-)
+from .types import schur_of_type
 
 CACHE_VERSION = 3
 
@@ -78,16 +72,6 @@ def phi_prime(d: int) -> PolyQU:
     """d phi'_d, for the twisted-form orbit count phi'_d: phi_u at
     (u, q) = (-1, -q), which is (1/d) sum of mu(r) (q^{d/r} - (-1)^{d/r})."""
     return phi_u(d).subst(q=-Q, u=MINUS_ONE)
-
-
-def as_multitype(arg) -> tuple[TypeEntries, ...]:
-    """Accept a multipartition or a multitype; return the multitype, each
-    component validated and in canonical form (types.make_type)."""
-    comps = tuple(make_type(c) if c and isinstance(c[0], tuple) else from_partition(c)
-                  for c in arg)
-    if len({type_size(c) for c in comps}) > 1:
-        raise ValueError("components of different sizes")
-    return comps
 
 
 class MasterContext:
@@ -266,11 +250,13 @@ def build_context(k: int, N: int, cache_dir: str | None = None) -> MasterContext
 # generic multiplicities
 
 
-def H_omega(ctx: MasterContext, mt) -> PolyQU:
+def H_omega(ctx: MasterContext, key) -> PolyQU:
     """Hall pairing of the degree-n master coefficient with the Schur-type
-    product attached to a multitype, as as_multitype returns it: the sum
-    over nu of the Schur table entry at nu times the s_{nu^i} coefficients
-    of the k Schur-type factors; an integer polynomial in q."""
+    product attached to a multipartition or a multitype, taken through
+    classtypes.as_types: the sum over nu of the Schur table entry at nu
+    times the s_{nu^i} coefficients of the k Schur-type factors; an
+    integer polynomial in q."""
+    mt = as_types(key)
     if len(mt) != ctx.k:
         raise ValueError(f"expected {ctx.k} components, got {len(mt)}")
     table = ctx.psi_schur(type_size(mt[0]))
@@ -282,25 +268,16 @@ def H_omega(ctx: MasterContext, mt) -> PolyQU:
     return total
 
 
-def V_pair(ctx: MasterContext, omega) -> tuple[PolyQU, PolyQU]:
-    """The generic multiplicities (V, V') for the split and the twisted
-    form, from one pairing H = H_omega: V(q) = (-1)^r H(q) and, by the
-    stated sign identity V'(q) = +-V(-q), V'(q) = (-1)^(r' + n_dual + n + 1)
-    H(-q)."""
-    mt = as_multitype(omega)
-    h = H_omega(ctx, mt)
-    s, s_prime = _multitype_signs(mt)
-    return h.scale(s), h.subst(q=-Q).scale(s_prime)
-
-
 def V_poly(ctx: MasterContext, omega) -> PolyQU:
-    """Generic multiplicity for the split form, V of V_pair."""
-    return V_pair(ctx, omega)[0]
+    """Generic multiplicity for the split form, V(q) = s H(q)
+    (classtypes.specialize)."""
+    return specialize("V", H_omega(ctx, omega), omega)
 
 
 def Vprime_poly(ctx: MasterContext, omega) -> PolyQU:
-    """Generic multiplicity for the twisted form, V' of V_pair."""
-    return V_pair(ctx, omega)[1]
+    """Generic multiplicity for the twisted form, V'(q) = s' H(-q)
+    (classtypes.specialize)."""
+    return specialize("Vprime", H_omega(ctx, omega), omega)
 
 
 # unipotent multiplicities and the interpolation
@@ -355,7 +332,7 @@ def Uprime_poly_product_oracle(ctx: MasterContext) -> dict[tuple[int, MultiParti
     of the twisted infinite product, converted by the explicit sign."""
     raw = _product_oracle(ctx, _uprime_log_sum(ctx.r_series()))
     return {
-        (n, key): p.scale(_multitype_signs(as_multitype(key))[1] * (-1) ** (n + 1))
+        (n, key): p.scale(_multitype_signs(as_types(key))[1] * (-1) ** (n + 1))
         for (n, key), p in raw.items()
     }
 
@@ -458,7 +435,8 @@ def verify_suite(ctx: MasterContext) -> VerifyReport:
         """The comparisons at the sorted key rep, as (family, ok, failure
         text after the key's name, *its format arguments), and the (family
         name, value) pairs whose leading coefficient is negative."""
-        v, vp = V_pair(ctx, rep)
+        h = H_omega(ctx, rep)
+        v, vp = specialize("V", h, rep), specialize("Vprime", h, rep)
         up_val = Uprime_poly(ctx, rep)
         kron = kronecker(rep)
         top = t.coeff_of_u(n - 1)

@@ -15,7 +15,7 @@ from functools import lru_cache
 from math import factorial
 
 from .characters import character_value
-from .classtypes import power_weights
+from .classtypes import power_weights, type_size
 from .coeffs import PolyQU
 from .partitions import (
     MultiPartition,
@@ -25,7 +25,6 @@ from .partitions import (
     enumerate_partitions,
     parse_components,
     parse_int,
-    size,
     split_at,
     z_lambda,
 )
@@ -47,15 +46,6 @@ def make_type(entries) -> TypeEntries:
     if not merged:
         raise ValueError("a type needs at least one entry")
     return tuple((d, lam, merged[(d, lam)]) for d, lam in sorted(merged))
-
-
-def from_partition(lam: Partition) -> TypeEntries:
-    """The type of a unipotent-style datum: single entry (1, lam, 1)."""
-    return make_type([(1, lam, 1)])
-
-
-def type_size(tau: TypeEntries) -> int:
-    return sum(m * d * size(lam) for d, lam, m in tau)
 
 
 @lru_cache(maxsize=None)

@@ -102,7 +102,8 @@ from itertools import (
 
 from ennola.coeffs import ONE, ZERO, PolyQU, Q, poly_exact_div
 from ennola.hall_littlewood import transformed_hl
-from ennola.multiplicities import _signed_neg_q, as_multitype, phi_prime
+from ennola.classtypes import as_types
+from ennola.multiplicities import _signed_neg_q, phi_prime
 from ennola.characters import character_value
 from ennola.partitions import (
     Partition,
@@ -403,7 +404,7 @@ def H_omega_oracle(ctx, omega) -> PolyQU:
     """Hall pairing of the power-sum master coefficient Psi_n, at every
     ordered key, with the power-sum product of the k Schur-type factors of
     a multitype, which is not symmetric."""
-    mt = as_multitype(omega)
+    mt = as_types(omega)
     n = type_size(mt[0])
     comps = [powersum_of(from_schur_oracle(1, n, schur_of_type(tau))) for tau in mt]
     psi_full, psi_den = powersum_of(ctx.psi.coeffs[n])
@@ -1311,6 +1312,11 @@ def kac_polynomial_hua(v: list[int], adj: list[list[int]], q: int) -> int:
 
 
 # helpers that only the tests call
+
+
+def from_partition(lam: Partition) -> TypeEntries:
+    """The type of a unipotent-style datum: single entry (1, lam, 1)."""
+    return make_type([(1, lam, 1)])
 
 
 def entry_count(tau: TypeEntries) -> int:

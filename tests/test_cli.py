@@ -402,7 +402,7 @@ class TestClassTypeSum:
     @pytest.mark.parametrize("mu,message", [
         (((), ()), "a multipartition of size at least 1, got 0"),
         (((1, 2), (3,)), "partition parts must be weakly decreasing, got (1, 2)"),
-        (((2, 1), (2,)), "components of ((2, 1), (2,)) have different sizes"),
+        (((2, 1), (2,)), "components of different sizes"),
     ], ids=["size-0", "increasing", "sizes-differ"])
     def test_refusals(self, mu, message):
         from ennola.classtypes import t_poly

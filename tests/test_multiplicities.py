@@ -14,6 +14,7 @@ import pytest
 import ennola.coeffs as coeffs
 import ennola.multiplicities as mult
 from ennola.characters import kronecker
+from ennola.classtypes import as_types, specialize, t_poly
 from ennola.cli import main
 from ennola.coeffs import ONE, Q, U, ZERO, PolyQU, poly_exact_div, poly_to_str
 from ennola.multiplicities import (
@@ -32,7 +33,6 @@ from ennola.multiplicities import (
     _product_oracle,
     _signed_neg_q,
     _uprime_log_sum,
-    as_multitype,
     build_context,
     cache_path,
     clear_cache,
@@ -48,7 +48,7 @@ from ennola.partitions import (
     multipartitions,
     parse_partition,
 )
-from ennola.types import from_partition, make_type, parse_multitype, type_size
+from ennola.types import make_type, parse_multitype, type_size
 from oracles import (
     GL2_TYPES,
     H_omega_oracle,
@@ -63,6 +63,7 @@ from oracles import (
     conjugacy_classes,
     enumerate_types,
     expand_graded,
+    from_partition,
     gcd_reference,
     generic_multiplicities_from_group,
     gl2_generic_multiplicities,
@@ -194,29 +195,65 @@ class TestSignData:
         for k, nmax in ((2, 6), (3, 6), (4, 5), (5, 4)):
             for n in range(1, nmax + 1):
                 for mu in multipartitions(k, n):
-                    s, s_prime = _multitype_signs(as_multitype(mu))
+                    s, s_prime = _multitype_signs(as_types(mu))
                     assert s * s_prime == vprime_sign_reference(mu), mu
                     count += 1
         assert count == 8569
 
 
-class TestAsMultitype:
+class TestAsTypes:
     def test_partitions_promote(self):
-        mt = as_multitype(((2, 1), (1, 1, 1)))
+        mt = as_types(((2, 1), (1, 1, 1)))
         assert mt == (from_partition((2, 1)), from_partition((1, 1, 1)))
 
     def test_types_pass_through(self):
         tau = make_type([(2, (1,), 1)])
-        mt = as_multitype((tau, from_partition((1, 1))))
+        mt = as_types((tau, from_partition((1, 1))))
         assert mt == (tau, from_partition((1, 1)))
 
     def test_size_mismatch(self):
         with pytest.raises(ValueError):
-            as_multitype(((2, 1), (1,)))
+            as_types(((2, 1), (1,)))
 
     def test_types_come_out_canonical(self):
         raw = ((2, (1,), 1), (1, (1,), 1), (1, (1,), 1))
-        assert as_multitype((raw,)) == (make_type(raw),) == (((1, (1,), 2), (2, (1,), 1)),)
+        assert as_types((raw,)) == (make_type(raw),) == (((1, (1,), 2), (2, (1,), 1)),)
+
+
+class TestMultitypeRefusals:
+    """Both routes take a key through as_types, so a multitype key that is
+    no multitype is refused by each of them, never read as a number, and
+    one with unsorted or unmerged entries is its canonical form."""
+
+    TAU = make_type([(1, (2, 1), 1)])
+    BAD = [
+        ((TAU, ((1, (2,), 1),), TAU), "components of different sizes"),
+        ((TAU, ((1, (3,), 0),), TAU), r"entry \(1, \(3,\), 0\) needs positive d and m"),
+        ((TAU, ((0, (3,), 1),), TAU), r"entry \(0, \(3,\), 1\) needs positive d and m"),
+        ((TAU, ((1, (1, 2), 1),), TAU), r"weakly decreasing, got \(1, 2\)$"),
+        ((), "a multipartition needs at least one component"),
+    ]
+
+    @pytest.mark.parametrize("key, message", BAD,
+                             ids=["sizes-differ", "m-0", "d-0", "increasing", "no-component"])
+    def test_bad_multitypes_are_refused(self, key, message):
+        ctx = build_context(3, 3, None)
+        calls = [lambda: t_poly(key), lambda: H_omega(ctx, key),
+                 lambda: V_poly(ctx, key), lambda: Vprime_poly(ctx, key)]
+        calls += [lambda which=which: specialize(which, ONE, key)
+                  for which in ("T", "U", "Uprime", "V", "Vprime")]
+        for call in calls:
+            with pytest.raises(ValueError, match=message):
+                call()
+
+    def test_unsorted_and_unmerged_entries_are_the_canonical_type(self, ctx5):
+        raw = ((2, (1,), 1), (1, (1,), 1), (1, (1,), 1))
+        canon = make_type(raw)
+        other = from_partition((2, 2))
+        assert canon != raw and canon == ((1, (1,), 2), (2, (1,), 1))
+        assert t_poly((raw, raw, other)) == t_poly((canon, canon, other))
+        for family in (V_poly, Vprime_poly):
+            assert family(ctx5, (raw, other, raw)) == family(ctx5, (canon, other, canon))
 
 
 class TestPipelineSmall:
@@ -230,7 +267,7 @@ class TestPipelineSmall:
         (lambda: MasterContext(3, 2).psi_schur(3), "degree 3 outside 1..2"),
         (lambda: MasterContext(3, 2).tau_schur(0), "degree 0 outside 1..2"),
         (lambda: MasterContext(3, 2).tau_schur(3), "degree 3 outside 1..2"),
-        (lambda: H_omega(MasterContext(3, 2), as_multitype(((1,), (1,)))),
+        (lambda: H_omega(MasterContext(3, 2), as_types(((1,), (1,)))),
          "expected 3 components, got 2"),
     ], ids=["k-0", "N-0", "psi-degree-0", "psi-degree-N+1", "tau-degree-0",
             "tau-degree-N+1", "H-two-components"])
@@ -268,7 +305,7 @@ class TestPipelineSmall:
         # types; both entry points must agree
         mu = ((2, 1), (2, 1), (2, 1))
         direct = V_poly(ctx5, mu)
-        promoted = V_poly(ctx5, as_multitype(mu))
+        promoted = V_poly(ctx5, as_types(mu))
         assert direct == promoted
 
     def test_nontrivial_multitype(self, ctx5):
@@ -937,7 +974,7 @@ def _seed_fault(monkeypatch, family: str, rep) -> None:
     if family == "tau-at-0-matches-generic":
         real_h = mult.H_omega
         monkeypatch.setattr(mult, "H_omega", lambda ctx, mt: real_h(ctx, mt) + (
-            ONE if mt == as_multitype(rep) else ZERO))
+            ONE if mt == rep else ZERO))
     elif family == "tau-matches-u-deformed-product":
         at_rep("T_poly_product_oracle", lambda p: p + U)
     elif family == "tau-at-minus-1-matches-twisted-product":
@@ -988,18 +1025,15 @@ class TestVerifySuite:
         assert [(i.name, i.failures) for i in report.items if i.failures] == [(family, 3)]
         assert [i.cases for i in report.items] == [161] * 5
 
-    def test_v_and_vprime_come_from_v_pair(self, monkeypatch):
-        # verify reads V and V' through the commands' own V_pair, one call
-        # and one pairing per sorted key
-        calls = {"V_pair": 0, "H_omega": 0}
-        for name in calls:
-            def counted(*args, _real=getattr(mult, name), _name=name):
-                calls[_name] += 1
-                return _real(*args)
-            monkeypatch.setattr(mult, name, counted)
+    def test_v_and_vprime_come_from_one_pairing_per_key(self, monkeypatch):
+        # verify reads V and V' off one pairing per sorted key, through
+        # the sign rule the commands use (classtypes.specialize)
+        calls = []
+        real = mult.H_omega
+        monkeypatch.setattr(mult, "H_omega", lambda ctx, mt: calls.append(mt) or real(ctx, mt))
         assert verify_suite(build_context(3, 3, None)).ok
         keys = {tuple(sorted(mu)) for n in range(1, 4) for mu in multipartitions(3, n)}
-        assert calls == {"V_pair": len(keys), "H_omega": len(keys)}
+        assert sorted(calls) == sorted(keys)
 
     def test_a_green_run_formats_no_failure_text(self, monkeypatch):
         # the text of a failure or an audit note is built only when one is
@@ -1034,13 +1068,11 @@ class TestVerifySuite:
         # V' enters no identity family, so a negated V' leaves every family
         # green and shows only as one audit note per multipartition, printed
         # just before the total line
-        real = mult.V_pair
+        def negated(which, t, key, _real=specialize):
+            val = _real(which, t, key)
+            return val.scale(-1) if which == "Vprime" else val
 
-        def negated(ctx, omega):
-            v, vp = real(ctx, omega)
-            return v, vp.scale(-1)
-
-        monkeypatch.setattr(mult, "V_pair", negated)
+        monkeypatch.setattr(mult, "specialize", negated)
         report = verify_suite(build_context(3, 2, None))
         notes = ["negative leading coefficient in V' at 1,1,1: -1",
                  "negative leading coefficient in V' at 1^2,1^2,1^2: -1"]

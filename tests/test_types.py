@@ -18,7 +18,6 @@ from ennola.partitions import (
 )
 from ennola.symfunc import GradedSeries, SymFunc
 from ennola.types import (
-    from_partition,
     make_type,
     parse_multitype,
     parse_type,
@@ -35,6 +34,7 @@ from oracles import (
     entry_count,
     enumerate_types,
     extend_to_type,
+    from_partition,
     multitype_to_text,
     schur_of_type_oracle,
 )
