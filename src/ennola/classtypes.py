@@ -22,7 +22,7 @@ the number of terms depends on n alone.  At u = 1 this is the Frobenius
 sum over the class types of GL_n(F_q) (Green, 1955), at (u, q) =
 (-1, -q) over those of GU_n(F_q) (Ennola, 1963).  The sum is linear in
 each component, so at a multitype the Schur-type products X_1 ... X_k
-(types.schur_of_type) take the place of the Schur functions: each X
+(multiplicities.schur_of_type) take the place of the Schur functions: each X
 pairs with F_tau through its power-sum weights w_X(rho) = <X, p_rho>
 (power_weights), and T(0, q) is the pairing H of multiplicities.H_omega.
 
@@ -31,8 +31,9 @@ n^2 (at the one atom (1, 1^n)), since prod_j (q^m_j; q^m_j)_{r_j}
 divides (q;q)_n when sum m_j r_j <= n.  So the sum runs on integer
 numerators over that one denominator and an integer L, on packed
 integers (coeffs.pack) with the digit size from an a priori bound, and
-ends in one exact division; a remainder is a broken invariant and
-raises AssertionError.
+ends in one exact division; a remainder, or a T of u-degree above
+n - 1 (_div_u, which the tables share), is a broken invariant and raises
+AssertionError.
 """
 
 from __future__ import annotations
@@ -76,6 +77,26 @@ def phi_u(d: int) -> PolyQU:
     return acc
 
 
+TypeEntries = tuple[tuple[int, Partition, int], ...]
+
+
+def make_type(entries) -> TypeEntries:
+    """A type of size n = sum m d |lam|, entries (d, lam, m) with distinct
+    (d, lam), in canonical form: validated, equal (d, lam) merged, sorted."""
+    merged: dict[tuple[int, Partition], int] = {}
+    for d, lam, m in entries:
+        lam = check_partition(lam)
+        if d < 1 or m < 1:
+            raise ValueError(f"entry ({d}, {lam}, {m}) needs positive d and m")
+        if not lam:
+            raise ValueError("empty partition in a type entry")
+        key = (d, lam)
+        merged[key] = merged.get(key, 0) + m
+    if not merged:
+        raise ValueError("a type needs at least one entry")
+    return tuple((d, lam, merged[(d, lam)]) for d, lam in sorted(merged))
+
+
 def type_size(tau) -> int:
     """n = sum m d |lam| over the entries (d, lam, m) of the type tau."""
     return sum(m * d * size(lam) for d, lam, m in tau)
@@ -84,13 +105,11 @@ def type_size(tau) -> int:
 def as_types(key) -> tuple:
     """The one normal form of a query key, a multipartition or a multitype:
     each component a type, a partition lam as ((1, lam, 1),) and a typed
-    one in canonical form (types.make_type), all of one size; ValueError
+    one in canonical form (make_type), all of one size; ValueError
     otherwise."""
     comps = []
     for c in key:
         if c and isinstance(c[0], tuple):
-            from .types import make_type  # here, so that `pair --mu` loads no types
-
             comps.append(make_type(c))
         else:
             comps.append(((1, check_partition(c), 1),))
@@ -227,6 +246,21 @@ def _pairings(tau, weights, packed: dict) -> list[int]:
     return [sum(c * w.get(sig, 0) for sig, c in f.items()) for w in weights]
 
 
+def _div_u(p: PolyQU, n: int, at) -> PolyQU:
+    """T from u T, the degree-n entry at `at`, one exact division by u:
+    AssertionError when a term of p has no u or T's u-degree exceeds
+    n - 1."""
+    shifted = {}
+    for (i, j), c in p.terms.items():
+        if j < 1:
+            raise AssertionError(f"coefficient of {at} not divisible by u: {p}")
+        shifted[(i, j - 1)] = c
+    out = PolyQU(shifted)
+    if out.udeg() > n - 1:
+        raise AssertionError(f"u-degree of {out} exceeds n-1 for {at}")
+    return out
+
+
 def t_poly(key) -> PolyQU:
     """T(u, q) at a multipartition or a multitype of n >= 1: u T summed
     over the class types on packed integers, over L q^(n^2) (q;q)_n."""
@@ -272,9 +306,9 @@ def t_poly(key) -> PolyQU:
     total = PolyQU({(i, j): c for j, s in sums.items()
                     for (i, _), c in unpack(s, B, s.bit_length() // B + 2).terms.items()})
     ut = poly_exact_div(total, (Q ** (n * n) * q_pochhammer(n)).scale(L))
-    if ut is None or any(j == 0 for _, j in ut.terms):
-        # a multipartition by its text, any other key by its types
-        lams = tuple(c[0][1] for c in mt)
-        at = multipartition_to_text(lams) if tuple(key) == lams else str(mt)
+    # a multipartition by its text, any other key by its types
+    lams = tuple(c[0][1] for c in mt)
+    at = multipartition_to_text(lams) if tuple(key) == lams else str(mt)
+    if ut is None:
         raise AssertionError(f"the class-type sum at {at} is not u times a polynomial")
-    return PolyQU({(i, j - 1): c for (i, j), c in ut.terms.items()})
+    return _div_u(ut, n, at)

@@ -23,9 +23,9 @@ from .partitions import (
 )
 
 # The pipeline (multiplicities) is imported by the commands that run it,
-# the class-type sum by `pair`, and types by `pair --type`, so `pair`
-# never compiles the pipeline, and `pair` and `table` for kron, --help
-# and a usage error compile neither.
+# the class-type sum by `pair`, and types by `pair --type`, for its
+# literal only, so `pair` never compiles the pipeline, and `pair` and
+# `table` for kron, --help and a usage error compile neither.
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -99,7 +99,8 @@ def cmd_pair(req: argparse.Namespace) -> int:
         if not FAMILIES[req.which][2]:
             typed = " or ".join(w for w, fam in FAMILIES.items() if fam[2])
             raise UsageError(f"--type is only valid with --which {typed}")
-        from .types import parse_multitype, type_size, type_to_text
+        from .classtypes import type_size
+        from .types import parse_multitype, type_to_text
 
         key = parse_multitype(req.type_literal)
         k, n = len(key), type_size(key[0])

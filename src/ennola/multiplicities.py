@@ -23,6 +23,7 @@ import contextlib
 import json
 import os
 import tempfile
+from functools import lru_cache
 from itertools import product
 from math import prod
 
@@ -47,7 +48,16 @@ from .coeffs import (
     unpack,
 )
 from .characters import kronecker
-from .classtypes import MINUS_ONE, _multitype_signs, as_types, phi_u, specialize, type_size
+from .classtypes import (
+    MINUS_ONE,
+    _div_u,
+    _multitype_signs,
+    as_types,
+    phi_u,
+    power_weights,
+    specialize,
+    type_size,
+)
 from .hall_littlewood import transformed_hl
 from .partitions import (
     MultiPartition,
@@ -63,7 +73,6 @@ from .partitions import (
     size,
 )
 from .symfunc import GradedSeries, SymFunc, tensor_expand
-from .types import schur_of_type
 
 CACHE_VERSION = 3
 
@@ -185,23 +194,9 @@ class MasterContext:
             return self._tau_schur[n]
         if not 1 <= n <= self.N:
             raise ValueError(f"degree {n} outside 1..{self.N}")
-        table = {key: _div_u(p, key) for key, p in self.exp_u_psi.coeffs[n].to_schur().items()}
+        table = {key: _div_u(p, n, key) for key, p in self.exp_u_psi.coeffs[n].to_schur().items()}
         self._tau_schur[n] = table
         return table
-
-
-def _div_u(p: PolyQU, key) -> PolyQU:
-    """Exact division by u with degree sanity checks."""
-    shifted = {}
-    for (i, j), c in p.terms.items():
-        if j < 1:
-            raise AssertionError(f"coefficient of {key} not divisible by u: {p}")
-        shifted[(i, j - 1)] = c
-    out = PolyQU(shifted)
-    n = sum(key[0]) if key else 0
-    if out.udeg() > max(n - 1, 0):
-        raise AssertionError(f"u-degree of {out} exceeds n-1 for {key}")
-    return out
 
 
 def _build_omega(k: int, N: int) -> GradedSeries:
@@ -250,12 +245,24 @@ def build_context(k: int, N: int, cache_dir: str | None = None) -> MasterContext
 # generic multiplicities
 
 
+@lru_cache(maxsize=None)
+def schur_of_type(tau) -> dict[MultiPartition, PolyQU]:
+    """The Schur table of the product X over the entries (d, lam, m) of the
+    type tau of psi_d s_lam (alphabet powers d and q -> q^d), m times
+    each, on one alphabet: X's power-sum weights w(rho) = <X, p_rho>
+    (classtypes.power_weights) are its coefficients on the basis b_rho,
+    which SymFunc.to_schur takes to the Schur side.  Cached and shared, so
+    no caller mutates it."""
+    return SymFunc(1, type_size(tau), {(rho,): PolyQU.const(w)
+                                       for rho, w in power_weights(tau).items()}).to_schur()
+
+
 def H_omega(ctx: MasterContext, key) -> PolyQU:
     """Hall pairing of the degree-n master coefficient with the Schur-type
     product attached to a multipartition or a multitype, taken through
-    classtypes.as_types: the sum over nu of the Schur table entry at nu
-    times the s_{nu^i} coefficients of the k Schur-type factors; an
-    integer polynomial in q."""
+    classtypes.as_types: the sum over nu of the master Schur table's
+    entry at nu times the s_{nu^i} coefficients of the k Schur-type
+    factors (schur_of_type); an integer polynomial in q."""
     mt = as_types(key)
     if len(mt) != ctx.k:
         raise ValueError(f"expected {ctx.k} components, got {len(mt)}")
@@ -341,7 +348,7 @@ def T_poly_product_oracle(ctx: MasterContext) -> dict[tuple[int, MultiPartition]
     """Two-variable interpolation polynomials recomputed from the
     u-deformed infinite product."""
     raw = _product_oracle(ctx, ctx.r_series().adams_sum(phi_u))
-    return {key: _div_u(p, key[1]) for key, p in raw.items()}
+    return {(n, key): _div_u(p, n, key) for (n, key), p in raw.items()}
 
 
 def U_poly_product_oracle(ctx: MasterContext) -> dict[tuple[int, MultiPartition], PolyQU]:
@@ -437,7 +444,7 @@ def verify_suite(ctx: MasterContext) -> VerifyReport:
         name, value) pairs whose leading coefficient is negative."""
         h = H_omega(ctx, rep)
         v, vp = specialize("V", h, rep), specialize("Vprime", h, rep)
-        up_val = Uprime_poly(ctx, rep)
+        up_val = specialize("Uprime", t, rep)
         kron = kronecker(rep)
         top = t.coeff_of_u(n - 1)
         checks = [

@@ -1,69 +1,17 @@
-"""Combinatorial types: multisets of (d, partition, multiplicity) entries
-recording how Frobenius permutes eigenvalue data.
+"""The text syntax of types and multitypes: parse_type, type_to_text and
+parse_multitype.
 
-A type of size n is stored as a canonically sorted tuple of entries
-(d, lam, m) with distinct (d, lam) pairs and n = sum m*d*|lam|.  The
-module provides the integer Schur expansion of the product of Schur
-functions evaluated on power-substituted alphabets, read off its
-power-sum weights (classtypes.power_weights), and the text syntax of
-types and multitypes.
+A type of size n is a canonically sorted tuple of entries (d, lam, m),
+the degree d of an orbit of Frobenius, a partition lam and a multiplicity
+m, with distinct (d, lam) pairs and n = sum m d |lam|; classtypes holds
+its canonical form (make_type) and size (type_size), re-exported here for
+the readers of the syntax.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-from math import factorial
-
-from .characters import character_value
-from .classtypes import power_weights, type_size
-from .coeffs import PolyQU
-from .partitions import (
-    MultiPartition,
-    ParseError,
-    Partition,
-    check_partition,
-    enumerate_partitions,
-    parse_components,
-    parse_int,
-    split_at,
-    z_lambda,
-)
-
-TypeEntries = tuple[tuple[int, Partition, int], ...]
-
-
-def make_type(entries) -> TypeEntries:
-    """Canonical form: validated entries, equal (d, lam) merged, sorted."""
-    merged: dict[tuple[int, Partition], int] = {}
-    for d, lam, m in entries:
-        lam = check_partition(lam)
-        if d < 1 or m < 1:
-            raise ValueError(f"entry ({d}, {lam}, {m}) needs positive d and m")
-        if not lam:
-            raise ValueError("empty partition in a type entry")
-        key = (d, lam)
-        merged[key] = merged.get(key, 0) + m
-    if not merged:
-        raise ValueError("a type needs at least one entry")
-    return tuple((d, lam, merged[(d, lam)]) for d, lam in sorted(merged))
-
-
-@lru_cache(maxsize=None)
-def schur_of_type(tau: TypeEntries) -> dict[MultiPartition, PolyQU]:
-    """The Schur table of the product X over entries of psi_d s_{lam}
-    (alphabet powers d and q -> q^d), m times each; one alphabet, integer
-    coefficients <X, s_nu> = sum over rho of w(rho) chi^nu(rho) / z_rho,
-    read off X's power-sum weights w (classtypes.power_weights).  Cached
-    and shared, so no caller mutates it."""
-    n, w = type_size(tau), power_weights(tau)
-    out = {}
-    for nu in enumerate_partitions(n):
-        c = sum(v * character_value(nu, rho) * (factorial(n) // z_lambda(rho))
-                for rho, v in w.items()) // factorial(n)
-        if c:
-            out[(nu,)] = PolyQU.const(c)
-    return out
-
+from .classtypes import TypeEntries, make_type, type_size
+from .partitions import ParseError, parse_components, parse_int, split_at
 
 # text syntax: entries "d:parts^m" joined by ";", parts dot-separated with
 # no per-part exponents, "^m" optional with default 1

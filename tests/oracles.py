@@ -103,7 +103,7 @@ from itertools import (
 from ennola.coeffs import ONE, ZERO, PolyQU, Q, poly_exact_div
 from ennola.hall_littlewood import transformed_hl
 from ennola.classtypes import as_types
-from ennola.multiplicities import _signed_neg_q, phi_prime
+from ennola.multiplicities import _signed_neg_q, phi_prime, schur_of_type
 from ennola.characters import character_value
 from ennola.partitions import (
     Partition,
@@ -121,7 +121,6 @@ from ennola.symfunc import GradedSeries, SymFunc
 from ennola.types import (
     TypeEntries,
     make_type,
-    schur_of_type,
     type_size,
     type_to_text,
 )
@@ -1397,8 +1396,10 @@ def extend_to_type(family, entries) -> SymFunc:
 
 
 def schur_of_type_oracle(tau: TypeEntries) -> dict:
-    """types.schur_of_type by SymFunc arithmetic: the product of the
-    Adams-operated Schur functions, converted to the Schur basis."""
+    """multiplicities.schur_of_type by SymFunc arithmetic: the product of
+    the Adams-operated Schur functions (SymFunc.multiply, not the
+    power-sum weights of classtypes.power_weights), converted to the
+    Schur basis."""
     return extend_to_type(lambda lam: SymFunc.from_schur(1, size(lam), {(lam,): ONE}),
                           tau).to_schur()
 

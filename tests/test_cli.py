@@ -425,6 +425,22 @@ class TestClassTypeSum:
         assert err == ("internal error: the class-type sum at 2.1,2.1,1^3 "
                        "is not u times a polynomial\n")
 
+    def test_u_degree_past_n_exits_internal(self, capsys, monkeypatch):
+        # failure injection: u T times u^n is still divisible by u, but T's
+        # u-degree is then above n - 1; the sum's quotient is the one
+        # exact division with u in its dividend
+        import ennola.classtypes as ct
+        from ennola.coeffs import U
+
+        real = ct.poly_exact_div
+        monkeypatch.setattr(ct, "poly_exact_div", lambda a, b: real(a, b) * U ** 3
+                            if a.udeg() else real(a, b))
+        rc, out, err = run(capsys, "pair", "--which", "T", "--mu", "2.1,2.1,1^3",
+                           "--cache-dir", "")
+        assert (rc, out) == (EXIT_INTERNAL, "")
+        assert err.startswith("internal error: u-degree of ")
+        assert err.endswith(" exceeds n-1 for 2.1,2.1,1^3\n")
+
 
 class TestTexGoldens:
     """CLI tex output must agree byte-for-byte with the frozen reference
@@ -474,13 +490,13 @@ class TestVerify:
 
     def test_detects_seeded_fault(self, capsys, cache_dir, monkeypatch):
         # negative control: corrupt one polynomial family and expect a
-        # nonzero exit with a counterexample in the report
+        # nonzero exit with a counterexample in the report; verify reads
+        # U' off T through specialize
         import ennola.multiplicities as mult
 
-        real = mult.Uprime_poly
-        monkeypatch.setattr(
-            mult, "Uprime_poly", lambda ctx, mu: real(ctx, mu).scale(-1) + mult.ONE
-        )
+        real = mult.specialize
+        monkeypatch.setattr(mult, "specialize", lambda which, t, key: (
+            real(which, t, key).scale(-1) + mult.ONE if which == "Uprime" else real(which, t, key)))
         rc, out, _ = run(capsys, "verify", "--n", "2", "--cache-dir", cache_dir)
         assert rc == EXIT_VERIFY
         assert "FAIL" in out
@@ -1079,6 +1095,14 @@ print(" ".join(sys.modules))
         assert {"ennola.classtypes", "ennola.types"} <= loaded
         assert not loaded & (self.TABLES - {"ennola.types"}), sorted(loaded & self.TABLES)
         assert not cache.exists()
+
+    def test_typed_key_loads_no_syntax_module(self):
+        # the normal form of a key is classtypes' own: a typed key is put
+        # in canonical form without the text syntax of `types`
+        code = ("import sys; from ennola.classtypes import as_types; "
+                "print(as_types((((2, (1,), 1),), ((1, (1, 1), 1),)))); "
+                "print('ennola.types' in sys.modules)")
+        assert _child(code) == ["(((2, (1,), 1),), ((1, (1, 1), 1),))", "False"]
 
     def test_kron_and_usage_errors_load_no_pipeline(self, tmp_path):
         cache = tmp_path / "cache"

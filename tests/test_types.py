@@ -16,12 +16,12 @@ from ennola.partitions import (
     enumerate_partitions,
     parse_multipartition,
 )
+from ennola.multiplicities import schur_of_type
 from ennola.symfunc import GradedSeries, SymFunc
 from ennola.types import (
     make_type,
     parse_multitype,
     parse_type,
-    schur_of_type,
     type_size,
     type_to_text,
 )
