@@ -26,9 +26,13 @@ each component, so at a multitype the Schur-type products X_1 ... X_k
 pairs with F_tau through its power-sum weights w_X(rho) = <X, p_rho>
 (power_weights), and T(0, q) is the pairing H of multiplicities.H_omega.
 
-Every A_tau divides q^E (q;q)_n, E = max_tau sum m (|nu| + 2 n(nu)) =
-n^2 (at the one atom (1, 1^n)), since prod_j (q^m_j; q^m_j)_{r_j}
-divides (q;q)_n when sum m_j r_j <= n.  So the sum runs on integer
+Each atom (m, nu) reads a_nu(q) in closed form (partitions.a_factors)
+and H~_nu on the power sums from green_pairs, the one Green conversion,
+which the kernel (multiplicities._build_omega), the sum over the types
+(1, nu) alone, shares.  Every A_tau divides q^E (q;q)_n, E = max_tau
+sum m (|nu| + 2 n(nu)) = n^2 (at the one atom (1, 1^n)), since
+prod_j (q^m_j; q^m_j)_{r_j} divides (q;q)_n when sum m_j r_j <= n, the
+quotient being partitions.cofactor.  So the sum runs on integer
 numerators over that one denominator and an integer L, on packed
 integers (coeffs.pack) with the digit size from an a priori bound, and
 ends in one exact division; a remainder, or a T of u-degree above
@@ -38,7 +42,6 @@ AssertionError.
 
 from __future__ import annotations
 
-from collections import Counter
 from functools import lru_cache
 from math import factorial, lcm, prod
 
@@ -47,8 +50,9 @@ from .coeffs import ONE, Q, U, ZERO, PolyQU, norm1, pack, poly_exact_div, unpack
 from .hall_littlewood import transformed_hl
 from .partitions import (
     Partition,
-    a_poly,
+    a_factors,
     check_partition,
+    cofactor,
     dual,
     enumerate_partitions,
     mobius,
@@ -172,43 +176,34 @@ def class_types(n: int) -> tuple[tuple[tuple[int, Partition], ...], ...]:
     return tuple(rec(0, n))
 
 
-@lru_cache(maxsize=None)
-def _green(nu: Partition) -> tuple:
-    """H~_nu on the power sums times |nu|!: the pairs (rho, |nu|!/z_rho
-    Q^nu_rho(q)) with Q^nu_rho = sum_lam chi^lam(rho) K~_{lam nu}(q), the
-    Green polynomial, nonzero."""
-    j, out = size(nu), []
-    for rho in enumerate_partitions(j):
+def green_pairs(n: int, schur: dict) -> tuple:
+    """A degree-n one-alphabet Schur table {(lam,): c_lam(q)} on the power
+    sums: the nonzero pairs (rho, sum over lam of chi^lam(rho) c_lam), rho
+    in enumeration order; for H~_nu's table the Green polynomials
+    Q^nu_rho(q), its coefficients on b_rho = p_rho / z_rho (Macdonald III.7)."""
+    out = []
+    for rho in enumerate_partitions(n):
         acc: dict = {}
-        for (lam,), kf in transformed_hl(nu).items():
-            if c := character_value(lam, rho):
-                for mono, v in kf.terms.items():
-                    acc[mono] = acc.get(mono, 0) + c * v
+        for (lam,), c in schur.items():
+            if chi := character_value(lam, rho):
+                for mono, v in c.terms.items():
+                    acc[mono] = acc.get(mono, 0) + chi * v
         if green := PolyQU(acc):
-            out.append((rho, green.scale(factorial(j) // z_lambda(rho))))
+            out.append((rho, green))
     return tuple(out)
 
 
 @lru_cache(maxsize=None)
 def _atom(m: int, nu: Partition) -> tuple:
-    """The atom (m, nu) as (pairs, norm, shift, ts): psi_m of _green(nu),
-    the pairs (m rho, |nu|!/z_rho Q^nu_rho(q^m)); the sum of their
-    1-norms; and a_nu(q^m) = q^shift prod over ts of (q^t - 1), read off
-    a_nu(q) = q^s prod over the multiplicities r of nu of (q;q)_r."""
-    pairs = tuple((tuple(m * p for p in rho), g.subst(q=Q ** m)) for rho, g in _green(nu))
-    s = min(i for i, _ in a_poly(nu).terms)
-    ts = tuple(m * t for r in multiplicities(nu).values() for t in range(1, r + 1))
-    return pairs, sum(norm1(g) for _, g in pairs), m * s, ts
-
-
-@lru_cache(maxsize=None)
-def _cofactor(n: int, ts: tuple) -> PolyQU:
-    """(q;q)_n / prod over ts of (q^t - 1), A_tau's factors other than its
-    power of q: a polynomial, as the module docstring shows."""
-    cof = poly_exact_div(q_pochhammer(n), prod((Q ** t - ONE for t in ts), start=ONE))
-    if cof is None:
-        raise AssertionError(f"(q;q)_{n} is not a multiple of the factors {ts}")
-    return cof
+    """The atom (m, nu) as (pairs, norm, shift, ts): psi_m of H~_nu times
+    |nu|!, the pairs (m rho, |nu|!/z_rho Q^nu_rho(q^m)) from green_pairs;
+    the sum of their 1-norms; and a_nu(q^m) = q^shift prod over ts of
+    (q^t - 1), partitions.a_factors at q -> q^m."""
+    f = factorial(size(nu))
+    pairs = tuple((tuple(m * p for p in rho), g.subst(q=Q ** m).scale(f // z_lambda(rho)))
+                  for rho, g in green_pairs(size(nu), transformed_hl(nu)))
+    s, ts = a_factors(nu)
+    return pairs, sum(norm1(g) for _, g in pairs), m * s, tuple(m * t for t in ts)
 
 
 def _power_product(factors) -> dict:
@@ -275,21 +270,21 @@ def t_poly(key) -> PolyQU:
     terms = []
     for tau in class_types(n):
         atoms = [_atom(*atom) for atom in tau]
-        profile = tuple(sorted(Counter(m for m, _ in tau).items()))
+        profile = tuple(multiplicities([m for m, _ in tau]).items())  # m ascending, as tau
         if profile not in falling:
             c = prod((phi_u(m) - PolyQU.const(j * m) for m, r in profile for j in range(r)),
                      start=ONE)
             falling[profile] = {j: c.coeff_of_u(j) for j in range(c.udeg() + 1)}
         ts = tuple(sorted(t for *_, a_ts in atoms for t in a_ts))
-        scale = prod(m ** r for m, r in profile) * prod(map(factorial, Counter(tau).values()))
-        scale *= prod(factorial(size(nu)) for _, nu in tau) ** k
+        scale = prod(m ** r for m, r in profile) * prod(factorial(size(nu)) for _, nu in tau) ** k
+        scale *= prod(map(factorial, multiplicities(tau).values()))
         norm = prod(a[1] for a in atoms) ** k
         terms.append((tau, scale, profile, ts, n * n - sum(a[2] for a in atoms), norm))
     L = lcm(*(term[1] for term in terms))
     # the scaled <X, F_tau> has 1-norm at most the largest |w_X| times
     # the product of its atoms' 1-norms
     dims = prod(max(map(abs, w.values())) ** e for w, e in zip(weights, power))
-    bound = dims * sum(L // scale * norm1(_cofactor(n, ts)) * norm
+    bound = dims * sum(L // scale * norm1(cofactor(n, ts)) * norm
                        * sum(map(norm1, falling[profile].values()))
                        for _, scale, profile, ts, _, norm in terms)
     B = bound.bit_length() + 1
@@ -297,7 +292,7 @@ def t_poly(key) -> PolyQU:
               for atom in {atom for tau, *_ in terms for atom in tau}}
     sums: dict[int, int] = {}  # by the power of u
     for tau, scale, profile, ts, shift, _ in terms:
-        x = L // scale * pack(_cofactor(n, ts), B, 1) << B * shift
+        x = L // scale * pack(cofactor(n, ts), B, 1) << B * shift
         x *= prod(p ** e for p, e in zip(_pairings(tau, weights, packed), power))
         for j, c_j in falling[profile].items():
             sums[j] = sums.get(j, 0) + x * pack(c_j, B, 1)

@@ -53,6 +53,7 @@ from .classtypes import (
     _div_u,
     _multitype_signs,
     as_types,
+    green_pairs,
     phi_u,
     power_weights,
     specialize,
@@ -61,8 +62,9 @@ from .classtypes import (
 from .hall_littlewood import transformed_hl
 from .partitions import (
     MultiPartition,
-    a_poly,
+    a_factors,
     check_multipartition,
+    cofactor,
     enumerate_partitions,
     mobius,
     multipartition_to_text,
@@ -201,28 +203,24 @@ class MasterContext:
 
 def _build_omega(k: int, N: int) -> GradedSeries:
     """The kernel: sum over lam of the product over the k alphabets of
-    H~_lam(x_i) / a_lam(q).  On the basis b_rho the coefficients of H~_lam
-    are the Green polynomials Q^lam_rho(q) = sum over nu of
-    chi^nu(rho) K~_{nu lam}(q), integer polynomials (Macdonald III.7), so
-    the product is their k-fold tensor power at the sorted keys
-    (symfunc.tensor_expand).  Degree n is summed over q^S (q;q)_n, S the
-    largest power of q in an a_lam(q): every a_lam(q) = q^e prod
-    (q;q)_{m_i} divides it, because q-multinomials are polynomials.  The
-    q^S cancels exactly and Omega_n is over (q;q)_n.
+    H~_lam(x_i) / a_lam(q), the one-atom types (1, lam) of the class-type
+    sum (classtypes).  On the basis b_rho the coefficients of H~_lam are
+    the Green polynomials (classtypes.green_pairs), so the product is their
+    k-fold tensor power at the sorted keys (symfunc.tensor_expand).
+    Degree n is summed over q^S (q;q)_n = |GL_n(F_q)|, S = n(n-1)/2: the
+    term of lam starts at the unipotent class size q^(S-s) cofactor(n, ts)
+    for a_lam = q^s prod (q^t - 1) (partitions.a_factors), no division.
+    The q^S cancels exactly and Omega_n is over (q;q)_n.
 
     The sum runs on packed integers (coeffs.pack), unpacked once per key.
-    A numerator is a sum over lam of den/a_lam times k Green polynomials;
-    since |f g|_max <= |f|_1 |g|_max, its coefficients are at most
-    sum over lam of |den/a_lam|_1 (max over rho of |Q^lam_rho|_1)^k."""
+    Since |f g|_max <= |f|_1 |g|_max, a numerator's coefficients are at
+    most sum over lam of |class size|_1 (max over rho of |Q^lam_rho|_1)^k."""
     coeffs = [SymFunc.one(k)]
     for n in range(1, N + 1):
-        a = {lam: a_poly(lam) for lam in enumerate_partitions(n)}
-        q_shift = max(min(i for i, _ in p.terms) for p in a.values())  # S
-        den = Q**q_shift * q_pochhammer(n)
-        terms = [(poly_exact_div(den, a_lam),
-                  [(rho, v) for (rho,), v in
-                   SymFunc.from_schur(1, n, transformed_hl(lam)).coeffs.items()])
-                 for lam, a_lam in a.items()]
+        S = n * (n - 1) // 2
+        terms = [(PolyQU.monomial(1, S - s, 0) * cofactor(n, ts),
+                  green_pairs(n, transformed_hl(lam)))
+                 for lam in enumerate_partitions(n) for s, ts in [a_factors(lam)]]
         bound = sum(norm1(start) * max(norm1(v) for _, v in items) ** k
                     for start, items in terms)
         B = bound.bit_length() + 1
@@ -234,7 +232,7 @@ def _build_omega(k: int, N: int) -> GradedSeries:
             for key, c in tensor_expand([packed] * k, pack(start, B, W)):
                 acc[key] = acc.get(key, 0) + c
         nums = {key: unpack(v, B, W) for key, v in acc.items()}
-        coeffs.append(SymFunc(k, n, nums, den).over(q_pochhammer(n)))
+        coeffs.append(SymFunc(k, n, nums, Q**S * q_pochhammer(n)).over(q_pochhammer(n)))
     return GradedSeries(k, N, coeffs)
 
 

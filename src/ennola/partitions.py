@@ -1,5 +1,5 @@
 """Integer partitions, their statistics, the centralizer orders of
-unipotent classes as polynomials in q, the Moebius function, and the text
+unipotent classes in closed form, the Moebius function, and the text
 syntax.
 
 A partition is a plain tuple of weakly decreasing positive ints (the empty
@@ -12,9 +12,9 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import product
-from math import factorial
+from math import factorial, prod
 
-from .coeffs import ONE, PolyQU, Q
+from .coeffs import ONE, PolyQU, Q, poly_exact_div
 
 Partition = tuple[int, ...]
 MultiPartition = tuple[Partition, ...]
@@ -102,18 +102,22 @@ def q_pochhammer(n: int) -> PolyQU:
     return poly
 
 
-def a_poly(lam: Partition) -> PolyQU:
-    """Order of the centralizer of a unipotent element of Jordan type lambda
-    in GL_n(F_q), as a polynomial in q: q^e times the product of the
-    (q;q)_m over the multiplicities m of lambda."""
-    shift = size(lam) + 2 * n_stat(lam)
-    poly = ONE
-    for m in multiplicities(lam).values():
-        shift -= m * (m + 1) // 2
-        poly = poly * q_pochhammer(m)
-    if shift < 0:
-        raise AssertionError(f"negative q-power in centralizer order for {lam}")
-    return poly * PolyQU.monomial(1, shift, 0)
+@lru_cache(maxsize=None)
+def cofactor(n: int, ts: tuple) -> PolyQU:
+    """(q;q)_n / prod over ts of (q^t - 1), a polynomial when the factors
+    divide (q;q)_n; AssertionError otherwise."""
+    cof = poly_exact_div(q_pochhammer(n), prod((Q ** t - ONE for t in ts), start=ONE))
+    if cof is None:
+        raise AssertionError(f"(q;q)_{n} is not a multiple of the factors {ts}")
+    return cof
+
+
+def a_factors(lam: Partition) -> tuple[int, tuple[int, ...]]:
+    """(s, ts) with a_lam(q) = q^s prod over ts of (q^t - 1), the order of
+    the centralizer of a unipotent element of Jordan type lam in GL_n(F_q)."""
+    rs = multiplicities(lam).values()
+    s = size(lam) + 2 * n_stat(lam) - sum(r * (r + 1) // 2 for r in rs)
+    return s, tuple(t for r in rs for t in range(1, r + 1))
 
 
 @lru_cache(maxsize=None)

@@ -38,7 +38,6 @@ size taken from basis_bound.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import permutations
 from math import factorial, prod
 
 from .coeffs import (
@@ -78,8 +77,13 @@ def _is_sorted(key: MultiPartition) -> bool:
 
 @lru_cache(maxsize=None)
 def orbit(key: MultiPartition) -> tuple[MultiPartition, ...]:
-    """The distinct orderings of key's components, in ascending order."""
-    return tuple(sorted(set(permutations(key))))
+    """The distinct orderings of key's components, in ascending order:
+    each distinct first component, then the orbit of the rest."""
+    if not key:
+        return ((),)
+    s = sorted(key)
+    return tuple((c,) + rest for i, c in enumerate(s) if not i or s[i - 1] != c
+                 for rest in orbit(tuple(s[:i] + s[i + 1:])))
 
 
 @lru_cache(maxsize=None)

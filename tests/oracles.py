@@ -71,8 +71,10 @@ shares nothing with the kernel of the library.
 The helpers that only the tests call live here too, where no command
 loads them: the type combinatorics of the kernel logarithm's expansion
 (c_tau, enumerate_types, extend_to_type), the Schur coefficients of a
-type (c_omega) and the dual type, the centralizer orders of types
-(a_type_poly, a_prime_poly), the unipotent character degrees
+type (c_omega) and the dual type, the centralizer orders of unipotent
+classes, from the conjugate partition (a_poly, where the library reads
+the closed form partitions.a_factors), and of types (a_type_poly,
+a_prime_poly), the unipotent character degrees
 (unipotent_degree), the text form of a multitype, the product of
 graded series (series_mul), the reference for the exp/log laws, the
 multiple of a series, its Adams operations and its plethystic
@@ -107,7 +109,6 @@ from ennola.multiplicities import _signed_neg_q, phi_prime, schur_of_type
 from ennola.characters import character_value
 from ennola.partitions import (
     Partition,
-    a_poly,
     dual,
     enumerate_partitions,
     mobius,
@@ -1414,6 +1415,22 @@ def c_omega(tau: TypeEntries, mu: Partition) -> int:
     if set(p.terms) != {(0, 0)}:
         raise AssertionError(f"non-constant Schur coefficient for {tau}, {mu}")
     return p.terms[(0, 0)]
+
+
+def a_poly(lam: Partition) -> PolyQU:
+    """a_lam(q), the order of the centralizer in GL_n(F_q) of a unipotent
+    element of Jordan type lam, from the conjugate partition lam':
+    q^(sum lam'_i^2) times prod over the multiplicities r of lam of
+    prod_{j <= r} (1 - q^-j) (Macdonald II.1.6), each factor applied to
+    the coefficients by an exponent shift down by j."""
+    coeffs = {sum(p * p for p in dual(lam)): 1}
+    for r in Counter(lam).values():
+        for j in range(1, r + 1):
+            nxt = dict(coeffs)
+            for e, c in coeffs.items():
+                nxt[e - j] = nxt.get(e - j, 0) - c
+            coeffs = nxt
+    return PolyQU({(e, 0): c for e, c in coeffs.items()})
 
 
 def a_type_poly(tau: TypeEntries) -> PolyQU:

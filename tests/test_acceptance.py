@@ -20,6 +20,7 @@ from golden_tables import (
     UNIPOTENT_TWISTED,
 )
 from oracles import (
+    a_poly,
     c_omega,
     c_tau,
     dual_type,
@@ -52,7 +53,7 @@ from ennola.multiplicities import (
     V_poly,
     build_context,
 )
-from ennola.partitions import a_poly, dual, enumerate_partitions, z_lambda
+from ennola.partitions import dual, enumerate_partitions, z_lambda
 from ennola.symfunc import GradedSeries, SymFunc
 
 MINUS_ONE = ONE.scale(-1)

@@ -348,6 +348,23 @@ class TestClassTypeSum:
                 assert (got["mu"], got["poly"], got["text"]) == (
                     labels, want["poly"], want["text"]), (which, labels)
 
+    def test_twelve_factor_table_is_the_class_type_sum(self, capsys):
+        # at k = 12 the table's sorted keys stand for orbits of up to 12!
+        # orderings (symfunc.orbit builds only the distinct ones); each row
+        # is T by the class-type sum read through specialize
+        from ennola.classtypes import specialize, t_poly
+        from ennola.coeffs import poly_to_json, poly_to_str
+
+        rc, out, _ = run(capsys, "table", "--which", "V", "--k", "12", "--n", "2",
+                         "--format", "json", "--cache-dir", "")
+        assert rc == EXIT_OK
+        rows = json.loads(out)["rows"]
+        assert len(rows) == 10
+        for row in rows:
+            mu = tuple(map(parse_partition, row["mu"]))
+            v = specialize("V", t_poly(mu), mu)
+            assert (row["poly"], row["text"]) == (poly_to_json(v), poly_to_str(v)), row["mu"]
+
     @pytest.mark.parametrize("k,n", [(3, 4), (4, 3)], ids=["k3-n4", "k4-n3"])
     def test_generic_mu_is_the_degree_one_multitype(self, capsys, k, n):
         # both literals against the master series' pairing on a context

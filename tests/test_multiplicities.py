@@ -14,9 +14,10 @@ import pytest
 import ennola.coeffs as coeffs
 import ennola.multiplicities as mult
 from ennola.characters import kronecker
-from ennola.classtypes import as_types, specialize, t_poly
+from ennola.classtypes import as_types, green_pairs, specialize, t_poly
 from ennola.cli import main
 from ennola.coeffs import ONE, Q, U, ZERO, PolyQU, poly_exact_div, poly_to_str
+from ennola.hall_littlewood import transformed_hl
 from ennola.multiplicities import (
     H_omega,
     MasterContext,
@@ -48,6 +49,7 @@ from ennola.partitions import (
     multipartitions,
     parse_partition,
 )
+from ennola.symfunc import SymFunc
 from ennola.types import make_type, parse_multitype, type_size
 from oracles import (
     GL2_TYPES,
@@ -432,6 +434,15 @@ class TestSchurSide:
     @pytest.mark.parametrize("k, N", [(3, 4), (4, 3), (2, 6), (5, 3)])
     def test_omega_matches_powersum_assembly(self, k, N):
         assert _build_omega(k, N) == omega_oracle(k, N)
+
+    def test_green_pairs_is_the_change_of_basis(self):
+        # the kernel's Green polynomials, which the class-type atoms share,
+        # are symfunc's Schur -> b change of basis of the cocharge tables
+        for n in range(1, 11):
+            for lam in enumerate_partitions(n):
+                table = transformed_hl(lam)
+                got = {(rho,): v for rho, v in green_pairs(n, table)}
+                assert got == SymFunc.from_schur(1, n, table).coeffs, lam
 
     def test_warm_multitype_query_reads_one_table(self, tmp_path, monkeypatch):
         cache = str(tmp_path)

@@ -11,8 +11,9 @@ from hypothesis import strategies as st
 from ennola.coeffs import ONE, Q, ZERO, PolyQU, poly_exact_div
 from ennola.partitions import (
     ParseError,
-    a_poly,
+    a_factors,
     check_partition,
+    cofactor,
     dual,
     enumerate_partitions,
     multipartition_to_text,
@@ -23,7 +24,7 @@ from ennola.partitions import (
     size,
     z_lambda,
 )
-from oracles import dominates, hook_poly, unipotent_degree
+from oracles import a_poly, dominates, hook_poly, unipotent_degree
 
 
 @st.composite
@@ -130,6 +131,26 @@ class TestCentralizerOrders:
         assert a_poly((2,)) == (Q - ONE) * Q
         # central classes: full GL_2 order (q^2-1)(q^2-q)
         assert a_poly((1, 1)) == (Q**2 - ONE) * (Q**2 - Q)
+
+    def test_a_factors_is_the_centralizer_order(self):
+        # the closed form against the oracle's, from the conjugate partition
+        for n in range(13):
+            for lam in enumerate_partitions(n):
+                s, ts = a_factors(lam)
+                assert Q**s * math.prod((Q**t - ONE for t in ts), start=ONE) == a_poly(lam), lam
+
+    def test_cofactor_is_the_unipotent_class_size(self):
+        # q^(S - s) cofactor(n, ts) = |GL_n(F_q)| / a_lam, S = n(n-1)/2
+        for n in range(1, 13):
+            gl_order = math.prod((Q**n - Q**i for i in range(n)), start=ONE)
+            for lam in enumerate_partitions(n):
+                s, ts = a_factors(lam)
+                want = poly_exact_div(gl_order, a_poly(lam))
+                assert Q ** (n * (n - 1) // 2 - s) * cofactor(n, ts) == want, lam
+
+    def test_cofactor_refuses_factors_that_do_not_divide(self):
+        with pytest.raises(AssertionError, match=r"\(q;q\)_2 is not a multiple"):
+            cofactor(2, (3,))
 
     def test_steinberg_mass_formula(self):
         # sum over partitions of n of |GL_n| / a_lambda equals the number of

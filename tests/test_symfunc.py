@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import product
+from itertools import combinations_with_replacement, permutations, product
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +18,7 @@ from ennola.symfunc import (
     GradedSeries,
     SymFunc,
     basis_bound,
+    orbit,
     tensor_expand,
     _change_basis,
     _merged_orbits,
@@ -406,6 +407,17 @@ class TestFullKeyReferences:
                     assert dict(_merged_orbits(ka, kb)) == merged_orbits_reference(ka, kb)
                     pairs += 1
         assert pairs == 812
+
+    def test_orbit_is_the_distinct_permutations(self):
+        # sorted and reversed keys of k <= 7 components of size <= 2
+        shapes = [lam for n in range(3) for lam in enumerate_partitions(n)]
+        for k in range(1, 8):
+            for key in combinations_with_replacement(shapes, k):
+                want = tuple(sorted(set(permutations(key))))
+                assert orbit(key) == orbit(key[::-1]) == want, key
+
+    def test_orbit_of_equal_components_is_one_ordering(self):
+        assert orbit(((1,),) * 16) == (((1,),) * 16,)
 
     @given(integer_tables(), integer_tables())
     @settings(max_examples=40, deadline=None)

@@ -26,6 +26,7 @@ from ennola.types import (
     type_to_text,
 )
 from oracles import (
+    a_poly,
     a_prime_poly,
     a_type_poly,
     c_omega,
@@ -105,8 +106,6 @@ class TestCTau:
         # Sum over types of c_tau * product of modified HL functions equals
         # the plethystic logarithm of the full generating series
         # sum_lam H~_lam(x; q) / a_lam(q) in each degree.
-        from ennola.partitions import a_poly
-
         from oracles import pleth_log
 
         N = 4
@@ -187,14 +186,10 @@ class TestSchurOfType:
 
 class TestCentralizerPolynomials:
     def test_a_type_on_partitions(self):
-        from ennola.partitions import a_poly
-
         for lam in [(1,), (2,), (2, 1)]:
             assert a_type_poly(from_partition(lam)) == a_poly(lam)
 
     def test_a_type_substitutes_degree(self):
-        from ennola.partitions import a_poly
-
         tau = make_type([(2, (1,), 1)])
         assert a_type_poly(tau) == Q**2 - ONE
 
