@@ -1,5 +1,6 @@
-"""One entry of T, U, U', V and V' by the sum over class types, without
-the k-fold tables.
+"""T, U, U', V and V' by the sum over class types, without the k-fold
+tables: one contraction (type_sum) for all sorted keys of a degree, of
+which `pair` (t_poly) takes one key and verify the [u^1] part, V.
 
 The u-deformed product prod_m (psi_m Omega)^{phi_{u,m}}, whose Schur
 coefficients are u T (multiplicities.T_poly_product_oracle), expands
@@ -18,26 +19,32 @@ multipartition mu of n with k components
 
 Each term is a scalar times F_tau(x_1) ... F_tau(x_k), so the pairing
 with s_{mu^1}(x_1) ... s_{mu^k}(x_k) splits into k one-alphabet ones and
-the number of terms depends on n alone.  At u = 1 this is the Frobenius
-sum over the class types of GL_n(F_q) (Green, 1955), at (u, q) =
-(-1, -q) over those of GU_n(F_q) (Ennola, 1963).  The sum is linear in
-each component, so at a multitype the Schur-type products X_1 ... X_k
-(multiplicities.schur_of_type) take the place of the Schur functions: each X
-pairs with F_tau through its power-sum weights w_X(rho) = <X, p_rho>
-(power_weights), and T(0, q) is the pairing H of multiplicities.H_omega.
+the number of terms depends on n alone: per type, F_tau is built once
+and paired with every component, and the k-fold products are formed at
+the sorted keys with shared prefixes (tensor_expand).  At u = 1 this is
+the Frobenius sum over the class types of GL_n(F_q) (Green, 1955), at
+(u, q) = (-1, -q) over those of GU_n(F_q) (Ennola, 1963).  The [u^1]
+part, T(0, q) = V up to its sign, comes from the types whose atoms
+share one squarefree m alone: [u^1] of m^r falling(phi_{u,m}, r) is
+mu(m) (q - 1) (-m)^(r-1) (r - 1)!.  The sum is linear in each
+component, so at a multitype the Schur-type products X_1 ... X_k
+(multiplicities.schur_of_type) take the place of the Schur functions:
+each X pairs with F_tau through its power-sum weights w_X(rho) =
+<X, p_rho> (power_weights), and T(0, q) is the pairing H of
+multiplicities.H_omega.
 
 Each atom (m, nu) reads a_nu(q) in closed form (partitions.a_factors)
 and H~_nu on the power sums from green_pairs, the one Green conversion,
 which the kernel (multiplicities._build_omega), the sum over the types
-(1, nu) alone, shares.  Every A_tau divides q^E (q;q)_n, E = max_tau
-sum m (|nu| + 2 n(nu)) = n^2 (at the one atom (1, 1^n)), since
+(1, nu) alone, shares.  Every A_tau, a centralizer order, divides
+|GL_n(F_q)| = q^S (q;q)_n, S = n(n-1)/2, the kernel's denominator too:
 prod_j (q^m_j; q^m_j)_{r_j} divides (q;q)_n when sum m_j r_j <= n, the
 quotient being partitions.cofactor.  So the sum runs on integer
 numerators over that one denominator and an integer L, on packed
 integers (coeffs.pack) with the digit size from an a priori bound, and
-ends in one exact division; a remainder, or a T of u-degree above
-n - 1 (_div_u, which the tables share), is a broken invariant and raises
-AssertionError.
+ends in one exact division for all keys; a remainder, or a T of
+u-degree above n - 1 (_div_u, which the tables share), is a broken
+invariant and raises AssertionError.
 """
 
 from __future__ import annotations
@@ -46,7 +53,7 @@ from functools import lru_cache
 from math import factorial, lcm, prod
 
 from .characters import character_value
-from .coeffs import ONE, Q, U, ZERO, PolyQU, norm1, pack, poly_exact_div, unpack
+from .coeffs import ONE, Q, U, ZERO, PolyQU, exact_quotients, norm1, pack, unpack
 from .hall_littlewood import transformed_hl
 from .partitions import (
     Partition,
@@ -233,18 +240,12 @@ def power_weights(tau) -> dict:
     return {rho: c * z_lambda(rho) // scale for rho, c in _power_product(factors).items() if c}
 
 
-def _pairings(tau, weights, packed: dict) -> list[int]:
-    """[<X, F_tau> times the |nu|! of its atoms, packed] for X's weights w
-    in weights: F_tau's power-sum expansion is the product of its atoms',
-    each coefficient read through packed."""
-    f = _power_product(packed[atom] for atom in tau)
-    return [sum(c * w.get(sig, 0) for sig, c in f.items()) for w in weights]
-
-
-def _div_u(p: PolyQU, n: int, at) -> PolyQU:
+def _div_u(p: PolyQU | None, n: int, at) -> PolyQU:
     """T from u T, the degree-n entry at `at`, one exact division by u:
-    AssertionError when a term of p has no u or T's u-degree exceeds
-    n - 1."""
+    AssertionError when p is None (type_sum's sum did not divide), a term
+    of p has no u or T's u-degree exceeds n - 1."""
+    if p is None:
+        raise AssertionError(f"the class-type sum at {at} is not u times a polynomial")
     shifted = {}
     for (i, j), c in p.terms.items():
         if j < 1:
@@ -256,54 +257,89 @@ def _div_u(p: PolyQU, n: int, at) -> PolyQU:
     return out
 
 
-def t_poly(key) -> PolyQU:
-    """T(u, q) at a multipartition or a multitype of n >= 1: u T summed
-    over the class types on packed integers, over L q^(n^2) (q;q)_n."""
-    mt = as_types(key)
-    k, n = len(mt), type_size(mt[0])
-    if n < 1:
-        raise ValueError(f"a multipartition of size at least 1, got {n}")
-    comps = sorted(set(mt))
-    power = [mt.count(x) for x in comps]
-    weights = [power_weights(x) for x in comps]
-    falling: dict = {}  # prod over m of m^r_m falling(phi_{u,m}, r_m), by the power of u
+def tensor_expand(factors, start) -> list:
+    """The (key, start * c_1 * ... * c_k) terms of a product of k
+    one-alphabet expansions, each an iterable of (component, c_i) pairs, at
+    the sorted keys in itertools.product order: for k equal factors, the
+    orbit representatives.  Folding in one factor at a time shares every
+    prefix product."""
+    terms = [((), start)]
+    for factor in factors:
+        terms = [(key + (rho,), c * v) for key, c in terms for rho, v in factor
+                 if not key or key[-1] <= rho]
+    return terms
+
+
+def type_sum(alphabets, powers=None) -> dict:
+    """{key: [u^j] u T at key, j in powers (every j when None)} at each
+    sorted key of one component from each of the k alphabets in turn, the
+    components partitions or types of one size n >= 1 (as_types): each
+    class type's F_tau built once, packed, paired with every component's
+    power_weights, its k-fold products formed at the sorted keys
+    (tensor_expand), and the sums over L q^S (q;q)_n divided by one
+    exact_quotients; a key whose sum does not divide maps to None."""
+    labels = list(dict.fromkeys(c for comps in alphabets for c in comps))
+    mt = as_types(labels)
+    k, n = len(alphabets), type_size(mt[0])
+    S = n * (n - 1) // 2
+    weights = {c: power_weights(x) for c, x in zip(labels, mt)}
+    falling: dict = {}  # prod over m of m^r_m falling(phi_{u,m}, r_m), the wanted powers of u
     terms = []
     for tau in class_types(n):
-        atoms = [_atom(*atom) for atom in tau]
         profile = tuple(multiplicities([m for m, _ in tau]).items())  # m ascending, as tau
         if profile not in falling:
             c = prod((phi_u(m) - PolyQU.const(j * m) for m, r in profile for j in range(r)),
                      start=ONE)
-            falling[profile] = {j: c.coeff_of_u(j) for j in range(c.udeg() + 1)}
+            falling[profile] = {j: c_j for j in range(c.udeg() + 1)
+                                if (powers is None or j in powers) and (c_j := c.coeff_of_u(j))}
+        if not falling[profile]:
+            continue
+        atoms = [_atom(*atom) for atom in tau]
         ts = tuple(sorted(t for *_, a_ts in atoms for t in a_ts))
         scale = prod(m ** r for m, r in profile) * prod(factorial(size(nu)) for _, nu in tau) ** k
         scale *= prod(map(factorial, multiplicities(tau).values()))
         norm = prod(a[1] for a in atoms) ** k
-        terms.append((tau, scale, profile, ts, n * n - sum(a[2] for a in atoms), norm))
+        terms.append((tau, scale, profile, ts, S - sum(a[2] for a in atoms), norm))
     L = lcm(*(term[1] for term in terms))
     # the scaled <X, F_tau> has 1-norm at most the largest |w_X| times
     # the product of its atoms' 1-norms
-    dims = prod(max(map(abs, w.values())) ** e for w, e in zip(weights, power))
+    dims = prod(max(max(map(abs, weights[c].values())) for c in comps) for comps in alphabets)
     bound = dims * sum(L // scale * norm1(cofactor(n, ts)) * norm
                        * sum(map(norm1, falling[profile].values()))
                        for _, scale, profile, ts, _, norm in terms)
     B = bound.bit_length() + 1
     packed = {atom: [(rho, pack(g, B, 1)) for rho, g in _atom(*atom)[0]]
               for atom in {atom for tau, *_ in terms for atom in tau}}
-    sums: dict[int, int] = {}  # by the power of u
+    sums: dict = {}  # by the power of u, then the key
     for tau, scale, profile, ts, shift, _ in terms:
-        x = L // scale * pack(cofactor(n, ts), B, 1) << B * shift
-        x *= prod(p ** e for p, e in zip(_pairings(tau, weights, packed), power))
+        f = _power_product(packed[atom] for atom in tau)
+        pairing = {c: sum(v * w.get(sig, 0) for sig, v in f.items()) for c, w in weights.items()}
+        products = tensor_expand([[(c, pairing[c]) for c in comps] for comps in alphabets],
+                                 L // scale * pack(cofactor(n, ts), B, 1))
         for j, c_j in falling[profile].items():
-            sums[j] = sums.get(j, 0) + x * pack(c_j, B, 1)
+            acc, c_j = sums.setdefault(j, {}), pack(c_j, B, 1)
+            for key, y in products:  # q^shift last: a product with its zeros costs more
+                acc[key] = acc.get(key, 0) + (y * c_j << B * shift)
     # a number of b bits has at most b // B + 2 balanced digits, so with
     # W that large every digit is a power of q
-    total = PolyQU({(i, j): c for j, s in sums.items()
-                    for (i, _), c in unpack(s, B, s.bit_length() // B + 2).terms.items()})
-    ut = poly_exact_div(total, (Q ** (n * n) * q_pochhammer(n)).scale(L))
+    totals: dict = {}
+    for j, acc in sums.items():
+        for key, s in acc.items():
+            totals.setdefault(key, {}).update(
+                ((i, j), c) for (i, _), c in unpack(s, B, s.bit_length() // B + 2).terms.items())
+    quotients = exact_quotients([PolyQU(t) for t in totals.values()],
+                                (Q ** S * q_pochhammer(n)).scale(L))
+    return dict(zip(totals, quotients))
+
+
+def t_poly(key) -> PolyQU:
+    """T(u, q) at a multipartition or a multitype of n >= 1: type_sum at
+    the one sorted key, each alphabet holding that key's component."""
+    mt = as_types(key)
+    n = type_size(mt[0])
+    if n < 1:
+        raise ValueError(f"a multipartition of size at least 1, got {n}")
+    (ut,) = type_sum([[c] for c in sorted(mt)]).values()
     # a multipartition by its text, any other key by its types
     lams = tuple(c[0][1] for c in mt)
-    at = multipartition_to_text(lams) if tuple(key) == lams else str(mt)
-    if ut is None:
-        raise AssertionError(f"the class-type sum at {at} is not u times a polynomial")
-    return _div_u(ut, n, at)
+    return _div_u(ut, n, multipartition_to_text(lams) if tuple(key) == lams else str(mt))

@@ -159,13 +159,6 @@ class PolyQU:
         return PolyQU(((qa * i + ua * j, qb * i + ub * j), c * cq**i * cu**j)
                       for (i, j), c in self.terms.items())
 
-    def evaluate(self, qval, uval=0):
-        """Exact value at integer (or other exact rational) arguments."""
-        total = 0
-        for (i, j), c in self.terms.items():
-            total += c * qval**i * uval**j
-        return total
-
     def __str__(self) -> str:
         return poly_to_str(self)
 

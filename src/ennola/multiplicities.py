@@ -57,7 +57,9 @@ from .classtypes import (
     phi_u,
     power_weights,
     specialize,
+    tensor_expand,
     type_size,
+    type_sum,
 )
 from .hall_littlewood import transformed_hl
 from .partitions import (
@@ -74,7 +76,7 @@ from .partitions import (
     q_pochhammer,
     size,
 )
-from .symfunc import GradedSeries, SymFunc, tensor_expand
+from .symfunc import GradedSeries, SymFunc
 
 CACHE_VERSION = 3
 
@@ -92,12 +94,12 @@ class MasterContext:
     the master series' Schur table; a context reads each file at most once,
     in stored_psi_schur, and only psi_schur writes one.  So a V or V'
     table of degree n reads and writes only the degree-n file and never
-    builds the master series from a warm cache; verify and `cache build`
-    write every missing degree; T, U and U' tables rebuild the master
-    series from all N files when each is present and never write one;
-    and `pair`, which takes the class-type sum, builds no context.  A
-    failed cache write does not stop a query; it is kept in
-    cache_write_error."""
+    builds the master series from a warm cache; `cache build` writes
+    every missing degree; T, U and U' tables and verify, whose V is the
+    class-type sum's, rebuild the master series from all N files when
+    each is present and never write one; and `pair`, which takes the
+    class-type sum, builds no context.  A failed cache write does not
+    stop a query; it is kept in cache_write_error."""
 
     def __init__(self, k: int, N: int, cache_dir: str | None = None):
         if k < 1 or N < 1:
@@ -206,7 +208,7 @@ def _build_omega(k: int, N: int) -> GradedSeries:
     H~_lam(x_i) / a_lam(q), the one-atom types (1, lam) of the class-type
     sum (classtypes).  On the basis b_rho the coefficients of H~_lam are
     the Green polynomials (classtypes.green_pairs), so the product is their
-    k-fold tensor power at the sorted keys (symfunc.tensor_expand).
+    k-fold tensor power at the sorted keys (classtypes.tensor_expand).
     Degree n is summed over q^S (q;q)_n = |GL_n(F_q)|, S = n(n-1)/2: the
     term of lam starts at the unipotent class size q^(S-s) cofactor(n, ts)
     for a_lam = q^s prod (q^t - 1) (partitions.a_factors), no division.
@@ -420,12 +422,14 @@ class VerifyReport:
 def verify_suite(ctx: MasterContext) -> VerifyReport:
     """Check each identity of the interpolation for all multipartitions of
     1..ctx.N against a second route, which shares at most its input series
-    with T's: V through H_omega, the u-deformed product, the twisted
-    product, the Kronecker coefficient, and positivity.  Failures come back
-    as data, never exceptions.  Every family is symmetric in the k factors,
-    so each sorted key is computed and compared once, and its outcome
-    recorded, in the walk over the ordered multipartitions, for each
-    ordering of it under that ordering's name."""
+    with T's: V by the [u^1] part of the sum over class types
+    (classtypes.type_sum, one contraction per degree, which owes nothing to
+    Omega, its log or Psi), the u-deformed product, the twisted product,
+    the Kronecker coefficient, and positivity.  Failures come back as data,
+    never exceptions.  Every family is symmetric in the k factors, so each
+    sorted key is computed and compared once, and its outcome recorded, in
+    the walk over the ordered multipartitions, for each ordering of it
+    under that ordering's name."""
     at_zero = VerifyItem("tau-at-0-matches-generic")
     product_route = VerifyItem("tau-matches-u-deformed-product")
     twisted = VerifyItem("tau-at-minus-1-matches-twisted-product")
@@ -436,11 +440,11 @@ def verify_suite(ctx: MasterContext) -> VerifyReport:
     t_oracle = T_poly_product_oracle(ctx)
     up_oracle = Uprime_poly_product_oracle(ctx)
 
-    def check(n: int, rep: MultiPartition, t: PolyQU) -> tuple[list, list]:
-        """The comparisons at the sorted key rep, as (family, ok, failure
-        text after the key's name, *its format arguments), and the (family
-        name, value) pairs whose leading coefficient is negative."""
-        h = H_omega(ctx, rep)
+    def check(n: int, rep: MultiPartition, t: PolyQU, h: PolyQU) -> tuple[list, list]:
+        """The comparisons at the sorted key rep, of T there and of the
+        generic side H = [u^1] u T by the class types, as (family, ok,
+        failure text after the key's name, *its format arguments), and the
+        (family name, value) pairs whose leading coefficient is negative."""
         v, vp = specialize("V", h, rep), specialize("Vprime", h, rep)
         up_val = specialize("Uprime", t, rep)
         kron = kronecker(rep)
@@ -460,11 +464,13 @@ def verify_suite(ctx: MasterContext) -> VerifyReport:
 
     for n in range(1, ctx.N + 1):
         taus = ctx.tau_schur(n)
+        generic = type_sum([enumerate_partitions(n)] * ctx.k, (1,))
         outcomes: dict[MultiPartition, tuple[list, list]] = {}
         for mu in multipartitions(ctx.k, n):
             rep = tuple(sorted(mu))
             if rep not in outcomes:
-                outcomes[rep] = check(n, rep, taus.get(rep, PolyQU()))
+                h = _div_u(generic[rep], n, rep)
+                outcomes[rep] = check(n, rep, taus.get(rep, PolyQU()), h)
             checks, negative = outcomes[rep]
             for item, ok, why, *args in checks:
                 item.record(ok, mu, why, args)

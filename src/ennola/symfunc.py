@@ -58,19 +58,6 @@ from .partitions import MultiPartition, Partition, enumerate_partitions, z_lambd
 Coeffs = dict[MultiPartition, PolyQU]
 
 
-def tensor_expand(factors, start) -> list:
-    """The (key, start * c_1 * ... * c_k) terms of a product of k
-    one-alphabet expansions, each an iterable of (partition, c_i) pairs, at
-    the sorted keys in itertools.product order: for k equal factors, the
-    orbit representatives.  Folding in one factor at a time shares every
-    prefix product."""
-    terms = [((), start)]
-    for factor in factors:
-        terms = [(key + (rho,), c * v) for key, c in terms for rho, v in factor
-                 if not key or key[-1] <= rho]
-    return terms
-
-
 def _is_sorted(key: MultiPartition) -> bool:
     return list(key) == sorted(key)
 
@@ -346,13 +333,6 @@ class GradedSeries:
     @classmethod
     def zero(cls, k: int, N: int) -> "GradedSeries":
         return cls(k, N, [SymFunc.zero(k, n) for n in range(N + 1)])
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, GradedSeries):
-            return NotImplemented
-        return (self.k, self.N) == (other.k, other.N) and all(
-            a == b for a, b in zip(self.coeffs, other.coeffs)
-        )
 
     def __repr__(self) -> str:
         return f"GradedSeries(k={self.k}, N={self.N})"

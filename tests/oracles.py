@@ -75,8 +75,9 @@ type (c_omega) and the dual type, the centralizer orders of unipotent
 classes, from the conjugate partition (a_poly, where the library reads
 the closed form partitions.a_factors), and of types (a_type_poly,
 a_prime_poly), the unipotent character degrees
-(unipotent_degree), the text form of a multitype, the product of
-graded series (series_mul), the reference for the exp/log laws, the
+(unipotent_degree), the text form of a multitype, a polynomial's value
+at numbers (evaluate), the equality of graded series (series_equal), the
+product of graded series (series_mul), the reference for the exp/log laws, the
 multiple of a series, its Adams operations and its plethystic
 exponential (series_scale, adams_series, pleth_exp), where the library
 has only the degree-wise weighted Adams sum, and the
@@ -345,6 +346,17 @@ def pairing(f: SymFunc, g: SymFunc) -> SymFunc:
         if cb is not None:
             total = total + (ca * cb).scale(math.prod(map(z_lambda, rho)))
     return scalar(total, f_den * g_den)
+
+
+def evaluate(p: PolyQU, qval, uval=0):
+    """The exact value of p at integer (or other exact rational) q and u."""
+    return sum(c * qval**i * uval**j for (i, j), c in p.terms.items())
+
+
+def series_equal(f: GradedSeries, g: GradedSeries) -> bool:
+    """Equal shapes and degree-wise equal functions, denominators
+    cross-multiplied (SymFunc.__eq__)."""
+    return (f.k, f.N) == (g.k, g.N) and all(a == b for a, b in zip(f.coeffs, g.coeffs))
 
 
 def series_scale(f: GradedSeries, c) -> GradedSeries:
@@ -705,7 +717,7 @@ def conjugacy_classes(n: int, q: int):
         for s in range(1, rest // d + 1):
             powers.append(_poly_mul(powers[-1], f, q))
             for lam in enumerate_partitions(s):
-                c = a_poly(lam).evaluate(q ** d)
+                c = evaluate(a_poly(lam), q ** d)
                 for divisors, c_rest in assign(i + 1, rest - d * s):
                     yield [powers[part] for part in lam] + divisors, c * c_rest
 

@@ -365,6 +365,26 @@ class TestClassTypeSum:
             v = specialize("V", t_poly(mu), mu)
             assert (row["poly"], row["text"]) == (poly_to_json(v), poly_to_str(v)), row["mu"]
 
+    @pytest.mark.parametrize("k,n", [(3, 5), (4, 4), (2, 6), (12, 2)],
+                             ids=["k3-n5", "k4-n4", "k2-n6", "k12-n2"])
+    def test_one_contraction_is_both_tables(self, k, n):
+        # the class-type contraction over every sorted key of one degree:
+        # its [u^1] table, verify's generic side, is u times the master
+        # series' Schur table, and its whole u T is u times the tau table
+        from ennola.classtypes import type_sum
+        from ennola.coeffs import PolyQU, U
+        from ennola.multiplicities import build_context
+
+        ctx = build_context(k, n)
+        keys = list(combinations_with_replacement(sorted(enumerate_partitions(n)), k))
+        generic = type_sum([enumerate_partitions(n)] * k, (1,))
+        full = type_sum([enumerate_partitions(n)] * k)
+        assert sorted(generic) == sorted(full) == keys
+        psi, tau = ctx.psi_schur(n), ctx.tau_schur(n)
+        for key in keys:
+            assert generic[key] == psi.get(key, PolyQU()) * U, key
+            assert full[key] == tau.get(key, PolyQU()) * U, key
+
     @pytest.mark.parametrize("k,n", [(3, 4), (4, 3)], ids=["k3-n4", "k4-n3"])
     def test_generic_mu_is_the_degree_one_multitype(self, capsys, k, n):
         # both literals against the master series' pairing on a context
@@ -449,9 +469,9 @@ class TestClassTypeSum:
         import ennola.classtypes as ct
         from ennola.coeffs import U
 
-        real = ct.poly_exact_div
-        monkeypatch.setattr(ct, "poly_exact_div", lambda a, b: real(a, b) * U ** 3
-                            if a.udeg() else real(a, b))
+        real = ct.exact_quotients
+        monkeypatch.setattr(ct, "exact_quotients", lambda nums, b: [
+            c * U ** 3 if c.udeg() else c for c in real(nums, b)])
         rc, out, err = run(capsys, "pair", "--which", "T", "--mu", "2.1,2.1,1^3",
                            "--cache-dir", "")
         assert (rc, out) == (EXIT_INTERNAL, "")
@@ -599,13 +619,13 @@ class TestInternalErrors:
     def test_any_other_exception_exits_internal(self, capsys, monkeypatch, argv):
         # an exception outside the four classes is an internal error, not
         # exit 1, which is the code of a failed verify identity; both
-        # commands reach the master series' Schur table
+        # commands reach the master series
         import ennola.multiplicities as mult
 
-        def broken(ctx, n):
+        def broken(ctx):
             raise RuntimeError("stage broke")
 
-        monkeypatch.setattr(mult.MasterContext, "psi_schur", broken)
+        monkeypatch.setattr(mult.MasterContext, "psi", property(broken))
         rc, out, err = run(capsys, *argv, "--cache-dir", "")
         assert (rc, out) == (EXIT_INTERNAL, "")
         first, *trace = err.splitlines()
@@ -770,8 +790,7 @@ class TestCache:
     @pytest.mark.parametrize("argv", [
         ("table", "--which", "Vprime", "--n", "3"),
         ("table", "--which", "V", "--n", "2"),
-        ("verify", "--n", "2"),
-    ], ids=["table-Vprime", "table", "verify"])
+    ], ids=["table-Vprime", "table"])
     def test_failed_cache_write_warns_once(self, capsys, tmp_path, argv):
         # a regular file as the cache directory: the answer and the exit
         # code are those of a run without a cache, plus one warning
@@ -886,8 +905,8 @@ class TestCache:
 
     def test_only_v_queries_verify_and_build_write(self, capsys, tmp_path):
         # psi_schur alone saves: a V or V' table writes its own degree,
-        # verify and cache build every degree, T, U and U' tables none,
-        # and `pair`, which takes the class-type sum, none
+        # cache build every degree, T, U and U' tables none, and `pair`
+        # and verify none, since both read V off the class-type sum
         every = ["psi_k3_n1.json", "psi_k3_n2.json", "psi_k3_n3.json"]
         runs = [
             (("table", "--which", "T", "--n", "3"), []),
@@ -897,7 +916,7 @@ class TestCache:
             (("table", "--which", "Vprime", "--n", "3"), ["psi_k3_n3.json"]),
             (("table", "--which", "Vprime", "--n", "2"), ["psi_k3_n2.json"]),
             (("table", "--which", "V", "--n", "3"), ["psi_k3_n3.json"]),
-            (("verify", "--n", "3"), every),
+            (("verify", "--n", "3"), []),
             (("cache", "build", "--n", "3"), every),
         ]
         for i, (argv, files) in enumerate(runs):
@@ -1245,7 +1264,6 @@ class TestEveryFunctionRuns:
     A helper that only the tests call belongs in tests/oracles.py."""
 
     NOT_RUN = {
-        "coeffs.PolyQU.evaluate": "the library user's way from a polynomial to a number",
         "cli.run": "the process entry, which TestProcessEntry runs",
         "multiplicities.U_poly_product_oracle":
             "perfbench wraps it; it leaves when perfbench reads a trace (ROADMAP item 1b)",

@@ -64,6 +64,7 @@ from oracles import (
     adams_series,
     conjugacy_classes,
     enumerate_types,
+    evaluate,
     expand_graded,
     from_partition,
     gcd_reference,
@@ -77,6 +78,7 @@ from oracles import (
     pairing_degree,
     phi,
     pleth_exp,
+    series_equal,
     series_scale,
     star_quiver,
     unipotent_degree,
@@ -143,7 +145,7 @@ class TestOrbitCounts:
         for d in range(1, 7):
             for qv in (2, 3, 4, 5, 7, 8, 9):
                 for name, num in (("phi", phi(d)[0]), ("phi'", phi_prime(d))):
-                    v, rem = divmod(num.evaluate(qv), d)
+                    v, rem = divmod(evaluate(num, qv), d)
                     assert rem == 0 and v >= 0, (name, d, qv)
 
     def test_d_must_be_positive(self):
@@ -319,7 +321,7 @@ class TestPipelineSmall:
         v = V_poly(ctx5, omega)
         assert v == ONE
         for qv in (2, 3, 4):
-            assert v.evaluate(qv) >= 0
+            assert evaluate(v, qv) >= 0
 
     @pytest.mark.parametrize("family", [
         T_poly, U_poly, Uprime_poly, V_poly, Vprime_poly,
@@ -359,7 +361,7 @@ class TestPipelineSmall:
         # psi_m(Psi) by u^m in one Adams sum, while the oracle takes psi_m
         # of the series u Psi, whose remap sends u to u^m
         ctx = build_context(k, N, None)
-        assert ctx.exp_u_psi == pleth_exp(series_scale(ctx.psi, U))
+        assert series_equal(ctx.exp_u_psi, pleth_exp(series_scale(ctx.psi, U)))
 
 
 class TestComponentSymmetry:
@@ -433,7 +435,7 @@ class TestSchurSide:
 
     @pytest.mark.parametrize("k, N", [(3, 4), (4, 3), (2, 6), (5, 3)])
     def test_omega_matches_powersum_assembly(self, k, N):
-        assert _build_omega(k, N) == omega_oracle(k, N)
+        assert series_equal(_build_omega(k, N), omega_oracle(k, N))
 
     def test_green_pairs_is_the_change_of_basis(self):
         # the kernel's Green polynomials, which the class-type atoms share,
@@ -504,7 +506,7 @@ class TestClosedFormDenominators:
                     den = piece.coeffs[n].den
                     assert poly_exact_div(closed_form(n), den) is not None, (n, den)
             integral = total.over([ONE] * (N + 1))  # NotPolynomialError if not
-            assert integral == total
+            assert series_equal(integral, total)
 
     def test_only_the_twisted_oracle_takes_a_gcd(self, monkeypatch):
         import ennola.coeffs as coeffs
@@ -609,7 +611,7 @@ class TestUnipotentFromTheGroup:
         got = unipotent_multiplicities_from_group(n, q, k)
         assert len(got) == len(set(tuple(sorted(mu)) for mu in multipartitions(k, n)))
         for mu, value in got.items():
-            assert U_poly(ctx, mu).evaluate(q) == value, mu
+            assert evaluate(U_poly(ctx, mu), q) == value, mu
 
 
 class TestGenericFromTheGroup:
@@ -625,8 +627,8 @@ class TestGenericFromTheGroup:
         got = generic_multiplicities_from_group(n, q, k)
         assert len(got) == len(set(tuple(sorted(mu)) for mu in multipartitions(k, n)))
         for mu, value in got.items():
-            assert V_poly(ctx, mu).evaluate(q) == value, mu
-            assert T_poly(ctx, mu).evaluate(q, 0) == value, mu
+            assert evaluate(V_poly(ctx, mu), q) == value, mu
+            assert evaluate(T_poly(ctx, mu), q, 0) == value, mu
         return got
 
     @pytest.mark.parametrize("q, k", [(3, 3), (5, 3), (3, 4), (5, 5)])
@@ -644,7 +646,7 @@ class TestGenericFromTheGroup:
         assert generic_multiplicities_from_group(2, 5, 5)[mu] == 5
         assert unipotent_multiplicities_from_group(2, 5, 5)[mu] == 6
         ctx = build_context(5, 2, None)
-        assert (V_poly(ctx, mu).evaluate(5), U_poly(ctx, mu).evaluate(5)) == (5, 6)
+        assert (evaluate(V_poly(ctx, mu), 5), evaluate(U_poly(ctx, mu), 5)) == (5, 6)
 
 
 class TestEveryMultitypeAgainstGL2:
@@ -679,7 +681,7 @@ class TestEveryMultitypeAgainstGL2:
             assert len(got) == math.comb(k + 3, k)
             for mt, value in got.items():
                 if value is not None:
-                    assert V_poly(ctx, mt).evaluate(q) == value, mt
+                    assert evaluate(V_poly(ctx, mt), q) == value, mt
                     counts[0] += 1
                     counts[1] += value != 0
         assert counts == [checked, nonzero]
@@ -705,7 +707,7 @@ class TestUnitaryFromTheGroup:
             for mu, b in chi.items():
                 inner = sum(count * a[sig] * b[sig] for (sig, _), count in classes.items())
                 assert inner == (order if lam == mu else 0), (lam, mu)
-            assert a[one] == abs(unipotent_degree(lam).evaluate(-q)), lam
+            assert a[one] == abs(evaluate(unipotent_degree(lam), -q)), lam
 
     @pytest.mark.parametrize("n, q, vprime_nonzero, off_ennola", [
         (2, 2, None, 2), (2, 3, 6, 2), (2, 5, 6, 2), (2, 7, 6, 2), (3, 2, 18, 26),
@@ -721,12 +723,12 @@ class TestUnitaryFromTheGroup:
             assert len(got) == len(set(tuple(sorted(mu)) for mu in multipartitions(k, n)))
             oracle = Uprime_poly_product_oracle(ctx)
             for mu, value in got.items():
-                assert Uprime_poly(ctx, mu).evaluate(q) == value, mu
-                assert oracle.get((n, mu), ZERO).evaluate(q) == value, mu
-                off += value not in (U_poly(ctx, mu).evaluate(-q), -U_poly(ctx, mu).evaluate(-q))
+                assert evaluate(Uprime_poly(ctx, mu), q) == value, mu
+                assert evaluate(oracle.get((n, mu), ZERO), q) == value, mu
+                off += value not in (evaluate(U_poly(ctx, mu), -q), -evaluate(U_poly(ctx, mu), -q))
             if vprime_nonzero is not None:
                 for mu, value in unitary_multiplicities_from_group(n, q, k, generic=True).items():
-                    assert Vprime_poly(ctx, mu).evaluate(q) == value, mu
+                    assert evaluate(Vprime_poly(ctx, mu), q) == value, mu
                     nonzero += value != 0
         assert off == off_ennola
         assert nonzero == (vprime_nonzero or 0)
@@ -807,7 +809,7 @@ class TestEveryMultitypeAgainstGU2:
             assert len(got) == math.comb(k + 3, k)
             for mt, value in got.items():
                 if value is not None:
-                    assert Vprime_poly(ctx, mt).evaluate(q) == value, mt
+                    assert evaluate(Vprime_poly(ctx, mt), q) == value, mt
                     counts[0] += 1
                     counts[1] += value != 0
         assert counts == [checked, nonzero]
@@ -872,7 +874,7 @@ class TestKacRoots:
                 value = V_poly(ctx, tuple(make_type([(1, (p,), 1) for p in comp])
                                           for comp in mu))
                 for q in range(2, max(pairing_degree(mu) // 2, 0) + 3):
-                    assert value.evaluate(q) == kac_polynomial_hua(v, adj, q), (mu, q)
+                    assert evaluate(value, q) == kac_polynomial_hua(v, adj, q), (mu, q)
 
     @pytest.mark.parametrize("text, vertices", [
         ("1:1^2,1:1^2,1:1^2,1:1^2", 5),  # D4~, delta
@@ -943,7 +945,7 @@ class TestProductOracles:
         minus_one = ONE.scale(-1)
         derived = _signed_neg_q(r.adams_sum(phi_u))
         derived = derived._like([f.subst_coeffs(u=minus_one) for f in derived.coeffs])
-        assert _uprime_log_sum(r) == derived
+        assert series_equal(_uprime_log_sum(r), derived)
         assert [f.den for f in derived.coeffs] == [(-Q)**m - ONE if m else ONE
                                                    for m in range(N + 1)]
         from_t = {key: p.subst(q=-Q, u=minus_one).scale(
@@ -983,9 +985,11 @@ def _seed_fault(monkeypatch, family: str, rep) -> None:
         monkeypatch.setattr(mult, name, corrupted)
 
     if family == "tau-at-0-matches-generic":
-        real_h = mult.H_omega
-        monkeypatch.setattr(mult, "H_omega", lambda ctx, mt: real_h(ctx, mt) + (
-            ONE if mt == rep else ZERO))
+        # the [u^1] table of the class-type contraction, u V at rep off by u
+        real_sum = mult.type_sum
+        monkeypatch.setattr(mult, "type_sum", lambda alphabets, powers=None: {
+            key: p + (U if key == rep else ZERO)
+            for key, p in real_sum(alphabets, powers).items()})
     elif family == "tau-matches-u-deformed-product":
         at_rep("T_poly_product_oracle", lambda p: p + U)
     elif family == "tau-at-minus-1-matches-twisted-product":
@@ -1036,15 +1040,53 @@ class TestVerifySuite:
         assert [(i.name, i.failures) for i in report.items if i.failures] == [(family, 3)]
         assert [i.cases for i in report.items] == [161] * 5
 
-    def test_v_and_vprime_come_from_one_pairing_per_key(self, monkeypatch):
-        # verify reads V and V' off one pairing per sorted key, through
-        # the sign rule the commands use (classtypes.specialize)
-        calls = []
-        real = mult.H_omega
-        monkeypatch.setattr(mult, "H_omega", lambda ctx, mt: calls.append(mt) or real(ctx, mt))
+    def test_v_and_vprime_come_from_one_contraction_per_degree(self, monkeypatch):
+        # verify reads V and V' off the [u^1] table of one class-type
+        # contraction per degree, over every sorted key, through the sign
+        # rule the commands use (classtypes.specialize); it pairs no Psi
+        # Schur table with a type (H_omega) and extracts none (psi_schur)
+        calls, paired = [], []
+        real = mult.type_sum
+
+        def counted(alphabets, powers=None):
+            table = real(alphabets, powers)
+            calls.append((alphabets, powers, sorted(table)))
+            return table
+
+        monkeypatch.setattr(mult, "type_sum", counted)
+        monkeypatch.setattr(mult, "H_omega", lambda *args: paired.append(args))
+        monkeypatch.setattr(MasterContext, "psi_schur", lambda *args: paired.append(args))
         assert verify_suite(build_context(3, 3, None)).ok
-        keys = {tuple(sorted(mu)) for n in range(1, 4) for mu in multipartitions(3, n)}
-        assert sorted(calls) == sorted(keys)
+        assert paired == []
+        assert calls == [
+            ([enumerate_partitions(n)] * 3, (1,),
+             list(combinations_with_replacement(sorted(enumerate_partitions(n)), 3)))
+            for n in range(1, 4)]
+
+    def test_a_kernel_fault_fails_the_generic_family(self, capsys, monkeypatch):
+        # q e_4(x_1) e_4(x_2) e_4(x_3) added to the kernel at degree 4, that
+        # is q sgn(rho_1) sgn(rho_2) sgn(rho_3) at every key on the basis
+        # b_rho: the log, Psi, T and both product routes carry it alike and
+        # keep T(u, q) integral, positive and of the right top u-degree, so
+        # only the class-type sum, which owes nothing to the kernel, sees it
+        real = mult._build_omega
+
+        def sign(rho):
+            return (-1) ** (sum(rho) - len(rho))
+
+        def faulty(k, N):
+            omega = real(k, N)
+            f = omega.coeffs[4]
+            extra = {key: (Q * f.den).scale(math.prod(map(sign, key)))
+                     for key in combinations_with_replacement(sorted(enumerate_partitions(4)), k)}
+            omega.coeffs[4] = f.add(SymFunc(k, 4, extra, f.den))
+            return omega
+
+        monkeypatch.setattr(mult, "_build_omega", faulty)
+        assert main(["verify", "--n", "5", "--format", "json", "--cache-dir", ""]) == 1
+        items = json.loads(capsys.readouterr().out)["items"]
+        assert [(i["name"], i["first_failure"]) for i in items if i["failures"]] == [
+            ("tau-at-0-matches-generic", "1^4,1^4,1^4: tau(0,q) != V")]
 
     def test_a_green_run_formats_no_failure_text(self, monkeypatch):
         # the text of a failure or an audit note is built only when one is
@@ -1270,8 +1312,9 @@ class TestCache:
         assert path in ctx.ignored_cache_files
 
     def test_verify_on_partial_cache_loads_each_file_once(self, tmp_path, monkeypatch):
-        # degrees 1 and 3 usable, 2 refused, 4 missing: the warm rebuild
-        # stops at degree 2, and psi_schur reads no file a second time
+        # degrees 1 and 3 usable, 2 refused, 4 missing: verify reads the
+        # cache only for the warm rebuild of Psi, which stops at degree 2,
+        # and reads no file a second time
         cache = str(tmp_path)
         cold = build_context(3, 4, cache)
         for n in (1, 3):
@@ -1289,7 +1332,7 @@ class TestCache:
         monkeypatch.setattr(mult, "load_cache", counted)
         warm = MasterContext(3, 4, cache)
         report = verify_suite(warm)
-        assert sorted(loads) == [1, 2, 3, 4]
+        assert sorted(loads) == [1, 2]
         assert warm.ignored_cache_files == [bad]
         assert report.to_json() == verify_suite(MasterContext(3, 4, None)).to_json()
 

@@ -14,12 +14,12 @@ from hypothesis import strategies as st
 from ennola.coeffs import ONE, Q, ZERO, NotPolynomialError, PolyQU, U
 from ennola.partitions import enumerate_partitions, mobius, multipartitions, z_lambda
 from ennola.characters import character_value
+from ennola.classtypes import tensor_expand
 from ennola.symfunc import (
     GradedSeries,
     SymFunc,
     basis_bound,
     orbit,
-    tensor_expand,
     _change_basis,
     _merged_orbits,
 )
@@ -40,6 +40,7 @@ from oracles import (
     scalar,
     schur_coefficient_oracle,
     schur_table_oracle,
+    series_equal,
     series_mul,
     series_scale,
     symmetrized,
@@ -620,8 +621,8 @@ class TestGradedSeries:
         # the orbit sum p_2(x) p_11(y) + p_11(x) p_2(y), and p_2 p_2
         coeffs[2] = powersum_symfunc(2, 2, {((1, 1), (2,)): ONE, ((2,), (2,)): U}, PolyQU.const(2))
         f = GradedSeries(2, 5, coeffs)
-        assert f.plain_exp().plain_log() == f
-        assert pleth_log(pleth_exp(f)) == f
+        assert series_equal(f.plain_exp().plain_log(), f)
+        assert series_equal(pleth_log(pleth_exp(f)), f)
 
     def test_exp_homomorphism(self):
         # Exp(f+g) = Exp(f) Exp(g), and the same for plain exp
@@ -635,10 +636,10 @@ class TestGradedSeries:
         fb = GradedSeries(1, 5, cb)
         lhs_plain = fa.add(fb).plain_exp()
         rhs_plain = series_mul(fa.plain_exp(), fb.plain_exp())
-        assert lhs_plain == rhs_plain
+        assert series_equal(lhs_plain, rhs_plain)
         lhs = pleth_exp(fa.add(fb))
         rhs = series_mul(pleth_exp(fa), pleth_exp(fb))
-        assert lhs == rhs
+        assert series_equal(lhs, rhs)
 
     def test_pleth_exp_of_p1_counts_partitions(self):
         # Exp(p_1) = sum over all partitions: coefficient of degree n lists
@@ -662,9 +663,9 @@ class TestGradedSeries:
         f = GradedSeries(1, 6, c)
         # Psi is the Adams sum with weight 1, its inverse the one with mu
         psi = f.adams_sum(lambda m: 1)
-        assert psi != f
-        assert psi.adams_sum(mobius) == f
-        assert f.adams_sum(mobius).adams_sum(lambda m: 1) == f
+        assert not series_equal(psi, f)
+        assert series_equal(psi.adams_sum(mobius), f)
+        assert series_equal(f.adams_sum(mobius).adams_sum(lambda m: 1), f)
 
     @pytest.mark.parametrize("weight", [
         lambda m: 1,
@@ -681,14 +682,14 @@ class TestGradedSeries:
         by_hand = GradedSeries.zero(2, 6)
         for m in range(1, 7):
             by_hand = by_hand.add(series_scale(adams_series(f, m), weight(m)))
-        assert f.adams_sum(weight) == by_hand
+        assert series_equal(f.adams_sum(weight), by_hand)
 
     def test_adams_composition(self):
         f = GradedSeries.zero(1, 6)
         c = list(f.coeffs)
         c[1] = SymFunc(1, 1, {(((1,),)): Q + ONE})
         f = GradedSeries(1, 6, c)
-        assert adams_series(adams_series(f, 2), 3) == adams_series(f, 6)
+        assert series_equal(adams_series(adams_series(f, 2), 3), adams_series(f, 6))
 
     def test_exp_requires_zero_constant_term(self):
         one = [SymFunc.one(1)] + [SymFunc.zero(1, n) for n in (1, 2, 3)]
