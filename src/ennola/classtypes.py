@@ -33,10 +33,10 @@ each X pairs with F_tau through its power-sum weights w_X(rho) =
 <X, p_rho> (power_weights), and T(0, q) is the pairing H of
 multiplicities.H_omega.
 
-Each atom (m, nu) reads a_nu(q) in closed form (partitions.a_factors)
-and H~_nu on the power sums from green_pairs, the one Green conversion,
-which the kernel (multiplicities._build_omega), the sum over the types
-(1, nu) alone, shares.  Every A_tau, a centralizer order, divides
+Each atom (m, nu) is psi_m of nu's green_record, the one record per
+partition of H~_nu on the power sums and a_nu(q) in closed form, which
+the kernel (multiplicities._build_omega), the sum over the types (1, nu)
+alone, reads too.  Every A_tau, a centralizer order, divides
 |GL_n(F_q)| = q^S (q;q)_n, S = n(n-1)/2, the kernel's denominator too:
 prod_j (q^m_j; q^m_j)_{r_j} divides (q;q)_n when sum m_j r_j <= n, the
 quotient being partitions.cofactor.  So the sum runs on integer
@@ -183,33 +183,33 @@ def class_types(n: int) -> tuple[tuple[tuple[int, Partition], ...], ...]:
     return tuple(rec(0, n))
 
 
-def green_pairs(n: int, schur: dict) -> tuple:
-    """A degree-n one-alphabet Schur table {(lam,): c_lam(q)} on the power
-    sums: the nonzero pairs (rho, sum over lam of chi^lam(rho) c_lam), rho
-    in enumeration order; for H~_nu's table the Green polynomials
-    Q^nu_rho(q), its coefficients on b_rho = p_rho / z_rho (Macdonald III.7)."""
-    out = []
-    for rho in enumerate_partitions(n):
+@lru_cache(maxsize=None)
+def green_record(nu: Partition) -> tuple:
+    """nu's record, built once per process for the kernel and every atom
+    (m, nu): (pairs, s, ts), the nonzero pairs (rho, Q^nu_rho(q)), H~_nu on
+    b_rho = p_rho / z_rho (Macdonald III.7), rho in enumeration order, and
+    a_nu(q) = q^s prod over ts of (q^t - 1) (partitions.a_factors)."""
+    table, pairs = transformed_hl(nu), []
+    for rho in enumerate_partitions(size(nu)):
         acc: dict = {}
-        for (lam,), c in schur.items():
+        for (lam,), c in table.items():
             if chi := character_value(lam, rho):
                 for mono, v in c.terms.items():
                     acc[mono] = acc.get(mono, 0) + chi * v
         if green := PolyQU(acc):
-            out.append((rho, green))
-    return tuple(out)
+            pairs.append((rho, green))
+    return (tuple(pairs), *a_factors(nu))
 
 
 @lru_cache(maxsize=None)
 def _atom(m: int, nu: Partition) -> tuple:
-    """The atom (m, nu) as (pairs, norm, shift, ts): psi_m of H~_nu times
-    |nu|!, the pairs (m rho, |nu|!/z_rho Q^nu_rho(q^m)) from green_pairs;
-    the sum of their 1-norms; and a_nu(q^m) = q^shift prod over ts of
-    (q^t - 1), partitions.a_factors at q -> q^m."""
+    """The atom (m, nu), psi_m of nu's green_record, as (pairs, norm, shift,
+    ts): the pairs (m rho, |nu|!/z_rho Q^nu_rho(q^m)), the sum of their
+    1-norms, and a_nu(q^m) = q^shift prod over ts of (q^t - 1)."""
+    pairs, s, ts = green_record(nu)
     f = factorial(size(nu))
     pairs = tuple((tuple(m * p for p in rho), g.subst(q=Q ** m).scale(f // z_lambda(rho)))
-                  for rho, g in green_pairs(size(nu), transformed_hl(nu)))
-    s, ts = a_factors(nu)
+                  for rho, g in pairs)
     return pairs, sum(norm1(g) for _, g in pairs), m * s, tuple(m * t for t in ts)
 
 
@@ -332,14 +332,15 @@ def type_sum(alphabets, powers=None) -> dict:
     return dict(zip(totals, quotients))
 
 
-def t_poly(key) -> PolyQU:
+def t_poly(key, powers=None) -> PolyQU:
     """T(u, q) at a multipartition or a multitype of n >= 1: type_sum at
-    the one sorted key, each alphabet holding that key's component."""
+    the one sorted key, each alphabet holding that key's component, with
+    its powers: (1,) gives T(0, q) alone."""
     mt = as_types(key)
     n = type_size(mt[0])
     if n < 1:
         raise ValueError(f"a multipartition of size at least 1, got {n}")
-    (ut,) = type_sum([[c] for c in sorted(mt)]).values()
+    (ut,) = type_sum([[c] for c in sorted(mt)], powers).values()
     # a multipartition by its text, any other key by its types
     lams = tuple(c[0][1] for c in mt)
     return _div_u(ut, n, multipartition_to_text(lams) if tuple(key) == lams else str(mt))

@@ -13,7 +13,7 @@ import sys
 from itertools import combinations_with_replacement
 
 from .characters import kronecker
-from .coeffs import NotPolynomialError, PolyQU, poly_to_json, poly_to_str
+from .coeffs import ZERO, NotPolynomialError, PolyQU, poly_to_json, poly_to_str
 from .partitions import (
     enumerate_partitions,
     multipartition_to_text,
@@ -115,9 +115,10 @@ def cmd_pair(req: argparse.Namespace) -> int:
     if FAMILIES[req.which][1] is None:
         val = PolyQU.const(kronecker(key))
     else:
-        from .classtypes import specialize, t_poly
+        from .classtypes import SPECIALIZATIONS, specialize, t_poly
 
-        val = specialize(req.which, t_poly(key), key)
+        powers = (1,) if SPECIALIZATIONS[req.which][0] is ZERO else None
+        val = specialize(req.which, t_poly(key, powers), key)
     if req.fmt == "text":
         print(poly_to_str(val))
     elif req.fmt == "json":

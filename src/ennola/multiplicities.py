@@ -53,7 +53,7 @@ from .classtypes import (
     _div_u,
     _multitype_signs,
     as_types,
-    green_pairs,
+    green_record,
     phi_u,
     power_weights,
     specialize,
@@ -61,10 +61,9 @@ from .classtypes import (
     type_size,
     type_sum,
 )
-from .hall_littlewood import transformed_hl
+from .hall_littlewood import transformed_hl  # wrapped by perfbench; ROADMAP item 1b removes it
 from .partitions import (
     MultiPartition,
-    a_factors,
     check_multipartition,
     cofactor,
     enumerate_partitions,
@@ -207,11 +206,11 @@ def _build_omega(k: int, N: int) -> GradedSeries:
     """The kernel: sum over lam of the product over the k alphabets of
     H~_lam(x_i) / a_lam(q), the one-atom types (1, lam) of the class-type
     sum (classtypes).  On the basis b_rho the coefficients of H~_lam are
-    the Green polynomials (classtypes.green_pairs), so the product is their
+    the Green polynomials (classtypes.green_record), so the product is their
     k-fold tensor power at the sorted keys (classtypes.tensor_expand).
     Degree n is summed over q^S (q;q)_n = |GL_n(F_q)|, S = n(n-1)/2: the
     term of lam starts at the unipotent class size q^(S-s) cofactor(n, ts)
-    for a_lam = q^s prod (q^t - 1) (partitions.a_factors), no division.
+    for a_lam = q^s prod (q^t - 1) (the same record), no division.
     The q^S cancels exactly and Omega_n is over (q;q)_n.
 
     The sum runs on packed integers (coeffs.pack), unpacked once per key.
@@ -220,20 +219,18 @@ def _build_omega(k: int, N: int) -> GradedSeries:
     coeffs = [SymFunc.one(k)]
     for n in range(1, N + 1):
         S = n * (n - 1) // 2
-        terms = [(PolyQU.monomial(1, S - s, 0) * cofactor(n, ts),
-                  green_pairs(n, transformed_hl(lam)))
-                 for lam in enumerate_partitions(n) for s, ts in [a_factors(lam)]]
+        terms = [(PolyQU.monomial(1, S - s, 0) * cofactor(n, ts), pairs)
+                 for lam in enumerate_partitions(n) for pairs, s, ts in [green_record(lam)]]
         bound = sum(norm1(start) * max(norm1(v) for _, v in items) ** k
                     for start, items in terms)
         B = bound.bit_length() + 1
-        W = 1 + max(start.qdeg() + k * max(v.qdeg() for _, v in items)
-                    for start, items in terms)
         acc: dict[MultiPartition, int] = {}
         for start, items in terms:
-            packed = [(rho, pack(v, B, W)) for rho, v in items]
-            for key, c in tensor_expand([packed] * k, pack(start, B, W)):
+            packed = [(rho, pack(v, B, 1)) for rho, v in items]
+            for key, c in tensor_expand([packed] * k, pack(start, B, 1)):
                 acc[key] = acc.get(key, 0) + c
-        nums = {key: unpack(v, B, W) for key, v in acc.items()}
+        # a number of b bits has at most b // B + 2 balanced digits, each a power of q
+        nums = {key: unpack(v, B, v.bit_length() // B + 2) for key, v in acc.items()}
         coeffs.append(SymFunc(k, n, nums, Q**S * q_pochhammer(n)).over(q_pochhammer(n)))
     return GradedSeries(k, N, coeffs)
 

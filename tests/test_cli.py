@@ -436,6 +436,23 @@ class TestClassTypeSum:
                 want = poly_to_str(value(ctx, parse_multitype(mt))) + "\n"
                 assert got == (EXIT_OK, want, ""), (which, mt)
 
+    def test_u1_types_alone_are_the_generic_side(self):
+        # pair --which V|Vprime sums only the [u^1] class types: the same
+        # V and V' as all of u T, at every sorted key of (3, 4) and (4, 3)
+        # and at the multitypes of size <= 4 that the pairing tests walk
+        from ennola.classtypes import specialize, t_poly
+        from ennola.types import parse_multitype
+
+        keys = [key for k, n in ((3, 4), (4, 3))
+                for key in combinations_with_replacement(sorted(enumerate_partitions(n)), k)]
+        keys += [parse_multitype(mt) for k, n, count in self.CASES if n <= 4
+                 for mt in self.multitypes(k, n, count)]
+        for key in keys:
+            t, t0 = t_poly(key), t_poly(key, (1,))
+            assert t0.udeg() <= 0, key
+            for which in ("V", "Vprime"):
+                assert specialize(which, t0, key) == specialize(which, t, key), (which, key)
+
     @pytest.mark.parametrize("mu,message", [
         (((), ()), "a multipartition of size at least 1, got 0"),
         (((1, 2), (3,)), "partition parts must be weakly decreasing, got (1, 2)"),

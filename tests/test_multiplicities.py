@@ -11,10 +11,11 @@ from itertools import combinations_with_replacement, permutations
 
 import pytest
 
+import ennola.classtypes as ct
 import ennola.coeffs as coeffs
 import ennola.multiplicities as mult
 from ennola.characters import kronecker
-from ennola.classtypes import as_types, green_pairs, specialize, t_poly
+from ennola.classtypes import as_types, green_record, specialize, t_poly, type_sum
 from ennola.cli import main
 from ennola.coeffs import ONE, Q, U, ZERO, PolyQU, poly_exact_div, poly_to_str
 from ennola.hall_littlewood import transformed_hl
@@ -44,6 +45,7 @@ from ennola.multiplicities import (
     verify_suite,
 )
 from ennola.partitions import (
+    a_factors,
     enumerate_partitions,
     multipartition_to_text,
     multipartitions,
@@ -437,14 +439,29 @@ class TestSchurSide:
     def test_omega_matches_powersum_assembly(self, k, N):
         assert series_equal(_build_omega(k, N), omega_oracle(k, N))
 
-    def test_green_pairs_is_the_change_of_basis(self):
-        # the kernel's Green polynomials, which the class-type atoms share,
-        # are symfunc's Schur -> b change of basis of the cocharge tables
+    def test_green_record_is_the_change_of_basis(self):
+        # the record the kernel and the class-type atoms share: its Green
+        # polynomials are symfunc's Schur -> b change of basis of the
+        # cocharge tables, its (s, ts) the closed form of a_lam
         for n in range(1, 11):
             for lam in enumerate_partitions(n):
-                table = transformed_hl(lam)
-                got = {(rho,): v for rho, v in green_pairs(n, table)}
-                assert got == SymFunc.from_schur(1, n, table).coeffs, lam
+                pairs, s, ts = green_record(lam)
+                got = {(rho,): v for rho, v in pairs}
+                assert got == SymFunc.from_schur(1, n, transformed_hl(lam)).coeffs, lam
+                assert (s, ts) == a_factors(lam), lam
+
+    def test_one_green_record_per_partition(self):
+        # from cold caches, the kernel through degree 5 and the class-type
+        # sum at n = 5, whose atoms (m, nu) reach every nu of size 1..5,
+        # build one record per partition of 1..5 between them; each atom
+        # reads its record once
+        green_record.cache_clear()
+        ct._atom.cache_clear()
+        assert build_context(3, 5).omega.coeffs[5].coeffs
+        assert type_sum([enumerate_partitions(5)] * 3)
+        info = green_record.cache_info()
+        assert info.misses == sum(len(enumerate_partitions(n)) for n in range(1, 6)) == 18
+        assert info.hits == len({atom for tau in ct.class_types(5) for atom in tau}) == 24
 
     def test_warm_multitype_query_reads_one_table(self, tmp_path, monkeypatch):
         cache = str(tmp_path)
