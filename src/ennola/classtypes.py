@@ -58,6 +58,7 @@ from .hall_littlewood import transformed_hl
 from .partitions import (
     Partition,
     a_factors,
+    check_components,
     check_partition,
     cofactor,
     dual,
@@ -113,22 +114,14 @@ def type_size(tau) -> int:
     return sum(m * d * size(lam) for d, lam, m in tau)
 
 
-def as_types(key) -> tuple:
+def as_types(key, k: int | None = None) -> tuple:
     """The one normal form of a query key, a multipartition or a multitype:
     each component a type, a partition lam as ((1, lam, 1),) and a typed
-    one in canonical form (make_type), all of one size; ValueError
-    otherwise."""
-    comps = []
-    for c in key:
-        if c and isinstance(c[0], tuple):
-            comps.append(make_type(c))
-        else:
-            comps.append(((1, check_partition(c), 1),))
-    if not comps:
-        raise ValueError("a multipartition needs at least one component")
-    if len({type_size(c) for c in comps}) > 1:
-        raise ValueError("components of different sizes")
-    return tuple(comps)
+    one in canonical form (make_type), shaped as partitions.check_components
+    asks, k of them when k is given; ValueError otherwise."""
+    return check_components(tuple(make_type(c) if c and isinstance(c[0], tuple)
+                                  else ((1, check_partition(c), 1),) for c in key),
+                            type_size, k)
 
 
 def _multitype_signs(mt) -> tuple[int, int]:
@@ -320,13 +313,11 @@ def type_sum(alphabets, powers=None) -> dict:
             acc, c_j = sums.setdefault(j, {}), pack(c_j, B, 1)
             for key, y in products:  # q^shift last: a product with its zeros costs more
                 acc[key] = acc.get(key, 0) + (y * c_j << B * shift)
-    # a number of b bits has at most b // B + 2 balanced digits, so with
-    # W that large every digit is a power of q
     totals: dict = {}
     for j, acc in sums.items():
         for key, s in acc.items():
             totals.setdefault(key, {}).update(
-                ((i, j), c) for (i, _), c in unpack(s, B, s.bit_length() // B + 2).terms.items())
+                ((i, j), c) for (i, _), c in unpack(s, B).terms.items())
     quotients = exact_quotients([PolyQU(t) for t in totals.values()],
                                 (Q ** S * q_pochhammer(n)).scale(L))
     return dict(zip(totals, quotients))

@@ -13,7 +13,7 @@ import sys
 from itertools import combinations_with_replacement
 
 from .characters import kronecker
-from .coeffs import ZERO, NotPolynomialError, PolyQU, poly_to_json, poly_to_str
+from .coeffs import ZERO, PolyQU, poly_to_json, poly_to_str
 from .partitions import (
     enumerate_partitions,
     multipartition_to_text,
@@ -280,7 +280,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         _check_sizes(req)
         return req.cmd(req)
-    except (NotPolynomialError, AssertionError) as exc:
+    except AssertionError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     except ValueError as exc:

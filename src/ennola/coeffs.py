@@ -199,13 +199,17 @@ def pack(p: PolyQU, B: int, W: int) -> int:
     return sum(c << (B * (i + W * j)) for (i, j), c in p.terms.items())
 
 
-def unpack(N: int, B: int, W: int) -> PolyQU:
+def unpack(N: int, B: int, W: int | None = None) -> PolyQU:
     """The polynomial whose pack(., B, W) is N, read in balanced base-2^B
     digits; exact when every |coefficient| is below 2^(B-1) and the
-    q-degree below W.  B must be at least 2: with B = 1 the digits are
-    -1 and 0, and no positive N has an expansion."""
+    q-degree below W.  With no W, N is read as a polynomial in q alone:
+    a number of b bits has at most b // B + 2 balanced digits, so with W
+    that large every digit is a power of q.  B must be at least 2: with
+    B = 1 the digits are -1 and 0, and no positive N has an expansion."""
     if B < 2:
         raise ValueError(f"digit size {B} below 2")
+    if W is None:
+        W = N.bit_length() // B + 2
     full = 1 << B
     half, mask = full >> 1, full - 1
     terms: dict[Monomial, int] = {}
@@ -327,9 +331,10 @@ def norm1(p: PolyQU) -> int:
     return sum(map(abs, p.terms.values()))
 
 
-class NotPolynomialError(ValueError):
+class NotPolynomialError(AssertionError):
     """A value did not divide exactly by a denominator it is known to
-    carry, so it is not the polynomial it should be."""
+    carry: a broken invariant, like the class-type sum's AssertionErrors,
+    never a ValueError, the class of a refused input."""
 
 
 # ---------------------------------------------------------------------------

@@ -229,8 +229,7 @@ def _build_omega(k: int, N: int) -> GradedSeries:
             packed = [(rho, pack(v, B, 1)) for rho, v in items]
             for key, c in tensor_expand([packed] * k, pack(start, B, 1)):
                 acc[key] = acc.get(key, 0) + c
-        # a number of b bits has at most b // B + 2 balanced digits, each a power of q
-        nums = {key: unpack(v, B, v.bit_length() // B + 2) for key, v in acc.items()}
+        nums = {key: unpack(v, B) for key, v in acc.items()}
         coeffs.append(SymFunc(k, n, nums, Q**S * q_pochhammer(n)).over(q_pochhammer(n)))
     return GradedSeries(k, N, coeffs)
 
@@ -256,13 +255,11 @@ def schur_of_type(tau) -> dict[MultiPartition, PolyQU]:
 
 def H_omega(ctx: MasterContext, key) -> PolyQU:
     """Hall pairing of the degree-n master coefficient with the Schur-type
-    product attached to a multipartition or a multitype, taken through
-    classtypes.as_types: the sum over nu of the master Schur table's
-    entry at nu times the s_{nu^i} coefficients of the k Schur-type
-    factors (schur_of_type); an integer polynomial in q."""
-    mt = as_types(key)
-    if len(mt) != ctx.k:
-        raise ValueError(f"expected {ctx.k} components, got {len(mt)}")
+    product attached to a multipartition or a multitype of ctx.k
+    components, checked by classtypes.as_types: the sum over nu of the
+    master Schur table's entry at nu times the s_{nu^i} coefficients of
+    the k Schur-type factors (schur_of_type); an integer polynomial in q."""
+    mt = as_types(key, ctx.k)
     table = ctx.psi_schur(type_size(mt[0]))
     total = PolyQU()
     for combo in product(*(schur_of_type(tau).items() for tau in mt)):

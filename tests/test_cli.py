@@ -650,6 +650,19 @@ class TestInternalErrors:
         assert trace[0] == "Traceback (most recent call last):"
         assert trace[-1] == "RuntimeError: stage broke"
 
+    def test_src_has_no_bare_assert(self):
+        # every invariant raises AssertionError explicitly, so python -O,
+        # which drops assert statements, keeps its checks and exit code
+        import ast
+
+        import ennola
+
+        bare = [f"{path.name}:{node.lineno}"
+                for path in sorted(Path(ennola.__file__).parent.glob("*.py"))
+                for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                if isinstance(node, ast.Assert)]
+        assert bare == []
+
 
 class TestCache:
     def test_build_then_reuse(self, capsys, tmp_path):

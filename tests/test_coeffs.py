@@ -400,6 +400,18 @@ class TestPacking:
 
     @given(st.data())
     @settings(max_examples=60, deadline=None)
+    def test_q_only_round_trip_needs_no_width(self, data):
+        # with no W, unpack reads every digit as a power of q
+        B = data.draw(st.integers(2, 130))
+        edge = 2 ** (B - 1)
+        terms = data.draw(st.dictionaries(st.integers(0, 40), st.integers(-edge, edge - 1),
+                                          max_size=8))
+        p = PolyQU({(i, 0): c for i, c in terms.items()})
+        assert unpack(pack(p, B, 1), B) == p
+        assert unpack(0, B) == ZERO
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
     def test_round_trip_and_ring_maps(self, data):
         B = data.draw(st.integers(2, 130))
         W = data.draw(st.integers(1, 5))

@@ -46,6 +46,7 @@ from ennola.multiplicities import (
 )
 from ennola.partitions import (
     a_factors,
+    check_multipartition,
     enumerate_partitions,
     multipartition_to_text,
     multipartitions,
@@ -229,28 +230,36 @@ class TestAsTypes:
 class TestMultitypeRefusals:
     """Both routes take a key through as_types, so a multitype key that is
     no multitype is refused by each of them, never read as a number, and
-    one with unsorted or unmerged entries is its canonical form."""
+    one with unsorted or unmerged entries is its canonical form.  A key of
+    partitions alone is refused by the tables' route too, in the same
+    words (partitions.check_components)."""
 
     TAU = make_type([(1, (2, 1), 1)])
     BAD = [
         ((TAU, ((1, (2,), 1),), TAU), "components of different sizes"),
-        ((TAU, ((1, (3,), 0),), TAU), r"entry \(1, \(3,\), 0\) needs positive d and m"),
-        ((TAU, ((0, (3,), 1),), TAU), r"entry \(0, \(3,\), 1\) needs positive d and m"),
-        ((TAU, ((1, (1, 2), 1),), TAU), r"weakly decreasing, got \(1, 2\)$"),
+        ((TAU, ((1, (3,), 0),), TAU), "entry (1, (3,), 0) needs positive d and m"),
+        ((TAU, ((0, (3,), 1),), TAU), "entry (0, (3,), 1) needs positive d and m"),
+        ((TAU, ((1, (1, 2), 1),), TAU), "partition parts must be weakly decreasing, got (1, 2)"),
         ((), "a multipartition needs at least one component"),
+        (((2,), (1, 1), (1, 1, 1)), "components of different sizes"),
     ]
 
     @pytest.mark.parametrize("key, message", BAD,
-                             ids=["sizes-differ", "m-0", "d-0", "increasing", "no-component"])
+                             ids=["sizes-differ", "m-0", "d-0", "increasing", "no-component",
+                                  "partition-sizes-differ"])
     def test_bad_multitypes_are_refused(self, key, message):
         ctx = build_context(3, 3, None)
         calls = [lambda: t_poly(key), lambda: H_omega(ctx, key),
                  lambda: V_poly(ctx, key), lambda: Vprime_poly(ctx, key)]
         calls += [lambda which=which: specialize(which, ONE, key)
                   for which in ("T", "U", "Uprime", "V", "Vprime")]
+        if all(not c or isinstance(c[0], int) for c in key):  # partitions alone
+            calls += [lambda family=family: family(ctx, key)
+                      for family in (T_poly, U_poly, Uprime_poly)]
         for call in calls:
-            with pytest.raises(ValueError, match=message):
+            with pytest.raises(ValueError) as exc:
                 call()
+            assert str(exc.value) == message
 
     def test_unsorted_and_unmerged_entries_are_the_canonical_type(self, ctx5):
         raw = ((2, (1,), 1), (1, (1,), 1), (1, (1,), 1))
@@ -275,8 +284,14 @@ class TestPipelineSmall:
         (lambda: MasterContext(3, 2).tau_schur(3), "degree 3 outside 1..2"),
         (lambda: H_omega(MasterContext(3, 2), as_types(((1,), (1,)))),
          "expected 3 components, got 2"),
+        *[(lambda family=family: family(MasterContext(3, 2), ((1,), (1,))),
+           "expected 3 components, got 2")
+          for family in (T_poly, U_poly, Uprime_poly, V_poly, Vprime_poly)],
+        (lambda: check_multipartition(((1,), (1,)), 3), "expected 3 components, got 2"),
     ], ids=["k-0", "N-0", "psi-degree-0", "psi-degree-N+1", "tau-degree-0",
-            "tau-degree-N+1", "H-two-components"])
+            "tau-degree-N+1", "H-two-components", "T-two-components", "U-two-components",
+            "Uprime-two-components", "V-two-components", "Vprime-two-components",
+            "check-two-components"])
     def test_refusals(self, call, message):
         with pytest.raises(ValueError) as exc:
             call()
@@ -327,19 +342,24 @@ class TestPipelineSmall:
 
     @pytest.mark.parametrize("family", [
         T_poly, U_poly, Uprime_poly, V_poly, Vprime_poly,
-        pytest.param(lambda ctx, mu: kronecker(mu), id="kronecker")])
+        pytest.param(lambda ctx, mu: kronecker(mu), id="kronecker"),
+        pytest.param(lambda ctx, mu: check_multipartition(mu, ctx.k),
+                     id="check_multipartition")])
     def test_components_of_different_sizes_are_refused(self, family):
-        # a key that is not a multipartition is refused, never read as 0
+        # a key that is not a multipartition is refused, never read as 0,
+        # in the same words on both routes
         ctx = build_context(3, 3, None)
         for mu, message in [
-            (((2,), (1, 1), (1, 1, 1)), "different sizes"),
-            (((1,), (2,), (2,)), "different sizes"),
-            (((2, 1), (3,), (1, 1)), "different sizes"),
-            (((2, 1), (1, 2), (3,)), r"weakly decreasing, got \(1, 2\)$"),
-            (((2, 1, 0), (2, 1), (3,)), r"positive integers, got \(2, 1, 0\)$"),
+            (((2,), (1, 1), (1, 1, 1)), "components of different sizes"),
+            (((1,), (2,), (2,)), "components of different sizes"),
+            (((2, 1), (3,), (1, 1)), "components of different sizes"),
+            (((2, 1), (1, 2), (3,)), "partition parts must be weakly decreasing, got (1, 2)"),
+            (((2, 1, 0), (2, 1), (3,)), "partition parts must be positive integers, got (2, 1, 0)"),
+            ((), "a multipartition needs at least one component"),
         ]:
-            with pytest.raises(ValueError, match=message):
+            with pytest.raises(ValueError) as exc:
                 family(ctx, mu)
+            assert str(exc.value) == message
 
     @pytest.mark.parametrize("family", [V_poly, Vprime_poly])
     def test_typed_components_are_checked(self, family):

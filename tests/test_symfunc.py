@@ -237,6 +237,13 @@ class TestOneDenominator:
         assert (g.coeffs, g.den) == ({((),): (Q**2 - ONE) * (Q**2 + Q + ONE)}, Q**3 - ONE)
         assert g == f
 
+    def test_non_polynomial_is_a_broken_invariant(self):
+        # an AssertionError, like the class-type sum's, so a caller's
+        # except ValueError, its refusal handling, does not swallow it
+        with pytest.raises(AssertionError) as exc:
+            SymFunc(1, 1, {((1,),): ONE}, Q - ONE).over(Q + ONE)
+        assert not isinstance(exc.value, ValueError)
+
     def test_non_polynomial_raises(self):
         with pytest.raises(NotPolynomialError):
             scalar(ONE, Q - ONE).over(ONE)
