@@ -118,7 +118,7 @@ def as_types(key, k: int | None = None) -> tuple:
     """The one normal form of a query key, a multipartition or a multitype:
     each component a type, a partition lam as ((1, lam, 1),) and a typed
     one in canonical form (make_type), shaped as partitions.check_components
-    asks, k of them when k is given; ValueError otherwise."""
+    asks (k of them when k is given, of one size n >= 1); else ValueError."""
     return check_components(tuple(make_type(c) if c and isinstance(c[0], tuple)
                                   else ((1, check_partition(c), 1),) for c in key),
                             type_size, k)
@@ -324,13 +324,11 @@ def type_sum(alphabets, powers=None) -> dict:
 
 
 def t_poly(key, powers=None) -> PolyQU:
-    """T(u, q) at a multipartition or a multitype of n >= 1: type_sum at
-    the one sorted key, each alphabet holding that key's component, with
-    its powers: (1,) gives T(0, q) alone."""
+    """T(u, q) at a multipartition or a multitype, of one size n >= 1 as
+    as_types checks: type_sum at the one sorted key, each alphabet holding
+    that key's component, with its powers: (1,) gives T(0, q) alone."""
     mt = as_types(key)
     n = type_size(mt[0])
-    if n < 1:
-        raise ValueError(f"a multipartition of size at least 1, got {n}")
     (ut,) = type_sum([[c] for c in sorted(mt)], powers).values()
     # a multipartition by its text, any other key by its types
     lams = tuple(c[0][1] for c in mt)

@@ -93,8 +93,8 @@ def _csv(column: str, k: int, lines) -> str:
 def cmd_pair(req: argparse.Namespace) -> int:
     """One polynomial: kron by characters, every other family by the sum
     over class types at a `--mu` key, and V and V' at a `--type` key too.
-    The sum needs no k-fold table and no cache; --cache-dir is accepted
-    and unused."""
+    The library refuses a bad key, one of size 0 too; the sum needs no
+    k-fold table and no cache; --cache-dir is accepted and unused."""
     if req.type_literal is not None:
         if not FAMILIES[req.which][2]:
             typed = " or ".join(w for w, fam in FAMILIES.items() if fam[2])
@@ -108,8 +108,6 @@ def cmd_pair(req: argparse.Namespace) -> int:
     else:
         key = parse_multipartition(req.mu)
         k, n = len(key), size(key[0])
-        if n < 1:
-            raise UsageError(f"--mu must have size at least 1, got {n}")
         labels, column = [partition_to_text(c) for c in key], "mu"
 
     if FAMILIES[req.which][1] is None:

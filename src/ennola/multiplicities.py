@@ -169,8 +169,7 @@ class MasterContext:
         """The degree-n table held or read from the cache, or None.  The
         file is read at most once per context; one that is present but
         fails to load is recorded in ignored_cache_files."""
-        if not 1 <= n <= self.N:
-            raise ValueError(f"degree {n} outside 1..{self.N}")
+        self._check_degree(n)
         if self.cache_dir and n not in self._cache_read:
             self._cache_read.add(n)
             table = load_cache(self.cache_dir, self.k, n)
@@ -193,13 +192,15 @@ class MasterContext:
 
     def tau_schur(self, n: int) -> dict[MultiPartition, PolyQU]:
         """Interpolation polynomials for the sorted multipartitions of n."""
-        if n in self._tau_schur:
-            return self._tau_schur[n]
+        if n not in self._tau_schur:
+            self._check_degree(n)
+            schur = self.exp_u_psi.coeffs[n].to_schur()
+            self._tau_schur[n] = {key: _div_u(p, n, key) for key, p in schur.items()}
+        return self._tau_schur[n]
+
+    def _check_degree(self, n: int) -> None:
         if not 1 <= n <= self.N:
             raise ValueError(f"degree {n} outside 1..{self.N}")
-        table = {key: _div_u(p, n, key) for key, p in self.exp_u_psi.coeffs[n].to_schur().items()}
-        self._tau_schur[n] = table
-        return table
 
 
 def _build_omega(k: int, N: int) -> GradedSeries:

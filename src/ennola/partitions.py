@@ -31,21 +31,23 @@ def check_partition(parts) -> Partition:
 
 
 def check_multipartition(mu, k: int | None = None) -> MultiPartition:
-    """mu as a tuple of partitions (check_partition), at least one, all of
-    one size and k when k is given (check_components); else ValueError."""
+    """mu as a tuple of partitions (check_partition), at least one, k when
+    k is given, all of one size n >= 1 (check_components); else ValueError."""
     return check_components(tuple(map(check_partition, mu)), size, k)
 
 
 def check_components(comps: tuple, size_of, k: int | None = None) -> tuple:
     """comps, a key's components in normal form, if at least one, k when k
-    is given and all of one size_of; else ValueError for the first that
-    fails.  The shape check of both key forms (classtypes.as_types too)."""
+    is given, all of one size_of and that size >= 1; else ValueError for the
+    first that fails.  The shape check of both key forms (as_types too)."""
     if not comps:
         raise ValueError("a multipartition needs at least one component")
     if k is not None and len(comps) != k:
         raise ValueError(f"expected {k} components, got {len(comps)}")
-    if len({size_of(c) for c in comps}) > 1:
+    if len(sizes := {size_of(c) for c in comps}) > 1:
         raise ValueError("components of different sizes")
+    if 0 in sizes:
+        raise ValueError("a multipartition needs size at least 1")
     return comps
 
 

@@ -213,7 +213,7 @@ class TestSizeBounds:
                            "--cache-dir", str(cache))
         assert rc == EXIT_USAGE
         assert out == ""
-        assert err == "error: --mu must have size at least 1, got 0\n"
+        assert err == "error: a multipartition needs size at least 1\n"
         assert not cache.exists()
 
 
@@ -454,7 +454,7 @@ class TestClassTypeSum:
                 assert specialize(which, t0, key) == specialize(which, t, key), (which, key)
 
     @pytest.mark.parametrize("mu,message", [
-        (((), ()), "a multipartition of size at least 1, got 0"),
+        (((), ()), "a multipartition needs size at least 1"),
         (((1, 2), (3,)), "partition parts must be weakly decreasing, got (1, 2)"),
         (((2, 1), (2,)), "components of different sizes"),
     ], ids=["size-0", "increasing", "sizes-differ"])

@@ -232,7 +232,7 @@ class TestMultitypeRefusals:
     no multitype is refused by each of them, never read as a number, and
     one with unsorted or unmerged entries is its canonical form.  A key of
     partitions alone is refused by the tables' route too, in the same
-    words (partitions.check_components)."""
+    words (partitions.check_components), and so is a key of size 0."""
 
     TAU = make_type([(1, (2, 1), 1)])
     BAD = [
@@ -242,20 +242,22 @@ class TestMultitypeRefusals:
         ((TAU, ((1, (1, 2), 1),), TAU), "partition parts must be weakly decreasing, got (1, 2)"),
         ((), "a multipartition needs at least one component"),
         (((2,), (1, 1), (1, 1, 1)), "components of different sizes"),
+        (((),) * 3, "a multipartition needs size at least 1"),
     ]
 
     @pytest.mark.parametrize("key, message", BAD,
                              ids=["sizes-differ", "m-0", "d-0", "increasing", "no-component",
-                                  "partition-sizes-differ"])
+                                  "partition-sizes-differ", "size-0"])
     def test_bad_multitypes_are_refused(self, key, message):
         ctx = build_context(3, 3, None)
-        calls = [lambda: t_poly(key), lambda: H_omega(ctx, key),
+        calls = [lambda: t_poly(key), lambda: H_omega(ctx, key), lambda: as_types(key),
                  lambda: V_poly(ctx, key), lambda: Vprime_poly(ctx, key)]
         calls += [lambda which=which: specialize(which, ONE, key)
                   for which in ("T", "U", "Uprime", "V", "Vprime")]
         if all(not c or isinstance(c[0], int) for c in key):  # partitions alone
             calls += [lambda family=family: family(ctx, key)
                       for family in (T_poly, U_poly, Uprime_poly)]
+            calls += [lambda: kronecker(key), lambda: check_multipartition(key, ctx.k)]
         for call in calls:
             with pytest.raises(ValueError) as exc:
                 call()
