@@ -47,11 +47,6 @@ FAMILIES = {
 WHICH_CHOICES = tuple(FAMILIES)
 
 
-class UsageError(ValueError):
-    """A request the options allow but the command cannot serve; reported,
-    like every other ValueError, as a usage error."""
-
-
 def default_cache_dir() -> str:
     """ennola under XDG_CACHE_HOME, or under ~/.cache when that is unset or
     not an absolute path, which the XDG Base Directory spec calls invalid."""
@@ -98,7 +93,7 @@ def cmd_pair(req: argparse.Namespace) -> int:
     if req.type_literal is not None:
         if not FAMILIES[req.which][2]:
             typed = " or ".join(w for w, fam in FAMILIES.items() if fam[2])
-            raise UsageError(f"--type is only valid with --which {typed}")
+            raise ValueError(f"--type is only valid with --which {typed}")
         from .classtypes import type_size
         from .types import parse_multitype, type_to_text
 
@@ -198,7 +193,7 @@ def cmd_verify(req: argparse.Namespace) -> int:
 def cmd_cache(req: argparse.Namespace) -> int:
     cache_dir = req.cache_dir
     if not cache_dir:
-        raise UsageError('cache needs a directory; --cache-dir "" means no cache')
+        raise ValueError('cache needs a directory; --cache-dir "" means no cache')
     from .multiplicities import build_context, cache_path, clear_cache
 
     if req.action == "clear":
@@ -267,7 +262,7 @@ def _check_sizes(req: argparse.Namespace) -> None:
     for opt in ("k", "n"):
         val = getattr(req, opt, None)
         if val is not None and val < 1:
-            raise UsageError(f"--{opt} must be at least 1, got {val}")
+            raise ValueError(f"--{opt} must be at least 1, got {val}")
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -161,7 +161,7 @@ class TestPairErrors:
             "--cache-dir", cache_dir,
         )
         assert rc == EXIT_USAGE
-        assert "only valid" in err
+        assert err == "error: --type is only valid with --which V or Vprime\n"
 
     def test_missing_mu(self, capsys, cache_dir):
         with pytest.raises(SystemExit) as exc:
@@ -710,6 +710,18 @@ class TestCache:
         argv = ("verify", "--n", "4", "--format", "json", "--cache-dir")
         rc, out, _ = run(capsys, *argv, mixed("fresh"))
         assert (rc, out) == run(capsys, *argv, "")[:2]
+
+    @pytest.mark.parametrize("argv", [("build", "--n", "2"), ("clear",)],
+                             ids=["build", "clear"])
+    def test_no_directory_is_usage_error(self, capsys, tmp_path, monkeypatch, argv):
+        # "" means no cache to the other commands; cache has nothing to act on
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
+        rc, out, err = run(capsys, "cache", *argv, "--cache-dir", "")
+        assert rc == EXIT_USAGE
+        assert out == ""
+        assert err == 'error: cache needs a directory; --cache-dir "" means no cache\n'
+        assert list(tmp_path.iterdir()) == []
 
     def test_clear(self, capsys, tmp_path):
         cache = str(tmp_path / "c")
