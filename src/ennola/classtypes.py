@@ -36,10 +36,13 @@ multiplicities.H_omega.
 Each atom (m, nu) is psi_m of nu's green_record, the one record per
 partition of H~_nu on the power sums and a_nu(q) in closed form, which
 the kernel (multiplicities._build_omega), the sum over the types (1, nu)
-alone, reads too.  Every A_tau, a centralizer order, divides
-|GL_n(F_q)| = q^S (q;q)_n, S = n(n-1)/2, the kernel's denominator too:
-prod_j (q^m_j; q^m_j)_{r_j} divides (q;q)_n when sum m_j r_j <= n, the
-quotient being partitions.cofactor.  So the sum runs on integer
+alone, reads too.  The record of nu is built on the power sums from that
+of nu less its first part, by the modified Hall-Littlewood vertex
+operator read on p_rho, as packed integers with the digit size from an
+a priori bound; no Schur-side table is formed.  Every A_tau, a
+centralizer order, divides |GL_n(F_q)| = q^S (q;q)_n, S = n(n-1)/2,
+the kernel's denominator too: prod_j (q^m_j; q^m_j)_{r_j} divides
+(q;q)_n when sum m_j r_j <= n, the quotient being partitions.cofactor.  So the sum runs on integer
 numerators over that one denominator and an integer L, on packed
 integers (coeffs.pack) with the digit size from an a priori bound, and
 ends in one exact division for all keys; a remainder, or a T of
@@ -50,11 +53,10 @@ invariant and raises AssertionError.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import factorial, lcm, prod
+from math import comb, factorial, lcm, prod
 
 from .characters import character_value
 from .coeffs import ONE, Q, U, ZERO, PolyQU, exact_quotients, norm1, pack, unpack
-from .hall_littlewood import transformed_hl
 from .partitions import (
     Partition,
     a_factors,
@@ -177,19 +179,60 @@ def class_types(n: int) -> tuple[tuple[tuple[int, Partition], ...], ...]:
 
 
 @lru_cache(maxsize=None)
+def _sub_multisets(rho: Partition, r: int) -> tuple:
+    """The (tau, c) with tau a sub-multiset of rho's parts of size at most
+    r, descending, and c the number of ways to pick it from rho's parts."""
+    out = [((), 1)]
+    for part, k in multiplicities(rho).items():
+        out = [(tau + (part,) * t, c * comb(k, t)) for tau, c in out
+               for t in range(k + 1) if size(tau) + part * t <= r]
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _sigma_weights(j: int, B: int) -> tuple:
+    """The (sigma, j!/z_sigma prod_i (1 - q^sigma_i)) over sigma |- j, the
+    weight packed at q = 2^B."""
+    return tuple((sigma, factorial(j) // z_lambda(sigma) * prod((1 - (1 << B * p)) for p in sigma))
+                 for sigma in enumerate_partitions(j))
+
+
+@lru_cache(maxsize=None)
 def green_record(nu: Partition) -> tuple:
     """nu's record, built once per process for the kernel and every atom
     (m, nu): (pairs, s, ts), the nonzero pairs (rho, Q^nu_rho(q)), H~_nu on
     b_rho = p_rho / z_rho (Macdonald III.7), rho in enumeration order, and
-    a_nu(q) = q^s prod over ts of (q^t - 1) (partitions.a_factors)."""
-    table, pairs = transformed_hl(nu), []
-    for rho in enumerate_partitions(size(nu)):
-        acc: dict = {}
-        for (lam,), c in table.items():
-            if chi := character_value(lam, rho):
-                for mono, v in c.terms.items():
-                    acc[mono] = acc.get(mono, 0) + chi * v
-        if green := PolyQU(acc):
+    a_nu(q) = q^s prod over ts of (q^t - 1) (partitions.a_factors).
+    Q^(m) = 1, and for nu = (m, rest), r = |rest|, by the vertex operator
+    H~_nu = q^r sum_j h_{m+j} (h_j[(1/q - 1)X])^perp H~_rest on the power
+    sums, with tau = rho minus S and j = r - |tau|,
+    r! Q^nu_rho = sum over S in rho, |S| >= m, of c(S) q^|tau| r!/j!
+    sum over sigma |- j of j!/z_sigma prod_i (1 - q^sigma_i) Q^rest_{sigma+tau},
+    c(S) the ways to pick S from rho's parts: all integers, on packed
+    integers, the inner sum once per tau, one exact division per rho.
+    The digit size comes from |Q^nu_rho|_1 <= sum_lam K_{lam,nu} f^lam
+    = n!/prod nu_i!, reached at rho = 1^n."""
+    n = size(nu)
+    if len(nu) < 2:
+        return tuple((rho, ONE) for rho in enumerate_partitions(n)), *a_factors(nu)
+    r, rf = n - nu[0], factorial(n - nu[0])
+    B = (factorial(n) // prod(map(factorial, nu))).bit_length() + 1
+    below = {rho: pack(g, B, 1) for rho, g in green_record(nu[1:])[0]}
+    inner: dict = {}  # tau -> q^|tau| r!/j! times the sum over sigma, packed
+    pairs = []
+    for rho in enumerate_partitions(n):
+        acc = 0
+        for tau, c in _sub_multisets(rho, r):
+            if tau not in inner:
+                j = r - size(tau)
+                g = sum(w * below.get(tuple(sorted(sigma + tau, reverse=True)), 0)
+                        for sigma, w in _sigma_weights(j, B))
+                inner[tau] = g * (rf // factorial(j)) << B * size(tau)
+            acc += c * inner[tau]
+        value, rem = divmod(acc, rf)
+        if rem:
+            raise AssertionError(f"Q^{nu} at {rho} is not an integer polynomial")
+        if green := unpack(value, B):
             pairs.append((rho, green))
     return (tuple(pairs), *a_factors(nu))
 

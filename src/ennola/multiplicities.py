@@ -61,9 +61,9 @@ from .classtypes import (
     type_size,
     type_sum,
 )
-from .hall_littlewood import transformed_hl  # wrapped by perfbench; ROADMAP item 1b removes it
 from .partitions import (
     MultiPartition,
+    Partition,
     check_multipartition,
     cofactor,
     enumerate_partitions,
@@ -237,6 +237,18 @@ def _build_omega(k: int, N: int) -> GradedSeries:
 
 def build_context(k: int, N: int, cache_dir: str | None = None) -> MasterContext:
     return MasterContext(k, N, cache_dir)
+
+
+@lru_cache(maxsize=None)
+def transformed_hl(lam: Partition) -> dict[MultiPartition, PolyQU]:
+    """The Schur table of the modified Hall-Littlewood function indexed by
+    lam, one alphabet, read off lam's green_record: at s_nu the cocharge
+    Kostka-Foulkes polynomial q^{n(lam)} K_{nu,lam}(1/q).  Only s_nu with
+    nu dominating lam occur, in enumeration order.  Cached and shared, so
+    no caller mutates it.  Nothing in the package calls it: it stays for
+    perfbench, which wraps this name (ROADMAP item 1b removes it)."""
+    table = SymFunc(1, size(lam), {(rho,): g for rho, g in green_record(lam)[0]}).to_schur()
+    return dict(reversed(table.items()))
 
 
 # generic multiplicities

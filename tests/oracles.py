@@ -2,10 +2,13 @@
 
 Everything here is computed by a different route than the library uses:
 symmetric-group characters via alternant coefficient extraction instead
-of border-strip recursion, Kostka-Foulkes polynomials via the q-analog
-of the weight multiplicity (alternating sum over the Weyl group with a
-q-deformed partition function) instead of the vertex-operator recursion,
-Kronecker coefficients by averaging over all permutations, and Kostka
+of border-strip recursion; the modified Hall-Littlewood functions on the
+Schur side by Jing's vertex-operator recursion (transformed_hl_oracle),
+where the library builds their power-sum coefficients, the Green
+polynomials, by a recursion of its own (classtypes.green_record);
+Kostka-Foulkes polynomials via the q-analog of the weight multiplicity
+(alternating sum over the Weyl group with a q-deformed partition
+function), which checks both; Kronecker coefficients by averaging over all permutations, and Kostka
 numbers by brute tableau filling.  The dominance order, which only the
 tests use, is here too.  The Schur <-> power-sum change of basis on k
 alphabets is the brute-force character-product sum, pairing every source
@@ -81,8 +84,8 @@ product of graded series (series_mul), the reference for the exp/log laws, the
 multiple of a series, its Adams operations and its plethystic
 exponential (series_scale, adams_series, pleth_exp), where the library
 has only the degree-wise weighted Adams sum, and the
-Kostka-Foulkes polynomials (kostka_foulkes), the library's cocharge table
-reflected against n(lam), which the weight-multiplicity oracle checks.
+Kostka-Foulkes polynomials (kostka_foulkes), a cocharge table reflected
+against n(lam), which the weight-multiplicity oracle checks.
 
 A single coefficient in Q(q, u) is represented here as a degree-0 SymFunc
 on one alphabet (`scalar`), so its equality is the library's
@@ -104,7 +107,6 @@ from itertools import (
 )
 
 from ennola.coeffs import ONE, ZERO, PolyQU, Q, poly_exact_div
-from ennola.hall_littlewood import transformed_hl
 from ennola.classtypes import as_types
 from ennola.multiplicities import _signed_neg_q, phi_prime, schur_of_type
 from ennola.characters import character_value
@@ -405,7 +407,7 @@ def omega_oracle(k: int, N: int) -> GradedSeries:
     for n in range(1, N + 1):
         acc = SymFunc.zero(k, n)
         for lam in enumerate_partitions(n):
-            hl = from_schur_oracle(1, n, transformed_hl(lam))
+            hl = from_schur_oracle(1, n, transformed_hl_oracle(lam))
             f = _tensor_power(hl, k)
             acc = acc.add(SymFunc(k, n, f.coeffs, f.den * a_poly(lam)))
         coeffs.append(acc)
@@ -524,11 +526,70 @@ def q_weight_multiplicity(nu: tuple, lam: tuple) -> PolyQU:
     return out
 
 
-def kostka_foulkes(nu: Partition, lam: Partition) -> PolyQU:
-    """K_{nu,lam}(q): the library's cocharge entry of transformed_hl(lam)
-    at s_nu, reflected against n(lam); zero unless nu dominates lam."""
+@lru_cache(maxsize=None)
+def strips(shape: Partition, r: int, sign: int) -> tuple[Partition, ...]:
+    """The partitions shape + sign * (a horizontal strip of r cells): sign 1
+    adds the strip, sign -1 removes it.  Row i moves by at most the gap to
+    its upper neighbour (adding) or to its lower neighbour (removing)."""
+    rows = shape + (0,)
+    if sign > 0:
+        caps = (r,) + tuple(rows[i - 1] - rows[i] for i in range(1, len(rows)))
+    else:
+        caps = tuple(rows[i] - rows[i + 1] for i in range(len(shape))) + (0,)
+    out = [((), r)]
+    for row, cap in zip(rows, caps):
+        out = [(acc + (row + sign * d,), left - d)
+               for acc, left in out for d in range(min(cap, left) + 1)]
+    return tuple(tuple(p for p in acc if p) for acc, left in out if left == 0)
+
+
+@lru_cache(maxsize=None)
+def transformed_hl_oracle(lam: Partition) -> dict:
+    """The Schur table of H~_lam by Jing's vertex-operator recursion on the
+    Schur side, where the library reads it off the power-sum Green record:
+    H~_(m, rest) = sum_{a, b} q^(|rest| - a) (-1)^b h_{m+a+b} h_a^perp
+    e_b^perp H~_rest, the recursion Q'_(m, rest) = sum_j h_{m+j}
+    (h_j[(q-1)X])^perp Q'_rest, h_j[(q-1)X] = sum_{a+b=j} q^a (-1)^b h_a e_b,
+    at q -> 1/q and times q^{n(lam)}, since n(m, rest) = n(rest) + |rest|
+    (Macdonald, Symmetric Functions and Hall Polynomials, ch. III; Jing,
+    Vertex operators and Hall-Littlewood symmetric functions).  By the
+    Pieri rules h_a^perp removes a horizontal strip of a cells, e_b^perp a
+    vertical strip of b cells (a horizontal strip of the conjugate), and
+    multiplying by h_{m+a+b} adds a horizontal strip, so strips does all
+    the combinatorics.  At s_nu it holds the cocharge Kostka-Foulkes
+    polynomial q^{n(lam)} K_{nu,lam}(1/q), only at nu dominating lam, in
+    enumeration order."""
+    if not lam:
+        return {((),): ONE}
+    m, rest = lam[0], lam[1:]
+    top = size(rest)
+    out: dict = {}
+    # e_b^perp, then h_a^perp, weighted q^(top - a) (-1)^b, then times h_{m+a+b}
+    for (nu,), poly in transformed_hl_oracle(rest).items():
+        for b in range(len(nu) + 1):
+            for sigma in (dual(s) for s in strips(dual(nu), b, -1)):
+                for a in range((sigma[0] if sigma else 0) + 1):
+                    terms = [(d + top - a, -c if b & 1 else c)
+                             for (d, _), c in poly.terms.items()]
+                    for tau in strips(sigma, a, -1):
+                        for rho in strips(tau, m + a + b, 1):
+                            acc = out.setdefault(rho, {})
+                            for e, c in terms:
+                                acc[e] = acc.get(e, 0) + c
+    table = {}
+    for rho in sorted(out, reverse=True):
+        poly = PolyQU({(e, 0): c for e, c in out[rho].items()})
+        if poly:
+            table[(rho,)] = poly
+    return table
+
+
+def kostka_foulkes(nu: Partition, lam: Partition, hl=transformed_hl_oracle) -> PolyQU:
+    """K_{nu,lam}(q): the cocharge entry of the Schur table hl(lam) at s_nu,
+    by default the vertex-operator reference's, reflected against n(lam);
+    zero unless nu dominates lam."""
     top = n_stat(lam)
-    kf = transformed_hl(lam).get((nu,), ZERO)
+    kf = hl(lam).get((nu,), ZERO)
     return PolyQU({(top - d, 0): c for (d, _), c in kf.terms.items()})
 
 

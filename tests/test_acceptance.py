@@ -40,10 +40,10 @@ from oracles import (
     series_equal,
     series_mul,
     series_scale,
+    transformed_hl_oracle,
 )
 
 from ennola.coeffs import ONE, Q, U, PolyQU, poly_to_str
-from ennola.hall_littlewood import transformed_hl
 from ennola.multiplicities import (
     T_poly,
     T_poly_product_oracle,
@@ -292,7 +292,7 @@ def test_criterion_9_property_suites(ctx5):
     for n in range(1, N + 1):
         acc = SymFunc.zero(1, n)
         for lam in enumerate_partitions(n):
-            f = SymFunc.from_schur(1, n, transformed_hl(lam))
+            f = SymFunc.from_schur(1, n, transformed_hl_oracle(lam))
             acc = acc.add(SymFunc(1, n, f.coeffs, a_poly(lam)))
         series.append(acc)
     direct = pleth_log(GradedSeries(1, N, series))
@@ -304,7 +304,7 @@ def test_criterion_9_property_suites(ctx5):
                 continue
             f = extend_to_type(
                 lambda lam: SymFunc(1, sum(lam), SymFunc.from_schur(
-                    1, sum(lam), transformed_hl(lam)).coeffs, a_poly(lam)),
+                    1, sum(lam), transformed_hl_oracle(lam)).coeffs, a_poly(lam)),
                 tau,
             )
             f = f.scale(c.numerator)

@@ -14,11 +14,10 @@ import pytest
 import ennola.classtypes as ct
 import ennola.coeffs as coeffs
 import ennola.multiplicities as mult
-from ennola.characters import kronecker
+from ennola.characters import character_value, kronecker
 from ennola.classtypes import as_types, green_record, specialize, t_poly, type_sum
 from ennola.cli import main
-from ennola.coeffs import ONE, Q, U, ZERO, PolyQU, poly_exact_div, poly_to_str
-from ennola.hall_littlewood import transformed_hl
+from ennola.coeffs import ONE, Q, U, ZERO, PolyQU, norm1, poly_exact_div, poly_to_str
 from ennola.multiplicities import (
     H_omega,
     MasterContext,
@@ -84,6 +83,7 @@ from oracles import (
     series_equal,
     series_scale,
     star_quiver,
+    transformed_hl_oracle,
     unipotent_degree,
     unipotent_multiplicities_from_group,
     unitary_multiplicities_from_group,
@@ -445,6 +445,16 @@ class TestSchurExtraction:
         assert warm.ignored_cache_files == []
 
 
+def _green_by_characters(lam) -> tuple:
+    """The nonzero (rho, Q^lam_rho) in enumeration order, Q^lam_rho =
+    sum over nu of K~_{nu,lam}(q) chi^nu(rho) from the vertex-operator
+    reference's Schur table of H~_lam."""
+    table = transformed_hl_oracle(lam)
+    pairs = ((rho, sum((c.scale(character_value(nu, rho)) for (nu,), c in table.items()), ZERO))
+             for rho in enumerate_partitions(sum(lam)))
+    return tuple((rho, g) for rho, g in pairs if g)
+
+
 class TestSchurSide:
     """The kernel is summed on b_rho from the Green polynomials and
     H_omega is computed on the Schur side; the power-sum routes in
@@ -463,27 +473,47 @@ class TestSchurSide:
 
     def test_green_record_is_the_change_of_basis(self):
         # the record the kernel and the class-type atoms share: its Green
-        # polynomials are symfunc's Schur -> b change of basis of the
-        # cocharge tables, its (s, ts) the closed form of a_lam
+        # polynomials are the vertex-operator reference's cocharge tables
+        # on the power sums, its (s, ts) the closed form of a_lam
         for n in range(1, 11):
             for lam in enumerate_partitions(n):
                 pairs, s, ts = green_record(lam)
-                got = {(rho,): v for rho, v in pairs}
-                assert got == SymFunc.from_schur(1, n, transformed_hl(lam)).coeffs, lam
+                assert pairs == _green_by_characters(lam), lam
                 assert (s, ts) == a_factors(lam), lam
+
+    @pytest.mark.slow
+    def test_green_record_is_the_change_of_basis_through_13(self):
+        for n in range(11, 14):
+            for lam in enumerate_partitions(n):
+                assert green_record(lam)[0] == _green_by_characters(lam), lam
+
+    def test_green_record_digit_bound(self):
+        # the record's digit size: |Q^nu_rho|_1 <= sum over lam of
+        # K_{lam,nu} f^lam = n!/prod nu_i!, met at rho = 1^n, where every
+        # coefficient is positive
+        for n in range(1, 10):
+            for nu in enumerate_partitions(n):
+                bound = math.factorial(n) // math.prod(map(math.factorial, nu))
+                pairs = dict(green_record(nu)[0])
+                assert max(map(norm1, pairs.values())) <= bound, nu
+                column = pairs[(1,) * n]
+                assert norm1(column) == bound and min(column.terms.values()) > 0, nu
 
     def test_one_green_record_per_partition(self):
         # from cold caches, the kernel through degree 5 and the class-type
         # sum at n = 5, whose atoms (m, nu) reach every nu of size 1..5,
         # build one record per partition of 1..5 between them; each atom
-        # reads its record once
+        # reads its record once, and so does each record of two or more
+        # parts read that of its rest
         green_record.cache_clear()
         ct._atom.cache_clear()
         assert build_context(3, 5).omega.coeffs[5].coeffs
         assert type_sum([enumerate_partitions(5)] * 3)
         info = green_record.cache_info()
-        assert info.misses == sum(len(enumerate_partitions(n)) for n in range(1, 6)) == 18
-        assert info.hits == len({atom for tau in ct.class_types(5) for atom in tau}) == 24
+        lams = [lam for n in range(1, 6) for lam in enumerate_partitions(n)]
+        assert info.misses == len(lams) == 18
+        atoms = len({atom for tau in ct.class_types(5) for atom in tau})
+        assert info.hits == atoms + sum(len(lam) > 1 for lam in lams) == 24 + 13
 
     def test_warm_multitype_query_reads_one_table(self, tmp_path, monkeypatch):
         cache = str(tmp_path)

@@ -9,7 +9,6 @@ from fractions import Fraction
 import pytest
 
 from ennola.coeffs import ONE, Q, ZERO, poly_exact_div
-from ennola.hall_littlewood import transformed_hl
 from ennola.partitions import (
     ParseError,
     dual,
@@ -39,6 +38,7 @@ from oracles import (
     from_partition,
     multitype_to_text,
     schur_of_type_oracle,
+    transformed_hl_oracle,
 )
 
 
@@ -114,7 +114,7 @@ class TestCTau:
         for n in range(1, N + 1):
             acc = SymFunc.zero(1, n)
             for lam in enumerate_partitions(n):
-                f = SymFunc.from_schur(1, n, transformed_hl(lam))
+                f = SymFunc.from_schur(1, n, transformed_hl_oracle(lam))
                 acc = acc.add(SymFunc(1, n, f.coeffs, a_poly(lam)))
             series.append(acc)
         omega = GradedSeries(1, N, series)
@@ -128,7 +128,7 @@ class TestCTau:
                     continue
                 f = extend_to_type(
                     lambda lam: SymFunc(1, sum(lam), SymFunc.from_schur(
-                        1, sum(lam), transformed_hl(lam)).coeffs, a_poly(lam)),
+                        1, sum(lam), transformed_hl_oracle(lam)).coeffs, a_poly(lam)),
                     tau,
                 )
                 f = f.scale(c.numerator)
