@@ -13,7 +13,7 @@ import sys
 from itertools import combinations_with_replacement
 
 from .characters import kronecker
-from .coeffs import ZERO, PolyQU, poly_to_json, poly_to_str
+from .coeffs import PolyQU, poly_to_json, poly_to_str
 from .partitions import (
     enumerate_partitions,
     multipartition_to_text,
@@ -35,7 +35,7 @@ EXIT_INTERNAL = 4
 
 # Each family: its tex header symbol, the name of its multiplicities
 # function (looked up when `table` runs; None for kron, which needs no
-# pipeline) and whether it takes --type.
+# pipeline) and whether it takes --type (the u = 0 ones: [u^1] types only).
 FAMILIES = {
     "V": ("V", "V_poly", True),
     "Vprime": ("V'", "Vprime_poly", True),
@@ -108,9 +108,9 @@ def cmd_pair(req: argparse.Namespace) -> int:
     if FAMILIES[req.which][1] is None:
         val = PolyQU.const(kronecker(key))
     else:
-        from .classtypes import SPECIALIZATIONS, specialize, t_poly
+        from .classtypes import specialize, t_poly
 
-        powers = (1,) if SPECIALIZATIONS[req.which][0] is ZERO else None
+        powers = (1,) if FAMILIES[req.which][2] else None
         val = specialize(req.which, t_poly(key, powers), key)
     if req.fmt == "text":
         print(poly_to_str(val))

@@ -32,7 +32,7 @@ numerators (toward the Schur side after a scaling by (n!)^k / z_rho, the
 one place z_rho appears), so it runs on packed integers (coeffs.pack):
 each numerator is packed once, the character table is applied with
 integer scale-adds, and each output is unpacked once, with the digit
-size taken from basis_bound.
+size from the column bound C that _character_rows gives with its rows.
 """
 
 from __future__ import annotations
@@ -92,27 +92,16 @@ def _character_rows(n: int, to_powersum: bool) -> tuple[dict, int]:
     return rows, max(sum(abs(chi(src, lam)) for src in shapes) for lam in shapes)
 
 
-def basis_bound(k: int, n: int, to_powersum: bool) -> int:
-    """A factor M such that every coefficient (in q and u) of every output
-    numerator of change_basis_packed is at most M times the largest
-    |coefficient| of its input numerators.  An output at a key lam_1..lam_k
-    is the sum over the source keys src of f_src chi(src_1, lam_1) ...
-    chi(src_k, lam_k), at most max |f| times prod_i sum_src |chi(src, lam_i)|
-    <= max |f| C^k."""
-    return _character_rows(n, to_powersum)[1] ** k
-
-
-def change_basis_packed(k: int, n: int, nums: dict, to_powersum: bool) -> dict:
+def change_basis_packed(k: int, nums: dict, rows: dict) -> dict:
     """The numerators of a degree-n function on the other basis, as packed
     integers (coeffs.pack) in and out: f_rho = sum over mu of f_mu
     chi^mu(rho) toward b_rho, and (n!)^k <f, s_mu> = sum over rho of
     f_rho chi^mu(rho) for inputs already scaled by (n!)^k / z_rho
     (_change_basis), chi the product of the k one-alphabet characters.
-    The numerators go through the character table one alphabet at a time,
+    The numerators go through rows (_character_rows) one alphabet at a time,
     as (head, tail) keys: head the converted components, kept sorted, and
     tail the others, sorted because the partial sum is symmetric in them.
     A tail feeds each of its distinct components to the next pass."""
-    rows = _character_rows(n, to_powersum)[0]
     cur = {((), key): v for key, v in nums.items()}
     for _ in range(k):
         out: dict = {}
@@ -133,15 +122,19 @@ def _change_basis(f: "SymFunc", to_powersum: bool) -> Coeffs:
     """The numerators of f's coefficients read on the other basis, times
     (n!)^k on the Schur side: each packed once, multiplied toward the
     Schur side by (n!)^k / z_rho, converted by change_basis_packed, and
-    unpacked once, with B from basis_bound and the scaled inputs."""
+    unpacked once.  An output at a key lam_1..lam_k is the sum over the
+    source keys src of f_src chi(src_1, lam_1) ... chi(src_k, lam_k), at
+    most max |f| prod_i sum_src |chi(src, lam_i)| <= max |f| C^k, C from
+    _character_rows; so the digits hold max |scaled input| C^k."""
+    rows, C = _character_rows(f.n, to_powersum)
     zk = factorial(f.n) ** f.k
     weight = {key: 1 if to_powersum else zk // _z_product(key) for key in f.coeffs}
     top = max((max(map(abs, p.terms.values())) * weight[key] for key, p in f.coeffs.items()),
               default=0)
-    B = (top * basis_bound(f.k, f.n, to_powersum)).bit_length() + 1
+    B = (top * C ** f.k).bit_length() + 1
     W = 1 + max((p.qdeg() for p in f.coeffs.values()), default=0)
-    nums = change_basis_packed(f.k, f.n, {key: pack(p, B, W) * weight[key]
-                                          for key, p in f.coeffs.items()}, to_powersum)
+    nums = change_basis_packed(f.k, {key: pack(p, B, W) * weight[key]
+                                     for key, p in f.coeffs.items()}, rows)
     return {key: unpack(v, B, W) for key, v in nums.items()}
 
 

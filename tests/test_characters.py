@@ -123,6 +123,18 @@ class TestKronecker:
             for lam in enumerate_partitions(n):
                 assert kronecker((lam,)) == (1 if lam == (n,) else 0)
 
+    def test_fractional_sum_is_an_internal_error(self, monkeypatch):
+        # failure injection: a character table that is 1 on the identity
+        # class and 0 elsewhere sums to n!/z_(1^n) = 1, not a multiple of
+        # n! = 6; the stand-in never calls the cached character_value
+        import ennola.characters as characters
+
+        monkeypatch.setattr(characters, "character_value",
+                            lambda lam, rho: int(rho == (1,) * len(rho)))
+        with pytest.raises(AssertionError, match=r"^Kronecker coefficient for "
+                           r"\(\(2, 1\), \(2, 1\)\) came out 1/6$"):
+            kronecker(((2, 1), (2, 1)))
+
     def test_errors(self):
         with pytest.raises(ValueError):
             kronecker(())

@@ -453,6 +453,20 @@ class TestClassTypeSum:
             for which in ("V", "Vprime"):
                 assert specialize(which, t0, key) == specialize(which, t, key), (which, key)
 
+    @pytest.mark.parametrize("which,powers", [
+        ("V", [(1,)]), ("Vprime", [(1,)]), ("T", [None]), ("U", [None]),
+        ("Uprime", [None]), ("kron", []),
+    ])
+    def test_u_powers_asked_of_the_sum(self, capsys, monkeypatch, which, powers):
+        # the u = 0 families ask the class-type sum for its [u^1] types
+        # alone, the others for every power, and kron does not ask it
+        import ennola.classtypes as ct
+
+        real, asked = ct.t_poly, []
+        monkeypatch.setattr(ct, "t_poly", lambda key, p=None: asked.append(p) or real(key, p))
+        rc, _, _ = run(capsys, "pair", "--which", which, "--mu", "2.1,2.1,1^3", "--cache-dir", "")
+        assert (rc, asked) == (EXIT_OK, powers)
+
     @pytest.mark.parametrize("mu,message", [
         (((), ()), "a multipartition needs size at least 1"),
         (((1, 2), (3,)), "partition parts must be weakly decreasing, got (1, 2)"),

@@ -499,6 +499,23 @@ class TestSchurSide:
                 column = pairs[(1,) * n]
                 assert norm1(column) == bound and min(column.terms.values()) > 0, nu
 
+    def test_green_record_refuses_a_remainder(self, monkeypatch):
+        # failure injection: one sigma weight off by one leaves r! Q^nu_rho
+        # not divisible by r! at rho = (4); the record of the rest, (2),
+        # uses no weights, and the unwrapped call caches nothing, so every
+        # record left in the cache is the true one
+        nu = (2, 2)
+        want, size = green_record(nu), green_record.cache_info().currsize
+        real = ct._sigma_weights
+        monkeypatch.setattr(ct, "_sigma_weights", lambda j, B: tuple(
+            (sigma, w + (i == 0)) for i, (sigma, w) in enumerate(real(j, B))))
+        with pytest.raises(AssertionError,
+                           match=r"^Q\^\(2, 2\) at \(4,\) is not an integer polynomial$"):
+            green_record.__wrapped__(nu)
+        monkeypatch.undo()
+        assert green_record.cache_info().currsize == size
+        assert green_record(nu) == want and want[0] == _green_by_characters(nu)
+
     def test_one_green_record_per_partition(self):
         # from cold caches, the kernel through degree 5 and the class-type
         # sum at n = 5, whose atoms (m, nu) reach every nu of size 1..5,

@@ -18,9 +18,9 @@ from ennola.classtypes import tensor_expand
 from ennola.symfunc import (
     GradedSeries,
     SymFunc,
-    basis_bound,
     orbit,
     _change_basis,
+    _character_rows,
     _merged_orbits,
 )
 
@@ -490,8 +490,9 @@ def wide_tables(draw) -> tuple:
 
 class TestPackedChangeOfBasis:
     """The change of basis runs on packed integers whose digit size comes
-    from basis_bound; checked against the per-coefficient full-key
-    reference at coefficient sizes far past the pipeline's."""
+    from the column bound C of _character_rows; checked against the
+    per-coefficient full-key reference at coefficient sizes far past the
+    pipeline's."""
 
     @given(wide_tables(), wide_tables())
     @settings(max_examples=40, deadline=None)
@@ -518,7 +519,7 @@ class TestPackedChangeOfBasis:
         target = next(lam for lam in shapes if column[lam] == C)
         if to_powersum:
             assert target == (1,) * n
-        assert basis_bound(k, n, to_powersum) == C**k
+        assert _character_rows(n, to_powersum)[1] == C
         sign = {src: (chi(src, target) > 0) - (chi(src, target) < 0) for src in shapes}
         weight = {src: 1 if to_powersum else z_lambda(src) for src in shapes}
         M = 2**200 - 1
@@ -526,7 +527,7 @@ class TestPackedChangeOfBasis:
                  for key in multipartitions(k, n) if list(key) == sorted(key)}
         got = _change_basis(SymFunc(k, n, table), to_powersum)  # before any division
         top = M * (1 if to_powersum else math.factorial(n) ** k)  # the scaled inputs
-        B = (top * basis_bound(k, n, to_powersum)).bit_length() + 1
+        B = (top * C**k).bit_length() + 1
         assert max(abs(c) for p in got.values() for c in p.terms.values()) < 2 ** (B - 1)
         assert got[(target,) * k] == PolyQU.const(top * C**k)
         if to_powersum:
