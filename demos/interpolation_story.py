@@ -14,7 +14,6 @@ alternating-sign phenomenon in a degree-5 twisted value.  Everything is
 exact arithmetic.  Run as `python3 demos/interpolation_story.py`.
 """
 
-from ennola.characters import kronecker
 from ennola.coeffs import ONE, Q, PolyQU, poly_to_str
 from ennola.multiplicities import (
     T_poly,
@@ -23,7 +22,7 @@ from ennola.multiplicities import (
     V_poly,
     build_context,
 )
-from ennola.partitions import partition_to_text
+from ennola.partitions import kronecker, partition_to_text
 
 MINUS_ONE = ONE.scale(-1)
 

@@ -55,11 +55,11 @@ from __future__ import annotations
 from functools import lru_cache
 from math import comb, factorial, lcm, prod
 
-from .characters import character_value
 from .coeffs import ONE, Q, U, ZERO, PolyQU, exact_quotients, norm1, pack, unpack
 from .partitions import (
     Partition,
     a_factors,
+    character_value,
     check_components,
     check_partition,
     cofactor,

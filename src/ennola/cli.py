@@ -12,10 +12,10 @@ import os
 import sys
 from itertools import combinations_with_replacement
 
-from .characters import kronecker
 from .coeffs import PolyQU, poly_to_json, poly_to_str
 from .partitions import (
     enumerate_partitions,
+    kronecker,
     multipartition_to_text,
     parse_multipartition,
     partition_to_text,

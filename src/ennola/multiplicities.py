@@ -47,7 +47,6 @@ from .coeffs import (
     poly_to_json,
     unpack,
 )
-from .characters import kronecker
 from .classtypes import (
     MINUS_ONE,
     _div_u,
@@ -67,6 +66,7 @@ from .partitions import (
     check_multipartition,
     cofactor,
     enumerate_partitions,
+    kronecker,
     mobius,
     multipartition_to_text,
     multipartitions,

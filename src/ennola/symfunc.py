@@ -8,12 +8,12 @@ products of the k one-alphabet ones), indexed by k-tuples of partitions
 of n, as integer numerators in Z[q, u] over one denominator in Z[q] for
 the whole piece.  As s_lam = sum over rho of chi^lam(rho) b_rho, an
 integer Schur table has integer numerators over 1.  A SymFunc is built
-over its denominator, and SymFunc.over is the one rewrite, one
-multiplication or exact division per key, to a multiple or a divisor of
-the denominator; each stage knows its denominators in closed form, so
-no gcd reduces a piece.  Adding two pieces over different denominators
-takes their lcm.  As psi_m p_rho = p_{m rho} and z_{m rho} =
-m^l(rho) z_rho, l(rho) the number of parts, the Adams operation
+over its denominator, and SymFunc.over is the one rewrite, one packed
+product (coeffs.pack) or exact division per key, to a multiple or a
+divisor of the denominator; each stage knows its denominators in closed
+form, so no gcd reduces a piece.  Adding two pieces over different
+denominators takes their lcm.  As psi_m p_rho = p_{m rho} and z_{m rho}
+= m^l(rho) z_rho, l(rho) the number of parts, the Adams operation
 psi_m / m is a key remap times m^(l(rho) - 1) plus the monomial remap
 q -> q^m, u -> u^m.  Each plethystic step is one weighted Adams sum
 (weight mu for Psi, u^m for Exp(u Psi), d phi_d for the product routes)
@@ -47,13 +47,13 @@ from .coeffs import (
     NotPolynomialError,
     PolyQU,
     exact_quotients,
+    norm1,
     pack,
     poly_exact_div,
     poly_lcm,
     unpack,
 )
-from .characters import character_value
-from .partitions import MultiPartition, Partition, enumerate_partitions, z_lambda
+from .partitions import MultiPartition, Partition, character_value, enumerate_partitions, z_lambda
 
 Coeffs = dict[MultiPartition, PolyQU]
 
@@ -243,17 +243,23 @@ class SymFunc:
 
     def over(self, den: PolyQU) -> "SymFunc":
         """The same function with its numerators over den, a multiple or a
-        divisor of the present denominator: one multiplication or one exact
-        division per key.  A function with no terms goes over any den.
-        Raises NotPolynomialError when den is not a denominator of this
-        function."""
+        divisor of the present denominator: one exact division per key, or
+        up = den / self.den packed once and one packed product per key, with
+        digits for the largest |p|_max |up|_1 (coeffs.pack).  A function with
+        no terms goes over any den.  Raises NotPolynomialError when den is
+        not a denominator of this function."""
         if den == self.den:
             return self
         if not self.coeffs:
             return self._with({}, den)
         up = poly_exact_div(den, self.den)
         if up is not None:
-            return self._with({key: p * up for key, p in self.coeffs.items()}, den)
+            ps = self.coeffs.values()
+            W = 1 + max(p.qdeg() for p in ps) + up.qdeg()
+            B = (max(max(map(abs, p.terms.values())) for p in ps) * norm1(up)).bit_length() + 1
+            packed = pack(up, B, W)
+            return self._with({key: unpack(pack(p, B, W) * packed, B, W)
+                               for key, p in self.coeffs.items()}, den)
         down = poly_exact_div(self.den, den)
         if down is None:
             raise NotPolynomialError(f"not a polynomial: ({den})/({self.den})")

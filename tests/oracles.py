@@ -109,9 +109,9 @@ from itertools import (
 from ennola.coeffs import ONE, ZERO, PolyQU, Q, poly_exact_div
 from ennola.classtypes import as_types
 from ennola.multiplicities import _signed_neg_q, phi_prime, schur_of_type
-from ennola.characters import character_value
 from ennola.partitions import (
     Partition,
+    character_value,
     dual,
     enumerate_partitions,
     mobius,

@@ -8,8 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from ennola.characters import character_value, kronecker
-from ennola.partitions import dual, enumerate_partitions, size, z_lambda
+from ennola.partitions import character_value, dual, enumerate_partitions, kronecker, size, z_lambda
 from oracles import character_value_oracle, kronecker_oracle
 
 
@@ -127,9 +126,9 @@ class TestKronecker:
         # failure injection: a character table that is 1 on the identity
         # class and 0 elsewhere sums to n!/z_(1^n) = 1, not a multiple of
         # n! = 6; the stand-in never calls the cached character_value
-        import ennola.characters as characters
+        import ennola.partitions as partitions
 
-        monkeypatch.setattr(characters, "character_value",
+        monkeypatch.setattr(partitions, "character_value",
                             lambda lam, rho: int(rho == (1,) * len(rho)))
         with pytest.raises(AssertionError, match=r"^Kronecker coefficient for "
                            r"\(\(2, 1\), \(2, 1\)\) came out 1/6$"):

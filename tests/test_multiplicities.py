@@ -14,7 +14,6 @@ import pytest
 import ennola.classtypes as ct
 import ennola.coeffs as coeffs
 import ennola.multiplicities as mult
-from ennola.characters import character_value, kronecker
 from ennola.classtypes import as_types, green_record, specialize, t_poly, type_sum
 from ennola.cli import main
 from ennola.coeffs import ONE, Q, U, ZERO, PolyQU, norm1, poly_exact_div, poly_to_str
@@ -45,8 +44,10 @@ from ennola.multiplicities import (
 )
 from ennola.partitions import (
     a_factors,
+    character_value,
     check_multipartition,
     enumerate_partitions,
+    kronecker,
     multipartition_to_text,
     multipartitions,
     parse_partition,

@@ -12,8 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ennola.coeffs import ONE, Q, ZERO, NotPolynomialError, PolyQU, U
-from ennola.partitions import enumerate_partitions, mobius, multipartitions, z_lambda
-from ennola.characters import character_value
+from ennola.partitions import (
+    character_value,
+    enumerate_partitions,
+    mobius,
+    multipartitions,
+    z_lambda,
+)
 from ennola.classtypes import tensor_expand
 from ennola.symfunc import (
     GradedSeries,
@@ -537,6 +542,35 @@ class TestPackedChangeOfBasis:
             nums, _ = powersum_of(SymFunc(k, n, table))
             nonzero = {key: p for key, p in got.items() if p}
             assert expand_orbits(nonzero) == change_basis_reference(nums, k, n, False)[0]
+
+
+class TestPackedMultiplyUp:
+    """SymFunc.over to a multiple den * c packs c once and multiplies each
+    numerator as one big integer, with digits sized by the largest
+    |p|_max |c|_1; checked against the PolyQU product at every key."""
+
+    @given(st.one_of(integer_tables(), wide_tables()),
+           st.builds(PolyQU.scale, st.sampled_from(Q_FACTORS[1:]), st.integers(1, 6)),
+           st.dictionaries(st.integers(0, 5), st.integers(-(2**70), 2**70), min_size=1, max_size=4)
+           .map(lambda terms: PolyQU({(i, 0): c for i, c in terms.items()}))
+           .filter(lambda c: not c.is_zero()))
+    @settings(max_examples=60, deadline=None)
+    def test_numerators_are_the_products(self, drawn, den, c):
+        k, n, nums = drawn
+        f = SymFunc(k, n, nums, den)
+        g = f.over(den * c)
+        assert g.den == den * c
+        assert g.coeffs == {key: p * c for key, p in f.coeffs.items()}
+
+    def test_a_coefficient_reaches_the_digit_bound(self):
+        # p all M and c all positive: the q^1 coefficient of p * c is
+        # M (1 + 2) = |p|_max |c|_1, the bound's own product
+        M = 2**64 - 1
+        p = PolyQU({(i, j): M for i in range(3) for j in range(2)})
+        c = ONE + Q.scale(2)
+        got = SymFunc(1, 2, {((2,),): p, ((1, 1),): p.scale(-1)}, Q - ONE).over((Q - ONE) * c)
+        assert got.coeffs == {((2,),): p * c, ((1, 1),): (p * c).scale(-1)}
+        assert (p * c).terms[(1, 0)] == M * 3
 
 
 class TestTensorExpand:
