@@ -3,7 +3,7 @@
 `verify_suite` checks the five identities of the interpolation
 polynomial T(u, q), each against a second route: T(0, q) against the
 generic multiplicity V from the [u^1] part of Green's sum over class
-types (`classtypes.type_sum`), which owes nothing to the master series,
+types (`types.type_sum`), which owes nothing to the master series,
 T against the u-deformed infinite product, the signed T(-1, -q) against
 the twisted infinite product, the top u-coefficient against the
 Kronecker coefficient, and every coefficient against zero.  It reports

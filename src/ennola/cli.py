@@ -23,9 +23,9 @@ from .partitions import (
 )
 
 # The pipeline (multiplicities) is imported by the commands that run it,
-# the class-type sum by `pair`, and types by `pair --type`, for its
-# literal only, so `pair` never compiles the pipeline, and `pair` and
-# `table` for kron, --help and a usage error compile neither.
+# and types, the class-type sum and the type literal, by `pair`, so
+# `pair` never compiles the pipeline, and `pair` and `table` for kron,
+# --help and a usage error compile neither.
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -94,8 +94,7 @@ def cmd_pair(req: argparse.Namespace) -> int:
         if not FAMILIES[req.which][2]:
             typed = " or ".join(w for w, fam in FAMILIES.items() if fam[2])
             raise ValueError(f"--type is only valid with --which {typed}")
-        from .classtypes import type_size
-        from .types import parse_multitype, type_to_text
+        from .types import parse_multitype, type_size, type_to_text
 
         key = parse_multitype(req.type_literal)
         k, n = len(key), type_size(key[0])
@@ -108,7 +107,7 @@ def cmd_pair(req: argparse.Namespace) -> int:
     if FAMILIES[req.which][1] is None:
         val = PolyQU.const(kronecker(key))
     else:
-        from .classtypes import specialize, t_poly
+        from .types import specialize, t_poly
 
         powers = (1,) if FAMILIES[req.which][2] else None
         val = specialize(req.which, t_poly(key, powers), key)

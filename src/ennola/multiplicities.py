@@ -47,19 +47,6 @@ from .coeffs import (
     poly_to_json,
     unpack,
 )
-from .classtypes import (
-    MINUS_ONE,
-    _div_u,
-    _multitype_signs,
-    as_types,
-    green_record,
-    phi_u,
-    power_weights,
-    specialize,
-    tensor_expand,
-    type_size,
-    type_sum,
-)
 from .partitions import (
     MultiPartition,
     Partition,
@@ -76,6 +63,19 @@ from .partitions import (
     size,
 )
 from .symfunc import GradedSeries, SymFunc
+from .types import (
+    MINUS_ONE,
+    _div_u,
+    _multitype_signs,
+    as_types,
+    green_record,
+    phi_u,
+    power_weights,
+    specialize,
+    tensor_expand,
+    type_size,
+    type_sum,
+)
 
 CACHE_VERSION = 3
 
@@ -101,7 +101,7 @@ class MasterContext:
     stop a query; it is kept in cache_write_error."""
 
     def __init__(self, k: int, N: int, cache_dir: str | None = None):
-        if k < 1 or N < 1:
+        if type(k) is not int or type(N) is not int or k < 1 or N < 1:
             raise ValueError("k and N must be positive")
         self.k = k
         self.N = N
@@ -206,9 +206,9 @@ class MasterContext:
 def _build_omega(k: int, N: int) -> GradedSeries:
     """The kernel: sum over lam of the product over the k alphabets of
     H~_lam(x_i) / a_lam(q), the one-atom types (1, lam) of the class-type
-    sum (classtypes).  On the basis b_rho the coefficients of H~_lam are
-    the Green polynomials (classtypes.green_record), so the product is their
-    k-fold tensor power at the sorted keys (classtypes.tensor_expand).
+    sum (types.type_sum).  On the basis b_rho the coefficients of H~_lam are
+    the Green polynomials (types.green_record), so the product is their
+    k-fold tensor power at the sorted keys (types.tensor_expand).
     Degree n is summed over q^S (q;q)_n = |GL_n(F_q)|, S = n(n-1)/2: the
     term of lam starts at the unipotent class size q^(S-s) cofactor(n, ts)
     for a_lam = q^s prod (q^t - 1) (the same record), no division.
@@ -259,7 +259,7 @@ def schur_of_type(tau) -> dict[MultiPartition, PolyQU]:
     """The Schur table of the product X over the entries (d, lam, m) of the
     type tau of psi_d s_lam (alphabet powers d and q -> q^d), m times
     each, on one alphabet: X's power-sum weights w(rho) = <X, p_rho>
-    (classtypes.power_weights) are its coefficients on the basis b_rho,
+    (types.power_weights) are its coefficients on the basis b_rho,
     which SymFunc.to_schur takes to the Schur side.  Cached and shared, so
     no caller mutates it."""
     return SymFunc(1, type_size(tau), {(rho,): PolyQU.const(w)
@@ -269,7 +269,7 @@ def schur_of_type(tau) -> dict[MultiPartition, PolyQU]:
 def H_omega(ctx: MasterContext, key) -> PolyQU:
     """Hall pairing of the degree-n master coefficient with the Schur-type
     product attached to a multipartition or a multitype of ctx.k
-    components, checked by classtypes.as_types: the sum over nu of the
+    components, checked by types.as_types: the sum over nu of the
     master Schur table's entry at nu times the s_{nu^i} coefficients of
     the k Schur-type factors (schur_of_type); an integer polynomial in q."""
     mt = as_types(key, ctx.k)
@@ -284,13 +284,13 @@ def H_omega(ctx: MasterContext, key) -> PolyQU:
 
 def V_poly(ctx: MasterContext, omega) -> PolyQU:
     """Generic multiplicity for the split form, V(q) = s H(q)
-    (classtypes.specialize)."""
+    (types.specialize)."""
     return specialize("V", H_omega(ctx, omega), omega)
 
 
 def Vprime_poly(ctx: MasterContext, omega) -> PolyQU:
     """Generic multiplicity for the twisted form, V'(q) = s' H(-q)
-    (classtypes.specialize)."""
+    (types.specialize)."""
     return specialize("Vprime", H_omega(ctx, omega), omega)
 
 
@@ -307,7 +307,7 @@ def U_poly(ctx: MasterContext, mu: MultiPartition) -> PolyQU:
 
 
 def Uprime_poly(ctx: MasterContext, mu: MultiPartition) -> PolyQU:
-    """U'(q) = s' T(-1, -q), s' the sign of V' (classtypes.specialize)."""
+    """U'(q) = s' T(-1, -q), s' the sign of V' (types.specialize)."""
     return specialize("Uprime", T_poly(ctx, mu), mu)
 
 
@@ -430,7 +430,7 @@ def verify_suite(ctx: MasterContext) -> VerifyReport:
     """Check each identity of the interpolation for all multipartitions of
     1..ctx.N against a second route, which shares at most its input series
     with T's: V by the [u^1] part of the sum over class types
-    (classtypes.type_sum, one contraction per degree, which owes nothing to
+    (types.type_sum, one contraction per degree, which owes nothing to
     Omega, its log or Psi), the u-deformed product, the twisted product,
     the Kronecker coefficient, and positivity.  Failures come back as data,
     never exceptions.  Every family is symmetric in the k factors, so each

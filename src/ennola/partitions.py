@@ -29,7 +29,7 @@ MultiPartition = tuple[Partition, ...]
 def check_partition(parts) -> Partition:
     lam = tuple(parts)
     for i, p in enumerate(lam):
-        if not isinstance(p, int) or p < 1:
+        if type(p) is not int or p < 1:
             raise ValueError(f"partition parts must be positive integers, got {lam}")
         if i and lam[i - 1] < p:
             raise ValueError(f"partition parts must be weakly decreasing, got {lam}")

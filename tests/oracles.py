@@ -5,7 +5,7 @@ symmetric-group characters via alternant coefficient extraction instead
 of border-strip recursion; the modified Hall-Littlewood functions on the
 Schur side by Jing's vertex-operator recursion (transformed_hl_oracle),
 where the library builds their power-sum coefficients, the Green
-polynomials, by a recursion of its own (classtypes.green_record);
+polynomials, by a recursion of its own (types.green_record);
 Kostka-Foulkes polynomials via the q-analog of the weight multiplicity
 (alternating sum over the Weyl group with a q-deformed partition
 function), which checks both; Kronecker coefficients by averaging over all permutations, and Kostka
@@ -107,7 +107,6 @@ from itertools import (
 )
 
 from ennola.coeffs import ONE, ZERO, PolyQU, Q, poly_exact_div
-from ennola.classtypes import as_types
 from ennola.multiplicities import _signed_neg_q, phi_prime, schur_of_type
 from ennola.partitions import (
     Partition,
@@ -124,6 +123,7 @@ from ennola.partitions import (
 from ennola.symfunc import GradedSeries, SymFunc
 from ennola.types import (
     TypeEntries,
+    as_types,
     make_type,
     type_size,
     type_to_text,
@@ -1472,7 +1472,7 @@ def extend_to_type(family, entries) -> SymFunc:
 def schur_of_type_oracle(tau: TypeEntries) -> dict:
     """multiplicities.schur_of_type by SymFunc arithmetic: the product of
     the Adams-operated Schur functions (SymFunc.multiply, not the
-    power-sum weights of classtypes.power_weights), converted to the
+    power-sum weights of types.power_weights), converted to the
     Schur basis."""
     return extend_to_type(lambda lam: SymFunc.from_schur(1, size(lam), {(lam,): ONE}),
                           tau).to_schur()

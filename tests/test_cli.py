@@ -306,7 +306,7 @@ class TestSharedRows:
 
 
 class TestClassTypeSum:
-    """`pair` answers by the sum over class types (ennola.classtypes), at
+    """`pair` answers by the sum over class types (ennola.types), at
     a `--mu` key and, for V and V', at a `--type` key, while `table` and
     the library's V_poly and Vprime_poly read the k-fold tables of the
     pipeline: the two routes give the same polynomials, and a broken
@@ -330,9 +330,9 @@ class TestClassTypeSum:
                              ids=["k3-n5", "k4-n4", "k2-n6", "k5-n3", "k1-n8"])
     def test_pair_is_the_table_row(self, capsys, monkeypatch, k, n):
         # T is summed once per ordering and read by every family
-        import ennola.classtypes as ct
+        import ennola.types as ty
 
-        monkeypatch.setattr(ct, "t_poly", lru_cache(maxsize=None)(ct.t_poly))
+        monkeypatch.setattr(ty, "t_poly", lru_cache(maxsize=None)(ty.t_poly))
         for which in self.FAMILIES:
             rc, out, _ = run(capsys, "table", "--which", which, "--k", str(k), "--n", str(n),
                              "--format", "json", "--cache-dir", "")
@@ -352,8 +352,8 @@ class TestClassTypeSum:
         # at k = 12 the table's sorted keys stand for orbits of up to 12!
         # orderings (symfunc.orbit builds only the distinct ones); each row
         # is T by the class-type sum read through specialize
-        from ennola.classtypes import specialize, t_poly
         from ennola.coeffs import poly_to_json, poly_to_str
+        from ennola.types import specialize, t_poly
 
         rc, out, _ = run(capsys, "table", "--which", "V", "--k", "12", "--n", "2",
                          "--format", "json", "--cache-dir", "")
@@ -371,9 +371,9 @@ class TestClassTypeSum:
         # the class-type contraction over every sorted key of one degree:
         # its [u^1] table, verify's generic side, is u times the master
         # series' Schur table, and its whole u T is u times the tau table
-        from ennola.classtypes import type_sum
         from ennola.coeffs import PolyQU, U
         from ennola.multiplicities import build_context
+        from ennola.types import type_sum
 
         ctx = build_context(k, n)
         keys = list(combinations_with_replacement(sorted(enumerate_partitions(n)), k))
@@ -440,8 +440,7 @@ class TestClassTypeSum:
         # pair --which V|Vprime sums only the [u^1] class types: the same
         # V and V' as all of u T, at every sorted key of (3, 4) and (4, 3)
         # and at the multitypes of size <= 4 that the pairing tests walk
-        from ennola.classtypes import specialize, t_poly
-        from ennola.types import parse_multitype
+        from ennola.types import parse_multitype, specialize, t_poly
 
         keys = [key for k, n in ((3, 4), (4, 3))
                 for key in combinations_with_replacement(sorted(enumerate_partitions(n)), k)]
@@ -460,10 +459,10 @@ class TestClassTypeSum:
     def test_u_powers_asked_of_the_sum(self, capsys, monkeypatch, which, powers):
         # the u = 0 families ask the class-type sum for its [u^1] types
         # alone, the others for every power, and kron does not ask it
-        import ennola.classtypes as ct
+        import ennola.types as ty
 
-        real, asked = ct.t_poly, []
-        monkeypatch.setattr(ct, "t_poly", lambda key, p=None: asked.append(p) or real(key, p))
+        real, asked = ty.t_poly, []
+        monkeypatch.setattr(ty, "t_poly", lambda key, p=None: asked.append(p) or real(key, p))
         rc, _, _ = run(capsys, "pair", "--which", which, "--mu", "2.1,2.1,1^3", "--cache-dir", "")
         assert (rc, asked) == (EXIT_OK, powers)
 
@@ -473,7 +472,7 @@ class TestClassTypeSum:
         (((2, 1), (2,)), "components of different sizes"),
     ], ids=["size-0", "increasing", "sizes-differ"])
     def test_refusals(self, mu, message):
-        from ennola.classtypes import t_poly
+        from ennola.types import t_poly
 
         with pytest.raises(ValueError) as exc:
             t_poly(mu)
@@ -482,11 +481,11 @@ class TestClassTypeSum:
     def test_broken_sum_exits_internal(self, capsys, monkeypatch):
         # failure injection: an orbit count off by u leaves a sum that is
         # not u times a polynomial
-        import ennola.classtypes as ct
+        import ennola.types as ty
         from ennola.coeffs import U
 
-        real = ct.phi_u
-        monkeypatch.setattr(ct, "phi_u", lambda d: real(d) + U)
+        real = ty.phi_u
+        monkeypatch.setattr(ty, "phi_u", lambda d: real(d) + U)
         rc, out, err = run(capsys, "pair", "--which", "T", "--mu", "2.1,2.1,1^3",
                            "--cache-dir", "")
         assert (rc, out) == (EXIT_INTERNAL, "")
@@ -497,11 +496,11 @@ class TestClassTypeSum:
         # failure injection: u T times u^n is still divisible by u, but T's
         # u-degree is then above n - 1; the sum's quotient is the one
         # exact division with u in its dividend
-        import ennola.classtypes as ct
+        import ennola.types as ty
         from ennola.coeffs import U
 
-        real = ct.exact_quotients
-        monkeypatch.setattr(ct, "exact_quotients", lambda nums, b: [
+        real = ty.exact_quotients
+        monkeypatch.setattr(ty, "exact_quotients", lambda nums, b: [
             c * U ** 3 if c.udeg() else c for c in real(nums, b)])
         rc, out, err = run(capsys, "pair", "--which", "T", "--mu", "2.1,2.1,1^3",
                            "--cache-dir", "")
@@ -1114,8 +1113,9 @@ class TestStartupImports:
     include none of the heavy standard modules that dataclasses and
     fractions would pull in; the Kronecker queries, --help and usage
     errors load none of the pipeline's modules; and `pair`, which takes
-    the class-type sum, loads exactly the modules of that sum: none of
-    the k-fold tables' modules, and `types` only for a `--type` literal."""
+    the class-type sum, loads exactly the modules of that sum, at a
+    `--mu` and a `--type` literal alike: none of the k-fold tables'
+    modules."""
 
     HEAVY = {"dataclasses", "inspect", "fractions", "decimal", "numbers", "typing"}
 
@@ -1129,7 +1129,7 @@ class TestStartupImports:
         ["cache", "build", "--n", "2"],
     ]
 
-    PIPELINE = {"ennola.multiplicities", "ennola.symfunc", "ennola.types", "ennola.classtypes"}
+    PIPELINE = {"ennola.multiplicities", "ennola.symfunc", "ennola.types"}
 
     NO_PIPELINE_QUERIES = [
         ["pair", "--which", "kron", "--mu", "2.1,2.1,1^3"],
@@ -1163,8 +1163,7 @@ print(" ".join(sys.modules))
         assert "ennola.multiplicities" in loaded
         assert not loaded & self.HEAVY, sorted(loaded & self.HEAVY)
 
-    PAIR_MU = {"ennola", "ennola.cli", "ennola.coeffs", "ennola.partitions",
-               "ennola.classtypes"}
+    PAIR = {"ennola", "ennola.cli", "ennola.coeffs", "ennola.partitions", "ennola.types"}
 
     @staticmethod
     def _ennola_modules(modules: str) -> set:
@@ -1176,25 +1175,17 @@ print(" ".join(sys.modules))
                    for w in ("V", "Vprime", "U", "Uprime", "T")]
         *_, codes, modules = _child(self.CHILD, json.dumps(queries), str(cache))
         assert codes == str([EXIT_OK] * len(queries))
-        assert self._ennola_modules(modules) == self.PAIR_MU
+        assert self._ennola_modules(modules) == self.PAIR
         assert not cache.exists()
 
-    def test_pair_type_loads_only_the_class_type_sum_and_types(self, tmp_path):
+    def test_pair_type_loads_only_the_class_type_sum(self, tmp_path):
         cache = tmp_path / "cache"
         queries = [["pair", "--which", w, "--type", "1:1.1;2:1,1:1^4,3:1;1:1"]
                    for w in ("V", "Vprime")]
         *_, codes, modules = _child(self.CHILD, json.dumps(queries), str(cache))
         assert codes == str([EXIT_OK] * len(queries))
-        assert self._ennola_modules(modules) == self.PAIR_MU | {"ennola.types"}
+        assert self._ennola_modules(modules) == self.PAIR
         assert not cache.exists()
-
-    def test_typed_key_loads_no_syntax_module(self):
-        # the normal form of a key is classtypes' own: a typed key is put
-        # in canonical form without the text syntax of `types`
-        code = ("import sys; from ennola.classtypes import as_types; "
-                "print(as_types((((2, (1,), 1),), ((1, (1, 1), 1),)))); "
-                "print('ennola.types' in sys.modules)")
-        assert _child(code) == ["(((2, (1,), 1),), ((1, (1, 1), 1),))", "False"]
 
     def test_kron_and_usage_errors_load_no_pipeline(self, tmp_path):
         cache = tmp_path / "cache"

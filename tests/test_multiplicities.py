@@ -11,10 +11,9 @@ from itertools import combinations_with_replacement, permutations
 
 import pytest
 
-import ennola.classtypes as ct
 import ennola.coeffs as coeffs
 import ennola.multiplicities as mult
-from ennola.classtypes import as_types, green_record, specialize, t_poly, type_sum
+import ennola.types as ty
 from ennola.cli import main
 from ennola.coeffs import ONE, Q, U, ZERO, PolyQU, norm1, poly_exact_div, poly_to_str
 from ennola.multiplicities import (
@@ -53,7 +52,16 @@ from ennola.partitions import (
     parse_partition,
 )
 from ennola.symfunc import SymFunc
-from ennola.types import make_type, parse_multitype, type_size
+from ennola.types import (
+    as_types,
+    green_record,
+    make_type,
+    parse_multitype,
+    specialize,
+    t_poly,
+    type_size,
+    type_sum,
+)
 from oracles import (
     GL2_TYPES,
     H_omega_oracle,
@@ -244,11 +252,17 @@ class TestMultitypeRefusals:
         ((), "a multipartition needs at least one component"),
         (((2,), (1, 1), (1, 1, 1)), "components of different sizes"),
         (((),) * 3, "a multipartition needs size at least 1"),
+        ((TAU, ((1.5, (2,), 1),), TAU), "entry (1.5, (2,), 1) needs positive d and m"),
+        ((TAU, ((1, (3,), 1.0),), TAU), "entry (1, (3,), 1.0) needs positive d and m"),
+        ((TAU, ((True, (3,), 1),), TAU), "entry (True, (3,), 1) needs positive d and m"),
+        (((2, 1), (True, True, True), (3,)),
+         "partition parts must be positive integers, got (True, True, True)"),
     ]
 
     @pytest.mark.parametrize("key, message", BAD,
                              ids=["sizes-differ", "m-0", "d-0", "increasing", "no-component",
-                                  "partition-sizes-differ", "size-0"])
+                                  "partition-sizes-differ", "size-0", "d-float", "m-float",
+                                  "d-bool", "part-bool"])
     def test_bad_multitypes_are_refused(self, key, message):
         ctx = build_context(3, 3, None)
         calls = [lambda: t_poly(key), lambda: H_omega(ctx, key), lambda: as_types(key),
@@ -281,6 +295,8 @@ class TestPipelineSmall:
     @pytest.mark.parametrize("call, message", [
         (lambda: MasterContext(0, 3), "k and N must be positive"),
         (lambda: MasterContext(3, 0), "k and N must be positive"),
+        (lambda: MasterContext(2.0, 3), "k and N must be positive"),
+        (lambda: MasterContext(3, 2.0), "k and N must be positive"),
         (lambda: MasterContext(3, 2).psi_schur(0), "degree 0 outside 1..2"),
         (lambda: MasterContext(3, 2).psi_schur(3), "degree 3 outside 1..2"),
         (lambda: MasterContext(3, 2).tau_schur(0), "degree 0 outside 1..2"),
@@ -291,7 +307,7 @@ class TestPipelineSmall:
            "expected 3 components, got 2")
           for family in (T_poly, U_poly, Uprime_poly, V_poly, Vprime_poly)],
         (lambda: check_multipartition(((1,), (1,)), 3), "expected 3 components, got 2"),
-    ], ids=["k-0", "N-0", "psi-degree-0", "psi-degree-N+1", "tau-degree-0",
+    ], ids=["k-0", "N-0", "k-float", "N-float", "psi-degree-0", "psi-degree-N+1", "tau-degree-0",
             "tau-degree-N+1", "H-two-components", "T-two-components", "U-two-components",
             "Uprime-two-components", "V-two-components", "Vprime-two-components",
             "check-two-components"])
@@ -507,8 +523,8 @@ class TestSchurSide:
         # record left in the cache is the true one
         nu = (2, 2)
         want, size = green_record(nu), green_record.cache_info().currsize
-        real = ct._sigma_weights
-        monkeypatch.setattr(ct, "_sigma_weights", lambda j, B: tuple(
+        real = ty._sigma_weights
+        monkeypatch.setattr(ty, "_sigma_weights", lambda j, B: tuple(
             (sigma, w + (i == 0)) for i, (sigma, w) in enumerate(real(j, B))))
         with pytest.raises(AssertionError,
                            match=r"^Q\^\(2, 2\) at \(4,\) is not an integer polynomial$"):
@@ -524,13 +540,13 @@ class TestSchurSide:
         # reads its record once, and so does each record of two or more
         # parts read that of its rest
         green_record.cache_clear()
-        ct._atom.cache_clear()
+        ty._atom.cache_clear()
         assert build_context(3, 5).omega.coeffs[5].coeffs
         assert type_sum([enumerate_partitions(5)] * 3)
         info = green_record.cache_info()
         lams = [lam for n in range(1, 6) for lam in enumerate_partitions(n)]
         assert info.misses == len(lams) == 18
-        atoms = len({atom for tau in ct.class_types(5) for atom in tau})
+        atoms = len({atom for tau in ty.class_types(5) for atom in tau})
         assert info.hits == atoms + sum(len(lam) > 1 for lam in lams) == 24 + 13
 
     def test_warm_multitype_query_reads_one_table(self, tmp_path, monkeypatch):
@@ -1130,7 +1146,7 @@ class TestVerifySuite:
     def test_v_and_vprime_come_from_one_contraction_per_degree(self, monkeypatch):
         # verify reads V and V' off the [u^1] table of one class-type
         # contraction per degree, over every sorted key, through the sign
-        # rule the commands use (classtypes.specialize); it pairs no Psi
+        # rule the commands use (types.specialize); it pairs no Psi
         # Schur table with a type (H_omega) and extracts none (psi_schur)
         calls, paired = [], []
         real = mult.type_sum

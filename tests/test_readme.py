@@ -1,11 +1,13 @@
-"""The README's command-line examples, run as written.
+"""The README's command-line and library examples, run as written.
 
 Each `$ ennola ...` line in a shell block of the README's "Command line"
 section is run in process, with the user cache directory moved to a
 fresh temporary one.  It must exit 0, and print exactly the lines shown
 under it, up to the next blank line, where a line `...` stands for any
 number of lines.  An example that shows no output is checked for its
-exit code only."""
+exit code only.  Each python block of the "Library" section is run in
+process, in a fresh namespace; together they must print the pinned
+values of T, U and V' at their key."""
 
 from __future__ import annotations
 
@@ -20,10 +22,14 @@ from ennola.cli import EXIT_OK, main
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
+def readme_section(title: str) -> str:
+    text = README.read_text(encoding="utf-8")
+    return text.split(f"\n## {title}\n", 1)[1].split("\n## ", 1)[0]
+
+
 def command_line_examples() -> list[tuple[str, list[str]]]:
     """(command, output lines shown) for each example of the section."""
-    text = README.read_text(encoding="utf-8")
-    section = text.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    section = readme_section("Command line")
     examples: list[tuple[str, list[str]]] = []
     for block in re.findall(r"```sh\n(.*?)```", section, re.S):
         shown = None
@@ -70,3 +76,13 @@ def test_example(capsys, monkeypatch, tmp_path, command, shown):
     assert rc == EXIT_OK
     if shown:
         assert output_matches(shown, out), out
+
+
+def test_library_example(capsys):
+    # T and U from the tables at one key, then V' there by the class-type
+    # sum alone
+    blocks = re.findall(r"```python\n(.*?)```", readme_section("Library"), re.S)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, str(README), "exec"), {"__name__": "readme"})
+    assert capsys.readouterr().out == "2*u + q\nq + 2\nq\n"

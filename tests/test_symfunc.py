@@ -19,7 +19,6 @@ from ennola.partitions import (
     multipartitions,
     z_lambda,
 )
-from ennola.classtypes import tensor_expand
 from ennola.symfunc import (
     GradedSeries,
     SymFunc,
@@ -28,6 +27,7 @@ from ennola.symfunc import (
     _character_rows,
     _merged_orbits,
 )
+from ennola.types import tensor_expand
 
 from oracles import (
     adams_series,
