@@ -6,7 +6,9 @@ generic multiplicity V from the [u^1] part of Green's sum over class
 types (`types.type_sum`), which owes nothing to the master series,
 T against the u-deformed infinite product, the signed T(-1, -q) against
 the twisted infinite product, the top u-coefficient against the
-Kronecker coefficient, and every coefficient against zero.  It reports
+Kronecker coefficient, and every coefficient against zero; and a sixth
+family checks that the unitary multiplicities U' and V' have positive
+leading coefficients, which a wrong sign s' would break.  It reports
 failures as data.  The expensive part of a build -- the master series'
 Schur coefficient tables -- can be cached on disk (`psi_schur` and
 `ennola cache build` write it) and reloaded byte-identically; `verify`

@@ -24,7 +24,7 @@ import json
 import os
 import tempfile
 from functools import lru_cache
-from itertools import product
+from itertools import combinations_with_replacement, product
 from math import prod
 
 try:  # the builtin SHA-256: importing hashlib loads OpenSSL, +3.7 MB peak RSS
@@ -56,13 +56,12 @@ from .partitions import (
     kronecker,
     mobius,
     multipartition_to_text,
-    multipartitions,
     parse_partition,
     partition_to_text,
     q_pochhammer,
     size,
 )
-from .symfunc import GradedSeries, SymFunc
+from .symfunc import GradedSeries, SymFunc, orbit
 from .types import (
     MINUS_ONE,
     _div_u,
@@ -376,21 +375,21 @@ class VerifyItem:
         self.failures = 0
         self.first_failure: str | None = None
 
-    def record(self, ok: bool, mu: MultiPartition, why: str, args: list) -> None:
-        """Count one case at mu; only a first failure's text is built."""
-        self.cases += 1
+    def record(self, ok: bool, key: MultiPartition, count: int, why: str, args: list) -> None:
+        """Count the count cases of the sorted key, one per ordering of it;
+        only a first failure's text is built."""
+        self.cases += count
         if not ok:
-            self.failures += 1
+            self.failures += count
             if self.first_failure is None:
-                self.first_failure = f"{multipartition_to_text(mu)}: {why.format(*args)}"
+                self.first_failure = f"{multipartition_to_text(key)}: {why.format(*args)}"
 
 
 class VerifyReport:
-    __slots__ = ("items", "audits")
+    __slots__ = ("items",)
 
     def __init__(self, items: list[VerifyItem]):
         self.items = items
-        self.audits: list[str] = []
 
     @property
     def ok(self) -> bool:
@@ -404,8 +403,6 @@ class VerifyReport:
             if item.first_failure:
                 line += f" (first: {item.first_failure})"
             lines.append(line)
-        for note in self.audits:
-            lines.append(f"note {note}")
         total = sum(i.failures for i in self.items)
         lines.append(f"{len(self.items)} identity families, {total} failures")
         return lines
@@ -422,7 +419,6 @@ class VerifyReport:
                 }
                 for i in self.items
             ],
-            "audits": list(self.audits),
         }
 
 
@@ -432,57 +428,43 @@ def verify_suite(ctx: MasterContext) -> VerifyReport:
     with T's: V by the [u^1] part of the sum over class types
     (types.type_sum, one contraction per degree, which owes nothing to
     Omega, its log or Psi), the u-deformed product, the twisted product,
-    the Kronecker coefficient, and positivity.  Failures come back as data,
-    never exceptions.  Every family is symmetric in the k factors, so each
-    sorted key is computed and compared once, and its outcome recorded, in
-    the walk over the ordered multipartitions, for each ordering of it
-    under that ordering's name."""
-    at_zero = VerifyItem("tau-at-0-matches-generic")
-    product_route = VerifyItem("tau-matches-u-deformed-product")
-    twisted = VerifyItem("tau-at-minus-1-matches-twisted-product")
-    top_u = VerifyItem("top-u-coefficient-is-kronecker")
-    nonneg = VerifyItem("tau-coefficients-nonnegative")
-    report = VerifyReport([at_zero, product_route, twisted, top_u, nonneg])
+    the Kronecker coefficient, and positivity; and that U' and V', which
+    count GU_n(F_q) multiplicities and read the sign s' that the twisted
+    product reads too, have positive leading coefficients where nonzero.
+    Failures come back as data, never exceptions.  Every family is
+    symmetric in the k factors, so each degree visits its sorted keys once,
+    in ascending order, and counts each key's outcome once per ordering."""
+    names = ("tau-at-0-matches-generic", "tau-matches-u-deformed-product",
+             "tau-at-minus-1-matches-twisted-product", "top-u-coefficient-is-kronecker",
+             "tau-coefficients-nonnegative", "twisted-leading-coefficients-positive")
+    report = VerifyReport([VerifyItem(name) for name in names])
+    at_zero, product_route, twisted, top_u, nonneg, leading = report.items
 
     t_oracle = T_poly_product_oracle(ctx)
     up_oracle = Uprime_poly_product_oracle(ctx)
-
-    def check(n: int, rep: MultiPartition, t: PolyQU, h: PolyQU) -> tuple[list, list]:
-        """The comparisons at the sorted key rep, of T there and of the
-        generic side H = [u^1] u T by the class types, as (family, ok,
-        failure text after the key's name, *its format arguments), and the
-        (family name, value) pairs whose leading coefficient is negative."""
-        v, vp = specialize("V", h, rep), specialize("Vprime", h, rep)
-        up_val = specialize("Uprime", t, rep)
-        kron = kronecker(rep)
-        top = t.coeff_of_u(n - 1)
-        checks = [
-            (at_zero, t.subst(u=PolyQU()) == v, "tau(0,q) != V"),
-            (product_route, t_oracle.get((n, rep), PolyQU()) == t,
-             "tau != u-deformed product"),
-            (twisted, up_oracle.get((n, rep), PolyQU()) == up_val,
-             "signed tau(-1,-q) != twisted product"),
-            (top_u, top == PolyQU.const(kron), "[u^{}] tau = {}, kronecker = {}", n - 1, top, kron),
-            (nonneg, all(c >= 0 for c in t.terms.values()), "negative tau coefficient in {}", t),
-        ]
-        negative = [(name, p) for name, p in (("U'", up_val), ("V'", vp))
-                    if p and p.leading()[1] < 0]
-        return checks, negative
-
     for n in range(1, ctx.N + 1):
         taus = ctx.tau_schur(n)
         generic = type_sum([enumerate_partitions(n)] * ctx.k, (1,))
-        outcomes: dict[MultiPartition, tuple[list, list]] = {}
-        for mu in multipartitions(ctx.k, n):
-            rep = tuple(sorted(mu))
-            if rep not in outcomes:
-                h = _div_u(generic[rep], n, rep)
-                outcomes[rep] = check(n, rep, taus.get(rep, PolyQU()), h)
-            checks, negative = outcomes[rep]
-            for item, ok, why, *args in checks:
-                item.record(ok, mu, why, args)
-            report.audits.extend(f"negative leading coefficient in {name} at "
-                                 f"{multipartition_to_text(mu)}: {p}" for name, p in negative)
+        for key in combinations_with_replacement(sorted(enumerate_partitions(n)), ctx.k):
+            t = taus.get(key, PolyQU())
+            h = _div_u(generic[key], n, key)
+            vp, up_val = specialize("Vprime", h, key), specialize("Uprime", t, key)
+            kron, top = kronecker(key), t.coeff_of_u(n - 1)
+            count = len(orbit(key))
+            for item, ok, why, *args in (
+                (at_zero, t.subst(u=PolyQU()) == specialize("V", h, key), "tau(0,q) != V"),
+                (product_route, t_oracle.get((n, key), PolyQU()) == t,
+                 "tau != u-deformed product"),
+                (twisted, up_oracle.get((n, key), PolyQU()) == up_val,
+                 "signed tau(-1,-q) != twisted product"),
+                (top_u, top == PolyQU.const(kron), "[u^{}] tau = {}, kronecker = {}",
+                 n - 1, top, kron),
+                (nonneg, all(c >= 0 for c in t.terms.values()),
+                 "negative tau coefficient in {}", t),
+                (leading, all(not p or p.leading()[1] > 0 for p in (up_val, vp)),
+                 "negative leading coefficient in U' = {} or V' = {}", up_val, vp),
+            ):
+                item.record(ok, key, count, why, args)
     return report
 
 
@@ -501,8 +483,9 @@ def save_cache(cache_dir: str, k: int, n: int, table: dict[MultiPartition, PolyQ
     payload = {"version": CACHE_VERSION, "k": k, "n": n, "count": len(entries),
                "sha256": _entries_digest(entries), "entries": entries}
     path = cache_path(cache_dir, k, n)
-    # a private temp name, so concurrent writers of one table cannot collide
-    fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
+    # a private temp name under the table's prefix: concurrent writers
+    # cannot collide, and clear_cache finds a killed writer's leftover
+    fd, tmp = tempfile.mkstemp(dir=cache_dir, prefix=f"psi_k{k}_n{n}.", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             # json.dumps runs the C encoder; json.dump, the pure-Python
@@ -548,16 +531,18 @@ def load_cache(cache_dir: str, k: int, n: int) -> dict[MultiPartition, PolyQU] |
 
 
 def clear_cache(cache_dir: str, k: int | None = None) -> list[str]:
-    """Remove cache files, optionally only those for one alphabet count.  A
-    directory that does not exist holds none; a path that is not a
-    directory raises NotADirectoryError."""
+    """Remove cache files and killed writers' regular temp files,
+    optionally only those for one alphabet count.  A directory that does
+    not exist holds none; a path that is not a directory raises
+    NotADirectoryError."""
     removed = []
     if not os.path.exists(cache_dir):
         return removed
     prefix = "psi_" if k is None else f"psi_k{k}_"
     for name in sorted(os.listdir(cache_dir)):
-        if name.startswith(prefix) and name.endswith(".json"):
-            path = os.path.join(cache_dir, name)
+        path = os.path.join(cache_dir, name)
+        if name.startswith(prefix) and (name.endswith(".json") or (
+                name.endswith(".tmp") and os.path.isfile(path))):
             os.remove(path)
             removed.append(path)
     return removed

@@ -114,7 +114,6 @@ from ennola.partitions import (
     dual,
     enumerate_partitions,
     mobius,
-    multipartitions,
     n_stat,
     q_pochhammer,
     size,
@@ -128,6 +127,13 @@ from ennola.types import (
     type_size,
     type_to_text,
 )
+
+
+@lru_cache(maxsize=None)
+def multipartitions(k: int, n: int) -> tuple[tuple, ...]:
+    """All k-tuples of partitions of n, lexicographic in the component
+    order of enumerate_partitions."""
+    return tuple(product(enumerate_partitions(n), repeat=k))
 
 
 @lru_cache(maxsize=None)

@@ -543,8 +543,8 @@ class TestVerify:
     def test_green_run(self, capsys, cache_dir):
         rc, out, _ = run(capsys, "verify", "--n", "2", "--cache-dir", cache_dir)
         assert rc == EXIT_OK
-        assert "5 identity families, 0 failures" in out
-        assert out.count("ok ") == 5
+        assert "6 identity families, 0 failures" in out
+        assert out.count("ok ") == 6
 
     def test_json_format(self, capsys, cache_dir):
         rc, out, _ = run(
@@ -751,6 +751,25 @@ class TestCache:
         rc, out, _ = run(capsys, "cache", "clear", "--k", "4", "--cache-dir", cache)
         assert rc == EXIT_OK
         assert os.listdir(cache) == ["psi_k3_n1.json"]
+
+    @pytest.mark.parametrize("args, removed", [
+        (("--k", "3"), True), ((), True), (("--k", "4"), False), (("--k", "31"), False),
+    ], ids=["k3", "every-k", "k4", "k31"])
+    def test_clear_removes_a_killed_writers_temp_file(self, capsys, tmp_path, monkeypatch,
+                                                      args, removed):
+        # a writer killed between its temp file and the rename leaves the
+        # temp file under the table's prefix, which clear finds for that k
+        import ennola.multiplicities as mult
+
+        cache = str(tmp_path / "c")
+        with monkeypatch.context() as m:
+            m.setattr(mult.os, "replace", lambda src, dst: None)
+            mult.save_cache(cache, 3, 1, {})
+        [tmp] = os.listdir(cache)
+        assert tmp.startswith("psi_k3_n1.") and tmp.endswith(".tmp")
+        rc, out, _ = run(capsys, "cache", "clear", *args, "--cache-dir", cache)
+        assert (rc, out) == (EXIT_OK, f"removed {int(removed)} cache file(s) from {cache}\n")
+        assert os.listdir(cache) == ([] if removed else [tmp])
 
     def test_build_requires_n(self, capsys, tmp_path):
         with pytest.raises(SystemExit) as exc:
@@ -1061,8 +1080,8 @@ class TestRegressionPins:
     are regression pins, not paper goldens: they guard T tables that no
     reference file covers (degree 6; k = 4 at degree 5; k = 2 at degree 9,
     where the log of the kernel has empty pieces), the JSON verify
-    reports at (k, n) = (3, 4) and (4, 3), whose case counts, failure
-    texts and audits must not move, and the csv Kronecker table at degree
+    reports at (k, n) = (3, 4) and (4, 3), whose case counts and
+    failure texts must not move, and the csv Kronecker table at degree
     9, where every row sums character values and prints its labels, 1^9
     among them, in the dot form."""
 
@@ -1082,9 +1101,9 @@ class TestRegressionPins:
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
     @pytest.mark.parametrize("args,digest", [
-        (("--n", "4"), "c3beeb4f12117cacbc084dea14055215e5de44432afce1848dbc8edbd74466d2"),
+        (("--n", "4"), "ae6e3c2067da9568da91d09a07572e3a4ebf20a4e3252906e0e1531d8a2e3d8d"),
         (("--k", "4", "--n", "3"),
-         "c2a7d6ec82a5657cfcc16654e3c572ba11a9058d9d93c0ae0b6c17299995ecc6"),
+         "410c2d505930c0a77be2bcb7278126bc24d333e06f6827709e0bb85cf252c21f"),
     ], ids=["n4", "k4-n3"])
     def test_verify_report_digest(self, capsys, args, digest):
         import hashlib

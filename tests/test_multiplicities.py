@@ -47,8 +47,6 @@ from ennola.partitions import (
     check_multipartition,
     enumerate_partitions,
     kronecker,
-    multipartition_to_text,
-    multipartitions,
     parse_partition,
 )
 from ennola.symfunc import SymFunc
@@ -85,6 +83,7 @@ from oracles import (
     gu_classes,
     is_root,
     kac_polynomial_hua,
+    multipartitions,
     omega_oracle,
     pairing_degree,
     phi,
@@ -1070,6 +1069,7 @@ FAMILIES = [
     "tau-at-minus-1-matches-twisted-product",
     "top-u-coefficient-is-kronecker",
     "tau-coefficients-nonnegative",
+    "twisted-leading-coefficients-positive",
 ]
 
 
@@ -1101,6 +1101,18 @@ def _seed_fault(monkeypatch, family: str, rep) -> None:
         real_k = mult.kronecker
         monkeypatch.setattr(mult, "kronecker",
                             lambda mu: real_k(mu) + (tuple(sorted(mu)) == rep))
+    elif family == "twisted-leading-coefficients-positive":
+        # s' negated at rep in the one sign rule that U' and V' by
+        # specialize and the twisted product all read, so the twisted
+        # product still matches T and only the signs' positivity sees it
+        real_signs, at = ty._multitype_signs, as_types(rep)
+
+        def signs(mt):
+            s, s_prime = real_signs(mt)
+            return (s, -s_prime) if mt == at else (s, s_prime)
+
+        monkeypatch.setattr(ty, "_multitype_signs", signs)
+        monkeypatch.setattr(mult, "_multitype_signs", signs)
     else:
         # a term that vanishes at u = 0 and u = -1 and leaves [u^3] alone,
         # put into T and its product route alike: only positivity sees it
@@ -1121,7 +1133,8 @@ class TestVerifySuite:
         report = verify_suite(ctx)
         assert report.ok
         lines = report.summary_lines()
-        assert lines[-1] == "5 identity families, 0 failures"
+        assert lines[-1] == "6 identity families, 0 failures"
+        assert len(lines) == len(FAMILIES) + 1
         assert [item.name for item in report.items] == FAMILIES
 
     def test_json_shape(self):
@@ -1129,19 +1142,28 @@ class TestVerifySuite:
         report = verify_suite(ctx)
         data = report.to_json()
         parsed = json.loads(json.dumps(data))
+        assert sorted(parsed) == ["items", "ok"]
         assert parsed["ok"] is True
         assert [item["name"] for item in parsed["items"]] == FAMILIES
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_seeded_fault_fails_only_its_family(self, monkeypatch, family):
         # each family compares two routes that share no formula, so a fault
-        # on one route fails that family alone, at each of the key's three
-        # orderings
+        # on one route fails that family alone, counted once for each of
+        # the key's three orderings
         rep = ((1, 1, 1, 1), (1, 1, 1, 1), (2, 2))
         _seed_fault(monkeypatch, family, rep)
         report = verify_suite(build_context(3, 4, None))
         assert [(i.name, i.failures) for i in report.items if i.failures] == [(family, 3)]
-        assert [i.cases for i in report.items] == [161] * 5
+        assert [i.cases for i in report.items] == [161] * len(FAMILIES)
+
+    def test_a_wrong_twisted_sign_names_both_values(self, monkeypatch):
+        rep = ((1, 1, 1, 1), (1, 1, 1, 1), (2, 2))
+        _seed_fault(monkeypatch, "twisted-leading-coefficients-positive", rep)
+        report = verify_suite(build_context(3, 4, None))
+        assert not report.ok
+        assert report.items[-1].first_failure == (
+            "1^4,1^4,2^2: negative leading coefficient in U' = -q - 2 or V' = -q")
 
     def test_v_and_vprime_come_from_one_contraction_per_degree(self, monkeypatch):
         # verify reads V and V' off the [u^1] table of one class-type
@@ -1192,8 +1214,8 @@ class TestVerifySuite:
             ("tau-at-0-matches-generic", "1^4,1^4,1^4: tau(0,q) != V")]
 
     def test_a_green_run_formats_no_failure_text(self, monkeypatch):
-        # the text of a failure or an audit note is built only when one is
-        # due, and verify at (3, 4) has neither
+        # the text of a failure is built only when one is due, and verify at
+        # (3, 4) has none
         calls = {"multipartition_to_text": 0, "poly_to_str": 0}
         for module, name in ((mult, "multipartition_to_text"), (coeffs, "poly_to_str")):
             def counted(*args, _real=getattr(module, name), _name=name):
@@ -1201,44 +1223,43 @@ class TestVerifySuite:
                 return _real(*args)
             monkeypatch.setattr(module, name, counted)
         report = verify_suite(build_context(3, 4, None))
-        assert report.ok and not report.audits
+        assert report.ok
         assert calls == {"multipartition_to_text": 0, "poly_to_str": 0}
 
-    def test_a_fault_at_one_orbit_fails_at_each_ordering(self, monkeypatch):
-        # each sorted key is checked once; its outcome is recorded for every
-        # ordering of it, and the first failure names the first ordering
-        # that the walk over the ordered multipartitions meets
+    def test_a_fault_at_one_orbit_counts_each_ordering(self, monkeypatch):
+        # each sorted key is checked once and counted once per ordering of
+        # it, and the first failure names the sorted key
         rep = ((1, 1), (1, 1), (2,))
         real = mult.kronecker
         monkeypatch.setattr(mult, "kronecker",
                             lambda mu: real(mu) + (tuple(sorted(mu)) == rep))
         report = verify_suite(build_context(3, 2, None))
-        orderings = [mu for mu in multipartitions(3, 2) if tuple(sorted(mu)) == rep]
         assert [(i.name, i.failures) for i in report.items if i.failures] == [
-            ("top-u-coefficient-is-kronecker", len(orderings))]
+            ("top-u-coefficient-is-kronecker", 3)]
         first = next(i for i in report.items if i.failures).first_failure
-        assert first.startswith(multipartition_to_text(orderings[0]) + ": ")
-        assert len(orderings) == 3
+        assert first.startswith("1^2,1^2,2: ")
 
-    def test_negative_vprime_is_a_note_not_a_failure(self, monkeypatch, capsys):
-        # V' enters no identity family, so a negated V' leaves every family
-        # green and shows only as one audit note per multipartition, printed
-        # just before the total line
+    @pytest.mark.parametrize("k, N, cases", [(3, 4, 161), (5, 3, 276), (12, 2, 4097), (1, 8, 66)])
+    def test_cases_count_every_ordered_multipartition(self, k, N, cases):
+        # sum over n <= N of p(n)^k, the ordered multipartitions up to N
+        assert cases == sum(len(enumerate_partitions(n)) ** k for n in range(1, N + 1))
+        report = verify_suite(build_context(k, N, None))
+        assert [i.cases for i in report.items] == [cases] * len(FAMILIES)
+
+    def test_negative_vprime_fails_the_twisted_sign_family(self, monkeypatch, capsys):
+        # V' is a multiplicity in GU_n(F_q), so a negated V' fails the
+        # leading-coefficient family alone, at the two keys of degree <= 2
+        # where V' is nonzero, and verify exits 1
         def negated(which, t, key, _real=specialize):
             val = _real(which, t, key)
             return val.scale(-1) if which == "Vprime" else val
 
         monkeypatch.setattr(mult, "specialize", negated)
-        report = verify_suite(build_context(3, 2, None))
-        notes = ["negative leading coefficient in V' at 1,1,1: -1",
-                 "negative leading coefficient in V' at 1^2,1^2,1^2: -1"]
-        assert report.ok
-        assert [item.failures for item in report.items] == [0] * 5
-        assert report.summary_lines()[-3:] == [f"note {note}" for note in notes] + [
-            "5 identity families, 0 failures"]
-        assert report.to_json()["audits"] == notes
-        assert main(["verify", "--n", "2", "--cache-dir", ""]) == 0
-        assert f"note {notes[1]}\n5 identity families" in capsys.readouterr().out
+        assert main(["verify", "--n", "2", "--format", "json", "--cache-dir", ""]) == 1
+        items = json.loads(capsys.readouterr().out)["items"]
+        assert [(i["name"], i["failures"], i["first_failure"]) for i in items if i["failures"]] == [
+            ("twisted-leading-coefficients-positive", 2,
+             "1,1,1: negative leading coefficient in U' = 1 or V' = -1")]
 
 
 class TestEveryFactorCount:

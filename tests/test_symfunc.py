@@ -16,7 +16,6 @@ from ennola.partitions import (
     character_value,
     enumerate_partitions,
     mobius,
-    multipartitions,
     z_lambda,
 )
 from ennola.symfunc import (
@@ -36,6 +35,7 @@ from oracles import (
     expand_orbits,
     from_schur_oracle,
     merged_orbits_reference,
+    multipartitions,
     multiply_reference,
     pairing,
     pleth_exp,
