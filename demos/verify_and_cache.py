@@ -4,7 +4,8 @@
 polynomial T(u, q), each against a second route: T(0, q) against the
 generic multiplicity V from the [u^1] part of Green's sum over class
 types (`types.type_sum`), which owes nothing to the master series,
-T against the u-deformed infinite product, the signed T(-1, -q) against
+the series whose exp gives u T, log Exp(u Psi), against the log of the
+u-deformed infinite product, the signed T(-1, -q) against
 the twisted infinite product, the top u-coefficient against the
 Kronecker coefficient, and every coefficient against zero; and a sixth
 family checks that the unitary multiplicities U' and V' have positive

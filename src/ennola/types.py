@@ -10,7 +10,7 @@ type_to_text, and a multitype's, its types joined by ",", is read by
 parse_multitype.
 
 The u-deformed product prod_m (psi_m Omega)^{phi_{u,m}}, whose Schur
-coefficients are u T (multiplicities.T_poly_product_oracle), expands
+coefficients are u T (its log: multiplicities.u_deformed_log_sum), expands
 binomially, (psi_m Omega)^phi = sum_r binom(phi, r) (psi_m Omega - 1)^r,
 into a sum over the class types of size n: multisets tau of atoms
 (m, nu), m >= 1 and nu a nonempty partition, with sum m |nu| = n.  For a

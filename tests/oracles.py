@@ -87,6 +87,12 @@ has only the degree-wise weighted Adams sum, and the
 Kostka-Foulkes polynomials (kostka_foulkes), a cocharge table reflected
 against n(lam), which the weight-multiplicity oracle checks.
 
+T_poly_product_oracle is the T table of the u-deformed infinite product,
+the plain exp of sum of phi_{u,d} psi_d(r)/d through the library's
+product driver (multiplicities._product_oracle).  verify compares only
+that log sum with Exp(u Psi)'s, so this table is the tests' reference
+for T.
+
 A single coefficient in Q(q, u) is represented here as a degree-0 SymFunc
 on one alphabet (`scalar`), so its equality is the library's
 cross-multiplied one.
@@ -107,8 +113,15 @@ from itertools import (
 )
 
 from ennola.coeffs import ONE, ZERO, PolyQU, Q, poly_exact_div
-from ennola.multiplicities import _signed_neg_q, phi_prime, schur_of_type
+from ennola.multiplicities import (
+    MasterContext,
+    _product_oracle,
+    _signed_neg_q,
+    phi_prime,
+    schur_of_type,
+)
 from ennola.partitions import (
+    MultiPartition,
     Partition,
     character_value,
     dual,
@@ -122,8 +135,10 @@ from ennola.partitions import (
 from ennola.symfunc import GradedSeries, SymFunc
 from ennola.types import (
     TypeEntries,
+    _div_u,
     as_types,
     make_type,
+    phi_u,
     type_size,
     type_to_text,
 )
@@ -670,6 +685,13 @@ def uprime_log_two_part(r: GradedSeries) -> GradedSeries:
     r_alt = _signed_neg_q(r)
     return r_alt.adams_sum(lambda d: phi_prime(d) if d % 2 else 0).add(
         r.adams_sum(lambda d: 0 if d % 2 else phi_prime(d)))
+
+
+def T_poly_product_oracle(ctx: MasterContext) -> dict[tuple[int, MultiPartition], PolyQU]:
+    """Two-variable interpolation polynomials recomputed from the
+    u-deformed infinite product."""
+    raw = _product_oracle(ctx, ctx.r_series().adams_sum(phi_u))
+    return {(n, key): _div_u(p, n, key) for (n, key), p in raw.items()}
 
 
 def gcd_reference(a: PolyQU, b: PolyQU) -> PolyQU:

@@ -20,6 +20,7 @@ from golden_tables import (
     UNIPOTENT_TWISTED,
 )
 from oracles import (
+    T_poly_product_oracle,
     a_poly,
     c_omega,
     c_tau,
@@ -46,7 +47,6 @@ from oracles import (
 from ennola.coeffs import ONE, Q, U, PolyQU, poly_to_str
 from ennola.multiplicities import (
     T_poly,
-    T_poly_product_oracle,
     U_poly,
     U_poly_product_oracle,
     Uprime_poly,

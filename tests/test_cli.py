@@ -573,21 +573,22 @@ class TestVerify:
     def test_detects_seeded_t_oracle_fault(self, capsys, cache_dir, monkeypatch):
         import ennola.multiplicities as mult
 
-        real = mult.T_poly_product_oracle
+        real = mult.u_deformed_log_sum
 
         def corrupted(ctx):
-            table = real(ctx)
-            key = min(table)
-            table[key] = table[key] + mult.U
-            return table
+            series = real(ctx)
+            f = series.coeffs[2]
+            key = min(f.coeffs)
+            series.coeffs[2] = f._with({**f.coeffs, key: f.coeffs[key] + mult.U}, f.den)
+            return series
 
-        monkeypatch.setattr(mult, "T_poly_product_oracle", corrupted)
+        monkeypatch.setattr(mult, "u_deformed_log_sum", corrupted)
         rc, out, _ = run(capsys, "verify", "--n", "2", "--cache-dir", cache_dir)
         assert rc == EXIT_VERIFY
         assert [line.split(":")[0] for line in out.splitlines() if line.startswith("FAIL")] == [
             "FAIL tau-matches-u-deformed-product"
         ]
-        assert "tau != u-deformed product" in out
+        assert "log Exp(u Psi) != u-deformed log" in out
 
     @pytest.mark.parametrize("argv", [
         ("verify", "--n", "1", "--format", "csv"),
@@ -1225,8 +1226,8 @@ class TestProcessEntry:
     checks; `main(argv)` itself leaves the collector alone."""
 
     def test_pipeline_makes_no_cycles(self, tmp_path):
+        from oracles import T_poly_product_oracle
         from ennola.multiplicities import (
-            T_poly_product_oracle,
             Uprime_poly_product_oracle,
             V_poly,
             build_context,

@@ -20,7 +20,6 @@ from ennola.multiplicities import (
     H_omega,
     MasterContext,
     T_poly,
-    T_poly_product_oracle,
     U_poly,
     U_poly_product_oracle,
     Uprime_poly,
@@ -48,6 +47,7 @@ from ennola.partitions import (
     enumerate_partitions,
     kronecker,
     parse_partition,
+    z_lambda,
 )
 from ennola.symfunc import SymFunc
 from ennola.types import (
@@ -63,6 +63,7 @@ from ennola.types import (
 from oracles import (
     GL2_TYPES,
     H_omega_oracle,
+    T_poly_product_oracle,
     _cyclotomic,
     _divmod_monic,
     _fq2,
@@ -650,6 +651,23 @@ class TestClosedFormDenominators:
         assert verify_suite(ctx).ok
         assert len(logs) == 1
 
+    def test_verify_builds_t_once(self, monkeypatch):
+        # the u-deformed family compares log sums, so a green verify runs
+        # two exps, the pipeline's and the twisted oracle's, and reads the
+        # Schur side of each at every degree; the twisted oracle's lcm
+        # takes every gcd
+        from ennola.symfunc import GradedSeries
+
+        counts = {"plain_exp": 0, "to_schur": 0, "poly_gcd": 0}
+        for owner, name in ((GradedSeries, "plain_exp"), (SymFunc, "to_schur"),
+                            (coeffs, "poly_gcd")):
+            def counted(*args, _real=getattr(owner, name), _name=name):
+                counts[_name] += 1
+                return _real(*args)
+            monkeypatch.setattr(owner, name, counted)
+        assert verify_suite(build_context(3, 4, None)).ok
+        assert counts == {"plain_exp": 2, "to_schur": 8, "poly_gcd": 4}
+
 
 def _is_integer_poly(p: PolyQU) -> bool:
     return all(type(c) is int for c in p.terms.values())
@@ -1073,6 +1091,14 @@ FAMILIES = [
 ]
 
 
+def _add_at_b(series, key, extra):
+    """The series with extra added to its coefficient at b_key."""
+    n = sum(key[0])
+    f = series.coeffs[n]
+    series.coeffs[n] = f.add(SymFunc(f.k, n, {key: extra * f.den}, f.den))
+    return series
+
+
 def _seed_fault(monkeypatch, family: str, rep) -> None:
     """Corrupt the value at the sorted key rep of degree 4 on the route that
     only the given family reads."""
@@ -1094,7 +1120,10 @@ def _seed_fault(monkeypatch, family: str, rep) -> None:
             key: p + (U if key == rep else ZERO)
             for key, p in real_sum(alphabets, powers).items()})
     elif family == "tau-matches-u-deformed-product":
-        at_rep("T_poly_product_oracle", lambda p: p + U)
+        # the u-deformed product's log sum off by u at b_rep
+        real_log = mult.u_deformed_log_sum
+        monkeypatch.setattr(mult, "u_deformed_log_sum",
+                            lambda ctx: _add_at_b(real_log(ctx), rep, U))
     elif family == "tau-at-minus-1-matches-twisted-product":
         at_rep("Uprime_poly_product_oracle", lambda p: p + ONE)
     elif family == "top-u-coefficient-is-kronecker":
@@ -1114,10 +1143,10 @@ def _seed_fault(monkeypatch, family: str, rep) -> None:
         monkeypatch.setattr(ty, "_multitype_signs", signs)
         monkeypatch.setattr(mult, "_multitype_signs", signs)
     else:
-        # a term that vanishes at u = 0 and u = -1 and leaves [u^3] alone,
-        # put into T and its product route alike: only positivity sees it
+        # a term in T that vanishes at u = 0 and u = -1 and leaves [u^3]
+        # alone, where the u-deformed family reads only the log sums: only
+        # positivity sees it
         extra = (Q**100 * U * (ONE + U)).scale(-1)
-        at_rep("T_poly_product_oracle", lambda p: p + extra)
         real_tau = MasterContext.tau_schur
 
         def tau_schur(ctx, n):
@@ -1156,6 +1185,32 @@ class TestVerifySuite:
         report = verify_suite(build_context(3, 4, None))
         assert [(i.name, i.failures) for i in report.items if i.failures] == [(family, 3)]
         assert [i.cases for i in report.items] == [161] * len(FAMILIES)
+
+    def test_a_fault_in_the_exps_input_fails_the_u_deformed_family(self, monkeypatch):
+        # verify compares the very series that Exp(u Psi) exponentiates: a
+        # fault in ctx.u_log_sum reaches T and the comparison alike; z_rep u
+        # at b_rep keeps T integral, so the report comes back
+        rep = ((1, 1, 1, 1), (1, 1, 1, 1), (2, 2))
+        real = MasterContext.u_log_sum
+        extra = U.scale(math.prod(map(z_lambda, rep)))
+        monkeypatch.setattr(MasterContext, "u_log_sum",
+                            lambda ctx: _add_at_b(real(ctx), rep, extra))
+        item = verify_suite(build_context(3, 4, None)).items[1]
+        assert (item.name, item.failures) == ("tau-matches-u-deformed-product", 3)
+        assert item.first_failure.startswith("1^4,1^4,2^2: ")
+
+    def test_a_mobius_weight_fault_fails_the_u_deformed_family(self, monkeypatch):
+        # the weight of psi_2 in Psi's Adams sum off by 2 (4!)^3 (q^4 - 1),
+        # a multiple that keeps every stage through T integral: the two log
+        # sums differ by the Moebius regrouping, at a sorted b_rho key
+        real = mult.mobius
+        delta = (Q**4 - ONE).scale(2 * 24**3)
+        monkeypatch.setattr(mult, "mobius",
+                            lambda d: PolyQU.const(real(d)) + delta if d == 2 else real(d))
+        item = verify_suite(build_context(3, 4, None)).items[1]
+        assert item.name == "tau-matches-u-deformed-product"
+        assert item.failures > 0
+        assert item.first_failure == "2,2,2: log Exp(u Psi) != u-deformed log"
 
     def test_a_wrong_twisted_sign_names_both_values(self, monkeypatch):
         rep = ((1, 1, 1, 1), (1, 1, 1, 1), (2, 2))
