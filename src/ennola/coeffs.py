@@ -63,7 +63,7 @@ class PolyQU:
     @staticmethod
     def monomial(coeff: int, qdeg: int, udeg: int) -> "PolyQU":
         if qdeg < 0 or udeg < 0:
-            raise ValueError("negative exponent")
+            raise AssertionError("negative exponent")
         return PolyQU({(qdeg, udeg): coeff})
 
     def is_zero(self) -> bool:
@@ -115,7 +115,7 @@ class PolyQU:
 
     def __pow__(self, e: int) -> "PolyQU":
         if e < 0:
-            raise ValueError("negative power of a polynomial")
+            raise AssertionError("negative power of a polynomial")
         result = ONE
         base = self
         while e:
@@ -143,7 +143,7 @@ class PolyQU:
     def leading(self) -> tuple[Monomial, int]:
         """Leading (monomial, coeff) under lex order on (qdeg, udeg)."""
         if not self.terms:
-            raise ValueError("zero polynomial has no leading term")
+            raise AssertionError("zero polynomial has no leading term")
         m = max(self.terms)
         return m, self.terms[m]
 
@@ -154,7 +154,7 @@ class PolyQU:
     def subst(self, q: "PolyQU | None" = None, u: "PolyQU | None" = None) -> "PolyQU":
         """Simultaneous substitution q -> q_val, u -> u_val, each None (keep
         the variable), a monomial c*q^a*u^b or zero: a remap of the terms.
-        Any other value raises ValueError."""
+        Any other value raises AssertionError."""
         (cq, (qa, qb)), (cu, (ua, ub)) = _monomial_of(q, Q), _monomial_of(u, U)
         return PolyQU(((qa * i + ua * j, qb * i + ub * j), c * cq**i * cu**j)
                       for (i, j), c in self.terms.items())
@@ -168,10 +168,10 @@ class PolyQU:
 
 def _monomial_of(value: PolyQU | None, keep: PolyQU) -> tuple[int, Monomial]:
     """(c, (a, b)) for value = c*q^a*u^b, keep when value is None, and
-    (0, (0, 0)) for zero; ValueError for anything else."""
+    (0, (0, 0)) for zero; AssertionError for anything else."""
     value = keep if value is None else value
     if not isinstance(value, PolyQU) or len(value.terms) > 1:
-        raise ValueError(f"substitution by a non-monomial: {value!r}")
+        raise AssertionError(f"substitution by a non-monomial: {value!r}")
     ((m, c),) = value.terms.items() or (((0, 0), 0),)
     return c, m
 
@@ -204,10 +204,10 @@ def unpack(N: int, B: int, W: int | None = None) -> PolyQU:
     digits; exact when every |coefficient| is below 2^(B-1) and the
     q-degree below W.  With no W, N is read as a polynomial in q alone:
     a number of b bits has at most b // B + 2 balanced digits, so with W
-    that large every digit is a power of q.  B must be at least 2: with
-    B = 1 the digits are -1 and 0, and no positive N has an expansion."""
+    that large every digit is a power of q.  B below 2 is an AssertionError:
+    with B = 1 the digits are -1 and 0, and no positive N has an expansion."""
     if B < 2:
-        raise ValueError(f"digit size {B} below 2")
+        raise AssertionError(f"digit size {B} below 2")
     if W is None:
         W = N.bit_length() // B + 2
     full = 1 << B
@@ -254,7 +254,7 @@ def poly_gcd(a: PolyQU, b: PolyQU) -> PolyQU:
         g = b if a.is_zero() else a
         return -g if g and g.leading()[1] < 0 else g
     if a.udeg() or b.udeg():
-        raise ValueError(f"gcd of polynomials in u: ({a}), ({b})")
+        raise AssertionError(f"gcd of polynomials in u: ({a}), ({b})")
     f, g = ([p.terms.get((i, 0), 0) for i in range(p.qdeg() + 1)] for p in (a, b))
     content = _int_gcd(*f, *g)
     f, g = _primitive(f), _primitive(g)
@@ -304,7 +304,7 @@ def exact_quotients(nums: list[PolyQU], b: PolyQU) -> list[PolyQU | None]:
     if b.is_zero():
         raise ZeroDivisionError("polynomial division by zero")
     if b.udeg():
-        raise ValueError(f"exact division by a polynomial in u: ({b})")
+        raise AssertionError(f"exact division by a polynomial in u: ({b})")
     if len(b.terms) == 1:
         ((s, _), d), = b.terms.items()
         return [_from_terms({(i - s, j): c // d for (i, j), c in a.terms.items()})

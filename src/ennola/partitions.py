@@ -91,7 +91,7 @@ def z_lambda(lam: Partition) -> int:
 def character_value(lam: Partition, rho: Partition) -> int:
     """chi^lam at a permutation of cycle type rho."""
     if size(lam) != size(rho):
-        raise ValueError(f"shape {lam} and class {rho} have different sizes")
+        raise AssertionError(f"shape {lam} and class {rho} have different sizes")
     if not lam:
         return 1
     strip, rest = rho[0], rho[1:]
@@ -135,7 +135,7 @@ def kronecker(mu: MultiPartition) -> int:
 @lru_cache(maxsize=None)
 def mobius(n: int) -> int:
     if n < 1:
-        raise ValueError("mobius expects a positive integer")
+        raise AssertionError("mobius expects a positive integer")
     out = 1
     d = 2
     while d * d <= n:
@@ -182,7 +182,7 @@ def a_factors(lam: Partition) -> tuple[int, tuple[int, ...]]:
 def enumerate_partitions(n: int) -> tuple[Partition, ...]:
     """All partitions of n, reverse-lexicographic: (n) first, (1^n) last."""
     if n < 0:
-        raise ValueError("n must be nonnegative")
+        raise AssertionError("n must be nonnegative")
     return tuple(_gen_partitions(n, n))
 
 

@@ -167,12 +167,12 @@ class SymFunc:
         if den.is_zero():
             raise ZeroDivisionError("division by zero")
         if den.udeg() > 0:
-            raise ValueError(f"u in a denominator: ({den})")
+            raise AssertionError(f"u in a denominator: ({den})")
         self.k = k
         self.n = n
         self.coeffs = {key: c for key, c in coeffs.items() if not c.is_zero()}
         if not all(map(_is_sorted, self.coeffs)):
-            raise ValueError("a key is not sorted: keep one key per orbit")
+            raise AssertionError("a key is not sorted: keep one key per orbit")
         self.den = den
 
     @classmethod
@@ -212,12 +212,12 @@ class SymFunc:
 
     def _check_compatible(self, other: "SymFunc") -> None:
         if self.k != other.k:
-            raise ValueError("alphabet counts differ")
+            raise AssertionError("alphabet counts differ")
 
     def add(self, other: "SymFunc") -> "SymFunc":
         self._check_compatible(other)
         if self.n != other.n:
-            raise ValueError("degrees differ")
+            raise AssertionError("degrees differ")
         if not other.coeffs:
             return self
         if not self.coeffs:
@@ -287,11 +287,11 @@ class SymFunc:
     def adams(self, m: int) -> "SymFunc":
         """psi_m / m: b_rho -> m^(l(rho) - 1) b_{m rho}, l(rho) the number
         of parts on all alphabets, with q -> q^m and u -> u^m.  A nonzero
-        degree-0 piece, whose factor would be 1/m, raises ValueError."""
+        degree-0 piece, whose factor would be 1/m, raises AssertionError."""
         if m == 1:
             return self
         if self.n == 0 and self.coeffs:
-            raise ValueError(f"psi_{m}/{m} of a nonzero degree-0 piece")
+            raise AssertionError(f"psi_{m}/{m} of a nonzero degree-0 piece")
         qm, um = Q ** m, U ** m
         out = {tuple(tuple(part * m for part in comp) for comp in key):
                c.subst(q=qm, u=um).scale(m ** (sum(map(len, key)) - 1))
@@ -324,7 +324,7 @@ class GradedSeries:
 
     def __init__(self, k: int, N: int, coeffs: list):
         if len(coeffs) != N + 1:
-            raise ValueError("need exactly N+1 coefficients")
+            raise AssertionError("need exactly N+1 coefficients")
         self.k = k
         self.N = N
         self.coeffs = coeffs
@@ -353,18 +353,18 @@ class GradedSeries:
 
     def _check(self, other: "GradedSeries") -> None:
         if (self.k, self.N) != (other.k, other.N):
-            raise ValueError("series shapes differ")
+            raise AssertionError("series shapes differ")
 
     def plain_exp(self, dens: list | None = None) -> "GradedSeries":
         """exp of a series with zero constant term (_newton, w = n - i)."""
         if not self.coeffs[0].is_zero():
-            raise ValueError("plain_exp needs zero constant term")
+            raise AssertionError("plain_exp needs zero constant term")
         return self._newton(SymFunc.one(self.k), lambda n, i: n - i, dens)
 
     def plain_log(self, dens: list | None = None) -> "GradedSeries":
         """log of a series with constant term 1 (_newton, w = -i)."""
         if self.coeffs[0] != SymFunc.one(self.k):
-            raise ValueError("plain_log needs constant term 1")
+            raise AssertionError("plain_log needs constant term 1")
         return self._newton(SymFunc.zero(self.k, 0), lambda n, i: -i, dens)
 
     def _newton(self, x0: SymFunc, w, dens: list | None) -> "GradedSeries":
@@ -390,7 +390,7 @@ class GradedSeries:
         int or a polynomial in q and u; a zero weight skips m.  Weight 1 is
         the plethystic Psi, weight mu its inverse."""
         if not self.coeffs[0].is_zero():
-            raise ValueError("the Adams sum needs zero constant term")
+            raise AssertionError("the Adams sum needs zero constant term")
         out = GradedSeries.zero(self.k, self.N).coeffs
         for m in range(1, self.N + 1):
             if w := weight(m):

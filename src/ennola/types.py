@@ -93,7 +93,7 @@ def phi_u(d: int) -> PolyQU:
     (1/d) sum over r | d of mu(r) u^{d/r} (q^{d/r} - 1), which is
     integer-valued at every integer q and u."""
     if d < 1:
-        raise ValueError("d must be positive")
+        raise AssertionError("d must be positive")
     acc = PolyQU()
     for r in range(1, d + 1):
         if d % r == 0 and mobius(r):

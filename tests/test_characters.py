@@ -51,7 +51,7 @@ class TestCharacterValues:
                     ), (lam, rho)
 
     def test_size_mismatch_raises(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(AssertionError):
             character_value((2, 1), (2,))
 
     def test_dual_shape_twists_by_sign(self):

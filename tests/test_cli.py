@@ -607,24 +607,39 @@ class TestVerify:
 
 
 class TestInternalErrors:
-    @pytest.mark.parametrize("which,fault,message", [
-        ("V", "omega", "internal error: not a polynomial"),
-        ("T", "exp_u_psi", "internal error: coefficient of"),
-    ])
+    @pytest.mark.parametrize("argv,fault,message", [
+        (("table", "--which", "V", "--n", "1"), "omega", "internal error: not a polynomial"),
+        (("table", "--which", "T", "--n", "1"), "exp_u_psi", "internal error: coefficient of"),
+        (("table", "--which", "T", "--n", "3"), "norm1", "internal error: digit size 1 below 2"),
+        (("verify", "--n", "3"), "character_rows", "internal error: digit size 1 below 2"),
+    ], ids=["V-omega-internal error: not a polynomial",
+            "T-exp_u_psi-internal error: coefficient of",
+            "T-norm1-internal error: digit size 1 below 2",
+            "verify-character_rows-internal error: digit size 1 below 2"])
     def test_broken_invariant_exits_internal(
-        self, capsys, tmp_path, monkeypatch, which, fault, message
+        self, capsys, tmp_path, monkeypatch, argv, fault, message
     ):
         # failure injection: a kernel with a spurious 1/(q + 1) does not
         # divide over the closed-form denominator of its logarithm; dropping
         # the factor u from Exp(u Psi) breaks the divisibility that T
-        # relies on.  `pair` takes the class-type sum, so the k-fold
-        # pipeline is reached through `table`
+        # relies on; a zero coefficient bound sizes the packed digits of
+        # the kernel, or of the change to the Schur basis, at 1 bit, which
+        # unpack refuses as a broken invariant, not as a refused input.
+        # `pair` takes the class-type sum, so the k-fold pipeline is
+        # reached through `table`
         import ennola.multiplicities as mult
+        import ennola.symfunc as symfunc
         from ennola.coeffs import ONE, Q
         from ennola.symfunc import SymFunc
         from oracles import pleth_exp
 
-        if fault == "omega":
+        if fault == "norm1":
+            monkeypatch.setattr(mult, "norm1", lambda p: 0)
+        elif fault == "character_rows":
+            real_rows = symfunc._character_rows
+            monkeypatch.setattr(symfunc, "_character_rows",
+                                lambda n, to_powersum: (real_rows(n, to_powersum)[0], 0))
+        elif fault == "omega":
             real = mult._build_omega
 
             def skewed(k, N):
@@ -637,8 +652,7 @@ class TestInternalErrors:
         else:
             monkeypatch.setattr(mult.MasterContext, "exp_u_psi",
                                 property(lambda ctx: pleth_exp(ctx.psi)))
-        rc, out, err = run(capsys, "table", "--which", which, "--n", "1",
-                           "--cache-dir", str(tmp_path / "c"))
+        rc, out, err = run(capsys, *argv, "--cache-dir", str(tmp_path / "c"))
         assert rc == EXIT_INTERNAL
         assert out == ""
         assert err.startswith(message)
@@ -676,6 +690,37 @@ class TestInternalErrors:
                 for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
                 if isinstance(node, ast.Assert)]
         assert bare == []
+
+    def test_src_raises_value_error_only_in_input_checks(self):
+        # main reads a ValueError as a refused input, exit 2: only the
+        # functions that check what comes from outside the program raise
+        # it, and a broken value inside it is an AssertionError, exit 4
+        import ast
+
+        import ennola
+
+        checks = {"cli:_check_sizes", "cli:cmd_cache", "cli:cmd_pair", "coeffs:poly_from_json",
+                  "multiplicities:MasterContext.__init__",
+                  "multiplicities:MasterContext._check_degree",
+                  "partitions:check_components", "partitions:check_partition",
+                  "types:make_type"}
+
+        def raisers(node, scope):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                    yield from raisers(child, (*scope, child.name))
+                    continue
+                if isinstance(child, ast.Raise):
+                    exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
+                    if isinstance(exc, ast.Name) and exc.id == "ValueError":
+                        yield ".".join(scope)
+                yield from raisers(child, scope)
+
+        found = {f"{path.stem}:{name}"
+                 for path in Path(ennola.__file__).parent.glob("*.py")
+                 for name in raisers(ast.parse(path.read_text(encoding="utf-8")), ())}
+        assert sorted(found - checks) == []  # each other module:function that does
+        assert found == checks  # and each input check still refuses
 
 
 class TestCache:

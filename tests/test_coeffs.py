@@ -125,17 +125,17 @@ class TestPolyRingLaws:
                              ids=["q-plus-1", "u-minus-q", "q-squared-plus-u", "int"])
     def test_subst_refuses_non_monomials(self, bad):
         p = Q**2 * U + ONE
-        with pytest.raises(ValueError, match="non-monomial"):
+        with pytest.raises(AssertionError, match="non-monomial"):
             p.subst(q=bad)
-        with pytest.raises(ValueError, match="non-monomial"):
+        with pytest.raises(AssertionError, match="non-monomial"):
             p.subst(u=bad)
 
 
 class TestPolyBasics:
     @pytest.mark.parametrize("call, error, message", [
-        (lambda: PolyQU.monomial(1, -1, 0), ValueError, "negative exponent"),
-        (lambda: Q ** -1, ValueError, "negative power of a polynomial"),
-        (lambda: ZERO.leading(), ValueError, "zero polynomial has no leading term"),
+        (lambda: PolyQU.monomial(1, -1, 0), AssertionError, "negative exponent"),
+        (lambda: Q ** -1, AssertionError, "negative power of a polynomial"),
+        (lambda: ZERO.leading(), AssertionError, "zero polynomial has no leading term"),
         (lambda: exact_quotients([Q], ZERO), ZeroDivisionError, "polynomial division by zero"),
     ], ids=["monomial-negative-q", "negative-power", "zero-leading", "quotients-by-zero"])
     def test_refusals(self, call, error, message):
@@ -255,9 +255,9 @@ class TestGcdAndDivision:
         assert poly_gcd(ZERO, ZERO) == ZERO
 
     def test_two_u_bearing_operands_raise(self):
-        with pytest.raises(ValueError, match=r"gcd of polynomials in u"):
+        with pytest.raises(AssertionError, match=r"gcd of polynomials in u"):
             poly_gcd(U * Q, U + Q)
-        with pytest.raises(ValueError, match=r"gcd of polynomials in u"):
+        with pytest.raises(AssertionError, match=r"gcd of polynomials in u"):
             poly_gcd(Q, U + Q)
 
     @given(q_polys(), q_polys())
@@ -271,7 +271,7 @@ class TestGcdAndDivision:
         assert a * b in (poly_gcd(a, b) * m, -(poly_gcd(a, b) * m))
 
     def test_division_by_u_bearing_polynomial_raises(self):
-        with pytest.raises(ValueError, match=r"division by a polynomial in u: \(u\)"):
+        with pytest.raises(AssertionError, match=r"division by a polynomial in u: \(u\)"):
             poly_exact_div(U * Q, U)
 
     def test_inexact_division_returns_none(self):
@@ -395,7 +395,7 @@ class TestPacking:
         assert unpack(pack(p, 8, 1), 8, 1) != p
 
     def test_one_bit_digits_are_refused(self):
-        with pytest.raises(ValueError, match="digit size 1 below 2"):
+        with pytest.raises(AssertionError, match="digit size 1 below 2"):
             unpack(1, 1, 1)
 
     @given(st.data())

@@ -162,7 +162,7 @@ class TestOrbitCounts:
 
     def test_d_must_be_positive(self):
         for f in (phi_prime, phi_u):
-            with pytest.raises(ValueError):
+            with pytest.raises(AssertionError):
                 f(0)
 
 

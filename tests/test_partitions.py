@@ -51,7 +51,7 @@ class TestBasics:
 
     @pytest.mark.parametrize("n", [-1, -3], ids=["n-minus-1", "n-minus-3"])
     def test_enumerate_refuses_negative_size(self, n):
-        with pytest.raises(ValueError) as exc:
+        with pytest.raises(AssertionError) as exc:
             enumerate_partitions(n)
         assert str(exc.value) == "n must be nonnegative"
 

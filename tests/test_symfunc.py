@@ -73,7 +73,7 @@ class TestSymFuncBasics:
         (lambda: GradedSeries.zero(1, 2).add(GradedSeries.zero(1, 3)), "series shapes differ"),
     ], ids=["mobius-0", "symfunc-degrees", "series-N-coeffs", "series-shapes"])
     def test_refusals(self, call, message):
-        with pytest.raises(ValueError) as exc:
+        with pytest.raises(AssertionError) as exc:
             call()
         assert str(exc.value) == message
 
@@ -128,9 +128,9 @@ class TestSymFuncBasics:
     def test_unsorted_key_refused(self):
         for k, key in ((2, ((2, 1), (1, 1, 1))), (3, ((1, 1), (2,), (1, 1))),
                        (4, ((2,), (1, 1), (1, 1), (2,)))):
-            with pytest.raises(ValueError, match="not sorted"):
+            with pytest.raises(AssertionError, match="not sorted"):
                 SymFunc(k, sum(key[0]), {key: ONE})
-            with pytest.raises(ValueError, match="not sorted"):
+            with pytest.raises(AssertionError, match="not sorted"):
                 SymFunc.from_schur(k, sum(key[0]), {key: ONE})
         # a zero coefficient is dropped before the check, a sorted key passes
         assert SymFunc(2, 3, {((2, 1), (1, 1, 1)): ZERO}).is_zero()
@@ -175,7 +175,7 @@ class TestSymFuncBasics:
 
     def test_adams_refuses_a_nonzero_degree_zero_piece(self):
         # psi_m / m of a constant would be the constant over m
-        with pytest.raises(ValueError, match="degree-0"):
+        with pytest.raises(AssertionError, match="degree-0"):
             ONE_.adams(2)
         assert SymFunc.zero(2, 0).adams(2).is_zero()
         assert ONE_.adams(1) == ONE_
@@ -188,7 +188,7 @@ class TestSymFuncBasics:
     def test_incompatible_ops_raise(self):
         f = SymFunc.zero(1, 2)
         g = SymFunc.zero(2, 2)
-        with pytest.raises(ValueError):
+        with pytest.raises(AssertionError):
             f.add(g)
         with pytest.raises(ValueError):
             pairing(f, g)
@@ -227,7 +227,7 @@ class TestOneDenominator:
         assert all(type(c) is int for c in a.den.terms.values())
 
     def test_u_in_denominator_raises(self):
-        with pytest.raises(ValueError, match=r"u in a denominator: \(u \+ q\)"):
+        with pytest.raises(AssertionError, match=r"u in a denominator: \(u \+ q\)"):
             SymFunc(1, 0, {((),): ONE}, U + Q)
 
     def test_zero_denominator_raises(self):
@@ -735,9 +735,9 @@ class TestGradedSeries:
 
     def test_exp_requires_zero_constant_term(self):
         one = [SymFunc.one(1)] + [SymFunc.zero(1, n) for n in (1, 2, 3)]
-        with pytest.raises(ValueError):
+        with pytest.raises(AssertionError):
             GradedSeries(1, 3, one).plain_exp()
-        with pytest.raises(ValueError, match="zero constant term"):
+        with pytest.raises(AssertionError, match="zero constant term"):
             GradedSeries(1, 3, one).adams_sum(lambda m: 1)
-        with pytest.raises(ValueError):
+        with pytest.raises(AssertionError):
             GradedSeries.zero(1, 3).plain_log()
